@@ -15,7 +15,6 @@ in perfbench/workloads.json.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -54,16 +53,6 @@ def build_type(build_dir):
     return ""
 
 
-def source_digest():
-    digest = hashlib.sha256()
-    for top in ("src", "daemon", "perfbench"):
-        for path in sorted((ROOT / top).rglob("*")):
-            if path.is_file() and "__pycache__" not in path.parts:
-                digest.update(str(path.relative_to(ROOT)).encode())
-                digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
 def context(seed, btype):
     commit = None
     try:
@@ -83,7 +72,6 @@ def context(seed, btype):
     return {
         "seed": seed,
         "git_commit": commit,
-        "source_sha256": source_digest(),
         "build_type": btype,
         "nproc": os.cpu_count(),
         "cpu_model": cpu,

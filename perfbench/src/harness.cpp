@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -170,8 +171,7 @@ Table Table::head(std::size_t n) const {
 
 Table make_table(std::string_view workload, std::uint64_t seed) {
   // The domain (schema and value pools) is fixed, as in the paper's
-  // experiments; the seed draws the subscription population and the event
-  // streams. Sizes: the auction table is the paper's centralized
+  // experiments. Sizes: the auction table is the paper's centralized
   // experiment; the IoT table is as large as churn_durable's publish tail
   // stays steady at (recovering it is about 0.4 s of CPU work).
   Table t;
@@ -185,16 +185,31 @@ Table make_table(std::string_view workload, std::uint64_t seed) {
   } else {
     throw std::invalid_argument("unknown workload: " + std::string(workload));
   }
-  // Streams per seed: 1 subscriptions, 2 published events, 3 training
-  // sample, 4 oracle sample, 5 churn arrivals.
-  const std::uint64_t base = seed * 8;
-  auto source = t.domain->subscriptions(base + 1);
+  // The subscription table and the training sample are the benchmark's
+  // fixed data set (streams 1 and 3 whatever the seed), so every run sets
+  // up, prunes and recovers the same table and set-up time varies only with
+  // the machine. The seed draws the traffic: streams seed * 8 + 2 (+ s << 32)
+  // published events, + 4 oracle sample, + 5 churn arrivals.
+  auto source = t.domain->subscriptions(1);
   t.trees.reserve(subs);
   for (std::size_t i = 0; i < subs; ++i) t.trees.push_back(source->next());
+  t.train = t.domain->events(3)->generate(20000);
+  const std::uint64_t base = seed * 8;
   auto arrivals = t.domain->subscriptions(base + 5);
   for (std::size_t i = 0; i < 4096; ++i) t.fresh.push_back(arrivals->next());
-  t.train = t.domain->events(base + 3)->generate(20000);
-  t.events = t.domain->events(base + 2)->generate(4096);
+  // The published events interleave kEventStreams independent streams, so
+  // a stream's own state (an IoT fleet's battery levels, which drive its
+  // alarm rate) averages out instead of setting the whole run's mix.
+  constexpr std::size_t kEventStreams = 16;
+  constexpr std::size_t kEvents = 32768;
+  std::vector<std::vector<Event>> streams;
+  for (std::size_t s = 0; s < kEventStreams; ++s) {
+    streams.push_back(t.domain->events(base + 2 + (s << 32))->generate(kEvents / kEventStreams));
+  }
+  t.events.reserve(kEvents);
+  for (std::size_t k = 0; k < kEvents; ++k) {
+    t.events.push_back(std::move(streams[k % kEventStreams][k / kEventStreams]));
+  }
   t.check = t.domain->events(base + 4)->generate(200);
   return t;
 }
@@ -220,10 +235,8 @@ ShardedEngineOptions engine_options() {
 
 }  // namespace
 
-std::uint64_t exact_deliveries(const Schema& schema, const std::vector<const Node*>& originals,
-                               const std::vector<Event>& events) {
-  // The unpruned engine is built in a child process, so its memory never
-  // shows in the driver's peak resident set (the rss_mb metric).
+ExactDeliveries::ExactDeliveries(const Schema& schema, const std::vector<const Node*>& originals,
+                                 const std::vector<Event>& events) {
   int fds[2];
   if (::pipe(fds) != 0) throw std::runtime_error("pipe failed");
   const pid_t pid = ::fork();
@@ -249,15 +262,30 @@ std::uint64_t exact_deliveries(const Schema& schema, const std::vector<const Nod
     ::_exit(ok ? 0 : 1);
   }
   ::close(fds[1]);
+  pid_ = pid;
+  fd_ = fds[0];
+}
+
+std::uint64_t ExactDeliveries::total() {
   std::uint64_t total = 0;
-  const bool got = ::read(fds[0], &total, sizeof total) == static_cast<ssize_t>(sizeof total);
-  ::close(fds[0]);
+  const bool got = ::read(fd_, &total, sizeof total) == static_cast<ssize_t>(sizeof total);
+  ::close(fd_);
+  fd_ = -1;
   int status = 0;
-  ::waitpid(pid, &status, 0);
+  ::waitpid(pid_, &status, 0);
+  pid_ = -1;
   if (!got || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
     throw std::runtime_error("exact oracle process failed");
   }
   return total;
+}
+
+ExactDeliveries::~ExactDeliveries() {
+  if (fd_ >= 0) ::close(fd_);
+  if (pid_ > 0) {
+    ::kill(pid_, SIGKILL);
+    ::waitpid(pid_, nullptr, 0);
+  }
 }
 
 // --- CoreReplica -------------------------------------------------------------

@@ -33,6 +33,9 @@ inline double s_between(Clock::time_point a, Clock::time_point b) {
 inline constexpr std::size_t kShards = 4;
 /// Share of each shard's pruning capacity applied before measuring.
 inline constexpr double kPruneFraction = 0.5;
+/// Set-ups per run; setup_s is their median, so it spans several seconds
+/// of the machine's speed rather than one set-up's.
+inline constexpr int kSetupRepeats = 7;
 
 struct Args {
   std::string workload;
@@ -58,6 +61,12 @@ class RateBlocks {
   RateBlocks(Clock::time_point start, double block_s)
       : block_s_(block_s), block_end_(start + to_duration(block_s)) {}
   void add(Clock::time_point t, std::uint64_t n = 1);
+  /// Starts a new series of blocks at `start`, dropping the unfinished
+  /// block: a loop measured in segments pools every segment's blocks.
+  void restart(Clock::time_point start) {
+    count_ = 0;
+    block_end_ = start + to_duration(block_s_);
+  }
   [[nodiscard]] double median_rate() const { return median(rates_); }
 
  private:
@@ -170,14 +179,28 @@ std::vector<std::uint32_t> naive_matches(const std::vector<const dbsp::Node*>& t
                                          const dbsp::Event& event);
 
 /// Events the false-positive ratio is measured on (the first of `events`).
-inline constexpr std::size_t kRatioEvents = 1000;
+/// A few events match thousands of subscriptions, so the ratio needs
+/// thousands of events to settle.
+inline constexpr std::size_t kRatioEvents = 8192;
 
 /// Notifications an exact (unpruned) counting engine over `originals`
 /// delivers for the first kRatioEvents of `events`, summed: the base of the
-/// false-positive ratio. Null entries are skipped.
-std::uint64_t exact_deliveries(const dbsp::Schema& schema,
-                               const std::vector<const dbsp::Node*>& originals,
-                               const std::vector<dbsp::Event>& events);
+/// false-positive ratio. Null entries are skipped. The engine is built and
+/// run in a child process, so its memory never shows in the driver's peak
+/// resident set and the caller can publish meanwhile; total() waits for it.
+class ExactDeliveries {
+ public:
+  ExactDeliveries(const dbsp::Schema& schema, const std::vector<const dbsp::Node*>& originals,
+                  const std::vector<dbsp::Event>& events);
+  ~ExactDeliveries();
+  ExactDeliveries(const ExactDeliveries&) = delete;
+  ExactDeliveries& operator=(const ExactDeliveries&) = delete;
+  std::uint64_t total();
+
+ private:
+  int pid_ = -1;
+  int fd_ = -1;
+};
 
 /// (delivered - exact) / exact.
 inline double false_positive_ratio(std::uint64_t delivered, std::uint64_t exact) {

@@ -1,7 +1,8 @@
 // The inproc_prune runner: the paper's centralized experiment run as a
 // steady service. An in-process PubSub with pruning on is set up (train,
 // subscribe every tree with a counting callback, prune each shard to half
-// its capacity), then a closed loop of single-event publish() runs.
+// its capacity), then a closed loop of single-event publish() runs. Set-up
+// and loop are repeated on fresh instances, the loop in equal segments.
 
 #include <algorithm>
 #include <optional>
@@ -38,7 +39,7 @@ std::vector<std::uint32_t> raw_ids(const std::vector<SubscriptionId>& ids) {
 void run_inproc(const Table& t, Ctx& c) {
   Report& rep = c.report;
   Tracer& tr = c.tracer;
-  const int repeats = c.probe ? 1 : 3;
+  const int repeats = c.probe ? 1 : kSetupRepeats;
 
   std::uint64_t delivered = 0;
   bool capture = false;
@@ -48,10 +49,24 @@ void run_inproc(const Table& t, Ctx& c) {
     if (capture) captured.push_back(n.subscription);
   };
 
-  // --- Set-up, repeated; the median is reported -----------------------------
+  // --- Set-up and measured loop, repeated ------------------------------------
+  // Each repeat builds a fresh PubSub (timed; setup_s is the median of the
+  // repeats), warms it up and runs one segment of the closed loop. The
+  // segments pool their latency samples and throughput blocks, so the
+  // figures average over several instances' memory layouts and over the
+  // whole run's machine speed, not one stretch of it. In a traced run even
+  // quarter-second blocks of a segment record spans and odd ones do not;
+  // the gap between their medians is the tracing overhead.
   const double rss_base = rss_mb();
   std::vector<double> setup_s;
+  std::vector<double> setup_prune_s;
   std::vector<double> subscribe_us;
+  std::vector<double> publish_us;
+  std::vector<double> publish_traced_us;
+  publish_us.reserve(1u << 16);
+  const double segment_s = c.seconds / repeats;
+  RateBlocks blocks(Clock::now(), segment_s / 8);
+  std::size_t published = 0;
   std::optional<PubSub> ps;
   std::vector<SubscriptionHandle> handles;
   for (int r = 0; r < repeats; ++r) {
@@ -78,28 +93,49 @@ void run_inproc(const Table& t, Ctx& c) {
       }
       handles.push_back(std::move(h).value());
     }
+    const auto subscribed = Clock::now();
     {
       auto span = tr.span("api.prune");
       rep.attempted();
       if (!ps->prune_to_fraction(kPruneFraction).ok()) rep.failed();
     }
-    setup_s.push_back(s_between(start, Clock::now()));
+    const auto done = Clock::now();
+    setup_s.push_back(s_between(start, done));
+    setup_prune_s.push_back(s_between(subscribed, done));
+
+    for (std::size_t i = 0; i < kWarmupPublishes; ++i) ps->publish(t.events[i % t.events.size()]);
+    rep.attempted(kWarmupPublishes);
+
+    const auto seg_start = Clock::now();
+    const auto seg_end = seg_start + std::chrono::duration_cast<Clock::duration>(
+                                         std::chrono::duration<double>(segment_s));
+    blocks.restart(seg_start);
+    for (auto now = seg_start; now < seg_end;) {
+      const bool traced = tr.enabled() && static_cast<long>(s_between(seg_start, now) * 4) % 2 == 0;
+      const Event& e = t.events[published++ % t.events.size()];
+      const auto a = Clock::now();
+      {
+        auto span = tr.span_if(traced, "api.publish");
+        ps->publish(e);
+      }
+      now = Clock::now();
+      (traced ? publish_traced_us : publish_us).push_back(us_between(a, now));
+      blocks.add(now);
+    }
   }
+  rep.attempted(published);
   bool dense = handles.size() == t.trees.size();
   for (std::size_t i = 0; dense && i < handles.size(); ++i) dense = handles[i].id().value() == i;
   rep.check(dense, "inproc: subscription ids are not 0..n-1");
 
-  for (std::size_t i = 0; i < kWarmupPublishes; ++i) ps->publish(t.events[i % t.events.size()]);
-  rep.attempted(kWarmupPublishes);
-
   std::vector<const Node*> originals;
   for (const auto& tree : t.trees) originals.push_back(tree.get());
+  ExactDeliveries exact(t.schema(), originals, t.events);
   std::uint64_t ratio_delivered = 0;
   for (std::size_t k = 0; k < std::min(kRatioEvents, t.events.size()); ++k) {
     ratio_delivered += ps->publish(t.events[k]);
   }
-  const double fp = false_positive_ratio(ratio_delivered,
-                                         exact_deliveries(t.schema(), originals, t.events));
+  const double fp = false_positive_ratio(ratio_delivered, exact.total());
 
   // --- Output check on sampled events, outside the timed loop ----------------
   std::uint64_t got_total = 0;
@@ -124,31 +160,6 @@ void run_inproc(const Table& t, Ctx& c) {
   capture = false;
   rep.attempted(t.check.size());
 
-  // --- Measured closed loop ---------------------------------------------------
-  // In a traced run even quarter-second blocks record spans and odd ones do
-  // not; the gap between their medians is the tracing overhead.
-  std::vector<double> publish_us;
-  std::vector<double> publish_traced_us;
-  publish_us.reserve(1u << 16);
-  const auto start = Clock::now();
-  const auto end = start + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(c.seconds));
-  RateBlocks blocks(start, 0.5);
-  std::size_t published = 0;
-  for (auto now = start; now < end;) {
-    const bool traced = tr.enabled() && static_cast<long>(s_between(start, now) * 4) % 2 == 0;
-    const Event& e = t.events[published++ % t.events.size()];
-    const auto a = Clock::now();
-    {
-      auto span = tr.span_if(traced, "api.publish");
-      ps->publish(e);
-    }
-    now = Clock::now();
-    (traced ? publish_traced_us : publish_us).push_back(us_between(a, now));
-    blocks.add(now);
-  }
-  rep.attempted(published);
-
   if (c.layers) {
     CoreReplica core(t, tr);
     core.prune(tr);
@@ -159,29 +170,35 @@ void run_inproc(const Table& t, Ctx& c) {
     }
     rep.check(same, "inproc: the core replica's pruned trees differ from the facade's");
 
-    // Publish and the replica's match of the same event, back to back: the
-    // paired difference is the facade's own dispatch cost.
+    // The facade's publish, then the replica's match and its shard matchers,
+    // each timed in a pass of its own over the same events, spread evenly
+    // over the published stream. Interleaved per event, the facade and the
+    // replica evicted each other from the caches and both read about half
+    // as slow again as the measured loop's publish. The facade's own
+    // dispatch cost is the difference of the first two medians.
     const std::size_t n = std::min(kLayerEvents, t.events.size());
+    const std::size_t stride = t.events.size() / n;
     std::vector<SubscriptionId> out;
+    std::vector<double> publish_sample_us;
     std::vector<double> core_us;
     std::vector<double> filter_us;
-    std::vector<double> dispatch_us;
     for (std::size_t k = 0; k < n; ++k) {
-      const Event& e = t.events[k];
-      auto a = Clock::now();
+      const auto a = Clock::now();
       {
-        auto span = tr.span("api.publish_paired");
-        ps->publish(e);
+        auto span = tr.span("api.publish_sample");
+        ps->publish(t.events[k * stride]);
       }
-      const double publish = us_between(a, Clock::now());
+      publish_sample_us.push_back(us_between(a, Clock::now()));
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      const Event& e = t.events[k * stride];
       out.clear();
-      a = Clock::now();
+      auto a = Clock::now();
       {
         auto span = tr.span("core.match");
         core.engine.match(e, out);
       }
       core_us.push_back(us_between(a, Clock::now()));
-      dispatch_us.push_back(publish - core_us.back());
       double shards_us = 0;
       for (std::size_t s = 0; s < core.engine.shard_count(); ++s) {
         out.clear();
@@ -197,7 +214,7 @@ void run_inproc(const Table& t, Ctx& c) {
     core.engine.reset_counters();
     for (std::size_t k = 0; k < n; ++k) {
       out.clear();
-      core.engine.match(t.events[k], out);
+      core.engine.match(t.events[k * stride], out);
     }
     const CountingMatcher::Counters cnt = core.engine.counters();
     const double events = static_cast<double>(n);
@@ -247,7 +264,8 @@ void run_inproc(const Table& t, Ctx& c) {
                                               static_cast<double>(cnt.tree_evaluations)
                                         : 0.0,
                "ratio");
-    rep.metric("api.dispatch_us", median(dispatch_us), "us");
+    const double dispatch = median(publish_sample_us) - core_match;
+    rep.metric("api.dispatch_us", dispatch, "us");
     rep.metric("obs.publish_overhead_us", median(on_us) - median(off_us), "us");
     const double assoc = static_cast<double>(ps->association_count());
     rep.metric("core.associations", assoc, "count");
@@ -262,7 +280,7 @@ void run_inproc(const Table& t, Ctx& c) {
       rep.detail("traced_publish_p50_us", median(publish_traced_us));
       rep.detail("core_share_of_publish",
                  median(publish_traced_us) > 0
-                     ? (core_match + median(dispatch_us)) / median(publish_traced_us)
+                     ? (core_match + dispatch) / median(publish_traced_us)
                      : 0.0);
     }
   }
@@ -292,6 +310,9 @@ void run_inproc(const Table& t, Ctx& c) {
     rep.detail("subscribe_samples", static_cast<double>(subscribe_us.size()));
     rep.detail("unsubscribe_samples", static_cast<double>(unsubscribe_us.size()));
     rep.detail("setup_repeats", repeats);
+    rep.detail("setup_min_s", *std::min_element(setup_s.begin(), setup_s.end()));
+    rep.detail("setup_max_s", *std::max_element(setup_s.begin(), setup_s.end()));
+    rep.detail("setup_prune_s", median(setup_prune_s));
     rep.detail("delivered_per_event", static_cast<double>(got_total) / static_cast<double>(t.check.size()));
     rep.detail("exact_per_event", static_cast<double>(exact_total) / static_cast<double>(t.check.size()));
   }

@@ -59,6 +59,22 @@ void pin_to(int first, int count) {
   (void)::sched_setaffinity(0, sizeof set, &set);
 }
 
+/// Restores the calling thread's CPU affinity when it goes out of scope, so
+/// the runs and probes after the wire probe keep every CPU.
+class AffinityGuard {
+ public:
+  AffinityGuard() { saved_ = ::sched_getaffinity(0, sizeof set_, &set_) == 0; }
+  ~AffinityGuard() {
+    if (saved_) (void)::sched_setaffinity(0, sizeof set_, &set_);
+  }
+  AffinityGuard(const AffinityGuard&) = delete;
+  AffinityGuard& operator=(const AffinityGuard&) = delete;
+
+ private:
+  cpu_set_t set_{};
+  bool saved_ = false;
+};
+
 /// dbspd as a child process with a pinned shard count, on a CPU of its own
 /// so that where the scheduler happens to place it does not move the
 /// figures from run to run. It dies with the driver (PR_SET_PDEATHSIG);
@@ -280,7 +296,8 @@ void run_wire(const Table& t, Ctx& c) {
   core.prune(tr);
 
   Daemon daemon(c.args.daemon, t.domain->name());
-  // The generator's threads share the remaining CPUs.
+  // The generator's threads share the remaining CPUs until the probe ends.
+  const AffinityGuard restore_affinity;
   pin_to(1, std::max(1, static_cast<int>(std::thread::hardware_concurrency()) - 1));
   std::vector<net::DbspClient> subs;
   for (std::size_t k = 0; k < kConnections; ++k) {
@@ -450,12 +467,12 @@ void run_wire(const Table& t, Ctx& c) {
     cap.lo = cap.hi = 0;
   }
   // The replica delivers exactly what the wire delivers (checked above).
+  ExactDeliveries exact(t.schema(), originals, t.events);
   std::uint64_t ratio_delivered = 0;
   for (std::size_t k = 0; k < std::min(kRatioEvents, t.events.size()); ++k) {
     ratio_delivered += replica.publish(t.events[k]);
   }
-  const double fp = false_positive_ratio(ratio_delivered,
-                                         exact_deliveries(t.schema(), originals, t.events));
+  const double fp = false_positive_ratio(ratio_delivered, exact.total());
 
   // --- Phase 1: open loop at a fixed rate --------------------------------------
   const double rate = kOpenLoopRate;
