@@ -11,41 +11,25 @@
 #include <memory>
 #include <vector>
 
+#include "fixture.hpp"
 #include "core/sharded_engine.hpp"
-#include "dbsp/dbsp.hpp"
-#include "workload/event_gen.hpp"
-#include "workload/subscription_gen.hpp"
 
 namespace {
 
 using namespace dbsp;
-
-struct Fixture {
-  WorkloadConfig cfg;
-  std::unique_ptr<AuctionDomain> domain;
-  std::vector<Event> events;
-
-  Fixture(std::size_t n_events) {
-    cfg.seed = 7;
-    domain = std::make_unique<AuctionDomain>(cfg);
-    events = AuctionEventGenerator(*domain, 2).generate(n_events);
-  }
-};
-
-constexpr std::size_t kSubs = 10000;
-constexpr std::size_t kEvents = 256;
+using bench::Fixture;
+using bench::kSubs;
 
 // One iteration = one batched dispatch of 256 events, straight on the
 // engine (the internals the facade wraps).
 void BM_DirectMatchBatch(benchmark::State& state) {
-  Fixture fx(kEvents);
+  Fixture fx;
   ShardedEngineOptions options;
   options.shards = static_cast<std::size_t>(state.range(0));
-  ShardedEngine engine(fx.domain->schema(), options);
-  AuctionSubscriptionGenerator sub_gen(*fx.domain, 1);
+  ShardedEngine engine(fx.domain.schema(), options);
   std::vector<std::unique_ptr<Subscription>> subs;
   for (std::uint32_t i = 0; i < kSubs; ++i) {
-    subs.push_back(std::make_unique<Subscription>(SubscriptionId(i), sub_gen.next_tree()));
+    subs.push_back(std::make_unique<Subscription>(SubscriptionId(i), fx.sub_gen.next_tree()));
     engine.add(*subs.back());
   }
 
@@ -63,23 +47,7 @@ BENCHMARK(BM_DirectMatchBatch)->Arg(1)->Arg(4)
 // The same workload through the facade with no callbacks registered —
 // what metric-driven consumers (the experiments) pay.
 void BM_PubSubPublishBatch(benchmark::State& state) {
-  Fixture fx(kEvents);
-  PubSubOptions options;
-  options.engine.shards = static_cast<std::size_t>(state.range(0));
-  PubSub pubsub(fx.domain->schema(), options);
-  AuctionSubscriptionGenerator sub_gen(*fx.domain, 1);
-  std::vector<SubscriptionHandle> handles;
-  handles.reserve(kSubs);
-  for (std::uint32_t i = 0; i < kSubs; ++i) {
-    handles.push_back(pubsub.subscribe(sub_gen.next_tree()).value());
-  }
-
-  for (auto _ : state) {
-    const std::uint64_t delivered = pubsub.publish_batch(fx.events);
-    benchmark::DoNotOptimize(delivered);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.events.size()));
+  bench::publish_batch_loop(state, PubSubOptions{});
 }
 BENCHMARK(BM_PubSubPublishBatch)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();
@@ -87,26 +55,10 @@ BENCHMARK(BM_PubSubPublishBatch)->Arg(1)->Arg(4)
 // Dispatch priced in: a trivial callback on every subscription adds one
 // hash lookup + std::function call per notification.
 void BM_PubSubPublishBatchCallbacks(benchmark::State& state) {
-  Fixture fx(kEvents);
-  PubSubOptions options;
-  options.engine.shards = static_cast<std::size_t>(state.range(0));
-  PubSub pubsub(fx.domain->schema(), options);
-  AuctionSubscriptionGenerator sub_gen(*fx.domain, 1);
   std::uint64_t sink = 0;
-  const auto count = [&sink](const Notification& n) { sink += n.seq; };
-  std::vector<SubscriptionHandle> handles;
-  handles.reserve(kSubs);
-  for (std::uint32_t i = 0; i < kSubs; ++i) {
-    handles.push_back(pubsub.subscribe(sub_gen.next_tree(), count).value());
-  }
-
-  for (auto _ : state) {
-    const std::uint64_t delivered = pubsub.publish_batch(fx.events);
-    benchmark::DoNotOptimize(delivered);
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.events.size()));
+  bench::publish_batch_loop(state, PubSubOptions{},
+                            [&sink](const Notification& n) { sink += n.seq; });
+  benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_PubSubPublishBatchCallbacks)->Arg(1)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();

@@ -8,33 +8,15 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "dbsp/dbsp.hpp"
+#include "fixture.hpp"
 #include "obs/metrics.hpp"
-#include "workload/event_gen.hpp"
-#include "workload/subscription_gen.hpp"
 
 namespace {
 
 using namespace dbsp;
-
-struct Fixture {
-  WorkloadConfig cfg;
-  std::unique_ptr<AuctionDomain> domain;
-  std::vector<Event> events;
-
-  Fixture(std::size_t n_events) {
-    cfg.seed = 7;
-    domain = std::make_unique<AuctionDomain>(cfg);
-    events = AuctionEventGenerator(*domain, 2).generate(n_events);
-  }
-};
-
-constexpr std::size_t kSubs = 10000;
-constexpr std::size_t kEvents = 256;
 
 void BM_CounterAdd(benchmark::State& state) {
   obs::MetricsRegistry registry;
@@ -61,7 +43,7 @@ void BM_HistogramRecord(benchmark::State& state) {
 BENCHMARK(BM_HistogramRecord)->Unit(benchmark::kNanosecond);
 
 // One monitoring scrape of a registry shaped like a live broker's (a few
-// dozen counters/gauges, per-shard + phase histograms).
+// dozen counters/gauges, one labelled histogram family).
 void BM_MetricsSnapshot(benchmark::State& state) {
   obs::MetricsRegistry registry;
   for (int i = 0; i < 30; ++i) {
@@ -84,27 +66,13 @@ void BM_MetricsSnapshot(benchmark::State& state) {
 BENCHMARK(BM_MetricsSnapshot)->Unit(benchmark::kMicrosecond);
 
 // The overhead contract pair: identical workload to micro_api's
-// BM_PubSubPublishBatch, with the registry live (default sampling) vs
-// disabled. bench_runner.py reports on/off as `metrics_overhead`.
+// BM_PubSubPublishBatch, with the registry live (its stage histograms fed
+// by the default 1-in-8 head-sampled traces) vs disabled. bench_runner.py
+// reports on/off as `metrics_overhead`.
 void publish_batch_bench(benchmark::State& state, bool metrics) {
-  Fixture fx(kEvents);
   PubSubOptions options;
-  options.engine.shards = static_cast<std::size_t>(state.range(0));
   options.metrics = metrics;
-  PubSub pubsub(fx.domain->schema(), options);
-  AuctionSubscriptionGenerator sub_gen(*fx.domain, 1);
-  std::vector<SubscriptionHandle> handles;
-  handles.reserve(kSubs);
-  for (std::uint32_t i = 0; i < kSubs; ++i) {
-    handles.push_back(pubsub.subscribe(sub_gen.next_tree()).value());
-  }
-
-  for (auto _ : state) {
-    const std::uint64_t delivered = pubsub.publish_batch(fx.events);
-    benchmark::DoNotOptimize(delivered);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.events.size()));
+  bench::publish_batch_loop(state, options);
 }
 
 void BM_PublishBatchMetricsOn(benchmark::State& state) {

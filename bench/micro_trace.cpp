@@ -9,32 +9,14 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
-#include "dbsp/dbsp.hpp"
+#include "fixture.hpp"
 #include "obs/flight.hpp"
-#include "workload/event_gen.hpp"
-#include "workload/subscription_gen.hpp"
 
 namespace {
 
 using namespace dbsp;
-
-struct Fixture {
-  WorkloadConfig cfg;
-  std::unique_ptr<AuctionDomain> domain;
-  std::vector<Event> events;
-
-  Fixture(std::size_t n_events) {
-    cfg.seed = 7;
-    domain = std::make_unique<AuctionDomain>(cfg);
-    events = AuctionEventGenerator(*domain, 2).generate(n_events);
-  }
-};
-
-constexpr std::size_t kSubs = 10000;
-constexpr std::size_t kEvents = 256;
 
 obs::FlightRecorderOptions bench_recorder_options() {
   obs::FlightRecorderOptions options;
@@ -117,25 +99,10 @@ BENCHMARK(BM_TracesSnapshot)->Unit(benchmark::kMicrosecond);
 // sampling, default ring) vs off. bench_runner.py reports on/off as
 // `trace_overhead`.
 void publish_batch_bench(benchmark::State& state, bool tracing) {
-  Fixture fx(kEvents);
   PubSubOptions options;
-  options.engine.shards = static_cast<std::size_t>(state.range(0));
   options.tracing = tracing;
   options.trace = bench_recorder_options();
-  PubSub pubsub(fx.domain->schema(), options);
-  AuctionSubscriptionGenerator sub_gen(*fx.domain, 1);
-  std::vector<SubscriptionHandle> handles;
-  handles.reserve(kSubs);
-  for (std::uint32_t i = 0; i < kSubs; ++i) {
-    handles.push_back(pubsub.subscribe(sub_gen.next_tree()).value());
-  }
-
-  for (auto _ : state) {
-    const std::uint64_t delivered = pubsub.publish_batch(fx.events);
-    benchmark::DoNotOptimize(delivered);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fx.events.size()));
+  bench::publish_batch_loop(state, options);
 }
 
 void BM_PublishBatchTracingOn(benchmark::State& state) {

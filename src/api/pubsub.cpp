@@ -6,11 +6,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/env.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "obs/exposition.hpp"
-#include "obs/trace.hpp"
 #include "selectivity/estimator.hpp"
 #include "selectivity/stats.hpp"
 #include "subscription/parser.hpp"
@@ -39,21 +37,11 @@ struct SubEntry {
 /// only during construction and immutable afterwards, so they are read
 /// without the lock.
 struct PubSubCore {
-  /// The effective trace-sampling stride: 0 when metrics are off, the
-  /// explicit option when set, else the DBSP_METRICS_SAMPLE knob.
-  static std::uint32_t resolve_sample(const PubSubOptions& options) {
-    if (!options.metrics) return 0;
-    if (options.metrics_sample != 0) return options.metrics_sample;
-    const std::int64_t every = env_int("DBSP_METRICS_SAMPLE", 8);
-    return every > 0 ? static_cast<std::uint32_t>(every) : 0;
-  }
-
   PubSubCore(Schema schema_in, PubSubOptions options_in)
       : schema(std::move(schema_in)),
         options(options_in),
         stats(schema),
-        engine(schema, options.engine),
-        sampler(resolve_sample(options_in)) {
+        engine(schema, options.engine) {
     if (options.pruning) {
       if (options.engine.backend != MatcherBackend::Counting) {
         throw std::logic_error("PubSub: pruning requires the Counting backend");
@@ -76,13 +64,11 @@ struct PubSubCore {
       publishes_total = &registry->counter("dbsp_publishes_total");
       events_total = &registry->counter("dbsp_events_total");
       notifications_total = &registry->counter("dbsp_notifications_total");
-      match_us = &registry->histogram("dbsp_phase_us", {{"phase", "match"}});
-      dispatch_us = &registry->histogram("dbsp_phase_us", {{"phase", "dispatch"}});
-      prune_us = &registry->histogram("dbsp_phase_us", {{"phase", "prune"}});
-      engine.attach_metrics(*registry);
     }
     if (options.tracing) {
-      recorder = std::make_shared<obs::FlightRecorder>(options.trace);
+      // With a registry the recorder turns every head-sampled span into a
+      // dbsp_stage_us observation — the facade's only timing path.
+      recorder = std::make_shared<obs::FlightRecorder>(options.trace, registry);
     }
   }
 
@@ -134,18 +120,12 @@ struct PubSubCore {
   /// Observability (obs/metrics.hpp). All set once in the constructor and
   /// immutable afterwards, so they are read without the facade lock; the
   /// registry and its series are internally synchronized (lock-free on the
-  /// record path). Null / every==0 when options.metrics is off — the
-  /// publish path then pays one branch per pointer check and nothing else.
+  /// record path). Null when options.metrics is off — the publish path
+  /// then pays one branch per pointer check and nothing else.
   std::shared_ptr<obs::MetricsRegistry> registry;
   obs::Counter* publishes_total = nullptr;
   obs::Counter* events_total = nullptr;
   obs::Counter* notifications_total = nullptr;
-  obs::Histogram* match_us = nullptr;
-  obs::Histogram* dispatch_us = nullptr;
-  obs::Histogram* prune_us = nullptr;
-  /// 1-in-N gate shared by the match and dispatch phase timers, so one
-  /// sampled publish contributes to both series.
-  obs::Sampler sampler;
 
   /// Per-event tracing (options.tracing): the flight recorder is shared so
   /// embedding layers (the net server) can join its export surface, and
@@ -183,6 +163,24 @@ struct PubSubCore {
     }
     store.reset();
     return store_failure;
+  }
+
+  /// log_to_store for one WAL record — every facade append goes through
+  /// here — under a kWalAppend span that joins the trace in flight (a
+  /// prune pass) or opens its own single-span trace.
+  template <class Fn>
+  Status append_to_store(Fn&& fn) DBSP_REQUIRES(mutex) {
+    if (!store) return Status();
+    obs::TraceContext context;
+    const bool joined = trace_builder.active();
+    obs::TraceBuilder* tb = joined ? &trace_builder : begin_trace(context);
+    Status logged;
+    {
+      obs::ScopedSpan span(tb, obs::TraceStage::kWalAppend);
+      logged = log_to_store(std::forward<Fn>(fn));
+    }
+    if (tb != nullptr && !joined) tb->finish(*recorder);
+    return logged;
   }
 
   /// The borrowed full-state view the store snapshots: every subscription's
@@ -234,7 +232,7 @@ struct PubSubCore {
     // that still holds this subscription — a consistent prefix of history —
     // while the in-memory unsubscribe below completes and the error is
     // reported to the caller.
-    const Status logged = log_to_store(
+    const Status logged = append_to_store(
         [&](store::StateStore& s) { s.append_unsubscribe(id); });
     // Pruning state first (release-before-engine-removal invariant), then
     // the engine entry, then the owning map slot.
@@ -491,10 +489,6 @@ Result<PubSub> PubSub::open(StoreOptions store_options, PubSubOptions options) {
   core->next_id = static_cast<SubscriptionId::value_type>(rec.next_id);
   core->next_seq = rec.next_seq;
   core->store = std::move(state_store);
-  if (core->registry) {
-    core->store->attach_metrics(
-        &core->registry->histogram("dbsp_phase_us", {{"phase", "wal_append"}}));
-  }
   register_metrics_hook(core);
   return PubSub(std::move(core));
 }
@@ -572,21 +566,11 @@ Result<SubscriptionHandle> PubSub::subscribe(std::unique_ptr<Node> tree,
   // auto-checkpoint runs *before* the append (the pre-registration state
   // it snapshots is exactly what c.subs holds here), so its failure also
   // surfaces through this rollback instead of being swallowed.
-  // Durable subscribes are the WAL hot path worth tracing: a head-sampled
-  // (or tail-admitted slow) append gets its own single-span trace.
-  obs::TraceContext wal_ctx;
-  obs::TraceBuilder* tb =
-      c.store != nullptr ? c.begin_trace(wal_ctx) : nullptr;
-  Status logged;
-  {
-    obs::ScopedSpan span(tb, obs::TraceStage::kWalAppend);
-    logged = c.log_to_store([&](store::StateStore& s) {
-      c.mutex.assert_held();  // runs inside log_to_store, under the lock
-      if (s.wants_checkpoint()) s.checkpoint(c.build_snapshot());
-      s.append_subscribe(id, sub->root());
-    });
+  Status logged = c.maybe_checkpoint();
+  if (logged.ok()) {
+    logged = c.append_to_store(
+        [&](store::StateStore& s) { s.append_subscribe(id, sub->root()); });
   }
-  if (tb != nullptr) tb->finish(*c.recorder);
   if (!logged.ok()) {
     c.engine.remove(id);
     return logged;
@@ -663,13 +647,9 @@ std::size_t PubSub::publish(const Event& event) {
 std::size_t PubSub::publish(const Event& event, obs::TraceContext context) {
   auto& c = *core_;
   MutexLock lock(c.mutex);
-  // One sampling decision covers both phase timers, so a traced publish
-  // contributes a matched (match, dispatch) pair to dbsp_phase_us.
-  const bool traced = c.sampler.should_sample();
   obs::TraceBuilder* tb = c.begin_trace(context);
   c.match_scratch.clear();
   {
-    obs::PhaseTimer timer(traced ? c.match_us : nullptr);
     obs::ScopedSpan span(tb, obs::TraceStage::kMatch);
     c.engine.match(event, c.match_scratch, tb);
     span.set_detail(c.match_scratch.size());
@@ -682,7 +662,6 @@ std::size_t PubSub::publish(const Event& event, obs::TraceContext context) {
     c.notifications_total->add(c.match_scratch.size());
   }
   if (c.callbacks_registered > 0) {
-    obs::PhaseTimer timer(traced ? c.dispatch_us : nullptr);
     obs::ScopedSpan span(tb, obs::TraceStage::kDispatch);
     span.set_detail(c.match_scratch.size());
     // Deliveries (queue wait, socket write on the net edge) parent under
@@ -699,13 +678,11 @@ std::size_t PubSub::publish(const Event& event, obs::TraceContext context) {
 std::uint64_t PubSub::publish_batch(std::span<const Event> events) {
   auto& c = *core_;
   MutexLock lock(c.mutex);
-  const bool traced = c.sampler.should_sample();
   // One trace covers the whole batch: the per-event fan-out is the
   // engine's concern, not a causal boundary worth a span each.
   obs::TraceContext context;
   obs::TraceBuilder* tb = c.begin_trace(context);
   {
-    obs::PhaseTimer timer(traced ? c.match_us : nullptr);
     obs::ScopedSpan span(tb, obs::TraceStage::kMatch);
     span.set_detail(events.size());
     c.engine.match_batch(events, c.batch_scratch);
@@ -719,7 +696,6 @@ std::uint64_t PubSub::publish_batch(std::span<const Event> events) {
     c.notifications_total->add(total);
   }
   if (c.callbacks_registered > 0) {
-    obs::PhaseTimer timer(traced ? c.dispatch_us : nullptr);
     obs::ScopedSpan span(tb, obs::TraceStage::kDispatch);
     span.set_detail(total);
     obs::TraceContext delivery = context;
@@ -763,7 +739,7 @@ Status PubSub::train(std::span<const Event> sample) {
   if (c.aggregator) c.aggregator->train(c.stats);
   // The estimator holds the stats by reference; queued candidate scores go
   // stale until the caller's next rescore_all().
-  const Status logged = c.log_to_store([&](store::StateStore& s) {
+  const Status logged = c.append_to_store([&](store::StateStore& s) {
     c.mutex.assert_held();  // runs inside log_to_store, under the lock
     s.append_train(c.stats);
   });
@@ -802,7 +778,7 @@ Result<std::size_t> logged_prune(PubSubCore& c, Fn&& fn) DBSP_REQUIRES(c.mutex) 
         if (it == c.subs.end()) continue;  // released since; nothing to log
         if (c.aggregator) c.aggregator->refresh(*it->second.sub);
         if (c.store) {
-          const Status logged = c.log_to_store([&](store::StateStore& s) {
+          const Status logged = c.append_to_store([&](store::StateStore& s) {
             s.append_prune(id, it->second.sub->root());
           });
           if (!logged.ok()) return logged;
@@ -825,7 +801,6 @@ Result<std::size_t> PubSub::prune(std::size_t k) {
   obs::TraceBuilder* tb = c.begin_trace(prune_ctx);
   Result<std::size_t> result = logged_prune(c, [&] {
     c.mutex.assert_held();  // runs inside logged_prune, under the lock
-    obs::PhaseTimer timer(c.prune_us);  // maintenance is off the hot path: unsampled
     obs::ScopedSpan span(tb, obs::TraceStage::kPrune);
     const std::size_t done = c.pruning->prune(k);
     span.set_detail(done);
@@ -847,7 +822,6 @@ Result<std::size_t> PubSub::prune_to_fraction(double fraction) {
   obs::TraceBuilder* tb = c.begin_trace(prune_ctx);
   Result<std::size_t> result = logged_prune(c, [&] {
     c.mutex.assert_held();  // runs inside logged_prune, under the lock
-    obs::PhaseTimer timer(c.prune_us);  // maintenance is off the hot path: unsampled
     obs::ScopedSpan span(tb, obs::TraceStage::kPrune);
     const std::size_t done = c.pruning->prune_to_fraction(fraction);
     span.set_detail(done);

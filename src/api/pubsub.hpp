@@ -72,26 +72,26 @@ struct PubSubOptions {
   /// only when `aggregation` is set. agg::AggregatorOptions::from_env()
   /// reads the DBSP_AGG_* environment overrides.
   agg::AggregatorOptions agg;
-  /// Enables the metrics registry: throughput counters, per-shard match
-  /// histograms, phase timings (dbsp_phase_us), and the state synced at
+  /// Enables the metrics registry: throughput counters, the per-stage
+  /// latencies of head-sampled traces (dbsp_stage_us, fed by the flight
+  /// recorder — so they also need `tracing`), and the state synced at
   /// every scrape (subscriptions, WAL lag, pruning gauges). Off: metrics()
   /// returns an empty snapshot and the publish path pays nothing.
   bool metrics = true;
-  /// Publish-path trace sampling: every Nth publish has its match and
-  /// dispatch phases timed into dbsp_phase_us (1 = every publish). 0 reads
-  /// the DBSP_METRICS_SAMPLE environment knob, falling back to 8.
-  std::uint32_t metrics_sample = 0;
   /// Enables per-event tracing: every publish carries an obs::TraceContext
   /// (propagated into Notifications and across the wire), head-sampled
   /// publishes collect detailed spans (per-shard match, aggregation probe),
   /// every publish takes coarse stage timings so the tail sampler can
   /// retain the slowest K of the rolling window, and completed traces land
-  /// in the flight recorder behind traces()/traces_json(). Off: traces()
-  /// is empty and the publish path pays one null check.
+  /// in the flight recorder behind traces()/traces_json(). The spans of
+  /// head-sampled traces are also the dbsp_stage_us metrics. Off: traces()
+  /// is empty, there is no dbsp_stage_us, and the publish path pays one
+  /// null check.
   bool tracing = true;
-  /// Flight-recorder knobs (ring capacity, 1-in-N head sampling stride,
-  /// slowest-K, window). Zero fields resolve from the DBSP_TRACE_*
-  /// environment knobs; used only when `tracing` is set.
+  /// Flight-recorder knobs (ring capacity, 1-in-N head sampling stride —
+  /// the one sampler behind both /traces and dbsp_stage_us — slowest-K,
+  /// window). Zero fields resolve from the DBSP_TRACE_* environment knobs;
+  /// used only when `tracing` is set.
   obs::FlightRecorderOptions trace;
 };
 

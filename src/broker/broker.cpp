@@ -51,7 +51,7 @@ void Broker::unsubscribe_local(SubscriptionId id) {
   // Pruning set first (local entries are never tracked, so this is a
   // no-op here, but keeps the release-before-engine-removal invariant),
   // then engine: its removal reads the Subscription the table entry owns.
-  if (pruning_ != nullptr) pruning_->remove(id);
+  if (owned_pruning_ != nullptr) owned_pruning_->remove(id);
   engine_.remove(id);
   table_.remove(id);
   if (aggregator_ != nullptr) {
@@ -89,14 +89,14 @@ void Broker::handle(BrokerId from, const Message& message) {
       Subscription& sub =
           table_.add_remote(message.sub_id, from, message.sub_tree->clone());
       engine_.add(sub);
-      if (pruning_ != nullptr) pruning_->add(sub);  // incremental admission
+      if (owned_pruning_ != nullptr) owned_pruning_->add(sub);  // incremental admission
       forward_subscription(from, message.sub_id, message.sub_tree);
       break;
     }
     case Message::Type::Unsubscribe: {
       auto entry = table_.remove(message.sub_id);
       if (entry) {
-        if (pruning_ != nullptr) pruning_->remove(message.sub_id);
+        if (owned_pruning_ != nullptr) owned_pruning_->remove(message.sub_id);
         engine_.remove(message.sub_id);
         Message m;
         m.type = Message::Type::Unsubscribe;
@@ -235,20 +235,6 @@ void Broker::route_event(BrokerId from, const Event& event, std::uint64_t seq,
   if (tb != nullptr) tb->finish(*trace_recorder_);
 }
 
-namespace {
-
-/// Remote entries as Subscription pointers — valid only until the next
-/// churn operation; callers must consume them immediately.
-std::vector<Subscription*> collect_remote(RoutingTable& table) {
-  std::vector<Subscription*> out;
-  table.for_each([&](RoutingTable::Entry& e) {
-    if (!e.local) out.push_back(e.sub.get());
-  });
-  return out;
-}
-
-}  // namespace
-
 std::vector<SubscriptionId> Broker::remote_subscription_ids() const {
   std::vector<SubscriptionId> out;
   table_.for_each([&](const RoutingTable::Entry& e) {
@@ -257,27 +243,20 @@ std::vector<SubscriptionId> Broker::remote_subscription_ids() const {
   return out;
 }
 
-std::vector<Subscription*> Broker::remote_subscriptions() {
-  return collect_remote(table_);
-}
-
 ShardedPruningSet& Broker::enable_pruning(const SelectivityEstimator& estimator,
                                           const PruneEngineConfig& config) {
-  owned_pruning_ = std::make_unique<ShardedPruningSet>(engine_, estimator, config,
-                                                       collect_remote(table_));
-  pruning_ = owned_pruning_.get();
+  // The set keeps these pointers; every removal path releases its entry
+  // from the set before the table drops the Subscription.
+  std::vector<Subscription*> remote;
+  table_.for_each([&](RoutingTable::Entry& e) {
+    if (!e.local) remote.push_back(e.sub.get());
+  });
+  owned_pruning_ =
+      std::make_unique<ShardedPruningSet>(engine_, estimator, config, remote);
   return *owned_pruning_;
 }
 
-void Broker::disable_pruning() {
-  pruning_ = nullptr;
-  owned_pruning_.reset();
-}
-
-void Broker::set_pruning(ShardedPruningSet* set) {
-  owned_pruning_.reset();
-  pruning_ = set;
-}
+void Broker::disable_pruning() { owned_pruning_.reset(); }
 
 void Broker::save_table(WireWriter& out) const {
   encode_wire_header(out);

@@ -91,31 +91,19 @@ class Broker {
   /// through table().find() when the trees are needed.
   [[nodiscard]] std::vector<SubscriptionId> remote_subscription_ids() const;
 
-  /// Remote (prunable) subscriptions as raw pointers.
-  [[deprecated(
-      "the pointers dangle as soon as churn removes an entry; use "
-      "remote_subscription_ids() or enable_pruning()")]]
-  [[nodiscard]] std::vector<Subscription*> remote_subscriptions();
-
   /// Builds a pruning set over this broker's current remote entries,
   /// attaches it, and *owns* it: while enabled, remote subscriptions
   /// arriving via the overlay are admitted and unsubscriptions released
   /// automatically — no manual sync, no dangling set pointer to detach.
   /// The estimator must outlive the broker (or a disable_pruning() call).
-  /// Replaces any previously enabled or attached set.
+  /// Replaces any previously enabled set.
   ShardedPruningSet& enable_pruning(const SelectivityEstimator& estimator,
                                     const PruneEngineConfig& config);
-  /// Drops the owned (or attached) pruning set.
+  /// Drops the owned pruning set.
   void disable_pruning();
 
-  /// Attaches an externally owned pruning set (or nullptr to detach),
-  /// which then must outlive the attachment.
-  [[deprecated(
-      "lifetime footgun (broker keeps a raw pointer); use enable_pruning() / "
-      "disable_pruning() — the broker owns its set")]]
-  void set_pruning(ShardedPruningSet* set);
-  /// The enabled/attached pruning set, nullptr when none.
-  [[nodiscard]] ShardedPruningSet* pruning() { return pruning_; }
+  /// The enabled pruning set, nullptr when none.
+  [[nodiscard]] ShardedPruningSet* pruning() { return owned_pruning_.get(); }
 
   /// Predicate/subscription associations contributed by remote entries
   /// (the distributed memory metric, Fig. 1(f)).
@@ -203,10 +191,8 @@ class Broker {
       BrokerId::value_type,
       std::unordered_map<std::uint64_t, std::shared_ptr<const agg::SummarySet>>>
       neighbor_summaries_;
-  /// Set via enable_pruning(); pruning_ aliases it (or an externally
-  /// attached set through the deprecated set_pruning()).
+  /// Set via enable_pruning().
   std::unique_ptr<ShardedPruningSet> owned_pruning_;
-  ShardedPruningSet* pruning_ = nullptr;
 
   /// Overlay tracing (attach_trace_recorder): the builder is reusable
   /// scratch — brokers are single-threaded under the overlay pump.

@@ -5,13 +5,11 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "agg/aggregator.hpp"
 #include "common/env.hpp"
 #include "obs/flight.hpp"
-#include "obs/trace.hpp"
 
 namespace dbsp {
 
@@ -156,7 +154,6 @@ void ShardedEngine::match(const Event& event, std::vector<SubscriptionId>& out,
   const bool probed = use_aggregated_path();
   bool matched = false;
   if (probed) {
-    obs::PhaseTimer timer(shard_hist(shard_match_us_, 0));
     obs::ScopedSpan span(trace, obs::TraceStage::kAggProbe,
                          /*detailed_only=*/true);
     matched = aggregator_->match_within(event, out, aggregated_budget());
@@ -172,7 +169,6 @@ void ShardedEngine::match(const Event& event, std::vector<SubscriptionId>& out,
                        /*detailed_only=*/true);
     }
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      obs::PhaseTimer timer(shard_hist(shard_match_us_, s));
       obs::ScopedSpan span(trace, obs::TraceStage::kShardMatch,
                            /*detailed_only=*/true);
       span.set_detail(s);
@@ -200,10 +196,6 @@ void ShardedEngine::match_batch_aggregated(
   const std::size_t workers =
       std::min(shards_.size(), events.size() == 0 ? std::size_t{1} : events.size());
   auto run_chunk = [&](std::size_t w) {
-    obs::PhaseTimer timer(shard_hist(shard_match_us_, w));
-    if (auto* hist = shard_hist(shard_batch_events_, w)) {
-      hist->record(static_cast<double>(events.size()));
-    }
     for (std::size_t e = w; e < events.size(); e += workers) {
       out[e].clear();
       if (aggregator_->match_within(events[e], out[e], budget)) {
@@ -260,10 +252,6 @@ void ShardedEngine::match_batch_sharded(
     std::span<const Event> events, std::vector<std::vector<SubscriptionId>>& out) {
   out.resize(events.size());
   if (shards_.size() == 1) {
-    obs::PhaseTimer timer(shard_hist(shard_match_us_, 0));
-    if (auto* hist = shard_hist(shard_batch_events_, 0)) {
-      hist->record(static_cast<double>(events.size()));
-    }
     for (std::size_t e = 0; e < events.size(); ++e) {
       out[e].clear();
       match_shard(0, events[e], out[e]);
@@ -272,13 +260,7 @@ void ShardedEngine::match_batch_sharded(
     return;
   }
 
-  // Each worker records only into its own shard's series, so the fan-out
-  // stays free of cross-thread cache-line contention.
   auto run_shard = [&](std::size_t s) {
-    obs::PhaseTimer timer(shard_hist(shard_match_us_, s));
-    if (auto* hist = shard_hist(shard_batch_events_, s)) {
-      hist->record(static_cast<double>(events.size()));
-    }
     auto& rows = batch_scratch_[s];
     rows.resize(events.size());
     for (std::size_t e = 0; e < events.size(); ++e) {
@@ -352,20 +334,6 @@ CountingMatcher::Counters ShardedEngine::counters() const {
     }
   }
   return total;
-}
-
-void ShardedEngine::attach_metrics(obs::MetricsRegistry& registry) {
-  shard_match_us_.clear();
-  shard_batch_events_.clear();
-  shard_match_us_.reserve(shards_.size());
-  shard_batch_events_.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::string shard = std::to_string(s);
-    shard_match_us_.push_back(
-        &registry.histogram("dbsp_shard_match_us", {{"shard", shard}}));
-    shard_batch_events_.push_back(
-        &registry.histogram("dbsp_shard_batch_events", {{"shard", shard}}));
-  }
 }
 
 void ShardedEngine::reset_counters() {

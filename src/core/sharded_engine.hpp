@@ -17,7 +17,6 @@
 #include "filter/counting_matcher.hpp"
 #include "filter/dnf_matcher.hpp"
 #include "filter/naive_matcher.hpp"
-#include "obs/metrics.hpp"
 #include "subscription/subscription.hpp"
 
 namespace dbsp {
@@ -180,16 +179,6 @@ class ShardedEngine {
   void attach_aggregation(agg::SubscriptionAggregator* aggregator);
   [[nodiscard]] agg::SubscriptionAggregator* aggregation() const { return aggregator_; }
 
-  /// Registers per-shard observability series with `registry`:
-  /// `dbsp_shard_match_us{shard="i"}` (per-shard match latency in
-  /// microseconds — per event in match(), per batch in match_batch()) and
-  /// `dbsp_shard_batch_events{shard="i"}` (match_batch batch sizes). The
-  /// registry must outlive the engine; recording is lock-free, so the
-  /// match_batch shard workers stay contention-free (each worker touches
-  /// only its own shard's series). Call at most once, before matching
-  /// starts; without it matching records nothing.
-  void attach_metrics(obs::MetricsRegistry& registry);
-
  private:
   using ShardMatcher = std::variant<CountingMatcher, DnfMatcher, NaiveMatcher>;
 
@@ -197,12 +186,6 @@ class ShardedEngine {
   ThreadPool& pool();
   void match_shard(std::size_t shard, const Event& event,
                    std::vector<SubscriptionId>& out);
-
-  /// The shard's histogram when attach_metrics ran, else nullptr.
-  [[nodiscard]] obs::Histogram* shard_hist(
-      const std::vector<obs::Histogram*>& hists, std::size_t shard) const {
-    return shard < hists.size() ? hists[shard] : nullptr;
-  }
 
   /// Aggregated-match candidate budget for one event (SIZE_MAX when the
   /// fallback is disabled).
@@ -231,9 +214,6 @@ class ShardedEngine {
   std::unique_ptr<ThreadPool> pool_;
   /// Per-shard result rows reused across match_batch calls.
   std::vector<std::vector<std::vector<SubscriptionId>>> batch_scratch_;
-  /// Per-shard series (empty until attach_metrics; then one per shard).
-  std::vector<obs::Histogram*> shard_match_us_;
-  std::vector<obs::Histogram*> shard_batch_events_;
 };
 
 /// Builds one PruningEngine per shard of `engine` (Counting backend

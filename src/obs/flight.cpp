@@ -213,10 +213,12 @@ namespace {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(FlightRecorderOptions options)
+FlightRecorder::FlightRecorder(FlightRecorderOptions options,
+                               std::shared_ptr<MetricsRegistry> registry)
     // `options` is resolved in place before the first member reads it
     // (sampler_ is the first declared member).
     : sampler_((options = resolve(options)).sample_every),
+      registry_(std::move(registry)),
       slow_k_(options.slow_k),
       window_ms_(options.window_ms) {
   slots_.reserve(options.capacity);
@@ -268,8 +270,30 @@ bool FlightRecorder::admit_slow(std::uint64_t duration_us) {
   return admit;
 }
 
+Histogram& FlightRecorder::stage_histogram(TraceStage stage) {
+  std::atomic<Histogram*>& slot = stage_us_[static_cast<std::size_t>(stage)];
+  Histogram* hist = slot.load(std::memory_order_acquire);
+  if (hist == nullptr) {
+    // Find-or-create is idempotent, so racing first spans of one stage
+    // store the same pointer.
+    hist = &registry_->histogram("dbsp_stage_us", {{"stage", to_string(stage)}});
+    slot.store(hist, std::memory_order_release);
+  }
+  return *hist;
+}
+
 void FlightRecorder::record(const Trace& trace) {
-  if (slots_.empty() || trace.trace_id == 0) return;
+  if (trace.trace_id == 0) return;
+  if (registry_ != nullptr && trace.sampled) {
+    const std::size_t span_count =
+        std::min(trace.spans.size(), TraceBuilder::kMaxSpans);
+    for (std::size_t i = 0; i < span_count; ++i) {
+      const TraceSpan& span = trace.spans[i];
+      if (static_cast<std::size_t>(span.stage) >= kTraceStageCount) continue;
+      stage_histogram(span.stage).record(static_cast<double>(span.duration_us));
+    }
+  }
+  if (slots_.empty()) return;
   const std::uint64_t at = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = *slots_[at % slots_.size()];
   std::uint32_t seq = slot.seq.load(std::memory_order_relaxed);

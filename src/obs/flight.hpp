@@ -8,15 +8,25 @@
 /// through PubSub::traces_json(), the `traces` wire verb, or dbspd's
 /// GET /traces.
 ///
-/// Sampling is two-sided. Head sampling (1-in-N, reusing obs::Sampler)
-/// decides *before* the event runs whether fine-grained spans (per-shard
-/// match, aggregation probe) are collected; it is the `sampled` flag that
+/// Sampling is two-sided. Head sampling (1-in-N, obs::Sampler) decides
+/// *before* the event runs whether fine-grained spans (per-shard match,
+/// aggregation probe) are collected; it is the `sampled` flag that
 /// travels in the TraceContext so every hop of a head-sampled event traces
 /// in detail. Tail sampling catches what head sampling misses: every
 /// traced publish takes a handful of coarse timestamps, and a finished
 /// trace whose total duration reaches the rolling slowest-K admission
 /// threshold is retained even when the head sampler skipped it — the
 /// slowest K events of the window are always in the recorder.
+///
+/// Spans are also the only timing primitive behind the metrics: a
+/// recorder built with a MetricsRegistry records every span of every
+/// head-sampled trace handed to record() into the histogram family
+/// `dbsp_stage_us{stage=<to_string(TraceStage)>}`. Metrics and /traces
+/// therefore describe the same publishes, chosen by the one head sampler
+/// (DBSP_TRACE_SAMPLE). Tail-admitted (unsampled) traces stay out of the
+/// histograms so the series remain a uniform 1-in-N sample, and spans a
+/// TraceBuilder dropped beyond kMaxSpans are not counted. No recorder
+/// (tracing off) means no dbsp_stage_us.
 ///
 /// Concurrency: TraceBuilder is single-threaded (one in-flight trace on
 /// one thread — the facade holds its lock across a publish, the net
@@ -40,9 +50,28 @@
 
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "obs/trace.hpp"
+#include "obs/metrics.hpp"
 
 namespace dbsp::obs {
+
+/// Counter-based 1-in-N sampling. every == 0 never samples, every == 1
+/// samples everything. Thread-safe (one relaxed fetch_add per ask).
+class Sampler {
+ public:
+  explicit Sampler(std::uint32_t every) : every_(every) {}
+
+  [[nodiscard]] bool should_sample() {
+    if (every_ == 0) return false;
+    if (every_ == 1) return true;
+    return n_.fetch_add(1, std::memory_order_relaxed) % every_ == 0;
+  }
+
+  [[nodiscard]] std::uint32_t every() const { return every_; }
+
+ private:
+  std::uint32_t every_;
+  std::atomic<std::uint64_t> n_{0};
+};
 
 /// The causal identity one event carries across process, wire, and
 /// overlay boundaries: which trace it belongs to, which span caused this
@@ -78,6 +107,9 @@ enum class TraceStage : std::uint8_t {
   kSocketWrite = 10,   ///< notification bytes entering the socket
   kOverlayHop = 11,    ///< broker overlay hop (detail: broker id)
 };
+
+/// Number of TraceStage values (one past the last).
+inline constexpr std::size_t kTraceStageCount = 12;
 
 [[nodiscard]] const char* to_string(TraceStage stage);
 
@@ -222,7 +254,10 @@ struct FlightRecorderOptions {
 /// fixed-size encoded trace (TraceBuilder::kMaxSpans spans).
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightRecorderOptions options = {});
+  /// A non-null `registry` receives the dbsp_stage_us histograms (see the
+  /// file comment); each stage's series is created on its first span.
+  explicit FlightRecorder(FlightRecorderOptions options = {},
+                          std::shared_ptr<MetricsRegistry> registry = nullptr);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -237,7 +272,9 @@ class FlightRecorder {
   [[nodiscard]] bool admit_slow(std::uint64_t duration_us);
 
   /// Lock-free ring write. Spans beyond TraceBuilder::kMaxSpans are
-  /// dropped. A slot-claim collision drops the whole trace and counts it.
+  /// dropped. A slot-claim collision drops the whole trace from the ring
+  /// and counts it; a head-sampled trace's spans reach dbsp_stage_us
+  /// first either way.
   void record(const Trace& trace);
 
   /// Every currently readable trace, oldest first (by start timestamp).
@@ -265,7 +302,12 @@ class FlightRecorder {
     std::atomic<std::uint64_t> words[kSlotWords];
   };
 
+  /// The stage's dbsp_stage_us series, created on first use.
+  [[nodiscard]] Histogram& stage_histogram(TraceStage stage);
+
   Sampler sampler_;
+  std::shared_ptr<MetricsRegistry> registry_;
+  std::atomic<Histogram*> stage_us_[kTraceStageCount] = {};
   std::vector<std::unique_ptr<Slot>> slots_;
   std::atomic<std::uint64_t> head_{0};
   std::atomic<std::uint64_t> recorded_total_{0};

@@ -12,7 +12,6 @@
 
 #include "common/env.hpp"
 #include "core/candidates.hpp"
-#include "obs/trace.hpp"
 
 namespace dbsp::store {
 
@@ -236,10 +235,7 @@ std::string StateStore::wal_path() const {
 }
 
 void StateStore::append(const WireWriter& payload) {
-  {
-    obs::PhaseTimer timer(append_us_);
-    wal_->append(payload.bytes());
-  }
+  wal_->append(payload.bytes());
   ++stats_.wal_records;
   ++stats_.records_since_checkpoint;
   stats_.wal_bytes = wal_->bytes_appended();

@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
 
@@ -133,12 +132,6 @@ class StateStore {
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   [[nodiscard]] const std::string& directory() const { return directory_; }
 
-  /// Wires the WAL append+fsync latency histogram (microseconds per
-  /// append, fsync included when enabled). `append_us` must outlive the
-  /// store; nullptr detaches. The facade attaches the registry-owned
-  /// `dbsp_phase_us{phase="wal_append"}` series here.
-  void attach_metrics(obs::Histogram* append_us) { append_us_ = append_us; }
-
  private:
   StateStore(std::string directory, std::size_t snapshot_every, bool sync)
       : directory_(std::move(directory)),
@@ -157,7 +150,6 @@ class StateStore {
   std::uint64_t epoch_ = 0;
   std::unique_ptr<WalWriter> wal_;
   StoreStats stats_;
-  obs::Histogram* append_us_ = nullptr;
   int lock_fd_ = -1;
 };
 

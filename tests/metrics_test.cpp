@@ -27,7 +27,6 @@
 #include "net/protocol.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "routing/codec.hpp"
 
 namespace dbsp::obs {
@@ -333,7 +332,7 @@ TEST(FacadeMetricsTest, RegistryAgreesWithLegacyCountersAfterSoak) {
   // The satellite-1 parity contract: after a workload with churn the
   // registry's folded series equal the legacy stats structs exactly.
   PubSubOptions options;
-  options.metrics_sample = 1;  // trace every publish
+  options.trace.sample_every = 1;  // head-sample every publish
   options.engine.shards = 4;
   PubSub pubsub(market_schema(), options);
 
@@ -376,27 +375,15 @@ TEST(FacadeMetricsTest, RegistryAgreesWithLegacyCountersAfterSoak) {
                    static_cast<double>(pubsub.notifications_delivered()));
   EXPECT_DOUBLE_EQ(s.value("dbsp_durable"), 0.0);
 
-  // With metrics_sample=1 every publish contributes one match and one
-  // dispatch phase observation.
-  const MetricSnapshot* match =
-      s.find("dbsp_phase_us", {{"phase", "match"}});
-  ASSERT_NE(match, nullptr);
-  EXPECT_EQ(match->histogram.count, published);
-  const MetricSnapshot* dispatch =
-      s.find("dbsp_phase_us", {{"phase", "dispatch"}});
-  ASSERT_NE(dispatch, nullptr);
-  EXPECT_EQ(dispatch->histogram.count, published);
-
-  // Per-shard histograms exist for every shard and jointly cover every
-  // published event.
-  std::uint64_t shard_events = 0;
-  for (int shard = 0; shard < 4; ++shard) {
-    const MetricSnapshot* m = s.find(
-        "dbsp_shard_match_us", {{"shard", std::to_string(shard)}});
-    ASSERT_NE(m, nullptr) << "shard " << shard;
-    shard_events += m->histogram.count;
-  }
-  EXPECT_EQ(shard_events, published * 4);  // every event visits every shard
+  // With every publish head-sampled, each one contributes one match and
+  // one dispatch span to dbsp_stage_us, and one shard_match span per shard.
+  const auto stage_count = [&s](const char* stage) -> std::uint64_t {
+    const MetricSnapshot* m = s.find("dbsp_stage_us", {{"stage", stage}});
+    return m != nullptr ? m->histogram.count : 0;
+  };
+  EXPECT_EQ(stage_count("match"), published);
+  EXPECT_EQ(stage_count("dispatch"), published);
+  EXPECT_EQ(stage_count("shard_match"), published * 4);
 
   // reset_counters() must not make exported counters go backwards.
   pubsub.reset_counters();
@@ -480,11 +467,14 @@ TEST(FacadeMetricsTest, DurableStoreSeriesTrackStoreStats) {
     StoreOptions store;
     store.directory = dir.string();
     store.schema = market_schema();
-    PubSub pubsub = PubSub::open(std::move(store)).value();
+    PubSubOptions options;
+    options.trace.sample_every = 1;  // head-sample every WAL append
+    PubSub pubsub = PubSub::open(std::move(store), options).value();
     std::vector<SubscriptionHandle> live;
     for (int i = 0; i < 8; ++i) {
       live.push_back(pubsub.subscribe("volume > " + std::to_string(i)).value());
     }
+    live.resize(5);  // three unsubscribes
     const MetricsSnapshot s = pubsub.metrics();
     const StoreStats stats = pubsub.store_stats();
     EXPECT_DOUBLE_EQ(s.value("dbsp_durable"), 1.0);
@@ -496,56 +486,15 @@ TEST(FacadeMetricsTest, DurableStoreSeriesTrackStoreStats) {
                      static_cast<double>(stats.records_since_checkpoint));
     EXPECT_DOUBLE_EQ(s.value("dbsp_store_epoch"),
                      static_cast<double>(stats.epoch));
-    EXPECT_GT(s.value("dbsp_wal_records_total"), 0.0);
-    // Every WAL append was timed (the wal_append phase is unsampled).
+    EXPECT_EQ(stats.wal_records, 11u);  // 8 subscribes + 3 unsubscribes
+    // Every append, unsubscribes included, was one sampled wal_append span.
     const MetricSnapshot* wal =
-        s.find("dbsp_phase_us", {{"phase", "wal_append"}});
+        s.find("dbsp_stage_us", {{"stage", "wal_append"}});
     ASSERT_NE(wal, nullptr);
-    EXPECT_EQ(wal->histogram.count, stats.wal_records);
+    EXPECT_EQ(static_cast<double>(wal->histogram.count),
+              s.value("dbsp_wal_records_total"));
   }
   fs::remove_all(dir);
-}
-
-// --- Sampler / PhaseTimer ----------------------------------------------------
-
-TEST(SamplerTest, EdgeRatesNeverAndAlways) {
-  Sampler never(0);
-  Sampler always(1);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(never.should_sample());
-    EXPECT_TRUE(always.should_sample());
-  }
-}
-
-TEST(SamplerTest, OneInNIsExactAcrossThreads) {
-  // The sampler's counter is a single global fetch_add, so 1-in-N holds
-  // exactly over the union of all threads' asks, not just per thread.
-  Sampler sampler(8);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 1000;
-  std::atomic<std::uint64_t> sampled{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      std::uint64_t mine = 0;
-      for (int i = 0; i < kPerThread; ++i) {
-        if (sampler.should_sample()) ++mine;
-      }
-      sampled.fetch_add(mine, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(sampled.load(), kThreads * kPerThread / 8);
-}
-
-TEST(PhaseTimerTest, NullHistogramIsInertAndRealOneRecordsASample) {
-  { PhaseTimer inert(nullptr); }  // must not crash or touch anything
-  Histogram hist;
-  { PhaseTimer timed(&hist); }
-  const HistogramSnapshot snap = hist.snapshot();
-  EXPECT_EQ(snap.count, 1u);
-  EXPECT_GE(snap.sum, 0.0);
 }
 
 // --- Empty-registry exposition -----------------------------------------------

@@ -21,6 +21,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/pubsub.hpp"
@@ -321,7 +322,7 @@ TEST(NetE2eTest, MetricsVerbHttpAndFacadeAgree) {
   MiniDomain dom(5, 20);
   PubSubOptions options;
   options.engine.shards = 2;
-  options.metrics_sample = 1;
+  options.trace.sample_every = 1;  // head-sample every publish
   NetServerOptions net;
   net.metrics_port = 0;  // ephemeral
   auto server = start_server(PubSub(dom.schema(), options), net);
@@ -375,20 +376,21 @@ TEST(NetE2eTest, MetricsVerbHttpAndFacadeAgree) {
             static_cast<double>(kEvents));
   EXPECT_EQ(facade.value("dbsp_subscriptions"), 5.0);
 
-  // Per-shard match histograms in all three exports: every published
-  // event visits every shard exactly once.
-  for (int shard = 0; shard < 2; ++shard) {
-    const obs::Labels labels = {{"shard", std::to_string(shard)}};
-    const obs::MetricSnapshot* fm = facade.find("dbsp_shard_match_us", labels);
-    ASSERT_NE(fm, nullptr) << "shard " << shard;
-    EXPECT_EQ(fm->histogram.count, kEvents);
-    const obs::MetricSnapshot* vm =
-        verb.value().find("dbsp_shard_match_us", labels);
-    ASSERT_NE(vm, nullptr) << "shard " << shard;
-    EXPECT_EQ(vm->histogram.count, fm->histogram.count);
-    EXPECT_EQ(prom_value(http, "dbsp_shard_match_us_count{shard=\"" +
-                                   std::to_string(shard) + "\"}"),
-              static_cast<double>(fm->histogram.count));
+  // Per-stage histograms in all three exports: every (head-sampled)
+  // publish records one match span and visits each of the 2 shards once.
+  for (const auto& [stage, expected] :
+       {std::pair<std::string, std::uint64_t>{"match", kEvents},
+        {"shard_match", kEvents * 2}}) {
+    const obs::Labels labels = {{"stage", stage}};
+    const obs::MetricSnapshot* fm = facade.find("dbsp_stage_us", labels);
+    ASSERT_NE(fm, nullptr) << stage;
+    EXPECT_EQ(fm->histogram.count, expected) << stage;
+    const obs::MetricSnapshot* vm = verb.value().find("dbsp_stage_us", labels);
+    ASSERT_NE(vm, nullptr) << stage;
+    EXPECT_EQ(vm->histogram.count, fm->histogram.count) << stage;
+    EXPECT_EQ(prom_value(http, "dbsp_stage_us_count{stage=\"" + stage + "\"}"),
+              static_cast<double>(fm->histogram.count))
+        << stage;
   }
 
   // WAL lag and the net write-queue high-water are visible everywhere

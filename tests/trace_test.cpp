@@ -3,20 +3,25 @@
 // builder, detailed_only vs head sampling, early close), the
 // FlightRecorder's lock-free ring (round trip, wrap, concurrent
 // record/snapshot tear-freedom), two-sided sampling (1-in-N head sampler,
-// rolling slowest-K tail admission), the traces JSON rendering, and the
+// rolling slowest-K tail admission), the traces JSON rendering, the
+// dbsp_stage_us histograms fed from head-sampled spans (one sampler for
+// metrics and traces, per-stage attribution through the facade), and the
 // structured logger (level gating, line format, rate limiting).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "dbsp/dbsp.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
+#include "obs/metrics.hpp"
 
 namespace dbsp::obs {
 namespace {
@@ -31,6 +36,11 @@ FlightRecorderOptions small_recorder(std::size_t capacity = 16,
   options.slow_k = slow_k;
   options.window_ms = window_ms;
   return options;
+}
+
+std::uint64_t stage_count(const MetricsSnapshot& s, const char* stage) {
+  const MetricSnapshot* m = s.find("dbsp_stage_us", {{"stage", stage}});
+  return m != nullptr ? m->histogram.count : 0;
 }
 
 // --- TraceContext ------------------------------------------------------------
@@ -177,6 +187,39 @@ TEST(ScopedSpanTest, CloseIsIdempotentAndKeepsTheDetail) {
   EXPECT_EQ(traces[0].spans[0].detail, 42u);
 }
 
+// --- Sampler -----------------------------------------------------------------
+
+TEST(SamplerTest, EdgeRatesNeverAndAlways) {
+  Sampler never(0);
+  Sampler always(1);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(never.should_sample());
+    EXPECT_TRUE(always.should_sample());
+  }
+}
+
+TEST(SamplerTest, OneInNIsExactAcrossThreads) {
+  // The sampler's counter is a single global fetch_add, so 1-in-N holds
+  // exactly over the union of all threads' asks, not just per thread.
+  Sampler sampler(8);
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 1000;
+  std::atomic<std::uint64_t> sampled{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      std::uint64_t mine = 0;
+      for (int i = 0; i < kPerThread; ++i) {
+        if (sampler.should_sample()) ++mine;
+      }
+      sampled.fetch_add(mine, std::memory_order_relaxed);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(sampled.load(), kThreads * kPerThread / 8);
+}
+
 // --- FlightRecorder ring -----------------------------------------------------
 
 TEST(FlightRecorderTest, RecordSnapshotRoundTripsAllFields) {
@@ -270,7 +313,10 @@ TEST(FlightRecorderTest, UnsampledFastFinishIsDroppedOnceWindowIsFull) {
 }
 
 TEST(FlightRecorderTest, ConcurrentRecordAndSnapshotNeverTearEntries) {
-  FlightRecorder recorder(small_recorder(32));
+  // The writers also race on creating and recording the stage histogram,
+  // and the reader scrapes it while they do.
+  auto registry = std::make_shared<MetricsRegistry>();
+  FlightRecorder recorder(small_recorder(32), registry);
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerWriter = 3000;
   std::atomic<bool> stop{false};
@@ -282,6 +328,7 @@ TEST(FlightRecorderTest, ConcurrentRecordAndSnapshotNeverTearEntries) {
         ASSERT_EQ(t.trace_id, t.duration_us);
         for (const TraceSpan& s : t.spans) ASSERT_EQ(s.detail, t.trace_id);
       }
+      (void)registry->snapshot();
     }
   });
   std::vector<std::thread> writers;
@@ -292,6 +339,7 @@ TEST(FlightRecorderTest, ConcurrentRecordAndSnapshotNeverTearEntries) {
         const std::uint64_t id = static_cast<std::uint64_t>(w) * kPerWriter + i;
         Trace t;
         t.trace_id = id;
+        t.sampled = true;
         t.duration_us = id;
         t.start_unix_us = id;
         TraceSpan s;
@@ -307,6 +355,9 @@ TEST(FlightRecorderTest, ConcurrentRecordAndSnapshotNeverTearEntries) {
   reader.join();
   EXPECT_EQ(recorder.recorded_total() + recorder.dropped_total(),
             kWriters * kPerWriter);
+  // Every span counts, including those of traces the ring dropped.
+  EXPECT_EQ(stage_count(registry->snapshot(), "match"),
+            kWriters * kPerWriter * 3);
 }
 
 // --- JSON --------------------------------------------------------------------
@@ -346,12 +397,115 @@ TEST(TracesJsonTest, EmptyRecorderRendersAnEmptyTraceList) {
 
 TEST(TracesJsonTest, EveryStageHasADistinctName) {
   std::set<std::string> names;
-  for (int s = 0; s <= static_cast<int>(TraceStage::kOverlayHop); ++s) {
+  for (std::size_t s = 0; s < kTraceStageCount; ++s) {
     names.insert(to_string(static_cast<TraceStage>(s)));
   }
-  EXPECT_EQ(names.size(),
+  EXPECT_EQ(kTraceStageCount,
             static_cast<std::size_t>(TraceStage::kOverlayHop) + 1);
+  EXPECT_EQ(names.size(), kTraceStageCount);
   EXPECT_EQ(names.count("unknown"), 0u);
+}
+
+// --- dbsp_stage_us -----------------------------------------------------------
+
+TEST(StageMetricsTest, OnlyHeadSampledSpansReachTheHistograms) {
+  auto registry = std::make_shared<MetricsRegistry>();
+  FlightRecorder recorder(small_recorder(), registry);
+  Trace trace;
+  trace.trace_id = 1;
+  trace.sampled = true;
+  trace.spans.push_back({TraceStage::kMatch, 1, 0, 0, 40, 0});
+  trace.spans.push_back({TraceStage::kShardMatch, 2, 1, 1, 10, 0});
+  trace.spans.push_back({TraceStage::kShardMatch, 3, 1, 11, 20, 1});
+  recorder.record(trace);
+  // A tail-admitted (unsampled) trace is kept in the ring but stays out
+  // of the histograms, which remain a uniform 1-in-N sample.
+  trace.trace_id = 2;
+  trace.sampled = false;
+  recorder.record(trace);
+
+  const MetricsSnapshot s = registry->snapshot();
+  EXPECT_EQ(stage_count(s, "match"), 1u);
+  EXPECT_EQ(stage_count(s, "shard_match"), 2u);
+  EXPECT_DOUBLE_EQ(
+      s.find("dbsp_stage_us", {{"stage", "shard_match"}})->histogram.sum, 30.0);
+  // Stages that never occurred expose no series.
+  EXPECT_EQ(s.find("dbsp_stage_us", {{"stage", "dispatch"}}), nullptr);
+  EXPECT_EQ(recorder.recorded_total(), 2u);
+}
+
+Schema quote_schema() {
+  Schema s;
+  s.add_attribute("sym", ValueType::String);
+  s.add_attribute("price", ValueType::Double);
+  return s;
+}
+
+Event quote(const PubSub& pubsub, int i) {
+  return pubsub.event()
+      .with("sym", i % 2 == 0 ? "A" : "B")
+      .with("price", static_cast<double>(i % 97))
+      .build();
+}
+
+TEST(StageMetricsTest, StageCountEqualsSampledTracesRecorded) {
+  // One sampler: the recorder's 1-in-4 head sampler alone decides both
+  // which publishes reach /traces as sampled and which feed the metrics.
+  PubSubOptions options;
+  options.engine.shards = 2;
+  options.trace = small_recorder(/*capacity=*/512, /*sample_every=*/4);
+  PubSub pubsub(quote_schema(), options);
+  std::vector<SubscriptionHandle> live;
+  for (int i = 0; i < 10; ++i) {
+    live.push_back(
+        pubsub.subscribe("price < " + std::to_string(10 * i + 5)).value());
+  }
+  for (int i = 0; i < 400; ++i) (void)pubsub.publish(quote(pubsub, i));
+
+  std::uint64_t sampled = 0;
+  for (const Trace& t : pubsub.traces()) sampled += t.sampled ? 1 : 0;
+  EXPECT_EQ(sampled, 100u);
+  const MetricsSnapshot s = pubsub.metrics();
+  EXPECT_EQ(stage_count(s, "match"), sampled);
+  EXPECT_EQ(stage_count(s, "shard_match"), sampled * 2);
+}
+
+TEST(StageMetricsTest, AggregationProbeTimeLandsInAggProbeOnly) {
+  // With the fallback off every publish is answered by the probe: its time
+  // belongs to agg_probe and never to a shard's shard_match series.
+  PubSubOptions options;
+  options.engine.shards = 4;
+  options.engine.agg_fallback_pct = 0;
+  options.aggregation = true;
+  options.trace = small_recorder(/*capacity=*/16, /*sample_every=*/1);
+  PubSub pubsub(quote_schema(), options);
+  std::vector<SubscriptionHandle> live;
+  for (int i = 0; i < 30; ++i) {
+    live.push_back(
+        pubsub.subscribe("price < " + std::to_string(10 * (i % 10) + 5))
+            .value());
+  }
+  constexpr std::uint64_t kPublishes = 120;
+  for (std::uint64_t i = 0; i < kPublishes; ++i) {
+    (void)pubsub.publish(quote(pubsub, static_cast<int>(i)));
+  }
+
+  const MetricsSnapshot s = pubsub.metrics();
+  EXPECT_EQ(stage_count(s, "agg_probe"), kPublishes);
+  EXPECT_EQ(stage_count(s, "match"), kPublishes);
+  EXPECT_EQ(stage_count(s, "shard_match"), 0u);
+  EXPECT_EQ(stage_count(s, "agg_fallback"), 0u);
+}
+
+TEST(StageMetricsTest, TracingOffMeansNoStageSeries) {
+  PubSubOptions options;
+  options.tracing = false;
+  PubSub pubsub(quote_schema(), options);
+  auto sub = pubsub.subscribe("price < 50").value();
+  (void)pubsub.publish(quote(pubsub, 1));
+  const MetricsSnapshot s = pubsub.metrics();
+  EXPECT_DOUBLE_EQ(s.value("dbsp_publishes_total"), 1.0);
+  for (const MetricSnapshot& m : s.metrics) EXPECT_NE(m.name, "dbsp_stage_us");
 }
 
 // --- Structured logger -------------------------------------------------------

@@ -62,7 +62,7 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     "scenario": {"common", "event", "subscription", "workload", "dbsp", "net",
                  "obs"},
     "store": {"common", "event", "subscription", "core", "routing",
-              "selectivity", "obs"},
+              "selectivity"},
     "api": {"common", "event", "subscription", "core", "selectivity", "store",
             "obs", "agg"},
     # The network edge of the daemon: wire protocol + epoll server + client.

@@ -23,6 +23,12 @@ Trace checks (a target ending in ``/traces`` or ``.json``):
   * span parent ids are referentially sound: each span's ``parent_span``
     is 0, the entry's propagated parent, or a sibling span of the entry.
 
+Given both a metrics and a trace target, one cross-check ties them: every
+span stage of a ``"sampled": true`` trace must have a
+``dbsp_stage_us{stage=...}`` series, because head-sampled spans are what
+that histogram family records. The trace dump is fetched before the
+metrics, so every trace in it was recorded before the scrape.
+
 Usage:
   check_metrics.py http://127.0.0.1:7412/metrics   # two scrapes, full lint
   check_metrics.py scrape.txt                      # single-scrape lint
@@ -272,12 +278,12 @@ def is_traces_target(target: str) -> bool:
     return target.rstrip("/").endswith("/traces") or target.endswith(".json")
 
 
-def run_traces(target: str) -> int:
+def run_traces(target: str) -> tuple[int, dict | None]:
     try:
         doc = fetch_json(target)
     except Exception as e:  # noqa: BLE001 - report and exit
         print(f"check_metrics: trace fetch failed: {e}", file=sys.stderr)
-        return 2
+        return 2, None
     errors = check_traces(doc)
     n = len(doc.get("traces", [])) if isinstance(doc, dict) else 0
     spans = sum(len(t.get("spans", [])) for t in doc.get("traces", [])
@@ -287,15 +293,15 @@ def run_traces(target: str) -> int:
           f"dropped_total={doc.get('dropped_total')}")
     for e in errors:
         print(f"check_metrics: {e}", file=sys.stderr)
-    return 1 if errors else 0
+    return (1 if errors else 0), doc
 
 
-def run_metrics(target: str) -> int:
+def run_metrics(target: str) -> tuple[int, Scrape | None]:
     try:
         first = Scrape(fetch(target))
     except Exception as e:  # noqa: BLE001 - report and exit
         print(f"check_metrics: scrape failed: {e}", file=sys.stderr)
-        return 2
+        return 2, None
     errors = list(first.errors) + list(first.order_errors)
 
     if target.startswith("http"):
@@ -304,7 +310,7 @@ def run_metrics(target: str) -> int:
             second = Scrape(fetch(target))
         except Exception as e:  # noqa: BLE001
             print(f"check_metrics: second scrape failed: {e}", file=sys.stderr)
-            return 2
+            return 2, None
         errors += second.errors + second.order_errors
         # Counter monotonicity across the two scrapes.
         for key, before in first.samples.items():
@@ -322,13 +328,30 @@ def run_metrics(target: str) -> int:
                     f"{before} -> {after}")
         print(f"check_metrics: {len(second.samples)} series, "
               f"{len(second.types)} families, 2 scrapes")
+        first = second
     else:
         print(f"check_metrics: {len(first.samples)} series, "
               f"{len(first.types)} families, 1 scrape")
 
     for e in errors:
         print(f"check_metrics: {e}", file=sys.stderr)
-    return 1 if errors else 0
+    return (1 if errors else 0), first
+
+
+def check_stage_series(doc: dict, scrape: Scrape) -> list[str]:
+    """Every span stage of a head-sampled trace has a dbsp_stage_us series."""
+    exposed = {dict(labels).get("stage") for (name, labels) in scrape.samples
+               if name == "dbsp_stage_us_count"}
+    missing = set()
+    for trace in doc.get("traces", []):
+        if not isinstance(trace, dict) or trace.get("sampled") is not True:
+            continue
+        for span in trace.get("spans", []):
+            stage = span.get("stage") if isinstance(span, dict) else None
+            if isinstance(stage, str) and stage not in exposed:
+                missing.add(stage)
+    return [f"sampled span stage '{stage}' has no dbsp_stage_us series"
+            for stage in sorted(missing)]
 
 
 def main() -> int:
@@ -337,9 +360,20 @@ def main() -> int:
         print(__doc__, file=sys.stderr)
         return 2
     status = 0
-    for target in targets:
-        rc = run_traces(target) if is_traces_target(target) else run_metrics(target)
+    doc = scrape = None
+    # Traces first: see the module docstring's cross-check.
+    for target in sorted(targets, key=lambda t: not is_traces_target(t)):
+        if is_traces_target(target):
+            rc, doc = run_traces(target)
+        else:
+            rc, scrape = run_metrics(target)
         status = max(status, rc)
+    if isinstance(doc, dict) and scrape is not None:
+        errors = check_stage_series(doc, scrape)
+        for e in errors:
+            print(f"check_metrics: {e}", file=sys.stderr)
+        if errors:
+            status = max(status, 1)
     return status
 
 
