@@ -80,11 +80,11 @@ bool SubscriptionAggregator::try_place(Subscription& sub, const SummarySet& set,
     return false;
   }
   Subgroup& group = subgroups_[g];
+  member_subgroup_.emplace(sub.id().value(), MemberSlot{g, group.members.size()});
   group.members.push_back(&sub);
   std::size_t widenings = 0;
   (void)group.summary.join(set, options_.limits, &widenings);
   summary_widenings_ += widenings;
-  member_subgroup_.emplace(sub.id().value(), g);
   return true;
 }
 
@@ -137,17 +137,23 @@ void SubscriptionAggregator::remove(SubscriptionId id) {
   if (it == member_subgroup_.end()) {
     throw std::out_of_range("aggregator: unknown subscription id");
   }
-  const std::size_t g = it->second;
-  Subgroup& group = subgroups_[g];
-  const auto member = std::find_if(group.members.begin(), group.members.end(),
-                                   [id](const Subscription* s) { return s->id() == id; });
-  group.members.erase(member);
+  const auto [g, slot] = it->second;
   member_subgroup_.erase(it);
+  Subgroup& group = subgroups_[g];
+  // Swap-pop: the last member takes over the departing one's slot.
+  if (slot + 1 != group.members.size()) {
+    group.members[slot] = group.members.back();
+    member_subgroup_.find(group.members[slot]->id().value())->second.slot = slot;
+  }
+  group.members.pop_back();
   ++mutations_;
   ++group.removals;
-  if (group.members.empty() || group.removals >= options_.subgroup_rebuild_removals) {
-    rebuild_subgroup(g);
-  }
+  // Re-tighten in proportion to the subgroup's size: a re-tighten costs one
+  // summary per member and comes due every max(R, members / R) removals,
+  // so a removal costs at most about R summaries amortized.
+  const std::size_t every = options_.subgroup_rebuild_removals;
+  const std::size_t due = every == 0 ? 0 : std::max(every, group.members.size() / every);
+  if (group.members.empty() || group.removals >= due) rebuild_subgroup(g);
 }
 
 void SubscriptionAggregator::refresh(Subscription& sub) {
@@ -159,7 +165,8 @@ void SubscriptionAggregator::refresh(Subscription& sub) {
   // subgroup sound without re-clustering (membership keys on the
   // admission-time signature).
   std::size_t widenings = 0;
-  (void)subgroups_[it->second].summary.join(summarize(sub), options_.limits, &widenings);
+  (void)subgroups_[it->second.subgroup].summary.join(summarize(sub), options_.limits,
+                                                      &widenings);
   summary_widenings_ += widenings;
 }
 
@@ -172,9 +179,11 @@ void SubscriptionAggregator::rebuild_subgroup(std::size_t g) {
   std::sort(group.members.begin(), group.members.end(),
             [](const Subscription* a, const Subscription* b) { return a->id() < b->id(); });
   group.summary = SummarySet();
-  for (Subscription* sub : group.members) {
+  for (std::size_t slot = 0; slot < group.members.size(); ++slot) {
+    const Subscription& sub = *group.members[slot];
+    member_subgroup_.find(sub.id().value())->second.slot = slot;
     std::size_t widenings = 0;
-    (void)group.summary.join(summarize(*sub), options_.limits, &widenings);
+    (void)group.summary.join(summarize(sub), options_.limits, &widenings);
     summary_widenings_ += widenings;
   }
   group.removals = 0;
@@ -346,7 +355,7 @@ std::size_t SubscriptionAggregator::subgroup_of(SubscriptionId id) const {
   if (it == member_subgroup_.end()) {
     throw std::out_of_range("aggregator: unknown subscription id");
   }
-  return it->second;
+  return it->second.subgroup;
 }
 
 std::size_t SubscriptionAggregator::advertised_bytes() const {

@@ -40,8 +40,11 @@ struct AggregatorOptions {
   /// Mutations (adds + removes) after which rescore_pending() trips; 0
   /// disables the trigger (DBSP_AGG_RESCORE).
   std::size_t rescore_threshold = 0;
-  /// Removals inside one subgroup after which its summary is re-tightened
-  /// from the surviving members.
+  /// Re-tighten pace R: a subgroup's summary is re-tightened from its
+  /// surviving members once its removals since the last re-tighten reach
+  /// max(R, members / R), so each removal costs at most about R member
+  /// summaries amortized (subgroups under R*R members re-tighten every R
+  /// removals). 0 re-tightens on every removal.
   std::size_t subgroup_rebuild_removals = 8;
 
   /// Reads the DBSP_AGG_* environment knobs over the defaults.
@@ -89,9 +92,11 @@ class SubscriptionAggregator {
   /// std::invalid_argument on duplicate ids.
   void add(Subscription& sub);
 
-  /// Unregisters by id; throws std::out_of_range when unknown. A removal
-  /// leaves the subgroup summary wide (sound); removal bursts trigger a
-  /// subgroup re-tighten.
+  /// Unregisters by id in O(1) (swap-pop out of its subgroup); throws
+  /// std::out_of_range when unknown. A removal leaves the subgroup summary
+  /// wide (sound); the subgroup is re-tightened once its removals reach
+  /// max(R, members / R) for R = subgroup_rebuild_removals, and at once
+  /// when it empties.
   void remove(SubscriptionId id);
 
   /// Re-joins a subscription whose tree changed in place (pruning made it
@@ -183,8 +188,14 @@ class SubscriptionAggregator {
  private:
   struct Subgroup {
     SummarySet summary;
+    /// Unordered (removal swap-pops); rebuild_subgroup() sorts by id.
     std::vector<Subscription*> members;
     std::size_t removals = 0;
+  };
+  /// Where a registered subscription lives: subgroups_[subgroup].members[slot].
+  struct MemberSlot {
+    std::size_t subgroup = 0;
+    std::size_t slot = 0;
   };
 
   /// Builds the summary of one subscription over the current dimensions,
@@ -200,7 +211,8 @@ class SubscriptionAggregator {
   /// Re-clusters `members` from scratch at the current shift, climbing the
   /// shift until at most `cap` subgroups suffice. Counts as a full rebuild.
   void replace_all(const std::vector<Subscription*>& members, std::size_t cap);
-  /// Re-tightens one subgroup's summary from its members in id order.
+  /// Re-tightens one subgroup's summary from its members in id order
+  /// (and refreshes their slots).
   void rebuild_subgroup(std::size_t g);
   /// Scores every constrained attribute and returns the top dimensions in
   /// score order (desc, id asc tie-break).
@@ -236,7 +248,7 @@ class SubscriptionAggregator {
   std::vector<Subgroup> subgroups_;
   /// First-seen signature (at shift_) -> subgroup slot.
   std::unordered_map<std::uint64_t, std::size_t> by_signature_;
-  std::unordered_map<SubscriptionId::value_type, std::size_t> member_subgroup_;
+  std::unordered_map<SubscriptionId::value_type, MemberSlot> member_subgroup_;
   std::size_t mutations_ = 0;
   std::uint64_t rebuild_generation_ = 0;
   std::size_t next_auto_rescore_ = 64;

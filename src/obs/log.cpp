@@ -54,7 +54,9 @@ void append_timestamp(std::string& line) {
                   1000;
   std::tm tm{};
   gmtime_r(&secs, &tm);
-  char buf[40];
+  // Sized for the worst case the compiler must assume (seven ints of up to
+  // 11 characters each, 7 separators, NUL), not the 24 a real time needs.
+  char buf[96];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
                 tm.tm_min, tm.tm_sec, static_cast<int>(ms));

@@ -53,6 +53,9 @@ struct SelectivityEstimate {
     SelectivityEstimate r = *this;
     r.min = std::clamp(r.min, 0.0, 1.0);
     r.max = std::clamp(r.max, 0.0, 1.0);
+    // Noise can leave min a hair above max (e.g. point(0.1) AND always());
+    // std::clamp needs lo <= hi.
+    r.min = std::min(r.min, r.max);
     r.avg = std::clamp(r.avg, r.min, r.max);
     return r;
   }

@@ -195,7 +195,8 @@ void sync_parent_directory(const std::string& path) {
 
 }  // namespace
 
-void write_file_atomic(const std::string& path, std::span<const std::uint8_t> bytes,
+void write_file_atomic(const std::string& path,
+                       std::initializer_list<std::span<const std::uint8_t>> parts,
                        bool sync) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
@@ -203,9 +204,12 @@ void write_file_atomic(const std::string& path, std::span<const std::uint8_t> by
     throw StoreError("store: cannot create " + tmp + ": " + std::strerror(errno),
                      /*io=*/true);
   }
-  const bool wrote =
-      bytes.empty() || std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  bool ok = wrote && std::fflush(f) == 0;
+  bool ok = true;
+  for (const std::span<const std::uint8_t> bytes : parts) {
+    ok = ok && (bytes.empty() ||
+                std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size());
+  }
+  ok = ok && std::fflush(f) == 0;
 #if defined(__unix__) || defined(__APPLE__)
   if (ok && sync) ok = ::fsync(fileno(f)) == 0;
 #else

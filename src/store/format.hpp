@@ -16,6 +16,7 @@
 /// or silently wrong state (store_corruption_test fuzzes exactly this).
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -104,10 +105,17 @@ void encode_schema(const Schema& schema, WireWriter& out);
 /// Reads a whole file; throws StoreError(io) when it cannot be opened/read.
 [[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);
 
-/// Writes `path` atomically: the bytes go to `path + ".tmp"` (flushed, and
-/// fsync'd when `sync`), which is then renamed over `path`. Readers never
-/// observe a half-written file.
-void write_file_atomic(const std::string& path, std::span<const std::uint8_t> bytes,
+/// Writes `path` atomically: the parts go to `path + ".tmp"` one after the
+/// other (flushed, and fsync'd when `sync`), which is then renamed over
+/// `path`. Readers never observe a half-written file.
+void write_file_atomic(const std::string& path,
+                       std::initializer_list<std::span<const std::uint8_t>> parts,
                        bool sync);
+
+/// Single-buffer form of the above.
+inline void write_file_atomic(const std::string& path, std::span<const std::uint8_t> bytes,
+                              bool sync) {
+  write_file_atomic(path, {bytes}, sync);
+}
 
 }  // namespace dbsp::store

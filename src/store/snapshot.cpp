@@ -33,9 +33,7 @@ void write_snapshot(const std::string& path, std::uint64_t epoch,
   file.put_u8(static_cast<std::uint8_t>(FileKind::kSnapshot));
   file.put_u64(body.size());
   file.put_u32(crc32(body.bytes()));
-  std::vector<std::uint8_t> out = std::move(file).take();
-  out.insert(out.end(), body.bytes().begin(), body.bytes().end());
-  write_file_atomic(path, out, sync);
+  write_file_atomic(path, {file.bytes(), body.bytes()}, sync);
 }
 
 LoadedSnapshot read_snapshot(const std::string& path) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "agg/aggregator.hpp"
@@ -336,6 +337,93 @@ TEST(AggregatorChurnTest, ChurnedStateMatchesRebuildFromScratch) {
       EXPECT_TRUE(x->equals(*y)) << "slot " << g;
     }
   }
+}
+
+TEST(AggregatorChurnTest, LargeSubgroupRetightensInProportionToItsSize) {
+  // One subgroup of 4096 members: every subscription constrains a0 to the
+  // same segment (the clustering key), a1 and a2 vary.
+  MiniDomain dom;
+  std::mt19937_64 rng(31);
+  std::uniform_int_distribution<std::int64_t> val(0, dom.domain() - 1);
+  test::Corpus corpus;
+  constexpr std::size_t kMembers = 4096;
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    const std::int64_t x = val(rng);
+    const std::int64_t y = val(rng);
+    std::vector<std::unique_ptr<Node>> kids;
+    kids.push_back(Node::leaf(Predicate(dom.attr(0), Value(2), Value(17))));
+    kids.push_back(Node::leaf(
+        Predicate(dom.attr(1), Value(std::min(x, y)), Value(std::max(x, y)))));
+    if (i % 3 == 0) kids.push_back(leaf(dom.attr(2), Op::Ne, Value(val(rng))));
+    corpus.subs.push_back(std::make_unique<Subscription>(
+        SubscriptionId(static_cast<SubscriptionId::value_type>(i)),
+        Node::and_(std::move(kids))));
+  }
+  SubscriptionAggregator aggregator(dom.schema());
+  for (const auto& sub : corpus.subs) aggregator.add(*sub);
+  ASSERT_EQ(aggregator.subgroup_count(), 1u);
+  const std::size_t group = aggregator.subgroup_of(corpus.subs.front()->id());
+  ASSERT_EQ(aggregator.subgroup_members(group), kMembers);
+
+  std::vector<std::size_t> order(kMembers);
+  for (std::size_t i = 0; i < kMembers; ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), rng);
+  std::vector<bool> departed(kMembers, false);
+  for (std::size_t k = 0; k < 1024; ++k) {
+    aggregator.remove(corpus.subs[order[k]]->id());
+    departed[order[k]] = true;
+  }
+  // Re-tightens come due every max(8, members / 8) removals: twice here,
+  // where a fixed pace of 8 would re-summarize the subgroup 128 times.
+  const auto rebuilds = aggregator.counters().subgroup_rebuilds;
+  EXPECT_GE(rebuilds, 1u);
+  EXPECT_LE(rebuilds, 4u);
+  EXPECT_EQ(aggregator.subgroup_members(group), kMembers - 1024);
+
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    const SubscriptionId id = corpus.subs[i]->id();
+    if (departed[i]) {
+      EXPECT_FALSE(aggregator.contains(id)) << i;
+      EXPECT_THROW((void)aggregator.subgroup_of(id), std::out_of_range) << i;
+    } else {
+      EXPECT_TRUE(aggregator.contains(id)) << i;
+      EXPECT_EQ(aggregator.subgroup_of(id), group) << i;
+    }
+  }
+
+  std::mt19937_64 event_rng(41);
+  std::vector<SubscriptionId> got;
+  for (std::size_t e = 0; e < 400; ++e) {
+    const Event event = sparse_event(dom, event_rng);
+    got.clear();
+    aggregator.match(event, got);
+    std::sort(got.begin(), got.end());
+    std::vector<SubscriptionId> expected;
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      if (!departed[i] && corpus.subs[i]->matches(event)) {
+        expected.push_back(corpus.subs[i]->id());
+      }
+    }
+    ASSERT_EQ(got, expected) << "event " << e;
+  }
+
+  // A full rebuild from identical statistics converges on the structure a
+  // fresh aggregator builds from the survivors alone.
+  SubscriptionAggregator fresh(dom.schema());
+  for (std::size_t i = 0; i < kMembers; ++i) {
+    if (!departed[i]) fresh.add(*corpus.subs[i]);
+  }
+  EventStats stats(dom.schema());
+  std::mt19937_64 stat_rng(43);
+  for (std::size_t i = 0; i < 500; ++i) stats.observe(dom.random_event(stat_rng));
+  stats.finalize();
+  aggregator.train(stats);
+  fresh.train(stats);
+  ASSERT_EQ(aggregator.dimensions(), fresh.dimensions());
+  aggregator.rebuild();
+  fresh.rebuild();
+  EXPECT_EQ(aggregator.subgroup_count(), fresh.subgroup_count());
+  EXPECT_EQ(aggregator.advertised_bytes(), fresh.advertised_bytes());
 }
 
 TEST(AggregatorChurnTest, RefreshAfterInPlaceGeneralization) {

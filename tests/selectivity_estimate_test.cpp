@@ -109,6 +109,16 @@ TEST(SelectivityEstimateTest, RandomCompositionsStayValid) {
   }
 }
 
+TEST(SelectivityEstimateTest, RoundingNoiseKeepsComponentsOrdered) {
+  // Fréchet's 0.1 + 1.0 - 1.0 rounds to 0.10000000000000009, a hair above
+  // the conjunct's max of 0.1: normalized() must still order the triple
+  // exactly (no epsilon), not clamp avg into an inverted range.
+  const auto e = SelectivityEstimate::point(0.1).and_with(SelectivityEstimate::always());
+  EXPECT_LE(e.min, e.avg);
+  EXPECT_LE(e.avg, e.max);
+  EXPECT_DOUBLE_EQ(e.max, 0.1);
+}
+
 TEST(SelectivityEstimateTest, DegradationIsMaxComponentIncrease) {
   const SelectivityEstimate orig{0.1, 0.2, 0.3};
   const SelectivityEstimate pruned{0.15, 0.45, 0.5};

@@ -535,6 +535,69 @@ TEST(PubSubOpenTest, CheckpointTruncatesWal) {
   pubsub.reset();
 }
 
+TEST(PubSubOpenTest, CheckpointAfterChurnReopensToSameTable) {
+  MiniDomain dom;
+  std::mt19937_64 rng(53);
+  TempDir dir("churnckpt");
+
+  std::optional<PubSub> pubsub;
+  std::vector<SubscriptionHandle> live;
+  Sink sink = std::make_shared<std::vector<SubscriptionId>>();
+  PubSubOptions options = pruning_options(2);
+  options.aggregation = true;
+  auto opened = PubSub::open(store_at(dir, dom.schema()), options);
+  ASSERT_TRUE(opened.ok());
+  pubsub.emplace(std::move(opened).value());
+
+  const auto subscribe = [&] {
+    auto handle = pubsub->subscribe(dom.random_tree(rng, 4), collector(sink));
+    ASSERT_TRUE(handle.ok());
+    live.push_back(std::move(handle).value());
+  };
+  for (int i = 0; i < 100; ++i) subscribe();
+  // 300 subscribe/unsubscribe pairs; the departing handle is a random one.
+  for (int i = 0; i < 300; ++i) {
+    subscribe();
+    const std::size_t victim = std::uniform_int_distribution<std::size_t>(
+        0, live.size() - 1)(rng);
+    ASSERT_TRUE(live[victim].release().ok());
+    live[victim] = std::move(live.back());
+    live.pop_back();
+  }
+  ASSERT_TRUE(pubsub->checkpoint().ok());
+  const std::vector<SubscriptionId> ids = pubsub->subscription_ids();
+  ASSERT_EQ(ids.size(), 100u);
+  std::vector<std::string> texts;
+  for (const SubscriptionId id : ids) texts.push_back(pubsub->subscription_text(id).value());
+  pubsub.reset();  // crash order: the handles go after the PubSub
+  live.clear();
+
+  // The snapshot file is its header followed by exactly the body it frames.
+  const std::string snapshot = (dir.path() / "snapshot.dbsp").string();
+  const std::vector<std::uint8_t> bytes = store::read_file(snapshot);
+  WireWriter header;
+  encode_wire_header(header);
+  header.put_u8(static_cast<std::uint8_t>(store::FileKind::kSnapshot));
+  header.put_u64(0);  // body length
+  header.put_u32(0);  // body CRC
+  ASSERT_GT(bytes.size(), header.size());
+  WireReader in(bytes);
+  (void)decode_wire_header(in);
+  EXPECT_EQ(in.get_u8(), static_cast<std::uint8_t>(store::FileKind::kSnapshot));
+  const std::uint64_t body_len = in.get_u64();
+  EXPECT_EQ(fs::file_size(snapshot), header.size() + body_len);
+
+  auto reopened = PubSub::open(store_at(dir, dom.schema()), options);
+  ASSERT_TRUE(reopened.ok());
+  pubsub.emplace(std::move(reopened).value());
+  EXPECT_EQ(pubsub->store_stats().replayed_records, 0u);
+  ASSERT_EQ(pubsub->subscription_ids(), ids);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(pubsub->subscription_text(ids[i]).value(), texts[i]) << ids[i].value();
+  }
+  pubsub.reset();
+}
+
 TEST(PubSubOpenTest, AdoptSemantics) {
   MiniDomain dom;
   std::mt19937_64 rng(41);
