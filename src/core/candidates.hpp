@@ -16,7 +16,7 @@
 
 namespace dbsp {
 
-/// Candidate enumeration and the pruning operator (DESIGN.md §1).
+/// Candidate enumeration and the pruning operator (paper §3).
 ///
 /// A pruning replaces the subtree at a node by the generalizing constant —
 /// TRUE in positive polarity (even number of NOT ancestors), FALSE in

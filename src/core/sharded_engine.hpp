@@ -103,9 +103,8 @@ class ShardedEngine {
   /// Registers `sub` with the matcher of its shard. Returns false (and
   /// registers nothing) only for the Dnf backend when the tree is not
   /// DNF-convertible within the conjunction cap. The subscription must
-  /// outlive the engine and its address must be stable. A subscription may
-  /// be registered with at most one counting-backed engine at a time (the
-  /// counting matcher stamps its predicate ids into the tree's leaves).
+  /// outlive the engine and its address must be stable; after its tree
+  /// changes, reindex() it.
   bool add(Subscription& sub);
 
   /// Unregisters by id; throws std::out_of_range when unknown (uniform

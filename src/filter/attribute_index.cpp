@@ -1,6 +1,7 @@
 #include "filter/attribute_index.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace dbsp {
@@ -21,6 +22,33 @@ bool numeric_indexable(const Predicate& pred) {
     default:
       return false;
   }
+}
+
+/// First entry whose key is not below `key`.
+template <typename Entry>
+auto first_at_or_above(const std::vector<std::pair<double, Entry>>& vec, double key) {
+  return std::lower_bound(vec.begin(), vec.end(), key,
+                          [](const auto& e, double k) { return e.first < k; });
+}
+
+/// Inserts after every entry with an equal key (multimap insertion order).
+template <typename Entry>
+void insert_sorted(std::vector<std::pair<double, Entry>>& vec, double key, Entry entry) {
+  const auto pos = std::upper_bound(vec.begin(), vec.end(), key,
+                                    [](double k, const auto& e) { return k < e.first; });
+  vec.emplace(pos, key, entry);
+}
+
+/// Removes `id`'s entry under `key`, keeping the order of the others.
+template <typename Entry>
+void erase_sorted(std::vector<std::pair<double, Entry>>& vec, double key, PredicateId id) {
+  for (auto it = first_at_or_above(vec, key); it != vec.end() && it->first == key; ++it) {
+    if (it->second.id == id) {
+      vec.erase(it);
+      return;
+    }
+  }
+  throw std::logic_error("attribute index: ordered predicate missing");
 }
 
 }  // namespace
@@ -52,46 +80,33 @@ void AttributeIndex::insert(PredicateId id, const Predicate& pred) {
     case Op::Lt:
     case Op::Le:
       if (numeric_indexable(pred)) {
-        less_.emplace(pred.operand().numeric(),
-                      OrderedEntry{id, pred.op() == Op::Le});
+        insert_sorted(less_, pred.operand().numeric(), OrderedEntry{id, pred.op() == Op::Le});
         return;
       }
       break;
     case Op::Gt:
     case Op::Ge:
       if (numeric_indexable(pred)) {
-        greater_.emplace(pred.operand().numeric(),
-                         OrderedEntry{id, pred.op() == Op::Ge});
+        insert_sorted(greater_, pred.operand().numeric(), OrderedEntry{id, pred.op() == Op::Ge});
         return;
       }
       break;
     case Op::Between:
       if (numeric_indexable(pred)) {
-        between_.emplace(pred.operands()[0].numeric(),
-                         IntervalEntry{id, pred.operands()[1].numeric()});
+        insert_sorted(between_, pred.operands()[0].numeric(),
+                      IntervalEntry{id, pred.operands()[1].numeric()});
         return;
       }
       break;
     default:
       break;
   }
-  scan_.push_back(id);
-  scan_preds_.emplace(id, pred);
+  scan_.emplace_back(id, pred);
 }
 
 void AttributeIndex::remove(PredicateId id, const Predicate& pred) {
   if (size_ == 0) throw std::logic_error("attribute index: remove from empty index");
   --size_;
-  auto erase_ordered = [&](auto& map, double key) {
-    auto [lo, hi] = map.equal_range(key);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second.id == id) {
-        map.erase(it);
-        return;
-      }
-    }
-    throw std::logic_error("attribute index: ordered predicate missing");
-  };
   switch (pred.op()) {
     case Op::Eq:
       remove_eq_key(pred.operand(), id);
@@ -102,57 +117,58 @@ void AttributeIndex::remove(PredicateId id, const Predicate& pred) {
     case Op::Lt:
     case Op::Le:
       if (numeric_indexable(pred)) {
-        erase_ordered(less_, pred.operand().numeric());
+        erase_sorted(less_, pred.operand().numeric(), id);
         return;
       }
       break;
     case Op::Gt:
     case Op::Ge:
       if (numeric_indexable(pred)) {
-        erase_ordered(greater_, pred.operand().numeric());
+        erase_sorted(greater_, pred.operand().numeric(), id);
         return;
       }
       break;
     case Op::Between:
       if (numeric_indexable(pred)) {
-        erase_ordered(between_, pred.operands()[0].numeric());
+        erase_sorted(between_, pred.operands()[0].numeric(), id);
         return;
       }
       break;
     default:
       break;
   }
-  auto pos = std::find(scan_.begin(), scan_.end(), id);
+  auto pos = std::find_if(scan_.begin(), scan_.end(),
+                          [&](const auto& entry) { return entry.first == id; });
   if (pos == scan_.end()) throw std::logic_error("attribute index: scan predicate missing");
-  *pos = scan_.back();
+  *pos = std::move(scan_.back());
   scan_.pop_back();
-  scan_preds_.erase(id);
 }
 
 void AttributeIndex::collect(const Value& value, std::vector<PredicateId>& out) const {
   if (auto it = eq_.find(value); it != eq_.end()) {
     out.insert(out.end(), it->second.begin(), it->second.end());
   }
-  if (value.is_numeric()) {
+  // A NaN fulfils no ordered comparison; the binary searches need a total order.
+  if (value.is_numeric() && !std::isnan(value.numeric())) {
     const double v = value.numeric();
     // attr < c fulfilled iff c > v; attr <= c additionally at c == v.
-    for (auto it = less_.lower_bound(v); it != less_.end(); ++it) {
-      if (it->first > v || (it->second.inclusive && it->first == v)) {
-        out.push_back(it->second.id);
-      }
+    auto it = first_at_or_above(less_, v);
+    for (; it != less_.end() && it->first == v; ++it) {
+      if (it->second.inclusive) out.push_back(it->second.id);
     }
+    for (; it != less_.end(); ++it) out.push_back(it->second.id);
     // attr > c fulfilled iff c < v; attr >= c additionally at c == v.
-    for (auto it = greater_.begin(); it != greater_.end() && it->first <= v; ++it) {
-      if (it->first < v || (it->second.inclusive && it->first == v)) {
-        out.push_back(it->second.id);
-      }
+    const auto at_v = first_at_or_above(greater_, v);
+    for (it = greater_.begin(); it != at_v; ++it) out.push_back(it->second.id);
+    for (; it != greater_.end() && it->first == v; ++it) {
+      if (it->second.inclusive) out.push_back(it->second.id);
     }
-    for (auto it = between_.begin(); it != between_.end() && it->first <= v; ++it) {
-      if (it->second.high >= v) out.push_back(it->second.id);
+    for (auto b = between_.begin(); b != between_.end() && b->first <= v; ++b) {
+      if (b->second.high >= v) out.push_back(b->second.id);
     }
   }
-  for (const auto id : scan_) {
-    if (scan_preds_.at(id).matches_value(value)) out.push_back(id);
+  for (const auto& [id, pred] : scan_) {
+    if (pred.matches_value(value)) out.push_back(id);
   }
 }
 

@@ -4,8 +4,8 @@
 /// Per-attribute predicate index: given an event's value, yields the
 /// fulfilled predicate ids (step one of counting-based matching).
 
-#include <map>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -19,16 +19,20 @@ namespace dbsp {
 /// predicate id exactly once.
 ///
 /// Structure (per the two-step predicate-indexing scheme of counting
-/// matchers):
+/// matchers), every ordered part a sorted contiguous array so a probe is a
+/// binary search plus a linear scan:
 ///  * Eq and In members: hash map value -> predicate ids (O(1) probe);
-///  * Lt/Le: ordered multimap keyed by threshold, fulfilled iff
-///    threshold > v (or >= v for Le) — iterate the upper range;
-///  * Gt/Ge: ordered multimap, fulfilled iff threshold < v (<=) — iterate
-///    the lower range;
-///  * Between: ordered by low bound; candidates are intervals with
-///    low <= v, verified against the high bound;
-///  * Ne and string operators: scan list evaluated per event (these are
-///    rare in typical workloads; complexity documented in DESIGN.md).
+///  * Lt/Le: (threshold, entry) pairs sorted by threshold, fulfilled iff
+///    threshold > v (or >= v for Le) — the suffix from the first key >= v;
+///  * Gt/Ge: sorted the same way, fulfilled iff threshold < v (<=) — the
+///    prefix up to the last key <= v;
+///  * Between: sorted by low bound; candidates are the prefix with
+///    low <= v, each verified against its high bound (linear in that
+///    prefix);
+///  * Ne, string operators and non-numeric operands: a scan list of
+///    (id, predicate) pairs evaluated per event (rare in the workloads).
+/// Equal keys keep insertion order, so collect() yields ids in the same
+/// order for the same sequence of inserts and removes.
 ///
 /// Not thread-safe for mutation; concurrent collect() calls are safe while
 /// no thread is inserting or removing.
@@ -53,18 +57,18 @@ class AttributeIndex {
     PredicateId id;
     double high = 0.0;
   };
+  template <typename Entry>
+  using Sorted = std::vector<std::pair<double, Entry>>;
 
   void insert_eq_key(const Value& key, PredicateId id);
   void remove_eq_key(const Value& key, PredicateId id);
 
   std::unordered_map<Value, std::vector<PredicateId>> eq_;
-  std::multimap<double, OrderedEntry> less_;     // Lt/Le keyed by threshold
-  std::multimap<double, OrderedEntry> greater_;  // Gt/Ge keyed by threshold
-  std::multimap<double, IntervalEntry> between_; // keyed by low bound
-  // Ne + string ops: owning copies, so callers need not guarantee operand
-  // lifetime (predicates are small; scan predicates are rare).
-  std::vector<PredicateId> scan_;
-  std::unordered_map<PredicateId, Predicate> scan_preds_;
+  Sorted<OrderedEntry> less_;      // Lt/Le keyed by threshold
+  Sorted<OrderedEntry> greater_;   // Gt/Ge keyed by threshold
+  Sorted<IntervalEntry> between_;  // keyed by low bound
+  // Owning copies, so callers need not guarantee operand lifetime.
+  std::vector<std::pair<PredicateId, Predicate>> scan_;
   std::size_t size_ = 0;
 };
 

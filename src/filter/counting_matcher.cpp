@@ -28,70 +28,98 @@ void CountingMatcher::grow_predicate_arrays() {
   }
 }
 
-void CountingMatcher::index_tree(
-    Subscription& sub, std::vector<std::pair<PredicateId, std::uint32_t>>& preds) {
-  const std::uint32_t slot = slot_of(sub.id());
-  sub.root().for_each_leaf_mut([&](Node& leaf) {
-    const auto result = registry_.add_reference(leaf.predicate(), sub.id());
-    leaf.set_predicate_id(result.id);
-    grow_predicate_arrays();
-    if (result.new_predicate) {
-      const auto attr = registry_.predicate(result.id).attribute();
-      if (attr.value() >= attr_index_.size()) {
-        throw std::out_of_range("matcher: predicate on attribute outside schema");
-      }
-      attr_index_[attr.value()].insert(result.id, registry_.predicate(result.id));
-      pred_slots_[result.id.value()].clear();
+void CountingMatcher::compile(const Node& node, SubscriptionId id, std::uint32_t slot,
+                              Program& program) {
+  const std::size_t children = node.children().size();
+  if (children >= (1u << 24)) throw std::length_error("matcher: node has too many children");
+  const std::size_t pc = program.size();
+  program.push_back(
+      {static_cast<std::uint32_t>(node.kind()) | static_cast<std::uint32_t>(children << 8), 0});
+  if (node.kind() != NodeKind::Leaf) {
+    for (const auto& child : node.children()) compile(*child, id, slot, program);
+    program[pc].arg = static_cast<std::uint32_t>(program.size());
+    return;
+  }
+  const auto result = registry_.add_reference(node.predicate(), id);
+  program[pc].arg = result.id.value();
+  grow_predicate_arrays();
+  if (result.new_predicate) {
+    const auto attr = registry_.predicate(result.id).attribute();
+    if (attr.value() >= attr_index_.size()) {
+      throw std::out_of_range("matcher: predicate on attribute outside schema");
     }
-    auto& assoc = pred_slots_[result.id.value()];
-    if (result.new_association) {
-      assoc.push_back({slot, 1});
-    } else {
-      // Rare: the same predicate in another leaf of the same subscription.
-      auto entry = std::find_if(assoc.begin(), assoc.end(),
-                                [&](const PredSub& p) { return p.slot == slot; });
-      assert(entry != assoc.end());
-      ++entry->leaf_refs;
-    }
-    auto it = std::find_if(preds.begin(), preds.end(),
-                           [&](const auto& p) { return p.first == result.id; });
-    if (it == preds.end()) {
-      preds.emplace_back(result.id, 1);
-    } else {
-      ++it->second;
-    }
-  });
+    attr_index_[attr.value()].insert(result.id, registry_.predicate(result.id));
+    pred_slots_[result.id.value()].clear();
+  }
+  auto& assoc = pred_slots_[result.id.value()];
+  if (result.new_association) {
+    assoc.push_back({slot, 1});
+  } else {
+    // Rare: the same predicate in another leaf of the same subscription.
+    auto entry = std::find_if(assoc.begin(), assoc.end(),
+                              [&](const PredSub& p) { return p.slot == slot; });
+    assert(entry != assoc.end());
+    ++entry->leaf_refs;
+  }
 }
 
-void CountingMatcher::release_snapshot(
-    SubscriptionId id, const std::vector<std::pair<PredicateId, std::uint32_t>>& preds) {
-  const std::uint32_t slot = slot_of(id);
-  for (const auto& [pid, count] : preds) {
-    for (std::uint32_t i = 0; i < count; ++i) {
-      auto result = registry_.release_reference(pid, id);
-      auto& assoc = pred_slots_[pid.value()];
-      auto it = std::find_if(assoc.begin(), assoc.end(),
-                             [&](const PredSub& p) { return p.slot == slot; });
-      assert(it != assoc.end());
-      if (result.association_removed) {
-        *it = assoc.back();
-        assoc.pop_back();
-      } else {
-        --it->leaf_refs;
-      }
-      if (result.removed_predicate) {
-        const auto attr = result.removed_predicate->attribute();
-        attr_index_[attr.value()].remove(pid, *result.removed_predicate);
-      }
+void CountingMatcher::load_program(const Subscription& sub, std::uint32_t slot) {
+  scratch_program_.clear();
+  compile(sub.root(), sub.id(), slot, scratch_program_);
+  slots_[slot].program.assign(scratch_program_.begin(), scratch_program_.end());
+}
+
+void CountingMatcher::release_program(SubscriptionId id, std::uint32_t slot,
+                                      const Program& program) {
+  for (const Instr& op : program) {
+    if (op.kind() != NodeKind::Leaf) continue;
+    const PredicateId pid(op.arg);
+    auto result = registry_.release_reference(pid, id);
+    auto& assoc = pred_slots_[pid.value()];
+    auto it = std::find_if(assoc.begin(), assoc.end(),
+                           [&](const PredSub& p) { return p.slot == slot; });
+    assert(it != assoc.end());
+    if (result.association_removed) {
+      *it = assoc.back();
+      assoc.pop_back();
+    } else {
+      --it->leaf_refs;
+    }
+    if (result.removed_predicate) {
+      const auto attr = result.removed_predicate->attribute();
+      attr_index_[attr.value()].remove(pid, *result.removed_predicate);
     }
   }
 }
 
+bool CountingMatcher::run(const Instr* program, std::uint32_t pc) const {
+  const Instr op = program[pc];
+  switch (op.kind()) {
+    case NodeKind::Leaf: return pred_epoch_[op.arg] == epoch_;
+    case NodeKind::Not: return !run(program, pc + 1);
+    case NodeKind::And:
+    case NodeKind::Or: {
+      // And stops at the first false child, Or at the first true one.
+      const bool is_and = op.kind() == NodeKind::And;
+      std::uint32_t child = pc + 1;
+      for (std::uint32_t i = 0; i < op.children(); ++i) {
+        if (run(program, child) != is_and) return !is_and;
+        const Instr next = program[child];
+        child = next.kind() == NodeKind::Leaf ? child + 1 : next.arg;
+      }
+      return is_and;
+    }
+    case NodeKind::True: return true;
+    case NodeKind::False: return false;
+  }
+  return false;
+}
+
 void CountingMatcher::set_pmin(std::uint32_t slot, std::uint32_t pmin) {
-  const std::uint32_t old = slots_[slot].pmin;
-  slots_[slot].pmin = pmin;
-  const bool was_always = slots_[slot].sub != nullptr && old == 0;
+  std::uint32_t& current = slot_counter_[slot].pmin;
+  const bool was_always = current == 0;
   const bool is_always = pmin == 0;
+  current = pmin;
   if (was_always == is_always) return;
   if (is_always) {
     always_eval_.push_back(slot);
@@ -113,14 +141,13 @@ void CountingMatcher::add(Subscription& sub) {
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
-    counter_.push_back(0);
-    counter_epoch_.push_back(0);
+    slot_counter_.emplace_back();
   }
   slot_by_id_.emplace(sub.id().value(), slot);
   slots_[slot] = Slot{};
   slots_[slot].sub = &sub;
-  index_tree(sub, slots_[slot].preds);
-  slots_[slot].pmin = 1;  // placeholder != 0 so set_pmin tracks the always list
+  load_program(sub, slot);
+  slot_counter_[slot].pmin = 1;  // placeholder != 0 so set_pmin tracks the always list
   set_pmin(slot, sub.root().pmin());
   ++live_subs_;
 }
@@ -129,8 +156,7 @@ void CountingMatcher::remove(Subscription& sub) {
   const std::uint32_t slot = slot_of(sub.id());
   // Pull the slot out of the always-eval list before releasing references.
   set_pmin(slot, 1);
-  auto preds = std::move(slots_[slot].preds);
-  release_snapshot(sub.id(), preds);
+  release_program(sub.id(), slot, slots_[slot].program);
   slot_by_id_.erase(sub.id().value());
   slots_[slot] = Slot{};
   free_slots_.push_back(slot);
@@ -141,12 +167,12 @@ void CountingMatcher::remove(SubscriptionId id) { remove(*slots_[slot_of(id)].su
 
 void CountingMatcher::reindex(Subscription& sub) {
   const std::uint32_t slot = slot_of(sub.id());
-  auto old_preds = std::move(slots_[slot].preds);
-  slots_[slot].preds.clear();
-  // Index the new tree first so predicates shared between old and new trees
-  // never drop to zero references (which would thrash the attribute index).
-  index_tree(sub, slots_[slot].preds);
-  release_snapshot(sub.id(), old_preds);
+  const Program old_program = std::move(slots_[slot].program);
+  // Compile the new tree first so predicates shared between old and new
+  // trees never drop to zero references (which would thrash the attribute
+  // index).
+  load_program(sub, slot);
+  release_program(sub.id(), slot, old_program);
   set_pmin(slot, sub.root().pmin());
 }
 
@@ -165,18 +191,17 @@ void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out
   if (pmin_trigger_) {
     for (const PredicateId pid : scratch_preds_) {
       pred_epoch_[pid.value()] = epoch_;
-      for (const PredSub& entry : pred_slots_[pid.value()]) {
-        const std::uint32_t slot = entry.slot;
-        if (counter_epoch_[slot] != epoch_) {
-          counter_epoch_[slot] = epoch_;
-          counter_[slot] = 0;
+      const auto& assoc = pred_slots_[pid.value()];
+      counters_.counter_increments += assoc.size();
+      for (const PredSub& entry : assoc) {
+        SlotCounter& c = slot_counter_[entry.slot];
+        if (c.epoch != epoch_) {
+          c.epoch = epoch_;
+          c.count = 0;
         }
-        ++counters_.counter_increments;
-        const std::uint32_t before = counter_[slot];
-        counter_[slot] = before + entry.leaf_refs;
-        if (before < slots_[slot].pmin && counter_[slot] >= slots_[slot].pmin) {
-          scratch_candidates_.push_back(slot);
-        }
+        const std::uint32_t before = c.count;
+        c.count = before + entry.leaf_refs;
+        if (before < c.pmin && c.count >= c.pmin) scratch_candidates_.push_back(entry.slot);
       }
     }
     for (const std::uint32_t slot : always_eval_) scratch_candidates_.push_back(slot);
@@ -188,14 +213,10 @@ void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out
     }
   }
 
+  counters_.tree_evaluations += scratch_candidates_.size();
   for (const std::uint32_t slot : scratch_candidates_) {
     const Slot& s = slots_[slot];
-    ++counters_.tree_evaluations;
-    const bool matched = s.sub->root().evaluate([&](const Node& leaf) {
-      const PredicateId pid = leaf.predicate_id();
-      return pid.valid() && pred_epoch_[pid.value()] == epoch_;
-    });
-    if (matched) {
+    if (run(s.program.data(), 0)) {
       ++counters_.matches;
       out.push_back(s.sub->id());
     }
@@ -203,7 +224,12 @@ void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out
 }
 
 std::size_t CountingMatcher::associations_of(SubscriptionId id) const {
-  return slots_[slot_of(id)].preds.size();
+  std::vector<std::uint32_t> leaves;
+  for (const Instr& op : slots_[slot_of(id)].program) {
+    if (op.kind() == NodeKind::Leaf) leaves.push_back(op.arg);
+  }
+  std::sort(leaves.begin(), leaves.end());
+  return static_cast<std::size_t>(std::unique(leaves.begin(), leaves.end()) - leaves.begin());
 }
 
 }  // namespace dbsp

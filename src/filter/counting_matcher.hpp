@@ -28,9 +28,15 @@ namespace dbsp {
 /// heuristic of §3.3). Subscriptions with pmin == 0 (satisfiable through a
 /// NOT by absence of matches) are evaluated on every event.
 ///
+/// The hot path is flat data: add() and reindex() compile each tree into a
+/// pre-order program of 8-byte ops that match() runs against the
+/// per-predicate epochs, and each slot's counter, counter epoch and pmin
+/// share one 16-byte record.
+///
 /// The matcher does not own subscriptions; registered Subscription objects
 /// must outlive it and their addresses must be stable. Trees may only be
-/// mutated through the pruning engine, which calls reindex() afterwards.
+/// mutated through the pruning engine, which calls reindex() afterwards;
+/// until then match() keeps evaluating the previously compiled tree.
 ///
 /// Not thread-safe: every member (including match(), which advances the
 /// epoch) mutates state and requires external synchronization. Distinct
@@ -88,18 +94,40 @@ class CountingMatcher {
   void reset_counters() { counters_ = {}; }
 
  private:
+  /// One op of a slot's compiled tree: the tree flattened in pre-order, so
+  /// a node's children follow it and its subtree ends at `arg` (inner
+  /// nodes). A leaf's `arg` is its predicate id.
+  struct Instr {
+    std::uint32_t head = 0;  ///< NodeKind in the low byte, child count above
+    std::uint32_t arg = 0;   ///< Leaf: predicate id; inner: one past the subtree
+
+    [[nodiscard]] NodeKind kind() const { return static_cast<NodeKind>(head & 0xffu); }
+    [[nodiscard]] std::uint32_t children() const { return head >> 8; }
+  };
+  using Program = std::vector<Instr>;
+
   struct Slot {
     Subscription* sub = nullptr;
+    /// The tree as of the last (re)index — what match() evaluates and what
+    /// remove/reindex release (one predicate reference per leaf op).
+    Program program;
+  };
+  /// A slot's association counter with the epoch it belongs to (stale
+  /// epochs read as zero) and the pmin it must reach: one cache line per
+  /// counter bump.
+  struct SlotCounter {
+    std::uint64_t epoch = 0;
+    std::uint32_t count = 0;
     std::uint32_t pmin = 0;
-    /// Snapshot of the tree's predicate multiset at last (re)index:
-    /// (predicate id, leaf count). Used to diff on reindex/remove.
-    std::vector<std::pair<PredicateId, std::uint32_t>> preds;
   };
 
   [[nodiscard]] std::uint32_t slot_of(SubscriptionId id) const;
-  void index_tree(Subscription& sub, std::vector<std::pair<PredicateId, std::uint32_t>>& preds);
-  void release_snapshot(SubscriptionId id,
-                        const std::vector<std::pair<PredicateId, std::uint32_t>>& preds);
+  /// Compiles `sub`'s tree into slot `slot`'s program (exactly sized),
+  /// taking one predicate reference per leaf.
+  void load_program(const Subscription& sub, std::uint32_t slot);
+  void compile(const Node& node, SubscriptionId id, std::uint32_t slot, Program& program);
+  void release_program(SubscriptionId id, std::uint32_t slot, const Program& program);
+  [[nodiscard]] bool run(const Instr* program, std::uint32_t pc) const;
   void set_pmin(std::uint32_t slot, std::uint32_t pmin);
   void grow_predicate_arrays();
 
@@ -122,8 +150,7 @@ class CountingMatcher {
   std::unordered_map<SubscriptionId::value_type, std::uint32_t> slot_by_id_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> counter_;
-  std::vector<std::uint64_t> counter_epoch_;
+  std::vector<SlotCounter> slot_counter_;   // by slot
   std::vector<std::uint32_t> always_eval_;  // slots with pmin == 0
 
   std::uint64_t epoch_ = 0;
@@ -131,6 +158,7 @@ class CountingMatcher {
   bool pmin_trigger_ = true;
   std::vector<PredicateId> scratch_preds_;
   std::vector<std::uint32_t> scratch_candidates_;
+  Program scratch_program_;
   Counters counters_;
 };
 

@@ -12,7 +12,7 @@ namespace dbsp {
 using LeafSelectivityFn = std::function<double(const Predicate&)>;
 
 /// Computes sel≈ for a whole subscription tree from leaf estimates using
-/// the interval algebra of SelectivityEstimate (§3.1 / DESIGN.md §1).
+/// the interval algebra of SelectivityEstimate (paper §3.1).
 class SelectivityEstimator {
  public:
   /// Estimator backed by trained event statistics.

@@ -47,7 +47,6 @@ std::unique_ptr<Node> Node::constant(bool value) {
 std::unique_ptr<Node> Node::clone() const {
   auto n = std::unique_ptr<Node>(new Node());
   n->kind_ = kind_;
-  n->pred_id_ = pred_id_;
   if (pred_) n->pred_ = std::make_unique<Predicate>(*pred_);
   n->children_.reserve(children_.size());
   for (const auto& c : children_) n->children_.push_back(c->clone());
@@ -65,22 +64,6 @@ const Node* Node::resolve(const Path& path) const {
 
 Node* Node::resolve(const Path& path) {
   return const_cast<Node*>(static_cast<const Node*>(this)->resolve(path));
-}
-
-bool Node::evaluate(const std::function<bool(const Node&)>& leaf_fulfilled) const {
-  switch (kind_) {
-    case NodeKind::Leaf: return leaf_fulfilled(*this);
-    case NodeKind::And:
-      return std::all_of(children_.begin(), children_.end(),
-                         [&](const auto& c) { return c->evaluate(leaf_fulfilled); });
-    case NodeKind::Or:
-      return std::any_of(children_.begin(), children_.end(),
-                         [&](const auto& c) { return c->evaluate(leaf_fulfilled); });
-    case NodeKind::Not: return !children_[0]->evaluate(leaf_fulfilled);
-    case NodeKind::True: return true;
-    case NodeKind::False: return false;
-  }
-  return false;
 }
 
 bool Node::evaluate_event(const Event& event) const {

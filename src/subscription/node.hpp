@@ -42,22 +42,35 @@ class Node {
   }
   [[nodiscard]] std::vector<std::unique_ptr<Node>>& children() { return children_; }
 
-  /// The leaf's predicate id within a filter engine; kInvalid until the
-  /// subscription is registered. Stored on the node so tree evaluation can
-  /// test fulfillment with one array lookup.
-  [[nodiscard]] PredicateId predicate_id() const { return pred_id_; }
-  void set_predicate_id(PredicateId id) { pred_id_ = id; }
-
   [[nodiscard]] std::unique_ptr<Node> clone() const;
 
   /// Resolves a path; returns nullptr if the path does not exist.
   [[nodiscard]] const Node* resolve(const Path& path) const;
   [[nodiscard]] Node* resolve(const Path& path);
 
-  /// Evaluates the tree; `leaf_fulfilled` reports whether a leaf's
-  /// predicate is fulfilled by the current event.
-  [[nodiscard]] bool evaluate(
-      const std::function<bool(const Node&)>& leaf_fulfilled) const;
+  /// Evaluates the tree; `leaf_fulfilled(const Node&)` reports whether a
+  /// leaf's predicate is fulfilled by the current event. And/Or
+  /// short-circuit.
+  template <typename LeafFn>
+  [[nodiscard]] bool evaluate(const LeafFn& leaf_fulfilled) const {
+    switch (kind_) {
+      case NodeKind::Leaf: return leaf_fulfilled(*this);
+      case NodeKind::And:
+        for (const auto& c : children_) {
+          if (!c->evaluate(leaf_fulfilled)) return false;
+        }
+        return true;
+      case NodeKind::Or:
+        for (const auto& c : children_) {
+          if (c->evaluate(leaf_fulfilled)) return true;
+        }
+        return false;
+      case NodeKind::Not: return !children_[0]->evaluate(leaf_fulfilled);
+      case NodeKind::True: return true;
+      case NodeKind::False: return false;
+    }
+    return false;
+  }
 
   /// Evaluates directly against an event (no index; used by the naive
   /// matcher and correctness tests).
@@ -95,7 +108,6 @@ class Node {
 
   NodeKind kind_ = NodeKind::True;
   std::unique_ptr<Predicate> pred_;  // Leaf only
-  PredicateId pred_id_{};            // Leaf only, set on registration
   std::vector<std::unique_ptr<Node>> children_;
 };
 

@@ -9,7 +9,7 @@
 namespace dbsp {
 
 /// Scale and shape knobs of the synthetic online book-auction workload
-/// (reconstruction of the paper's refs [3]/[4]; see DESIGN.md §2).
+/// (reconstruction of the paper's refs [3]/[4]).
 struct WorkloadConfig {
   std::uint64_t seed = 42;
 

@@ -17,7 +17,7 @@ enum class SubscriberClass : std::uint8_t {
 };
 
 /// Generates Boolean subscription trees of the three classes typical for
-/// online book auctions (paper §4; DESIGN.md §2). Thresholds are drawn
+/// online book auctions (paper §4). Thresholds are drawn
 /// from distributions similar to the event distributions so predicate
 /// selectivities span the whole [0,1] range — the spread the network
 /// heuristic exploits.

@@ -247,8 +247,7 @@ TEST(AggregatedMatchingTest, NoFalseNegativesAcrossShardCounts) {
   const auto corpus = test::make_corpus(dom, rng, 300, /*not_prob=*/0.2);
 
   for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-    // Cloned corpus per engine: the counting matcher stamps predicate ids
-    // into the tree leaves, so one tree may live in only one engine.
+    // Cloned corpus per engine, so no tree is shared between engines.
     const auto clone = test::clone_corpus(corpus);
     ShardedEngineOptions options;
     options.shards = shards;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 
 #include "test_util.hpp"
@@ -59,6 +60,101 @@ TEST_F(AttributeIndexTest, BetweenStabbing) {
             (std::vector<PredicateId>{PredicateId(0), PredicateId(1)}));
   EXPECT_EQ(collect(idx, Value(15)), std::vector<PredicateId>{PredicateId(1)});
   EXPECT_TRUE(collect(idx, Value(21)).empty());
+}
+
+TEST_F(AttributeIndexTest, EqualThresholdsWithMixedInclusiveness) {
+  AttributeIndex idx;
+  idx.insert(PredicateId(0), Predicate(dom_.attr(0), Op::Lt, Value(10)));
+  idx.insert(PredicateId(1), Predicate(dom_.attr(0), Op::Le, Value(10)));
+  idx.insert(PredicateId(2), Predicate(dom_.attr(0), Op::Lt, Value(10)));
+  idx.insert(PredicateId(3), Predicate(dom_.attr(0), Op::Le, Value(10)));
+  idx.insert(PredicateId(4), Predicate(dom_.attr(0), Op::Gt, Value(10)));
+  idx.insert(PredicateId(5), Predicate(dom_.attr(0), Op::Ge, Value(10)));
+  idx.insert(PredicateId(6), Predicate(dom_.attr(0), Op::Gt, Value(10)));
+  idx.insert(PredicateId(7), Predicate(dom_.attr(0), Op::Ge, Value(10)));
+
+  // Unsorted: equal keys come out in insertion order.
+  std::vector<PredicateId> out;
+  idx.collect(Value(9), out);
+  EXPECT_EQ(out, (std::vector<PredicateId>{PredicateId(0), PredicateId(1), PredicateId(2),
+                                           PredicateId(3)}));
+  out.clear();
+  idx.collect(Value(10), out);
+  EXPECT_EQ(out, (std::vector<PredicateId>{PredicateId(1), PredicateId(3), PredicateId(5),
+                                           PredicateId(7)}));
+  out.clear();
+  idx.collect(Value(11), out);
+  EXPECT_EQ(out, (std::vector<PredicateId>{PredicateId(4), PredicateId(5), PredicateId(6),
+                                           PredicateId(7)}));
+}
+
+TEST_F(AttributeIndexTest, BetweenIntervalsSharingALowBound) {
+  AttributeIndex idx;
+  idx.insert(PredicateId(0), Predicate(dom_.attr(0), Value(5), Value(10)));
+  idx.insert(PredicateId(1), Predicate(dom_.attr(0), Value(5), Value(7)));
+  idx.insert(PredicateId(2), Predicate(dom_.attr(0), Value(5), Value(20)));
+  idx.insert(PredicateId(3), Predicate(dom_.attr(0), Value(3), Value(5)));
+  EXPECT_EQ(collect(idx, Value(4)), std::vector<PredicateId>{PredicateId(3)});
+  EXPECT_EQ(collect(idx, Value(5)), (std::vector<PredicateId>{PredicateId(0), PredicateId(1),
+                                                              PredicateId(2), PredicateId(3)}));
+  EXPECT_EQ(collect(idx, Value(7)),
+            (std::vector<PredicateId>{PredicateId(0), PredicateId(1), PredicateId(2)}));
+  EXPECT_EQ(collect(idx, Value(8)), (std::vector<PredicateId>{PredicateId(0), PredicateId(2)}));
+  EXPECT_EQ(collect(idx, Value(11)), std::vector<PredicateId>{PredicateId(2)});
+  EXPECT_TRUE(collect(idx, Value(21)).empty());
+}
+
+TEST_F(AttributeIndexTest, EventValueExactlyAtABound) {
+  AttributeIndex idx;
+  idx.insert(PredicateId(0), Predicate(dom_.attr(0), Op::Lt, Value(10)));
+  idx.insert(PredicateId(1), Predicate(dom_.attr(0), Op::Le, Value(10)));
+  idx.insert(PredicateId(2), Predicate(dom_.attr(0), Op::Gt, Value(10)));
+  idx.insert(PredicateId(3), Predicate(dom_.attr(0), Op::Ge, Value(10)));
+  idx.insert(PredicateId(4), Predicate(dom_.attr(0), Value(10), Value(12)));
+  idx.insert(PredicateId(5), Predicate(dom_.attr(0), Value(8), Value(10)));
+  const std::vector<PredicateId> at_bound{PredicateId(1), PredicateId(3), PredicateId(4),
+                                          PredicateId(5)};
+  // Int and double event values at the bound compare equal to the operand.
+  EXPECT_EQ(collect(idx, Value(10)), at_bound);
+  EXPECT_EQ(collect(idx, Value(10.0)), at_bound);
+  // Just either side of the bound.
+  EXPECT_EQ(collect(idx, Value(9.999)),
+            (std::vector<PredicateId>{PredicateId(0), PredicateId(1), PredicateId(5)}));
+  EXPECT_EQ(collect(idx, Value(10.001)),
+            (std::vector<PredicateId>{PredicateId(2), PredicateId(3), PredicateId(4)}));
+  // NaN is at no bound and fulfils no ordered comparison.
+  EXPECT_TRUE(collect(idx, Value(std::nan(""))).empty());
+}
+
+TEST_F(AttributeIndexTest, RemovingOneOfSeveralEqualKeysKeepsTheOthersInOrder) {
+  AttributeIndex idx;
+  std::vector<Predicate> less, greater, between;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    less.emplace_back(dom_.attr(0), i % 2 == 0 ? Op::Lt : Op::Le, Value(10));
+    greater.emplace_back(dom_.attr(0), i % 2 == 0 ? Op::Gt : Op::Ge, Value(0));
+    between.emplace_back(dom_.attr(0), Value(0), Value(10 + static_cast<std::int64_t>(i)));
+    idx.insert(PredicateId(i), less.back());
+    idx.insert(PredicateId(10 + i), greater.back());
+    idx.insert(PredicateId(20 + i), between.back());
+  }
+  idx.remove(PredicateId(1), less[1]);
+  idx.remove(PredicateId(12), greater[2]);
+  idx.remove(PredicateId(20), between[0]);
+  EXPECT_EQ(idx.size(), 9u);
+
+  std::vector<PredicateId> out;
+  idx.collect(Value(5), out);
+  EXPECT_EQ(out, (std::vector<PredicateId>{PredicateId(0), PredicateId(2), PredicateId(3),
+                                           PredicateId(10), PredicateId(11), PredicateId(13),
+                                           PredicateId(21), PredicateId(22), PredicateId(23)}));
+
+  // A re-inserted key goes after the survivors.
+  idx.insert(PredicateId(1), less[1]);
+  out.clear();
+  idx.collect(Value(5), out);
+  EXPECT_EQ(std::vector<PredicateId>(out.begin(), out.begin() + 4),
+            (std::vector<PredicateId>{PredicateId(0), PredicateId(2), PredicateId(3),
+                                      PredicateId(1)}));
 }
 
 TEST_F(AttributeIndexTest, InExpandsMembers) {

@@ -167,6 +167,61 @@ TEST_F(CountingMatcherTest, DuplicatedPredicateAdvancesCounterPerLeaf) {
   EXPECT_TRUE(match(m, miss).empty());
 }
 
+TEST_F(CountingMatcherTest, ReindexToASingleLeafAndBackThenRemoveReleasesEverything) {
+  CountingMatcher m(schema_);
+  // Five leaves over three distinct predicates: price < 10 and
+  // year > 1990 each sit in two leaves, under Or, Not and And nesting.
+  constexpr std::string_view kNested =
+      "(price < 10 or not (category = 'art' and (year > 1990 or price < 10))) "
+      "and year > 1990";
+  auto s = sub(1, kNested);
+  ASSERT_EQ(s->root().leaf_count(), 5u);
+  m.add(*s);
+  EXPECT_EQ(m.associations_of(SubscriptionId(1)), 3u);
+  EXPECT_EQ(m.live_predicates(), 3u);
+  EXPECT_EQ(m.association_count(), 3u);
+
+  std::vector<Event> events;
+  for (const double price : {5.0, 15.0}) {
+    for (const char* category : {"art", "music"}) {
+      for (const int year : {1980, 2000}) {
+        events.push_back(EventBuilder(schema_)
+                             .with("price", price)
+                             .with("category", category)
+                             .with("year", year)
+                             .build());
+      }
+    }
+  }
+  const auto agrees_with_tree = [&] {
+    for (const auto& e : events) {
+      const auto got = match(m, e);
+      EXPECT_EQ(!got.empty(), s->matches(e)) << s->to_string(schema_);
+    }
+  };
+  agrees_with_tree();
+
+  s->replace_root(parse_subscription("price < 20", schema_));
+  m.reindex(*s);
+  EXPECT_EQ(m.associations_of(SubscriptionId(1)), 1u);
+  EXPECT_EQ(m.live_predicates(), 1u);
+  EXPECT_EQ(m.association_count(), 1u);
+  agrees_with_tree();
+
+  s->replace_root(parse_subscription(kNested, schema_));
+  m.reindex(*s);
+  EXPECT_EQ(m.associations_of(SubscriptionId(1)), 3u);
+  EXPECT_EQ(m.live_predicates(), 3u);
+  EXPECT_EQ(m.association_count(), 3u);
+  agrees_with_tree();
+
+  m.remove(*s);
+  EXPECT_EQ(m.subscription_count(), 0u);
+  EXPECT_EQ(m.live_predicates(), 0u);
+  EXPECT_EQ(m.association_count(), 0u);
+  for (const auto& e : events) EXPECT_TRUE(match(m, e).empty());
+}
+
 TEST_F(CountingMatcherTest, CountersAccumulateAndReset) {
   CountingMatcher m(schema_);
   auto s = sub(1, "price < 10");

@@ -102,6 +102,110 @@ TEST(MatcherEquivalenceChurn, EquivalenceHoldsUnderPruningAndRemoval) {
   }
 }
 
+/// A tree whose And/Or levels alternate down a spine of `depth` levels (so
+/// simplify() flattens nothing), each level wrapped in Not with probability
+/// 1/2, with shallower random siblings at every level.
+std::unique_ptr<Node> nested_tree(const MiniDomain& dom, std::mt19937_64& rng, int depth,
+                                  bool is_and) {
+  if (depth == 0) return Node::leaf(dom.random_predicate(rng));
+  std::vector<std::unique_ptr<Node>> children;
+  children.push_back(nested_tree(dom, rng, depth - 1, !is_and));
+  const int siblings = 1 + static_cast<int>(rng() % 2);
+  for (int i = 0; i < siblings; ++i) {
+    const auto sibling_depth = static_cast<int>(rng() % static_cast<std::uint64_t>(depth));
+    children.push_back(nested_tree(dom, rng, sibling_depth, !is_and));
+  }
+  std::shuffle(children.begin(), children.end(), rng);
+  auto node = is_and ? Node::and_(std::move(children)) : Node::or_(std::move(children));
+  if (rng() % 2 == 0) node = Node::not_(std::move(node));
+  return node;
+}
+
+std::size_t depth_of(const Node& node) {
+  std::size_t deepest = 0;
+  for (const auto& c : node.children()) deepest = std::max(deepest, depth_of(*c));
+  return node.kind() == NodeKind::Leaf ? 0 : deepest + 1;
+}
+
+std::size_t distinct_predicates(const Node& root) {
+  std::vector<Predicate> seen;
+  root.for_each_leaf([&](const Node& leaf) {
+    if (std::find(seen.begin(), seen.end(), leaf.predicate()) == seen.end()) {
+      seen.push_back(leaf.predicate());
+    }
+  });
+  return seen.size();
+}
+
+TEST(MatcherEquivalenceChurn, DeepNotOrNestingUnderAddReindexAndRemove) {
+  // Depth >= 4 Not/Or/And nesting over a small value domain, so leaves
+  // often repeat a predicate. Each round adds, prunes, swaps the tree for
+  // a single leaf or a fresh nested tree, and removes, then checks every
+  // delivery and every subscription's association count.
+  MiniDomain dom(4, 8);
+  std::mt19937_64 rng(2718);
+  std::vector<std::unique_ptr<Subscription>> subs;
+  std::vector<bool> alive;
+  CountingMatcher counting(dom.schema());
+  NaiveMatcher naive;
+  const auto add_one = [&] {
+    const auto id = SubscriptionId(static_cast<SubscriptionId::value_type>(subs.size()));
+    const int depth = 4 + static_cast<int>(rng() % 2);
+    auto tree = simplify(nested_tree(dom, rng, depth, rng() % 2 == 0));
+    ASSERT_GE(depth_of(*tree), 4u);
+    subs.push_back(std::make_unique<Subscription>(id, std::move(tree)));
+    alive.push_back(true);
+    counting.add(*subs.back());
+    naive.add(*subs.back());
+  };
+  for (int i = 0; i < 60; ++i) add_one();
+
+  for (int round = 0; round < 40; ++round) {
+    for (int k = 0; k < 8; ++k) {
+      const auto i = static_cast<std::size_t>(rng() % subs.size());
+      if (!alive[i]) continue;
+      Subscription& s = *subs[i];
+      switch (rng() % 5) {
+        case 0:
+          counting.remove(s);
+          naive.remove(s.id());
+          alive[i] = false;
+          break;
+        case 1:
+          s.replace_root(Node::leaf(dom.random_predicate(rng)));
+          counting.reindex(s);
+          break;
+        case 2:
+          s.replace_root(simplify(nested_tree(dom, rng, 4, rng() % 2 == 0)));
+          counting.reindex(s);
+          break;
+        default: {
+          const auto candidates = enumerate_prunings(s.root());
+          if (candidates.empty()) break;
+          apply_pruning(s, candidates[rng() % candidates.size()]);
+          counting.reindex(s);
+        }
+      }
+    }
+    add_one();
+    for (const auto& e : dom.random_events(rng, 30)) {
+      ASSERT_EQ(sorted_match(counting, e), sorted_match(naive, e)) << "round " << round;
+    }
+    for (std::size_t i = 0; i < subs.size(); ++i) {
+      if (!alive[i]) continue;
+      ASSERT_EQ(counting.associations_of(subs[i]->id()), distinct_predicates(subs[i]->root()))
+          << subs[i]->to_string(dom.schema());
+    }
+  }
+
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    if (alive[i]) counting.remove(*subs[i]);
+  }
+  EXPECT_EQ(counting.subscription_count(), 0u);
+  EXPECT_EQ(counting.live_predicates(), 0u);
+  EXPECT_EQ(counting.association_count(), 0u);
+}
+
 TEST(MatcherRemoveParity, UniformRemoveByIdAcrossAllThreeMatchers) {
   // All three matchers expose remove(SubscriptionId) with identical
   // semantics: removing an id unregisters exactly that subscription, and

@@ -147,9 +147,9 @@ struct Corpus {
   return c;
 }
 
-/// Deep copy of a corpus (same ids, cloned trees). Needed whenever the same
-/// logical corpus is registered with more than one counting-based matcher,
-/// because a counting matcher stamps its predicate ids into the tree leaves.
+/// Deep copy of a corpus (same ids, cloned trees), so the same logical
+/// corpus can be registered with several engines that each own, and may
+/// prune, their copy.
 [[nodiscard]] inline Corpus clone_corpus(const Corpus& corpus) {
   Corpus c;
   c.subs.reserve(corpus.subs.size());
