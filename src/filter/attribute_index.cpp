@@ -8,19 +8,33 @@ namespace dbsp {
 
 namespace {
 
-/// Ordered comparisons and Between only index numeric operands; predicates
-/// with non-numeric operands on those operators fall back to the scan list.
-bool numeric_indexable(const Predicate& pred) {
+bool is_nan(const Value& v) { return v.is_numeric() && std::isnan(v.numeric()); }
+
+/// The part of the index a predicate lives in.
+enum class Part { Eq, Less, Greater, Between, Scan };
+
+/// Eq and In go to the hash map, numeric ordered comparisons and Between to
+/// the sorted arrays. The rest is scanned: Ne, string operators, ordered
+/// operators with non-numeric operands, and every predicate with a NaN
+/// operand — NaN equals no key and orders against none, so neither the hash
+/// map nor a binary search could find it again, and matches_value() decides.
+Part part_of(const Predicate& pred) {
+  const auto& operands = pred.operands();
+  if (std::any_of(operands.begin(), operands.end(), is_nan)) return Part::Scan;
   switch (pred.op()) {
+    case Op::Eq:
+    case Op::In:
+      return Part::Eq;
     case Op::Lt:
     case Op::Le:
+      return operands[0].is_numeric() ? Part::Less : Part::Scan;
     case Op::Gt:
     case Op::Ge:
-      return pred.operand().is_numeric();
+      return operands[0].is_numeric() ? Part::Greater : Part::Scan;
     case Op::Between:
-      return pred.operands()[0].is_numeric() && pred.operands()[1].is_numeric();
+      return operands[0].is_numeric() && operands[1].is_numeric() ? Part::Between : Part::Scan;
     default:
-      return false;
+      return Part::Scan;
   }
 }
 
@@ -70,78 +84,51 @@ void AttributeIndex::remove_eq_key(const Value& key, PredicateId id) {
 
 void AttributeIndex::insert(PredicateId id, const Predicate& pred) {
   ++size_;
-  switch (pred.op()) {
-    case Op::Eq:
-      insert_eq_key(pred.operand(), id);
-      return;
-    case Op::In:
+  switch (part_of(pred)) {
+    case Part::Eq:
       for (const auto& v : pred.operands()) insert_eq_key(v, id);
       return;
-    case Op::Lt:
-    case Op::Le:
-      if (numeric_indexable(pred)) {
-        insert_sorted(less_, pred.operand().numeric(), OrderedEntry{id, pred.op() == Op::Le});
-        return;
-      }
-      break;
-    case Op::Gt:
-    case Op::Ge:
-      if (numeric_indexable(pred)) {
-        insert_sorted(greater_, pred.operand().numeric(), OrderedEntry{id, pred.op() == Op::Ge});
-        return;
-      }
-      break;
-    case Op::Between:
-      if (numeric_indexable(pred)) {
-        insert_sorted(between_, pred.operands()[0].numeric(),
-                      IntervalEntry{id, pred.operands()[1].numeric()});
-        return;
-      }
-      break;
-    default:
-      break;
+    case Part::Less:
+      insert_sorted(less_, pred.operand().numeric(), OrderedEntry{id, pred.op() == Op::Le});
+      return;
+    case Part::Greater:
+      insert_sorted(greater_, pred.operand().numeric(), OrderedEntry{id, pred.op() == Op::Ge});
+      return;
+    case Part::Between:
+      insert_sorted(between_, pred.operands()[0].numeric(),
+                    IntervalEntry{id, pred.operands()[1].numeric()});
+      return;
+    case Part::Scan:
+      scan_.emplace_back(id, pred);
+      return;
   }
-  scan_.emplace_back(id, pred);
 }
 
 void AttributeIndex::remove(PredicateId id, const Predicate& pred) {
   if (size_ == 0) throw std::logic_error("attribute index: remove from empty index");
   --size_;
-  switch (pred.op()) {
-    case Op::Eq:
-      remove_eq_key(pred.operand(), id);
-      return;
-    case Op::In:
+  switch (part_of(pred)) {
+    case Part::Eq:
       for (const auto& v : pred.operands()) remove_eq_key(v, id);
       return;
-    case Op::Lt:
-    case Op::Le:
-      if (numeric_indexable(pred)) {
-        erase_sorted(less_, pred.operand().numeric(), id);
-        return;
-      }
-      break;
-    case Op::Gt:
-    case Op::Ge:
-      if (numeric_indexable(pred)) {
-        erase_sorted(greater_, pred.operand().numeric(), id);
-        return;
-      }
-      break;
-    case Op::Between:
-      if (numeric_indexable(pred)) {
-        erase_sorted(between_, pred.operands()[0].numeric(), id);
-        return;
-      }
-      break;
-    default:
-      break;
+    case Part::Less:
+      erase_sorted(less_, pred.operand().numeric(), id);
+      return;
+    case Part::Greater:
+      erase_sorted(greater_, pred.operand().numeric(), id);
+      return;
+    case Part::Between:
+      erase_sorted(between_, pred.operands()[0].numeric(), id);
+      return;
+    case Part::Scan: {
+      auto pos = std::find_if(scan_.begin(), scan_.end(),
+                              [&](const auto& entry) { return entry.first == id; });
+      if (pos == scan_.end()) throw std::logic_error("attribute index: scan predicate missing");
+      *pos = std::move(scan_.back());
+      scan_.pop_back();
+      return;
+    }
   }
-  auto pos = std::find_if(scan_.begin(), scan_.end(),
-                          [&](const auto& entry) { return entry.first == id; });
-  if (pos == scan_.end()) throw std::logic_error("attribute index: scan predicate missing");
-  *pos = std::move(scan_.back());
-  scan_.pop_back();
 }
 
 void AttributeIndex::collect(const Value& value, std::vector<PredicateId>& out) const {

@@ -29,8 +29,11 @@ namespace dbsp {
 ///  * Between: sorted by low bound; candidates are the prefix with
 ///    low <= v, each verified against its high bound (linear in that
 ///    prefix);
-///  * Ne, string operators and non-numeric operands: a scan list of
-///    (id, predicate) pairs evaluated per event (rare in the workloads).
+///  * Ne, string operators, ordered operators with non-numeric operands
+///    and every predicate with a NaN operand: a scan list of (id,
+///    predicate) pairs evaluated per event (rare in the workloads). NaN
+///    never becomes a key, so the sorted arrays' binary searches always see
+///    a total order and remove() always finds what insert() stored.
 /// Equal keys keep insertion order, so collect() yields ids in the same
 /// order for the same sequence of inserts and removes.
 ///

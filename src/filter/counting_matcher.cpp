@@ -28,13 +28,22 @@ void CountingMatcher::grow_predicate_arrays() {
   }
 }
 
+std::size_t CountingMatcher::checked_size(const Node& node) const {
+  if (node.kind() == NodeKind::Leaf) {
+    if (node.predicate().attribute().value() >= attr_index_.size()) {
+      throw std::out_of_range("matcher: predicate on attribute outside schema");
+    }
+    return 1;
+  }
+  std::size_t size = 1;
+  for (const auto& child : node.children()) size += checked_size(*child);
+  return size;
+}
+
 void CountingMatcher::compile(const Node& node, SubscriptionId id, std::uint32_t slot,
                               Program& program) {
-  const std::size_t children = node.children().size();
-  if (children >= (1u << 24)) throw std::length_error("matcher: node has too many children");
   const std::size_t pc = program.size();
-  program.push_back(
-      {static_cast<std::uint32_t>(node.kind()) | static_cast<std::uint32_t>(children << 8), 0});
+  program.push_back({node.kind(), 0});
   if (node.kind() != NodeKind::Leaf) {
     for (const auto& child : node.children()) compile(*child, id, slot, program);
     program[pc].arg = static_cast<std::uint32_t>(program.size());
@@ -45,9 +54,6 @@ void CountingMatcher::compile(const Node& node, SubscriptionId id, std::uint32_t
   grow_predicate_arrays();
   if (result.new_predicate) {
     const auto attr = registry_.predicate(result.id).attribute();
-    if (attr.value() >= attr_index_.size()) {
-      throw std::out_of_range("matcher: predicate on attribute outside schema");
-    }
     attr_index_[attr.value()].insert(result.id, registry_.predicate(result.id));
     pred_slots_[result.id.value()].clear();
   }
@@ -63,16 +69,18 @@ void CountingMatcher::compile(const Node& node, SubscriptionId id, std::uint32_t
   }
 }
 
-void CountingMatcher::load_program(const Subscription& sub, std::uint32_t slot) {
-  scratch_program_.clear();
-  compile(sub.root(), sub.id(), slot, scratch_program_);
-  slots_[slot].program.assign(scratch_program_.begin(), scratch_program_.end());
+void CountingMatcher::load_program(const Subscription& sub, std::uint32_t slot,
+                                   std::size_t size) {
+  Program& program = slots_[slot].program;
+  program.clear();
+  program.reserve(size);
+  compile(sub.root(), sub.id(), slot, program);
 }
 
 void CountingMatcher::release_program(SubscriptionId id, std::uint32_t slot,
                                       const Program& program) {
   for (const Instr& op : program) {
-    if (op.kind() != NodeKind::Leaf) continue;
+    if (op.kind != NodeKind::Leaf) continue;
     const PredicateId pid(op.arg);
     auto result = registry_.release_reference(pid, id);
     auto& assoc = pred_slots_[pid.value()];
@@ -94,18 +102,17 @@ void CountingMatcher::release_program(SubscriptionId id, std::uint32_t slot,
 
 bool CountingMatcher::run(const Instr* program, std::uint32_t pc) const {
   const Instr op = program[pc];
-  switch (op.kind()) {
+  switch (op.kind) {
     case NodeKind::Leaf: return pred_epoch_[op.arg] == epoch_;
     case NodeKind::Not: return !run(program, pc + 1);
     case NodeKind::And:
     case NodeKind::Or: {
       // And stops at the first false child, Or at the first true one.
-      const bool is_and = op.kind() == NodeKind::And;
-      std::uint32_t child = pc + 1;
-      for (std::uint32_t i = 0; i < op.children(); ++i) {
+      const bool is_and = op.kind == NodeKind::And;
+      for (std::uint32_t child = pc + 1; child < op.arg;) {
         if (run(program, child) != is_and) return !is_and;
         const Instr next = program[child];
-        child = next.kind() == NodeKind::Leaf ? child + 1 : next.arg;
+        child = next.kind == NodeKind::Leaf ? child + 1 : next.arg;
       }
       return is_and;
     }
@@ -134,6 +141,7 @@ void CountingMatcher::set_pmin(std::uint32_t slot, std::uint32_t pmin) {
 
 void CountingMatcher::add(Subscription& sub) {
   if (contains(sub.id())) throw std::invalid_argument("matcher: duplicate subscription id");
+  const std::size_t size = checked_size(sub.root());
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -146,7 +154,7 @@ void CountingMatcher::add(Subscription& sub) {
   slot_by_id_.emplace(sub.id().value(), slot);
   slots_[slot] = Slot{};
   slots_[slot].sub = &sub;
-  load_program(sub, slot);
+  load_program(sub, slot, size);
   slot_counter_[slot].pmin = 1;  // placeholder != 0 so set_pmin tracks the always list
   set_pmin(slot, sub.root().pmin());
   ++live_subs_;
@@ -167,11 +175,12 @@ void CountingMatcher::remove(SubscriptionId id) { remove(*slots_[slot_of(id)].su
 
 void CountingMatcher::reindex(Subscription& sub) {
   const std::uint32_t slot = slot_of(sub.id());
+  const std::size_t size = checked_size(sub.root());
   const Program old_program = std::move(slots_[slot].program);
   // Compile the new tree first so predicates shared between old and new
   // trees never drop to zero references (which would thrash the attribute
   // index).
-  load_program(sub, slot);
+  load_program(sub, slot, size);
   release_program(sub.id(), slot, old_program);
   set_pmin(slot, sub.root().pmin());
 }
@@ -226,7 +235,7 @@ void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out
 std::size_t CountingMatcher::associations_of(SubscriptionId id) const {
   std::vector<std::uint32_t> leaves;
   for (const Instr& op : slots_[slot_of(id)].program) {
-    if (op.kind() == NodeKind::Leaf) leaves.push_back(op.arg);
+    if (op.kind == NodeKind::Leaf) leaves.push_back(op.arg);
   }
   std::sort(leaves.begin(), leaves.end());
   return static_cast<std::size_t>(std::unique(leaves.begin(), leaves.end()) - leaves.begin());

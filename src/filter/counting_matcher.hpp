@@ -47,7 +47,8 @@ class CountingMatcher {
   explicit CountingMatcher(const Schema& schema);
 
   /// Registers a subscription: interns its predicates, assigns leaf
-  /// predicate ids, indexes it for matching.
+  /// predicate ids, indexes it for matching. Throws std::out_of_range, and
+  /// changes nothing, when a predicate's attribute is outside the schema.
   void add(Subscription& sub);
   /// Unregisters; releases all predicate references.
   void remove(Subscription& sub);
@@ -55,7 +56,8 @@ class CountingMatcher {
   /// when the id is unknown.
   void remove(SubscriptionId id);
   /// Re-synchronizes indexes and pmin after the subscription's tree changed
-  /// (e.g. a pruning). Cost is proportional to the tree size.
+  /// (e.g. a pruning). Cost is proportional to the tree size. Throws like
+  /// add(), keeping the previously compiled tree.
   void reindex(Subscription& sub);
 
   /// Appends ids of all subscriptions matching `event`. Non-const: advances
@@ -95,15 +97,13 @@ class CountingMatcher {
 
  private:
   /// One op of a slot's compiled tree: the tree flattened in pre-order, so
-  /// a node's children follow it and its subtree ends at `arg` (inner
-  /// nodes). A leaf's `arg` is its predicate id.
+  /// an inner node's children follow it back to back up to `arg`, one past
+  /// its subtree. A leaf's `arg` is its predicate id.
   struct Instr {
-    std::uint32_t head = 0;  ///< NodeKind in the low byte, child count above
-    std::uint32_t arg = 0;   ///< Leaf: predicate id; inner: one past the subtree
-
-    [[nodiscard]] NodeKind kind() const { return static_cast<NodeKind>(head & 0xffu); }
-    [[nodiscard]] std::uint32_t children() const { return head >> 8; }
+    NodeKind kind = NodeKind::Leaf;
+    std::uint32_t arg = 0;  ///< Leaf: predicate id; inner: one past the subtree
   };
+  static_assert(sizeof(Instr) == 8);
   using Program = std::vector<Instr>;
 
   struct Slot {
@@ -122,9 +122,13 @@ class CountingMatcher {
   };
 
   [[nodiscard]] std::uint32_t slot_of(SubscriptionId id) const;
-  /// Compiles `sub`'s tree into slot `slot`'s program (exactly sized),
-  /// taking one predicate reference per leaf.
-  void load_program(const Subscription& sub, std::uint32_t slot);
+  /// Nodes in `node`'s tree. Throws std::out_of_range when a leaf's
+  /// attribute is outside the schema, so add() and reindex() reject such a
+  /// tree before they change anything.
+  [[nodiscard]] std::size_t checked_size(const Node& node) const;
+  /// Compiles `sub`'s tree, of `size` nodes, into slot `slot`'s program
+  /// (exactly sized), taking one predicate reference per leaf.
+  void load_program(const Subscription& sub, std::uint32_t slot, std::size_t size);
   void compile(const Node& node, SubscriptionId id, std::uint32_t slot, Program& program);
   void release_program(SubscriptionId id, std::uint32_t slot, const Program& program);
   [[nodiscard]] bool run(const Instr* program, std::uint32_t pc) const;
@@ -158,7 +162,6 @@ class CountingMatcher {
   bool pmin_trigger_ = true;
   std::vector<PredicateId> scratch_preds_;
   std::vector<std::uint32_t> scratch_candidates_;
-  Program scratch_program_;
   Counters counters_;
 };
 

@@ -23,7 +23,9 @@ PredicateRegistry::AddResult PredicateRegistry::add_reference(const Predicate& p
       entries_.emplace_back();
       entries_.back().pred = std::make_unique<Predicate>(pred);
     }
-    intern_.emplace(pred, id);
+    // A predicate with a NaN operand equals no predicate, itself included:
+    // the map could never find it again, so each such leaf gets its own id.
+    if (pred.equals(pred)) intern_.emplace(pred, id);
     ++live_predicates_;
   }
   Entry& e = entries_[id.value()];

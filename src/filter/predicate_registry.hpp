@@ -19,7 +19,9 @@ namespace dbsp {
 ///
 /// Structurally equal predicates across all subscriptions share one
 /// PredicateId, so each distinct condition is evaluated at most once per
-/// event. Each association (predicate, subscription) carries a leaf
+/// event. A predicate with a NaN operand equals no predicate, itself
+/// included, so every such leaf gets its own PredicateId and is never
+/// interned. Each association (predicate, subscription) carries a leaf
 /// reference count because one subscription may use the same predicate in
 /// several leaves; the association disappears when the last leaf is pruned.
 /// The total number of associations is the memory metric of the paper's

@@ -126,6 +126,50 @@ TEST_F(AttributeIndexTest, EventValueExactlyAtABound) {
   EXPECT_TRUE(collect(idx, Value(std::nan(""))).empty());
 }
 
+TEST_F(AttributeIndexTest, NaNOperandsAreScannedAndRemovable) {
+  const double nan = std::nan("");
+  const std::vector<Predicate> preds{
+      Predicate(dom_.attr(0), Op::Lt, Value(nan)),
+      Predicate(dom_.attr(0), Op::Ge, Value(nan)),
+      Predicate(dom_.attr(0), Value(nan), Value(1)),
+      Predicate(dom_.attr(0), Op::Eq, Value(nan)),
+      Predicate(dom_.attr(0), {Value(3), Value(nan)}),
+      // Ordinary keys on both sides of and between the NaN ones.
+      Predicate(dom_.attr(0), Op::Lt, Value(5)),
+      Predicate(dom_.attr(0), Op::Le, Value(1)),
+      Predicate(dom_.attr(0), Op::Ge, Value(5)),
+      Predicate(dom_.attr(0), Value(0), Value(10)),
+      Predicate(dom_.attr(0), Op::Eq, Value(3)),
+  };
+  AttributeIndex idx;
+  for (std::uint32_t i = 0; i < preds.size(); ++i) idx.insert(PredicateId(i), preds[i]);
+  std::vector<bool> live(preds.size(), true);
+  const auto agrees_with_predicates = [&] {
+    for (const double v : {-1.0, 0.0, 0.5, 1.0, 3.0, 5.0, 7.0, 11.0}) {
+      std::vector<PredicateId> expected;
+      for (std::uint32_t i = 0; i < preds.size(); ++i) {
+        if (live[i] && preds[i].matches_value(Value(v))) expected.push_back(PredicateId(i));
+      }
+      EXPECT_EQ(collect(idx, Value(v)), expected) << "probe v=" << v;
+    }
+  };
+  agrees_with_predicates();
+  // x < NaN and x >= NaN hold for no value.
+  for (const auto& id : collect(idx, Value(-1e300))) EXPECT_NE(id, PredicateId(0));
+  for (const auto& id : collect(idx, Value(1e300))) EXPECT_NE(id, PredicateId(1));
+
+  // Each NaN predicate is found again by remove(); the others stay put.
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    idx.remove(PredicateId(i), preds[i]);
+    live[i] = false;
+    agrees_with_predicates();
+  }
+  EXPECT_EQ(idx.size(), 5u);
+  for (std::uint32_t i = 5; i < preds.size(); ++i) idx.remove(PredicateId(i), preds[i]);
+  EXPECT_EQ(idx.size(), 0u);
+  EXPECT_TRUE(collect(idx, Value(3)).empty());
+}
+
 TEST_F(AttributeIndexTest, RemovingOneOfSeveralEqualKeysKeepsTheOthersInOrder) {
   AttributeIndex idx;
   std::vector<Predicate> less, greater, between;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/candidates.hpp"
 #include "subscription/parser.hpp"
@@ -220,6 +221,101 @@ TEST_F(CountingMatcherTest, ReindexToASingleLeafAndBackThenRemoveReleasesEveryth
   EXPECT_EQ(m.live_predicates(), 0u);
   EXPECT_EQ(m.association_count(), 0u);
   for (const auto& e : events) EXPECT_TRUE(match(m, e).empty());
+}
+
+TEST_F(CountingMatcherTest, NaNThresholdsMatchLikeTheTreeAndRemoveCleanly) {
+  const auto price = schema_.at("price");
+  const auto year = schema_.at("year");
+  const double nan = std::nan("");
+  const auto leaf = [](Predicate p) { return Node::leaf(std::move(p)); };
+  const auto two = [](std::unique_ptr<Node> a, std::unique_ptr<Node> b) {
+    std::vector<std::unique_ptr<Node>> children;
+    children.push_back(std::move(a));
+    children.push_back(std::move(b));
+    return children;
+  };
+  std::vector<std::unique_ptr<Subscription>> subs;
+  subs.push_back(std::make_unique<Subscription>(
+      SubscriptionId(1), leaf(Predicate(price, Op::Lt, Value(nan)))));
+  subs.push_back(std::make_unique<Subscription>(
+      SubscriptionId(2), Node::or_(two(leaf(Predicate(price, Op::Ge, Value(nan))),
+                                       leaf(Predicate(price, Op::Lt, Value(5.0)))))));
+  subs.push_back(std::make_unique<Subscription>(
+      SubscriptionId(3), leaf(Predicate(price, Value(nan), Value(1.0)))));
+  subs.push_back(std::make_unique<Subscription>(
+      SubscriptionId(4),
+      Node::and_(two(Node::not_(leaf(Predicate(price, Op::Eq, Value(nan)))),
+                     leaf(Predicate(year, Op::Gt, Value(1990)))))));
+  subs.push_back(std::make_unique<Subscription>(
+      SubscriptionId(5), leaf(Predicate(price, Op::Lt, Value(nan)))));  // a second x < NaN
+  subs.push_back(std::make_unique<Subscription>(
+      SubscriptionId(6), leaf(Predicate(price, Op::Le, Value(5.0)))));
+
+  CountingMatcher m(schema_);
+  for (auto& s : subs) m.add(*s);
+  std::vector<Event> events;
+  for (const double p : {-1.0, 0.5, 1.0, 3.0, 5.0, 7.0}) {
+    for (const int y : {1980, 2000}) {
+      events.push_back(EventBuilder(schema_).with("price", p).with("year", y).build());
+    }
+  }
+  const auto agrees_with_trees = [&] {
+    for (const auto& e : events) {
+      std::vector<SubscriptionId> expected;
+      for (const auto& s : subs) {
+        if (m.contains(s->id()) && s->matches(e)) expected.push_back(s->id());
+      }
+      EXPECT_EQ(match(m, e), expected);
+    }
+  };
+  agrees_with_trees();
+
+  // Every removal finds its predicates again, whatever the order.
+  for (const std::size_t i : {0u, 3u, 5u, 1u, 4u, 2u}) {
+    m.remove(*subs[i]);
+    agrees_with_trees();
+  }
+  EXPECT_EQ(m.subscription_count(), 0u);
+  EXPECT_EQ(m.live_predicates(), 0u);
+  EXPECT_EQ(m.association_count(), 0u);
+}
+
+TEST_F(CountingMatcherTest, TreeOutsideTheSchemaIsRejectedBeforeAnythingChanges) {
+  const auto price = schema_.at("price");
+  const AttributeId outside(7);
+  const auto outside_tree = [&] {
+    std::vector<std::unique_ptr<Node>> children;
+    children.push_back(Node::leaf(Predicate(price, Op::Lt, Value(10.0))));
+    children.push_back(Node::leaf(Predicate(outside, Op::Eq, Value(1))));
+    return Node::and_(std::move(children));
+  };
+  const Event e = EventBuilder(schema_).with("price", 5.0).build();
+  CountingMatcher m(schema_);
+
+  Subscription rejected(SubscriptionId(1), outside_tree());
+  EXPECT_THROW(m.add(rejected), std::out_of_range);
+  EXPECT_FALSE(m.contains(SubscriptionId(1)));
+  EXPECT_EQ(m.subscription_count(), 0u);
+  EXPECT_EQ(m.live_predicates(), 0u);
+  EXPECT_EQ(m.association_count(), 0u);
+  m.set_pmin_trigger(false);  // evaluates every registered slot
+  EXPECT_TRUE(match(m, e).empty());
+
+  // A failed reindex keeps the tree compiled before it.
+  auto s = sub(2, "price < 10");
+  m.add(*s);
+  s->replace_root(outside_tree());
+  EXPECT_THROW(m.reindex(*s), std::out_of_range);
+  EXPECT_EQ(m.live_predicates(), 1u);
+  EXPECT_EQ(m.association_count(), 1u);
+  EXPECT_EQ(m.associations_of(SubscriptionId(2)), 1u);
+  for (const bool trigger : {false, true}) {
+    m.set_pmin_trigger(trigger);
+    EXPECT_EQ(match(m, e), std::vector<SubscriptionId>{SubscriptionId(2)});
+  }
+  m.remove(*s);
+  EXPECT_EQ(m.live_predicates(), 0u);
+  EXPECT_EQ(m.association_count(), 0u);
 }
 
 TEST_F(CountingMatcherTest, CountersAccumulateAndReset) {

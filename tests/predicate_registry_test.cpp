@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "test_util.hpp"
 
 namespace dbsp {
@@ -84,6 +86,20 @@ TEST_F(RegistryTest, FindLocatesInternedPredicate) {
   EXPECT_FALSE(reg_.find(pred(5)).has_value());
   const auto r = reg_.add_reference(pred(5), SubscriptionId(1));
   EXPECT_EQ(reg_.find(pred(5)), r.id);
+}
+
+TEST_F(RegistryTest, NaNOperandPredicatesAreNeverShared) {
+  const Predicate nan_pred(dom_.attr(0), Op::Lt, Value(std::nan("")));
+  const auto r1 = reg_.add_reference(nan_pred, SubscriptionId(1));
+  const auto r2 = reg_.add_reference(nan_pred, SubscriptionId(1));
+  EXPECT_TRUE(r1.new_predicate);
+  EXPECT_TRUE(r2.new_predicate);
+  EXPECT_NE(r1.id, r2.id);
+  EXPECT_FALSE(reg_.find(nan_pred).has_value());
+  EXPECT_TRUE(reg_.release_reference(r1.id, SubscriptionId(1)).removed_predicate);
+  EXPECT_TRUE(reg_.release_reference(r2.id, SubscriptionId(1)).removed_predicate);
+  EXPECT_EQ(reg_.live_predicates(), 0u);
+  EXPECT_EQ(reg_.association_count(), 0u);
 }
 
 TEST_F(RegistryTest, MisuseThrows) {
