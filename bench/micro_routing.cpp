@@ -1,36 +1,28 @@
-// Aggregated-routing scale bench: drives an aggregated ShardedEngine
-// through a 3-point population sweep (N/100, N/10, N auction subscriptions,
+// Aggregated-routing scale bench: grows a SubscriptionAggregator through
+// a 3-point population sweep (N/100, N/10, N auction subscriptions,
 // default N = 1,000,000) and reports, per scale, the routing-table bytes a
 // broker would advertise (subgroup summaries vs per-subscription trees),
-// the per-event candidate footprint of the summary probe, the deployed
-// hybrid match latency (summary probe -> candidate evaluation, falling
-// back to the exact shard index when the probe cannot prune), and a
-// sampled delivery oracle (engine match vs direct tree evaluation). At the
-// smallest scale it also measures the unaggregated ShardedEngine as the
-// latency baseline. Prints a machine-readable JSON report to stdout
-// (consumed by tools/bench_runner.py into BENCH_routing.json) and exits
-// non-zero on any oracle mismatch, so CI can gate on the
-// no-false-negative contract.
+// the per-event candidate footprint of the summary probe, and a sampled
+// delivery oracle (aggregator.match() vs direct tree evaluation). Prints a
+// machine-readable JSON report to stdout (consumed by
+// tools/bench_runner.py into BENCH_routing.json) and exits non-zero on
+// any oracle mismatch, so CI can gate on the no-false-negative contract.
 //
 // Knobs: DBSP_ROUTING_SUBS (top scale, default 1000000),
 // DBSP_ROUTING_EVENTS (probed events per scale, default 256),
 // DBSP_ROUTING_SAMPLE (oracle subscriptions sampled per event, default 64),
 // DBSP_ROUTING_TRAINING_EVENTS (selectivity sample, default 2000),
-// DBSP_SHARDS (baseline engine shards, default 1), plus the DBSP_AGG_*
-// aggregator knobs (this bench defaults DBSP_AGG_SUBGROUPS to 4096 and
-// DBSP_AGG_VALUES to 32 when unset — the caps appropriate for a
-// million-subscription table).
+// DBSP_ROUTING_SUBGROUPS (aggregator subgroup cap, default 4096; the
+// per-dimension value cap is pinned at 32).
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "agg/aggregator.hpp"
 #include "common/env.hpp"
-#include "common/timer.hpp"
-#include "core/sharded_engine.hpp"
 #include "routing/codec.hpp"
 #include "selectivity/stats.hpp"
 #include "workload/event_gen.hpp"
@@ -40,6 +32,10 @@ namespace {
 
 using namespace dbsp;
 
+// Aggregator caps sized for a million-subscription table.
+constexpr std::int64_t kDefaultSubgroups = 4096;
+constexpr std::size_t kMaxValues = 32;
+
 struct ScaleReport {
   std::size_t subs = 0;
   std::size_t subgroups = 0;
@@ -48,9 +44,6 @@ struct ScaleReport {
   std::size_t tree_bytes = 0;
   double avg_admitted_subgroups = 0.0;
   double avg_candidates = 0.0;
-  double match_us_per_event = 0.0;
-  double matches_per_event = 0.0;
-  double fallback_share = 0.0;
   std::size_t oracle_checked = 0;
   std::size_t oracle_mismatches = 0;
 };
@@ -87,27 +80,19 @@ int main() {
   }
   stats.finalize();
 
-  agg::AggregatorOptions options = agg::AggregatorOptions::from_env();
-  if (std::getenv("DBSP_AGG_SUBGROUPS") == nullptr) options.max_subgroups = 4096;
-  if (std::getenv("DBSP_AGG_VALUES") == nullptr) options.limits.max_values = 32;
+  agg::AggregatorOptions options;
+  options.max_subgroups = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, env_int("DBSP_ROUTING_SUBGROUPS", kDefaultSubgroups)));
+  options.limits.max_values = kMaxValues;
 
   agg::SubscriptionAggregator aggregator(domain.schema(), options);
   aggregator.train(stats);
-
-  // The deployed path: an aggregated ShardedEngine — the probe's candidate
-  // evaluation with a cost-based fallback to the exact shard index.
-  ShardedEngineOptions engine_options;
-  engine_options.shards =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, env_int("DBSP_SHARDS", 1)));
-  ShardedEngine engine(domain.schema(), engine_options);
-  engine.attach_aggregation(&aggregator);
 
   std::vector<std::unique_ptr<Subscription>> subs;
   subs.reserve(max_subs);
   std::size_t tree_bytes = 0;
 
   std::vector<ScaleReport> reports;
-  double baseline_us_per_event = 0.0;
   std::vector<SubscriptionId> out;
   bool exact = true;
 
@@ -119,7 +104,7 @@ int main() {
           SubscriptionId(static_cast<SubscriptionId::value_type>(subs.size())),
           sub_gen.next_tree());
       tree_bytes += encoded_size(sub->root());
-      engine.add(*sub);
+      aggregator.add(*sub);
       subs.push_back(std::move(sub));
     }
 
@@ -142,37 +127,14 @@ int main() {
     r.avg_candidates =
         static_cast<double>(candidates) / static_cast<double>(events.size());
 
-    // Timed hybrid loop, repeated until the window is long enough to
-    // dominate timer noise (small scales finish one pass in a few ms,
-    // which made the baseline latency ratio flaky).
-    std::uint64_t matches = 0;
-    const std::uint64_t declines_before = aggregator.counters().probe_declines;
-    std::size_t rounds = 0;
-    Stopwatch watch;
-    do {
-      watch.start();
-      for (const Event& event : events) {
-        out.clear();
-        engine.match(event, out);
-        matches += out.size();
-      }
-      watch.stop();
-      ++rounds;
-    } while (watch.seconds() < 0.05 && rounds < 64);
-    const auto timed_events = static_cast<double>(events.size() * rounds);
-    r.match_us_per_event = watch.seconds() * 1e6 / timed_events;
-    r.matches_per_event = static_cast<double>(matches) / timed_events;
-    r.fallback_share =
-        static_cast<double>(aggregator.counters().probe_declines - declines_before) /
-        timed_events;
-
     // Sampled delivery oracle: aggregated membership must equal direct
     // tree evaluation for every sampled subscription (no false negatives,
     // no false positives — admitted candidates are exactly re-evaluated).
     const std::size_t stride = std::max<std::size_t>(1, subs.size() / sample);
     for (const Event& event : events) {
       out.clear();
-      engine.match(event, out);
+      aggregator.match(event, out);
+      std::sort(out.begin(), out.end());
       for (std::size_t i = 0; i < subs.size(); i += stride) {
         ++r.oracle_checked;
         const bool expected = subs[i]->matches(event);
@@ -183,36 +145,6 @@ int main() {
     }
     if (r.oracle_mismatches != 0) exact = false;
 
-    if (reports.empty()) {
-      // Unaggregated latency baseline at the smallest scale: the same
-      // subscription stream through a plain counting ShardedEngine. The
-      // trees are regenerated (same seed/stream) because a counting
-      // registration stamps predicate ids into the leaves — one tree must
-      // not live in two counting engines at once.
-      AuctionSubscriptionGenerator base_gen(domain, 1);
-      std::vector<std::unique_ptr<Subscription>> base_subs;
-      base_subs.reserve(subs.size());
-      for (std::size_t i = 0; i < subs.size(); ++i) {
-        base_subs.push_back(std::make_unique<Subscription>(
-            SubscriptionId(static_cast<SubscriptionId::value_type>(i)),
-            base_gen.next_tree()));
-      }
-      ShardedEngine baseline(domain.schema(), engine_options);
-      for (const auto& sub : base_subs) baseline.add(*sub);
-      std::size_t base_rounds = 0;
-      Stopwatch base;
-      do {
-        base.start();
-        for (const Event& event : events) {
-          out.clear();
-          baseline.match(event, out);
-        }
-        base.stop();
-        ++base_rounds;
-      } while (base.seconds() < 0.05 && base_rounds < 64);
-      baseline_us_per_event =
-          base.seconds() * 1e6 / static_cast<double>(events.size() * base_rounds);
-    }
     reports.push_back(r);
   }
 
@@ -224,8 +156,6 @@ int main() {
       max_subs, n_events, sample, aggregator.dimensions().size(),
       options.max_subgroups, options.limits.max_intervals,
       options.limits.max_values);
-  std::printf("  \"baseline\": {\"subs\": %zu, \"match_us_per_event\": %.3f},\n",
-              reports.front().subs, baseline_us_per_event);
   std::printf("  \"exact\": %s,\n", exact ? "true" : "false");
   std::printf("  \"scales\": [\n");
   for (std::size_t i = 0; i < reports.size(); ++i) {
@@ -234,14 +164,11 @@ int main() {
         "    {\"subs\": %zu, \"subgroups\": %zu, \"signature_shift\": %u, "
         "\"advertised_bytes\": %zu, "
         "\"tree_bytes\": %zu, \"avg_admitted_subgroups\": %.2f, "
-        "\"avg_candidates\": %.2f, \"match_us_per_event\": %.3f, "
-        "\"matches_per_event\": %.2f, \"fallback_share\": %.3f, "
-        "\"oracle_checked\": %zu, "
+        "\"avg_candidates\": %.2f, \"oracle_checked\": %zu, "
         "\"oracle_mismatches\": %zu}%s\n",
         r.subs, r.subgroups, r.signature_shift, r.advertised_bytes, r.tree_bytes,
-        r.avg_admitted_subgroups, r.avg_candidates, r.match_us_per_event,
-        r.matches_per_event, r.fallback_share, r.oracle_checked, r.oracle_mismatches,
-        i + 1 == reports.size() ? "" : ",");
+        r.avg_admitted_subgroups, r.avg_candidates, r.oracle_checked,
+        r.oracle_mismatches, i + 1 == reports.size() ? "" : ",");
   }
   std::printf("  ]\n}\n");
   return exact ? 0 : 1;

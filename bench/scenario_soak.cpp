@@ -15,8 +15,9 @@
 // store-backed kill-and-recover run per domain — crash mid-churn and
 // mid-flash-crowd, reopen, assert oracle exactness — reporting recovery
 // timings and replayed WAL record counts), DBSP_SCENARIO_AGGREGATION
-// (default 0: enable the src/agg/ aggregation front stage on every
-// centralized run, with the DBSP_AGG_* knobs honored), DBSP_SCENARIO_TRANSPORT
+// (default 0: the overlay runs route events by subgroup summaries, and the
+// centralized runs keep the facade's summaries under churn),
+// DBSP_SCENARIO_TRANSPORT
 // ("inprocess" default, or "sockets": drive every run through a real
 // NetServer over loopback TCP — pruning is forced off and the overlay
 // runs are skipped, both unsupported by the sockets transport),
@@ -203,6 +204,7 @@ int main() {
       config.brokers = brokers;
       config.shards = shard_counts.front();
       config.drift_threshold = drift;
+      config.aggregation = aggregation;
       std::fprintf(stderr, "[scenario_soak] %s overlay B=%zu ...\n", name.c_str(),
                    brokers);
       reports.push_back(ScenarioRunner(*domain, config).run());

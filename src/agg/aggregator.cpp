@@ -1,28 +1,11 @@
 #include "agg/aggregator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "common/env.hpp"
 
 namespace dbsp::agg {
-
-AggregatorOptions AggregatorOptions::from_env() {
-  AggregatorOptions o;
-  o.dimensions = static_cast<std::size_t>(
-      env_int("DBSP_AGG_DIMENSIONS", static_cast<std::int64_t>(o.dimensions)));
-  o.max_subgroups = static_cast<std::size_t>(
-      env_int("DBSP_AGG_SUBGROUPS", static_cast<std::int64_t>(o.max_subgroups)));
-  o.limits.max_intervals = static_cast<std::size_t>(env_int(
-      "DBSP_AGG_INTERVALS", static_cast<std::int64_t>(o.limits.max_intervals)));
-  o.limits.max_values = static_cast<std::size_t>(
-      env_int("DBSP_AGG_VALUES", static_cast<std::int64_t>(o.limits.max_values)));
-  o.rescore_threshold = static_cast<std::size_t>(
-      env_int("DBSP_AGG_RESCORE", static_cast<std::int64_t>(o.rescore_threshold)));
-  return o;
-}
 
 SubscriptionAggregator::SubscriptionAggregator(const Schema& schema,
                                                AggregatorOptions options)
@@ -272,52 +255,34 @@ void SubscriptionAggregator::rebuild() {
 
 void SubscriptionAggregator::match(const Event& event,
                                    std::vector<SubscriptionId>& out) const {
-  (void)match_within(event, out, std::numeric_limits<std::size_t>::max());
-}
-
-bool SubscriptionAggregator::match_within(const Event& event,
-                                          std::vector<SubscriptionId>& out,
-                                          std::size_t max_candidates) const {
-  // Pass 1 — probe. All subgroups share one dimension choice, so the
-  // event's dimension values are resolved once instead of once per
-  // subgroup summary.
+  // All subgroups share one dimension choice, so the event's dimension
+  // values are resolved once instead of once per subgroup summary.
   std::vector<const Value*> resolved(dims_.size());
   for (std::size_t i = 0; i < dims_.size(); ++i) resolved[i] = event.find(dims_[i]);
-  std::vector<std::size_t> admitted;
+  std::uint64_t admitted = 0;
   std::uint64_t skipped = 0;
-  std::size_t candidates = 0;
-  for (std::size_t g = 0; g < subgroups_.size(); ++g) {
-    const Subgroup& group = subgroups_[g];
+  std::uint64_t candidates = 0;
+  std::uint64_t matched = 0;
+  for (const Subgroup& group : subgroups_) {
     if (group.members.empty()) continue;
     if (!group.summary.admits_resolved(resolved.data())) {
       ++skipped;
       continue;
     }
-    admitted.push_back(g);
+    ++admitted;
     candidates += group.members.size();
-  }
-  events_probed_.fetch_add(1, std::memory_order_relaxed);
-  subgroups_admitted_.fetch_add(admitted.size(), std::memory_order_relaxed);
-  subgroups_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  if (candidates > max_candidates) {
-    // The probe could not prune enough for the candidate path to pay off;
-    // the caller routes the event through its exact index instead.
-    probe_declines_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // Pass 2 — exact evaluation of the admitted members only.
-  std::uint64_t matched = 0;
-  for (const std::size_t g : admitted) {
-    for (const Subscription* sub : subgroups_[g].members) {
+    for (const Subscription* sub : group.members) {
       if (sub->matches(event)) {
         out.push_back(sub->id());
         ++matched;
       }
     }
   }
+  events_probed_.fetch_add(1, std::memory_order_relaxed);
+  subgroups_admitted_.fetch_add(admitted, std::memory_order_relaxed);
+  subgroups_skipped_.fetch_add(skipped, std::memory_order_relaxed);
   candidates_evaluated_.fetch_add(candidates, std::memory_order_relaxed);
   matches_.fetch_add(matched, std::memory_order_relaxed);
-  return true;
 }
 
 SubscriptionAggregator::Probe SubscriptionAggregator::probe(const Event& event) const {
@@ -373,7 +338,6 @@ AggregationCounters SubscriptionAggregator::counters() const {
   c.subgroups_skipped = subgroups_skipped_.load(std::memory_order_relaxed);
   c.candidates_evaluated = candidates_evaluated_.load(std::memory_order_relaxed);
   c.matches = matches_.load(std::memory_order_relaxed);
-  c.probe_declines = probe_declines_.load(std::memory_order_relaxed);
   c.summary_widenings = summary_widenings_;
   c.subgroup_rebuilds = subgroup_rebuilds_;
   c.full_rebuilds = full_rebuilds_;
@@ -386,7 +350,6 @@ void SubscriptionAggregator::reset_counters() {
   subgroups_skipped_.store(0, std::memory_order_relaxed);
   candidates_evaluated_.store(0, std::memory_order_relaxed);
   matches_.store(0, std::memory_order_relaxed);
-  probe_declines_.store(0, std::memory_order_relaxed);
   summary_widenings_ = 0;
   subgroup_rebuilds_ = 0;
   full_rebuilds_ = 0;

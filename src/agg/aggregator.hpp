@@ -1,14 +1,15 @@
 #pragma once
 
 /// \file
-/// Hierarchical subscription aggregation (ROADMAP item 3): clusters
-/// similar subscriptions into subgroups keyed by their top-scored pruning
-/// dimensions and maintains one bounded SummarySet per subgroup under
-/// churn. An event first probes the subgroup summaries and only evaluates
-/// the member trees of admitted subgroups — rejects are sound (no false
-/// negatives), so delivery stays oracle-exact while match cost and
-/// advertisement bytes scale with the number of subgroups, not
-/// subscriptions. Dimension choice reuses the paper's selectivity scores
+/// Hierarchical subscription aggregation: clusters similar subscriptions
+/// into subgroups keyed by their top-scored pruning dimensions and
+/// maintains one bounded SummarySet per subgroup under churn. A broker in
+/// aggregated routing advertises the subgroup summaries instead of the
+/// member trees, so advertisement bytes scale with the number of
+/// subgroups, not subscriptions. Summaries over-approximate their members
+/// (no false negatives); match() evaluates only the member trees of
+/// admitting subgroups and is the exact reference for that contract.
+/// Dimension choice reuses the paper's selectivity scores
 /// (EventStats) with a drift-style rescore trigger mirroring the pruning
 /// maintenance machinery.
 
@@ -27,18 +28,17 @@
 
 namespace dbsp::agg {
 
-/// Construction-time knobs of a SubscriptionAggregator; every field has a
-/// DBSP_AGG_* environment override read by from_env().
+/// Construction-time knobs of a SubscriptionAggregator.
 struct AggregatorOptions {
-  /// Number of aggregation dimensions per subgroup key (DBSP_AGG_DIMENSIONS).
+  /// Number of aggregation dimensions per subgroup key.
   std::size_t dimensions = 3;
   /// Subgroup cap; overflow coarsens the signature quantization and
-  /// re-clusters so similar subscriptions merge first (DBSP_AGG_SUBGROUPS).
+  /// re-clusters so similar subscriptions merge first.
   std::size_t max_subgroups = 512;
-  /// Widening caps of every summary (DBSP_AGG_INTERVALS / DBSP_AGG_VALUES).
+  /// Widening caps of every summary.
   SummaryLimits limits;
   /// Mutations (adds + removes) after which rescore_pending() trips; 0
-  /// disables the trigger (DBSP_AGG_RESCORE).
+  /// disables the trigger.
   std::size_t rescore_threshold = 0;
   /// Re-tighten pace R: a subgroup's summary is re-tightened from its
   /// surviving members once its removals since the last re-tighten reach
@@ -46,9 +46,6 @@ struct AggregatorOptions {
   /// summaries amortized (subgroups under R*R members re-tighten every R
   /// removals). 0 re-tightens on every removal.
   std::size_t subgroup_rebuild_removals = 8;
-
-  /// Reads the DBSP_AGG_* environment knobs over the defaults.
-  [[nodiscard]] static AggregatorOptions from_env();
 };
 
 /// Introspection counters. The probe-side fields advance on match();
@@ -59,15 +56,15 @@ struct AggregationCounters {
   std::uint64_t subgroups_skipped = 0;
   std::uint64_t candidates_evaluated = 0;
   std::uint64_t matches = 0;
-  /// match_within() probes that exceeded their candidate budget (the
-  /// caller fell back to its exact index instead).
+  /// Nothing writes it (always 0); kept because the end-to-end benchmark
+  /// reads it.
   std::uint64_t probe_declines = 0;
   std::uint64_t summary_widenings = 0;
   std::uint64_t subgroup_rebuilds = 0;
   std::uint64_t full_rebuilds = 0;
 };
 
-/// The aggregation front stage. Subscriptions are clustered by the coarse
+/// The subgroup index. Subscriptions are clustered by the coarse
 /// signature of their per-dimension summaries; each subgroup carries the
 /// join of its members' summaries, widened incrementally on add and
 /// re-tightened on removal bursts and rebuilds.
@@ -142,20 +139,11 @@ class SubscriptionAggregator {
   // --- Matching (const; concurrent with other const calls) ----------------
 
   /// Appends the ids of all matching subscriptions to `out` (unsorted —
-  /// callers sort, mirroring the shard merge). Exact over the members'
-  /// current trees: the summary probe only skips subgroups that provably
-  /// cannot match.
+  /// callers sort). Exact over the members' current trees: the event
+  /// probes every subgroup summary and only the members of admitting
+  /// subgroups are evaluated, so a summary that wrongly rejected a
+  /// matching member would show up as a missing id.
   void match(const Event& event, std::vector<SubscriptionId>& out) const;
-
-  /// Budgeted match: probes every subgroup first (dimension values are
-  /// resolved once per event) and evaluates the admitted members only when
-  /// their total count is at most `max_candidates`. Returns false — with
-  /// `out` untouched — when the budget is exceeded, so a cost-based caller
-  /// can route the event through its exact index instead of paying a
-  /// near-full naive scan. Probe counters always advance; candidate and
-  /// match counters only on an accepted probe.
-  [[nodiscard]] bool match_within(const Event& event, std::vector<SubscriptionId>& out,
-                                  std::size_t max_candidates) const;
 
   /// Pure probe (no counters): how many subgroups admit the event and how
   /// many member candidates they carry.
@@ -263,7 +251,6 @@ class SubscriptionAggregator {
   mutable std::atomic<std::uint64_t> subgroups_skipped_{0};
   mutable std::atomic<std::uint64_t> candidates_evaluated_{0};
   mutable std::atomic<std::uint64_t> matches_{0};
-  mutable std::atomic<std::uint64_t> probe_declines_{0};
 };
 
 }  // namespace dbsp::agg

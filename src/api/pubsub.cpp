@@ -43,22 +43,13 @@ struct PubSubCore {
         stats(schema),
         engine(schema, options.engine) {
     if (options.pruning) {
-      if (options.engine.backend != MatcherBackend::Counting) {
-        throw std::logic_error("PubSub: pruning requires the Counting backend");
-      }
       // Untrained statistics estimate every predicate at 0 presence; the
       // queues still work, train() upgrades the scores in place.
       stats.finalize();
       estimator.emplace(stats);
       pruning.emplace(engine, *estimator, options.prune);
     }
-    if (options.aggregation) {
-      aggregator.emplace(schema, options.agg);
-      // The engine forwards all add/remove/reindex churn and routes
-      // matching through the aggregator from here on; the facade only
-      // drives training, thresholds and introspection.
-      engine.attach_aggregation(&*aggregator);
-    }
+    if (options.aggregation) aggregator.emplace(schema, options.agg);
     if (options.metrics) {
       registry = std::make_shared<obs::MetricsRegistry>();
       publishes_total = &registry->counter("dbsp_publishes_total");
@@ -95,9 +86,9 @@ struct PubSubCore {
   // fans out internally; its workers touch disjoint per-shard state).
   ShardedEngine engine DBSP_GUARDED_BY(mutex);
   std::optional<ShardedPruningSet> pruning DBSP_GUARDED_BY(mutex);
-  /// The aggregation front stage (options.aggregation). The engine holds a
-  /// raw pointer to it and is the only churn path; matching under `mutex`
-  /// satisfies the aggregator's probe-vs-churn exclusion contract.
+  /// Subgroup summaries of the live table (options.aggregation), fed every
+  /// subscribe, unsubscribe, recovery and pruning. Matching never reads
+  /// them; they back aggregation_stats() only.
   std::optional<agg::SubscriptionAggregator> aggregator DBSP_GUARDED_BY(mutex);
 
   /// Durable mode (PubSub::open). Fail-stop: the first append/checkpoint
@@ -238,6 +229,7 @@ struct PubSubCore {
     // the engine entry, then the owning map slot.
     if (pruning) pruning->remove(id);
     engine.remove(id);
+    if (aggregator) aggregator->remove(id);
     if (it->second.callback) --callbacks_registered;
     subs.erase(it);
     if (!logged.ok()) return logged;
@@ -302,11 +294,6 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
   auto* agg_subgroups = &r.gauge("dbsp_agg_subgroups");
   auto* agg_dimensions = &r.gauge("dbsp_agg_dimensions");
   auto* agg_advertised = &r.gauge("dbsp_agg_advertised_bytes");
-  auto* agg_probes = &r.counter("dbsp_agg_events_probed_total");
-  auto* agg_admitted = &r.counter("dbsp_agg_subgroups_admitted_total");
-  auto* agg_skipped = &r.counter("dbsp_agg_subgroups_skipped_total");
-  auto* agg_candidates = &r.counter("dbsp_agg_candidates_total");
-  auto* agg_matches = &r.counter("dbsp_agg_matches_total");
   auto* agg_widenings = &r.counter("dbsp_agg_summary_widenings_total");
   auto* agg_subgroup_rebuilds = &r.counter("dbsp_agg_subgroup_rebuilds_total");
   auto* agg_full_rebuilds = &r.counter("dbsp_agg_full_rebuilds_total");
@@ -347,11 +334,6 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
       agg_dimensions->set(static_cast<double>(c->aggregator->dimensions().size()));
       agg_advertised->set(static_cast<double>(c->aggregator->advertised_bytes()));
       const agg::AggregationCounters ac = c->aggregator->counters();
-      agg_probes->sync_to(ac.events_probed);
-      agg_admitted->sync_to(ac.subgroups_admitted);
-      agg_skipped->sync_to(ac.subgroups_skipped);
-      agg_candidates->sync_to(ac.candidates_evaluated);
-      agg_matches->sync_to(ac.matches);
       agg_widenings->sync_to(ac.summary_widenings);
       agg_subgroup_rebuilds->sync_to(ac.subgroup_rebuilds);
       agg_full_rebuilds->sync_to(ac.full_rebuilds);
@@ -438,12 +420,7 @@ Result<PubSub> PubSub::open(StoreOptions store_options, PubSubOptions options) {
                          "the store's schema does not match the provided one");
   }
 
-  std::shared_ptr<PubSubCore> core;
-  try {
-    core = std::make_shared<PubSubCore>(std::move(rec.schema), options);
-  } catch (const std::logic_error& e) {
-    return Status::error(ErrorCode::kInvalidArgument, e.what());
-  }
+  auto core = std::make_shared<PubSubCore>(std::move(rec.schema), options);
   // The core is not shared with anyone yet, but the recovery population
   // below touches guarded state, so take the lock (uncontended) to keep
   // the analysis airtight.
@@ -461,12 +438,8 @@ Result<PubSub> PubSub::open(StoreOptions store_options, PubSubOptions options) {
   }
   for (auto& rsub : rec.subs) {
     auto sub = std::make_unique<Subscription>(rsub.id, std::move(rsub.tree));
-    if (!core->engine.add(*sub)) {
-      return Status::error(ErrorCode::kFailedPrecondition,
-                           "recovered subscription #" +
-                               std::to_string(rsub.id.value()) +
-                               " is not convertible by the configured backend");
-    }
+    core->engine.add(*sub);
+    if (core->aggregator) core->aggregator->add(*sub);
     if (core->pruning) {
       core->pruning->add(*sub);
       // Zero/zero means "no accounting was captured" (leaf-only tree, or a
@@ -556,10 +529,7 @@ Result<SubscriptionHandle> PubSub::subscribe(std::unique_ptr<Node> tree,
   MutexLock lock(c.mutex);
   const SubscriptionId id(c.next_id);
   auto sub = std::make_unique<Subscription>(id, std::move(tree));
-  if (!c.engine.add(*sub)) {
-    return Status::error(ErrorCode::kInvalidArgument,
-                         "filter is not convertible by the configured backend");
-  }
+  c.engine.add(*sub);
   // Durable mode: the registration is rolled back when its record cannot
   // be appended, so the WAL never misses a subscribe that later records
   // (prune/unsubscribe of this id) would depend on at replay. A due
@@ -577,6 +547,7 @@ Result<SubscriptionHandle> PubSub::subscribe(std::unique_ptr<Node> tree,
   }
   ++c.next_id;
   if (c.pruning) c.pruning->add(*sub);
+  if (c.aggregator) c.aggregator->add(*sub);
   if (callback) ++c.callbacks_registered;
   c.subs.emplace(id.value(),
                  api_detail::SubEntry{std::move(sub), std::move(callback)});
@@ -756,10 +727,8 @@ namespace {
 /// simply one generation behind — and the error is reported.
 template <class Fn>
 Result<std::size_t> logged_prune(PubSubCore& c, Fn&& fn) DBSP_REQUIRES(c.mutex) {
-  // The aggregator also walks the history deltas: the per-shard pruning
-  // engines reindex their counting matchers directly (bypassing the
-  // ShardedEngine forwarding), so pruned trees must be re-joined into
-  // their subgroup summaries here to keep the probe stage sound.
+  // The aggregator also walks the history deltas: pruned trees must be
+  // re-joined into their subgroup summaries to keep them sound.
   const bool track = c.store != nullptr || c.aggregator.has_value();
   std::vector<std::size_t> history_before;
   if (track) {

@@ -51,26 +51,23 @@ struct PubSubCore;
 
 /// Construction-time knobs of a PubSub.
 struct PubSubOptions {
-  /// Shard count / matcher backend of the matching engine.
+  /// Shard count of the matching engine.
   ShardedEngineOptions engine;
   /// Enables dimension-based pruning maintenance: every subscription is
   /// admitted to a per-shard pruning queue on subscribe and released on
-  /// unsubscribe/handle drop. Requires the Counting backend.
+  /// unsubscribe/handle drop.
   bool pruning = false;
   /// Dimension / tie-break order / bottom-up restriction of the pruning
   /// queues (used only when `pruning` is set).
   PruneEngineConfig prune;
-  /// Enables the aggregation front stage (src/agg/): subscriptions are
-  /// clustered into subgroups with bounded per-dimension summaries, and
-  /// every publish probes the subgroup summaries before evaluating the
-  /// member trees of admitted subgroups. Matching results are identical to
-  /// the unaggregated path (summary rejects are sound); match cost and
-  /// advertisement bytes scale with subgroups instead of subscriptions.
-  /// Composes with pruning and any backend.
+  /// Keeps subgroup summaries of the table (src/agg/): subscriptions are
+  /// clustered into subgroups with bounded per-dimension summaries, kept
+  /// current under subscribe, unsubscribe, recovery and pruning, and
+  /// reported by aggregation_stats(). Publishing never reads them —
+  /// matching is the counting engine alone. Composes with pruning.
   bool aggregation = false;
   /// Aggregation knobs (dimensions, subgroup cap, widening limits); used
-  /// only when `aggregation` is set. agg::AggregatorOptions::from_env()
-  /// reads the DBSP_AGG_* environment overrides.
+  /// only when `aggregation` is set.
   agg::AggregatorOptions agg;
   /// Enables the metrics registry: throughput counters, the per-stage
   /// latencies of head-sampled traces (dbsp_stage_us, fed by the flight
@@ -80,7 +77,7 @@ struct PubSubOptions {
   bool metrics = true;
   /// Enables per-event tracing: every publish carries an obs::TraceContext
   /// (propagated into Notifications and across the wire), head-sampled
-  /// publishes collect detailed spans (per-shard match, aggregation probe),
+  /// publishes collect detailed spans (per-shard match),
   /// every publish takes coarse stage timings so the tail sampler can
   /// retain the slowest K of the rolling window, and completed traces land
   /// in the flight recorder behind traces()/traces_json(). The spans of
@@ -157,8 +154,7 @@ class PubSub {
   using Callback = std::function<void(const Notification&)>;
 
   /// Takes the schema by value: the PubSub is the authority over its event
-  /// domain for its whole lifetime. Throws std::logic_error when
-  /// options.pruning is combined with a non-Counting backend.
+  /// domain for its whole lifetime.
   explicit PubSub(Schema schema, PubSubOptions options = {});
   ~PubSub();
 
@@ -178,10 +174,8 @@ class PubSub {
   /// unsubscribe / prune / train is logged before the call returns.
   /// Recovered registrations carry no callbacks — re-claim them with
   /// adopt(). Errors: kDataLoss (corrupt or truncated files — never UB),
-  /// kIoError (filesystem), kInvalidArgument (schema mismatch, or pruning
-  /// with a non-Counting backend), kFailedPrecondition (a recovered filter
-  /// the configured backend cannot index), kNotFound (no store and
-  /// create_if_missing off).
+  /// kIoError (filesystem), kInvalidArgument (schema mismatch), kNotFound
+  /// (no store and create_if_missing off).
   [[nodiscard]] static Result<PubSub> open(StoreOptions store,
                                            PubSubOptions options = {});
 
@@ -304,7 +298,7 @@ class PubSub {
     std::size_t advertised_bytes = 0;  ///< summary advertisement footprint
     agg::AggregationCounters counters;
   };
-  /// Probe/maintenance counters of the aggregation front stage; default
+  /// Subgroup summaries and maintenance counters of the aggregator; default
   /// (enabled == false) when PubSubOptions::aggregation is off. train()
   /// also rescores the aggregation dimensions, and drift_pending() folds
   /// in the aggregator's rescore trigger.

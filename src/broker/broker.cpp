@@ -17,11 +17,11 @@ Broker::~Broker() = default;
 void Broker::subscribe_local(SubscriptionId id, ClientId client,
                              std::unique_ptr<Node> tree) {
   if (aggregator_ != nullptr) {
-    // Aggregated routing: the tree stays local; the engine forwards it
-    // into the aggregator, and only the subgroup summaries it changed are
-    // advertised.
+    // Aggregated routing: the tree stays local; only the subgroup
+    // summaries it changed are advertised.
     Subscription& sub = table_.add_local(id, client, std::move(tree));
     engine_.add(sub);
+    aggregator_->add(sub);
     advertise_changes();
     return;
   }
@@ -53,6 +53,7 @@ void Broker::unsubscribe_local(SubscriptionId id) {
   // then engine: its removal reads the Subscription the table entry owns.
   if (owned_pruning_ != nullptr) owned_pruning_->remove(id);
   engine_.remove(id);
+  if (aggregator_ != nullptr) aggregator_->remove(id);
   table_.remove(id);
   if (aggregator_ != nullptr) {
     // No tree was ever flooded, so there is nothing to unsubscribe
@@ -132,7 +133,6 @@ agg::SubscriptionAggregator& Broker::enable_aggregation(agg::AggregatorOptions o
     throw std::logic_error("broker: enable_aggregation on a non-empty broker");
   }
   aggregator_ = std::make_unique<agg::SubscriptionAggregator>(*schema_, options);
-  engine_.attach_aggregation(aggregator_.get());
   return *aggregator_;
 }
 
@@ -292,6 +292,7 @@ void Broker::restore_table(WireReader& in) {
         local != 0 ? table_.add_local(id, ClientId(origin), std::move(tree))
                    : table_.add_remote(id, BrokerId(origin), std::move(tree));
     engine_.add(sub);
+    if (aggregator_ != nullptr) aggregator_->add(sub);
   }
 }
 

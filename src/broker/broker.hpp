@@ -119,7 +119,10 @@ class Broker {
   /// event (sound over-approximation), and delivered by exact local
   /// matching at the subscriber's broker, so end-to-end delivery stays
   /// oracle-exact while control traffic scales with subgroups instead of
-  /// subscriptions. Must be called on an empty broker (throws
+  /// subscriptions. The broker feeds the aggregator itself
+  /// (subscribe_local, unsubscribe_local, restore_table); the summaries
+  /// only decide transit forwarding, while local notifications still come
+  /// from engine(). Must be called on an empty broker (throws
   /// std::logic_error otherwise) and on every broker of the overlay before
   /// subscriptions flow (see Overlay::enable_aggregation). Pruning is
   /// moot in this mode: no remote trees exist to prune.
@@ -138,8 +141,8 @@ class Broker {
   void save_table(WireWriter& out) const;
 
   /// Restores a table saved by save_table() into this broker: repopulates
-  /// the routing table and the matcher engine without sending a single
-  /// message. The broker must be empty (throws std::logic_error otherwise)
+  /// the routing table, the matcher engine and, when aggregation is on,
+  /// the aggregator without sending a single message. The broker must be empty (throws std::logic_error otherwise)
   /// and pruning must not be enabled yet — enable_pruning() afterwards
   /// re-admits the restored remote entries. Throws WireError on truncated
   /// or malformed input, leaving the broker unusable only in the sense

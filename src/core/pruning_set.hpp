@@ -18,7 +18,7 @@
 
 namespace dbsp {
 
-/// One PruningEngine per shard of a ShardedEngine (Counting backend), with
+/// One PruningEngine per shard of a ShardedEngine, with
 /// id-routed add/remove. Subscriptions admitted here must already be
 /// registered with the engine (the pruning engines reindex the owning
 /// shard's matcher after every applied pruning).

@@ -230,10 +230,9 @@ WireTraces decode_traces(WireReader& in) {
       span.start_us = in.get_u64();
       span.duration_us = in.get_u64();
       span.detail = in.get_u64();
-      // A stage byte from a newer server: drop the span, keep the trace.
-      if (raw_stage > static_cast<std::uint8_t>(obs::TraceStage::kOverlayHop)) {
-        continue;
-      }
+      // A stage byte from a newer server, or a reserved one: drop the
+      // span, keep the trace.
+      if (!obs::is_trace_stage(raw_stage)) continue;
       span.stage = static_cast<obs::TraceStage>(raw_stage);
       t.spans.push_back(span);
     }

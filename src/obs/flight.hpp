@@ -92,12 +92,11 @@ struct TraceContext {
 [[nodiscard]] std::uint64_t next_span_id();
 
 /// The span taxonomy — every stage a traced event can cross. Wire-encoded
-/// as a u8, so append only.
+/// as a u8, so append only. Values 2 and 3 are reserved (a retired
+/// aggregation probe and its fallback) and must never be reused.
 enum class TraceStage : std::uint8_t {
   kClientRequest = 0,  ///< client: publish request sent -> reply received
   kServerDispatch = 1, ///< server io thread: frame decoded -> reply queued
-  kAggProbe = 2,       ///< aggregation summary probe (detail: candidates)
-  kAggFallback = 3,    ///< probe over budget -> exact shard index re-run
   kShardMatch = 4,     ///< one shard's match (detail: shard index)
   kMatch = 5,          ///< whole engine match phase
   kDispatch = 6,       ///< callback dispatch (detail: notifications)
@@ -108,8 +107,14 @@ enum class TraceStage : std::uint8_t {
   kOverlayHop = 11,    ///< broker overlay hop (detail: broker id)
 };
 
-/// Number of TraceStage values (one past the last).
+/// One past the last TraceStage value (reserved values included).
 inline constexpr std::size_t kTraceStageCount = 12;
+
+/// Whether a raw stage byte names a TraceStage: below kTraceStageCount and
+/// not one of the reserved values.
+[[nodiscard]] constexpr bool is_trace_stage(std::uint8_t raw) {
+  return raw < kTraceStageCount && raw != 2 && raw != 3;
+}
 
 [[nodiscard]] const char* to_string(TraceStage stage);
 

@@ -214,13 +214,6 @@ ScenarioReport ScenarioRunner::run_centralized() {
   options.pruning = config_.pruning;
   options.prune.dimension = config_.dimension;
   options.aggregation = config_.aggregation;
-  if (config_.aggregation) {
-    options.agg = agg::AggregatorOptions::from_env();
-    // Soak populations are small enough that the engine's cost-based
-    // fallback would route around the probe; disable it so the scenario
-    // actually stresses the aggregated path it is here to verify.
-    options.engine.agg_fallback_pct = 0;
-  }
   const bool durable = !config_.store_directory.empty();
   const auto make_pubsub = [&]() -> PubSub {
     if (!durable) return PubSub(domain_->schema(), options);
@@ -605,6 +598,9 @@ ScenarioReport ScenarioRunner::run_overlay() {
   engine_options.shards = config_.shards == 0 ? 1 : config_.shards;
   Overlay overlay(domain_->schema(), brokers, Overlay::line(brokers), {},
                   engine_options);
+  // Summary routing: events cross the line along admitting subgroup
+  // summaries, so the oracle below checks their no-false-negative contract.
+  if (config_.aggregation) overlay.enable_aggregation();
   overlay.set_record_notifications(true);
 
   const auto broker_at = [&overlay](std::size_t b) -> Broker& {

@@ -51,10 +51,11 @@ struct ScenarioConfig {
   std::vector<ScenarioPhase> phases;
 
   // --- Aggregation ---------------------------------------------------------
-  /// Centralized mode: run the aggregation front stage
-  /// (PubSubOptions::aggregation) with DBSP_AGG_* knobs from the
-  /// environment. Composes with pruning; drift retrains also rescore the
-  /// aggregation dimensions.
+  /// Overlay mode: every broker routes by subgroup summaries
+  /// (Overlay::enable_aggregation), so transit forwarding follows the
+  /// summaries. Centralized mode: the facade keeps subgroup summaries
+  /// (PubSubOptions::aggregation) under the same churn; drift retrains also
+  /// rescore the aggregation dimensions.
   bool aggregation = false;
 
   // --- Pruning maintenance -------------------------------------------------

@@ -67,8 +67,9 @@ bool Predicate::matches_value(const Value& value) const {
     case Op::Le: return value.less(operands_[0]) || value.equals(operands_[0]);
     case Op::Gt: return operands_[0].less(value);
     case Op::Ge: return operands_[0].less(value) || value.equals(operands_[0]);
-    case Op::Between:
-      return !(value.less(operands_[0]) || operands_[1].less(value));
+    case Op::Between:  // lo <= v <= hi, so false for NaN like Ge and Le
+      return (operands_[0].less(value) || value.equals(operands_[0])) &&
+             (value.less(operands_[1]) || value.equals(operands_[1]));
     case Op::In:
       return std::any_of(operands_.begin(), operands_.end(),
                          [&](const Value& o) { return value.equals(o); });

@@ -1,7 +1,7 @@
 // Tests for the subscription-aggregation layer (src/agg/): per-operator
 // summary soundness and tightness, widening-cap behavior, Boolean
-// composition, the no-false-negative property of aggregated matching
-// against direct tree evaluation (through ShardedEngine at shards {1, 8}),
+// composition, the no-false-negative property of the subgroup summaries
+// and of aggregator.match() against direct tree evaluation under churn,
 // incremental-churn vs rebuild-from-scratch equivalence, and the
 // drift-style rescore trigger.
 
@@ -15,7 +15,6 @@
 
 #include "agg/aggregator.hpp"
 #include "agg/summary.hpp"
-#include "core/sharded_engine.hpp"
 #include "selectivity/stats.hpp"
 #include "test_util.hpp"
 
@@ -218,9 +217,9 @@ TEST(SummarySetTest, JoinReportsChangeAndWidens) {
 }
 
 // ---------------------------------------------------------------------------
-// No-false-negative property: aggregated matching through the engine equals
-// direct tree evaluation, at shards 1 and 8, under events with missing
-// attributes and NOT-heavy trees.
+// No-false-negative property under churn: every matching subscription's
+// subgroup summary admits the event, and aggregator.match() equals direct
+// tree evaluation, under events with missing attributes and NOT-heavy trees.
 
 std::vector<SubscriptionId> oracle_matches(const test::Corpus& corpus,
                                            const Event& event) {
@@ -241,39 +240,64 @@ Event sparse_event(const MiniDomain& dom, std::mt19937_64& rng) {
   return e;
 }
 
-TEST(AggregatedMatchingTest, NoFalseNegativesAcrossShardCounts) {
+TEST(AggregatedMatchingTest, NoFalseNegativesUnderChurn) {
   MiniDomain dom;
   std::mt19937_64 rng(7);
   const auto corpus = test::make_corpus(dom, rng, 300, /*not_prob=*/0.2);
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-    // Cloned corpus per engine, so no tree is shared between engines.
-    const auto clone = test::clone_corpus(corpus);
-    ShardedEngineOptions options;
-    options.shards = shards;
-    // Disable the cost-based fallback so every event exercises the probe —
-    // the no-false-negative contract is what this test checks.
-    options.agg_fallback_pct = 0;
-    ShardedEngine engine(dom.schema(), options);
-    AggregatorOptions agg_options;
-    agg_options.max_subgroups = 32;  // small cap: force folding + widening
-    SubscriptionAggregator aggregator(dom.schema(), agg_options);
-    engine.attach_aggregation(&aggregator);
-    for (const auto& sub : clone.subs) ASSERT_TRUE(engine.add(*sub));
-    ASSERT_EQ(aggregator.subscription_count(), clone.subs.size());
-
-    std::vector<SubscriptionId> got;
-    std::mt19937_64 event_rng(99);
-    for (std::size_t i = 0; i < 400; ++i) {
-      const Event event = sparse_event(dom, event_rng);
-      got.clear();
-      engine.match(event, got);
-      EXPECT_EQ(got, oracle_matches(corpus, event)) << "shards=" << shards;
+  AggregatorOptions options;
+  options.max_subgroups = 32;  // small cap: force folding + widening
+  SubscriptionAggregator aggregator(dom.schema(), options);
+  // Two thirds start live; each event swaps one live subscription for a
+  // parked one, so removals re-tighten subgroups while adds widen them.
+  std::vector<Subscription*> live;
+  std::vector<Subscription*> parked;
+  for (const auto& sub : corpus.subs) {
+    if (live.size() < 200) {
+      aggregator.add(*sub);
+      live.push_back(sub.get());
+    } else {
+      parked.push_back(sub.get());
     }
-    const auto counters = aggregator.counters();
-    EXPECT_EQ(counters.events_probed, 400u);
-    EXPECT_GT(counters.subgroups_skipped, 0u);  // the probe actually prunes
   }
+
+  EventStats stats(dom.schema());
+  std::mt19937_64 stat_rng(77);
+  for (std::size_t i = 0; i < 500; ++i) stats.observe(dom.random_event(stat_rng));
+  stats.finalize();
+
+  std::mt19937_64 event_rng(99);
+  std::vector<SubscriptionId> got;
+  for (std::size_t i = 0; i < 400; ++i) {
+    std::uniform_int_distribution<std::size_t> pick_live(0, live.size() - 1);
+    std::uniform_int_distribution<std::size_t> pick_parked(0, parked.size() - 1);
+    const std::size_t leaving = pick_live(event_rng);
+    const std::size_t joining = pick_parked(event_rng);
+    aggregator.remove(live[leaving]->id());
+    aggregator.add(*parked[joining]);
+    std::swap(live[leaving], parked[joining]);
+    if (i == 200) aggregator.train(stats);  // rescore mid-churn
+
+    const Event event = sparse_event(dom, event_rng);
+    std::vector<SubscriptionId> expected;
+    for (const Subscription* sub : live) {
+      if (!sub->matches(event)) continue;
+      expected.push_back(sub->id());
+      const SummarySet* summary =
+          aggregator.subgroup_summary(aggregator.subgroup_of(sub->id()));
+      ASSERT_NE(summary, nullptr);
+      EXPECT_TRUE(summary->admits(event)) << "sub " << sub->id().value();
+    }
+    std::sort(expected.begin(), expected.end());
+    got.clear();
+    aggregator.match(event, got);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected) << "event " << i;
+  }
+  const auto counters = aggregator.counters();
+  EXPECT_EQ(counters.events_probed, 400u);
+  EXPECT_GT(counters.subgroups_skipped, 0u);  // the summaries actually prune
+  EXPECT_GT(counters.subgroup_rebuilds, 0u);  // removals re-tightened
 }
 
 // ---------------------------------------------------------------------------

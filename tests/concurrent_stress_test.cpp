@@ -67,7 +67,6 @@ class TempDir {
 PubSubOptions pruning_options(std::size_t shards) {
   PubSubOptions options;
   options.engine.shards = shards;
-  options.engine.backend = MatcherBackend::Counting;
   options.pruning = true;
   return options;
 }

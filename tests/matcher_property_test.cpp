@@ -1,11 +1,12 @@
 // Property tests: the CountingMatcher must agree with the NaiveMatcher
 // (direct tree evaluation) on arbitrary subscription corpora and event
-// streams — including NOT-bearing subscriptions (pmin = 0 paths) and
-// after arbitrary pruning/reindex churn.
+// streams — including NOT-bearing subscriptions (pmin = 0 paths), NaN
+// event values, and after arbitrary pruning/reindex churn.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 
 #include "core/candidates.hpp"
@@ -204,6 +205,55 @@ TEST(MatcherEquivalenceChurn, DeepNotOrNestingUnderAddReindexAndRemove) {
   EXPECT_EQ(counting.subscription_count(), 0u);
   EXPECT_EQ(counting.live_predicates(), 0u);
   EXPECT_EQ(counting.association_count(), 0u);
+}
+
+TEST(MatcherEquivalenceNaN, NaNEventValuesAgreeOverEveryOperator) {
+  // A NaN event value fulfils no ordered comparison, no equality and no
+  // Between (IEEE), and Ne holds for it. The counting index collects no
+  // ordered predicate for NaN, so direct evaluation has to say the same.
+  Schema schema;
+  const AttributeId x = schema.add_attribute("x", ValueType::Double);
+  std::vector<Predicate> preds{
+      Predicate(x, Op::Eq, Value(2.0)),      Predicate(x, Op::Ne, Value(2.0)),
+      Predicate(x, Op::Lt, Value(5.0)),      Predicate(x, Op::Le, Value(5.0)),
+      Predicate(x, Op::Gt, Value(1.0)),      Predicate(x, Op::Ge, Value(1.0)),
+      Predicate(x, Value(1.0), Value(5.0)),  Predicate(x, {Value(2.0), Value(3.0)}),
+      Predicate(x, Op::Prefix, Value("a")),  Predicate(x, Op::Suffix, Value("a")),
+      Predicate(x, Op::Contains, Value("a")),
+  };
+  // Each predicate as a leaf and under a NOT (the pmin = 0 path).
+  Corpus corpus;
+  for (const Predicate& p : preds) {
+    for (const bool negate : {false, true}) {
+      auto tree = Node::leaf(p);
+      if (negate) tree = Node::not_(std::move(tree));
+      corpus.subs.push_back(std::make_unique<Subscription>(
+          SubscriptionId(static_cast<SubscriptionId::value_type>(corpus.subs.size())),
+          std::move(tree)));
+    }
+  }
+  CountingMatcher counting(schema);
+  NaiveMatcher naive;
+  for (auto& s : corpus.subs) {
+    counting.add(*s);
+    naive.add(*s);
+  }
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {nan, -nan, 3.0, std::numeric_limits<double>::infinity()}) {
+    Event e;
+    e.set(x, Value(v));
+    EXPECT_EQ(sorted_match(counting, e), sorted_match(naive, e)) << "x = " << v;
+  }
+
+  Event e;
+  e.set(x, Value(nan));
+  const auto got = sorted_match(counting, e);
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    const bool leaf_matches = std::binary_search(
+        got.begin(), got.end(), SubscriptionId(static_cast<SubscriptionId::value_type>(2 * i)));
+    EXPECT_EQ(leaf_matches, preds[i].op() == Op::Ne) << to_string(preds[i].op());
+  }
 }
 
 TEST(MatcherRemoveParity, UniformRemoveByIdAcrossAllThreeMatchers) {

@@ -395,24 +395,19 @@ TEST(FacadeMetricsTest, RegistryAgreesWithLegacyCountersAfterSoak) {
 TEST(FacadeMetricsTest, AggregationSeriesMatchStatsAndSurviveReset) {
   PubSubOptions options;
   options.aggregation = true;
-  // Disable the cost-based fallback: this tiny population would otherwise
-  // route around the probe, and the probe counters are what is under test.
-  options.engine.agg_fallback_pct = 0;
   PubSub pubsub(market_schema(), options);
 
-  std::vector<SubscriptionHandle> live;
-  const auto sink = [](const Notification&) {};
-  for (int i = 0; i < 30; ++i) {
-    live.push_back(
-        pubsub.subscribe("price < " + std::to_string(10 * (i % 10) + 5), sink)
-            .value());
-  }
-  for (int i = 0; i < 100; ++i) {
-    (void)pubsub.publish(pubsub.event()
-                             .with("sym", i % 2 == 0 ? "A" : "B")
-                             .with("price", static_cast<double>(i % 97))
-                             .build());
-  }
+  // Subscribes 30 filters and drops them again: every subgroup empties,
+  // which re-tightens it (a maintenance counter).
+  const auto churn = [&] {
+    std::vector<SubscriptionHandle> live;
+    for (int i = 0; i < 30; ++i) {
+      live.push_back(
+          pubsub.subscribe("price < " + std::to_string(10 * (i % 10) + 5)).value());
+    }
+  };
+  churn();
+  auto kept = pubsub.subscribe("price < 42").value();
 
   const MetricsSnapshot s = pubsub.metrics();
   const PubSub::AggregationStats stats = pubsub.aggregation_stats();
@@ -423,38 +418,32 @@ TEST(FacadeMetricsTest, AggregationSeriesMatchStatsAndSurviveReset) {
                    static_cast<double>(stats.dimensions));
   EXPECT_DOUBLE_EQ(s.value("dbsp_agg_advertised_bytes"),
                    static_cast<double>(stats.advertised_bytes));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_events_probed_total"),
-                   static_cast<double>(stats.counters.events_probed));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_subgroups_admitted_total"),
-                   static_cast<double>(stats.counters.subgroups_admitted));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_subgroups_skipped_total"),
-                   static_cast<double>(stats.counters.subgroups_skipped));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_candidates_total"),
-                   static_cast<double>(stats.counters.candidates_evaluated));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_matches_total"),
-                   static_cast<double>(stats.counters.matches));
-  EXPECT_GT(s.value("dbsp_agg_events_probed_total"), 0.0);
+  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_summary_widenings_total"),
+                   static_cast<double>(stats.counters.summary_widenings));
+  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_subgroup_rebuilds_total"),
+                   static_cast<double>(stats.counters.subgroup_rebuilds));
+  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_full_rebuilds_total"),
+                   static_cast<double>(stats.counters.full_rebuilds));
   EXPECT_GT(s.value("dbsp_agg_subgroups"), 0.0);
+  EXPECT_GT(s.value("dbsp_agg_subgroup_rebuilds_total"), 0.0);
+  // Publishing never probes the summaries, so no probe-side series exist.
+  EXPECT_EQ(s.find("dbsp_agg_events_probed_total"), nullptr);
+  EXPECT_EQ(s.find("dbsp_agg_candidates_total"), nullptr);
 
   // reset_counters() zeroes the legacy struct but the exported counter
   // series must stay monotone (sync_to semantics), and keep advancing
-  // from the frozen base on new traffic.
+  // from the frozen base on new churn.
   pubsub.reset_counters();
-  EXPECT_EQ(pubsub.aggregation_stats().counters.events_probed, 0u);
+  EXPECT_EQ(pubsub.aggregation_stats().counters.subgroup_rebuilds, 0u);
   const MetricsSnapshot after = pubsub.metrics();
-  EXPECT_GE(after.value("dbsp_agg_events_probed_total"),
-            s.value("dbsp_agg_events_probed_total"));
-  EXPECT_GE(after.value("dbsp_agg_candidates_total"),
-            s.value("dbsp_agg_candidates_total"));
+  EXPECT_GE(after.value("dbsp_agg_subgroup_rebuilds_total"),
+            s.value("dbsp_agg_subgroup_rebuilds_total"));
 
-  // Once post-reset traffic overtakes the frozen base the exported series
+  // Once post-reset churn overtakes the frozen base the exported series
   // advances again (and never dipped in between).
-  for (int i = 0; i < 150; ++i) {
-    (void)pubsub.publish(
-        pubsub.event().with("sym", "A").with("price", 3.0).build());
-  }
-  EXPECT_GT(pubsub.metrics().value("dbsp_agg_events_probed_total"),
-            after.value("dbsp_agg_events_probed_total"));
+  for (int round = 0; round < 3; ++round) churn();
+  EXPECT_GT(pubsub.metrics().value("dbsp_agg_subgroup_rebuilds_total"),
+            after.value("dbsp_agg_subgroup_rebuilds_total"));
 }
 
 TEST(FacadeMetricsTest, DurableStoreSeriesTrackStoreStats) {

@@ -2,8 +2,8 @@
 // shard count (N = 1, 2, 8), merge order must be deterministic (sorted
 // subscriber ids), batched and single-event dispatch must agree, and the
 // engine must behave on the edge cases (empty engine, empty batch, every
-// subscription hashed into one shard). Also covers the ThreadPool itself
-// and the uniform remove(id) contract of the backends.
+// subscription hashed into one shard), and it must agree with the
+// standalone DNF and naive matchers. Also covers the ThreadPool itself.
 
 #include "core/sharded_engine.hpp"
 
@@ -16,6 +16,7 @@
 
 #include "common/thread_pool.hpp"
 #include "core/candidates.hpp"
+#include "filter/dnf_matcher.hpp"
 #include "filter/naive_matcher.hpp"
 #include "selectivity/estimator.hpp"
 #include "selectivity/exact.hpp"
@@ -194,35 +195,33 @@ TEST(ShardedEngineTest, RemoveAndContainsAcrossShards) {
 }
 
 TEST(ShardedEngineTest, AllBackendsAgreeOnDnfConvertibleCorpus) {
+  // The sharded counting engine against the standalone canonical (DNF)
+  // matcher and the naive oracle.
   MiniDomain dom(5, 16);
   std::mt19937_64 rng(707);
   Corpus corpus = make_corpus(dom, rng, 80, /*not_prob=*/0.0);
   const auto events = dom.random_events(rng, 120);
 
-  ShardedEngineOptions counting = counting_options(4);
-  ShardedEngineOptions dnf = counting;
-  dnf.backend = MatcherBackend::Dnf;
-  ShardedEngineOptions naive = counting;
-  naive.backend = MatcherBackend::Naive;
-
-  ShardedEngine ec(dom.schema(), counting);
-  ShardedEngine ed(dom.schema(), dnf);
-  ShardedEngine en(dom.schema(), naive);
+  ShardedEngine engine(dom.schema(), counting_options(4));
+  DnfMatcher dnf(dom.schema());
+  NaiveMatcher naive;
   for (auto& s : corpus.subs) {
-    ASSERT_TRUE(ec.add(*s));
-    ASSERT_TRUE(ed.add(*s));
-    ASSERT_TRUE(en.add(*s));
+    engine.add(*s);
+    ASSERT_TRUE(dnf.add(*s));
+    naive.add(*s);
   }
 
-  const auto bc = ec.match_batch(events);
-  const auto bd = ed.match_batch(events);
-  const auto bn = en.match_batch(events);
-  EXPECT_EQ(bc, bd);
-  EXPECT_EQ(bc, bn);
-
-  EXPECT_THROW(static_cast<void>(ed.counting_shard(0)), std::logic_error);
-  EXPECT_THROW(static_cast<void>(en.associations_of(corpus.subs[0]->id())),
-               std::logic_error);
+  const auto batch = engine.match_batch(events);
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    std::vector<SubscriptionId> from_dnf;
+    dnf.match(events[e], from_dnf);
+    std::sort(from_dnf.begin(), from_dnf.end());
+    std::vector<SubscriptionId> from_naive;
+    naive.match(events[e], from_naive);
+    std::sort(from_naive.begin(), from_naive.end());
+    EXPECT_EQ(batch[e], from_dnf) << "event " << e;
+    EXPECT_EQ(batch[e], from_naive) << "event " << e;
+  }
 }
 
 TEST(ShardedEngineTest, PerShardPruningKeepsMatchesASuperset) {

@@ -595,6 +595,18 @@ TEST(PubSubOpenTest, CheckpointAfterChurnReopensToSameTable) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(pubsub->subscription_text(ids[i]).value(), texts[i]) << ids[i].value();
   }
+  // Recovery joins every tree into the aggregator in id order, so its
+  // subgroups equal those of a fresh table subscribed in the same order.
+  PubSub fresh(dom.schema(), options);
+  std::vector<SubscriptionHandle> fresh_live;
+  for (const std::string& text : texts) fresh_live.push_back(fresh.subscribe(text).value());
+  const PubSub::AggregationStats recovered = pubsub->aggregation_stats();
+  const PubSub::AggregationStats expected = fresh.aggregation_stats();
+  EXPECT_GT(recovered.subgroups, 0u);
+  EXPECT_EQ(recovered.subgroups, expected.subgroups);
+  EXPECT_EQ(recovered.dimensions, expected.dimensions);
+  EXPECT_EQ(recovered.advertised_bytes, expected.advertised_bytes);
+  fresh_live.clear();
   pubsub.reset();
 }
 
@@ -779,6 +791,36 @@ TEST(BrokerWarmRestartTest, RestoredTableReproducesMatching) {
   // Restoring into a non-empty broker is a caller bug.
   WireReader again(saved.bytes());
   EXPECT_THROW(restarted.restore_table(again), std::logic_error);
+}
+
+TEST(BrokerWarmRestartTest, RestoredAggregatedTableRejoinsTheAggregator) {
+  MiniDomain dom;
+  std::mt19937_64 rng(62);
+  Overlay overlay(dom.schema(), 3, Overlay::line(3));
+  overlay.enable_aggregation();
+  for (std::uint32_t i = 0; i < 60; ++i) {
+    overlay.subscribe(BrokerId(i % 3), ClientId(i), SubscriptionId(i),
+                      dom.random_tree(rng, 5, 0.2));
+  }
+  Broker& original = overlay.broker(BrokerId(1));
+  WireWriter saved;
+  original.save_table(saved);
+
+  SimulatedNetwork isolated(3);
+  Broker restarted(BrokerId(1), dom.schema(), isolated);
+  restarted.enable_aggregation();
+  WireReader reader(saved.bytes());
+  restarted.restore_table(reader);
+
+  // Restore joins the entries in id order, the order they arrived in, so
+  // the subgroups come out identical.
+  const agg::SubscriptionAggregator& before = *original.aggregation();
+  const agg::SubscriptionAggregator& after = *restarted.aggregation();
+  EXPECT_EQ(after.subscription_count(), 20u);
+  EXPECT_EQ(after.subgroup_count(), before.subgroup_count());
+  EXPECT_EQ(after.advertised_bytes(), before.advertised_bytes());
+  restarted.unsubscribe_local(SubscriptionId(1));
+  EXPECT_FALSE(after.contains(SubscriptionId(1)));
 }
 
 // --- ScenarioRunner kill-and-recover -----------------------------------------

@@ -5,7 +5,8 @@
 // record/snapshot tear-freedom), two-sided sampling (1-in-N head sampler,
 // rolling slowest-K tail admission), the traces JSON rendering, the
 // dbsp_stage_us histograms fed from head-sampled spans (one sampler for
-// metrics and traces, per-stage attribution through the facade), and the
+// metrics and traces, per-stage attribution through the facade), the
+// trace wire decoder's handling of reserved stages, and the
 // structured logger (level gating, line format, rate limiting).
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "dbsp/dbsp.hpp"
+#include "net/protocol.hpp"
 #include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -397,13 +399,43 @@ TEST(TracesJsonTest, EmptyRecorderRendersAnEmptyTraceList) {
 
 TEST(TracesJsonTest, EveryStageHasADistinctName) {
   std::set<std::string> names;
+  std::size_t stages = 0;
   for (std::size_t s = 0; s < kTraceStageCount; ++s) {
+    if (!is_trace_stage(static_cast<std::uint8_t>(s))) continue;
+    ++stages;
     names.insert(to_string(static_cast<TraceStage>(s)));
   }
   EXPECT_EQ(kTraceStageCount,
             static_cast<std::size_t>(TraceStage::kOverlayHop) + 1);
-  EXPECT_EQ(names.size(), kTraceStageCount);
+  EXPECT_EQ(stages, kTraceStageCount - 2);  // 2 and 3 are reserved
+  EXPECT_EQ(names.size(), stages);
   EXPECT_EQ(names.count("unknown"), 0u);
+}
+
+TEST(TraceWireTest, ReservedAndUnknownStagesAreDroppedOnDecode) {
+  // Stages 2 and 3 (the retired aggregation probe) and a stage byte past
+  // the last one are dropped span by span; the trace itself survives.
+  Trace trace;
+  trace.trace_id = 7;
+  trace.sampled = true;
+  for (const std::uint8_t raw : {5, 2, 3, 12, 4}) {
+    TraceSpan span;
+    span.stage = static_cast<TraceStage>(raw);
+    span.span_id = 100 + raw;
+    trace.spans.push_back(span);
+  }
+  net::WireTraces sent;
+  sent.traces.push_back(trace);
+  WireWriter writer;
+  net::encode_traces(sent, writer);
+  WireReader reader(writer.bytes());
+  const net::WireTraces got = net::decode_traces(reader);
+  EXPECT_TRUE(reader.exhausted());
+  ASSERT_EQ(got.traces.size(), 1u);
+  ASSERT_EQ(got.traces[0].spans.size(), 2u);
+  EXPECT_EQ(got.traces[0].spans[0].stage, TraceStage::kMatch);
+  EXPECT_EQ(got.traces[0].spans[1].stage, TraceStage::kShardMatch);
+  EXPECT_EQ(got.traces[0].spans[1].span_id, 104u);
 }
 
 // --- dbsp_stage_us -----------------------------------------------------------
@@ -468,33 +500,6 @@ TEST(StageMetricsTest, StageCountEqualsSampledTracesRecorded) {
   const MetricsSnapshot s = pubsub.metrics();
   EXPECT_EQ(stage_count(s, "match"), sampled);
   EXPECT_EQ(stage_count(s, "shard_match"), sampled * 2);
-}
-
-TEST(StageMetricsTest, AggregationProbeTimeLandsInAggProbeOnly) {
-  // With the fallback off every publish is answered by the probe: its time
-  // belongs to agg_probe and never to a shard's shard_match series.
-  PubSubOptions options;
-  options.engine.shards = 4;
-  options.engine.agg_fallback_pct = 0;
-  options.aggregation = true;
-  options.trace = small_recorder(/*capacity=*/16, /*sample_every=*/1);
-  PubSub pubsub(quote_schema(), options);
-  std::vector<SubscriptionHandle> live;
-  for (int i = 0; i < 30; ++i) {
-    live.push_back(
-        pubsub.subscribe("price < " + std::to_string(10 * (i % 10) + 5))
-            .value());
-  }
-  constexpr std::uint64_t kPublishes = 120;
-  for (std::uint64_t i = 0; i < kPublishes; ++i) {
-    (void)pubsub.publish(quote(pubsub, static_cast<int>(i)));
-  }
-
-  const MetricsSnapshot s = pubsub.metrics();
-  EXPECT_EQ(stage_count(s, "agg_probe"), kPublishes);
-  EXPECT_EQ(stage_count(s, "match"), kPublishes);
-  EXPECT_EQ(stage_count(s, "shard_match"), 0u);
-  EXPECT_EQ(stage_count(s, "agg_fallback"), 0u);
 }
 
 TEST(StageMetricsTest, TracingOffMeansNoStageSeries) {

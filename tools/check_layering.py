@@ -49,8 +49,7 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     # routing/messages.hpp carries subgroup summaries (aggregated routing)
     # and the per-event trace context (obs) overlay hops propagate.
     "routing": {"common", "event", "subscription", "agg", "obs"},
-    "core": {"common", "event", "subscription", "filter", "selectivity", "obs",
-             "agg"},
+    "core": {"common", "event", "subscription", "filter", "selectivity", "obs"},
     "broker": {"common", "event", "subscription", "core", "routing", "agg",
                "obs"},
     "workload": {"common", "event", "subscription"},
