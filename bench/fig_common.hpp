@@ -7,10 +7,10 @@
 //   DBSP_SUBS=n     override subscription count
 //   DBSP_EVENTS=n   override published event count
 //   DBSP_STEP_PCT=n pruning-fraction grid step in percent (default 10)
-//   DBSP_SHARDS=n   matching-engine shards (default 1 for the centralized
-//                   sweep so the paper's global pruning queue is reproduced;
-//                   brokers in the distributed sweep always resolve the knob
-//                   themselves, defaulting to hardware concurrency)
+//   DBSP_SHARDS=n   match workers of the engine (default 1 for the
+//                   centralized sweep; brokers in the distributed sweep
+//                   resolve the knob themselves). No figure depends on it:
+//                   pruning always runs the paper's global queue
 
 #include <array>
 #include <cstdio>

@@ -1,6 +1,7 @@
-// Throughput-vs-shards sweep of the sharded matching engine: the same
+// Throughput-vs-workers sweep of the matching engine: the same
 // 10k-subscription auction workload matched through match_batch() at 1, 2,
-// 4, and 8 shards. items_per_second is events/sec, so the JSON rows in
+// 4, and 8 match workers (the row argument; rows keep their historical
+// "Sharded" names). items_per_second is events/sec, so the JSON rows in
 // BENCH_micro.json directly expose the parallel speedup (wall-clock; the
 // sweep only scales on multi-core hosts — see the host.num_cpus field).
 
@@ -36,7 +37,7 @@ struct Fixture {
   }
 };
 
-// One iteration = one batched dispatch of 256 events across the shards.
+// One iteration = one batched dispatch of 256 events across the workers.
 void BM_ShardedMatchBatch(benchmark::State& state) {
   Fixture fx(/*n_subs=*/10000, /*n_events=*/256);
   ShardedEngineOptions options;
@@ -51,16 +52,15 @@ void BM_ShardedMatchBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(fx.events.size()));
-  state.counters["shards"] = static_cast<double>(engine.shard_count());
+  state.counters["shards"] = static_cast<double>(engine.worker_count());
 }
 // UseRealTime: throughput must be wall-clock — the default CPU-time basis
-// only counts the calling thread and would overstate multi-shard numbers.
+// only counts the calling thread and would overstate multi-worker numbers.
 BENCHMARK(BM_ShardedMatchBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-// The unbatched entry point (one event per call, all shards on the calling
-// thread) — quantifies the per-event overhead sharding adds without the
-// batched fan-out, i.e. what the broker's route_event pays.
+// The unbatched entry point (one event per call on the calling thread) —
+// what the broker's route_event pays; the worker count must not change it.
 void BM_ShardedMatchSingle(benchmark::State& state) {
   Fixture fx(/*n_subs=*/10000, /*n_events=*/256);
   ShardedEngineOptions options;

@@ -43,7 +43,7 @@ void BM_FlightRecorderRecord(benchmark::State& state) {
   trace.duration_us = 10;
   for (int i = 0; i < 6; ++i) {
     obs::TraceSpan span;
-    span.stage = obs::TraceStage::kShardMatch;
+    span.stage = obs::TraceStage::kMatch;
     span.span_id = static_cast<std::uint64_t>(i + 1);
     trace.spans.push_back(span);
   }

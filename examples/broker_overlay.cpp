@@ -59,11 +59,12 @@ int main() {
               static_cast<unsigned long long>(base_messages), base_assocs);
 
   // Prune 60% of each broker's remote entries on the network dimension.
-  // Each broker's filter table is sharded (DBSP_SHARDS, default = hardware
-  // concurrency), so the pruning queue runs per shard. The broker owns the
-  // set and keeps it in sync were any churn to follow.
-  std::printf("each broker matches over %zu shard(s)\n",
-              overlay.broker(BrokerId(0)).engine().shard_count());
+  // Each broker prunes from one global queue over its filter table; its
+  // match workers (DBSP_SHARDS, default = hardware concurrency) only fan
+  // out batches. The broker owns the set and keeps it in sync were any
+  // churn to follow.
+  std::printf("each broker matches with %zu worker(s)\n",
+              overlay.broker(BrokerId(0)).engine().worker_count());
   PruneEngineConfig config;
   config.dimension = PruneDimension::NetworkLoad;
   for (std::size_t b = 0; b < kBrokers; ++b) {

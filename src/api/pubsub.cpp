@@ -83,7 +83,8 @@ struct PubSubCore {
   // References this->schema; PubSubCore never moves. Holding `mutex` across
   // every engine call is exactly the engine's external-serialization
   // contract — one writer OR one matching call at a time (match_batch still
-  // fans out internally; its workers touch disjoint per-shard state).
+  // fans out internally; its workers only read the index and each writes
+  // its own match context).
   ShardedEngine engine DBSP_GUARDED_BY(mutex);
   std::optional<ShardedPruningSet> pruning DBSP_GUARDED_BY(mutex);
   /// Subgroup summaries of the live table (options.aggregation), fed every
@@ -227,7 +228,7 @@ struct PubSubCore {
         [&](store::StateStore& s) { s.append_unsubscribe(id); });
     // Pruning state first (release-before-engine-removal invariant), then
     // the engine entry, then the owning map slot.
-    if (pruning) pruning->remove(id);
+    if (pruning) pruning->unregister_subscription(id);
     engine.remove(id);
     if (aggregator) aggregator->remove(id);
     if (it->second.callback) --callbacks_registered;
@@ -622,7 +623,7 @@ std::size_t PubSub::publish(const Event& event, obs::TraceContext context) {
   c.match_scratch.clear();
   {
     obs::ScopedSpan span(tb, obs::TraceStage::kMatch);
-    c.engine.match(event, c.match_scratch, tb);
+    c.engine.match(event, c.match_scratch);
     span.set_detail(c.match_scratch.size());
   }
   const std::uint64_t seq = c.next_seq++;
@@ -721,7 +722,7 @@ Status PubSub::train(std::span<const Event> sample) {
 namespace {
 
 /// Runs a pruning pass and logs one kPrune record (current full tree) per
-/// applied pruning, discovered through the per-shard history deltas. On an
+/// applied pruning, discovered through the history delta. On an
 /// append failure the prunings stay applied (they cannot be unwound), the
 /// store fail-stops at its pre-pass state — the recovered trees are then
 /// simply one generation behind — and the error is reported.
@@ -730,28 +731,20 @@ Result<std::size_t> logged_prune(PubSubCore& c, Fn&& fn) DBSP_REQUIRES(c.mutex) 
   // The aggregator also walks the history deltas: pruned trees must be
   // re-joined into their subgroup summaries to keep them sound.
   const bool track = c.store != nullptr || c.aggregator.has_value();
-  std::vector<std::size_t> history_before;
-  if (track) {
-    history_before.resize(c.pruning->shard_count());
-    for (std::size_t i = 0; i < c.pruning->shard_count(); ++i) {
-      history_before[i] = c.pruning->shard(i).history().size();
-    }
-  }
+  const auto& history = c.pruning->history();
+  const std::size_t history_before = history.size();
   const std::size_t done = std::forward<Fn>(fn)();
   if (track && done > 0) {
-    for (std::size_t i = 0; i < c.pruning->shard_count(); ++i) {
-      const auto& history = c.pruning->shard(i).history();
-      for (std::size_t j = history_before[i]; j < history.size(); ++j) {
-        const SubscriptionId id = history[j].sub;
-        const auto it = c.subs.find(id.value());
-        if (it == c.subs.end()) continue;  // released since; nothing to log
-        if (c.aggregator) c.aggregator->refresh(*it->second.sub);
-        if (c.store) {
-          const Status logged = c.append_to_store([&](store::StateStore& s) {
-            s.append_prune(id, it->second.sub->root());
-          });
-          if (!logged.ok()) return logged;
-        }
+    for (std::size_t j = history_before; j < history.size(); ++j) {
+      const SubscriptionId id = history[j].sub;
+      const auto it = c.subs.find(id.value());
+      if (it == c.subs.end()) continue;  // released since; nothing to log
+      if (c.aggregator) c.aggregator->refresh(*it->second.sub);
+      if (c.store) {
+        const Status logged = c.append_to_store([&](store::StateStore& s) {
+          s.append_prune(id, it->second.sub->root());
+        });
+        if (!logged.ok()) return logged;
       }
     }
     const Status snapped = c.maybe_checkpoint();
@@ -870,9 +863,9 @@ PubSub::AggregationStats PubSub::aggregation_stats() const {
   return out;
 }
 
-std::size_t PubSub::shard_count() const {
+std::size_t PubSub::worker_count() const {
   MutexLock lock(core_->mutex);
-  return core_->engine.shard_count();
+  return core_->engine.worker_count();
 }
 
 std::size_t PubSub::association_count() const {

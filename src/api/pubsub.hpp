@@ -2,8 +2,8 @@
 
 /// \file
 /// The `dbsp::PubSub` facade — the stable public entry point of the
-/// library. One object owns the schema, the sharded matching engine, the
-/// selectivity statistics, and (optionally) the per-shard pruning queues;
+/// library. One object owns the schema, the matching engine, the
+/// selectivity statistics, and (optionally) the global pruning queue;
 /// subscriptions are registered through fluent `Filter`s, DSL text, or raw
 /// trees and handed back as RAII `SubscriptionHandle`s whose destruction
 /// unsubscribes and releases all pruning state automatically. Errors
@@ -19,8 +19,8 @@
 /// `-Wthread-safety -Werror`; raced under ThreadSanitizer by
 /// tests/concurrent_stress_test.cpp), which is exactly the
 /// external-serialization contract the wrapped ShardedEngine and
-/// StateStore demand. publish_batch still fans out across shards on the
-/// engine's internal pool while the facade lock is held. Callbacks run on
+/// StateStore demand. publish_batch still fans out across match workers on
+/// the engine's internal pool while the facade lock is held. Callbacks run on
 /// the publishing thread *under* that lock: they must not call back into
 /// the PubSub or release handles (the mutex is non-recursive — re-entry
 /// deadlocks rather than corrupts), and they serialize against all other
@@ -51,10 +51,10 @@ struct PubSubCore;
 
 /// Construction-time knobs of a PubSub.
 struct PubSubOptions {
-  /// Shard count of the matching engine.
+  /// Match-worker count of the matching engine (publish_batch fan-out).
   ShardedEngineOptions engine;
   /// Enables dimension-based pruning maintenance: every subscription is
-  /// admitted to a per-shard pruning queue on subscribe and released on
+  /// admitted to the pruning queue on subscribe and released on
   /// unsubscribe/handle drop.
   bool pruning = false;
   /// Dimension / tie-break order / bottom-up restriction of the pruning
@@ -77,7 +77,7 @@ struct PubSubOptions {
   bool metrics = true;
   /// Enables per-event tracing: every publish carries an obs::TraceContext
   /// (propagated into Notifications and across the wire), head-sampled
-  /// publishes collect detailed spans (per-shard match),
+  /// publishes collect detailed spans,
   /// every publish takes coarse stage timings so the tail sampler can
   /// retain the slowest K of the rolling window, and completed traces land
   /// in the flight recorder behind traces()/traces_json(). The spans of
@@ -248,8 +248,8 @@ class PubSub {
   /// starting a fresh one. An inactive context (trace_id 0) behaves like
   /// plain publish().
   std::size_t publish(const Event& event, obs::TraceContext context);
-  /// Batched dispatch through ShardedEngine::match_batch (shards fan out
-  /// on the internal pool); returns total notifications over the batch.
+  /// Batched dispatch through ShardedEngine::match_batch (events fan out
+  /// over the match workers); returns total notifications over the batch.
   std::uint64_t publish_batch(std::span<const Event> events);
 
   /// Notifications delivered since construction / the last reset_counters().
@@ -263,10 +263,11 @@ class PubSub {
   /// rescore_all()) when drift_pending() fires.
   [[nodiscard]] Status train(std::span<const Event> sample);
 
-  /// Performs up to `k` prunings across the shard queues.
+  /// Performs up to `k` prunings from the global queue.
   [[nodiscard]] Result<std::size_t> prune(std::size_t k);
-  /// Prunes each shard to `fraction` (in [0,1]) of its live capacity;
-  /// idempotent, cheap to call every churn tick.
+  /// Prunes to `fraction` (in [0,1]) of the live capacity; idempotent,
+  /// cheap to call every churn tick. Which trees are pruned does not depend
+  /// on the worker count.
   [[nodiscard]] Result<std::size_t> prune_to_fraction(double fraction);
 
   /// Rebuilds the pruning queues on a new primary dimension, re-reading
@@ -275,7 +276,7 @@ class PubSub {
   [[nodiscard]] Status set_prune_dimension(PruneDimension dimension);
 
   /// Drift trigger plumbing (see PruningEngine): after `mutations` churn
-  /// operations per shard, drift_pending() asks for train() + rescore_all().
+  /// operations, drift_pending() asks for train() + rescore_all().
   [[nodiscard]] Status set_drift_threshold(std::size_t mutations);
   [[nodiscard]] bool drift_pending() const;
   [[nodiscard]] Status rescore_all();
@@ -306,7 +307,8 @@ class PubSub {
 
   // --- Introspection -------------------------------------------------------
 
-  [[nodiscard]] std::size_t shard_count() const;
+  /// Match workers a publish_batch fans out over.
+  [[nodiscard]] std::size_t worker_count() const;
   /// Predicate/subscription associations (the memory metric of Fig. 1).
   [[nodiscard]] std::size_t association_count() const;
   /// Deterministic model bytes of all registered subscription trees.

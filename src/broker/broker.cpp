@@ -51,7 +51,7 @@ void Broker::unsubscribe_local(SubscriptionId id) {
   // Pruning set first (local entries are never tracked, so this is a
   // no-op here, but keeps the release-before-engine-removal invariant),
   // then engine: its removal reads the Subscription the table entry owns.
-  if (owned_pruning_ != nullptr) owned_pruning_->remove(id);
+  if (owned_pruning_ != nullptr) owned_pruning_->unregister_subscription(id);
   engine_.remove(id);
   if (aggregator_ != nullptr) aggregator_->remove(id);
   table_.remove(id);
@@ -97,7 +97,9 @@ void Broker::handle(BrokerId from, const Message& message) {
     case Message::Type::Unsubscribe: {
       auto entry = table_.remove(message.sub_id);
       if (entry) {
-        if (owned_pruning_ != nullptr) owned_pruning_->remove(message.sub_id);
+        if (owned_pruning_ != nullptr) {
+          owned_pruning_->unregister_subscription(message.sub_id);
+        }
         engine_.remove(message.sub_id);
         Message m;
         m.type = Message::Type::Unsubscribe;
@@ -190,7 +192,7 @@ void Broker::route_event(BrokerId from, const Event& event, std::uint64_t seq,
   if (hop.span_id() != 0) forwarded.parent_span = hop.span_id();
 
   filter_time_.start();
-  engine_.match(event, scratch_matches_, tb);
+  engine_.match(event, scratch_matches_);
   filter_time_.stop();
 
   for (const SubscriptionId sid : scratch_matches_) {

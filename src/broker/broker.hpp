@@ -9,6 +9,7 @@
 #include "common/ids.hpp"
 #include "common/timer.hpp"
 #include "broker/simnet.hpp"
+#include "core/engine.hpp"
 #include "core/sharded_engine.hpp"
 #include "obs/flight.hpp"
 #include "routing/routing_table.hpp"
@@ -19,16 +20,16 @@ class ShardedPruningSet;
 class WireWriter;
 class WireReader;
 
-/// A content-based broker: routing table + sharded counting-matcher engine
+/// A content-based broker: routing table + counting-matcher engine
 /// + forwarding logic over the simulated network (subscription-forwarding
 /// routing on an acyclic overlay, §2.1).
 ///
-/// The filter table is a ShardedEngine over counting matchers; the shard
-/// count comes from `engine_options` (default: DBSP_SHARDS / hardware
-/// concurrency). Callers running pruning over this broker's entries call
-/// enable_pruning(), which builds and owns a ShardedPruningSet over
-/// engine(); the broker keeps the per-shard pruning state in sync under
-/// churn for as long as it is enabled.
+/// The filter table is a ShardedEngine: one counting index, with the
+/// match-worker count from `engine_options` (default: DBSP_SHARDS /
+/// hardware concurrency). Callers running pruning over this broker's
+/// entries call enable_pruning(), which builds and owns a
+/// ShardedPruningSet over engine(); the broker keeps the pruning queue in
+/// sync under churn for as long as it is enabled.
 ///
 /// Notifications are decided by *local* entries, which stay unpruned, so
 /// end-to-end delivery is exact regardless of how remote entries were
@@ -81,7 +82,7 @@ class Broker {
   [[nodiscard]] BrokerId id() const { return id_; }
   [[nodiscard]] RoutingTable& table() { return table_; }
   [[nodiscard]] const RoutingTable& table() const { return table_; }
-  /// The sharded filter engine holding this broker's (possibly pruned)
+  /// The filter engine holding this broker's (possibly pruned)
   /// routing entries.
   [[nodiscard]] ShardedEngine& engine() { return engine_; }
   [[nodiscard]] const ShardedEngine& engine() const { return engine_; }

@@ -23,8 +23,8 @@ class Overlay {
   /// One center connected to all others.
   [[nodiscard]] static Topology star(std::size_t brokers);
 
-  /// `engine_options` configures every broker's sharded matching engine
-  /// (default: auto shard count from DBSP_SHARDS / hardware concurrency).
+  /// `engine_options` configures every broker's matching engine
+  /// (default: auto worker count from DBSP_SHARDS / hardware concurrency).
   Overlay(const Schema& schema, std::size_t brokers, const Topology& topology,
           SimulatedNetwork::Config net_config = {},
           ShardedEngineOptions engine_options = {});

@@ -16,7 +16,7 @@
 namespace dbsp {
 
 /// A fixed-size pool of worker threads executing submitted tasks in FIFO
-/// order — the concurrency substrate of the sharded matching engine.
+/// order — the concurrency substrate of the matching engine's batch fan-out.
 ///
 /// Thread safety: submit() may be called concurrently from any thread,
 /// including from inside a running task. Each task's exceptions are captured

@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace dbsp {
@@ -119,6 +120,12 @@ std::size_t PruningEngine::prune(std::size_t k) {
   std::size_t done = 0;
   while (done < k && prune_one()) ++done;
   return done;
+}
+
+std::size_t PruningEngine::prune_to_fraction(double fraction) {
+  const auto target = static_cast<std::size_t>(
+      std::llround(fraction * static_cast<double>(total_possible_)));
+  return target > performed_ ? prune(target - performed_) : 0;
 }
 
 std::optional<double> PruningEngine::next_primary_rating() {

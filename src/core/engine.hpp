@@ -54,10 +54,8 @@ struct PruneEngineConfig {
 /// (maintenance() counts both so tests can prove it).
 ///
 /// Not thread-safe: all members mutate engine, subscription, or matcher
-/// state and require external synchronization. Under the sharded engine,
-/// run one PruningEngine per shard (ShardedPruningSet); engines
-/// of different shards touch disjoint subscriptions and matchers, so they
-/// may safely run on different threads.
+/// state and require external synchronization. ShardedPruningSet binds one
+/// engine to a ShardedEngine's index.
 class PruningEngine {
  public:
   /// `matcher` may be null for pure-algorithm runs (no index maintenance).
@@ -86,6 +84,10 @@ class PruningEngine {
   bool prune_one();
   /// Performs up to `k` prunings; returns how many were performed.
   std::size_t prune(std::size_t k);
+  /// Prunes until performed() reaches `fraction` of total_possible()
+  /// (idempotent: nothing happens once the target is reached, so this is
+  /// cheap to call after every churn step). Returns prunings performed.
+  std::size_t prune_to_fraction(double fraction);
 
   /// §3.4's second stopping rule: prunes while the *next* pruning's rating
   /// on the primary dimension is still within `budget`, i.e. while

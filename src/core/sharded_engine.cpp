@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 
 #include "common/env.hpp"
-#include "obs/flight.hpp"
 
 namespace dbsp {
 
@@ -15,113 +15,57 @@ std::size_t resolve_shard_count(std::size_t requested) {
   return from_env > 0 ? static_cast<std::size_t>(from_env) : 1;
 }
 
-ShardedEngine::ShardedEngine(const Schema& schema, ShardedEngineOptions options) {
-  const std::size_t shards = resolve_shard_count(options.shards);
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<CountingMatcher>(schema));
-  }
-  batch_scratch_.resize(shards_.size());
+ShardedEngine::ShardedEngine(const Schema& schema, ShardedEngineOptions options)
+    : matcher_(schema), contexts_(resolve_shard_count(options.shards) - 1) {}
+
+CountingMatcher& ShardedEngine::counting_shard(std::size_t shard) {
+  if (shard != 0) throw std::out_of_range("engine: one index, shard 0");
+  return matcher_;
 }
 
-std::size_t ShardedEngine::shard_of(SubscriptionId id) const {
-  // splitmix64 finalizer: avalanches dense ids so shards stay balanced.
-  std::uint64_t x = id.value() + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return static_cast<std::size_t>(x % shards_.size());
+const CountingMatcher& ShardedEngine::counting_shard(std::size_t shard) const {
+  if (shard != 0) throw std::out_of_range("engine: one index, shard 0");
+  return matcher_;
 }
 
-void ShardedEngine::add(Subscription& sub) { shards_[shard_of(sub.id())]->add(sub); }
-
-void ShardedEngine::remove(SubscriptionId id) { shards_[shard_of(id)]->remove(id); }
-
-bool ShardedEngine::contains(SubscriptionId id) const {
-  return shards_[shard_of(id)]->contains(id);
-}
-
-std::size_t ShardedEngine::subscription_count() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->subscription_count();
-  return total;
-}
-
-std::size_t ShardedEngine::association_count() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->association_count();
-  return total;
-}
-
-std::size_t ShardedEngine::associations_of(SubscriptionId id) const {
-  return shards_[shard_of(id)]->associations_of(id);
-}
-
-void ShardedEngine::match(const Event& event, std::vector<SubscriptionId>& out,
-                          obs::TraceBuilder* trace) {
+void ShardedEngine::match(const Event& event, std::vector<SubscriptionId>& out) {
   const auto base = static_cast<std::ptrdiff_t>(out.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    obs::ScopedSpan span(trace, obs::TraceStage::kShardMatch,
-                         /*detailed_only=*/true);
-    span.set_detail(s);
-    shards_[s]->match(event, out);
-  }
+  matcher_.match(event, out);
   std::sort(out.begin() + base, out.end());
-}
-
-ThreadPool& ShardedEngine::pool() {
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(shards_.size() - 1);
-  return *pool_;
 }
 
 void ShardedEngine::match_batch(std::span<const Event> events,
                                 std::vector<std::vector<SubscriptionId>>& out) {
   out.resize(events.size());
-  if (shards_.size() == 1) {
-    for (std::size_t e = 0; e < events.size(); ++e) {
+  // Worker w matches the run [w * run, (w + 1) * run) on context w.
+  const std::size_t run = (events.size() + worker_count() - 1) / worker_count();
+  auto run_worker = [&](std::size_t w) {
+    MatchContext& ctx = w == 0 ? matcher_.context() : contexts_[w - 1];
+    const std::size_t end = std::min(events.size(), (w + 1) * run);
+    for (std::size_t e = w * run; e < end; ++e) {
       out[e].clear();
-      shards_[0]->match(events[e], out[e]);
+      matcher_.match(events[e], out[e], ctx);
       std::sort(out[e].begin(), out[e].end());
-    }
-    return;
-  }
-
-  auto run_shard = [&](std::size_t s) {
-    auto& rows = batch_scratch_[s];
-    rows.resize(events.size());
-    for (std::size_t e = 0; e < events.size(); ++e) {
-      rows[e].clear();
-      shards_[s]->match(events[e], rows[e]);
     }
   };
 
-  // Shards 1..N-1 on the pool, shard 0 on the calling thread.
   std::vector<std::future<void>> futures;
-  futures.reserve(shards_.size() - 1);
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    futures.push_back(pool().submit([&run_shard, s] { run_shard(s); }));
+  for (std::size_t w = 1; w * run < events.size(); ++w) {
+    if (!pool_) pool_ = std::make_unique<ThreadPool>(contexts_.size());
+    futures.push_back(pool_->submit([&run_worker, w] { run_worker(w); }));
   }
   // The pool tasks reference this call's stack, so every path — including
-  // shard 0 throwing — must wait for all of them before unwinding. Only
+  // worker 0 throwing — must wait for all of them before unwinding. Only
   // then surface the first failure.
   std::exception_ptr error;
   try {
-    run_shard(0);
+    run_worker(0);
   } catch (...) {
     error = std::current_exception();
   }
   for (auto& f : futures) f.wait();
   if (error) std::rethrow_exception(error);
   for (auto& f : futures) f.get();
-
-  for (std::size_t e = 0; e < events.size(); ++e) {
-    out[e].clear();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const auto& row = batch_scratch_[s][e];
-      out[e].insert(out[e].end(), row.begin(), row.end());
-    }
-    std::sort(out[e].begin(), out[e].end());
-  }
 }
 
 std::vector<std::vector<SubscriptionId>> ShardedEngine::match_batch(
@@ -132,10 +76,10 @@ std::vector<std::vector<SubscriptionId>> ShardedEngine::match_batch(
 }
 
 CountingMatcher::Counters ShardedEngine::counters() const {
-  CountingMatcher::Counters total;
-  for (const auto& shard : shards_) {
-    const auto& c = shard->counters();
-    total.events = std::max(total.events, c.events);  // every shard sees each event
+  CountingMatcher::Counters total = matcher_.counters();
+  for (const MatchContext& ctx : contexts_) {
+    const auto& c = ctx.counters();
+    total.events += c.events;
     total.predicate_hits += c.predicate_hits;
     total.counter_increments += c.counter_increments;
     total.tree_evaluations += c.tree_evaluations;
@@ -145,22 +89,8 @@ CountingMatcher::Counters ShardedEngine::counters() const {
 }
 
 void ShardedEngine::reset_counters() {
-  for (auto& shard : shards_) shard->reset_counters();
-}
-
-std::vector<std::unique_ptr<PruningEngine>> make_sharded_pruning_engines(
-    ShardedEngine& engine, const SelectivityEstimator& estimator,
-    const PruneEngineConfig& config, const std::vector<Subscription*>& subs) {
-  std::vector<std::unique_ptr<PruningEngine>> out;
-  out.reserve(engine.shard_count());
-  for (std::size_t s = 0; s < engine.shard_count(); ++s) {
-    out.push_back(std::make_unique<PruningEngine>(estimator, config,
-                                                  &engine.counting_shard(s)));
-  }
-  for (Subscription* sub : subs) {
-    out[engine.shard_of(sub->id())]->register_subscription(*sub);
-  }
-  return out;
+  matcher_.reset_counters();
+  for (MatchContext& ctx : contexts_) ctx.reset_counters();
 }
 
 }  // namespace dbsp

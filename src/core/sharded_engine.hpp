@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file
-/// The sharded concurrent matching engine and its per-shard pruning hook —
-/// the scaling layer between the matchers (filter/) and the broker.
+/// The concurrent matching engine: one predicate index shared by K match
+/// contexts — the scaling layer between the matchers (filter/) and the
+/// broker.
 
 #include <cstddef>
 #include <memory>
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
-#include "core/engine.hpp"
 #include "event/event.hpp"
 #include "event/schema.hpp"
 #include "filter/counting_matcher.hpp"
@@ -18,44 +18,36 @@
 
 namespace dbsp {
 
-namespace obs {
-class TraceBuilder;
-}  // namespace obs
-
 /// Construction-time knobs of a ShardedEngine.
 struct ShardedEngineOptions {
-  /// Number of shards. 0 = auto: the DBSP_SHARDS environment knob when set,
-  /// otherwise the machine's hardware concurrency.
+  /// Number of match workers (contexts) a batch fans out over. 0 = auto:
+  /// the DBSP_SHARDS environment knob when set, otherwise the machine's
+  /// hardware concurrency. Matches never depend on it.
   std::size_t shards = 0;
 };
 
-/// Resolves a requested shard count: a positive request is taken verbatim;
+/// Resolves a requested worker count: a positive request is taken verbatim;
 /// 0 reads env_int("DBSP_SHARDS") and falls back to hardware concurrency.
 /// The result is always at least 1.
 [[nodiscard]] std::size_t resolve_shard_count(std::size_t requested);
 
-/// A horizontally partitioned matching engine: subscriptions are spread
-/// across N shards by a stable hash of their id, with one CountingMatcher
-/// (and thus one independent filter table) per shard. Sharding composes
-/// with dimension-based pruning — pruning shrinks every shard's filter
-/// table, sharding splits the tables across cores.
-///
-/// Matching semantics are exactly those of CountingMatcher: every event is
-/// checked against all shards, and because each subscription lives in
-/// exactly one shard the union of the shard results equals the unsharded
-/// match set. Both match() and match_batch() return each event's matches
+/// The matching engine: one CountingMatcher index holding every
+/// subscription, plus K MatchContexts. A single event matches inline on
+/// context 0 (the matcher's own); a batch is split by event across the K
+/// contexts, one per worker, and each worker writes its events' rows
+/// directly. Both match() and match_batch() return each event's matches
 /// sorted by subscription id, so results are deterministic and independent
-/// of the shard count (proved by sharded_engine_test).
+/// of the worker count (proved by sharded_engine_test). One index also
+/// means one pruning queue: a PruningEngine bound to counting_shard(0)
+/// runs the paper's global schedule.
 ///
-/// Thread safety: add/remove and the match entry points mutate engine
-/// state and must be externally serialized — one writer OR one matching
-/// call at a time (the match-vs-churn exclusion contract). Inside
-/// match_batch() the engine fans the batch out to its shards on an
-/// internal thread pool (created lazily on first use when shard_count() >
-/// 1); each worker touches only its own shard's matcher and scratch row,
-/// so no two threads ever share mutable state. Distinct ShardedEngine
-/// instances are fully independent and may be used from different threads
-/// concurrently.
+/// Thread safety: add/remove and the match entry points must be externally
+/// serialized — one writer OR one matching call at a time (the
+/// match-vs-churn exclusion contract). Inside match_batch() the workers
+/// (an internal pool created lazily on first use when K > 1) only read the
+/// index and each writes its own context and its own rows of `out`, so no
+/// two threads share mutable state. Distinct ShardedEngine instances are
+/// fully independent.
 ///
 /// Enforcement: the engine itself carries no lock — its serializer is its
 /// owner. In the public API the owning PubSubCore declares its engine
@@ -71,35 +63,37 @@ class ShardedEngine {
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  /// Registers `sub` with the matcher of its shard. The subscription must
-  /// outlive the engine and its address must be stable; after its tree
-  /// changes, reindex it through its shard (the per-shard PruningEngine
-  /// does this for pruning).
-  void add(Subscription& sub);
+  /// Registers `sub` with the index. The subscription must outlive the
+  /// engine and its address must be stable; after its tree changes,
+  /// reindex it through counting_shard(0) (the PruningEngine does this for
+  /// pruning).
+  void add(Subscription& sub) { matcher_.add(sub); }
 
   /// Unregisters by id; throws std::out_of_range when unknown.
-  void remove(SubscriptionId id);
+  void remove(SubscriptionId id) { matcher_.remove(id); }
 
-  [[nodiscard]] bool contains(SubscriptionId id) const;
-  [[nodiscard]] std::size_t subscription_count() const;
+  [[nodiscard]] bool contains(SubscriptionId id) const { return matcher_.contains(id); }
+  [[nodiscard]] std::size_t subscription_count() const {
+    return matcher_.subscription_count();
+  }
 
-  /// Predicate/subscription associations summed over shards (the memory
-  /// metric).
-  [[nodiscard]] std::size_t association_count() const;
+  /// Predicate/subscription associations (the memory metric).
+  [[nodiscard]] std::size_t association_count() const {
+    return matcher_.association_count();
+  }
   /// Associations contributed by one subscription.
-  [[nodiscard]] std::size_t associations_of(SubscriptionId id) const;
+  [[nodiscard]] std::size_t associations_of(SubscriptionId id) const {
+    return matcher_.associations_of(id);
+  }
 
-  /// Matches one event against every shard on the calling thread and
-  /// appends the union of the shard results to `out`, sorted by id.
-  /// A non-null `trace` collects one shard_match span per shard for
-  /// head-sampled traces.
-  void match(const Event& event, std::vector<SubscriptionId>& out,
-             obs::TraceBuilder* trace = nullptr);
+  /// Matches one event on the calling thread (context 0) and appends its
+  /// matches to `out`, sorted by id.
+  void match(const Event& event, std::vector<SubscriptionId>& out);
 
-  /// Batched dispatch: fans `events` out to the shards (shard 0 runs on the
-  /// calling thread, the rest on the internal pool), then merges the
-  /// per-shard results into one sorted subscriber-id list per event.
-  /// `out` is resized to events.size(); row buffers are reused.
+  /// Batched dispatch: splits `events` into K contiguous runs, one per
+  /// context (run 0 on the calling thread, the rest on the internal pool),
+  /// each row sorted by id. `out` is resized to events.size(); row buffers
+  /// are reused.
   void match_batch(std::span<const Event> events,
                    std::vector<std::vector<SubscriptionId>>& out);
 
@@ -107,45 +101,26 @@ class ShardedEngine {
   [[nodiscard]] std::vector<std::vector<SubscriptionId>> match_batch(
       std::span<const Event> events);
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// Stable shard assignment of a subscription id (splitmix64 finalizer,
-  /// identical on every platform and run).
-  [[nodiscard]] std::size_t shard_of(SubscriptionId id) const;
+  /// Number of predicate indexes: always 1.
+  [[nodiscard]] std::size_t shard_count() const { return 1; }
+  /// Number of match contexts a batch fans out over.
+  [[nodiscard]] std::size_t worker_count() const { return contexts_.size() + 1; }
 
-  /// Direct access to one shard's matcher — the hook for running a
-  /// PruningEngine per shard. Throws std::out_of_range past the last shard.
-  [[nodiscard]] CountingMatcher& counting_shard(std::size_t shard) {
-    return *shards_.at(shard);
-  }
-  [[nodiscard]] const CountingMatcher& counting_shard(std::size_t shard) const {
-    return *shards_.at(shard);
-  }
+  /// The index — the hook for binding a PruningEngine. Throws
+  /// std::out_of_range for any shard but 0.
+  [[nodiscard]] CountingMatcher& counting_shard(std::size_t shard);
+  [[nodiscard]] const CountingMatcher& counting_shard(std::size_t shard) const;
 
-  /// Introspection counters summed over shards.
+  /// Introspection counters summed over the contexts.
   [[nodiscard]] CountingMatcher::Counters counters() const;
   void reset_counters();
 
  private:
-  /// Lazily created fan-out pool (shard_count() - 1 workers).
-  ThreadPool& pool();
-
-  std::vector<std::unique_ptr<CountingMatcher>> shards_;
+  CountingMatcher matcher_;
+  /// Contexts of workers 1..K-1; worker 0 uses the matcher's own.
+  std::vector<MatchContext> contexts_;
+  /// Lazily created fan-out pool (K - 1 workers).
   std::unique_ptr<ThreadPool> pool_;
-  /// Per-shard result rows reused across match_batch calls.
-  std::vector<std::vector<std::vector<SubscriptionId>>> batch_scratch_;
 };
-
-/// Builds one PruningEngine per shard of `engine`, wired to that shard's
-/// matcher, and registers each of `subs` with the engine owning its shard.
-/// Pruning each engine to a fraction of its own capacity approximates the
-/// global priority-queue schedule while keeping all index maintenance
-/// shard-local.
-///
-/// Most callers want the ShardedPruningSet wrapper (core/pruning_set.hpp),
-/// which owns these engines and routes unregister_subscription to the
-/// owning shard — raw use leaves unsubscribe routing to the caller.
-[[nodiscard]] std::vector<std::unique_ptr<PruningEngine>> make_sharded_pruning_engines(
-    ShardedEngine& engine, const SelectivityEstimator& estimator,
-    const PruneEngineConfig& config, const std::vector<Subscription*>& subs);
 
 }  // namespace dbsp

@@ -15,9 +15,8 @@ CentralizedResult run_centralized(const CentralizedConfig& config,
                                   PruneDimension dimension) {
   const AuctionDomain domain(config.workload);
 
-  // The broker under test is a PubSub facade: schema + sharded engine +
-  // per-shard pruning queues in one object (with shards == 1 this is the
-  // paper's single global queue).
+  // The broker under test is a PubSub facade: schema + engine + the
+  // paper's single global pruning queue in one object.
   PubSubOptions options;
   options.engine.shards = config.shards;
   options.pruning = true;

@@ -25,10 +25,9 @@ struct CentralizedConfig {
   /// Override of the §3.4 tie-break order (ablation A4); the paper's
   /// default order for the dimension when unset.
   std::optional<std::array<PruneDimension, 3>> tie_break_order;
-  /// Shards of the matching engine. 1 (the default) reproduces the paper's
-  /// single global priority queue exactly; >1 partitions subscriptions and
-  /// prunes each shard to the requested fraction of its own capacity; 0
-  /// resolves from DBSP_SHARDS / hardware concurrency.
+  /// Match workers of the engine; 0 resolves from DBSP_SHARDS / hardware
+  /// concurrency. Pruning always runs the paper's single global queue, so
+  /// no metric depends on it.
   std::size_t shards = 1;
 };
 

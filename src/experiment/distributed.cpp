@@ -42,9 +42,9 @@ DistributedResult run_distributed(const DistributedConfig& config,
                       sub_gen.next_tree());
   }
 
-  // One broker-owned pruning set per broker (one queue per shard inside)
-  // over the broker's remote routing entries (§2.2: pruning applies only
-  // to subscriptions from non-local clients). Enabled so any churn would
+  // One broker-owned pruning queue per broker over the broker's remote
+  // routing entries (§2.2: pruning applies only to subscriptions from
+  // non-local clients). Enabled so any churn would
   // stay in sync; the sweep itself is static.
   PruneEngineConfig engine_config;
   engine_config.dimension = dimension;

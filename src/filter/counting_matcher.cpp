@@ -22,10 +22,7 @@ bool CountingMatcher::contains(SubscriptionId id) const {
 
 void CountingMatcher::grow_predicate_arrays() {
   const std::size_t needed = registry_.capacity();
-  if (pred_slots_.size() < needed) {
-    pred_slots_.resize(needed);
-    pred_epoch_.resize(needed, 0);
-  }
+  if (pred_slots_.size() < needed) pred_slots_.resize(needed);
 }
 
 std::size_t CountingMatcher::checked_size(const Node& node) const {
@@ -100,17 +97,18 @@ void CountingMatcher::release_program(SubscriptionId id, std::uint32_t slot,
   }
 }
 
-bool CountingMatcher::run(const Instr* program, std::uint32_t pc) const {
+bool CountingMatcher::run(const Instr* program, std::uint32_t pc,
+                          const MatchContext& context) {
   const Instr op = program[pc];
   switch (op.kind) {
-    case NodeKind::Leaf: return pred_epoch_[op.arg] == epoch_;
-    case NodeKind::Not: return !run(program, pc + 1);
+    case NodeKind::Leaf: return context.pred_epoch_[op.arg] == context.epoch_;
+    case NodeKind::Not: return !run(program, pc + 1, context);
     case NodeKind::And:
     case NodeKind::Or: {
       // And stops at the first false child, Or at the first true one.
       const bool is_and = op.kind == NodeKind::And;
       for (std::uint32_t child = pc + 1; child < op.arg;) {
-        if (run(program, child) != is_and) return !is_and;
+        if (run(program, child, context) != is_and) return !is_and;
         const Instr next = program[child];
         child = next.kind == NodeKind::Leaf ? child + 1 : next.arg;
       }
@@ -123,7 +121,7 @@ bool CountingMatcher::run(const Instr* program, std::uint32_t pc) const {
 }
 
 void CountingMatcher::set_pmin(std::uint32_t slot, std::uint32_t pmin) {
-  std::uint32_t& current = slot_counter_[slot].pmin;
+  std::uint32_t& current = slot_pmin_[slot];
   const bool was_always = current == 0;
   const bool is_always = pmin == 0;
   current = pmin;
@@ -149,13 +147,13 @@ void CountingMatcher::add(Subscription& sub) {
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
-    slot_counter_.emplace_back();
+    slot_pmin_.emplace_back();
   }
   slot_by_id_.emplace(sub.id().value(), slot);
   slots_[slot] = Slot{};
   slots_[slot].sub = &sub;
   load_program(sub, slot, size);
-  slot_counter_[slot].pmin = 1;  // placeholder != 0 so set_pmin tracks the always list
+  slot_pmin_[slot] = 1;  // placeholder != 0 so set_pmin tracks the always list
   set_pmin(slot, sub.root().pmin());
   ++live_subs_;
 }
@@ -185,48 +183,62 @@ void CountingMatcher::reindex(Subscription& sub) {
   set_pmin(slot, sub.root().pmin());
 }
 
-void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out) {
-  ++epoch_;
-  ++counters_.events;
-  scratch_preds_.clear();
-  scratch_candidates_.clear();
+void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out,
+                            MatchContext& ctx) const {
+  // Size the context to the index; zeroed entries belong to no epoch.
+  if (ctx.pred_epoch_.size() < pred_slots_.size()) ctx.pred_epoch_.resize(pred_slots_.size());
+  if (ctx.slot_counter_.size() < slots_.size()) ctx.slot_counter_.resize(slots_.size());
+  if (++ctx.epoch_ == 0) {  // wrapped: no stale record may read as current
+    std::fill(ctx.pred_epoch_.begin(), ctx.pred_epoch_.end(), 0);
+    std::fill(ctx.slot_counter_.begin(), ctx.slot_counter_.end(), MatchContext::SlotCounter{});
+    ctx.epoch_ = 1;
+  }
+  const std::uint32_t epoch = ctx.epoch_;
+  ++ctx.counters_.events;
+  ctx.preds_.clear();
+  ctx.candidates_.clear();
 
   for (const auto& [attr, value] : event.pairs()) {
     if (attr.value() >= attr_index_.size()) continue;
-    attr_index_[attr.value()].collect(value, scratch_preds_);
+    attr_index_[attr.value()].collect(value, ctx.preds_);
   }
-  counters_.predicate_hits += scratch_preds_.size();
+  ctx.counters_.predicate_hits += ctx.preds_.size();
 
   if (pmin_trigger_) {
-    for (const PredicateId pid : scratch_preds_) {
-      pred_epoch_[pid.value()] = epoch_;
+    for (const PredicateId pid : ctx.preds_) {
+      ctx.pred_epoch_[pid.value()] = epoch;
       const auto& assoc = pred_slots_[pid.value()];
-      counters_.counter_increments += assoc.size();
+      ctx.counters_.counter_increments += assoc.size();
       for (const PredSub& entry : assoc) {
-        SlotCounter& c = slot_counter_[entry.slot];
-        if (c.epoch != epoch_) {
-          c.epoch = epoch_;
-          c.count = 0;
+        MatchContext::SlotCounter& c = ctx.slot_counter_[entry.slot];
+        if (c.epoch != epoch) {
+          c.epoch = epoch;
+          c.remaining = slot_pmin_[entry.slot];
         }
-        const std::uint32_t before = c.count;
-        c.count = before + entry.leaf_refs;
-        if (before < c.pmin && c.count >= c.pmin) scratch_candidates_.push_back(entry.slot);
+        // 0 left: already a candidate, or pmin == 0 (on the always list).
+        if (c.remaining == 0) continue;
+        if (c.remaining > entry.leaf_refs) {
+          c.remaining -= entry.leaf_refs;
+        } else {
+          c.remaining = 0;
+          ctx.candidates_.push_back(entry.slot);
+        }
       }
     }
-    for (const std::uint32_t slot : always_eval_) scratch_candidates_.push_back(slot);
+    for (const std::uint32_t slot : always_eval_) ctx.candidates_.push_back(slot);
   } else {
     // Ablation mode: mark fulfilled predicates, evaluate everything.
-    for (const PredicateId pid : scratch_preds_) pred_epoch_[pid.value()] = epoch_;
+    for (const PredicateId pid : ctx.preds_) ctx.pred_epoch_[pid.value()] = epoch;
     for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      if (slots_[slot].sub != nullptr) scratch_candidates_.push_back(slot);
+      if (slots_[slot].sub != nullptr) ctx.candidates_.push_back(slot);
     }
   }
 
-  counters_.tree_evaluations += scratch_candidates_.size();
-  for (const std::uint32_t slot : scratch_candidates_) {
+  ctx.counters_.tree_evaluations += ctx.candidates_.size();
+  for (const std::uint32_t slot : ctx.candidates_) {
     const Slot& s = slots_[slot];
-    if (run(s.program.data(), 0)) {
-      ++counters_.matches;
+    if (run(s.program.data(), 0, ctx)) {
+      ++ctx.counters_.matches;
       out.push_back(s.sub->id());
     }
   }

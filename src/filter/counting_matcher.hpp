@@ -16,6 +16,46 @@
 
 namespace dbsp {
 
+/// Introspection counters a MatchContext accumulates across matches.
+struct MatchCounters {
+  std::uint64_t events = 0;
+  std::uint64_t predicate_hits = 0;      ///< fulfilled predicates found by indexes
+  std::uint64_t counter_increments = 0;  ///< association counter bumps
+  std::uint64_t tree_evaluations = 0;    ///< Boolean trees evaluated
+  std::uint64_t matches = 0;             ///< subscriptions matched
+};
+
+/// Everything one match writes: the epoch, the per-predicate epochs, one
+/// counter record per slot, the scratch lists and the counters. The index
+/// (CountingMatcher) is only read while matching, so K contexts let K
+/// threads match against one index at once. A context's arrays grow
+/// lazily to the index they last matched against.
+class MatchContext {
+ public:
+  [[nodiscard]] const MatchCounters& counters() const { return counters_; }
+  void reset_counters() { counters_ = {}; }
+
+ private:
+  friend class CountingMatcher;
+  /// A slot's association counter for one event: the fulfilled leaves it
+  /// still needs before its tree is evaluated, seeded from the index's
+  /// pmin on the first touch of the epoch (stale epochs read as unseeded).
+  /// One 8-byte record per counter bump.
+  struct SlotCounter {
+    std::uint32_t epoch = 0;
+    std::uint32_t remaining = 0;
+  };
+
+  /// 0 belongs to no event; when the counter wraps, every record is reset
+  /// so that no stale epoch can read as current.
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> pred_epoch_;  // by predicate id
+  std::vector<SlotCounter> slot_counter_;  // by slot
+  std::vector<PredicateId> preds_;
+  std::vector<std::uint32_t> candidates_;
+  MatchCounters counters_;
+};
+
 /// The counting-based filtering engine for Boolean subscriptions
 /// (non-canonical algorithm of the paper's ref [2]).
 ///
@@ -30,18 +70,20 @@ namespace dbsp {
 ///
 /// The hot path is flat data: add() and reindex() compile each tree into a
 /// pre-order program of 8-byte ops that match() runs against the
-/// per-predicate epochs, and each slot's counter, counter epoch and pmin
-/// share one 16-byte record.
+/// per-predicate epochs, and each slot's counter and counter epoch share
+/// one 8-byte record in the MatchContext.
 ///
 /// The matcher does not own subscriptions; registered Subscription objects
 /// must outlive it and their addresses must be stable. Trees may only be
 /// mutated through the pruning engine, which calls reindex() afterwards;
 /// until then match() keeps evaluating the previously compiled tree.
 ///
-/// Not thread-safe: every member (including match(), which advances the
-/// epoch) mutates state and requires external synchronization. Distinct
-/// instances are independent — the property the sharded engine exploits by
-/// running one matcher per shard.
+/// Thread safety: add/remove/reindex mutate the index and need exclusive
+/// access. Matching reads the index only and writes a MatchContext, so
+/// concurrent match() calls are safe while no mutation runs, as long as
+/// each uses its own context — the property ShardedEngine exploits to fan
+/// a batch out over K workers. The two-argument match() uses the matcher's
+/// own context and is therefore single-caller.
 class CountingMatcher {
  public:
   explicit CountingMatcher(const Schema& schema);
@@ -60,9 +102,14 @@ class CountingMatcher {
   /// add(), keeping the previously compiled tree.
   void reindex(Subscription& sub);
 
-  /// Appends ids of all subscriptions matching `event`. Non-const: advances
-  /// the matcher epoch and touches counters.
-  void match(const Event& event, std::vector<SubscriptionId>& out);
+  /// Appends ids of all subscriptions matching `event`, in no particular
+  /// order, writing only `context`.
+  void match(const Event& event, std::vector<SubscriptionId>& out,
+             MatchContext& context) const;
+  /// Same, on the matcher's own context.
+  void match(const Event& event, std::vector<SubscriptionId>& out) {
+    match(event, out, context_);
+  }
 
   [[nodiscard]] bool contains(SubscriptionId id) const;
   [[nodiscard]] std::size_t subscription_count() const { return live_subs_; }
@@ -84,16 +131,12 @@ class CountingMatcher {
   void set_pmin_trigger(bool enabled) { pmin_trigger_ = enabled; }
   [[nodiscard]] bool pmin_trigger() const { return pmin_trigger_; }
 
-  /// Introspection counters accumulated across match() calls.
-  struct Counters {
-    std::uint64_t events = 0;
-    std::uint64_t predicate_hits = 0;      ///< fulfilled predicates found by indexes
-    std::uint64_t counter_increments = 0;  ///< association counter bumps
-    std::uint64_t tree_evaluations = 0;    ///< Boolean trees evaluated
-    std::uint64_t matches = 0;             ///< subscriptions matched
-  };
-  [[nodiscard]] const Counters& counters() const { return counters_; }
-  void reset_counters() { counters_ = {}; }
+  using Counters = MatchCounters;
+  /// The matcher's own context, which the two-argument match() writes.
+  [[nodiscard]] MatchContext& context() { return context_; }
+  /// Counters of the matcher's own context.
+  [[nodiscard]] const Counters& counters() const { return context_.counters(); }
+  void reset_counters() { context_.reset_counters(); }
 
  private:
   /// One op of a slot's compiled tree: the tree flattened in pre-order, so
@@ -112,14 +155,6 @@ class CountingMatcher {
     /// remove/reindex release (one predicate reference per leaf op).
     Program program;
   };
-  /// A slot's association counter with the epoch it belongs to (stale
-  /// epochs read as zero) and the pmin it must reach: one cache line per
-  /// counter bump.
-  struct SlotCounter {
-    std::uint64_t epoch = 0;
-    std::uint32_t count = 0;
-    std::uint32_t pmin = 0;
-  };
 
   [[nodiscard]] std::uint32_t slot_of(SubscriptionId id) const;
   /// Nodes in `node`'s tree. Throws std::out_of_range when a leaf's
@@ -131,7 +166,8 @@ class CountingMatcher {
   void load_program(const Subscription& sub, std::uint32_t slot, std::size_t size);
   void compile(const Node& node, SubscriptionId id, std::uint32_t slot, Program& program);
   void release_program(SubscriptionId id, std::uint32_t slot, const Program& program);
-  [[nodiscard]] bool run(const Instr* program, std::uint32_t pc) const;
+  [[nodiscard]] static bool run(const Instr* program, std::uint32_t pc,
+                                const MatchContext& context);
   void set_pmin(std::uint32_t slot, std::uint32_t pmin);
   void grow_predicate_arrays();
 
@@ -149,20 +185,16 @@ class CountingMatcher {
   PredicateRegistry registry_;
   std::vector<AttributeIndex> attr_index_;            // by attribute id
   std::vector<std::vector<PredSub>> pred_slots_;      // by predicate id
-  std::vector<std::uint64_t> pred_epoch_;             // by predicate id
 
   std::unordered_map<SubscriptionId::value_type, std::uint32_t> slot_by_id_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<SlotCounter> slot_counter_;   // by slot
+  std::vector<std::uint32_t> slot_pmin_;    // by slot
   std::vector<std::uint32_t> always_eval_;  // slots with pmin == 0
 
-  std::uint64_t epoch_ = 0;
   std::size_t live_subs_ = 0;
   bool pmin_trigger_ = true;
-  std::vector<PredicateId> scratch_preds_;
-  std::vector<std::uint32_t> scratch_candidates_;
-  Counters counters_;
+  MatchContext context_;
 };
 
 }  // namespace dbsp

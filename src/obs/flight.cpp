@@ -83,8 +83,6 @@ const char* to_string(TraceStage stage) {
       return "client_request";
     case TraceStage::kServerDispatch:
       return "server_dispatch";
-    case TraceStage::kShardMatch:
-      return "shard_match";
     case TraceStage::kMatch:
       return "match";
     case TraceStage::kDispatch:

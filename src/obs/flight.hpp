@@ -9,8 +9,8 @@
 /// GET /traces.
 ///
 /// Sampling is two-sided. Head sampling (1-in-N, obs::Sampler) decides
-/// *before* the event runs whether fine-grained spans (per-shard match,
-/// aggregation probe) are collected; it is the `sampled` flag that
+/// *before* the event runs whether fine-grained (`detailed_only`) spans
+/// are collected; it is the `sampled` flag that
 /// travels in the TraceContext so every hop of a head-sampled event traces
 /// in detail. Tail sampling catches what head sampling misses: every
 /// traced publish takes a handful of coarse timestamps, and a finished
@@ -92,12 +92,12 @@ struct TraceContext {
 [[nodiscard]] std::uint64_t next_span_id();
 
 /// The span taxonomy — every stage a traced event can cross. Wire-encoded
-/// as a u8, so append only. Values 2 and 3 are reserved (a retired
-/// aggregation probe and its fallback) and must never be reused.
+/// as a u8, so append only. Values 2, 3 and 4 are reserved (a retired
+/// aggregation probe, its fallback and a per-shard match) and must never
+/// be reused.
 enum class TraceStage : std::uint8_t {
   kClientRequest = 0,  ///< client: publish request sent -> reply received
   kServerDispatch = 1, ///< server io thread: frame decoded -> reply queued
-  kShardMatch = 4,     ///< one shard's match (detail: shard index)
   kMatch = 5,          ///< whole engine match phase
   kDispatch = 6,       ///< callback dispatch (detail: notifications)
   kPrune = 7,          ///< pruning maintenance (detail: prunings)
@@ -113,7 +113,7 @@ inline constexpr std::size_t kTraceStageCount = 12;
 /// Whether a raw stage byte names a TraceStage: below kTraceStageCount and
 /// not one of the reserved values.
 [[nodiscard]] constexpr bool is_trace_stage(std::uint8_t raw) {
-  return raw < kTraceStageCount && raw != 2 && raw != 3;
+  return raw < kTraceStageCount && (raw < 2 || raw > 4);
 }
 
 [[nodiscard]] const char* to_string(TraceStage stage);
@@ -126,7 +126,7 @@ struct TraceSpan {
   std::uint64_t parent_span = 0;  ///< 0, a sibling span, or the trace parent
   std::uint64_t start_us = 0;
   std::uint64_t duration_us = 0;
-  std::uint64_t detail = 0;  ///< stage-specific (shard, counts, bytes)
+  std::uint64_t detail = 0;  ///< stage-specific (counts, bytes, broker)
 };
 
 /// One completed trace entry: the spans one process recorded for one
@@ -157,7 +157,7 @@ class TraceBuilder {
   void begin(TraceContext context);
 
   [[nodiscard]] bool active() const { return context_.active(); }
-  /// Head-sampled: fine-grained spans (per-shard, agg probe) are worth
+  /// Head-sampled: fine-grained (`detailed_only`) spans are worth
   /// collecting. Coarse spans are collected for every active trace.
   [[nodiscard]] bool sampled() const { return context_.sampled; }
   [[nodiscard]] const TraceContext& context() const { return context_; }

@@ -3,14 +3,14 @@
 /// \file
 /// The unified metrics layer: a MetricsRegistry of named counters, gauges,
 /// and log-bucketed latency Histograms, shared by every instrumented layer
-/// (engine shards, state store, facade, network edge) and scraped into one
+/// (engine, state store, facade, network edge) and scraped into one
 /// snapshot for the three export paths (PubSub::metrics_json(), the
 /// kMetrics protocol verb, and dbspd's HTTP /metrics endpoint).
 ///
 /// Hot-path cost model: recording never takes a lock. A Counter is one
 /// relaxed fetch_add; a Histogram spreads its bucket counters over a small
 /// set of cache-line-aligned cells indexed by a per-thread stripe id, so
-/// concurrent recorders (the match_batch shard workers) never contend on
+/// concurrent recorders (e.g. several publishing threads) never contend on
 /// one line. All aggregation cost is paid at scrape time: snapshot() sums
 /// the stripes under the registry mutex after running the registered
 /// collection hooks (which fold pull-style sources — NetStats atomics,
@@ -48,7 +48,7 @@
 
 namespace dbsp::obs {
 
-/// Label set of one series, e.g. {{"shard", "0"}}. Order is preserved and
+/// Label set of one series, e.g. {{"stage", "match"}}. Order is preserved and
 /// significant for identity (instrumentation sites use a fixed order).
 using Labels = std::vector<std::pair<std::string, std::string>>;
 

@@ -204,7 +204,7 @@ ScenarioReport ScenarioRunner::run() {
 }
 
 ScenarioReport ScenarioRunner::run_centralized() {
-  // The system under soak is the public facade: schema, sharded engine and
+  // The system under soak is the public facade: schema, engine and
   // pruning queues all live inside one PubSub; churn goes through RAII
   // handles whose destruction releases engine and pruning state. With a
   // store directory configured, the PubSub opens durably and the
@@ -279,7 +279,7 @@ ScenarioReport ScenarioRunner::run_centralized() {
   ScenarioReport report;
   report.domain = std::string(domain_->name());
   report.mode = "centralized";
-  report.shards = pubsub->shard_count();
+  report.shards = pubsub->worker_count();
 
   std::vector<SubscriptionId> expected;
   std::size_t phase_index = 0;

@@ -46,7 +46,7 @@ enum class ScenarioTransport {
 struct ScenarioConfig {
   std::uint64_t seed = 42;
   std::size_t initial_subscriptions = 1000;
-  /// Matcher shards (centralized engine or each broker's engine).
+  /// Match workers (centralized engine or each broker's engine).
   std::size_t shards = 1;
   std::vector<ScenarioPhase> phases;
 
@@ -61,10 +61,10 @@ struct ScenarioConfig {
   // --- Pruning maintenance -------------------------------------------------
   bool pruning = true;
   PruneDimension dimension = PruneDimension::NetworkLoad;
-  /// Maintained continuously: after every churn tick each shard is pruned
+  /// Maintained continuously: after every churn tick the table is pruned
   /// back up to this fraction of its live capacity.
   double prune_fraction = 0.5;
-  /// Per-shard table mutations before the drift trigger retrains the
+  /// Table mutations before the drift trigger retrains the
   /// selectivity stats and re-scores queued candidates (0 = off).
   std::size_t drift_threshold = 200;
 
@@ -144,7 +144,7 @@ struct ScenarioReport {
   std::string mode;  ///< "centralized", "overlay", or "sockets"
   std::size_t shards = 0;
   std::vector<ScenarioPhaseReport> phases;
-  /// Aggregated pruning maintenance counters (all shards / brokers).
+  /// Aggregated pruning maintenance counters (all brokers).
   PruningEngine::MaintenanceCounters maintenance;
   /// Full registry scrape (obs::to_json) captured after the last phase.
   /// Empty in overlay mode (no single facade) or with metrics disabled.

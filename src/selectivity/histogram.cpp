@@ -3,11 +3,19 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "routing/codec.hpp"
 
 namespace dbsp {
+
+namespace {
+
+/// Top bit of a saved total: infinite-tail counts follow the bins.
+constexpr std::uint64_t kTailsFlag = std::uint64_t{1} << 63;
+
+}  // namespace
 
 void NumericHistogram::add(double v) {
   assert(!finalized_);
@@ -19,12 +27,26 @@ void NumericHistogram::finalize() {
   finalized_ = true;
   total_ = pending_.size();
   if (pending_.empty()) return;
-  const auto [mn, mx] = std::minmax_element(pending_.begin(), pending_.end());
-  lo_ = *mn;
-  hi_ = *mx;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double lo = kInf;
+  double hi = -kInf;
+  for (const double v : pending_) {
+    if (v == -kInf) {
+      ++neg_inf_;
+    } else if (v == kInf) {
+      ++pos_inf_;
+    } else if (!std::isnan(v)) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+  }
+  // No finite value: keep a valid empty geometry so load() accepts it.
+  lo_ = lo <= hi ? lo : 0.0;
+  hi_ = lo <= hi ? hi : 0.0;
   if (hi_ <= lo_) hi_ = lo_ + 1.0;
   width_ = (hi_ - lo_) / static_cast<double>(counts_.size());
   for (const double v : pending_) {
+    if (!std::isfinite(v)) continue;
     auto bin = static_cast<std::size_t>((v - lo_) / width_);
     bin = std::min(bin, counts_.size() - 1);
     ++counts_[bin];
@@ -35,16 +57,26 @@ void NumericHistogram::finalize() {
 
 void NumericHistogram::save(WireWriter& out) const {
   if (!finalized_) throw std::logic_error("histogram: save before finalize()");
-  out.put_u64(total_);
+  // The top bit of the total flags the infinite tails, which follow the
+  // bins. A sample without infinities encodes exactly as it did before
+  // tails existed, so such blobs stay readable in both directions.
+  const bool tails = neg_inf_ + pos_inf_ > 0;
+  out.put_u64(tails ? total_ | kTailsFlag : total_);
   out.put_f64(lo_);
   out.put_f64(hi_);
   out.put_f64(width_);
   out.put_u32(static_cast<std::uint32_t>(counts_.size()));
   for (const std::uint64_t c : counts_) out.put_u64(c);
+  if (tails) {
+    out.put_u64(neg_inf_);
+    out.put_u64(pos_inf_);
+  }
 }
 
 void NumericHistogram::load(WireReader& in) {
-  const std::uint64_t total = in.get_u64();
+  const std::uint64_t flagged_total = in.get_u64();
+  const bool tails = (flagged_total & kTailsFlag) != 0;
+  const std::uint64_t total = flagged_total & ~kTailsFlag;
   const double lo = in.get_f64();
   const double hi = in.get_f64();
   const double width = in.get_f64();
@@ -71,7 +103,14 @@ void NumericHistogram::load(WireReader& in) {
   }
   std::vector<std::uint64_t> counts(bins);
   for (auto& c : counts) c = in.get_u64();
+  const std::uint64_t neg_inf = tails ? in.get_u64() : 0;
+  const std::uint64_t pos_inf = tails ? in.get_u64() : 0;
+  if (neg_inf > total || pos_inf > total - neg_inf) {
+    throw WireError("histogram: infinite tails exceed total");
+  }
   total_ = total;
+  neg_inf_ = neg_inf;
+  pos_inf_ = pos_inf;
   lo_ = lo;
   hi_ = hi;
   width_ = width;
@@ -82,9 +121,21 @@ void NumericHistogram::load(WireReader& in) {
 
 double NumericHistogram::cumulative_below(double x, bool inclusive) const {
   assert(finalized_);
-  if (total_ == 0) return 0.0;
-  if (x < lo_ || (x == lo_ && !inclusive)) return 0.0;
-  if (x >= hi_) return 1.0;
+  if (total_ == 0 || std::isnan(x)) return 0.0;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // −inf lies below every x but itself; +inf is at most +inf.
+  std::uint64_t tails = 0;
+  if (x > -kInf || inclusive) tails += neg_inf_;
+  if (x == kInf && inclusive) tails += pos_inf_;
+  const auto fraction = [&](double binned) {
+    return (static_cast<double>(tails) + binned) / static_cast<double>(total_);
+  };
+  if (x < lo_ || (x == lo_ && !inclusive)) return fraction(0.0);
+  if (x >= hi_) {
+    std::uint64_t binned = 0;
+    for (const std::uint64_t c : counts_) binned += c;
+    return fraction(static_cast<double>(binned));
+  }
   // Compare in the double domain before casting: a float->size_t cast of a
   // value past SIZE_MAX is UB, so the clamp must come first.
   const double offset = (x - lo_) / width_;
@@ -95,7 +146,7 @@ double NumericHistogram::cumulative_below(double x, bool inclusive) const {
   for (std::size_t i = 0; i < bin; ++i) below += counts_[i];
   const double in_bin_fraction = offset - static_cast<double>(bin);
   const double partial = static_cast<double>(counts_[bin]) * in_bin_fraction;
-  return (static_cast<double>(below) + partial) / static_cast<double>(total_);
+  return fraction(static_cast<double>(below) + partial);
 }
 
 double NumericHistogram::fraction_less(double x) const {
@@ -105,11 +156,13 @@ double NumericHistogram::fraction_less(double x) const {
 double NumericHistogram::fraction_less_equal(double x) const {
   // Uniform-within-bin interpolation cannot distinguish < from <=; nudge by
   // half a bin-width ULP so point masses at bin edges are not lost entirely.
+  // An infinite x needs no nudge (and +inf must not step down to the max).
+  if (std::isinf(x)) return cumulative_below(x, /*inclusive=*/true);
   return cumulative_below(std::nextafter(x, hi_ + 1.0), /*inclusive=*/true);
 }
 
 double NumericHistogram::fraction_between(double lo, double hi) const {
-  if (hi < lo) return 0.0;
+  if (!(lo <= hi)) return 0.0;  // also a NaN bound: IEEE, no value fits
   return std::max(0.0, fraction_less_equal(hi) - fraction_less(lo));
 }
 

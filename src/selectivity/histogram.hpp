@@ -13,7 +13,9 @@ class WireReader;
 
 /// Equi-width histogram over a numeric attribute, trained on sample values.
 /// Range queries interpolate uniformly within bins — the standard
-/// System-R-style estimator.
+/// System-R-style estimator. Bins span the finite values only: −inf and
+/// +inf are counted apart and compare as IEEE orders them, and NaN counts
+/// in total() but fulfils no range (IEEE, as Predicate::matches_value).
 class NumericHistogram {
  public:
   explicit NumericHistogram(std::size_t bins = 64) : counts_(bins, 0) {}
@@ -48,6 +50,8 @@ class NumericHistogram {
   double hi_ = 0.0;
   double width_ = 0.0;
   std::uint64_t total_ = 0;
+  std::uint64_t neg_inf_ = 0;  ///< sample values equal to −inf
+  std::uint64_t pos_inf_ = 0;  ///< sample values equal to +inf
   bool finalized_ = false;
 };
 

@@ -2,10 +2,12 @@
 // semantics, the Status/Result error channel, and — the lifetime matrix —
 // moved-from handles, double release, handles outliving the PubSub (a
 // detectable error, never UB), and automatic pruning-state release on
-// handle drop under 1 and 8 shards.
+// handle drop under 1, 2 and 8 match workers, pruned tables that do not
+// depend on the worker count, and training on NaN-valued events.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -208,7 +210,7 @@ TEST_P(PubSubPruningTest, HandleDropReleasesPruningState) {
   options.pruning = true;
   options.prune.dimension = PruneDimension::MemoryUsage;
   PubSub pubsub(market_schema(), options);
-  EXPECT_EQ(pubsub.shard_count(), GetParam());
+  EXPECT_EQ(pubsub.worker_count(), GetParam());
 
   // A small training sample so candidate scores are non-degenerate.
   std::vector<Event> sample;
@@ -285,10 +287,80 @@ TEST_P(PubSubPruningTest, SetPruneDimensionRebuildsOverCurrentTrees) {
   EXPECT_TRUE(pubsub.prune(2).ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, PubSubPruningTest, ::testing::Values(1u, 8u),
+INSTANTIATE_TEST_SUITE_P(Workers, PubSubPruningTest, ::testing::Values(1u, 2u, 8u),
                          [](const auto& info) {
-                           return "shards" + std::to_string(info.param);
+                           return "workers" + std::to_string(info.param);
                          });
+
+TEST(PubSubWorkersTest, PrunedTableDoesNotDependOnWorkerCount) {
+  // The facade prunes from one global queue: after prune_to_fraction(0.5)
+  // every subscription's tree, and every batch delivery, is the same at 1,
+  // 2 and 8 workers.
+  auto run = [](std::size_t workers) {
+    PubSubOptions options;
+    options.engine.shards = workers;
+    options.pruning = true;
+    PubSub pubsub(market_schema(), options);
+    std::vector<Event> sample;
+    for (int i = 0; i < 200; ++i) {
+      sample.push_back(tick(pubsub, i % 3 == 0 ? "ACME" : "INIT",
+                            static_cast<double>(i % 97), (i * 7) % 150));
+    }
+    EXPECT_TRUE(pubsub.train(sample).ok());
+    std::vector<SubscriptionHandle> handles;
+    for (int i = 0; i < 120; ++i) {
+      const double lo = static_cast<double>(i % 80);
+      handles.push_back(pubsub
+                            .subscribe((where("sym").eq(i % 2 == 0 ? "ACME" : "INIT") ||
+                                        where("volume").gt(100 + i % 40)) &&
+                                       where("price").between(lo, lo + 5 + i % 20) &&
+                                       where("volume").ge(i % 60))
+                            .value());
+    }
+    EXPECT_GT(pubsub.prune_to_fraction(0.5).value(), 0u);
+    std::vector<std::string> trees;
+    for (const auto& h : handles) trees.push_back(pubsub.subscription_text(h.id()).value());
+    trees.push_back(std::to_string(pubsub.publish_batch(sample)));
+    return trees;
+  };
+  const auto one = run(1);
+  EXPECT_EQ(run(2), one);
+  EXPECT_EQ(run(8), one);
+}
+
+TEST(PubSubWorkersTest, TrainingOnNaNValuesKeepsPruningUsable) {
+  // A NaN price in the training sample must not poison the statistics:
+  // subscribe and prune_to_fraction still run, and pruning only generalizes.
+  PubSubOptions options;
+  options.engine.shards = 2;
+  options.pruning = true;
+  PubSub pubsub(market_schema(), options);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Event> sample;
+  sample.push_back(tick(pubsub, "ACME", nan, 1));
+  for (int i = 0; i < 50; ++i) {
+    sample.push_back(tick(pubsub, "ACME", static_cast<double>(i), i));
+  }
+  sample.push_back(tick(pubsub, "INIT", nan, 2));
+  ASSERT_TRUE(pubsub.train(sample).ok());
+
+  std::vector<SubscriptionHandle> handles;
+  for (int i = 0; i < 20; ++i) {
+    handles.push_back(pubsub
+                          .subscribe(where("sym").eq("ACME") &&
+                                     where("price").lt(static_cast<double>(i + 10)) &&
+                                     where("volume").ge(i))
+                          .value());
+  }
+  std::vector<std::size_t> before;
+  for (const Event& e : sample) before.push_back(pubsub.publish(e));
+  const auto pruned = pubsub.prune_to_fraction(0.5);
+  ASSERT_TRUE(pruned.ok());
+  EXPECT_GT(pruned.value(), 0u);
+  for (std::size_t e = 0; e < sample.size(); ++e) {
+    EXPECT_GE(pubsub.publish(sample[e]), before[e]) << "event " << e;
+  }
+}
 
 }  // namespace
 }  // namespace dbsp

@@ -65,6 +65,42 @@ TEST_F(CountingMatcherTest, SharedPredicateEvaluatedOnceAndCountedPerSub) {
   EXPECT_EQ(hits, (std::vector<SubscriptionId>{SubscriptionId(1), SubscriptionId(2)}));
 }
 
+TEST_F(CountingMatcherTest, ExternalContextsGrowWithTheIndexAndStayApart) {
+  CountingMatcher m(schema_);
+  auto s1 = sub(1, "price < 10 and category = 'art'");
+  m.add(*s1);
+  const Event e = EventBuilder(schema_)
+                      .with("price", 5.0)
+                      .with("category", "art")
+                      .with("year", 2000)
+                      .build();
+  MatchContext a;
+  MatchContext b;
+  std::vector<SubscriptionId> out;
+  m.match(e, out, a);
+  EXPECT_EQ(out, std::vector<SubscriptionId>{SubscriptionId(1)});
+
+  // Slots and predicates added after a context last ran: it grows to them.
+  auto s2 = sub(2, "year > 1990 and price < 10 and category != 'toys'");
+  auto s3 = sub(3, "year < 1990");
+  m.add(*s2);
+  m.add(*s3);
+  out.clear();
+  m.match(e, out, a);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<SubscriptionId>{SubscriptionId(1), SubscriptionId(2)}));
+  out.clear();
+  m.match(e, out, b);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<SubscriptionId>{SubscriptionId(1), SubscriptionId(2)}));
+
+  // Each context counts its own matches; the matcher's own saw none.
+  EXPECT_EQ(a.counters().events, 2u);
+  EXPECT_EQ(a.counters().matches, 3u);
+  EXPECT_EQ(b.counters().events, 1u);
+  EXPECT_EQ(m.counters().events, 0u);
+}
+
 TEST_F(CountingMatcherTest, PminTriggerSkipsHopelessSubscriptions) {
   CountingMatcher m(schema_);
   auto s = sub(1, "category = 'art' and price < 10 and year > 1990");  // pmin = 3

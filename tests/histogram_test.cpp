@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "routing/codec.hpp"
+
 namespace dbsp {
 namespace {
 
@@ -51,6 +57,91 @@ TEST(NumericHistogramTest, SkewedDataRespectsMass) {
   // The point mass at 100 sits at the far edge of the last bin; query from
   // an empty region so uniform-within-bin interpolation cannot smear it.
   EXPECT_NEAR(h.fraction_between(90.0, 101.0), 0.1, 0.02);
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+NumericHistogram trained(const std::vector<double>& sample, std::size_t bins = 8) {
+  NumericHistogram h(bins);
+  for (const double v : sample) h.add(v);
+  h.finalize();
+  return h;
+}
+
+TEST(NumericHistogramTest, NaNCountsInTotalButFulfilsNoRange) {
+  // NaN first or last used to become a bin bound, and its float->size_t
+  // cast was undefined behaviour.
+  for (const auto& sample : {std::vector<double>{kNaN, 1, 2, 3, 4},
+                             std::vector<double>{1, 2, 3, 4, kNaN}}) {
+    const NumericHistogram h = trained(sample);
+    EXPECT_EQ(h.total(), 5u);
+    EXPECT_DOUBLE_EQ(h.fraction_less(0.0), 0.0);
+    EXPECT_DOUBLE_EQ(h.fraction_less(10.0), 0.8);
+    EXPECT_DOUBLE_EQ(h.fraction_less_equal(kInf), 0.8);
+    EXPECT_DOUBLE_EQ(h.fraction_between(0.0, 10.0), 0.8);
+    EXPECT_NEAR(h.fraction_less(2.5), 0.4, 0.05);
+    // A NaN query bound fulfils nothing either.
+    EXPECT_DOUBLE_EQ(h.fraction_less(kNaN), 0.0);
+    EXPECT_DOUBLE_EQ(h.fraction_less_equal(kNaN), 0.0);
+    EXPECT_DOUBLE_EQ(h.fraction_between(kNaN, 10.0), 0.0);
+    EXPECT_DOUBLE_EQ(h.fraction_between(0.0, kNaN), 0.0);
+  }
+}
+
+TEST(NumericHistogramTest, InfinitiesLieOutsideTheBins) {
+  const NumericHistogram h = trained({-kInf, 1, 2, 3, 4, kInf});
+  EXPECT_EQ(h.total(), 6u);
+  // −inf is below every x but itself; +inf above every x but itself.
+  EXPECT_DOUBLE_EQ(h.fraction_less(-kInf), 0.0);
+  EXPECT_DOUBLE_EQ(h.fraction_less_equal(-kInf), 1.0 / 6);
+  EXPECT_DOUBLE_EQ(h.fraction_less(-1e300), 1.0 / 6);
+  EXPECT_DOUBLE_EQ(h.fraction_less(0.0), 1.0 / 6);
+  EXPECT_DOUBLE_EQ(h.fraction_less(10.0), 5.0 / 6);
+  EXPECT_DOUBLE_EQ(h.fraction_less(1e300), 5.0 / 6);
+  EXPECT_DOUBLE_EQ(h.fraction_less(kInf), 5.0 / 6);
+  EXPECT_DOUBLE_EQ(h.fraction_less_equal(kInf), 1.0);
+  // The bins span the finite values alone, so they keep their resolution.
+  EXPECT_NEAR(h.fraction_between(1.0, 2.5), 2.0 / 6, 0.05);
+  EXPECT_DOUBLE_EQ(h.fraction_between(-kInf, kInf), 1.0);
+}
+
+TEST(NumericHistogramTest, OnlyNonFiniteValues) {
+  const NumericHistogram h = trained({kNaN, kInf, -kInf, kNaN});
+  EXPECT_EQ(h.total(), 4u);
+  EXPECT_DOUBLE_EQ(h.fraction_less(0.0), 0.25);
+  EXPECT_DOUBLE_EQ(h.fraction_less_equal(kInf), 0.5);
+  EXPECT_DOUBLE_EQ(h.fraction_between(-1.0, 1.0), 0.0);
+}
+
+TEST(NumericHistogramTest, SaveLoadKeepsTheInfiniteTails) {
+  const NumericHistogram h = trained({-kInf, 1, 2, kNaN, 3, 4, kInf, kInf});
+  WireWriter out;
+  h.save(out);
+  WireReader in(out.bytes());
+  NumericHistogram back(8);
+  back.load(in);
+  EXPECT_TRUE(in.exhausted());
+  EXPECT_EQ(back.total(), h.total());
+  for (const double x : {-kInf, -1.0, 1.5, 3.0, 10.0, kInf}) {
+    EXPECT_DOUBLE_EQ(back.fraction_less(x), h.fraction_less(x)) << x;
+    EXPECT_DOUBLE_EQ(back.fraction_less_equal(x), h.fraction_less_equal(x)) << x;
+  }
+  // Without infinities the encoding has no tail: total, lo, hi, width,
+  // bin count and the bins, as before tails existed.
+  WireWriter finite;
+  trained({1, 2, kNaN}).save(finite);
+  EXPECT_EQ(finite.bytes().size(), 4 * 8 + 4 + 8 * 8u);
+}
+
+TEST(NumericHistogramTest, LoadRejectsTailsPastTheTotal) {
+  WireWriter out;
+  trained({-kInf, 1, 2, kInf}).save(out);
+  std::vector<std::uint8_t> bytes(out.bytes().begin(), out.bytes().end());
+  bytes[bytes.size() - 1] = 0x7f;  // +inf count's top byte (little endian)
+  WireReader in(bytes);
+  NumericHistogram h(8);
+  EXPECT_THROW(h.load(in), WireError);
 }
 
 TEST(ValueCountsTest, ExactFractions) {

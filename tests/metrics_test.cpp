@@ -376,14 +376,13 @@ TEST(FacadeMetricsTest, RegistryAgreesWithLegacyCountersAfterSoak) {
   EXPECT_DOUBLE_EQ(s.value("dbsp_durable"), 0.0);
 
   // With every publish head-sampled, each one contributes one match and
-  // one dispatch span to dbsp_stage_us, and one shard_match span per shard.
+  // one dispatch span to dbsp_stage_us.
   const auto stage_count = [&s](const char* stage) -> std::uint64_t {
     const MetricSnapshot* m = s.find("dbsp_stage_us", {{"stage", stage}});
     return m != nullptr ? m->histogram.count : 0;
   };
   EXPECT_EQ(stage_count("match"), published);
   EXPECT_EQ(stage_count("dispatch"), published);
-  EXPECT_EQ(stage_count("shard_match"), published * 4);
 
   // reset_counters() must not make exported counters go backwards.
   pubsub.reset_counters();

@@ -377,20 +377,17 @@ TEST(NetE2eTest, MetricsVerbHttpAndFacadeAgree) {
   EXPECT_EQ(facade.value("dbsp_subscriptions"), 5.0);
 
   // Per-stage histograms in all three exports: every (head-sampled)
-  // publish records one match span and visits each of the 2 shards once.
-  for (const auto& [stage, expected] :
-       {std::pair<std::string, std::uint64_t>{"match", kEvents},
-        {"shard_match", kEvents * 2}}) {
-    const obs::Labels labels = {{"stage", stage}};
+  // publish records one match span.
+  {
+    const obs::Labels labels = {{"stage", "match"}};
     const obs::MetricSnapshot* fm = facade.find("dbsp_stage_us", labels);
-    ASSERT_NE(fm, nullptr) << stage;
-    EXPECT_EQ(fm->histogram.count, expected) << stage;
+    ASSERT_NE(fm, nullptr);
+    EXPECT_EQ(fm->histogram.count, kEvents);
     const obs::MetricSnapshot* vm = verb.value().find("dbsp_stage_us", labels);
-    ASSERT_NE(vm, nullptr) << stage;
-    EXPECT_EQ(vm->histogram.count, fm->histogram.count) << stage;
-    EXPECT_EQ(prom_value(http, "dbsp_stage_us_count{stage=\"" + stage + "\"}"),
-              static_cast<double>(fm->histogram.count))
-        << stage;
+    ASSERT_NE(vm, nullptr);
+    EXPECT_EQ(vm->histogram.count, fm->histogram.count);
+    EXPECT_EQ(prom_value(http, "dbsp_stage_us_count{stage=\"match\"}"),
+              static_cast<double>(fm->histogram.count));
   }
 
   // WAL lag and the net write-queue high-water are visible everywhere

@@ -1,6 +1,7 @@
 // ShardedPruningSet + PruningEngine adaptive maintenance: incremental
-// admission/release routing, capacity accounting under churn, lazy queue
-// compaction, and the drift trigger (retrain + rescore_all).
+// admission/release, capacity accounting under churn, lazy queue
+// compaction, the drift trigger (retrain + rescore_all), and one global
+// queue whose choices do not depend on the engine's worker count.
 
 #include "core/pruning_set.hpp"
 
@@ -11,11 +12,13 @@
 
 #include "core/candidates.hpp"
 #include "selectivity/estimator.hpp"
+#include "selectivity/exact.hpp"
 #include "test_util.hpp"
 
 namespace dbsp {
 namespace {
 
+using test::clone_corpus;
 using test::Corpus;
 using test::MiniDomain;
 using test::make_corpus;
@@ -29,33 +32,26 @@ class PruningSetTest : public ::testing::Test {
   PruneEngineConfig config_;
 };
 
-TEST_F(PruningSetTest, RoutesAddRemoveToOwningShard) {
+TEST_F(PruningSetTest, AdmitsAndReleasesOnTheGlobalQueue) {
   std::mt19937_64 rng(7);
   Corpus corpus = make_corpus(dom_, rng, 40, 0.1);
   ShardedEngine engine(dom_.schema(), {.shards = 4});
   for (auto& s : corpus.subs) engine.add(*s);
 
   ShardedPruningSet set(engine, estimator_, config_, corpus.pointers());
-  EXPECT_EQ(set.shard_count(), 4u);
   EXPECT_EQ(set.subscription_count(), corpus.subs.size());
-  for (const auto& s : corpus.subs) {
-    EXPECT_TRUE(set.tracks(s->id()));
-    EXPECT_TRUE(set.shard(engine.shard_of(s->id())).contains(s->id()));
-  }
+  for (const auto& s : corpus.subs) EXPECT_TRUE(set.contains(s->id()));
 
   const SubscriptionId victim = corpus.subs[11]->id();
-  EXPECT_TRUE(set.remove(victim));
-  EXPECT_FALSE(set.tracks(victim));
-  EXPECT_FALSE(set.remove(victim));  // already released: clean no-op
+  set.unregister_subscription(victim);
+  EXPECT_FALSE(set.contains(victim));
+  set.unregister_subscription(victim);  // already released: clean no-op
   EXPECT_EQ(set.subscription_count(), corpus.subs.size() - 1);
+  EXPECT_EQ(set.maintenance().releases, 1u);
 
   // Pruning to exhaustion never touches the released subscription.
   set.prune(100000);
-  for (std::size_t sh = 0; sh < set.shard_count(); ++sh) {
-    for (const auto& applied : set.shard(sh).history()) {
-      EXPECT_NE(applied.sub, victim);
-    }
-  }
+  for (const auto& applied : set.history()) EXPECT_NE(applied.sub, victim);
 }
 
 TEST_F(PruningSetTest, ReleaseRollsBackCapacityAndPerformed) {
@@ -77,7 +73,7 @@ TEST_F(PruningSetTest, ReleaseRollsBackCapacityAndPerformed) {
   ASSERT_NE(victim, nullptr);
   const std::size_t cap = internal_prunings(victim->root());
   const std::size_t possible_before = set.total_possible();
-  ASSERT_TRUE(set.remove(victim->id()));
+  set.unregister_subscription(victim->id());
   EXPECT_EQ(set.total_possible(), possible_before - cap);
 
   // Release after pruning: the victim's applied prunings are rolled back
@@ -86,24 +82,20 @@ TEST_F(PruningSetTest, ReleaseRollsBackCapacityAndPerformed) {
   const std::size_t performed_before = set.performed();
   Subscription* pruned_victim = nullptr;
   std::size_t victim_performed = 0;
-  for (std::size_t sh = 0; sh < set.shard_count() && pruned_victim == nullptr; ++sh) {
-    for (const auto& applied : set.shard(sh).history()) {
-      if (applied.sub != victim->id()) {
-        for (const auto& s : corpus.subs) {
-          if (s->id() == applied.sub) pruned_victim = s.get();
-        }
-        break;
+  for (const auto& applied : set.history()) {
+    if (applied.sub != victim->id()) {
+      for (const auto& s : corpus.subs) {
+        if (s->id() == applied.sub) pruned_victim = s.get();
       }
+      break;
     }
   }
   ASSERT_NE(pruned_victim, nullptr);
-  for (std::size_t sh = 0; sh < set.shard_count(); ++sh) {
-    for (const auto& applied : set.shard(sh).history()) {
-      if (applied.sub == pruned_victim->id()) ++victim_performed;
-    }
+  for (const auto& applied : set.history()) {
+    if (applied.sub == pruned_victim->id()) ++victim_performed;
   }
   ASSERT_GT(victim_performed, 0u);
-  ASSERT_TRUE(set.remove(pruned_victim->id()));
+  set.unregister_subscription(pruned_victim->id());
   EXPECT_EQ(set.performed(), performed_before - victim_performed);
 
   // A later full prune still terminates and performed() never exceeds the
@@ -132,7 +124,7 @@ TEST_F(PruningSetTest, AdmissionIsIncrementalAndNeverRebuilds) {
   m = set.maintenance();
   EXPECT_EQ(m.admissions, corpus.subs.size() + 1);
   EXPECT_EQ(m.full_rescores, 0u);
-  EXPECT_TRUE(set.tracks(SubscriptionId(1000)));
+  EXPECT_TRUE(set.contains(SubscriptionId(1000)));
 }
 
 TEST_F(PruningSetTest, HeavyChurnCompactsTheQueueWithoutRescoring) {
@@ -145,7 +137,7 @@ TEST_F(PruningSetTest, HeavyChurnCompactsTheQueueWithoutRescoring) {
   // Release the bulk of the population: dead queue entries pile up until
   // the lazy sweep kicks in.
   for (std::size_t i = 0; i < 250; ++i) {
-    ASSERT_TRUE(set.remove(corpus.subs[i]->id()));
+    set.unregister_subscription(corpus.subs[i]->id());
     engine.remove(corpus.subs[i]->id());
   }
   const auto m = set.maintenance();
@@ -158,7 +150,7 @@ TEST_F(PruningSetTest, HeavyChurnCompactsTheQueueWithoutRescoring) {
   EXPECT_EQ(set.performed(), set.total_possible());
 }
 
-TEST_F(PruningSetTest, DriftTriggerCountsMutationsPerShard) {
+TEST_F(PruningSetTest, DriftTriggerCountsMutations) {
   std::mt19937_64 rng(19);
   Corpus corpus = make_corpus(dom_, rng, 20, 0.0);
   ShardedEngine engine(dom_.schema(), {.shards = 1});
@@ -170,12 +162,12 @@ TEST_F(PruningSetTest, DriftTriggerCountsMutationsPerShard) {
   EXPECT_FALSE(set.drift_pending());
 
   for (std::size_t i = 0; i < 5; ++i) {
-    set.remove(corpus.subs[i]->id());
+    set.unregister_subscription(corpus.subs[i]->id());
     engine.remove(corpus.subs[i]->id());
   }
   EXPECT_FALSE(set.drift_pending());  // 5 mutations < 10
   for (std::size_t i = 5; i < 10; ++i) {
-    set.remove(corpus.subs[i]->id());
+    set.unregister_subscription(corpus.subs[i]->id());
     engine.remove(corpus.subs[i]->id());
   }
   EXPECT_TRUE(set.drift_pending());  // 10 mutations
@@ -183,6 +175,49 @@ TEST_F(PruningSetTest, DriftTriggerCountsMutationsPerShard) {
   set.rescore_all();
   EXPECT_FALSE(set.drift_pending());
   EXPECT_EQ(set.maintenance().full_rescores, 1u);
+}
+
+TEST(PruningSetWorkersTest, PrunedTreesAndHistoryDoNotDependOnWorkerCount) {
+  // One global queue: the same corpus pruned to half its capacity picks the
+  // same prunings in the same order, and leaves the same trees and the
+  // same batch matches, at 1, 2 and 8 match workers.
+  MiniDomain dom(5, 16);
+  std::mt19937_64 rng(23);
+  const Corpus corpus = make_corpus(dom, rng, 200, 0.1);
+  const auto events = dom.random_events(rng, 200);
+  const SelectivityEstimator estimator(
+      [&events](const Predicate& p) { return measured_selectivity(p, events); });
+
+  struct Outcome {
+    std::vector<SubscriptionId> order;
+    std::vector<double> ratings;
+    std::vector<std::string> trees;
+    std::vector<std::vector<SubscriptionId>> matches;
+  };
+  auto run = [&](std::size_t workers) {
+    Corpus copy = clone_corpus(corpus);
+    ShardedEngine engine(dom.schema(), {.shards = workers});
+    for (auto& s : copy.subs) engine.add(*s);
+    ShardedPruningSet set(engine, estimator, PruneEngineConfig{}, copy.pointers());
+    EXPECT_GT(set.prune_to_fraction(0.5), 0u);
+    Outcome out;
+    for (const auto& applied : set.history()) {
+      out.order.push_back(applied.sub);
+      out.ratings.push_back(applied.scores.sel_degradation);
+    }
+    for (const auto& s : copy.subs) out.trees.push_back(s->to_string(dom.schema()));
+    out.matches = engine.match_batch(events);
+    return out;
+  };
+
+  const Outcome one = run(1);
+  for (const std::size_t workers : {2u, 8u}) {
+    const Outcome other = run(workers);
+    EXPECT_EQ(other.order, one.order) << workers << " workers";
+    EXPECT_EQ(other.ratings, one.ratings) << workers << " workers";
+    EXPECT_EQ(other.trees, one.trees) << workers << " workers";
+    EXPECT_EQ(other.matches, one.matches) << workers << " workers";
+  }
 }
 
 TEST(PruningSetRescoreTest, RescoreAllReordersQueueAfterEstimatorChange) {
@@ -218,7 +253,7 @@ TEST(PruningSetRescoreTest, RescoreAllReordersQueueAfterEstimatorChange) {
     sel[1] = 0.999;
     if (rescore) set.rescore_all();
     set.prune(1);
-    return set.shard(0).history().front().sub;
+    return set.history().front().sub;
   };
 
   // Stale queue: the pre-drift ordering still applies subscription 1 first.

@@ -1,7 +1,7 @@
 // Scenario subsystem: randomized subscribe/unsubscribe/prune/publish
 // interleavings checked against NaiveMatcher on fresh trees, the
 // ScenarioRunner soak (churn + flash crowd + pruning) on all three
-// domains at N ∈ {1, 4} shards, and the overlay variant asserting the
+// domains at K ∈ {1, 4} match workers, and the overlay variant asserting the
 // notification log is exact after churn.
 
 #include "scenario/scenario_runner.hpp"
@@ -28,12 +28,12 @@ using test::MiniDomain;
 class InterleavingTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(InterleavingTest, RandomOpsMatchNaiveMatcherOnFreshTrees) {
-  const std::size_t shards = GetParam();
+  const std::size_t workers = GetParam();
   MiniDomain dom;
-  std::mt19937_64 rng(1234 + shards);
+  std::mt19937_64 rng(1234 + workers);
   const SelectivityEstimator estimator([](const Predicate&) { return 0.5; });
 
-  ShardedEngine engine(dom.schema(), {.shards = shards});
+  ShardedEngine engine(dom.schema(), {.shards = workers});
   PruneEngineConfig config;
   ShardedPruningSet set(engine, estimator, config);
 
@@ -67,7 +67,8 @@ TEST_P(InterleavingTest, RandomOpsMatchNaiveMatcherOnFreshTrees) {
       std::uniform_int_distribution<std::size_t> pick(0, live.size() - 1);
       const std::size_t idx = pick(rng);
       const SubscriptionId id = live[idx]->id();
-      ASSERT_TRUE(set.remove(id));
+      ASSERT_TRUE(set.contains(id));
+      set.unregister_subscription(id);
       engine.remove(id);
       naive.remove(id);
       originals.erase(id.value());
@@ -99,7 +100,7 @@ TEST_P(InterleavingTest, RandomOpsMatchNaiveMatcherOnFreshTrees) {
   EXPECT_GT(set.maintenance().releases, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, InterleavingTest, ::testing::Values(1u, 4u),
+INSTANTIATE_TEST_SUITE_P(Workers, InterleavingTest, ::testing::Values(1u, 4u),
                          [](const auto& info) {
                            return "N" + std::to_string(info.param);
                          });
@@ -110,10 +111,10 @@ class ScenarioSoakTest
     : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {};
 
 TEST_P(ScenarioSoakTest, CentralizedSoakIsExactUnderChurnFlashCrowdAndPruning) {
-  const auto [name, shards] = GetParam();
+  const auto [name, workers] = GetParam();
   const auto domain = make_workload(name);
   ScenarioConfig config = ScenarioConfig::soak(250, 120);
-  config.shards = shards;
+  config.shards = workers;
   config.drift_threshold = 60;
   config.training_events = 500;
   config.check_every = 1;
@@ -122,7 +123,7 @@ TEST_P(ScenarioSoakTest, CentralizedSoakIsExactUnderChurnFlashCrowdAndPruning) {
   const ScenarioReport report = runner.run();
 
   EXPECT_EQ(report.mode, "centralized");
-  EXPECT_EQ(report.shards, shards);
+  EXPECT_EQ(report.shards, workers);
   ASSERT_EQ(report.phases.size(), 4u);
   EXPECT_TRUE(report.exact()) << report.total_mismatches() << " oracle mismatches";
   EXPECT_EQ(report.total_mismatches(), 0u);
@@ -208,15 +209,15 @@ TEST(ScenarioOverlayTest, BrokerKeepsAttachedPruningSetInSyncUnderChurn) {
   // must be admitted there without any manual bookkeeping.
   overlay.subscribe(BrokerId(0), ClientId(100), SubscriptionId(100),
                     dom.random_tree(rng, 4));
-  EXPECT_FALSE(sets[0]->tracks(SubscriptionId(100)));  // local at 0: unpruned
-  EXPECT_TRUE(sets[1]->tracks(SubscriptionId(100)));
-  EXPECT_TRUE(sets[2]->tracks(SubscriptionId(100)));
+  EXPECT_FALSE(sets[0]->contains(SubscriptionId(100)));  // local at 0: unpruned
+  EXPECT_TRUE(sets[1]->contains(SubscriptionId(100)));
+  EXPECT_TRUE(sets[2]->contains(SubscriptionId(100)));
 
   // Unsubscribing releases the pruning state everywhere (the old footgun).
   overlay.unsubscribe(BrokerId(0), SubscriptionId(100));
-  for (const auto& set : sets) EXPECT_FALSE(set->tracks(SubscriptionId(100)));
+  for (const auto& set : sets) EXPECT_FALSE(set->contains(SubscriptionId(100)));
   overlay.unsubscribe(BrokerId(1), SubscriptionId(1));
-  for (const auto& set : sets) EXPECT_FALSE(set->tracks(SubscriptionId(1)));
+  for (const auto& set : sets) EXPECT_FALSE(set->contains(SubscriptionId(1)));
 
   // Pruning still runs cleanly after the churn. Broker 2 released both
   // subscriptions (remote there); broker 1 only #100 (#1 was its local).

@@ -1,9 +1,9 @@
 // ShardedEngine correctness: the match set must be invariant under the
-// shard count (N = 1, 2, 8), merge order must be deterministic (sorted
-// subscriber ids), batched and single-event dispatch must agree, and the
-// engine must behave on the edge cases (empty engine, empty batch, every
-// subscription hashed into one shard), and it must agree with the
-// standalone DNF and naive matchers. Also covers the ThreadPool itself.
+// worker count (K = 1, 2, 8), rows must be deterministic (sorted
+// subscriber ids), batched and single-event dispatch must agree, the
+// engine must behave on the edge cases (empty engine, empty batch, fewer
+// events than workers), and it must agree with the standalone DNF and
+// naive matchers. Also covers the ThreadPool itself.
 
 #include "core/sharded_engine.hpp"
 
@@ -16,6 +16,7 @@
 
 #include "common/thread_pool.hpp"
 #include "core/candidates.hpp"
+#include "core/pruning_set.hpp"
 #include "filter/dnf_matcher.hpp"
 #include "filter/naive_matcher.hpp"
 #include "selectivity/estimator.hpp"
@@ -39,13 +40,13 @@ std::vector<SubscriptionId> naive_reference(const Corpus& corpus, const Event& e
   return out;
 }
 
-ShardedEngineOptions counting_options(std::size_t shards) {
+ShardedEngineOptions counting_options(std::size_t workers) {
   ShardedEngineOptions options;
-  options.shards = shards;
+  options.shards = workers;
   return options;
 }
 
-TEST(ShardedEngineTest, ShardCountInvariance) {
+TEST(ShardedEngineTest, WorkerCountInvariance) {
   MiniDomain dom(5, 16);
   std::mt19937_64 rng(101);
   Corpus corpus = make_corpus(dom, rng, 150, 0.25);
@@ -62,9 +63,10 @@ TEST(ShardedEngineTest, ShardCountInvariance) {
     e2.add(*c2.subs[i]);
     e8.add(*c8.subs[i]);
   }
-  EXPECT_EQ(e1.shard_count(), 1u);
-  EXPECT_EQ(e2.shard_count(), 2u);
-  EXPECT_EQ(e8.shard_count(), 8u);
+  EXPECT_EQ(e1.worker_count(), 1u);
+  EXPECT_EQ(e2.worker_count(), 2u);
+  EXPECT_EQ(e8.worker_count(), 8u);
+  EXPECT_EQ(e8.shard_count(), 1u);  // one index, whatever the workers
 
   for (const Event& e : events) {
     std::vector<SubscriptionId> m1, m2, m8;
@@ -75,6 +77,38 @@ TEST(ShardedEngineTest, ShardCountInvariance) {
     ASSERT_EQ(m1, m8);
     ASSERT_EQ(m1, naive_reference(corpus, e));
   }
+  const auto b1 = e1.match_batch(events);
+  EXPECT_EQ(e2.match_batch(events), b1);
+  EXPECT_EQ(e8.match_batch(events), b1);
+}
+
+TEST(ShardedEngineTest, BatchCountersSumOverContexts) {
+  // Each event is matched once, on whichever context ran it: the summed
+  // counters equal a one-worker run of the same batch.
+  MiniDomain dom(5, 16);
+  std::mt19937_64 rng(909);
+  Corpus corpus = make_corpus(dom, rng, 100, 0.2);
+  const auto events = dom.random_events(rng, 99);
+  ShardedEngine one(dom.schema(), counting_options(1));
+  ShardedEngine four(dom.schema(), counting_options(4));
+  for (auto& s : corpus.subs) {
+    one.add(*s);
+    four.add(*s);
+  }
+  (void)one.match_batch(events);
+  (void)four.match_batch(events);
+  const auto c1 = one.counters();
+  const auto c4 = four.counters();
+  EXPECT_EQ(c4.events, events.size());
+  EXPECT_EQ(c4.events, c1.events);
+  EXPECT_EQ(c4.predicate_hits, c1.predicate_hits);
+  EXPECT_EQ(c4.counter_increments, c1.counter_increments);
+  EXPECT_EQ(c4.tree_evaluations, c1.tree_evaluations);
+  EXPECT_EQ(c4.matches, c1.matches);
+
+  four.reset_counters();
+  EXPECT_EQ(four.counters().events, 0u);
+  EXPECT_THROW((void)four.counting_shard(1), std::out_of_range);
 }
 
 TEST(ShardedEngineTest, BatchAgreesWithSingleEventDispatchAndIsSorted) {
@@ -141,37 +175,18 @@ TEST(ShardedEngineTest, EmptyEngineAndEmptyBatch) {
 
   const auto empty = engine.match_batch(std::span<const Event>{});
   EXPECT_TRUE(empty.empty());
-}
 
-TEST(ShardedEngineTest, AllSubscriptionsInOneShard) {
-  // Pick ids that all hash into shard 0 of an 8-shard engine: 7 shards sit
-  // idle and the merge degenerates to a copy — results must be unaffected.
-  MiniDomain dom(5, 16);
-  ShardedEngine engine(dom.schema(), counting_options(8));
-
-  std::vector<SubscriptionId::value_type> ids;
-  for (SubscriptionId::value_type v = 0; ids.size() < 40 && v < 100000; ++v) {
-    if (engine.shard_of(SubscriptionId(v)) == 0) ids.push_back(v);
-  }
-  ASSERT_EQ(ids.size(), 40u) << "splitmix64 should reach shard 0 often enough";
-
-  std::mt19937_64 rng(505);
-  Corpus corpus;
-  for (const auto v : ids) {
-    corpus.subs.push_back(std::make_unique<Subscription>(
-        SubscriptionId(v), dom.random_tree(rng, 4, 0.2)));
-    engine.add(*corpus.subs.back());
-  }
-  EXPECT_EQ(engine.counting_shard(0).subscription_count(), 40u);
-
-  for (const Event& e : dom.random_events(rng, 100)) {
-    std::vector<SubscriptionId> got;
-    engine.match(e, got);
-    EXPECT_EQ(got, naive_reference(corpus, e));
+  // Fewer events than workers: the idle workers get no run.
+  Corpus corpus = make_corpus(dom, rng, 30, 0.2);
+  for (auto& s : corpus.subs) engine.add(*s);
+  const auto few = engine.match_batch(std::span<const Event>(events.data(), 3));
+  ASSERT_EQ(few.size(), 3u);
+  for (std::size_t e = 0; e < few.size(); ++e) {
+    EXPECT_EQ(few[e], naive_reference(corpus, events[e]));
   }
 }
 
-TEST(ShardedEngineTest, RemoveAndContainsAcrossShards) {
+TEST(ShardedEngineTest, RemoveAndContains) {
   MiniDomain dom(5, 16);
   std::mt19937_64 rng(606);
   Corpus corpus = make_corpus(dom, rng, 60, 0.1);
@@ -195,7 +210,7 @@ TEST(ShardedEngineTest, RemoveAndContainsAcrossShards) {
 }
 
 TEST(ShardedEngineTest, AllBackendsAgreeOnDnfConvertibleCorpus) {
-  // The sharded counting engine against the standalone canonical (DNF)
+  // The counting engine against the standalone canonical (DNF)
   // matcher and the naive oracle.
   MiniDomain dom(5, 16);
   std::mt19937_64 rng(707);
@@ -224,9 +239,9 @@ TEST(ShardedEngineTest, AllBackendsAgreeOnDnfConvertibleCorpus) {
   }
 }
 
-TEST(ShardedEngineTest, PerShardPruningKeepsMatchesASuperset) {
-  // Prune every shard to full capacity: the pruned engine must match a
-  // superset of the unpruned one (pruning only generalizes filters).
+TEST(ShardedEngineTest, PruningKeepsMatchesASuperset) {
+  // Prune to full capacity: the pruned engine must match a superset of
+  // the unpruned one (pruning only generalizes filters).
   MiniDomain dom(5, 16);
   std::mt19937_64 rng(808);
   Corpus corpus = make_corpus(dom, rng, 80, 0.0);
@@ -240,12 +255,8 @@ TEST(ShardedEngineTest, PerShardPruningKeepsMatchesASuperset) {
       [&events](const Predicate& p) { return measured_selectivity(p, events); });
   PruneEngineConfig config;
   config.dimension = PruneDimension::MemoryUsage;
-  auto pruners =
-      make_sharded_pruning_engines(engine, estimator, config, corpus.pointers());
-  ASSERT_EQ(pruners.size(), 4u);
-  std::size_t performed = 0;
-  for (auto& p : pruners) performed += p->prune(p->total_possible());
-  EXPECT_GT(performed, 0u);
+  ShardedPruningSet pruner(engine, estimator, config, corpus.pointers());
+  EXPECT_GT(pruner.prune(pruner.total_possible()), 0u);
 
   const auto after = engine.match_batch(events);
   for (std::size_t e = 0; e < events.size(); ++e) {

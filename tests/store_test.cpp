@@ -1,5 +1,6 @@
 // Durable state store: WAL/snapshot round-trips, PubSub::open() recovery
-// exactness (the crash-equivalence contract, asserted at shards {1, 8}),
+// exactness (the crash-equivalence contract, asserted at {1, 2, 8} match
+// workers),
 // pruning accounting continuity, checkpoint truncation, statistics
 // persistence, adopt() semantics, broker warm restart, and the
 // ScenarioRunner kill-and-recover phase.
@@ -47,9 +48,9 @@ class TempDir {
   fs::path path_;
 };
 
-PubSubOptions pruning_options(std::size_t shards) {
+PubSubOptions pruning_options(std::size_t workers) {
   PubSubOptions options;
-  options.engine.shards = shards;
+  options.engine.shards = workers;
   options.pruning = true;
   return options;
 }
@@ -284,23 +285,23 @@ TEST(PubSubOpenTest, ReopenAfterCrashReproducesMatching) {
   pubsub.reset();
   live.clear();
 
-  // Recovery must reproduce matching at *any* shard count: the store holds
-  // the table, sharding is runtime layout (match results are shard-count
-  // invariant by the engine's contract).
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+  // Recovery must reproduce matching at *any* worker count: the store
+  // holds the table, workers are runtime layout (match results are
+  // worker-count invariant by the engine's contract).
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     auto reopened = PubSub::open(store_at(dir, dom.schema()),
-                                 pruning_options(shards));
+                                 pruning_options(workers));
     ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
     pubsub.emplace(std::move(reopened).value());
     EXPECT_TRUE(pubsub->store_stats().recovered);
     EXPECT_GT(pubsub->store_stats().replayed_records, 0u);
     EXPECT_EQ(pubsub->subscription_count(), live_before);
-    EXPECT_EQ(pubsub->shard_count(), shards);
+    EXPECT_EQ(pubsub->worker_count(), workers);
 
     live = adopt_all(*pubsub, sink);
     for (std::size_t i = 0; i < probes.size(); ++i) {
       EXPECT_EQ(probe(*pubsub, sink, probes[i]), matched_before[i])
-          << "probe " << i << " at " << shards << " shards";
+          << "probe " << i << " at " << workers << " workers";
       EXPECT_EQ(oracle_matches(*pubsub, probes[i]), matched_before[i]);
     }
     pubsub.reset();  // crash again; next iteration recovers the same state
@@ -646,7 +647,7 @@ TEST(PubSubOpenTest, AdoptSemantics) {
 // The acceptance contract: a durable PubSub and an uninterrupted in-memory
 // oracle are driven through one identical randomized churn + pruning +
 // retraining history; the durable one crashes mid-way and must come back
-// matching the oracle exactly — at 1 and at 8 shards — and stay exact
+// matching the oracle exactly — at 1, 2 and 8 workers — and stay exact
 // through the rest of the churn.
 TEST(PubSubOpenTest, RecoveryExactnessUnderRandomizedChurn) {
   MiniDomain dom(6, 24);
@@ -716,17 +717,17 @@ TEST(PubSubOpenTest, RecoveryExactnessUnderRandomizedChurn) {
 
     if (i == kCrashAt) {
       // Crash the durable instance. First prove recovery exactness
-      // read-only at 1 and 8 shards against the live oracle...
+      // read-only at 1, 2 and 8 workers against the live oracle...
       durable.reset();
       durable_live.clear();
       const std::vector<Event> probes = dom.random_events(rng, 40);
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+      for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         // Claims declared before the PubSub: destruction runs in reverse,
         // so the PubSub "crashes" first and the claims turn inert instead
         // of logging unsubscribes into the store.
         std::vector<SubscriptionHandle> claims;
         auto reopened =
-            PubSub::open(store_at(dir, dom.schema()), pruning_options(shards));
+            PubSub::open(store_at(dir, dom.schema()), pruning_options(workers));
         ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
         PubSub recovered = std::move(reopened).value();
         ASSERT_EQ(recovered.subscription_count(), oracle.subscription_count());
@@ -735,7 +736,7 @@ TEST(PubSubOpenTest, RecoveryExactnessUnderRandomizedChurn) {
           oracle_sink->clear();
           (void)oracle.publish(e);
           EXPECT_EQ(probe(recovered, durable_sink, e), *oracle_sink)
-              << "at " << shards << " shards";
+              << "at " << workers << " workers";
         }
       }
       // ...then continue the churn on a recovered instance for the rest of

@@ -104,7 +104,7 @@ TEST(TraceBuilderTest, SpanOverflowDropsTheExtras) {
   TraceBuilder builder;
   builder.begin(make_trace_context(true));
   for (std::size_t i = 0; i < TraceBuilder::kMaxSpans + 5; ++i) {
-    const std::size_t slot = builder.open_span(TraceStage::kShardMatch);
+    const std::size_t slot = builder.open_span(TraceStage::kOverlayHop);
     if (i < TraceBuilder::kMaxSpans) {
       EXPECT_LT(slot, TraceBuilder::kMaxSpans);
       EXPECT_NE(builder.span_id_of(slot), 0u);
@@ -158,7 +158,7 @@ TEST(ScopedSpanTest, DetailedOnlySpansRequireHeadSampling) {
   {
     ScopedSpan coarse(&builder, TraceStage::kMatch);
     EXPECT_NE(coarse.span_id(), 0u);
-    ScopedSpan detailed(&builder, TraceStage::kShardMatch,
+    ScopedSpan detailed(&builder, TraceStage::kOverlayHop,
                         /*detailed_only=*/true);
     EXPECT_EQ(detailed.span_id(), 0u);
   }
@@ -407,18 +407,20 @@ TEST(TracesJsonTest, EveryStageHasADistinctName) {
   }
   EXPECT_EQ(kTraceStageCount,
             static_cast<std::size_t>(TraceStage::kOverlayHop) + 1);
-  EXPECT_EQ(stages, kTraceStageCount - 2);  // 2 and 3 are reserved
+  EXPECT_EQ(stages, kTraceStageCount - 3);  // 2, 3 and 4 are reserved
   EXPECT_EQ(names.size(), stages);
   EXPECT_EQ(names.count("unknown"), 0u);
 }
 
 TEST(TraceWireTest, ReservedAndUnknownStagesAreDroppedOnDecode) {
-  // Stages 2 and 3 (the retired aggregation probe) and a stage byte past
-  // the last one are dropped span by span; the trace itself survives.
+  // Stages 2 and 3 (the retired aggregation probe), 4 (the retired
+  // per-shard match) and a stage byte past the last one are dropped span
+  // by span; the trace itself survives.
+  for (const std::uint8_t reserved : {2, 3, 4}) EXPECT_FALSE(is_trace_stage(reserved));
   Trace trace;
   trace.trace_id = 7;
   trace.sampled = true;
-  for (const std::uint8_t raw : {5, 2, 3, 12, 4}) {
+  for (const std::uint8_t raw : {5, 2, 3, 12, 4, 6}) {
     TraceSpan span;
     span.stage = static_cast<TraceStage>(raw);
     span.span_id = 100 + raw;
@@ -434,8 +436,8 @@ TEST(TraceWireTest, ReservedAndUnknownStagesAreDroppedOnDecode) {
   ASSERT_EQ(got.traces.size(), 1u);
   ASSERT_EQ(got.traces[0].spans.size(), 2u);
   EXPECT_EQ(got.traces[0].spans[0].stage, TraceStage::kMatch);
-  EXPECT_EQ(got.traces[0].spans[1].stage, TraceStage::kShardMatch);
-  EXPECT_EQ(got.traces[0].spans[1].span_id, 104u);
+  EXPECT_EQ(got.traces[0].spans[1].stage, TraceStage::kDispatch);
+  EXPECT_EQ(got.traces[0].spans[1].span_id, 106u);
 }
 
 // --- dbsp_stage_us -----------------------------------------------------------
@@ -447,8 +449,8 @@ TEST(StageMetricsTest, OnlyHeadSampledSpansReachTheHistograms) {
   trace.trace_id = 1;
   trace.sampled = true;
   trace.spans.push_back({TraceStage::kMatch, 1, 0, 0, 40, 0});
-  trace.spans.push_back({TraceStage::kShardMatch, 2, 1, 1, 10, 0});
-  trace.spans.push_back({TraceStage::kShardMatch, 3, 1, 11, 20, 1});
+  trace.spans.push_back({TraceStage::kPrune, 2, 1, 1, 10, 0});
+  trace.spans.push_back({TraceStage::kPrune, 3, 1, 11, 20, 1});
   recorder.record(trace);
   // A tail-admitted (unsampled) trace is kept in the ring but stays out
   // of the histograms, which remain a uniform 1-in-N sample.
@@ -458,9 +460,9 @@ TEST(StageMetricsTest, OnlyHeadSampledSpansReachTheHistograms) {
 
   const MetricsSnapshot s = registry->snapshot();
   EXPECT_EQ(stage_count(s, "match"), 1u);
-  EXPECT_EQ(stage_count(s, "shard_match"), 2u);
+  EXPECT_EQ(stage_count(s, "prune"), 2u);
   EXPECT_DOUBLE_EQ(
-      s.find("dbsp_stage_us", {{"stage", "shard_match"}})->histogram.sum, 30.0);
+      s.find("dbsp_stage_us", {{"stage", "prune"}})->histogram.sum, 30.0);
   // Stages that never occurred expose no series.
   EXPECT_EQ(s.find("dbsp_stage_us", {{"stage", "dispatch"}}), nullptr);
   EXPECT_EQ(recorder.recorded_total(), 2u);
@@ -499,7 +501,6 @@ TEST(StageMetricsTest, StageCountEqualsSampledTracesRecorded) {
   EXPECT_EQ(sampled, 100u);
   const MetricsSnapshot s = pubsub.metrics();
   EXPECT_EQ(stage_count(s, "match"), sampled);
-  EXPECT_EQ(stage_count(s, "shard_match"), sampled * 2);
 }
 
 TEST(StageMetricsTest, TracingOffMeansNoStageSeries) {
