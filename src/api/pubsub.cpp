@@ -710,7 +710,9 @@ Status PubSub::train(std::span<const Event> sample) {
   // subgroup rebuild when the top-scored dimensions changed).
   if (c.aggregator) c.aggregator->train(c.stats);
   // The estimator holds the stats by reference; queued candidate scores go
-  // stale until the caller's next rescore_all().
+  // stale until the caller's next rescore_all(). The index's cached leaf
+  // estimates are re-read now, re-choosing every access set.
+  if (c.pruning) c.engine.counting_shard(0).rechoose_access_sets();
   const Status logged = c.append_to_store([&](store::StateStore& s) {
     c.mutex.assert_held();  // runs inside log_to_store, under the lock
     s.append_train(c.stats);

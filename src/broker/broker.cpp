@@ -253,6 +253,9 @@ ShardedPruningSet& Broker::enable_pruning(const SelectivityEstimator& estimator,
   table_.for_each([&](RoutingTable::Entry& e) {
     if (!e.local) remote.push_back(e.sub.get());
   });
+  // Release the old set first: its destructor unbinds the index's leaf
+  // estimate, which must not undo the new set's binding.
+  owned_pruning_.reset();
   owned_pruning_ =
       std::make_unique<ShardedPruningSet>(engine_, estimator, config, remote);
   return *owned_pruning_;

@@ -13,7 +13,10 @@ namespace dbsp {
 /// The paper's single global pruning queue over a ShardedEngine's one
 /// index: a PruningEngine that reindexes the engine's matcher after every
 /// applied pruning. Subscriptions admitted here must already be registered
-/// with the engine.
+/// with the engine. While the set lives, the index chooses its access
+/// leaves with the estimator's leaf selectivity, so pruning and matching
+/// share one cost model; the destructor unbinds it (every leaf counted
+/// again).
 ///
 /// Not thread-safe; serialize externally together with the engine it binds
 /// (every applied pruning reindexes that engine, so the two always mutate
@@ -28,10 +31,17 @@ class ShardedPruningSet : public PruningEngine {
   ShardedPruningSet(ShardedEngine& engine, const SelectivityEstimator& estimator,
                     const PruneEngineConfig& config,
                     const std::vector<Subscription*>& subs = {});
+  ~ShardedPruningSet();
+
+  ShardedPruningSet(const ShardedPruningSet&) = delete;
+  ShardedPruningSet& operator=(const ShardedPruningSet&) = delete;
 
   /// Admits one subscription — incremental, no rebuild (see
   /// PruningEngine::register_subscription).
   void add(Subscription& sub) { register_subscription(sub); }
+
+ private:
+  CountingMatcher& index_;
 };
 
 }  // namespace dbsp

@@ -22,7 +22,11 @@ bool CountingMatcher::contains(SubscriptionId id) const {
 
 void CountingMatcher::grow_predicate_arrays() {
   const std::size_t needed = registry_.capacity();
-  if (pred_slots_.size() < needed) pred_slots_.resize(needed);
+  if (pred_slots_.size() < needed) {
+    pred_slots_.resize(needed);
+    leaf_estimate_.resize(needed);
+    link_refs_.resize(needed);
+  }
 }
 
 std::size_t CountingMatcher::checked_size(const Node& node) const {
@@ -37,12 +41,11 @@ std::size_t CountingMatcher::checked_size(const Node& node) const {
   return size;
 }
 
-void CountingMatcher::compile(const Node& node, SubscriptionId id, std::uint32_t slot,
-                              Program& program) {
+void CountingMatcher::compile(const Node& node, SubscriptionId id, Program& program) {
   const std::size_t pc = program.size();
-  program.push_back({node.kind(), 0});
+  program.push_back({node.kind(), false, 0});
   if (node.kind() != NodeKind::Leaf) {
-    for (const auto& child : node.children()) compile(*child, id, slot, program);
+    for (const auto& child : node.children()) compile(*child, id, program);
     program[pc].arg = static_cast<std::uint32_t>(program.size());
     return;
   }
@@ -50,19 +53,9 @@ void CountingMatcher::compile(const Node& node, SubscriptionId id, std::uint32_t
   program[pc].arg = result.id.value();
   grow_predicate_arrays();
   if (result.new_predicate) {
-    const auto attr = registry_.predicate(result.id).attribute();
-    attr_index_[attr.value()].insert(result.id, registry_.predicate(result.id));
-    pred_slots_[result.id.value()].clear();
-  }
-  auto& assoc = pred_slots_[result.id.value()];
-  if (result.new_association) {
-    assoc.push_back({slot, 1});
-  } else {
-    // Rare: the same predicate in another leaf of the same subscription.
-    auto entry = std::find_if(assoc.begin(), assoc.end(),
-                              [&](const PredSub& p) { return p.slot == slot; });
-    assert(entry != assoc.end());
-    ++entry->leaf_refs;
+    const Predicate& pred = registry_.predicate(result.id);
+    attr_index_[pred.attribute().value()].insert(result.id, pred);
+    leaf_estimate_[result.id.value()] = estimate(pred);
   }
 }
 
@@ -71,29 +64,194 @@ void CountingMatcher::load_program(const Subscription& sub, std::uint32_t slot,
   Program& program = slots_[slot].program;
   program.clear();
   program.reserve(size);
-  compile(sub.root(), sub.id(), slot, program);
+  compile(sub.root(), sub.id(), program);
 }
 
-void CountingMatcher::release_program(SubscriptionId id, std::uint32_t slot,
-                                      const Program& program) {
+void CountingMatcher::release_program(SubscriptionId id, const Program& program) {
   for (const Instr& op : program) {
     if (op.kind != NodeKind::Leaf) continue;
     const PredicateId pid(op.arg);
     auto result = registry_.release_reference(pid, id);
-    auto& assoc = pred_slots_[pid.value()];
-    auto it = std::find_if(assoc.begin(), assoc.end(),
-                           [&](const PredSub& p) { return p.slot == slot; });
-    assert(it != assoc.end());
-    if (result.association_removed) {
-      *it = assoc.back();
-      assoc.pop_back();
-    } else {
-      --it->leaf_refs;
-    }
     if (result.removed_predicate) {
+      assert(pred_slots_[pid.value()].empty());
       const auto attr = result.removed_predicate->attribute();
       attr_index_[attr.value()].remove(pid, *result.removed_predicate);
     }
+  }
+}
+
+double CountingMatcher::estimate(const Predicate& pred) const {
+  if (!leaf_estimate_fn_) return 0.0;
+  const double p = leaf_estimate_fn_(pred);
+  return p >= 0.0 && p <= 1.0 ? p : 1.0;  // NaN fails both comparisons
+}
+
+namespace {
+
+/// Pc one past the subtree at `pc` (a leaf's arg is its predicate id).
+template <typename Instr>
+std::uint32_t subtree_end(const Instr* program, std::uint32_t pc) {
+  return program[pc].kind == NodeKind::Leaf ? pc + 1 : program[pc].arg;
+}
+
+}  // namespace
+
+CountingMatcher::AccessCost CountingMatcher::cost(const Instr* program,
+                                                  std::uint32_t pc) const {
+  const Instr op = program[pc];
+  switch (op.kind) {
+    case NodeKind::Leaf: {
+      const double p = leaf_estimate_[op.arg];
+      return {1, p, p};
+    }
+    case NodeKind::True: return {0, 0.0, 1.0};
+    case NodeKind::False: return {Node::kPminUnsatisfiable, 0.0, 0.0};
+    case NodeKind::Not: {
+      AccessCost c{0, 0.0, 1.0};
+      for (std::uint32_t i = pc + 1; i < op.arg; ++i) {
+        if (program[i].kind == NodeKind::Leaf && program[i].access) {
+          c.bumps += leaf_estimate_[program[i].arg];
+        }
+      }
+      return c;
+    }
+    case NodeKind::And: {
+      AccessCost c{0, 0.0, 1.0};
+      std::uint64_t pmin = 0;
+      for (std::uint32_t child = pc + 1; child < op.arg; child = subtree_end(program, child)) {
+        if (!program[child].access) continue;
+        const AccessCost k = cost(program, child);
+        pmin += k.pmin;
+        c.bumps += k.bumps;
+        c.trigger *= k.trigger;
+      }
+      c.pmin = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(pmin, Node::kPminUnsatisfiable));
+      return c;
+    }
+    case NodeKind::Or: {
+      AccessCost c{Node::kPminUnsatisfiable, 0.0, 0.0};
+      double none = 1.0;  // P(no child triggers)
+      for (std::uint32_t child = pc + 1; child < op.arg; child = subtree_end(program, child)) {
+        const AccessCost k = cost(program, child);
+        c.pmin = std::min(c.pmin, k.pmin);
+        c.bumps += k.bumps;
+        none *= 1.0 - k.trigger;
+      }
+      c.trigger = 1.0 - none;
+      return c;
+    }
+  }
+  return {};
+}
+
+void CountingMatcher::drop_costly_children(Instr* program, std::uint32_t pc) const {
+  const std::uint32_t end = program[pc].arg;
+  for (;;) {
+    double bumps = 0.0;
+    double trigger = 1.0;
+    double rarest = 2.0;
+    double likeliest = -1.0;
+    double likeliest_bumps = 0.0;
+    std::uint32_t likeliest_pc = 0;
+    std::uint32_t kept = 0;
+    for (std::uint32_t child = pc + 1; child < end; child = subtree_end(program, child)) {
+      if (!program[child].access) continue;
+      const AccessCost k = cost(program, child);
+      ++kept;
+      bumps += k.bumps;
+      trigger *= k.trigger;
+      rarest = std::min(rarest, k.trigger);
+      if (k.trigger > likeliest) {
+        likeliest = k.trigger;
+        likeliest_bumps = k.bumps;
+        likeliest_pc = child;
+      }
+    }
+    if (kept < 2 || !(likeliest > rarest)) return;
+    // likeliest > rarest >= 0, so dividing it out of the product is safe.
+    const double keep_cost = bumps + kEvalCost * trigger;
+    const double drop_cost = bumps - likeliest_bumps + kEvalCost * (trigger / likeliest);
+    if (!(drop_cost < keep_cost)) return;
+    const std::uint32_t drop_end = subtree_end(program, likeliest_pc);
+    for (std::uint32_t i = likeliest_pc; i < drop_end; ++i) program[i].access = false;
+  }
+}
+
+void CountingMatcher::choose(Instr* program, std::uint32_t pc) const {
+  const Instr op = program[pc];
+  program[pc].access = true;
+  switch (op.kind) {
+    case NodeKind::Leaf:
+    case NodeKind::True:
+    case NodeKind::False: return;
+    case NodeKind::Not:
+      // Its leaves add nothing to pmin; they stay counted (as in the
+      // paper) until a parent And finds dropping the Not cheaper.
+      for (std::uint32_t i = pc + 1; i < op.arg; ++i) program[i].access = true;
+      return;
+    case NodeKind::And:
+    case NodeKind::Or:
+      for (std::uint32_t child = pc + 1; child < op.arg; child = subtree_end(program, child)) {
+        choose(program, child);
+      }
+      if (op.kind == NodeKind::And) drop_costly_children(program, pc);
+      return;
+  }
+}
+
+std::uint32_t CountingMatcher::choose_access(Program& program) const {
+  choose(program.data(), 0);
+  const AccessCost root = cost(program.data(), 0);
+  // A root that triggers always or never gains nothing from counting.
+  if ((root.pmin == 0 || root.pmin == Node::kPminUnsatisfiable) && root.bumps > 0.0) {
+    for (Instr& op : program) op.access = false;
+  }
+  return root.pmin;
+}
+
+void CountingMatcher::link(std::uint32_t slot) {
+  const Program& program = slots_[slot].program;
+  for (const Instr& op : program) {
+    if (op.kind == NodeKind::Leaf && op.access) ++link_refs_[op.arg];
+  }
+  for (const Instr& op : program) {
+    if (op.kind != NodeKind::Leaf || !op.access) continue;
+    std::uint32_t& refs = link_refs_[op.arg];
+    if (refs == 0) continue;  // a repeated leaf, already linked
+    pred_slots_[op.arg].push_back({slot, refs});
+    refs = 0;
+  }
+}
+
+void CountingMatcher::unlink(std::uint32_t slot) {
+  for (const Instr& op : slots_[slot].program) {
+    if (op.kind != NodeKind::Leaf || !op.access) continue;
+    auto& assoc = pred_slots_[op.arg];
+    auto it = std::find_if(assoc.begin(), assoc.end(),
+                           [&](const PredSub& p) { return p.slot == slot; });
+    if (it == assoc.end()) continue;  // a repeated leaf, already unlinked
+    *it = assoc.back();
+    assoc.pop_back();
+  }
+}
+
+void CountingMatcher::set_leaf_estimate(LeafEstimate estimate) {
+  leaf_estimate_fn_ = std::move(estimate);
+  rechoose_access_sets();
+}
+
+void CountingMatcher::rechoose_access_sets() {
+  for (std::uint32_t id = 0; id < pred_slots_.size(); ++id) {
+    pred_slots_[id].clear();
+    if (registry_.live(PredicateId(id))) {
+      leaf_estimate_[id] = estimate(registry_.predicate(PredicateId(id)));
+    }
+  }
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].sub == nullptr) continue;
+    set_pmin(slot, choose_access(slots_[slot].program));
+    link(slot);
   }
 }
 
@@ -109,8 +267,7 @@ bool CountingMatcher::run(const Instr* program, std::uint32_t pc,
       const bool is_and = op.kind == NodeKind::And;
       for (std::uint32_t child = pc + 1; child < op.arg;) {
         if (run(program, child, context) != is_and) return !is_and;
-        const Instr next = program[child];
-        child = next.kind == NodeKind::Leaf ? child + 1 : next.arg;
+        child = subtree_end(program, child);
       }
       return is_and;
     }
@@ -154,7 +311,8 @@ void CountingMatcher::add(Subscription& sub) {
   slots_[slot].sub = &sub;
   load_program(sub, slot, size);
   slot_pmin_[slot] = 1;  // placeholder != 0 so set_pmin tracks the always list
-  set_pmin(slot, sub.root().pmin());
+  set_pmin(slot, choose_access(slots_[slot].program));
+  link(slot);
   ++live_subs_;
 }
 
@@ -162,7 +320,8 @@ void CountingMatcher::remove(Subscription& sub) {
   const std::uint32_t slot = slot_of(sub.id());
   // Pull the slot out of the always-eval list before releasing references.
   set_pmin(slot, 1);
-  release_program(sub.id(), slot, slots_[slot].program);
+  unlink(slot);
+  release_program(sub.id(), slots_[slot].program);
   slot_by_id_.erase(sub.id().value());
   slots_[slot] = Slot{};
   free_slots_.push_back(slot);
@@ -174,13 +333,15 @@ void CountingMatcher::remove(SubscriptionId id) { remove(*slots_[slot_of(id)].su
 void CountingMatcher::reindex(Subscription& sub) {
   const std::uint32_t slot = slot_of(sub.id());
   const std::size_t size = checked_size(sub.root());
+  unlink(slot);
   const Program old_program = std::move(slots_[slot].program);
   // Compile the new tree first so predicates shared between old and new
   // trees never drop to zero references (which would thrash the attribute
   // index).
   load_program(sub, slot, size);
-  release_program(sub.id(), slot, old_program);
-  set_pmin(slot, sub.root().pmin());
+  release_program(sub.id(), old_program);
+  set_pmin(slot, choose_access(slots_[slot].program));
+  link(slot);
 }
 
 void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out,

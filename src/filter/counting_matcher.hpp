@@ -5,6 +5,7 @@
 /// association counters, and the pmin evaluation trigger.
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -20,7 +21,7 @@ namespace dbsp {
 struct MatchCounters {
   std::uint64_t events = 0;
   std::uint64_t predicate_hits = 0;      ///< fulfilled predicates found by indexes
-  std::uint64_t counter_increments = 0;  ///< association counter bumps
+  std::uint64_t counter_increments = 0;  ///< access-leaf counter bumps
   std::uint64_t tree_evaluations = 0;    ///< Boolean trees evaluated
   std::uint64_t matches = 0;             ///< subscriptions matched
 };
@@ -63,15 +64,33 @@ class MatchContext {
 /// predicates fulfilled by the event — each distinct predicate is tested at
 /// most once regardless of how many subscriptions use it; (2) counters over
 /// predicate/subscription associations find subscriptions whose number of
-/// fulfilled predicates reaches pmin, and only those have their Boolean
+/// fulfilled access leaves reaches pmin, and only those have their Boolean
 /// tree evaluated (the pmin evaluation trigger central to the throughput
 /// heuristic of §3.3). Subscriptions with pmin == 0 (satisfiable through a
 /// NOT by absence of matches) are evaluated on every event.
 ///
+/// Access leaves: only some leaves of a tree are counted, and pmin is taken
+/// over those alone. A leaf is its own access set; an Or counts the union
+/// of its children's sets with the minimum of their pmins; Not, True and
+/// False add 0 to pmin (False: unsatisfiable); an And counts some of its
+/// children, summing their pmins. Any such set is exact — an event that
+/// satisfies the tree fulfils at least pmin of its access leaves — so the
+/// choice only moves cost. An And starts with every child and drops the
+/// most often fulfilled one while that lowers Σ(estimated fulfilled access
+/// leaves) + kEvalCost × P(trigger), keeping at least one child and never
+/// dropping a child no more often fulfilled than the rarest one it keeps
+/// (equal or untrained estimates drop nothing). A root that triggers always
+/// (pmin 0) or never (unsatisfiable) counts no leaf at all once counting
+/// would cost anything. The estimates come from set_leaf_estimate(); without
+/// one every estimate is 0 and every leaf is counted, as in the paper.
+/// Every predicate stays in the attribute indexes, so predicate hits and
+/// tree evaluation do not depend on the choice.
+///
 /// The hot path is flat data: add() and reindex() compile each tree into a
-/// pre-order program of 8-byte ops that match() runs against the
-/// per-predicate epochs, and each slot's counter and counter epoch share
-/// one 8-byte record in the MatchContext.
+/// pre-order program of 8-byte ops (each leaf op flagged when it is an
+/// access leaf) that match() runs against the per-predicate epochs, and
+/// each slot's counter and counter epoch share one 8-byte record in the
+/// MatchContext.
 ///
 /// The matcher does not own subscriptions; registered Subscription objects
 /// must outlive it and their addresses must be stable. Trees may only be
@@ -86,6 +105,9 @@ class MatchContext {
 /// own context and is therefore single-caller.
 class CountingMatcher {
  public:
+  /// The estimated share of events that fulfil a predicate.
+  using LeafEstimate = std::function<double(const Predicate&)>;
+
   explicit CountingMatcher(const Schema& schema);
 
   /// Registers a subscription: interns its predicates, assigns leaf
@@ -131,6 +153,17 @@ class CountingMatcher {
   void set_pmin_trigger(bool enabled) { pmin_trigger_ = enabled; }
   [[nodiscard]] bool pmin_trigger() const { return pmin_trigger_; }
 
+  /// Binds the oracle that chooses access leaves and re-chooses every
+  /// access set; an empty function counts every leaf. Each predicate's
+  /// estimate is read once, when it is interned (or here), and cached; NaN,
+  /// negative and above-1 estimates read as 1. The oracle must stay valid
+  /// until it is replaced.
+  void set_leaf_estimate(LeafEstimate estimate);
+  /// Re-reads every live predicate's estimate from the bound oracle and
+  /// re-chooses every access set in one pass over the leaves — after the
+  /// statistics behind the oracle changed.
+  void rechoose_access_sets();
+
   using Counters = MatchCounters;
   /// The matcher's own context, which the two-argument match() writes.
   [[nodiscard]] MatchContext& context() { return context_; }
@@ -144,6 +177,9 @@ class CountingMatcher {
   /// its subtree. A leaf's `arg` is its predicate id.
   struct Instr {
     NodeKind kind = NodeKind::Leaf;
+    /// Leaf: counted (an access leaf). Inner: kept in its parent's access
+    /// set. A dropped subtree is cleared throughout.
+    bool access = false;
     std::uint32_t arg = 0;  ///< Leaf: predicate id; inner: one past the subtree
   };
   static_assert(sizeof(Instr) == 8);
@@ -164,16 +200,40 @@ class CountingMatcher {
   /// Compiles `sub`'s tree, of `size` nodes, into slot `slot`'s program
   /// (exactly sized), taking one predicate reference per leaf.
   void load_program(const Subscription& sub, std::uint32_t slot, std::size_t size);
-  void compile(const Node& node, SubscriptionId id, std::uint32_t slot, Program& program);
-  void release_program(SubscriptionId id, std::uint32_t slot, const Program& program);
+  void compile(const Node& node, SubscriptionId id, Program& program);
+  void release_program(SubscriptionId id, const Program& program);
   [[nodiscard]] static bool run(const Instr* program, std::uint32_t pc,
                                 const MatchContext& context);
   void set_pmin(std::uint32_t slot, std::uint32_t pmin);
   void grow_predicate_arrays();
 
+  /// What counting a subtree's access set costs per event: pmin over its
+  /// access leaves, the expected number of them fulfilled (counter bumps)
+  /// and the probability that they reach pmin (the trigger fires).
+  struct AccessCost {
+    std::uint32_t pmin = 0;
+    double bumps = 0.0;
+    double trigger = 0.0;
+  };
+  /// One tree evaluation costs about as much as this many counter bumps
+  /// (≈ 70 ns against ≈ 9 ns, measured on the auction workload).
+  static constexpr double kEvalCost = 8.0;
+
+  [[nodiscard]] double estimate(const Predicate& pred) const;
+  /// Chooses the access set of `program` (see the class comment) and
+  /// returns its pmin. Allocates nothing.
+  [[nodiscard]] std::uint32_t choose_access(Program& program) const;
+  void choose(Instr* program, std::uint32_t pc) const;
+  void drop_costly_children(Instr* program, std::uint32_t pc) const;
+  [[nodiscard]] AccessCost cost(const Instr* program, std::uint32_t pc) const;
+  /// Adds or takes out the slot's entries in the association lists: one
+  /// per distinct access predicate, carrying its access-leaf count.
+  void link(std::uint32_t slot);
+  void unlink(std::uint32_t slot);
+
   /// One association as seen from a predicate: the subscription's slot and
-  /// how many of its leaves carry this predicate. Counters advance by
-  /// `leaf_refs` so they count fulfilled *leaf occurrences* — pmin is a
+  /// how many of its access leaves carry this predicate. Counters advance
+  /// by `leaf_refs` so they count fulfilled *leaf occurrences* — pmin is a
   /// bound on fulfilled leaves, not on distinct predicates (a predicate
   /// duplicated across leaves must count once per leaf).
   struct PredSub {
@@ -184,7 +244,10 @@ class CountingMatcher {
   const Schema* schema_;
   PredicateRegistry registry_;
   std::vector<AttributeIndex> attr_index_;            // by attribute id
-  std::vector<std::vector<PredSub>> pred_slots_;      // by predicate id
+  std::vector<std::vector<PredSub>> pred_slots_;      // by predicate id: access links
+  std::vector<double> leaf_estimate_;                 // by predicate id, in [0, 1]
+  std::vector<std::uint32_t> link_refs_;              // by predicate id, 0 between links
+  LeafEstimate leaf_estimate_fn_;
 
   std::unordered_map<SubscriptionId::value_type, std::uint32_t> slot_by_id_;
   std::vector<Slot> slots_;

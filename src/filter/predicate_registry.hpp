@@ -59,6 +59,10 @@ class PredicateRegistry {
   /// indexes may hold it across registry growth.
   [[nodiscard]] const Predicate& predicate(PredicateId id) const;
   [[nodiscard]] const std::vector<Association>& associations(PredicateId id) const;
+  /// Whether `id` names an interned predicate (not a recycled or unissued id).
+  [[nodiscard]] bool live(PredicateId id) const {
+    return id.value() < entries_.size() && entries_[id.value()].pred != nullptr;
+  }
 
   /// Number of live distinct predicates.
   [[nodiscard]] std::size_t live_predicates() const { return live_predicates_; }

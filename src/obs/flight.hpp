@@ -9,10 +9,9 @@
 /// GET /traces.
 ///
 /// Sampling is two-sided. Head sampling (1-in-N, obs::Sampler) decides
-/// *before* the event runs whether fine-grained (`detailed_only`) spans
-/// are collected; it is the `sampled` flag that
-/// travels in the TraceContext so every hop of a head-sampled event traces
-/// in detail. Tail sampling catches what head sampling misses: every
+/// *before* the event runs whether the trace is kept; it is the `sampled`
+/// flag that travels in the TraceContext so every hop of a head-sampled
+/// event agrees. Tail sampling catches what head sampling misses: every
 /// traced publish takes a handful of coarse timestamps, and a finished
 /// trace whose total duration reaches the rolling slowest-K admission
 /// threshold is retained even when the head sampler skipped it — the
@@ -157,9 +156,6 @@ class TraceBuilder {
   void begin(TraceContext context);
 
   [[nodiscard]] bool active() const { return context_.active(); }
-  /// Head-sampled: fine-grained (`detailed_only`) spans are worth
-  /// collecting. Coarse spans are collected for every active trace.
-  [[nodiscard]] bool sampled() const { return context_.sampled; }
   [[nodiscard]] const TraceContext& context() const { return context_; }
 
   /// Microseconds since begin().
@@ -198,17 +194,12 @@ class TraceBuilder {
 };
 
 /// RAII span over a TraceBuilder: opens on construction, closes on
-/// destruction. Inert when the builder is null or inactive, or when
-/// `detailed_only` is set and the trace is not head-sampled.
+/// destruction. Inert when the builder is null or inactive.
 class ScopedSpan {
  public:
-  ScopedSpan(TraceBuilder* builder, TraceStage stage,
-             bool detailed_only = false, std::uint64_t parent_span = 0)
-      : builder_(builder != nullptr && builder->active() &&
-                         (!detailed_only || builder->sampled())
-                     ? builder
-                     : nullptr),
-        index_(builder_ != nullptr ? builder_->open_span(stage, parent_span)
+  ScopedSpan(TraceBuilder* builder, TraceStage stage)
+      : builder_(builder != nullptr && builder->active() ? builder : nullptr),
+        index_(builder_ != nullptr ? builder_->open_span(stage)
                                    : TraceBuilder::kMaxSpans) {}
   ~ScopedSpan() {
     if (builder_ != nullptr) builder_->close_span(index_, detail_);

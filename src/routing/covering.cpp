@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace dbsp {
@@ -84,10 +85,34 @@ struct Interval {
          s.compare(s.size() - suf.size(), suf.size(), suf) == 0;
 }
 
+/// Whether every numeric comparison behind `p` and `q` is exact: their
+/// numeric operands share one type, and Int operands convert to double
+/// without rounding. Value compares Int with Double through double, which
+/// rounds past 2^53 (2^53 + 1 equals 2^53.0, which equals 2^53), so with
+/// mixed or huge operands interval containment stops implying matching.
+[[nodiscard]] bool exact_numerics(const Predicate& p, const Predicate& q) {
+  constexpr std::int64_t kExact = std::int64_t{1} << 53;
+  bool ints = false;
+  bool doubles = false;
+  for (const Predicate* pred : {&p, &q}) {
+    for (const Value& v : pred->operands()) {
+      if (v.type() == ValueType::Int) {
+        if (v.as_int() > kExact || v.as_int() < -kExact) return false;
+        ints = true;
+      } else if (v.type() == ValueType::Double) {
+        doubles = true;
+      }
+    }
+  }
+  return !(ints && doubles);
+}
+
 }  // namespace
 
 bool implies(const Predicate& p, const Predicate& q) {
   if (p.attribute() != q.attribute()) return false;
+  // Before equals(), which compares operands the same rounding way.
+  if (!exact_numerics(p, q)) return false;  // sound: implication not shown
   if (p.equals(q)) return true;
 
   // Finite p: check every satisfying value against q — exact and complete.

@@ -21,6 +21,8 @@ class SelectivityEstimator {
   explicit SelectivityEstimator(LeafSelectivityFn leaf_fn);
 
   [[nodiscard]] SelectivityEstimate estimate(const Node& node) const;
+  /// Point estimate of one predicate — the leaf oracle itself.
+  [[nodiscard]] double leaf(const Predicate& pred) const { return leaf_fn_(pred); }
 
   /// Estimate of the tree with the subtree at `skip` treated as pruned
   /// (replaced by the polarity-appropriate constant). Used to price a

@@ -3,7 +3,8 @@
 // moved-from handles, double release, handles outliving the PubSub (a
 // detectable error, never UB), and automatic pruning-state release on
 // handle drop under 1, 2 and 8 match workers, pruned tables that do not
-// depend on the worker count, and training on NaN-valued events.
+// depend on the worker count, training on NaN-valued events, and
+// training re-choosing the access leaves of subscribed trees.
 
 #include <gtest/gtest.h>
 
@@ -360,6 +361,31 @@ TEST(PubSubWorkersTest, TrainingOnNaNValuesKeepsPruningUsable) {
   for (std::size_t e = 0; e < sample.size(); ++e) {
     EXPECT_GE(pubsub.publish(sample[e]), before[e]) << "event " << e;
   }
+}
+
+TEST(PubSubWorkersTest, TrainRechoosesTheAccessLeavesOfSubscribedTrees) {
+  // Subscribed before training, the tree counts both leaves (untrained
+  // estimates are all 0). Training shows the price bound holds for every
+  // event and the symbol for none, so train() stops counting the price.
+  PubSubOptions options;
+  options.engine.shards = 1;
+  options.pruning = true;
+  PubSub pubsub(market_schema(), options);
+  auto handle = pubsub.subscribe(where("sym").eq("ZZZ") && where("price").lt(1000.0));
+  ASSERT_TRUE(handle.ok());
+  const Event acme = tick(pubsub, "ACME", 5.0, 1);
+  EXPECT_EQ(pubsub.publish(acme), 0u);
+  EXPECT_EQ(pubsub.counters().counter_increments, 1u);
+
+  std::vector<Event> sample;
+  for (int i = 0; i < 100; ++i) sample.push_back(tick(pubsub, "ACME", i, i));
+  ASSERT_TRUE(pubsub.train(sample).ok());
+  pubsub.reset_counters();
+  EXPECT_EQ(pubsub.publish(acme), 0u);
+  EXPECT_EQ(pubsub.counters().counter_increments, 0u);
+  EXPECT_EQ(pubsub.counters().tree_evaluations, 0u);
+  EXPECT_EQ(pubsub.publish(tick(pubsub, "ZZZ", 5.0, 1)), 1u);
+  EXPECT_EQ(pubsub.counters().counter_increments, 1u);
 }
 
 }  // namespace

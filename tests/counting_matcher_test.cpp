@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 
 #include "core/candidates.hpp"
 #include "subscription/parser.hpp"
@@ -377,6 +378,77 @@ TEST_F(CountingMatcherTest, SlotRecyclingAfterRemoveAdd) {
   m.add(*s2);
   const Event e = EventBuilder(schema_).with("price", 5.0).with("year", 2000).build();
   EXPECT_EQ(match(m, e), std::vector<SubscriptionId>{SubscriptionId(2)});
+}
+
+// --- Access leaves ---------------------------------------------------------
+
+TEST_F(CountingMatcherTest, WithoutAnOracleOrWithAZeroOneEveryLeafIsCounted) {
+  // Counting every leaf bumps, per event, one counter per (subscription,
+  // distinct predicate) pair whose predicate holds — the paper's count.
+  // Binding an all-zero oracle, or binding and unbinding one, keeps it.
+  test::MiniDomain dom(4, 10);
+  std::mt19937_64 rng(31);
+  test::Corpus corpus = test::make_corpus(dom, rng, 120, /*not_prob=*/0.25);
+  CountingMatcher unbound(dom.schema());
+  CountingMatcher zero(dom.schema());
+  CountingMatcher rebound(dom.schema());
+  zero.set_leaf_estimate([](const Predicate&) { return 0.0; });
+  rebound.set_leaf_estimate([](const Predicate& p) { return p.op() == Op::Eq ? 0.1 : 0.9; });
+  for (auto& s : corpus.subs) {
+    unbound.add(*s);
+    zero.add(*s);
+    rebound.add(*s);
+  }
+  rebound.set_leaf_estimate({});
+
+  std::uint64_t expected = 0;
+  for (const auto& e : dom.random_events(rng, 200)) {
+    for (const auto& s : corpus.subs) {
+      std::vector<Predicate> seen;
+      s->root().for_each_leaf([&](const Node& leaf) {
+        if (std::find(seen.begin(), seen.end(), leaf.predicate()) != seen.end()) return;
+        seen.push_back(leaf.predicate());
+        if (leaf.predicate().matches(e)) ++expected;
+      });
+    }
+    const auto got = match(unbound, e);
+    EXPECT_EQ(match(zero, e), got);
+    EXPECT_EQ(match(rebound, e), got);
+  }
+  EXPECT_EQ(unbound.counters().counter_increments, expected);
+  EXPECT_EQ(zero.counters().counter_increments, expected);
+  EXPECT_EQ(rebound.counters().counter_increments, expected);
+  EXPECT_EQ(zero.counters().tree_evaluations, unbound.counters().tree_evaluations);
+}
+
+TEST_F(CountingMatcherTest, AndOfARareEqAndABroadLtCountsOnlyTheEq) {
+  CountingMatcher m(schema_);
+  m.set_leaf_estimate([](const Predicate& p) { return p.op() == Op::Eq ? 0.01 : 0.9; });
+  auto s = sub(1, "category = 'art' and price < 10");
+  m.add(*s);
+  EXPECT_EQ(m.associations_of(SubscriptionId(1)), 2u);  // both stay associated
+  EXPECT_EQ(m.live_predicates(), 2u);                   // and indexed
+
+  const Event cheap = EventBuilder(schema_).with("category", "music").with("price", 5.0).build();
+  EXPECT_TRUE(match(m, cheap).empty());
+  EXPECT_EQ(m.counters().predicate_hits, 1u);
+  EXPECT_EQ(m.counters().counter_increments, 0u);
+  EXPECT_EQ(m.counters().tree_evaluations, 0u);
+
+  m.reset_counters();
+  const Event art = EventBuilder(schema_).with("category", "art").with("price", 5.0).build();
+  EXPECT_EQ(match(m, art), std::vector<SubscriptionId>{SubscriptionId(1)});
+  const Event dear = EventBuilder(schema_).with("category", "art").with("price", 50.0).build();
+  EXPECT_TRUE(match(m, dear).empty());
+  EXPECT_EQ(m.counters().counter_increments, 2u);  // one Eq bump per event
+  EXPECT_EQ(m.counters().tree_evaluations, 2u);
+
+  // Unbound, both leaves count again and the Lt alone no longer triggers.
+  m.set_leaf_estimate({});
+  m.reset_counters();
+  EXPECT_TRUE(match(m, cheap).empty());
+  EXPECT_EQ(m.counters().counter_increments, 1u);
+  EXPECT_EQ(m.counters().tree_evaluations, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <random>
 
 #include "core/candidates.hpp"
@@ -108,6 +110,92 @@ TEST_F(ImplicationTest, SoundnessOnRandomPairs) {
     }
   }
   EXPECT_GT(positives, 100u);  // the check is not vacuous
+}
+
+/// Values where comparison semantics get subtle: NaN (either sign), ±inf,
+/// ±0, Int and Double spellings of the same number, neighbours one ulp
+/// apart, integers past 2^53 (where Int → Double rounds) and strings.
+std::vector<Value> edge_values() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::int64_t kBig = std::int64_t{1} << 53;
+  std::vector<Value> out{Value(nan), Value(-nan), Value(kInf), Value(-kInf), Value(0.0),
+                         Value(-0.0), Value(std::int64_t{0}), Value(std::int64_t{kBig}),
+                         Value(kBig + 1), Value(kBig + 2), Value(static_cast<double>(kBig)),
+                         Value(-kBig - 1), Value(-static_cast<double>(kBig)),
+                         Value("a"), Value("ab"), Value("ba"), Value("")};
+  for (const std::int64_t i : {-1, 1, 2, 3}) {
+    out.emplace_back(i);
+    const auto d = static_cast<double>(i);
+    out.emplace_back(d);
+    out.emplace_back(std::nextafter(d, kInf));
+    out.emplace_back(std::nextafter(d, -kInf));
+  }
+  return out;
+}
+
+Predicate random_edge_predicate(AttributeId attr, const std::vector<Value>& values,
+                                std::mt19937_64& rng) {
+  const auto pick = [&] { return values[rng() % values.size()]; };
+  switch (rng() % 11) {
+    case 0: return Predicate(attr, Op::Eq, pick());
+    case 1: return Predicate(attr, Op::Ne, pick());
+    case 2: return Predicate(attr, Op::Lt, pick());
+    case 3: return Predicate(attr, Op::Le, pick());
+    case 4: return Predicate(attr, Op::Gt, pick());
+    case 5: return Predicate(attr, Op::Ge, pick());
+    case 6: return Predicate(attr, pick(), pick());
+    case 7: {
+      std::vector<Value> members{pick(), pick()};
+      if (rng() % 2 == 0) members.push_back(pick());
+      return Predicate(attr, std::move(members));
+    }
+    default: {
+      static constexpr Op kStringOps[] = {Op::Prefix, Op::Suffix, Op::Contains};
+      static const char* const kPatterns[] = {"", "a", "b", "ab", "ba"};
+      return Predicate(attr, kStringOps[rng() % 3], Value(kPatterns[rng() % 5]));
+    }
+  }
+}
+
+TEST(ImplicationSoundness, HoldsForEveryEdgeValueIncludingNaN) {
+  // Whenever implies(p, q) holds, every value p matches q matches too —
+  // over operands and values drawn from NaN, ±inf, ±0, rounding integers
+  // and strings.
+  Schema schema;
+  const AttributeId x = schema.add_attribute("x", ValueType::Double);
+  const std::vector<Value> values = edge_values();
+  std::mt19937_64 rng(1202);
+  std::size_t positives = 0;
+  for (int round = 0; round < 40000; ++round) {
+    const Predicate p = random_edge_predicate(x, values, rng);
+    const Predicate q = random_edge_predicate(x, values, rng);
+    if (!implies(p, q)) continue;
+    ++positives;
+    for (const Value& v : values) {
+      if (p.matches_value(v)) {
+        ASSERT_TRUE(q.matches_value(v)) << p.to_string(schema) << " => " << q.to_string(schema)
+                                        << " violated at " << v.to_string();
+      }
+    }
+  }
+  EXPECT_GT(positives, 1000u);  // the check is not vacuous
+}
+
+TEST(ImplicationSoundness, NaNOperandsImplyOnlyWhatTheyMatch) {
+  // A NaN operand makes Eq, In, ordered comparisons and Between match
+  // nothing and Ne match everything; implication must respect both.
+  Schema schema;
+  const AttributeId x = schema.add_attribute("x", ValueType::Double);
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  const Predicate ne_nan(x, Op::Ne, nan);
+  const Predicate lt_nan(x, Op::Lt, nan);
+  const Predicate lt5(x, Op::Lt, Value(5.0));
+  EXPECT_FALSE(implies(ne_nan, lt5));
+  EXPECT_FALSE(implies(ne_nan, Predicate(x, Op::Ne, Value(5.0))));
+  EXPECT_FALSE(implies(lt5, lt_nan));
+  EXPECT_FALSE(implies(Predicate(x, Op::Ge, Value(0.0)), Predicate(x, Value(0.0), nan)));
+  EXPECT_TRUE(implies(lt5, ne_nan));
 }
 
 class CoveringTest : public ::testing::Test {

@@ -1,15 +1,20 @@
 // Property tests: the CountingMatcher must agree with the NaiveMatcher
 // (direct tree evaluation) on arbitrary subscription corpora and event
 // streams — including NOT-bearing subscriptions (pmin = 0 paths), NaN
-// event values, and after arbitrary pruning/reindex churn.
+// event values, after arbitrary pruning/reindex churn, and whatever leaf
+// estimates choose its access leaves.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <random>
+#include <string>
 
 #include "core/candidates.hpp"
+#include "core/sharded_engine.hpp"
 #include "filter/counting_matcher.hpp"
 #include "filter/dnf_matcher.hpp"
 #include "filter/naive_matcher.hpp"
@@ -329,6 +334,259 @@ TEST(MatcherEquivalenceAuction, RealWorkloadAgreesWithNaive) {
     EXPECT_EQ(sorted_match(counting, e), sorted_match(naive, e));
   }
 }
+
+// --- Access leaves ---------------------------------------------------------
+
+/// Raw (unsimplified) trees over a pool of 24 predicates on three Int
+/// attributes: And/Or of 1-4 children, Not, True and False nodes, leaves
+/// repeating pool predicates within a tree, and one operand in six NaN.
+class AccessDomain {
+ public:
+  explicit AccessDomain(std::mt19937_64& rng) {
+    for (int i = 0; i < 3; ++i) {
+      attrs_.push_back(schema_.add_attribute("a" + std::to_string(i), ValueType::Int));
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (int i = 0; i < 24; ++i) {
+      const AttributeId attr = attrs_[rng() % attrs_.size()];
+      const auto v = static_cast<std::int64_t>(rng() % 6);
+      const Value operand = rng() % 6 == 0 ? Value(nan) : Value(v);
+      switch (rng() % 7) {
+        case 0: pool_.emplace_back(attr, Op::Eq, operand); break;
+        case 1: pool_.emplace_back(attr, Op::Ne, operand); break;
+        case 2: pool_.emplace_back(attr, Op::Lt, operand); break;
+        case 3: pool_.emplace_back(attr, Op::Le, operand); break;
+        case 4: pool_.emplace_back(attr, Op::Gt, operand); break;
+        case 5: pool_.emplace_back(attr, Op::Ge, operand); break;
+        default: pool_.emplace_back(attr, operand, Value(v + 2)); break;
+      }
+    }
+  }
+
+  [[nodiscard]] const Schema& schema() const { return schema_; }
+  [[nodiscard]] const std::vector<Predicate>& pool() const { return pool_; }
+
+  [[nodiscard]] std::unique_ptr<Node> tree(std::mt19937_64& rng, int depth) const {
+    if (depth == 0 || rng() % 4 == 0) {
+      switch (rng() % 16) {
+        case 0: return Node::constant(true);
+        case 1: return Node::constant(false);
+        default: return Node::leaf(pool_[rng() % pool_.size()]);
+      }
+    }
+    const auto kind = rng() % 5;
+    if (kind == 0) return Node::not_(tree(rng, depth - 1));
+    std::vector<std::unique_ptr<Node>> children;
+    const auto arity = 1 + rng() % 4;
+    for (std::uint64_t i = 0; i < arity; ++i) children.push_back(tree(rng, depth - 1));
+    return kind <= 2 ? Node::and_(std::move(children)) : Node::or_(std::move(children));
+  }
+
+  /// Each attribute set with probability 5/6, to a value in [0, 7) or NaN.
+  [[nodiscard]] std::vector<Event> events(std::mt19937_64& rng, std::size_t n) const {
+    std::vector<Event> out(n);
+    for (Event& e : out) {
+      for (const AttributeId attr : attrs_) {
+        if (rng() % 6 == 0) continue;
+        if (rng() % 10 == 0) {
+          e.set(attr, Value(std::numeric_limits<double>::quiet_NaN()));
+        } else {
+          e.set(attr, Value(static_cast<std::int64_t>(rng() % 7)));
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  Schema schema_;
+  std::vector<AttributeId> attrs_;
+  std::vector<Predicate> pool_;
+};
+
+enum class Oracle { Zero, One, NaN, Negative, AboveOne, Random, Adversarial };
+
+/// Adversarial: a predicate's estimate is the complement of its real hit
+/// rate on `sample` (often-fulfilled predicates look rare and the other
+/// way round), and every third pool predicate reads NaN, -1 or 2 instead.
+CountingMatcher::LeafEstimate make_oracle(Oracle kind, const AccessDomain& dom,
+                                          const std::vector<Event>& sample,
+                                          std::uint64_t seed) {
+  switch (kind) {
+    case Oracle::Zero: return [](const Predicate&) { return 0.0; };
+    case Oracle::One: return [](const Predicate&) { return 1.0; };
+    case Oracle::NaN:
+      return [](const Predicate&) { return std::numeric_limits<double>::quiet_NaN(); };
+    case Oracle::Negative: return [](const Predicate&) { return -1.0; };
+    case Oracle::AboveOne: return [](const Predicate&) { return 2.0; };
+    case Oracle::Random: {
+      auto rng = std::make_shared<std::mt19937_64>(seed);
+      return [rng](const Predicate&) {
+        return std::uniform_real_distribution<double>(-0.1, 1.1)(*rng);
+      };
+    }
+    case Oracle::Adversarial: {
+      auto estimates = std::make_shared<std::vector<std::pair<Predicate, double>>>();
+      for (std::size_t i = 0; i < dom.pool().size(); ++i) {
+        const Predicate& p = dom.pool()[i];
+        double hits = 0;
+        for (const Event& e : sample) hits += p.matches(e) ? 1.0 : 0.0;
+        static constexpr double kExtremes[] = {std::numeric_limits<double>::quiet_NaN(),
+                                               -1.0, 2.0};
+        estimates->emplace_back(
+            p, i % 3 == 0 ? kExtremes[(i / 3) % 3] : 1.0 - hits / sample.size());
+      }
+      return [estimates](const Predicate& p) {
+        for (const auto& [pred, estimate] : *estimates) {
+          if (pred.equals(p)) return estimate;
+        }
+        return 0.5;  // NaN operands equal nothing
+      };
+    }
+  }
+  return {};
+}
+
+std::string oracle_name(Oracle kind) {
+  static const char* const kNames[] = {"Zero",     "One",    "NaN",        "Negative",
+                                       "AboveOne", "Random", "Adversarial"};
+  return kNames[static_cast<int>(kind)];
+}
+
+/// Distinct pool predicates an event fulfils, summed over the live
+/// subscriptions that use them — the bumps of counting every leaf.
+std::uint64_t all_leaf_bumps(const std::vector<std::unique_ptr<Subscription>>& subs,
+                             const std::vector<bool>& alive, const Event& e) {
+  std::uint64_t bumps = 0;
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    if (!alive[i]) continue;
+    std::vector<const Predicate*> seen;
+    subs[i]->root().for_each_leaf([&](const Node& leaf) {
+      const Predicate& p = leaf.predicate();
+      const bool repeat = std::any_of(seen.begin(), seen.end(),
+                                      [&](const Predicate* q) { return q->equals(p); });
+      if (repeat) return;
+      seen.push_back(&p);
+      if (p.matches(e)) ++bumps;
+    });
+  }
+  return bumps;
+}
+
+class AccessLeafEquivalence : public ::testing::TestWithParam<Oracle> {};
+
+TEST_P(AccessLeafEquivalence, CountingEqualsNaiveThroughChurnAndRebinding) {
+  // add -> reindex (fresh trees and prunings) -> remove -> rebind, checking
+  // every delivery against direct evaluation, and that the access leaves
+  // never bump more counters than counting every leaf would.
+  const auto seed = 100 + static_cast<std::uint64_t>(GetParam());
+  std::mt19937_64 rng(seed);
+  const AccessDomain dom(rng);
+  const std::vector<Event> sample = dom.events(rng, 200);
+  CountingMatcher counting(dom.schema());
+  counting.set_leaf_estimate(make_oracle(GetParam(), dom, sample, seed));
+  NaiveMatcher naive;
+  std::vector<std::unique_ptr<Subscription>> subs;
+  std::vector<bool> alive;
+  // Pruning works on stored trees only (simplified, constant-free), so
+  // half of the trees are simplified first and only those get pruned.
+  std::vector<bool> prunable;
+  const auto tree = [&](bool simplified) {
+    auto t = dom.tree(rng, 4);
+    if (!simplified) return t;
+    t = simplify(std::move(t));
+    return t->is_constant() ? Node::leaf(dom.pool()[0]) : std::move(t);
+  };
+  const auto add_one = [&] {
+    const auto id = SubscriptionId(static_cast<SubscriptionId::value_type>(subs.size()));
+    const bool simplified = rng() % 2 == 0;
+    subs.push_back(std::make_unique<Subscription>(id, tree(simplified)));
+    alive.push_back(true);
+    prunable.push_back(simplified);
+    counting.add(*subs.back());
+    naive.add(*subs.back());
+  };
+  const auto check = [&](std::size_t events, int round) {
+    for (const Event& e : dom.events(rng, events)) {
+      const std::uint64_t before = counting.counters().counter_increments;
+      ASSERT_EQ(sorted_match(counting, e), sorted_match(naive, e)) << "round " << round;
+      ASSERT_LE(counting.counters().counter_increments - before, all_leaf_bumps(subs, alive, e));
+    }
+  };
+  for (int i = 0; i < 150; ++i) add_one();
+  check(200, -1);
+
+  for (int round = 0; round < 24; ++round) {
+    for (int k = 0; k < 10; ++k) {
+      const auto i = static_cast<std::size_t>(rng() % subs.size());
+      if (!alive[i]) continue;
+      Subscription& s = *subs[i];
+      switch (rng() % 4) {
+        case 0:
+          counting.remove(s);
+          naive.remove(s.id());
+          alive[i] = false;
+          break;
+        case 1:
+          prunable[i] = rng() % 2 == 0;
+          s.replace_root(tree(prunable[i]));
+          counting.reindex(s);
+          break;
+        default: {
+          if (!prunable[i]) break;
+          const auto candidates = enumerate_prunings(s.root());
+          if (candidates.empty()) break;
+          apply_pruning(s, candidates[rng() % candidates.size()]);
+          counting.reindex(s);
+        }
+      }
+    }
+    for (int k = 0; k < 5; ++k) add_one();
+    switch (round % 6) {
+      case 1: counting.rechoose_access_sets(); break;
+      case 3: counting.set_leaf_estimate({}); break;
+      case 5: counting.set_leaf_estimate(make_oracle(GetParam(), dom, sample, seed + round)); break;
+      default: break;
+    }
+    check(30, round);
+  }
+
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    if (alive[i]) counting.remove(*subs[i]);
+  }
+  EXPECT_EQ(counting.subscription_count(), 0u);
+  EXPECT_EQ(counting.live_predicates(), 0u);
+  EXPECT_EQ(counting.association_count(), 0u);
+}
+
+TEST_P(AccessLeafEquivalence, BatchRowsEqualNaiveAtEveryWorkerCount) {
+  const auto seed = 200 + static_cast<std::uint64_t>(GetParam());
+  std::mt19937_64 rng(seed);
+  const AccessDomain dom(rng);
+  const std::vector<Event> events = dom.events(rng, 300);
+  std::vector<std::unique_ptr<Subscription>> subs;
+  NaiveMatcher naive;
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    subs.push_back(std::make_unique<Subscription>(SubscriptionId(i), dom.tree(rng, 4)));
+    naive.add(*subs.back());
+  }
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    ShardedEngine engine(dom.schema(), ShardedEngineOptions{workers});
+    engine.counting_shard(0).set_leaf_estimate(make_oracle(GetParam(), dom, events, seed));
+    for (auto& s : subs) engine.add(*s);
+    const auto rows = engine.match_batch(events);
+    ASSERT_EQ(rows.size(), events.size());
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      ASSERT_EQ(rows[e], sorted_match(naive, events[e])) << workers << " workers, event " << e;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Oracles, AccessLeafEquivalence,
+                         ::testing::Values(Oracle::Zero, Oracle::One, Oracle::NaN,
+                                           Oracle::Negative, Oracle::AboveOne, Oracle::Random,
+                                           Oracle::Adversarial),
+                         [](const auto& info) { return oracle_name(info.param); });
 
 }  // namespace
 }  // namespace dbsp

@@ -1,6 +1,6 @@
 // The per-event tracing core: trace context minting, TraceBuilder span
-// collection (parenting, overflow, timing), ScopedSpan gating (null
-// builder, detailed_only vs head sampling, early close), the
+// collection (parenting, overflow, timing), ScopedSpan gating (null or
+// inactive builder, early close), the
 // FlightRecorder's lock-free ring (round trip, wrap, concurrent
 // record/snapshot tear-freedom), two-sided sampling (1-in-N head sampler,
 // rolling slowest-K tail admission), the traces JSON rendering, the
@@ -149,26 +149,6 @@ TEST(ScopedSpanTest, InertOnNullOrInactiveBuilder) {
     ScopedSpan span(&builder, TraceStage::kMatch);
     EXPECT_EQ(span.span_id(), 0u);
   }
-}
-
-TEST(ScopedSpanTest, DetailedOnlySpansRequireHeadSampling) {
-  FlightRecorder recorder(small_recorder());
-  TraceBuilder builder;
-  builder.begin(make_trace_context(/*sampled=*/false));
-  {
-    ScopedSpan coarse(&builder, TraceStage::kMatch);
-    EXPECT_NE(coarse.span_id(), 0u);
-    ScopedSpan detailed(&builder, TraceStage::kOverlayHop,
-                        /*detailed_only=*/true);
-    EXPECT_EQ(detailed.span_id(), 0u);
-  }
-  // An unsampled trace with an empty slow window is still admitted (the
-  // window is underfull), carrying only the coarse span.
-  EXPECT_TRUE(builder.finish(recorder));
-  const std::vector<Trace> traces = recorder.snapshot();
-  ASSERT_EQ(traces.size(), 1u);
-  ASSERT_EQ(traces[0].spans.size(), 1u);
-  EXPECT_EQ(traces[0].spans[0].stage, TraceStage::kMatch);
 }
 
 TEST(ScopedSpanTest, CloseIsIdempotentAndKeepsTheDetail) {
