@@ -1,8 +1,9 @@
 // Durable-store microbenchmarks: WAL append throughput (the per-subscribe
-// durability tax), snapshot write cost at a given table size, and full
-// crash-recovery replay (PubSub::open over snapshot + WAL). bench_runner.py
-// summarizes these rows into BENCH_store.json; the recovery rows are the
-// "how long is a restart" trajectory number.
+// durability tax), snapshot write cost at a given table size (60000 is the
+// churn_durable table), the CRC-32 every record and snapshot carries, and
+// full crash-recovery replay (PubSub::open over snapshot + WAL).
+// bench_runner.py summarizes these rows into BENCH_store.json; the
+// recovery rows are the "how long is a restart" trajectory number.
 
 #include <benchmark/benchmark.h>
 
@@ -122,8 +123,25 @@ void BM_SnapshotWrite(benchmark::State& state) {
   handles.clear();
   fs::remove_all(dir);
 }
-BENCHMARK(BM_SnapshotWrite)->Arg(1000)->Arg(5000)
+BENCHMARK(BM_SnapshotWrite)->Arg(1000)->Arg(5000)->Arg(60000)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// One iteration = the CRC-32 of a 4 MiB buffer, about one churn_durable
+/// snapshot body.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> bytes(std::size_t{4} << 20);
+  std::uint32_t x = 1;
+  for (auto& b : bytes) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store::crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// One iteration = one full crash recovery (PubSub::open) of a store whose
 /// N subscriptions live entirely in the WAL (worst case: no compaction).

@@ -3,11 +3,13 @@
 /// durable via --store) with the net::NetServer TCP edge.
 ///
 ///   dbspd [--host H] [--port P] [--domain auction|stock|iot]
-///         [--store DIR] [--pruning] [--drain-timeout-ms N]
-///         [--metrics-port P] [--trace-dump PATH]
+///         [--store DIR] [--snapshot-every N] [--fsync] [--pruning]
+///         [--drain-timeout-ms N] [--metrics-port P] [--trace-dump PATH]
 ///
-/// Unset options fall back to the DBSP_NET_* environment knobs (see
-/// README). SIGTERM/SIGINT trigger a graceful drain: stop accepting,
+/// --snapshot-every N (WAL records between checkpoints, default 1024) and
+/// --fsync (fsync every WAL append and snapshot) tune the --store.
+/// Unset network options fall back to the DBSP_NET_* environment knobs
+/// (see README). SIGTERM/SIGINT trigger a graceful drain: stop accepting,
 /// flush every client's delivery queue, checkpoint the store, exit 0. A
 /// second signal (or SIGQUIT) kills immediately — the crash path the
 /// warm-restart tests exercise. SIGUSR1 dumps the flight recorder's
@@ -59,8 +61,8 @@ void raise_nofile_limit() {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host H] [--port P] [--domain auction|stock|iot]\n"
-               "          [--store DIR] [--pruning] [--drain-timeout-ms N]\n"
-               "          [--metrics-port P] [--trace-dump PATH]\n",
+               "          [--store DIR] [--snapshot-every N] [--fsync] [--pruning]\n"
+               "          [--drain-timeout-ms N] [--metrics-port P] [--trace-dump PATH]\n",
                argv0);
   return 2;
 }
@@ -71,6 +73,7 @@ int main(int argc, char** argv) {
   dbsp::net::NetServerOptions options = dbsp::net::NetServerOptions::from_env();
   std::string domain = "auction";
   std::string store_dir;
+  dbsp::StoreOptions store;  // --snapshot-every, --fsync; used with --store
   bool pruning = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -94,6 +97,15 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       store_dir = v;
+    } else if (arg == "--snapshot-every") {
+      const char* v = next();
+      if (v == nullptr) return usage(argv[0]);
+      char* end = nullptr;
+      const unsigned long long n = std::strtoull(v, &end, 10);
+      if (end == v || *end != '\0' || n == 0 || v[0] == '-') return usage(argv[0]);
+      store.snapshot_every = static_cast<std::size_t>(n);
+    } else if (arg == "--fsync") {
+      store.fsync = true;
     } else if (arg == "--pruning") {
       pruning = true;
     } else if (arg == "--drain-timeout-ms") {
@@ -133,7 +145,6 @@ int main(int argc, char** argv) {
 
   std::optional<dbsp::PubSub> pubsub;
   if (!store_dir.empty()) {
-    dbsp::StoreOptions store;
     store.directory = store_dir;
     store.schema = workload->schema();
     auto opened = dbsp::PubSub::open(std::move(store), pubsub_options);

@@ -185,22 +185,19 @@ struct PubSubCore {
     snap.next_seq = next_seq;
     snap.stats = stats_trained ? &stats : nullptr;
     snap.subs.reserve(subs.size());
-    for (const auto& [raw_id, entry] : subs) {
-      store::SnapshotSub s;
-      s.id = entry.sub->id();
-      s.tree = &entry.sub->root();
-      if (pruning) {
-        if (const auto acct = pruning->accounting(s.id)) {
-          s.capacity = acct->first;
-          s.performed = acct->second;
-        }
+    if (pruning) {
+      // The pruning engine tracks exactly the live table, so one pass over
+      // it yields every tree with its accounting.
+      pruning->for_each_accounting(
+          [&](const Subscription& sub, std::size_t capacity, std::size_t performed) {
+            snap.subs.push_back({sub.id(), capacity, performed, &sub.root()});
+          });
+    } else {
+      for (const auto& [raw_id, entry] : subs) {
+        snap.subs.push_back({entry.sub->id(), 0, 0, &entry.sub->root()});
       }
-      snap.subs.push_back(s);
     }
-    std::sort(snap.subs.begin(), snap.subs.end(),
-              [](const store::SnapshotSub& a, const store::SnapshotSub& b) {
-                return a.id < b.id;
-              });
+    store::sort_by_id(snap.subs);
     return snap;
   }
 

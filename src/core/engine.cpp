@@ -10,31 +10,38 @@ PruningEngine::PruningEngine(const SelectivityEstimator& estimator,
     : config_(config), scorer_(estimator), matcher_(matcher) {}
 
 void PruningEngine::register_subscription(Subscription& sub) {
-  if (subs_.count(sub.id().value()) != 0) {
+  const auto [it, inserted] = position_.emplace(
+      sub.id().value(), static_cast<std::uint32_t>(states_.size()));
+  if (!inserted) {
     throw std::invalid_argument("pruning engine: duplicate subscription");
   }
-  SubState state;
+  SubState& state = states_.emplace_back();
   state.sub = &sub;
   state.original = scorer_.profile(sub.root());
   state.capacity = internal_prunings(sub.root());
   total_possible_ += state.capacity;
-  auto [it, inserted] = subs_.emplace(sub.id().value(), std::move(state));
-  (void)inserted;
-  push_best_candidate(it->second);
+  push_best_candidate(state);
   ++maintenance_.admissions;
   ++mutations_since_rescore_;
 }
 
 void PruningEngine::unregister_subscription(SubscriptionId id) {
-  auto it = subs_.find(id.value());
-  if (it == subs_.end()) return;
-  total_possible_ -= it->second.capacity;
-  performed_ -= it->second.performed;
+  const auto it = position_.find(id.value());
+  if (it == position_.end()) return;
+  SubState& state = states_[it->second];
+  total_possible_ -= state.capacity;
+  performed_ -= state.performed;
   // The subscription's queue entry (at most one; none if it had no
   // candidates or was pruned to exhaustion) dies lazily on pop or in the
   // next compaction sweep.
-  if (it->second.queued) ++dead_entries_;
-  subs_.erase(it);
+  if (state.queued) ++dead_entries_;
+  // Swap-pop: the last state moves into the hole.
+  if (&state != &states_.back()) {
+    state = std::move(states_.back());
+    position_[state.sub->id().value()] = it->second;
+  }
+  states_.pop_back();
+  position_.erase(it);
   ++maintenance_.releases;
   ++mutations_since_rescore_;
   maybe_compact();
@@ -49,8 +56,8 @@ void PruningEngine::maybe_compact() {
   live.reserve(queue_.size());
   while (!queue_.empty()) {
     const QueueEntry& top = queue_.top();
-    auto it = subs_.find(top.sub.value());
-    if (it != subs_.end() && top.generation == it->second.sub->generation()) {
+    const SubState* state = find(top.sub);
+    if (state != nullptr && top.generation == state->sub->generation()) {
       live.push_back(top);
     }
     queue_.pop();
@@ -63,7 +70,7 @@ void PruningEngine::maybe_compact() {
 void PruningEngine::rescore_all() {
   queue_ = decltype(queue_){};
   dead_entries_ = 0;
-  for (auto& [id, state] : subs_) push_best_candidate(state);
+  for (SubState& state : states_) push_best_candidate(state);
   mutations_since_rescore_ = 0;
   ++maintenance_.full_rescores;
 }
@@ -97,20 +104,20 @@ bool PruningEngine::prune_one() {
   while (!queue_.empty()) {
     QueueEntry top = queue_.top();
     queue_.pop();
-    auto it = subs_.find(top.sub.value());
-    if (it == subs_.end()) {                                      // released
+    SubState* state = find(top.sub);
+    if (state == nullptr) {                                   // released
       if (dead_entries_ > 0) --dead_entries_;
       continue;
     }
-    if (top.generation != it->second.sub->generation()) continue; // stale
-    apply_pruning(*it->second.sub, top.path);
+    if (top.generation != state->sub->generation()) continue; // stale
+    apply_pruning(*state->sub, top.path);
     if (matcher_ != nullptr && matcher_->contains(top.sub)) {
-      matcher_->reindex(*it->second.sub);
+      matcher_->reindex(*state->sub);
     }
     ++performed_;
-    ++it->second.performed;
+    ++state->performed;
     history_.push_back({top.sub, top.scores});
-    push_best_candidate(it->second);
+    push_best_candidate(*state);
     return true;
   }
   return false;
@@ -131,9 +138,9 @@ std::size_t PruningEngine::prune_to_fraction(double fraction) {
 std::optional<double> PruningEngine::next_primary_rating() {
   while (!queue_.empty()) {
     const QueueEntry& top = queue_.top();
-    auto it = subs_.find(top.sub.value());
-    if (it == subs_.end() || top.generation != it->second.sub->generation()) {
-      if (it == subs_.end() && dead_entries_ > 0) --dead_entries_;
+    const SubState* state = find(top.sub);
+    if (state == nullptr || top.generation != state->sub->generation()) {
+      if (state == nullptr && dead_entries_ > 0) --dead_entries_;
       queue_.pop();  // stale; discard and keep looking
       continue;
     }
@@ -158,36 +165,39 @@ std::size_t PruningEngine::prune_until(double budget) {
   return done;
 }
 
-std::optional<std::pair<std::size_t, std::size_t>> PruningEngine::accounting(
-    SubscriptionId id) const {
-  auto it = subs_.find(id.value());
-  if (it == subs_.end()) return std::nullopt;
-  return std::make_pair(it->second.capacity, it->second.performed);
-}
-
 void PruningEngine::restore_accounting(SubscriptionId id, std::size_t capacity,
                                        std::size_t performed) {
-  auto it = subs_.find(id.value());
-  if (it == subs_.end()) {
+  SubState* state = find(id);
+  if (state == nullptr) {
     throw std::invalid_argument("pruning engine: restore of unregistered subscription");
   }
   // Unsigned wrap in the deltas is fine: the add below undoes it exactly.
-  total_possible_ += capacity - it->second.capacity;
-  performed_ += performed - it->second.performed;
-  it->second.capacity = capacity;
-  it->second.performed = performed;
+  total_possible_ += capacity - state->capacity;
+  performed_ += performed - state->performed;
+  state->capacity = capacity;
+  state->performed = performed;
+}
+
+PruningEngine::SubState* PruningEngine::find(SubscriptionId id) {
+  const auto it = position_.find(id.value());
+  return it == position_.end() ? nullptr : &states_[it->second];
+}
+
+const PruningEngine::SubState* PruningEngine::find(SubscriptionId id) const {
+  const auto it = position_.find(id.value());
+  return it == position_.end() ? nullptr : &states_[it->second];
 }
 
 std::optional<PruneScores> PruningEngine::peek_best(SubscriptionId id) const {
-  auto it = subs_.find(id.value());
-  if (it == subs_.end()) return std::nullopt;
-  const auto candidates = enumerate_prunings(it->second.sub->root(), config_.bottom_up);
+  const SubState* state = find(id);
+  if (state == nullptr) return std::nullopt;
+  const auto candidates = enumerate_prunings(state->sub->root(), config_.bottom_up);
   if (candidates.empty()) return std::nullopt;
   const auto order = config_.effective_order();
   std::optional<PruneScores> best;
   std::array<double, 3> best_key{};
   for (const auto& path : candidates) {
-    const PruneScores s = scorer_.score(it->second.sub->root(), path, it->second.original);
+    const PruneScores s = scorer_.score(state->sub->root(), path, state->original);
     const auto key = composite_key(s, order);
     if (!best || key < best_key) {
       best = s;
@@ -198,9 +208,8 @@ std::optional<PruneScores> PruningEngine::peek_best(SubscriptionId id) const {
 }
 
 const OriginalProfile* PruningEngine::original_profile(SubscriptionId id) const {
-  auto it = subs_.find(id.value());
-  if (it == subs_.end()) return nullptr;
-  return &it->second.original;
+  const SubState* state = find(id);
+  return state == nullptr ? nullptr : &state->original;
 }
 
 }  // namespace dbsp

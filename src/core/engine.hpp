@@ -74,9 +74,9 @@ class PruningEngine {
   /// this unconditionally.
   void unregister_subscription(SubscriptionId id);
   [[nodiscard]] bool contains(SubscriptionId id) const {
-    return subs_.count(id.value()) != 0;
+    return position_.count(id.value()) != 0;
   }
-  [[nodiscard]] std::size_t subscription_count() const { return subs_.size(); }
+  [[nodiscard]] std::size_t subscription_count() const { return states_.size(); }
 
   /// Performs the globally most effective pruning. Returns false when no
   /// valid pruning remains ("any other pruning removes a complete
@@ -142,11 +142,18 @@ class PruningEngine {
   /// stay as captured at registration.
   void rescore_all();
 
-  /// Per-subscription pruning accounting: {capacity captured at
-  /// registration, prunings performed since}. nullopt for unknown ids.
+  /// Per-subscription pruning accounting in bulk: calls
+  /// `fn(const Subscription&, capacity, performed)` for every registered
+  /// subscription — capacity captured at registration, prunings performed
+  /// since — in one sequential pass over the engine's dense table, in no
+  /// particular order.
   /// Snapshotted by the durable store so accounting survives restarts.
-  [[nodiscard]] std::optional<std::pair<std::size_t, std::size_t>> accounting(
-      SubscriptionId id) const;
+  template <class Fn>
+  void for_each_accounting(Fn&& fn) const {
+    for (const SubState& state : states_) {
+      fn(std::as_const(*state.sub), state.capacity, state.performed);
+    }
+  }
 
   /// Crash-recovery hook: overrides a registered subscription's captured
   /// capacity and performed count with the values persisted before the
@@ -204,6 +211,8 @@ class PruningEngine {
   /// Scores all valid candidates of `state.sub`'s current tree and pushes
   /// the best one (if any); maintains state.queued.
   void push_best_candidate(SubState& state);
+  [[nodiscard]] SubState* find(SubscriptionId id);
+  [[nodiscard]] const SubState* find(SubscriptionId id) const;
   /// Sweeps dead queue entries (released subscriptions) once they dominate
   /// the queue. Filters and re-heapifies; re-scores nothing.
   void maybe_compact();
@@ -211,7 +220,10 @@ class PruningEngine {
   PruneEngineConfig config_;
   HeuristicScorer scorer_;
   CountingMatcher* matcher_;
-  std::unordered_map<SubscriptionId::value_type, SubState> subs_;
+  /// Registered subscriptions, dense (a release swap-pops), so a walk over
+  /// all of them reads one array instead of chasing hash-map nodes.
+  std::vector<SubState> states_;
+  std::unordered_map<SubscriptionId::value_type, std::uint32_t> position_;  ///< id -> index
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, Compare> queue_;
   std::vector<Applied> history_;
   std::size_t total_possible_ = 0;

@@ -1,28 +1,14 @@
 #include "routing/codec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 
 namespace dbsp {
 
-void WireWriter::put_u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void WireWriter::put_u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void WireWriter::put_u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void WireWriter::put_f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  put_u64(bits);
+void WireWriter::grow(std::size_t bytes) {
+  buf_.reserve(std::max(2 * buf_.capacity(), buf_.size() + bytes));
 }
 
 void WireWriter::put_string(const std::string& s) {
@@ -141,25 +127,73 @@ std::uint8_t decode_wire_header(WireReader& in) {
   return version;
 }
 
-void encode_value(const Value& value, WireWriter& out) {
+namespace {
+
+/// A cursor over bytes from WireWriter::extend, sized beforehand.
+class Fields {
+ public:
+  explicit Fields(std::uint8_t* at) : at_(at) {}
+  void u8(std::uint8_t v) { *at_++ = v; }
+  template <class T>
+  void le(T v) {
+    store_le(at_, v);
+    at_ += sizeof(T);
+  }
+  void raw(const char* bytes, std::size_t n) {
+    std::memcpy(at_, bytes, n);
+    at_ += n;
+  }
+
+ private:
+  std::uint8_t* at_;
+};
+
+/// Encoded size of a value: tag plus payload.
+std::size_t value_size(const Value& value) {
   switch (value.type()) {
-    case ValueType::Int:
-      out.put_u8(0);
-      out.put_u64(static_cast<std::uint64_t>(value.as_int()));
-      break;
-    case ValueType::Double:
-      out.put_u8(1);
-      out.put_f64(value.as_double());
-      break;
     case ValueType::String:
-      out.put_u8(2);
-      out.put_string(value.as_string());
-      break;
+      if (value.as_string().size() > std::numeric_limits<std::uint32_t>::max()) {
+        throw WireError("codec: string too long");
+      }
+      return 5 + value.as_string().size();
     case ValueType::Bool:
-      out.put_u8(3);
-      out.put_u8(value.as_bool() ? 1 : 0);
+      return 2;
+    case ValueType::Int:
+    case ValueType::Double:
       break;
   }
+  return 9;
+}
+
+void write_value(const Value& value, Fields& out) {
+  switch (value.type()) {
+    case ValueType::Int:
+      out.u8(0);
+      out.le(static_cast<std::uint64_t>(value.as_int()));
+      break;
+    case ValueType::Double:
+      out.u8(1);
+      out.le(std::bit_cast<std::uint64_t>(value.as_double()));
+      break;
+    case ValueType::String: {
+      const std::string& s = value.as_string();
+      out.u8(2);
+      out.le(static_cast<std::uint32_t>(s.size()));
+      out.raw(s.data(), s.size());
+      break;
+    }
+    case ValueType::Bool:
+      out.u8(3);
+      out.u8(value.as_bool() ? 1 : 0);
+      break;
+  }
+}
+
+}  // namespace
+
+void encode_value(const Value& value, WireWriter& out) {
+  Fields fields(out.extend(value_size(value)));
+  write_value(value, fields);
 }
 
 Value decode_value(WireReader& in) {
@@ -193,14 +227,30 @@ Event decode_event(WireReader& in) {
   return e;
 }
 
-void encode_predicate(const Predicate& pred, WireWriter& out) {
-  out.put_u32(pred.attribute().value());
-  out.put_u8(static_cast<std::uint8_t>(pred.op()));
+namespace {
+
+/// Encoded size of a predicate: attr u32, op u8, count u16, values.
+std::size_t predicate_size(const Predicate& pred) {
   if (pred.operands().size() > std::numeric_limits<std::uint16_t>::max()) {
     throw WireError("codec: too many operands");
   }
-  out.put_u16(static_cast<std::uint16_t>(pred.operands().size()));
-  for (const auto& v : pred.operands()) encode_value(v, out);
+  std::size_t size = 7;
+  for (const auto& v : pred.operands()) size += value_size(v);
+  return size;
+}
+
+void write_predicate(const Predicate& pred, Fields& out) {
+  out.le(pred.attribute().value());
+  out.u8(static_cast<std::uint8_t>(pred.op()));
+  out.le(static_cast<std::uint16_t>(pred.operands().size()));
+  for (const auto& v : pred.operands()) write_value(v, out);
+}
+
+}  // namespace
+
+void encode_predicate(const Predicate& pred, WireWriter& out) {
+  Fields fields(out.extend(predicate_size(pred)));
+  write_predicate(pred, fields);
 }
 
 Predicate decode_predicate(WireReader& in) {
@@ -228,16 +278,21 @@ Predicate decode_predicate(WireReader& in) {
 
 void encode_tree(const Node& tree, WireWriter& out) {
   switch (tree.kind()) {
-    case NodeKind::Leaf:
-      out.put_u8(0);
-      encode_predicate(tree.predicate(), out);
+    case NodeKind::Leaf: {
+      // The tag and the predicate in one extend.
+      Fields fields(out.extend(1 + predicate_size(tree.predicate())));
+      fields.u8(0);
+      write_predicate(tree.predicate(), fields);
       return;
+    }
     case NodeKind::And:
-    case NodeKind::Or:
-      out.put_u8(tree.kind() == NodeKind::And ? 1 : 2);
-      out.put_u16(static_cast<std::uint16_t>(tree.children().size()));
+    case NodeKind::Or: {
+      Fields fields(out.extend(3));
+      fields.u8(tree.kind() == NodeKind::And ? 1 : 2);
+      fields.le(static_cast<std::uint16_t>(tree.children().size()));
       for (const auto& c : tree.children()) encode_tree(*c, out);
       return;
+    }
     case NodeKind::Not:
       out.put_u8(3);
       encode_tree(*tree.children()[0], out);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -42,23 +43,64 @@ inline constexpr std::uint8_t kWireMagic = 0xDB;
 inline constexpr std::uint8_t kWireFormatVersion = 1;
 /// Bytes added by encode_wire_header (magic + version).
 inline constexpr std::size_t kWireHeaderBytes = 2;
+
+/// Stores `v`'s little-endian bytes at `out`, whatever the host order (the
+/// shifts compile to one store on little-endian hosts).
+template <class T>
+inline void store_le(std::uint8_t* out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
 class WireWriter {
  public:
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
   void put_bytes(std::span<const std::uint8_t> bytes) {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
-  void put_u16(std::uint16_t v);
-  void put_u32(std::uint32_t v);
-  void put_u64(std::uint64_t v);
-  void put_f64(double v);
+  void put_u16(std::uint16_t v) { put_le(v); }
+  void put_u32(std::uint32_t v) { put_le(v); }
+  void put_u64(std::uint64_t v) { put_le(v); }
+  void put_f64(double v) { put_le(std::bit_cast<std::uint64_t>(v)); }
   void put_string(const std::string& s);
 
+  /// Appends `n` bytes for the caller to fill in and returns where they
+  /// start: one capacity check for a whole group of fields. The pointer is
+  /// valid until the next write.
+  [[nodiscard]] std::uint8_t* extend(std::size_t n) {
+    if (buf_.capacity() - buf_.size() < n) grow(n);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+  /// Reserves room for `bytes` more bytes, so a large message of known
+  /// approximate size is not built by repeated doubling.
+  void reserve(std::size_t bytes) { buf_.reserve(buf_.size() + bytes); }
+  /// Overwrites the four bytes at `offset` (already written) with `v`,
+  /// little-endian: fills in a length or checksum placeholder. Throws
+  /// std::out_of_range past the end.
+  void patch_u32(std::size_t offset, std::uint32_t v) {
+    if (offset > buf_.size() || buf_.size() - offset < 4) {
+      throw std::out_of_range("WireWriter::patch_u32 past the end");
+    }
+    store_le(buf_.data() + offset, v);
+  }
+  /// Drops the contents but keeps the capacity, for a reused buffer.
+  void clear() { buf_.clear(); }
+
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
-  [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
+  template <class T>
+  void put_le(T v) {
+    store_le(extend(sizeof(T)), v);
+  }
+  /// Doubles the capacity (at least to `bytes` more) out of line, so the
+  /// inlined extend() never reallocates.
+  void grow(std::size_t bytes);
+
   std::vector<std::uint8_t> buf_;
 };
 

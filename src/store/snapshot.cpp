@@ -1,12 +1,50 @@
 #include "store/snapshot.hpp"
 
+#include <array>
 #include <utility>
 
 namespace dbsp::store {
 
-void write_snapshot(const std::string& path, std::uint64_t epoch,
-                    const SnapshotData& data, bool sync) {
+namespace {
+
+/// Reserve per subscription when no previous body size is known: id,
+/// accounting and a typical few-leaf tree.
+constexpr std::size_t kSubscriptionBytesEstimate = 128;
+
+}  // namespace
+
+void sort_by_id(std::vector<SnapshotSub>& subs) {
+  // LSD radix over the id's four bytes, skipping a byte every key shares
+  // (the high ones, for ids below 2^24). The low word of a key is the
+  // record's position, so the gather below moves each record once.
+  const std::size_t n = subs.size();
+  if (n < 2) return;
+  std::vector<std::uint64_t> keys(n);
+  std::vector<std::uint64_t> scratch(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = static_cast<std::uint64_t>(subs[i].id.value()) << 32 | i;
+  }
+  for (unsigned shift = 32; shift < 64; shift += 8) {
+    std::array<std::size_t, 257> start{};
+    for (const std::uint64_t k : keys) ++start[((k >> shift) & 0xFFu) + 1];
+    if (start[((keys[0] >> shift) & 0xFFu) + 1] == n) continue;
+    for (std::size_t b = 0; b < 256; ++b) start[b + 1] += start[b];
+    for (const std::uint64_t k : keys) scratch[start[(k >> shift) & 0xFFu]++] = k;
+    keys.swap(scratch);
+  }
+  std::vector<SnapshotSub> sorted;
+  sorted.reserve(n);
+  for (const std::uint64_t k : keys) sorted.push_back(subs[k & 0xFFFFFFFFu]);
+  subs = std::move(sorted);
+}
+
+std::size_t write_snapshot(const std::string& path, std::uint64_t epoch,
+                           const SnapshotData& data, bool sync, std::size_t size_hint) {
   WireWriter body;
+  // Headroom over the previous size covers the table's growth since; the
+  // pages beyond what is written are reserved, never touched.
+  body.reserve(size_hint > 0 ? size_hint + size_hint / 8
+                             : 4096 + data.subs.size() * kSubscriptionBytesEstimate);
   body.put_u64(epoch);
   body.put_u64(data.next_id);
   body.put_u64(data.next_seq);
@@ -34,6 +72,7 @@ void write_snapshot(const std::string& path, std::uint64_t epoch,
   file.put_u64(body.size());
   file.put_u32(crc32(body.bytes()));
   write_file_atomic(path, {file.bytes(), body.bytes()}, sync);
+  return body.size();
 }
 
 LoadedSnapshot read_snapshot(const std::string& path) {

@@ -52,9 +52,17 @@ struct LoadedSnapshot {
   std::vector<std::uint8_t> stats;   ///< serialized EventStats; empty = untrained
 };
 
-/// Writes a snapshot atomically (via format.hpp's tmp + rename).
-void write_snapshot(const std::string& path, std::uint64_t epoch,
-                    const SnapshotData& data, bool sync);
+/// Sorts a snapshot's subscriptions into ascending id order: a radix sort
+/// of (id, position) keys, then one gather of the records.
+void sort_by_id(std::vector<SnapshotSub>& subs);
+
+/// Writes a snapshot atomically (via format.hpp's tmp + rename) and
+/// returns its body size. The body is reserved up front, from `size_hint`
+/// (the previous body's size) when given, else from a per-subscription
+/// estimate, so a large body is not built by doubling.
+std::size_t write_snapshot(const std::string& path, std::uint64_t epoch,
+                           const SnapshotData& data, bool sync,
+                           std::size_t size_hint = 0);
 
 /// Reads and CRC-verifies a snapshot. Throws StoreError/WireError on any
 /// truncation or corruption.

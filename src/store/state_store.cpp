@@ -10,7 +10,6 @@
 #include <unistd.h>
 #endif
 
-#include "common/env.hpp"
 #include "core/candidates.hpp"
 
 namespace dbsp::store {
@@ -88,15 +87,9 @@ std::pair<std::unique_ptr<StateStore>, RecoveredState> StateStore::open(
   if (options.directory.empty()) {
     throw StoreError("store: StoreOptions::directory is empty", /*io=*/true);
   }
-  const std::size_t snapshot_every =
-      options.snapshot_every != 0
-          ? options.snapshot_every
-          : static_cast<std::size_t>(
-                std::max<std::int64_t>(1, env_int("DBSP_STORE_SNAPSHOT_EVERY", 1024)));
-  const bool sync = options.fsync || env_bool("DBSP_STORE_FSYNC", false);
-
-  std::unique_ptr<StateStore> store(
-      new StateStore(options.directory, snapshot_every, sync));
+  const bool sync = options.fsync;
+  std::unique_ptr<StateStore> store(new StateStore(
+      options.directory, std::max<std::size_t>(1, options.snapshot_every), sync));
   RecoveredState state;
 
   std::error_code ec;
@@ -234,42 +227,43 @@ std::string StateStore::wal_path() const {
   return (fs::path(directory_) / kWalFile).string();
 }
 
-void StateStore::append(const WireWriter& payload) {
-  wal_->append(payload.bytes());
+void StateStore::append_record() {
+  wal_->append_framed(record_);
   ++stats_.wal_records;
   ++stats_.records_since_checkpoint;
-  stats_.wal_bytes = wal_->bytes_appended();
+  stats_.wal_bytes += record_.size();
 }
 
 void StateStore::append_subscribe(SubscriptionId id, const Node& tree) {
-  WireWriter w;
-  encode_subscribe(id, tree, w);
-  append(w);
+  WalWriter::begin_frame(record_);
+  encode_subscribe(id, tree, record_);
+  append_record();
 }
 
 void StateStore::append_unsubscribe(SubscriptionId id) {
-  WireWriter w;
-  encode_unsubscribe(id, w);
-  append(w);
+  WalWriter::begin_frame(record_);
+  encode_unsubscribe(id, record_);
+  append_record();
 }
 
 void StateStore::append_prune(SubscriptionId id, const Node& tree) {
-  WireWriter w;
-  encode_prune(id, tree, w);
-  append(w);
+  WalWriter::begin_frame(record_);
+  encode_prune(id, tree, record_);
+  append_record();
 }
 
 void StateStore::append_train(const EventStats& stats) {
   WireWriter inner;
   stats.save(inner);
-  WireWriter w;
-  encode_train_checkpoint(inner.bytes(), w);
-  append(w);
+  WalWriter::begin_frame(record_);
+  encode_train_checkpoint(inner.bytes(), record_);
+  append_record();
 }
 
 void StateStore::checkpoint(const SnapshotData& data) {
   const std::uint64_t next_epoch = epoch_ + 1;
-  write_snapshot(snapshot_path(), next_epoch, data, sync_);
+  snapshot_body_bytes_ =
+      write_snapshot(snapshot_path(), next_epoch, data, sync_, snapshot_body_bytes_);
   // Between the rename above and the create below the on-disk WAL carries
   // the old epoch; recovery discards it against the new snapshot, so a
   // crash in this window loses nothing and double-applies nothing.

@@ -34,11 +34,10 @@ struct StoreOptions {
   /// verified against it (exact names and types, kInvalidArgument on
   /// mismatch). Leave empty to accept whatever the store holds.
   Schema schema;
-  /// Checkpoint automatically after this many WAL records. 0 = the
-  /// DBSP_STORE_SNAPSHOT_EVERY environment knob, falling back to 1024.
-  std::size_t snapshot_every = 0;
+  /// Checkpoint automatically after this many WAL records (0 counts as 1).
+  std::size_t snapshot_every = 1024;
   /// fsync every WAL append and snapshot (machine-crash durability, not
-  /// just process-crash). Defaults off; DBSP_STORE_FSYNC=1 forces it on.
+  /// just process-crash). Defaults off.
   bool fsync = false;
   /// Refuse to create a fresh store (kNotFound) when the directory holds
   /// none — for "open what is there" callers.
@@ -49,7 +48,8 @@ struct StoreOptions {
 struct StoreStats {
   std::uint64_t epoch = 0;              ///< current snapshot epoch
   std::uint64_t wal_records = 0;        ///< records appended since open()
-  std::uint64_t wal_bytes = 0;          ///< framed bytes appended since open()
+  std::uint64_t wal_bytes = 0;          ///< framed bytes appended since open(),
+                                        ///< summed across checkpoints
   std::uint64_t snapshots_written = 0;  ///< checkpoints since open()
   std::uint64_t records_since_checkpoint = 0;
   // --- What open() found and replayed (zeros for a fresh store) ------------
@@ -138,7 +138,8 @@ class StateStore {
         snapshot_every_(snapshot_every),
         sync_(sync) {}
 
-  void append(const WireWriter& payload);
+  /// Appends the record framed in record_ (see WalWriter::begin_frame).
+  void append_record();
   /// Takes the directory's exclusive flock (POSIX; no-op elsewhere).
   void acquire_lock();
   [[nodiscard]] std::string snapshot_path() const;
@@ -149,6 +150,12 @@ class StateStore {
   bool sync_;
   std::uint64_t epoch_ = 0;
   std::unique_ptr<WalWriter> wal_;
+  /// The frame every append encodes into; reused, so appends allocate
+  /// nothing once it has grown to the largest record.
+  WireWriter record_;
+  /// Body size of the last snapshot written (0 before the first): the
+  /// next snapshot reserves its body from it.
+  std::size_t snapshot_body_bytes_ = 0;
   StoreStats stats_;
   int lock_fd_ = -1;
 };

@@ -11,13 +11,12 @@ namespace dbsp::store {
 
 namespace {
 
-std::vector<std::uint8_t> frame(std::span<const std::uint8_t> payload) {
-  WireWriter w;
-  w.put_u32(static_cast<std::uint32_t>(payload.size()));
-  w.put_u32(crc32(payload));
-  std::vector<std::uint8_t> out = std::move(w).take();
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+/// Fills in the len + crc32 header of a frame started by begin_frame().
+void seal_frame(WireWriter& frame) {
+  const std::span<const std::uint8_t> payload(frame.bytes().data() + kFrameHeaderBytes,
+                                              frame.size() - kFrameHeaderBytes);
+  frame.patch_u32(0, static_cast<std::uint32_t>(payload.size()));
+  frame.patch_u32(4, crc32(payload));
 }
 
 std::FILE* open_or_throw(const std::string& path, const char* mode) {
@@ -36,9 +35,11 @@ std::unique_ptr<WalWriter> WalWriter::create(const std::string& path,
   WireWriter file;
   encode_wire_header(file);
   file.put_u8(static_cast<std::uint8_t>(FileKind::kWal));
-  WireWriter epoch_payload;
-  encode_epoch_header(epoch, epoch_payload);
-  file.put_bytes(frame(epoch_payload.bytes()));
+  WireWriter epoch_frame;
+  begin_frame(epoch_frame);
+  encode_epoch_header(epoch, epoch_frame);
+  seal_frame(epoch_frame);
+  file.put_bytes(epoch_frame.bytes());
   // tmp + rename: a crash mid-creation (e.g. between a checkpoint's
   // snapshot rename and the WAL truncation) leaves the previous WAL
   // intact, never a partial header recovery would reject.
@@ -64,11 +65,17 @@ void WalWriter::write_raw(std::span<const std::uint8_t> bytes) {
   if (ok && sync_) ok = ::fsync(fileno(file_)) == 0;
 #endif
   if (!ok) throw StoreError("store: WAL append failed", /*io=*/true);
-  bytes_ += bytes.size();
 }
 
-void WalWriter::append(std::span<const std::uint8_t> payload) {
-  write_raw(frame(payload));
+void WalWriter::begin_frame(WireWriter& frame) {
+  frame.clear();
+  frame.put_u32(0);  // len, filled in by seal_frame
+  frame.put_u32(0);  // crc32, likewise
+}
+
+void WalWriter::append_framed(WireWriter& frame) {
+  seal_frame(frame);
+  write_raw(frame.bytes());
   ++records_;
 }
 

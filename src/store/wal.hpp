@@ -18,6 +18,9 @@
 
 namespace dbsp::store {
 
+/// Bytes of a record's frame header: len u32 + crc32 u32.
+inline constexpr std::size_t kFrameHeaderBytes = 8;
+
 /// Appends framed records to a WAL file. Each append is flushed to the OS
 /// (and fsync'd when `sync`) before returning, so a process crash — as
 /// opposed to a machine crash without fsync — never loses an acknowledged
@@ -39,14 +42,19 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Frames (len + crc32) and appends one record payload.
-  void append(std::span<const std::uint8_t> payload);
+  /// Starts a record built in place: clears `frame` and writes the frame
+  /// header's placeholder. Encode the payload after it, then call
+  /// append_framed(). A reused `frame` keeps its capacity, so a steady
+  /// stream of records allocates nothing.
+  static void begin_frame(WireWriter& frame);
+  /// Fills in the header (len + crc32) of a frame started by begin_frame()
+  /// and appends it: one fwrite and one fflush (plus an fsync when
+  /// `sync`). The payload must not be empty.
+  void append_framed(WireWriter& frame);
 
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Records appended through this writer (the epoch record not counted).
   [[nodiscard]] std::uint64_t records_appended() const { return records_; }
-  /// Framed bytes appended through this writer.
-  [[nodiscard]] std::uint64_t bytes_appended() const { return bytes_; }
 
  private:
   WalWriter(std::FILE* f, std::uint64_t epoch, bool sync)
@@ -57,7 +65,6 @@ class WalWriter {
   std::uint64_t epoch_;
   bool sync_;
   std::uint64_t records_ = 0;
-  std::uint64_t bytes_ = 0;
 };
 
 /// A fully parsed and CRC-verified WAL.

@@ -41,6 +41,58 @@ TEST(CodecTest, PrimitivesRoundTrip) {
   EXPECT_TRUE(r.exhausted());
 }
 
+TEST(CodecTest, PutsWriteExactLittleEndianBytes) {
+  WireWriter w;
+  w.put_u8(0xab);
+  w.put_u16(0x1234);
+  w.put_u32(0xdeadbeef);
+  w.put_u64(0x0123456789abcdefULL);
+  w.put_f64(-2.0);  // sign bit + exponent 0x400: 0xc000000000000000
+  w.put_string("hi");
+  const std::vector<std::uint8_t> expected = {
+      0xab,                                            // u8
+      0x34, 0x12,                                      // u16
+      0xef, 0xbe, 0xad, 0xde,                          // u32
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc0,  // f64
+      0x02, 0x00, 0x00, 0x00, 'h', 'i'};               // string
+  EXPECT_EQ(w.bytes(), expected);
+
+  // patch_u32 overwrites in place; reserve changes nothing written.
+  w.patch_u32(1, 0x0a0b0c0d);
+  w.reserve(1 << 16);
+  EXPECT_EQ(w.size(), expected.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(w.bytes().begin(), w.bytes().begin() + 6),
+            (std::vector<std::uint8_t>{0xab, 0x0d, 0x0c, 0x0b, 0x0a, 0xad}));
+  EXPECT_THROW(w.patch_u32(expected.size() - 3, 0), std::out_of_range);
+
+  // clear() empties; the puts then start over at offset 0.
+  w.clear();
+  EXPECT_EQ(w.size(), 0u);
+  w.put_u16(0xbeef);
+  EXPECT_EQ(w.bytes(), (std::vector<std::uint8_t>{0xef, 0xbe}));
+}
+
+TEST(CodecTest, PutsAcrossGrowthKeepEveryByte) {
+  // Thousands of mixed-width puts from an empty writer cross every
+  // capacity doubling; the reader must get each value back.
+  WireWriter w;
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    w.put_u8(static_cast<std::uint8_t>(i));
+    w.put_u16(static_cast<std::uint16_t>(i * 7));
+    w.put_u32(static_cast<std::uint32_t>(i * 7919));
+    w.put_u64(i * 0x9E3779B97F4A7C15ULL);
+  }
+  WireReader r(w.bytes());
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    ASSERT_EQ(r.get_u8(), static_cast<std::uint8_t>(i));
+    ASSERT_EQ(r.get_u16(), static_cast<std::uint16_t>(i * 7));
+    ASSERT_EQ(r.get_u32(), static_cast<std::uint32_t>(i * 7919));
+    ASSERT_EQ(r.get_u64(), i * 0x9E3779B97F4A7C15ULL);
+  }
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(CodecTest, ValuesOfAllTypesRoundTrip) {
   for (const Value& v : {Value(std::int64_t{-42}), Value(2.5), Value("books"),
                          Value(std::string()), Value(true), Value(false)}) {

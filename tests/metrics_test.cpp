@@ -475,6 +475,14 @@ TEST(FacadeMetricsTest, DurableStoreSeriesTrackStoreStats) {
     EXPECT_DOUBLE_EQ(s.value("dbsp_store_epoch"),
                      static_cast<double>(stats.epoch));
     EXPECT_EQ(stats.wal_records, 11u);  // 8 subscribes + 3 unsubscribes
+    // A checkpoint empties the WAL file, but the byte count keeps growing
+    // and the exported counter follows it.
+    ASSERT_TRUE(pubsub.checkpoint().ok());
+    live.push_back(pubsub.subscribe("volume > 99").value());
+    const StoreStats after = pubsub.store_stats();
+    EXPECT_GT(after.wal_bytes, stats.wal_bytes);
+    EXPECT_DOUBLE_EQ(pubsub.metrics().value("dbsp_wal_bytes_total"),
+                     static_cast<double>(after.wal_bytes));
     // Every append, unsubscribes included, was one sampled wal_append span.
     const MetricSnapshot* wal =
         s.find("dbsp_stage_us", {{"stage", "wal_append"}});

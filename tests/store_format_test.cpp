@@ -1,0 +1,343 @@
+// The durable store's on-disk format: the slice-by-8 CRC-32 against a
+// bitwise reference, and golden snapshot and WAL files. The files under
+// tests/data/store_golden were written by an earlier build of the store;
+// the current one must write them byte for byte, and read and recover
+// them. A change here is a format change: it needs a kWireFormatVersion
+// bump and new golden files.
+
+#include "store/state_store.hpp"
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <map>
+#include <memory>
+#include <optional>
+#include <random>
+#include <span>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
+#include "api/pubsub.hpp"
+#include "core/candidates.hpp"
+#include "selectivity/stats.hpp"
+#include "store/snapshot.hpp"
+#include "store/wal.hpp"
+#include "test_util.hpp"
+
+namespace dbsp {
+namespace {
+
+namespace fs = std::filesystem;
+
+/// CRC-32 one bit at a time, straight from the definition (reflected
+/// IEEE polynomial, all-ones initial value and final xor).
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(StoreCrcTest, KnownAnswers) {
+  const std::string check = "123456789";
+  EXPECT_EQ(store::crc32(std::span(reinterpret_cast<const std::uint8_t*>(check.data()),
+                                   check.size())),
+            0xCBF43926u);
+  EXPECT_EQ(store::crc32({}), 0u);
+}
+
+TEST(StoreCrcTest, MatchesTheBitwiseReferenceAtEveryOffsetAndLength) {
+  // Offsets 0-8 put the eight-byte steps at every alignment; lengths 0-300
+  // cover the byte tail of every size around them.
+  const std::vector<std::uint8_t> bytes = random_bytes(8 + 300, 11);
+  int mismatches = 0;
+  for (std::size_t offset = 0; offset <= 8; ++offset) {
+    for (std::size_t length = 0; length <= 300; ++length) {
+      const std::span<const std::uint8_t> part(bytes.data() + offset, length);
+      if (store::crc32(part) != crc32_bitwise(part)) {
+        ADD_FAILURE() << "offset " << offset << ", length " << length;
+        if (++mismatches > 10) return;
+      }
+    }
+  }
+}
+
+TEST(StoreCrcTest, MatchesTheBitwiseReferenceOnFourMiB) {
+  const std::vector<std::uint8_t> bytes = random_bytes(std::size_t{4} << 20, 12);
+  EXPECT_EQ(store::crc32(bytes), crc32_bitwise(bytes));
+}
+
+// --- Golden files ------------------------------------------------------------
+
+/// The fixed schema of the golden files.
+Schema golden_schema() {
+  Schema s;
+  s.add_attribute("sym", ValueType::String);
+  s.add_attribute("price", ValueType::Double);
+  s.add_attribute("volume", ValueType::Int);
+  s.add_attribute("open", ValueType::Bool);
+  return s;
+}
+
+constexpr AttributeId kSym(0);
+constexpr AttributeId kPrice(1);
+constexpr AttributeId kVolume(2);
+constexpr AttributeId kOpen(3);
+
+template <class... Children>
+std::vector<std::unique_ptr<Node>> nodes(Children... children) {
+  std::vector<std::unique_ptr<Node>> out;
+  (out.push_back(std::move(children)), ...);
+  return out;
+}
+
+/// Subscription 1 as registered: Between, Gt, In and Eq leaves over all
+/// four value types, a Not, and an Or under an And. With trees 4 and 7
+/// the golden files hold every node kind and most operators.
+std::unique_ptr<Node> golden_tree_1() {
+  return Node::and_(nodes(
+      Node::leaf(Predicate(kPrice, Value(10.5), Value(20.0))),
+      Node::or_(nodes(Node::leaf(Predicate(kVolume, Op::Gt, Value(std::int64_t{5}))),
+                      Node::leaf(Predicate(kSym, {Value("ab"), Value("cd")})))),
+      Node::not_(Node::leaf(Predicate(kOpen, Op::Eq, Value(true))))));
+}
+
+/// Subscription 1 after one pruning: its Not dropped.
+std::unique_ptr<Node> golden_tree_1_pruned() {
+  return Node::and_(nodes(
+      Node::leaf(Predicate(kPrice, Value(10.5), Value(20.0))),
+      Node::or_(nodes(Node::leaf(Predicate(kVolume, Op::Gt, Value(std::int64_t{5}))),
+                      Node::leaf(Predicate(kSym, {Value("ab"), Value("cd")}))))));
+}
+
+std::unique_ptr<Node> golden_tree_4() {
+  return Node::or_(nodes(Node::leaf(Predicate(kSym, Op::Prefix, Value("x"))),
+                         Node::leaf(Predicate(kPrice, Op::Le, Value(-2.5)))));
+}
+
+std::unique_ptr<Node> golden_tree_7() {
+  return Node::and_(nodes(Node::leaf(Predicate(kVolume, Op::Ne, Value(std::int64_t{-7}))),
+                          Node::leaf(Predicate(kSym, Op::Contains, Value("q'z")))));
+}
+
+/// Statistics trained on six fixed events.
+EventStats golden_stats(const Schema& schema) {
+  EventStats stats(schema);
+  for (int i = 0; i < 6; ++i) {
+    Event e;
+    e.set(kSym, Value(i % 2 == 0 ? "ab" : "xy"));
+    e.set(kPrice, Value(1.25 * i - 2.0));
+    if (i % 3 != 0) e.set(kVolume, Value(std::int64_t{i * 11}));
+    e.set(kOpen, Value(i < 4));
+    stats.observe(e);
+  }
+  stats.finalize();
+  return stats;
+}
+
+/// The store's life that the golden files capture: a fresh store, then
+/// subscribes of 1, 4 and 7, a pruning of 1, an unsubscribe of 4 and a
+/// training, all in the WAL; then a checkpoint of the resulting table.
+struct GoldenFiles {
+  std::vector<std::uint8_t> fresh_snapshot;  ///< epoch 0, written by open()
+  std::vector<std::uint8_t> wal;             ///< epoch 0, six records
+  std::vector<std::uint8_t> snapshot;        ///< epoch 1, after checkpoint()
+  std::vector<std::uint8_t> checkpoint_wal;  ///< epoch 1, epoch record only
+};
+
+GoldenFiles write_golden_files(const std::string& directory) {
+  const Schema schema = golden_schema();
+  StoreOptions options;
+  options.directory = directory;
+  options.schema = schema;
+  options.snapshot_every = 1 << 20;
+  auto opened = store::StateStore::open(options);
+  store::StateStore& st = *opened.first;
+  const std::string snapshot_path = directory + "/snapshot.dbsp";
+  const std::string wal_path = directory + "/wal.dbsp";
+  GoldenFiles files;
+  files.fresh_snapshot = store::read_file(snapshot_path);
+
+  const auto t1 = golden_tree_1();
+  const auto t1_pruned = golden_tree_1_pruned();
+  const auto t4 = golden_tree_4();
+  const auto t7 = golden_tree_7();
+  const EventStats stats = golden_stats(schema);
+  st.append_subscribe(SubscriptionId(1), *t1);
+  st.append_subscribe(SubscriptionId(4), *t4);
+  st.append_subscribe(SubscriptionId(7), *t7);
+  st.append_prune(SubscriptionId(1), *t1_pruned);
+  st.append_unsubscribe(SubscriptionId(4));
+  st.append_train(stats);
+  files.wal = store::read_file(wal_path);
+
+  store::SnapshotData data;
+  data.schema = &schema;
+  data.next_id = 8;
+  data.next_seq = 42;
+  data.stats = &stats;
+  data.subs.push_back({SubscriptionId(1), internal_prunings(*t1), 1, t1_pruned.get()});
+  data.subs.push_back({SubscriptionId(7), internal_prunings(*t7), 0, t7.get()});
+  st.checkpoint(data);
+  files.snapshot = store::read_file(snapshot_path);
+  files.checkpoint_wal = store::read_file(wal_path);
+  return files;
+}
+
+/// Scratch directory removed on scope exit.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& tag)
+      : path_(fs::temp_directory_path() /
+              ("dbsp_golden_" + tag + "_" + std::to_string(::getpid()))) {
+    fs::remove_all(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path_, ec);
+  }
+  [[nodiscard]] std::string str() const { return path_.string(); }
+
+ private:
+  fs::path path_;
+};
+
+std::vector<std::uint8_t> golden(const std::string& name) {
+  return store::read_file(std::string(DBSP_STORE_GOLDEN_DIR) + "/" + name);
+}
+
+TEST(StoreGoldenTest, WritesTheGoldenBytes) {
+  TempDir dir("write");
+  const GoldenFiles files = write_golden_files(dir.str());
+  EXPECT_EQ(files.fresh_snapshot, golden("fresh_snapshot.dbsp"));
+  EXPECT_EQ(files.wal, golden("wal.dbsp"));
+  EXPECT_EQ(files.snapshot, golden("snapshot.dbsp"));
+  EXPECT_EQ(files.checkpoint_wal, golden("checkpoint_wal.dbsp"));
+}
+
+TEST(StoreGoldenTest, GoldenSnapshotReadsBack) {
+  TempDir dir("read");
+  fs::create_directories(dir.str());
+  const std::string path = dir.str() + "/snapshot.dbsp";
+  store::write_file_atomic(path, golden("snapshot.dbsp"), false);
+  const store::LoadedSnapshot snap = store::read_snapshot(path);
+  EXPECT_EQ(snap.epoch, 1u);
+  EXPECT_EQ(snap.next_id, 8u);
+  EXPECT_EQ(snap.next_seq, 42u);
+  EXPECT_TRUE(store::schemas_equal(snap.schema, golden_schema()));
+  ASSERT_EQ(snap.subs.size(), 2u);
+  EXPECT_EQ(snap.subs[0].id, SubscriptionId(1));
+  EXPECT_EQ(snap.subs[0].capacity, internal_prunings(*golden_tree_1()));
+  EXPECT_EQ(snap.subs[0].performed, 1u);
+  EXPECT_TRUE(snap.subs[0].tree->equals(*golden_tree_1_pruned()));
+  EXPECT_EQ(snap.subs[1].id, SubscriptionId(7));
+  EXPECT_EQ(snap.subs[1].performed, 0u);
+  EXPECT_TRUE(snap.subs[1].tree->equals(*golden_tree_7()));
+  WireWriter stats;
+  golden_stats(golden_schema()).save(stats);
+  EXPECT_EQ(snap.stats, stats.bytes());
+}
+
+/// Opens the store files `snapshot` + `wal` with pruning on and checks the
+/// recovered table: subscriptions 1 (pruned once) and 7, trained.
+void expect_golden_table(const std::string& snapshot, const std::string& wal,
+                         std::uint64_t replayed) {
+  TempDir dir("recover_" + snapshot);
+  fs::create_directories(dir.str());
+  store::write_file_atomic(dir.str() + "/snapshot.dbsp", golden(snapshot), false);
+  store::write_file_atomic(dir.str() + "/wal.dbsp", golden(wal), false);
+  StoreOptions options;
+  options.directory = dir.str();
+  options.schema = golden_schema();
+  PubSubOptions pubsub_options;
+  pubsub_options.pruning = true;
+  auto opened = PubSub::open(std::move(options), pubsub_options);
+  ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+  const PubSub pubsub = std::move(opened).value();
+  EXPECT_EQ(pubsub.subscription_ids(),
+            (std::vector<SubscriptionId>{SubscriptionId(1), SubscriptionId(7)}));
+  const Schema schema = golden_schema();
+  EXPECT_EQ(pubsub.subscription_text(SubscriptionId(1)).value(),
+            golden_tree_1_pruned()->to_string(schema));
+  EXPECT_EQ(pubsub.subscription_text(SubscriptionId(7)).value(),
+            golden_tree_7()->to_string(schema));
+  const PubSub::PruningStats pruning = pubsub.pruning_stats();
+  EXPECT_EQ(pruning.total_possible,
+            internal_prunings(*golden_tree_1()) + internal_prunings(*golden_tree_7()));
+  EXPECT_EQ(pruning.performed, 1u);
+  EXPECT_EQ(pubsub.store_stats().replayed_records, replayed);
+}
+
+TEST(StoreGoldenTest, GoldenWalRecovers) {
+  expect_golden_table("fresh_snapshot.dbsp", "wal.dbsp", 6);
+}
+
+TEST(StoreGoldenTest, GoldenSnapshotRecovers) {
+  expect_golden_table("snapshot.dbsp", "checkpoint_wal.dbsp", 0);
+}
+
+// --- Checkpoints of a live table ---------------------------------------------
+
+TEST(StoreCheckpointTest, AutoCheckpointsUnderChurnAndPruningRecoverTheLiveTable) {
+  // Auto-checkpoints every 16 records interleave with subscribes,
+  // unsubscribes and prunings, each built from the pruning engine's table
+  // in one pass. After a final checkpoint the store recovers from the
+  // snapshot alone, which must hold the live trees and accounting.
+  TempDir dir("cache_pubsub");
+  test::MiniDomain dom(6, 24);
+  std::mt19937_64 rng(29);
+  StoreOptions options;
+  options.directory = dir.str();
+  options.schema = dom.schema();
+  options.snapshot_every = 16;
+  PubSubOptions pubsub_options;
+  pubsub_options.pruning = true;
+  std::optional<PubSub> pubsub(PubSub::open(options, pubsub_options).value());
+  ASSERT_TRUE(pubsub->train(dom.random_events(rng, 300)).ok());
+  std::vector<SubscriptionHandle> live;
+  for (int i = 0; i < 400; ++i) {
+    live.push_back(pubsub->subscribe(dom.random_tree(rng, 5, 0.2)).value());
+    if (i % 3 == 2) live.erase(live.begin() + static_cast<std::ptrdiff_t>(rng() % live.size()));
+    if (i % 25 == 24) {
+      ASSERT_TRUE(pubsub->prune_to_fraction(0.1 + 0.002 * i).ok());
+    }
+  }
+  ASSERT_GT(pubsub->store_stats().snapshots_written, 20u);
+  ASSERT_TRUE(pubsub->checkpoint().ok());
+  std::map<std::uint32_t, std::string> expected;
+  for (const SubscriptionId id : pubsub->subscription_ids()) {
+    expected[id.value()] = pubsub->subscription_text(id).value();
+  }
+  const PubSub::PruningStats pruning = pubsub->pruning_stats();
+  ASSERT_GT(pruning.performed, 0u);
+  pubsub.reset();  // crash: the handles turn inert
+  live.clear();
+
+  options.schema = Schema();
+  const PubSub recovered = PubSub::open(options, pubsub_options).value();
+  EXPECT_EQ(recovered.store_stats().replayed_records, 0u);
+  std::map<std::uint32_t, std::string> got;
+  for (const SubscriptionId id : recovered.subscription_ids()) {
+    got[id.value()] = recovered.subscription_text(id).value();
+  }
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(recovered.pruning_stats().total_possible, pruning.total_possible);
+  EXPECT_EQ(recovered.pruning_stats().performed, pruning.performed);
+}
+
+}  // namespace
+}  // namespace dbsp

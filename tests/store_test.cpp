@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -110,15 +111,16 @@ TEST(StoreWalTest, AppendAndReadBack) {
 
   auto writer = store::WalWriter::create(path, 42, /*sync=*/false);
   const auto tree = dom.random_tree(rng, 5);
-  WireWriter sub_record;
-  store::encode_subscribe(SubscriptionId(3), *tree, sub_record);
-  writer->append(sub_record.bytes());
-  WireWriter unsub_record;
-  store::encode_unsubscribe(SubscriptionId(9), unsub_record);
-  writer->append(unsub_record.bytes());
-  WireWriter prune_record;
-  store::encode_prune(SubscriptionId(3), *tree, prune_record);
-  writer->append(prune_record.bytes());
+  WireWriter frame;  // reused for every record
+  store::WalWriter::begin_frame(frame);
+  store::encode_subscribe(SubscriptionId(3), *tree, frame);
+  writer->append_framed(frame);
+  store::WalWriter::begin_frame(frame);
+  store::encode_unsubscribe(SubscriptionId(9), frame);
+  writer->append_framed(frame);
+  store::WalWriter::begin_frame(frame);
+  store::encode_prune(SubscriptionId(3), *tree, frame);
+  writer->append_framed(frame);
   EXPECT_EQ(writer->records_appended(), 3u);
   writer.reset();
 
@@ -151,9 +153,10 @@ TEST(StoreWalTest, RejectsForeignAndCorruptFiles) {
 
   // Valid WAL with one flipped payload bit -> checksum mismatch.
   auto writer = store::WalWriter::create(path, 1, false);
-  WireWriter record;
-  store::encode_unsubscribe(SubscriptionId(5), record);
-  writer->append(record.bytes());
+  WireWriter frame;
+  store::WalWriter::begin_frame(frame);
+  store::encode_unsubscribe(SubscriptionId(5), frame);
+  writer->append_framed(frame);
   writer.reset();
   auto bytes = store::read_file(path);
   bytes.back() ^= 0x10;
@@ -481,10 +484,11 @@ TEST(PubSubOpenTest, CorruptStaleWalIsDiscardedNotFatal) {
   const std::string wal_path = (dir.path() / "wal.dbsp").string();
   {
     auto stale = store::WalWriter::create(wal_path, 0, false);
-    WireWriter record;
-    store::encode_unsubscribe(SubscriptionId(3), record);
-    stale->append(record.bytes());
-    stale->append(record.bytes());
+    WireWriter frame;
+    store::WalWriter::begin_frame(frame);
+    store::encode_unsubscribe(SubscriptionId(3), frame);
+    stale->append_framed(frame);
+    stale->append_framed(frame);
   }
   auto bytes = store::read_file(wal_path);
   bytes.back() ^= 0x40;  // CRC mismatch on the final complete frame
@@ -534,6 +538,65 @@ TEST(PubSubOpenTest, CheckpointTruncatesWal) {
   EXPECT_EQ(pubsub->store_stats().snapshot_subscriptions, count_before);
   EXPECT_EQ(pubsub->subscription_count(), count_before);
   pubsub.reset();
+}
+
+TEST(PubSubOpenTest, WalBytesAccumulateAcrossCheckpoints) {
+  MiniDomain dom;
+  std::mt19937_64 rng(41);
+  TempDir dir("walbytes");
+  StoreOptions store = store_at(dir, dom.schema());
+  store.snapshot_every = 8;
+  PubSub pubsub = PubSub::open(std::move(store), pruning_options(1)).value();
+  std::vector<SubscriptionHandle> live;
+  std::uint64_t previous = 0;
+  for (int i = 0; i < 40; ++i) {
+    live.push_back(pubsub.subscribe(dom.random_tree(rng, 4)).value());
+    // Every append adds its framed size: at least the 8-byte frame header
+    // plus a record type and an id, whatever checkpoints ran in between.
+    const std::uint64_t now = pubsub.store_stats().wal_bytes;
+    EXPECT_GE(now, previous + 8 + 5) << "after subscribe " << i;
+    previous = now;
+  }
+  const StoreStats stats = pubsub.store_stats();
+  EXPECT_GE(stats.snapshots_written, 4u);  // 40 records / snapshot_every 8
+  EXPECT_EQ(stats.wal_records, 40u);
+}
+
+TEST(StoreSnapshotTest, SortByIdOrdersAnyIds) {
+  // Ids on every byte position, some above 2^24 so no radix pass is
+  // skipped, and records that must travel with their ids.
+  std::mt19937_64 rng(5);
+  std::vector<store::SnapshotSub> subs;
+  std::vector<SubscriptionId::value_type> ids;
+  for (std::size_t i = 0; i < 3000; ++i) {
+    const auto id = static_cast<SubscriptionId::value_type>(
+        i % 3 == 0 ? rng() % 1000 * 3000 + i : rng() % 0xFFFFFFFEu);
+    ids.push_back(id);
+    subs.push_back({SubscriptionId(id), id % 7, id % 5, nullptr});
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  store::sort_by_id(subs);
+  ASSERT_EQ(subs.size(), 3000u);
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    EXPECT_EQ(subs[i].capacity, subs[i].id.value() % 7);
+    EXPECT_EQ(subs[i].performed, subs[i].id.value() % 5);
+    if (i > 0) {
+      EXPECT_LE(subs[i - 1].id.value(), subs[i].id.value());
+    }
+  }
+  std::vector<SubscriptionId::value_type> sorted;
+  for (const auto& sub : subs) sorted.push_back(sub.id.value());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  EXPECT_EQ(sorted, ids);
+
+  std::vector<store::SnapshotSub> small = {{SubscriptionId(9), 0, 0, nullptr},
+                                           {SubscriptionId(2), 0, 0, nullptr}};
+  store::sort_by_id(small);
+  EXPECT_EQ(small[0].id, SubscriptionId(2));
+  std::vector<store::SnapshotSub> none;
+  store::sort_by_id(none);
+  EXPECT_TRUE(none.empty());
 }
 
 TEST(PubSubOpenTest, CheckpointAfterChurnReopensToSameTable) {

@@ -135,6 +135,7 @@ def run_micro(binary, quick):
                 "ns_per_iteration": ns_per_iteration,
                 "ns_per_event": ns_per_event,
                 "events_per_sec": events_per_sec,
+                "bytes_per_sec": b.get("bytes_per_second"),
                 "iterations": b.get("iterations"),
             }
         )
@@ -265,27 +266,36 @@ def trace_overhead(rows):
 
 def store_summary(rows):
     """Summarize micro_store: durable subscribes (WAL appends) per second,
-    snapshot and recovery-replay throughput per table size."""
+    snapshot throughput and time per checkpoint and recovery-replay
+    throughput per table size, and the CRC-32's bytes per second."""
     appends = None
+    crc_bytes_per_sec = None
     snapshot = {}
+    snapshot_ms = {}
     recover = {}
     for row in rows:
         name = row.get("name", "")
+        parts = name.split("/")
+        if parts[0] == "BM_Crc32":
+            crc_bytes_per_sec = row.get("bytes_per_sec")
+            continue
         eps = row.get("events_per_sec")
         if not eps:
             continue
-        parts = name.split("/")
         if parts[0] == "BM_DurableSubscribe":
             appends = eps
         elif parts[0] == "BM_SnapshotWrite" and parts[1].isdigit():
             snapshot[int(parts[1])] = eps
+            snapshot_ms[int(parts[1])] = round(row["ns_per_iteration"] / 1e6, 3)
         elif parts[0] == "BM_RecoverFromWal" and parts[1].isdigit():
             recover[int(parts[1])] = eps
-    if appends is None and not snapshot and not recover:
+    if appends is None and not snapshot and not recover and crc_bytes_per_sec is None:
         return None
     return {
         "durable_subscribes_per_sec": appends,
         "snapshot_subs_per_sec": {str(k): v for k, v in sorted(snapshot.items())},
+        "snapshot_ms": {str(k): v for k, v in sorted(snapshot_ms.items())},
+        "crc32_bytes_per_sec": crc_bytes_per_sec,
         "recovery_replayed_subs_per_sec": {
             str(k): v for k, v in sorted(recover.items())
         },
@@ -311,6 +321,12 @@ def write_store_json(build_dir, out_path, quick, context):
         json.dump(result, f, indent=2)
         f.write("\n")
     print(f"[bench_runner] wrote {out_path} ({len(rows)} benchmark rows)")
+    summary = result["store"]
+    if summary is not None:
+        crc = summary.get("crc32_bytes_per_sec")
+        crc_text = f"{crc / 1e6:.0f} MB/s" if crc else "n/a"
+        print(f"[bench_runner] store: snapshot_ms={summary['snapshot_ms']}, "
+              f"crc32={crc_text}")
     return result
 
 
