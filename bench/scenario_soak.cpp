@@ -22,7 +22,7 @@
 // NetServer over loopback TCP — pruning is forced off and the overlay
 // runs are skipped, both unsupported by the sockets transport),
 // DBSP_SCENARIO_TRACING (default 0, sockets only: flight-record every
-// publish with DBSP_TRACE_* sampling and report two-sided span coverage
+// publish with DBSP_TRACE_SAMPLE sampling and report two-sided span coverage
 // in a "tracing" object per run).
 
 #include <algorithm>

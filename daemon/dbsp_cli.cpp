@@ -1,7 +1,7 @@
 /// \file
 /// dbsp-cli — operator client for dbspd.
 ///
-///   dbsp-cli [--host H] [--port P] <command> [args]
+///   dbsp-cli [--host H] --port P <command> [args]
 ///
 /// Commands:
 ///   ping [count]            round-trip latency check (default 1)
@@ -22,14 +22,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <sys/resource.h>
 #include <vector>
 
+#include "common/env.hpp"
 #include "event/event.hpp"
 #include "net/client.hpp"
 #include "obs/exposition.hpp"
@@ -41,7 +42,7 @@ using dbsp::net::DbspClient;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: dbsp-cli [--host H] [--port P] <command> [args]\n"
+               "usage: dbsp-cli [--host H] --port P <command> [args]\n"
                "  ping [count] | stats | metrics [--table] | traces | publish "
                "a=v... | subscribe '<dsl>' [--max N] | adopt <id> [--max N] | "
                "smoke <n>\n");
@@ -185,10 +186,6 @@ int run_smoke(const std::string& host, std::uint16_t port, std::size_t n) {
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  if (const char* env_host = std::getenv("DBSP_NET_HOST")) host = env_host;  // NOLINT(concurrency-mt-unsafe)
-  if (const char* env_port = std::getenv("DBSP_NET_PORT")) {  // NOLINT(concurrency-mt-unsafe)
-    port = static_cast<std::uint16_t>(std::atoi(env_port));
-  }
 
   int i = 1;
   for (; i < argc; ++i) {
@@ -196,7 +193,9 @@ int main(int argc, char** argv) {
     if (arg == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+      const auto v = dbsp::parse_int(argv[++i], 1, 65535);
+      if (!v) return usage();
+      port = static_cast<std::uint16_t>(*v);
     } else {
       break;
     }
@@ -204,10 +203,16 @@ int main(int argc, char** argv) {
   if (i >= argc || port == 0) return usage();
   const std::string command = argv[i++];
 
+  // Counts and ids parse strictly too: a bad one is a usage error.
+  const auto count_at = [&](int at) {
+    return at < argc ? dbsp::parse_int(argv[at], 0, INT64_MAX) : std::nullopt;
+  };
+
   // smoke manages its own connections.
   if (command == "smoke") {
-    if (i >= argc) return usage();
-    return run_smoke(host, port, static_cast<std::size_t>(std::atoll(argv[i])));
+    const auto n = count_at(i);
+    if (!n) return usage();
+    return run_smoke(host, port, static_cast<std::size_t>(*n));
   }
 
   auto connected = DbspClient::connect(host, port);
@@ -215,12 +220,13 @@ int main(int argc, char** argv) {
   DbspClient client = std::move(connected).value();
 
   if (command == "ping") {
-    const long long count = i < argc ? std::atoll(argv[i]) : 1;
-    for (long long k = 0; k < count; ++k) {
+    const auto count = i < argc ? count_at(i) : 1;
+    if (!count) return usage();
+    for (std::int64_t k = 0; k < *count; ++k) {
       auto pong = client.ping(static_cast<std::uint64_t>(k));
       if (!pong.ok()) return fail(pong.status());
     }
-    std::printf("pong x%lld\n", count);
+    std::printf("pong x%lld\n", static_cast<long long>(*count));
     return 0;
   }
 
@@ -295,11 +301,15 @@ int main(int argc, char** argv) {
     const std::string target = argv[i++];
     long long max = -1;
     if (i + 1 < argc && std::strcmp(argv[i], "--max") == 0) {
-      max = std::atoll(argv[i + 1]);
+      const auto n = count_at(i + 1);
+      if (!n) return usage();
+      max = *n;
     }
+    const auto adopt_id = dbsp::parse_int(target.c_str(), 0, INT64_MAX);
+    if (command == "adopt" && !adopt_id) return usage();
     auto id = command == "subscribe"
                   ? client.subscribe(std::string_view(target))
-                  : client.adopt(static_cast<std::uint64_t>(std::atoll(target.c_str())));
+                  : client.adopt(static_cast<std::uint64_t>(adopt_id.value()));
     if (!id.ok()) return fail(id.status());
     std::printf("subscribed id=%llu\n",
                 static_cast<unsigned long long>(id.value()));

@@ -7,9 +7,9 @@
 ///         [--drain-timeout-ms N] [--metrics-port P] [--trace-dump PATH]
 ///
 /// --snapshot-every N (WAL records between checkpoints, default 1024) and
-/// --fsync (fsync every WAL append and snapshot) tune the --store.
-/// Unset network options fall back to the DBSP_NET_* environment knobs
-/// (see README). SIGTERM/SIGINT trigger a graceful drain: stop accepting,
+/// --fsync (fsync every WAL append and snapshot) tune the --store. A
+/// malformed or out-of-range number (say --port 70000) prints the usage
+/// and exits 2. SIGTERM/SIGINT trigger a graceful drain: stop accepting,
 /// flush every client's delivery queue, checkpoint the store, exit 0. A
 /// second signal (or SIGQUIT) kills immediately — the crash path the
 /// warm-restart tests exercise. SIGUSR1 dumps the flight recorder's
@@ -21,14 +21,16 @@
 /// lines are a stable interface scripts wait for.
 
 #include <atomic>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <sys/resource.h>
 
 #include "api/pubsub.hpp"
+#include "common/env.hpp"
 #include "net/server.hpp"
 #include "obs/log.hpp"
 #include "scenario/workload_domain.hpp"
@@ -70,7 +72,7 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  dbsp::net::NetServerOptions options = dbsp::net::NetServerOptions::from_env();
+  dbsp::net::NetServerOptions options;
   std::string domain = "auction";
   std::string store_dir;
   dbsp::StoreOptions store;  // --snapshot-every, --fsync; used with --store
@@ -81,14 +83,19 @@ int main(int argc, char** argv) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A numeric flag's value: all of it must parse and lie in [lo, hi].
+    const auto number = [&](std::int64_t lo, std::int64_t hi) {
+      const char* v = next();
+      return v == nullptr ? std::nullopt : dbsp::parse_int(v, lo, hi);
+    };
     if (arg == "--host") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       options.host = v;
     } else if (arg == "--port") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.port = static_cast<std::uint16_t>(std::atoi(v));
+      const auto v = number(0, 65535);
+      if (!v) return usage(argv[0]);
+      options.port = static_cast<std::uint16_t>(*v);
     } else if (arg == "--domain") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -98,24 +105,21 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       store_dir = v;
     } else if (arg == "--snapshot-every") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0' || n == 0 || v[0] == '-') return usage(argv[0]);
-      store.snapshot_every = static_cast<std::size_t>(n);
+      const auto v = number(1, INT64_MAX);
+      if (!v) return usage(argv[0]);
+      store.snapshot_every = static_cast<std::size_t>(*v);
     } else if (arg == "--fsync") {
       store.fsync = true;
     } else if (arg == "--pruning") {
       pruning = true;
     } else if (arg == "--drain-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.drain_timeout_ms = std::atoi(v);
+      const auto v = number(0, INT_MAX);
+      if (!v) return usage(argv[0]);
+      options.drain_timeout_ms = static_cast<int>(*v);
     } else if (arg == "--metrics-port") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      options.metrics_port = std::atoi(v);
+      const auto v = number(-1, 65535);
+      if (!v) return usage(argv[0]);
+      options.metrics_port = static_cast<int>(*v);
     } else if (arg == "--trace-dump") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);

@@ -87,8 +87,8 @@ struct PubSubOptions {
   bool tracing = true;
   /// Flight-recorder knobs (ring capacity, 1-in-N head sampling stride —
   /// the one sampler behind both /traces and dbsp_stage_us — slowest-K,
-  /// window). Zero fields resolve from the DBSP_TRACE_* environment knobs;
-  /// used only when `tracing` is set.
+  /// window). A zero sample_every reads DBSP_TRACE_SAMPLE; used only when
+  /// `tracing` is set.
   obs::FlightRecorderOptions trace;
 };
 

@@ -31,4 +31,19 @@ bool env_bool(const char* name, bool fallback) {
   return v == "1" || v == "true" || v == "yes" || v == "on";
 }
 
+std::optional<std::int64_t> parse_int(const char* text, std::int64_t lo,
+                                      std::int64_t hi) {
+  if (text == nullptr || (!std::isdigit(static_cast<unsigned char>(*text)) &&
+                          *text != '-')) {
+    return std::nullopt;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(v);
+}
+
 }  // namespace dbsp

@@ -59,17 +59,10 @@ Result<DbspClient> DbspClient::connect(const std::string& host,
   auto sock = tcp_connect(host, port, timeout_ms);
   if (!sock.ok()) return sock.status();
   DbspClient client(std::move(sock).value(), kDefaultMaxFrameBytes);
-  auto reply = client.request(make_empty_frame(MsgType::kHello),
-                              MsgType::kHelloReply);
-  if (!reply.ok()) return reply.status();
-  try {
-    WireReader r(reply.value());
-    client.schema_ = store::decode_schema(r);
-    if (!r.exhausted()) throw WireError("hello: trailing bytes");
-  } catch (const WireError& e) {
-    return Status::error(ErrorCode::kDataLoss,
-                         std::string("hello reply: ") + e.what());
-  }
+  auto schema = client.request<Schema>(make_empty_frame(MsgType::kHello),
+                                      MsgType::kHelloReply, store::decode_schema);
+  if (!schema.ok()) return schema.status();
+  client.schema_ = std::move(schema).value();
   return client;
 }
 
@@ -79,8 +72,9 @@ Status DbspClient::fail(Status status) {
   return status;
 }
 
-Result<std::vector<std::uint8_t>> DbspClient::read_until(MsgType stop_type,
-                                                         int timeout_ms) {
+Result<std::optional<std::vector<std::uint8_t>>> DbspClient::read_until(
+    MsgType stop_type, int timeout_ms) {
+  using Payload = std::optional<std::vector<std::uint8_t>>;
   while (true) {
     // Serve from already-buffered stream bytes first.
     try {
@@ -91,6 +85,7 @@ Result<std::vector<std::uint8_t>> DbspClient::read_until(MsgType stop_type,
         const MsgType type = checked_msg_type(r.get_u8());
         if (type == MsgType::kNotify) {
           notifications_.push_back(decode_notify(r));
+          if (stop_type == MsgType::kNotify) return Payload(std::in_place);
           continue;
         }
         if (type == MsgType::kError) {
@@ -101,14 +96,14 @@ Result<std::vector<std::uint8_t>> DbspClient::read_until(MsgType stop_type,
         if (type != stop_type) {
           return fail(Status::error(
               ErrorCode::kDataLoss,
-              "unexpected reply type " +
+              "unexpected frame type " +
                   std::to_string(static_cast<unsigned>(type))));
         }
         // Hand back the reply payload (header + type byte stripped).
-        return std::vector<std::uint8_t>(frame->begin() +
-                                             static_cast<std::ptrdiff_t>(
-                                                 frame->size() - r.remaining()),
-                                         frame->end());
+        return Payload(std::in_place,
+                       frame->begin() + static_cast<std::ptrdiff_t>(
+                                            frame->size() - r.remaining()),
+                       frame->end());
       }
     } catch (const WireError& e) {
       return fail(Status::error(ErrorCode::kDataLoss,
@@ -118,42 +113,39 @@ Result<std::vector<std::uint8_t>> DbspClient::read_until(MsgType stop_type,
     if (!sock_.valid()) return unavailable("connection closed");
     auto readable = wait_readable(sock_.fd(), timeout_ms);
     if (!readable.ok()) return fail(readable.status());
-    if (readable.value() == 0) {
-      return Status::error(ErrorCode::kUnavailable, "timed out");
-    }
+    if (readable.value() == 0) return Payload();
     std::uint8_t chunk[kReadChunk];
     auto got = recv_some(sock_.fd(), chunk);
     if (!got.ok()) return fail(got.status());
     if (got.value() == 0) return fail(unavailable("server closed connection"));
-    try {
-      assembler_.push(std::span<const std::uint8_t>(chunk, got.value()));
-    } catch (const WireError& e) {
-      return fail(Status::error(ErrorCode::kDataLoss,
-                                std::string("framing: ") + e.what()));
-    }
+    assembler_.push(std::span<const std::uint8_t>(chunk, got.value()));
   }
 }
 
-Result<std::vector<std::uint8_t>> DbspClient::request(
-    std::span<const std::uint8_t> frame, MsgType expected_reply) {
+template <class T, class Decode>
+Result<T> DbspClient::request(std::span<const std::uint8_t> frame,
+                              MsgType expected_reply, Decode decode) {
   if (!sock_.valid()) return unavailable("not connected");
   if (Status s = send_all(sock_.fd(), frame); !s.ok()) return fail(std::move(s));
-  return read_until(expected_reply, /*timeout_ms=*/-1);
+  auto reply = read_until(expected_reply, /*timeout_ms=*/-1);
+  if (!reply.ok()) return reply.status();
+  try {
+    WireReader r(reply.value().value());  // -1: never times out
+    T value = decode(r);
+    if (!r.exhausted()) throw WireError("trailing bytes");
+    return value;
+  } catch (const WireError& e) {
+    return fail(Status::error(
+        ErrorCode::kDataLoss,
+        "reply " + std::to_string(static_cast<unsigned>(expected_reply)) + ": " +
+            e.what()));
+  }
 }
 
 Result<std::uint64_t> DbspClient::u64_request(std::span<const std::uint8_t> frame,
                                               MsgType expected_reply) {
-  auto reply = request(frame, expected_reply);
-  if (!reply.ok()) return reply.status();
-  try {
-    WireReader r(reply.value());
-    const std::uint64_t value = r.get_u64();
-    if (!r.exhausted()) throw WireError("reply: trailing bytes");
-    return value;
-  } catch (const WireError& e) {
-    return fail(Status::error(ErrorCode::kDataLoss,
-                              std::string("reply: ") + e.what()));
-  }
+  return request<std::uint64_t>(frame, expected_reply,
+                                [](WireReader& r) { return r.get_u64(); });
 }
 
 Result<std::uint64_t> DbspClient::subscribe(const Node& tree) {
@@ -174,14 +166,10 @@ Result<std::uint64_t> DbspClient::subscribe(std::string_view dsl_text) {
 }
 
 Status DbspClient::unsubscribe(std::uint64_t id) {
-  auto reply = request(make_u64_frame(MsgType::kUnsubscribe, id),
-                       MsgType::kUnsubscribeReply);
-  if (!reply.ok()) return reply.status();
-  if (!reply.value().empty()) {
-    return fail(Status::error(ErrorCode::kDataLoss,
-                              "unsubscribe reply: trailing bytes"));
-  }
-  return Status();
+  auto reply = request<bool>(make_u64_frame(MsgType::kUnsubscribe, id),
+                             MsgType::kUnsubscribeReply,
+                             [](WireReader&) { return true; });
+  return reply.ok() ? Status() : reply.status();
 }
 
 Result<std::uint64_t> DbspClient::adopt(std::uint64_t id) {
@@ -233,94 +221,27 @@ Result<std::uint64_t> DbspClient::ping(std::uint64_t token) {
 }
 
 Result<NetStats> DbspClient::stats() {
-  auto reply = request(make_empty_frame(MsgType::kStats), MsgType::kStatsReply);
-  if (!reply.ok()) return reply.status();
-  try {
-    WireReader r(reply.value());
-    NetStats s = decode_stats(r);
-    if (!r.exhausted()) throw WireError("stats reply: trailing bytes");
-    return s;
-  } catch (const WireError& e) {
-    return fail(Status::error(ErrorCode::kDataLoss,
-                              std::string("stats reply: ") + e.what()));
-  }
+  return request<NetStats>(make_empty_frame(MsgType::kStats),
+                           MsgType::kStatsReply, decode_stats);
 }
 
 Result<obs::MetricsSnapshot> DbspClient::metrics() {
-  auto reply =
-      request(make_empty_frame(MsgType::kMetrics), MsgType::kMetricsReply);
-  if (!reply.ok()) return reply.status();
-  try {
-    WireReader r(reply.value());
-    obs::MetricsSnapshot s = decode_metrics(r);
-    if (!r.exhausted()) throw WireError("metrics reply: trailing bytes");
-    return s;
-  } catch (const WireError& e) {
-    return fail(Status::error(ErrorCode::kDataLoss,
-                              std::string("metrics reply: ") + e.what()));
-  }
+  return request<obs::MetricsSnapshot>(make_empty_frame(MsgType::kMetrics),
+                                       MsgType::kMetricsReply, decode_metrics);
 }
 
 Result<WireTraces> DbspClient::traces() {
-  auto reply =
-      request(make_empty_frame(MsgType::kTraces), MsgType::kTracesReply);
-  if (!reply.ok()) return reply.status();
-  try {
-    WireReader r(reply.value());
-    WireTraces t = decode_traces(r);
-    if (!r.exhausted()) throw WireError("traces reply: trailing bytes");
-    return t;
-  } catch (const WireError& e) {
-    return fail(Status::error(ErrorCode::kDataLoss,
-                              std::string("traces reply: ") + e.what()));
-  }
+  return request<WireTraces>(make_empty_frame(MsgType::kTraces),
+                             MsgType::kTracesReply, decode_traces);
 }
 
 Result<std::optional<NetNotification>> DbspClient::next_notification(
     int timeout_ms) {
-  if (!notifications_.empty()) {
-    NetNotification n = std::move(notifications_.front());
-    notifications_.pop_front();
-    return std::optional<NetNotification>(std::move(n));
-  }
-  if (!sock_.valid()) return unavailable("not connected");
-  while (notifications_.empty()) {
-    // Drain whole frames already buffered before touching the socket.
-    try {
-      auto frame = assembler_.next();
-      if (frame.has_value()) {
-        WireReader r(*frame);
-        (void)decode_wire_header(r);
-        const MsgType type = checked_msg_type(r.get_u8());
-        if (type == MsgType::kNotify) {
-          notifications_.push_back(decode_notify(r));
-          break;
-        }
-        if (type == MsgType::kError) {
-          const WireStatus ws = decode_error(r);
-          return to_status(ws);
-        }
-        return fail(Status::error(ErrorCode::kDataLoss,
-                                  "unexpected frame while waiting for "
-                                  "notifications"));
-      }
-    } catch (const WireError& e) {
-      return fail(Status::error(ErrorCode::kDataLoss,
-                                std::string("wire: ") + e.what()));
-    }
-    auto readable = wait_readable(sock_.fd(), timeout_ms);
-    if (!readable.ok()) return fail(readable.status());
-    if (readable.value() == 0) return std::optional<NetNotification>();
-    std::uint8_t chunk[kReadChunk];
-    auto got = recv_some(sock_.fd(), chunk);
-    if (!got.ok()) return fail(got.status());
-    if (got.value() == 0) return fail(unavailable("server closed connection"));
-    try {
-      assembler_.push(std::span<const std::uint8_t>(chunk, got.value()));
-    } catch (const WireError& e) {
-      return fail(Status::error(ErrorCode::kDataLoss,
-                                std::string("framing: ") + e.what()));
-    }
+  if (notifications_.empty()) {
+    if (!sock_.valid()) return unavailable("not connected");
+    auto got = read_until(MsgType::kNotify, timeout_ms);
+    if (!got.ok()) return got.status();
+    if (!got.value().has_value()) return std::optional<NetNotification>();
   }
   NetNotification n = std::move(notifications_.front());
   notifications_.pop_front();

@@ -119,13 +119,16 @@ class DbspClient {
   DbspClient(Socket sock, std::size_t max_frame)
       : sock_(std::move(sock)), assembler_(max_frame) {}
 
-  /// Sends `frame` and blocks for the matching reply type, buffering any
-  /// kNotify frames that arrive first. kError replies become the Status.
-  [[nodiscard]] Result<std::vector<std::uint8_t>> request(
-      std::span<const std::uint8_t> frame, MsgType expected_reply);
-  /// Reads whole frames off the socket until `stop_type` (or kError)
-  /// arrives; kNotify frames are buffered along the way.
-  [[nodiscard]] Result<std::vector<std::uint8_t>> read_until(
+  /// Sends `frame`, blocks for the matching reply type (buffering any
+  /// kNotify frames that arrive first) and decodes its whole payload with
+  /// `decode`. kError replies become the Status.
+  template <class T, class Decode>
+  [[nodiscard]] Result<T> request(std::span<const std::uint8_t> frame,
+                                  MsgType expected_reply, Decode decode);
+  /// Reads whole frames until `stop_type` (or kError) arrives and returns
+  /// its payload; kNotify frames are buffered along the way, and a
+  /// kNotify stop returns once one is. nullopt when `timeout_ms` passes.
+  [[nodiscard]] Result<std::optional<std::vector<std::uint8_t>>> read_until(
       MsgType stop_type, int timeout_ms);
   [[nodiscard]] Result<std::uint64_t> u64_request(
       std::span<const std::uint8_t> frame, MsgType expected_reply);

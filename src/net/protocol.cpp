@@ -31,64 +31,18 @@ MsgType checked_msg_type(std::uint8_t raw) {
   throw WireError("net: unknown message type " + std::to_string(raw));
 }
 
-namespace {
-
-// The NetStats wire order. Adding a field = append here and bump nothing:
-// the count prefix keeps old decoders working.
-constexpr std::size_t kStatsFieldCount = 15;
-
-void stats_fields(const NetStats& s, std::uint64_t (&out)[kStatsFieldCount]) {
-  std::size_t i = 0;
-  out[i++] = s.connections;
-  out[i++] = s.connections_accepted;
-  out[i++] = s.connections_rejected;
-  out[i++] = s.frames_received;
-  out[i++] = s.frames_sent;
-  out[i++] = s.bytes_received;
-  out[i++] = s.bytes_sent;
-  out[i++] = s.protocol_errors;
-  out[i++] = s.slow_consumer_disconnects;
-  out[i++] = s.subscriptions;
-  out[i++] = s.notifications_enqueued;
-  out[i++] = s.events_published;
-  out[i++] = s.notifications_delivered;
-  out[i++] = s.write_queue_high_water;
-  out[i++] = s.draining;
-}
-
-}  // namespace
-
 void encode_stats(const NetStats& stats, WireWriter& out) {
-  std::uint64_t fields[kStatsFieldCount];
-  stats_fields(stats, fields);
-  out.put_u32(static_cast<std::uint32_t>(kStatsFieldCount));
-  for (const std::uint64_t f : fields) out.put_u64(f);
+  out.put_u32(static_cast<std::uint32_t>(std::size(kNetStatFields)));
+  for (const NetStatField& f : kNetStatFields) out.put_u64(stats.*f.member);
 }
 
 NetStats decode_stats(WireReader& in) {
   const std::uint32_t count = in.get_u32();
-  std::uint64_t fields[kStatsFieldCount] = {};
+  NetStats s;
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t v = in.get_u64();  // skips fields newer than us
-    if (i < kStatsFieldCount) fields[i] = v;
+    if (i < std::size(kNetStatFields)) s.*kNetStatFields[i].member = v;
   }
-  NetStats s;
-  std::size_t i = 0;
-  s.connections = fields[i++];
-  s.connections_accepted = fields[i++];
-  s.connections_rejected = fields[i++];
-  s.frames_received = fields[i++];
-  s.frames_sent = fields[i++];
-  s.bytes_received = fields[i++];
-  s.bytes_sent = fields[i++];
-  s.protocol_errors = fields[i++];
-  s.slow_consumer_disconnects = fields[i++];
-  s.subscriptions = fields[i++];
-  s.notifications_enqueued = fields[i++];
-  s.events_published = fields[i++];
-  s.notifications_delivered = fields[i++];
-  s.write_queue_high_water = fields[i++];
-  s.draining = fields[i++];
   return s;
 }
 

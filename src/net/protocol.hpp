@@ -73,7 +73,7 @@ enum class MsgType : std::uint8_t {
 struct NetStats {
   std::uint64_t connections = 0;           ///< currently open
   std::uint64_t connections_accepted = 0;  ///< lifetime accepts
-  std::uint64_t connections_rejected = 0;  ///< over max_connections
+  std::uint64_t connections_rejected = 0;  ///< over the connection cap
   std::uint64_t frames_received = 0;
   std::uint64_t frames_sent = 0;
   std::uint64_t bytes_received = 0;
@@ -86,6 +86,37 @@ struct NetStats {
   std::uint64_t notifications_delivered = 0;   ///< engine-side match count
   std::uint64_t write_queue_high_water = 0;    ///< worst pending bytes seen
   std::uint64_t draining = 0;                  ///< 1 while shutting down
+};
+
+/// One NetStats field: its member, its Prometheus series and whether that
+/// series is a gauge (a level) or a counter. kNetStatFields lists every
+/// field once, in wire order; the stats codec, the server's counters and
+/// its scrape hook all walk it.
+struct NetStatField {
+  std::uint64_t NetStats::*member;
+  const char* series;
+  bool gauge;
+};
+inline constexpr NetStatField kNetStatFields[] = {
+    {&NetStats::connections, "dbsp_net_connections", true},
+    {&NetStats::connections_accepted, "dbsp_net_connections_accepted_total", false},
+    {&NetStats::connections_rejected, "dbsp_net_connections_rejected_total", false},
+    {&NetStats::frames_received, "dbsp_net_frames_received_total", false},
+    {&NetStats::frames_sent, "dbsp_net_frames_sent_total", false},
+    {&NetStats::bytes_received, "dbsp_net_bytes_received_total", false},
+    {&NetStats::bytes_sent, "dbsp_net_bytes_sent_total", false},
+    {&NetStats::protocol_errors, "dbsp_net_protocol_errors_total", false},
+    {&NetStats::slow_consumer_disconnects,
+     "dbsp_net_slow_consumer_disconnects_total", false},
+    {&NetStats::subscriptions, "dbsp_net_subscriptions", true},
+    {&NetStats::notifications_enqueued, "dbsp_net_notifications_enqueued_total",
+     false},
+    {&NetStats::events_published, "dbsp_net_events_published_total", false},
+    {&NetStats::notifications_delivered,
+     "dbsp_net_notifications_delivered_total", false},
+    {&NetStats::write_queue_high_water, "dbsp_net_write_queue_high_water_bytes",
+     true},
+    {&NetStats::draining, "dbsp_net_draining", true},
 };
 
 void encode_stats(const NetStats& stats, WireWriter& out);

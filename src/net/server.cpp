@@ -1,10 +1,10 @@
 #include "net/server.hpp"
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -15,11 +15,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/env.hpp"
+#include "net/admin_http.hpp"
+#include "net/connection.hpp"
 #include "net/socket.hpp"
-#include "obs/exposition.hpp"
 #include "obs/log.hpp"
-#include "store/format.hpp"
 
 namespace dbsp::net {
 
@@ -28,146 +27,81 @@ namespace {
 constexpr int kStopKill = 1;
 constexpr int kStopDrain = 2;
 constexpr std::size_t kReadChunk = 64 * 1024;
+constexpr int kListenBacklog = 512;
+constexpr std::size_t kMaxConnections = 4096;
+/// Scrapers are few and short-lived; cap them so they cannot crowd out the
+/// protocol connections' fd budget.
+constexpr std::size_t kMaxAdminConns = 64;
 
-/// Scrapers are few and short-lived; cap them so a misbehaving one cannot
-/// crowd out protocol connections' fd budget.
-constexpr std::size_t kMaxHttpConns = 64;
-constexpr std::size_t kMaxHttpRequestBytes = 8 * 1024;
-
-/// One HTTP /metrics connection: accumulate the request until the header
-/// terminator, write one response, close. Owned by the io thread; kept in
-/// a map separate from the protocol connections so scrapes never hold a
-/// graceful drain open (the drain's pending scan ignores them).
-struct HttpConn {
-  explicit HttpConn(Socket socket) : sock(std::move(socket)) {}
+/// One accepted socket: a protocol Connection or an admin (HTTP) one.
+struct Peer {
+  explicit Peer(int fd) : sock(fd) {}
 
   Socket sock;
-  std::string request;
-  std::string out;
-  std::size_t out_pos = 0;
-  bool responded = false;
+  std::unique_ptr<Connection> conn;
+  std::unique_ptr<AdminConn> admin;
+  std::uint64_t accepted = 0;  ///< accept order; eviction takes the oldest
+  std::uint32_t interest = 0;  ///< current epoll mask
 
-  [[nodiscard]] std::size_t pending_out() const { return out.size() - out_pos; }
+  [[nodiscard]] OutBuffer& out() { return conn ? conn->out() : admin->out; }
+  [[nodiscard]] bool reading() const {
+    return conn ? conn->reading() : !admin->responded;
+  }
+  [[nodiscard]] bool close_after_flush() const {
+    return conn ? conn->close_after_flush() : admin->responded;
+  }
 };
-
-[[nodiscard]] std::uint64_t unix_now_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-/// GET /buildinfo body — static facts about this binary, assembled once.
-[[nodiscard]] std::string build_info_json() {
-  std::string out = "{\"name\": \"dbspd\", \"wire_format_version\": ";
-  out += std::to_string(static_cast<unsigned>(kWireFormatVersion));
-  out += ", \"compiler\": \"";
-#if defined(__clang__)
-  out += "clang " __clang_version__;
-#elif defined(__GNUC__)
-  out += "gcc " __VERSION__;
-#else
-  out += "unknown";
-#endif
-  out += "\", \"cxx_standard\": " + std::to_string(__cplusplus / 100);
-#ifdef NDEBUG
-  out += ", \"assertions\": false}";
-#else
-  out += ", \"assertions\": true}";
-#endif
-  return out;
-}
 
 }  // namespace
 
-NetServerOptions NetServerOptions::from_env() {
-  NetServerOptions o;
-  if (const char* host = std::getenv("DBSP_NET_HOST")) {  // NOLINT(concurrency-mt-unsafe)
-    if (*host != '\0') o.host = host;
-  }
-  o.port = static_cast<std::uint16_t>(env_int("DBSP_NET_PORT", o.port));
-  o.max_connections = static_cast<std::size_t>(
-      env_int("DBSP_NET_MAX_CONNS", static_cast<std::int64_t>(o.max_connections)));
-  o.max_frame_bytes = static_cast<std::size_t>(env_int(
-      "DBSP_NET_MAX_FRAME", static_cast<std::int64_t>(o.max_frame_bytes)));
-  o.max_write_queue_bytes = static_cast<std::size_t>(
-      env_int("DBSP_NET_MAX_WRITE_QUEUE",
-              static_cast<std::int64_t>(o.max_write_queue_bytes)));
-  o.drain_timeout_ms = static_cast<int>(
-      env_int("DBSP_NET_DRAIN_TIMEOUT_MS", o.drain_timeout_ms));
-  o.metrics_port = static_cast<int>(
-      env_int("DBSP_NET_METRICS_PORT", o.metrics_port));
-  return o;
-}
-
-/// One connection's state machine: read-frame (assembler) -> dispatch ->
-/// write-queue. Owned by, and touched only from, the io thread.
-struct NetServer::Conn {
-  explicit Conn(Socket socket, std::size_t max_frame)
-      : sock(std::move(socket)), assembler(max_frame) {}
-
-  Socket sock;
-  FrameAssembler assembler;
-  std::vector<std::uint8_t> out;  ///< pending reply/notification bytes
-  std::size_t out_pos = 0;        ///< written prefix of `out`
-  bool close_after_flush = false;
-  bool stopped_reading = false;
-  bool kill_slow = false;  ///< marked by on_notify, reaped after publish
-  std::uint32_t interest = 0;  ///< current epoll interest mask
-  /// Subscriptions owned by this connection; released on disconnect.
-  std::unordered_map<std::uint64_t, SubscriptionHandle> subs;
-
-  /// One traced notification waiting in this connection's write queue; it
-  /// completes (and records its queue-wait/socket-write spans) when
-  /// `total_written` passes `end_bytes`.
-  struct DeliveryMarker {
-    std::uint64_t end_bytes = 0;  ///< total_queued after the notify frame
-    obs::TraceContext trace{};
-    std::uint64_t frame_bytes = 0;
-    std::uint64_t enqueue_unix_us = 0;
-    std::chrono::steady_clock::time_point enqueue_steady{};
-  };
-  std::uint64_t total_queued = 0;   ///< lifetime bytes entering `out`
-  std::uint64_t total_written = 0;  ///< lifetime bytes handed to the socket
-  std::deque<DeliveryMarker> deliveries;
-
-  [[nodiscard]] std::size_t pending_out() const { return out.size() - out_pos; }
-
-  void queue(std::span<const std::uint8_t> bytes) {
-    // Compact the written prefix before it dominates the buffer.
-    if (out_pos > 0 && (out_pos == out.size() || out_pos >= 64 * 1024)) {
-      out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(out_pos));
-      out_pos = 0;
-    }
-    out.insert(out.end(), bytes.begin(), bytes.end());
-    total_queued += bytes.size();
-  }
-};
-
+/// The io thread's side of the server: sockets, epoll and the peers. Its
+/// methods are the socket glue around Connection and AdminHttp.
 struct NetServer::Impl {
-  explicit Impl(PubSub pubsub_in) { pubsub.emplace(std::move(pubsub_in)); }
-
-  std::optional<PubSub> pubsub;
-  Socket listener;
-  Socket metrics_listener;  ///< HTTP /metrics; invalid when disabled
-  int epoll_fd = -1;
-  int wake_fd = -1;
-  std::unordered_map<int, std::unique_ptr<Conn>> conns;
-  std::unordered_map<int, std::unique_ptr<HttpConn>> http_conns;
-  /// Live subscription id -> owning connection fd (adopt-exclusivity).
-  std::unordered_map<std::uint64_t, int> owners;
+  Impl(PubSub pubsub_in, const NetServer& server)
+      : pubsub(std::move(pubsub_in)),
+        edge(&pubsub.value(), *server.cells_),
+        admin_http(server.registry_.get(), server.recorder_.get(), *server.cells_) {
+    edge.registry = server.registry_.get();
+    edge.recorder = server.recorder_.get();
+    edge.max_frame_bytes = server.options_.max_frame_bytes;
+    edge.max_write_queue_bytes = server.options_.max_write_queue_bytes;
+  }
 
   ~Impl() {
     if (epoll_fd >= 0) ::close(epoll_fd);
     if (wake_fd >= 0) ::close(wake_fd);
   }
+
+  Status watch(int fd);
+  void accept_all(int listener_fd, bool admin);
+  void on_event(int fd, std::uint32_t mask);
+  void on_readable(int fd, Peer& peer);
+  void after_dispatch(const Connection& current);
+  void flush(int fd, Peer& peer);
+  void set_interest(int fd, Peer& peer);
+  void disconnect_slow(int fd);
+  void destroy(int fd);
+
+  std::optional<PubSub> pubsub;
+  Edge edge;  ///< outlives `peers`: connections reference it
+  AdminHttp admin_http;
+  Socket listener;
+  Socket metrics_listener;  ///< invalid when the admin port is disabled
+  int epoll_fd = -1;
+  int wake_fd = -1;
+  std::unordered_map<int, Peer> peers;
+  std::size_t connections = 0;  ///< protocol peers
+  std::size_t admin_conns = 0;
+  std::uint64_t accepts = 0;
+  std::vector<Connection*> dirty;  ///< after_dispatch's reused list
 };
 
 NetServer::NetServer(PubSub pubsub, NetServerOptions options)
     : options_(std::move(options)),
-      impl_(std::make_unique<Impl>(std::move(pubsub))) {
-  registry_ = impl_->pubsub->metrics_registry();
-  recorder_ = impl_->pubsub->trace_recorder();
+      registry_(pubsub.metrics_registry()),
+      recorder_(pubsub.trace_recorder()),
+      cells_(std::make_shared<NetStatCells>()) {
+  impl_ = std::make_unique<Impl>(std::move(pubsub), *this);
 }
 
 Result<std::unique_ptr<NetServer>> NetServer::start(PubSub pubsub,
@@ -180,113 +114,86 @@ Result<std::unique_ptr<NetServer>> NetServer::start(PubSub pubsub,
   return server;
 }
 
-Status NetServer::init() {
-  auto listener = tcp_listen(options_.host, options_.port, options_.listen_backlog);
-  if (!listener.ok()) return listener.status();
-  auto port = local_port(listener.value().fd());
-  if (!port.ok()) return port.status();
-  port_ = port.value();
-  if (Status s = set_nonblocking(listener.value().fd(), true); !s.ok()) return s;
-
-  impl_->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-  if (impl_->epoll_fd < 0) {
-    return Status::error(ErrorCode::kIoError,
-                         std::string("epoll_create1: ") + std::strerror(errno));  // NOLINT(concurrency-mt-unsafe)
-  }
-  impl_->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (impl_->wake_fd < 0) {
-    return Status::error(ErrorCode::kIoError,
-                         std::string("eventfd: ") + std::strerror(errno));  // NOLINT(concurrency-mt-unsafe)
-  }
-  impl_->listener = std::move(listener).value();
-
+Status NetServer::Impl::watch(int fd) {
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = impl_->listener.fd();
-  if (::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->listener.fd(), &ev) != 0) {
-    return Status::error(ErrorCode::kIoError, "epoll_ctl(listener)");
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    return Status::error(ErrorCode::kIoError, "epoll_ctl");
   }
-  ev.events = EPOLLIN;
-  ev.data.fd = impl_->wake_fd;
-  if (::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->wake_fd, &ev) != 0) {
-    return Status::error(ErrorCode::kIoError, "epoll_ctl(wake)");
+  return Status();
+}
+
+Status NetServer::init() {
+  auto& impl = *impl_;
+  if (options_.metrics_port > 65535) {
+    return Status::error(ErrorCode::kInvalidArgument, "metrics_port is out of range");
   }
+  // Binds, reads back the real port, and goes non-blocking.
+  const auto listen_on = [&](std::uint16_t port, Socket& sock,
+                             std::uint16_t& bound) -> Status {
+    auto listening = tcp_listen(options_.host, port, kListenBacklog);
+    if (!listening.ok()) return listening.status();
+    auto local = local_port(listening.value().fd());
+    if (!local.ok()) return local.status();
+    bound = local.value();
+    sock = std::move(listening).value();
+    return set_nonblocking(sock.fd(), true);
+  };
+  if (Status s = listen_on(options_.port, impl.listener, port_); !s.ok()) return s;
+  impl.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  impl.wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (impl.epoll_fd < 0 || impl.wake_fd < 0) {
+    return Status::error(ErrorCode::kIoError,
+                         std::string("epoll/eventfd: ") + std::strerror(errno));  // NOLINT(concurrency-mt-unsafe)
+  }
+  if (Status s = impl.watch(impl.listener.fd()); !s.ok()) return s;
+  if (Status s = impl.watch(impl.wake_fd); !s.ok()) return s;
   if (options_.metrics_port >= 0) {
-    if (options_.metrics_port > 65535) {
-      return Status::error(ErrorCode::kInvalidArgument,
-                           "metrics_port is out of range");
-    }
-    auto mlistener =
-        tcp_listen(options_.host, static_cast<std::uint16_t>(options_.metrics_port),
-                   options_.listen_backlog);
-    if (!mlistener.ok()) return mlistener.status();
-    auto mport = local_port(mlistener.value().fd());
-    if (!mport.ok()) return mport.status();
-    metrics_port_ = mport.value();
-    if (Status s = set_nonblocking(mlistener.value().fd(), true); !s.ok()) {
+    if (Status s = listen_on(static_cast<std::uint16_t>(options_.metrics_port),
+                             impl.metrics_listener, metrics_port_);
+        !s.ok()) {
       return s;
     }
-    impl_->metrics_listener = std::move(mlistener).value();
-    ev.events = EPOLLIN;
-    ev.data.fd = impl_->metrics_listener.fd();
-    if (::epoll_ctl(impl_->epoll_fd, EPOLL_CTL_ADD, impl_->metrics_listener.fd(),
-                    &ev) != 0) {
-      return Status::error(ErrorCode::kIoError, "epoll_ctl(metrics listener)");
-    }
+    if (Status s = impl.watch(impl.metrics_listener.fd()); !s.ok()) return s;
   }
-
   register_metrics_hook();
-  cells_->subscriptions.store(impl_->pubsub->subscription_count(),
-                              std::memory_order_relaxed);
-  start_time_ = std::chrono::steady_clock::now();
+  impl.edge.sync_subscriptions();
   return Status();
 }
 
 void NetServer::register_metrics_hook() {
   if (registry_ == nullptr) return;
-  auto& r = *registry_;
   // Series pointers are registry-stable; captured raw (the hook dies with
   // the registry, never after it). The cells go in through a weak_ptr so a
-  // scrape racing server destruction no-ops. Counters come from atomics
-  // that only ever grow, but sync_to keeps the exported series monotone
-  // even if that ever changes; levels are gauges.
-  auto* connections = &r.gauge("dbsp_net_connections");
-  auto* accepted = &r.counter("dbsp_net_connections_accepted_total");
-  auto* rejected = &r.counter("dbsp_net_connections_rejected_total");
-  auto* frames_received = &r.counter("dbsp_net_frames_received_total");
-  auto* frames_sent = &r.counter("dbsp_net_frames_sent_total");
-  auto* bytes_received = &r.counter("dbsp_net_bytes_received_total");
-  auto* bytes_sent = &r.counter("dbsp_net_bytes_sent_total");
-  auto* protocol_errors = &r.counter("dbsp_net_protocol_errors_total");
-  auto* slow_kills = &r.counter("dbsp_net_slow_consumer_disconnects_total");
-  auto* subscriptions = &r.gauge("dbsp_net_subscriptions");
-  auto* enqueued = &r.counter("dbsp_net_notifications_enqueued_total");
-  auto* published = &r.counter("dbsp_net_events_published_total");
-  auto* delivered = &r.counter("dbsp_net_notifications_delivered_total");
-  auto* high_water = &r.gauge("dbsp_net_write_queue_high_water_bytes");
-  auto* draining = &r.gauge("dbsp_net_draining");
-  std::weak_ptr<StatCells> weak = cells_;
-  r.add_hook([=]() {
-    const auto c = weak.lock();
-    if (c == nullptr) return;
-    const auto load = [](const std::atomic<std::uint64_t>& v) {
-      return v.load(std::memory_order_relaxed);
-    };
-    connections->set(static_cast<double>(load(c->connections)));
-    accepted->sync_to(load(c->connections_accepted));
-    rejected->sync_to(load(c->connections_rejected));
-    frames_received->sync_to(load(c->frames_received));
-    frames_sent->sync_to(load(c->frames_sent));
-    bytes_received->sync_to(load(c->bytes_received));
-    bytes_sent->sync_to(load(c->bytes_sent));
-    protocol_errors->sync_to(load(c->protocol_errors));
-    slow_kills->sync_to(load(c->slow_consumer_disconnects));
-    subscriptions->set(static_cast<double>(load(c->subscriptions)));
-    enqueued->sync_to(load(c->notifications_enqueued));
-    published->sync_to(load(c->events_published));
-    delivered->sync_to(load(c->notifications_delivered));
-    high_water->set(static_cast<double>(load(c->write_queue_high_water)));
-    draining->set(static_cast<double>(load(c->draining)));
+  // scrape racing server destruction no-ops. sync_to keeps the exported
+  // counters monotone; levels are gauges.
+  struct Series {
+    obs::Counter* counter = nullptr;
+    obs::Gauge* gauge = nullptr;
+  };
+  std::array<Series, std::size(kNetStatFields)> series;
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    const NetStatField& f = kNetStatFields[i];
+    if (f.gauge) {
+      series[i].gauge = &registry_->gauge(f.series);
+    } else {
+      series[i].counter = &registry_->counter(f.series);
+    }
+  }
+  std::weak_ptr<NetStatCells> weak = cells_;
+  registry_->add_hook([series, weak]() {
+    const auto cells = weak.lock();
+    if (cells == nullptr) return;
+    const NetStats s = cells->load();
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      const std::uint64_t v = s.*kNetStatFields[i].member;
+      if (series[i].gauge != nullptr) {
+        series[i].gauge->set(static_cast<double>(v));
+      } else {
+        series[i].counter->sync_to(v);
+      }
+    }
   });
 }
 
@@ -327,27 +234,7 @@ PubSub* NetServer::pubsub() {
   return impl_->pubsub ? &*impl_->pubsub : nullptr;
 }
 
-NetStats NetServer::stats() const {
-  NetStats s;
-  s.connections = cells_->connections.load(std::memory_order_relaxed);
-  s.connections_accepted = cells_->connections_accepted.load(std::memory_order_relaxed);
-  s.connections_rejected = cells_->connections_rejected.load(std::memory_order_relaxed);
-  s.frames_received = cells_->frames_received.load(std::memory_order_relaxed);
-  s.frames_sent = cells_->frames_sent.load(std::memory_order_relaxed);
-  s.bytes_received = cells_->bytes_received.load(std::memory_order_relaxed);
-  s.bytes_sent = cells_->bytes_sent.load(std::memory_order_relaxed);
-  s.protocol_errors = cells_->protocol_errors.load(std::memory_order_relaxed);
-  s.slow_consumer_disconnects =
-      cells_->slow_consumer_disconnects.load(std::memory_order_relaxed);
-  s.subscriptions = cells_->subscriptions.load(std::memory_order_relaxed);
-  s.notifications_enqueued = cells_->notifications_enqueued.load(std::memory_order_relaxed);
-  s.events_published = cells_->events_published.load(std::memory_order_relaxed);
-  s.notifications_delivered =
-      cells_->notifications_delivered.load(std::memory_order_relaxed);
-  s.write_queue_high_water = cells_->write_queue_high_water.load(std::memory_order_relaxed);
-  s.draining = cells_->draining.load(std::memory_order_relaxed);
-  return s;
-}
+NetStats NetServer::stats() const { return cells_->load(); }
 
 // --- io thread ---------------------------------------------------------------
 // Everything below runs exclusively on the io thread.
@@ -373,705 +260,242 @@ void NetServer::write_trace_dump() {
       .kv("bytes", static_cast<std::uint64_t>(written));
 }
 
-void NetServer::run_loop() {
-  auto& impl = *impl_;
-  const auto now_ms = [] {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  };
-
-  // The io thread's span collector for kServerDispatch (one in-flight
-  // request at a time — the thread dispatches frames serially).
-  obs::TraceBuilder server_trace;
-
-  const auto update_subs_counter = [&] {
-    cells_->subscriptions.store(impl.pubsub ? impl.pubsub->subscription_count() : 0,
-                         std::memory_order_relaxed);
-  };
-
-  const auto set_interest = [&](Conn& conn) {
-    std::uint32_t want = 0;
-    if (!conn.stopped_reading && !conn.close_after_flush) want |= EPOLLIN;
-    if (conn.pending_out() > 0) want |= EPOLLOUT;
-    if (want == conn.interest) return;
-    epoll_event ev{};
-    ev.events = want;
-    ev.data.fd = conn.sock.fd();
-    (void)::epoll_ctl(impl.epoll_fd, EPOLL_CTL_MOD, conn.sock.fd(), &ev);
-    conn.interest = want;
-  };
-
-  // Destroys a connection: subscriptions are released through their RAII
-  // handles (durably logged while the PubSub is alive; inert no-ops after
-  // shutdown has destroyed it), the fd leaves the epoll set, and the
-  // socket closes. Never called from inside a notification callback.
-  const auto destroy_conn = [&](int fd) {
-    const auto it = impl.conns.find(fd);
-    if (it == impl.conns.end()) return;
-    for (auto& [id, handle] : it->second->subs) {
-      impl.owners.erase(id);
-      (void)handle.release();
+// The one accept loop, for both listeners. A protocol accept past the cap
+// is closed and counted; an admin accept at its cap evicts the oldest
+// admin peer whose request is still incomplete, so idle sockets cannot
+// lock out scrapes.
+void NetServer::Impl::accept_all(int listener_fd, bool admin) {
+  while (true) {
+    const int fd = ::accept4(listener_fd, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN, or a transient failure: stay up
     }
-    (void)::epoll_ctl(impl.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-    impl.conns.erase(it);
-    cells_->connections.store(impl.conns.size(), std::memory_order_relaxed);
-    update_subs_counter();
-  };
-
-  const auto enqueue = [&](Conn& conn, std::span<const std::uint8_t> frame) {
-    conn.queue(frame);
-    cells_->frames_sent.fetch_add(1, std::memory_order_relaxed);
-    const auto pending = static_cast<std::uint64_t>(conn.pending_out());
-    std::uint64_t seen = cells_->write_queue_high_water.load(std::memory_order_relaxed);
-    if (pending > seen) {
-      cells_->write_queue_high_water.store(pending, std::memory_order_relaxed);
-    }
-  };
-
-  // Completes delivery markers whose bytes fully entered the socket:
-  // records one trace entry per traced notification with a queue-wait span
-  // (enqueue -> this flush) and a socket-write span (this flush -> done).
-  // Kept when head-sampled or tail-admitted as slow, like any trace.
-  const auto complete_deliveries =
-      [&](Conn& conn, std::chrono::steady_clock::time_point flush_start) {
-        if (recorder_ == nullptr) return;
-        const auto now = std::chrono::steady_clock::now();
-        while (!conn.deliveries.empty() &&
-               conn.deliveries.front().end_bytes <= conn.total_written) {
-          const Conn::DeliveryMarker m = conn.deliveries.front();
-          conn.deliveries.pop_front();
-          const auto us_since = [&m](std::chrono::steady_clock::time_point t) {
-            return t <= m.enqueue_steady
-                       ? std::uint64_t{0}
-                       : static_cast<std::uint64_t>(
-                             std::chrono::duration_cast<std::chrono::microseconds>(
-                                 t - m.enqueue_steady)
-                                 .count());
-          };
-          const std::uint64_t total_us = us_since(now);
-          if (!m.trace.sampled && !recorder_->admit_slow(total_us)) continue;
-          const std::uint64_t wait_us = std::min(us_since(flush_start), total_us);
-          obs::Trace t;
-          t.trace_id = m.trace.trace_id;
-          t.parent_span = m.trace.parent_span;
-          t.sampled = m.trace.sampled;
-          t.start_unix_us = m.enqueue_unix_us;
-          t.duration_us = total_us;
-          t.spans.push_back({obs::TraceStage::kQueueWait, obs::next_span_id(),
-                             m.trace.parent_span, 0, wait_us, 0});
-          t.spans.push_back({obs::TraceStage::kSocketWrite, obs::next_span_id(),
-                             m.trace.parent_span, wait_us, total_us - wait_us,
-                             m.frame_bytes});
-          recorder_->record(t);
-        }
-      };
-
-  // Non-blocking flush of one connection's write queue. Returns false when
-  // the connection died mid-write (already destroyed).
-  const auto flush_writes = [&](int fd) -> bool {
-    const auto it = impl.conns.find(fd);
-    if (it == impl.conns.end()) return false;
-    Conn& conn = *it->second;
-    const auto flush_start = std::chrono::steady_clock::now();
-    while (conn.pending_out() > 0) {
-      const ssize_t n =
-          ::send(fd, conn.out.data() + conn.out_pos, conn.pending_out(),
-                 MSG_NOSIGNAL | MSG_DONTWAIT);
-      if (n > 0) {
-        conn.out_pos += static_cast<std::size_t>(n);
-        conn.total_written += static_cast<std::uint64_t>(n);
-        cells_->bytes_sent.fetch_add(static_cast<std::uint64_t>(n),
-                              std::memory_order_relaxed);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      if (n < 0 && errno == EINTR) continue;
-      destroy_conn(fd);
-      return false;
-    }
-    complete_deliveries(conn, flush_start);
-    if (conn.pending_out() == 0 && conn.close_after_flush) {
-      destroy_conn(fd);
-      return false;
-    }
-    set_interest(conn);
-    return true;
-  };
-
-  // A protocol-level failure: answer with one kError frame, stop reading,
-  // and close once the error has been flushed. The connection is not
-  // recoverable — framing may be lost.
-  const auto protocol_error = [&](Conn& conn, const std::string& message) {
-    cells_->protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    static obs::LogRateLimit rate(/*max_per_sec=*/10);
-    if (rate.allow()) {
-      obs::LogEvent(obs::LogLevel::kWarn, "net", "protocol error")
-          .kv("fd", conn.sock.fd())
-          .kv("error", message)
-          .kv("suppressed", rate.suppressed());
-    }
-    try {
-      enqueue(conn, make_error_frame(ErrorCode::kInvalidArgument, message));
-    } catch (const WireError&) {
-      // Unencodable message (absurdly long) — just close.
-    }
-    conn.stopped_reading = true;
-    conn.close_after_flush = true;
-  };
-
-  // Application-level failure: error frame, connection stays usable.
-  const auto status_error = [&](Conn& conn, const Status& status) {
-    enqueue(conn, make_error_frame(status.code(), status.message()));
-  };
-
-  // Connections that received notification bytes during the current
-  // dispatch; their write queues are flushed once the publish returns.
-  std::vector<int> dirty;
-
-  // The notification sink: runs under the PubSub facade lock during
-  // publish, so it only appends bytes (or marks a slow consumer for the
-  // deferred reap) — it must not touch the facade or destroy connections.
-  const auto on_notify = [&](int fd, const Notification& n) {
-    const auto it = impl.conns.find(fd);
-    if (it == impl.conns.end()) return;
-    Conn& conn = *it->second;
-    if (conn.close_after_flush || conn.kill_slow) return;
-    const auto frame = make_notify_frame(n.subscription.value(), n.seq, n.event,
-                                         n.trace, n.published_unix_us);
-    if (conn.pending_out() + frame.size() > options_.max_write_queue_bytes) {
-      conn.kill_slow = true;
-      return;
-    }
-    enqueue(conn, frame);
-    if (n.trace.active() && recorder_ != nullptr) {
-      conn.deliveries.push_back({conn.total_queued, n.trace, frame.size(),
-                                 unix_now_us(),
-                                 std::chrono::steady_clock::now()});
-    }
-    dirty.push_back(fd);
-    cells_->notifications_enqueued.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  // Deferred slow-consumer reap — runs after the publish that marked them
-  // has released the facade lock.
-  const auto reap_slow_consumers = [&] {
-    std::vector<int> victims;
-    for (const auto& [fd, conn] : impl.conns) {
-      if (conn->kill_slow) victims.push_back(fd);
-    }
-    for (const int fd : victims) {
-      cells_->slow_consumer_disconnects.fetch_add(1, std::memory_order_relaxed);
-      static obs::LogRateLimit rate(/*max_per_sec=*/10);
-      if (rate.allow()) {
-        obs::LogEvent(obs::LogLevel::kWarn, "net", "slow consumer disconnected")
-            .kv("fd", fd)
-            .kv("max_write_queue_bytes",
-                static_cast<std::uint64_t>(options_.max_write_queue_bytes))
-            .kv("suppressed", rate.suppressed());
-      }
-      destroy_conn(fd);
-    }
-  };
-
-  const auto handle_frame = [&](int fd, std::span<const std::uint8_t> body) {
-    const auto it = impl.conns.find(fd);
-    if (it == impl.conns.end()) return;
-    Conn& conn = *it->second;
-    cells_->frames_received.fetch_add(1, std::memory_order_relaxed);
-    PubSub& pubsub = *impl.pubsub;
-    try {
-      WireReader r(body);
-      (void)decode_wire_header(r);
-      const MsgType type = checked_msg_type(r.get_u8());
-      const auto require_exhausted = [&r] {
-        if (!r.exhausted()) throw WireError("net: trailing bytes after payload");
-      };
-      switch (type) {
-        case MsgType::kHello: {
-          require_exhausted();
-          WireWriter payload;
-          store::encode_schema(pubsub.schema(), payload);
-          enqueue(conn, make_frame(MsgType::kHelloReply, payload));
-          break;
-        }
-        case MsgType::kSubscribe: {
-          std::unique_ptr<Node> tree = decode_tree(r);
-          require_exhausted();
-          if (Status v = validate_tree(*tree, pubsub.schema()); !v.ok()) {
-            status_error(conn, v);
-            break;
+    Peer peer(fd);
+    if (admin) {
+      if (admin_conns >= kMaxAdminConns) {
+        const Peer* oldest = nullptr;
+        int oldest_fd = -1;
+        for (const auto& [pfd, p] : peers) {
+          if (p.admin && !p.admin->responded &&
+              (oldest == nullptr || p.accepted < oldest->accepted)) {
+            oldest = &p;
+            oldest_fd = pfd;
           }
-          auto subscribed = pubsub.subscribe(
-              std::move(tree),
-              [&on_notify, fd](const Notification& n) { on_notify(fd, n); });
-          if (!subscribed.ok()) {
-            status_error(conn, subscribed.status());
-            break;
-          }
-          const std::uint64_t id = subscribed.value().id().value();
-          conn.subs.emplace(id, std::move(subscribed).value());
-          impl.owners.emplace(id, fd);
-          update_subs_counter();
-          enqueue(conn, make_u64_frame(MsgType::kSubscribeReply, id));
-          break;
         }
-        case MsgType::kUnsubscribe: {
-          const std::uint64_t id = r.get_u64();
-          require_exhausted();
-          const auto sub_it = conn.subs.find(id);
-          if (sub_it == conn.subs.end()) {
-            status_error(conn,
-                         Status::error(ErrorCode::kNotFound,
-                                       "subscription not owned by this connection"));
-            break;
-          }
-          const Status released = sub_it->second.release();
-          conn.subs.erase(sub_it);
-          impl.owners.erase(id);
-          update_subs_counter();
-          if (!released.ok()) {
-            status_error(conn, released);
-            break;
-          }
-          enqueue(conn, make_empty_frame(MsgType::kUnsubscribeReply));
-          break;
-        }
-        case MsgType::kAdopt: {
-          const std::uint64_t id = r.get_u64();
-          require_exhausted();
-          if (id >= SubscriptionId::kInvalid) {
-            status_error(conn, Status::error(ErrorCode::kInvalidArgument,
-                                             "subscription id out of range"));
-            break;
-          }
-          if (impl.owners.contains(id)) {
-            status_error(conn,
-                         Status::error(ErrorCode::kFailedPrecondition,
-                                       "subscription already owned by a connection"));
-            break;
-          }
-          auto adopted = pubsub.adopt(
-              SubscriptionId(static_cast<SubscriptionId::value_type>(id)),
-              [&on_notify, fd](const Notification& n) { on_notify(fd, n); });
-          if (!adopted.ok()) {
-            status_error(conn, adopted.status());
-            break;
-          }
-          conn.subs.emplace(id, std::move(adopted).value());
-          impl.owners.emplace(id, fd);
-          update_subs_counter();
-          enqueue(conn, make_u64_frame(MsgType::kAdoptReply, id));
-          break;
-        }
-        case MsgType::kPublish: {
-          const Event event = decode_event(r);
-          const obs::TraceContext ctx = decode_trace_context_opt(r);
-          require_exhausted();
-          if (Status v = validate_event(event, pubsub.schema()); !v.ok()) {
-            status_error(conn, v);
-            break;
-          }
-          std::size_t matched = 0;
-          if (recorder_ != nullptr && ctx.active()) {
-            // The client traced this publish: record a server-side entry
-            // whose kServerDispatch span parents the facade's spans and
-            // the delivery entries (same trace id across all of them).
-            server_trace.begin(ctx);
-            {
-              obs::ScopedSpan span(&server_trace,
-                                   obs::TraceStage::kServerDispatch);
-              obs::TraceContext child = ctx;
-              if (span.span_id() != 0) child.parent_span = span.span_id();
-              matched = pubsub.publish(event, child);
-              span.set_detail(matched);
-            }
-            (void)server_trace.finish(*recorder_);
-          } else {
-            matched = pubsub.publish(event, ctx);
-          }
-          cells_->events_published.fetch_add(1, std::memory_order_relaxed);
-          cells_->notifications_delivered.fetch_add(matched, std::memory_order_relaxed);
-          enqueue(conn, make_u64_frame(MsgType::kPublishReply, matched));
-          break;
-        }
-        case MsgType::kPublishBatch: {
-          const std::uint32_t count = r.get_u32();
-          std::vector<Event> events;
-          events.reserve(std::min<std::size_t>(count, r.remaining()));
-          for (std::uint32_t i = 0; i < count; ++i) {
-            events.push_back(decode_event(r));
-          }
-          require_exhausted();
-          for (const Event& e : events) {
-            if (Status v = validate_event(e, pubsub.schema()); !v.ok()) {
-              status_error(conn, v);
-              events.clear();
-              break;
-            }
-          }
-          if (events.empty() && count != 0) break;  // validation failed
-          const std::uint64_t total = pubsub.publish_batch(events);
-          cells_->events_published.fetch_add(events.size(), std::memory_order_relaxed);
-          cells_->notifications_delivered.fetch_add(total, std::memory_order_relaxed);
-          enqueue(conn, make_u64_frame(MsgType::kPublishBatchReply, total));
-          break;
-        }
-        case MsgType::kPing: {
-          const std::uint64_t token = r.get_u64();
-          require_exhausted();
-          enqueue(conn, make_u64_frame(MsgType::kPong, token));
-          break;
-        }
-        case MsgType::kStats: {
-          require_exhausted();
-          WireWriter payload;
-          encode_stats(stats(), payload);
-          enqueue(conn, make_frame(MsgType::kStatsReply, payload));
-          break;
-        }
-        case MsgType::kMetrics: {
-          require_exhausted();
-          WireWriter payload;
-          // Empty scrape (not an error) when the PubSub runs without
-          // metrics — the verb stays answerable either way.
-          encode_metrics(registry_ ? registry_->snapshot()
-                                   : obs::MetricsSnapshot{},
-                         payload);
-          enqueue(conn, make_frame(MsgType::kMetricsReply, payload));
-          break;
-        }
-        case MsgType::kTraces: {
-          require_exhausted();
-          WireWriter payload;
-          // Empty snapshot (not an error) when tracing is off, mirroring
-          // the metrics verb.
-          WireTraces wt;
-          if (recorder_ != nullptr) {
-            wt.traces = recorder_->snapshot();
-            wt.recorded_total = recorder_->recorded_total();
-            wt.dropped_total = recorder_->dropped_total();
-          }
-          encode_traces(wt, payload);
-          enqueue(conn, make_frame(MsgType::kTracesReply, payload));
-          break;
-        }
-        default:
-          throw WireError("net: unexpected non-request message type");
+        if (oldest == nullptr) continue;  // every one is mid-response
+        destroy(oldest_fd);
       }
-    } catch (const WireError& e) {
-      protocol_error(conn, e.what());
-    }
-    reap_slow_consumers();
-    // Flush notification bytes enqueued toward *other* connections during
-    // this dispatch (the current fd is flushed by its own read handler).
-    for (const int dfd : dirty) {
-      if (dfd != fd) (void)flush_writes(dfd);
-    }
-    dirty.clear();
-  };
-
-  const auto handle_readable = [&](int fd) {
-    std::uint8_t chunk[kReadChunk];
-    while (true) {
-      const auto it = impl.conns.find(fd);
-      if (it == impl.conns.end()) return;
-      Conn& conn = *it->second;
-      if (conn.stopped_reading) break;  // fall through to the flush
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, MSG_DONTWAIT);
-      if (n == 0) {
-        destroy_conn(fd);
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        destroy_conn(fd);
-        return;
-      }
-      cells_->bytes_received.fetch_add(static_cast<std::uint64_t>(n),
-                                std::memory_order_relaxed);
-      try {
-        conn.assembler.push(std::span<const std::uint8_t>(
-            chunk, static_cast<std::size_t>(n)));
-        while (true) {
-          auto frame = conn.assembler.next();
-          if (!frame.has_value()) break;
-          handle_frame(fd, *frame);
-          if (!impl.conns.contains(fd)) return;  // died while dispatching
-          if (it->second->stopped_reading) break;
-        }
-      } catch (const WireError& e) {
-        // Framing-level garbage (zero/oversized length prefix).
-        protocol_error(conn, e.what());
-      }
-      if (static_cast<std::size_t>(n) < sizeof chunk) break;
-    }
-    if (const auto it = impl.conns.find(fd); it != impl.conns.end()) {
-      (void)flush_writes(fd);
-    }
-  };
-
-  // --- HTTP /metrics (scrape-only sideband on the same epoll loop) -----------
-
-  const auto destroy_http = [&](int fd) {
-    (void)::epoll_ctl(impl.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-    impl.http_conns.erase(fd);
-  };
-
-  // Flushes (and, once the response is fully written, closes) one scrape
-  // connection. HTTP connections are one-shot: request in, response out.
-  const auto flush_http = [&](int fd) {
-    const auto it = impl.http_conns.find(fd);
-    if (it == impl.http_conns.end()) return;
-    HttpConn& conn = *it->second;
-    while (conn.pending_out() > 0) {
-      const ssize_t n =
-          ::send(fd, conn.out.data() + conn.out_pos, conn.pending_out(),
-                 MSG_NOSIGNAL | MSG_DONTWAIT);
-      if (n > 0) {
-        conn.out_pos += static_cast<std::size_t>(n);
-        continue;
-      }
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        epoll_event ev{};
-        ev.events = EPOLLOUT;
-        ev.data.fd = fd;
-        (void)::epoll_ctl(impl.epoll_fd, EPOLL_CTL_MOD, fd, &ev);
-        return;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      destroy_http(fd);
-      return;
-    }
-    destroy_http(fd);  // response fully written: close
-  };
-
-  const auto handle_http = [&](int fd, std::uint32_t mask) {
-    const auto it = impl.http_conns.find(fd);
-    if (it == impl.http_conns.end()) return;
-    HttpConn& conn = *it->second;
-    if ((mask & (EPOLLHUP | EPOLLERR)) != 0) {
-      destroy_http(fd);
-      return;
-    }
-    if ((mask & EPOLLOUT) != 0) {
-      flush_http(fd);
-      return;
-    }
-    char chunk[4096];
-    while (!conn.responded) {
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, MSG_DONTWAIT);
-      if (n == 0) {
-        destroy_http(fd);
-        return;
-      }
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (errno == EINTR) continue;
-        destroy_http(fd);
-        return;
-      }
-      conn.request.append(chunk, static_cast<std::size_t>(n));
-      if (conn.request.size() > kMaxHttpRequestBytes) {
-        destroy_http(fd);
-        return;
-      }
-      if (conn.request.find("\r\n\r\n") == std::string::npos) continue;
-      const std::string line = conn.request.substr(0, conn.request.find("\r\n"));
-      std::string status = "404 Not Found";
-      std::string content_type = "text/plain; charset=utf-8";
-      std::string body = "not found\n";
-      if (line.starts_with("GET /metrics ") || line.starts_with("GET /metrics?")) {
-        status = "200 OK";
-        content_type = obs::prometheus_content_type();
-        body = registry_ ? obs::to_prometheus(registry_->snapshot())
-                         : std::string();
-      } else if (line.starts_with("GET /traces ") ||
-                 line.starts_with("GET /traces?")) {
-        status = "200 OK";
-        content_type = "application/json; charset=utf-8";
-        body = recorder_ ? obs::traces_json(*recorder_)
-                         : obs::traces_json({}, 0, 0);
-      } else if (line.starts_with("GET /healthz ") ||
-                 line.starts_with("GET /healthz?")) {
-        status = "200 OK";
-        content_type = "application/json; charset=utf-8";
-        const auto uptime_s =
-            std::chrono::duration_cast<std::chrono::seconds>(
-                std::chrono::steady_clock::now() - start_time_)
-                .count();
-        body = "{\"status\": \"ok\", \"draining\": " +
-               std::to_string(cells_->draining.load(std::memory_order_relaxed)) +
-               ", \"uptime_s\": " + std::to_string(uptime_s) +
-               ", \"connections\": " +
-               std::to_string(cells_->connections.load(std::memory_order_relaxed)) +
-               "}";
-      } else if (line.starts_with("GET /buildinfo ") ||
-                 line.starts_with("GET /buildinfo?")) {
-        status = "200 OK";
-        content_type = "application/json; charset=utf-8";
-        body = build_info_json();
-      }
-      conn.out = "HTTP/1.1 " + status +
-                 "\r\nContent-Type: " + content_type +
-                 "\r\nContent-Length: " + std::to_string(body.size()) +
-                 "\r\nConnection: close\r\n\r\n" + body;
-      conn.responded = true;
-    }
-    flush_http(fd);
-  };
-
-  // Accepts scrape connections. Not gated on `stopping`: /metrics keeps
-  // answering while a graceful drain flushes the protocol connections.
-  const auto accept_metrics = [&] {
-    while (true) {
-      const int fd = ::accept4(impl.metrics_listener.fd(), nullptr, nullptr,
-                               SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;
-      }
-      if (impl.http_conns.size() >= kMaxHttpConns) {
-        ::close(fd);
-        continue;
-      }
-      auto conn = std::make_unique<HttpConn>(Socket(fd));
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = fd;
-      if (::epoll_ctl(impl.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-        continue;  // Socket closes with `conn` going out of scope.
-      }
-      impl.http_conns.emplace(fd, std::move(conn));
-    }
-  };
-
-  const auto accept_ready = [&] {
-    while (true) {
-      const int fd = ::accept4(impl.listener.fd(), nullptr, nullptr,
-                               SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (fd < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (errno == EINTR) continue;
-        return;  // transient accept failure; stay up
-      }
-      if (impl.conns.size() >= options_.max_connections) {
-        cells_->connections_rejected.fetch_add(1, std::memory_order_relaxed);
-        ::close(fd);
+      peer.admin = std::make_unique<AdminConn>();
+    } else {
+      if (connections >= kMaxConnections) {
+        edge.stats.add<&NetStats::connections_rejected>();
         continue;
       }
       const int one = 1;
       (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      auto conn = std::make_unique<Conn>(Socket(fd), options_.max_frame_bytes);
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.fd = fd;
-      if (::epoll_ctl(impl.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-        continue;  // Socket closes with `conn` going out of scope.
-      }
-      conn->interest = EPOLLIN;
-      impl.conns.emplace(fd, std::move(conn));
-      cells_->connections_accepted.fetch_add(1, std::memory_order_relaxed);
-      cells_->connections.store(impl.conns.size(), std::memory_order_relaxed);
+      peer.conn = std::make_unique<Connection>(edge, fd);
     }
-  };
+    if (!watch(fd).ok()) continue;  // the socket closes with `peer`
+    peer.interest = EPOLLIN;
+    peer.accepted = ++accepts;
+    peers.emplace(fd, std::move(peer));
+    if (admin) {
+      ++admin_conns;
+    } else {
+      ++connections;
+      edge.stats.add<&NetStats::connections_accepted>();
+      edge.stats.set<&NetStats::connections>(connections);
+    }
+  }
+}
 
-  // --- The loop --------------------------------------------------------------
+void NetServer::Impl::on_event(int fd, std::uint32_t mask) {
+  const auto it = peers.find(fd);
+  if (it == peers.end()) return;
+  if ((mask & (EPOLLHUP | EPOLLERR)) != 0) {
+    destroy(fd);
+  } else if ((mask & EPOLLIN) != 0) {
+    on_readable(fd, it->second);
+  } else if ((mask & EPOLLOUT) != 0) {
+    flush(fd, it->second);
+  }
+}
+
+// The one read loop: feeds what the socket holds to the peer's part, then
+// flushes what it queued in reply.
+void NetServer::Impl::on_readable(int fd, Peer& peer) {
+  std::uint8_t chunk[kReadChunk];
+  while (peer.reading()) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, MSG_DONTWAIT);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n <= 0) return destroy(fd);
+    const auto size = static_cast<std::size_t>(n);
+    if (peer.conn) {
+      edge.stats.add<&NetStats::bytes_received>(size);
+      peer.conn->receive(std::span<const std::uint8_t>(chunk, size));
+      while (peer.conn->dispatch_next()) after_dispatch(*peer.conn);
+    } else if (!admin_http.on_bytes(
+                   *peer.admin,
+                   std::string_view(reinterpret_cast<const char*>(chunk), size))) {
+      return destroy(fd);
+    }
+    if (size < sizeof chunk) break;
+  }
+  if (peer.conn && peer.conn->slow()) return disconnect_slow(fd);
+  flush(fd, peer);
+}
+
+// Sends the notify frames a dispatch queued toward other connections and
+// disconnects the ones it found slow. The dispatching connection itself is
+// flushed (or disconnected) by its read loop.
+void NetServer::Impl::after_dispatch(const Connection& current) {
+  dirty.swap(edge.dirty);
+  for (Connection* conn : dirty) {
+    conn->clear_dirty();
+    if (conn == &current) continue;
+    const int fd = conn->id();
+    if (conn->slow()) {
+      disconnect_slow(fd);
+    } else {
+      flush(fd, peers.at(fd));
+    }
+  }
+  dirty.clear();
+}
+
+// The one write path: sends what the peer queued, closes a peer whose last
+// bytes went out, and re-arms epoll.
+void NetServer::Impl::flush(int fd, Peer& peer) {
+  const auto flush_start = std::chrono::steady_clock::now();
+  const auto sent = send_pending(fd, peer.out());
+  if (!sent.ok()) return destroy(fd);
+  if (peer.conn) {
+    edge.stats.add<&NetStats::bytes_sent>(sent.value());
+    peer.conn->on_sent(flush_start);
+  }
+  if (peer.out().pending() == 0 && peer.close_after_flush()) return destroy(fd);
+  set_interest(fd, peer);
+}
+
+void NetServer::Impl::set_interest(int fd, Peer& peer) {
+  std::uint32_t want = 0;
+  if (peer.reading()) want |= EPOLLIN;
+  if (peer.out().pending() > 0) want |= EPOLLOUT;
+  if (want == peer.interest) return;
+  epoll_event ev{};
+  ev.events = want;
+  ev.data.fd = fd;
+  (void)::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, fd, &ev);
+  peer.interest = want;
+}
+
+void NetServer::Impl::disconnect_slow(int fd) {
+  edge.stats.add<&NetStats::slow_consumer_disconnects>();
+  static obs::LogRateLimit rate(/*max_per_sec=*/10);
+  if (rate.allow()) {
+    obs::LogEvent(obs::LogLevel::kWarn, "net", "slow consumer disconnected")
+        .kv("fd", fd)
+        .kv("max_write_queue_bytes",
+            static_cast<std::uint64_t>(edge.max_write_queue_bytes))
+        .kv("suppressed", rate.suppressed());
+  }
+  destroy(fd);
+}
+
+// Closes a peer. A Connection releases its subscriptions on destruction
+// (never from inside a notification callback).
+void NetServer::Impl::destroy(int fd) {
+  const auto it = peers.find(fd);
+  if (it == peers.end()) return;
+  (void)::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+  if (it->second.conn) {
+    --connections;
+  } else {
+    --admin_conns;
+  }
+  peers.erase(it);
+  edge.stats.set<&NetStats::connections>(connections);
+}
+
+void NetServer::run_loop() {
+  auto& impl = *impl_;
   bool stopping = false;
   bool drain = false;
-  long long drain_deadline = 0;
+  auto drain_deadline = std::chrono::steady_clock::time_point{};
   epoll_event events[256];
   while (true) {
-    const int timeout = stopping ? 20 : -1;
-    const int n = ::epoll_wait(impl.epoll_fd, events, 256, timeout);
+    const int n = ::epoll_wait(impl.epoll_fd, events, 256, stopping ? 20 : -1);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll itself failed; shut down hard
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      const std::uint32_t mask = events[i].events;
       if (fd == impl.wake_fd) {
-        std::uint64_t drainv = 0;
-        [[maybe_unused]] const ssize_t rc =
-            ::read(impl.wake_fd, &drainv, sizeof drainv);
-        continue;  // the stop flag is checked below
+        std::uint64_t drained = 0;  // the stop flag is checked below
+        [[maybe_unused]] const ssize_t rc = ::read(fd, &drained, sizeof drained);
+      } else if (fd == impl.listener.fd()) {
+        if (!stopping) impl.accept_all(fd, /*admin=*/false);
+      } else if (fd == impl.metrics_listener.fd()) {
+        // Not gated on `stopping`: scrapes keep answering during a drain.
+        impl.accept_all(fd, /*admin=*/true);
+      } else {
+        impl.on_event(fd, events[i].events);
       }
-      if (fd == impl.listener.fd()) {
-        if (!stopping) accept_ready();
-        continue;
-      }
-      if (impl.metrics_listener.valid() && fd == impl.metrics_listener.fd()) {
-        accept_metrics();
-        continue;
-      }
-      if (impl.http_conns.contains(fd)) {
-        handle_http(fd, mask);
-        continue;
-      }
-      if ((mask & (EPOLLHUP | EPOLLERR)) != 0) {
-        destroy_conn(fd);
-        continue;
-      }
-      if ((mask & EPOLLIN) != 0) handle_readable(fd);
-      if ((mask & EPOLLOUT) != 0) (void)flush_writes(fd);
     }
 
     if (trace_dump_requested_.exchange(false, std::memory_order_acq_rel)) {
       write_trace_dump();
     }
 
-    if (!stopping) {
-      const int req = stop_request_.load(std::memory_order_acquire);
-      if (req != 0) {
-        stopping = true;
-        drain = req == kStopDrain;
-        obs::LogEvent(obs::LogLevel::kInfo, "net", "stop requested")
-            .kv("drain", drain)
-            .kv("connections",
-                static_cast<std::uint64_t>(impl.conns.size()));
-        cells_->draining.store(1, std::memory_order_relaxed);
-        (void)::epoll_ctl(impl.epoll_fd, EPOLL_CTL_DEL, impl.listener.fd(),
-                          nullptr);
-        impl.listener.close();
-        for (auto& [fd, conn] : impl.conns) {
-          conn->stopped_reading = true;
-          set_interest(*conn);
-        }
-        drain_deadline = now_ms() + options_.drain_timeout_ms;
-        if (!drain) break;
+    const int req = stop_request_.load(std::memory_order_acquire);
+    if (!stopping && req != 0) {
+      stopping = true;
+      drain = req == kStopDrain;
+      obs::LogEvent(obs::LogLevel::kInfo, "net", "stop requested")
+          .kv("drain", drain)
+          .kv("connections", static_cast<std::uint64_t>(impl.connections));
+      cells_->set<&NetStats::draining>(1);
+      (void)::epoll_ctl(impl.epoll_fd, EPOLL_CTL_DEL, impl.listener.fd(), nullptr);
+      impl.listener.close();
+      for (auto& [fd, peer] : impl.peers) {
+        if (!peer.conn) continue;
+        peer.conn->stop_reading();
+        impl.set_interest(fd, peer);
       }
+      drain_deadline = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(options_.drain_timeout_ms);
+      if (!drain) break;
     }
-    if (stopping && drain) {
-      // A kill request arriving mid-drain cuts the flush short.
-      if (stop_request_.load(std::memory_order_acquire) == kStopKill) break;
+    if (stopping) {
+      // A kill request arriving mid-drain cuts the flush short. Admin
+      // peers never hold a drain open.
+      if (req == kStopKill) break;
       bool pending = false;
-      for (const auto& [fd, conn] : impl.conns) {
-        if (conn->pending_out() > 0) {
-          pending = true;
-          break;
-        }
+      for (auto& [fd, peer] : impl.peers) {
+        pending = pending || (peer.conn && peer.out().pending() > 0);
       }
-      if (!pending || now_ms() >= drain_deadline) break;
+      if (!pending || std::chrono::steady_clock::now() >= drain_deadline) break;
     }
   }
 
   // Shutdown epilogue (still on the io thread): checkpoint on a drained
   // graceful stop, then destroy the PubSub *before* the connections so the
-  // handle destructors are inert — a daemon shutdown must never
-  // durably unsubscribe its clients.
+  // handle destructors are inert: a daemon shutdown must never durably
+  // unsubscribe its clients.
   if (drain && impl.pubsub && impl.pubsub->durable()) {
     (void)impl.pubsub->checkpoint();
   }
   impl.pubsub.reset();
-  cells_->subscriptions.store(0, std::memory_order_relaxed);
-  impl.owners.clear();
-  impl.conns.clear();
-  impl.http_conns.clear();
+  impl.edge.pubsub = nullptr;
+  impl.peers.clear();
   impl.metrics_listener.close();
-  cells_->connections.store(0, std::memory_order_relaxed);
-  cells_->draining.store(0, std::memory_order_relaxed);
+  cells_->set<&NetStats::subscriptions>(0);
+  cells_->set<&NetStats::connections>(0);
+  cells_->set<&NetStats::draining>(0);
   running_.store(false, std::memory_order_release);
 }
 

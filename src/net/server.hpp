@@ -2,32 +2,33 @@
 
 /// \file
 /// NetServer: the async TCP broker edge behind dbspd. One epoll-driven io
-/// thread owns every connection: non-blocking reads feed a per-connection
-/// FrameAssembler, complete frames dispatch into the owned dbsp::PubSub,
-/// and replies/notifications leave through per-connection bounded write
-/// queues (EPOLLOUT-driven, with a slow-consumer disconnect policy).
+/// thread owns every socket and routes its readiness to one of two
+/// socket-free parts: a Connection (net/connection.hpp) per protocol
+/// connection, which dispatches frames into the owned dbsp::PubSub and
+/// queues replies and notifications, and AdminHttp (net/admin_http.hpp)
+/// for the metrics port. Both kinds send through the one non-blocking
+/// write path (OutBuffer + send_pending, net/socket.hpp).
 ///
 /// Threading model (see docs/ARCHITECTURE.md "Network edge"): the io
 /// thread is the only caller of PubSub entry points during normal
-/// operation, so notification callbacks — which run under the facade lock
-/// on the publishing thread — only ever append bytes to connection write
-/// queues; they never re-enter the facade (the PR 6 non-recursive-mutex
-/// contract). Slow-consumer disconnects are deferred until the publish
-/// that detected them returns, because releasing a SubscriptionHandle
-/// re-enters the facade. Cross-thread surface: stats() reads atomics only,
-/// stop()/request_stop_async() signal the io thread through an eventfd.
+/// operation, so notification callbacks, which run under the facade lock
+/// on the publishing thread, only append bytes to connection write queues;
+/// they never re-enter the facade (the non-recursive-mutex contract).
+/// Slow-consumer disconnects wait until the publish that detected them
+/// returns, because releasing a SubscriptionHandle re-enters the facade.
+/// Cross-thread surface: stats() reads atomics only, stop() and
+/// request_stop_async() signal the io thread through an eventfd.
 ///
-/// Lifecycle: start() takes the PubSub by value — the server is the broker
+/// Lifecycle: start() takes the PubSub by value: the server is the broker
 /// process. stop(drain=true) is the graceful path (stop accepting, stop
 /// reading, flush every write queue, checkpoint a durable store);
 /// stop(drain=false) is the crash-like kill (nothing flushed, nothing
-/// checkpointed — every acknowledged durable operation is already in the
+/// checkpointed: every acknowledged durable operation is already in the
 /// WAL, so a reopen via PubSub::open() is warm and clients re-adopt their
 /// subscription ids). In both paths the PubSub is destroyed *before* the
 /// connection handles, so shutdown never unsubscribes anyone durably.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -41,14 +42,14 @@
 
 namespace dbsp::net {
 
-/// Construction knobs of the network edge; from_env() reads the
-/// DBSP_NET_* environment knobs documented in the README.
+class NetStatCells;
+
+/// Construction knobs of the network edge (dbspd sets them from flags).
+/// The connection cap (4096; accepts beyond it are closed and counted in
+/// connections_rejected) and the listen backlog (512) are fixed.
 struct NetServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = kernel-assigned (read back with port())
-  int listen_backlog = 512;
-  /// Accepts beyond this are closed immediately (connections_rejected).
-  std::size_t max_connections = 4096;
   /// FrameAssembler limit per connection; oversized frames are answered
   /// with a protocol-error frame and the connection is closed.
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
@@ -67,8 +68,6 @@ struct NetServerOptions {
   /// Where request_trace_dump_async() (dbspd's SIGUSR1 handler) writes the
   /// flight-recorder JSON.
   std::string trace_dump_path = "dbsp_traces.json";
-
-  [[nodiscard]] static NetServerOptions from_env();
 };
 
 /// The daemon core. Construct via start(); non-movable (the io thread
@@ -125,30 +124,7 @@ class NetServer {
   [[nodiscard]] PubSub* pubsub();
 
  private:
-  struct Conn;
   struct Impl;
-
-  /// The NetStats counters (io thread writes, stats() reads, all atomic).
-  /// Held through a shared_ptr so the registry sync hook captures a weak
-  /// reference: a scrape that outlives the server (the caller kept the
-  /// registry's shared_ptr) then no-ops instead of reading freed memory.
-  struct StatCells {
-    std::atomic<std::uint64_t> connections{0};
-    std::atomic<std::uint64_t> connections_accepted{0};
-    std::atomic<std::uint64_t> connections_rejected{0};
-    std::atomic<std::uint64_t> frames_received{0};
-    std::atomic<std::uint64_t> frames_sent{0};
-    std::atomic<std::uint64_t> bytes_received{0};
-    std::atomic<std::uint64_t> bytes_sent{0};
-    std::atomic<std::uint64_t> protocol_errors{0};
-    std::atomic<std::uint64_t> slow_consumer_disconnects{0};
-    std::atomic<std::uint64_t> subscriptions{0};
-    std::atomic<std::uint64_t> notifications_enqueued{0};
-    std::atomic<std::uint64_t> events_published{0};
-    std::atomic<std::uint64_t> notifications_delivered{0};
-    std::atomic<std::uint64_t> write_queue_high_water{0};
-    std::atomic<std::uint64_t> draining{0};
-  };
 
   NetServer(PubSub pubsub, NetServerOptions options);
 
@@ -178,10 +154,10 @@ class NetServer {
 
   Mutex join_mutex_;
 
-  /// Process-lifecycle anchor for /healthz uptime.
-  std::chrono::steady_clock::time_point start_time_{};
-
-  std::shared_ptr<StatCells> cells_ = std::make_shared<StatCells>();
+  /// The NetStats counters (io thread writes, stats() reads). Shared so
+  /// the registry's scrape hook holds a weak reference: a scrape that
+  /// outlives the server (the caller kept the registry) then no-ops.
+  std::shared_ptr<NetStatCells> cells_;
 };
 
 }  // namespace dbsp::net

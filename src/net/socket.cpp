@@ -124,6 +124,34 @@ Status send_all(int fd, std::span<const std::uint8_t> bytes) {
   return Status();
 }
 
+void OutBuffer::append(std::span<const std::uint8_t> bytes) {
+  // Compact the sent prefix before it dominates the buffer.
+  if (pos_ > 0 && (pos_ == bytes_.size() || pos_ >= 64 * 1024)) {
+    bytes_.erase(bytes_.begin(), bytes_.begin() + static_cast<std::ptrdiff_t>(pos_));
+    pos_ = 0;
+  }
+  bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+  total_queued_ += bytes.size();
+}
+
+Result<std::size_t> send_pending(int fd, OutBuffer& out) {
+  std::size_t sent = 0;
+  while (out.pending() > 0) {
+    const auto bytes = out.pending_bytes();
+    const ssize_t n =
+        ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      out.consume(static_cast<std::size_t>(n));
+      sent += static_cast<std::size_t>(n);
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      break;
+    } else if (n == 0 || errno != EINTR) {
+      return io_error("send");
+    }
+  }
+  return sent;
+}
+
 Result<int> wait_readable(int fd, int timeout_ms) {
   pollfd pfd{fd, POLLIN, 0};
   int rc = 0;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "api/status.hpp"
 
@@ -61,6 +62,36 @@ Status set_nonblocking(int fd, bool on);
 /// Blocking write of the whole buffer (EINTR-retrying). kIoError on any
 /// failure, including the peer closing mid-write.
 Status send_all(int fd, std::span<const std::uint8_t> bytes);
+
+/// The write queue of one non-blocking socket: bytes are appended at the
+/// back and send_pending() sends from the front. The lifetime totals tell
+/// an owner when a given queued byte has entered the socket.
+class OutBuffer {
+ public:
+  void append(std::span<const std::uint8_t> bytes);
+  /// Drops the first `n` pending bytes (they were sent).
+  void consume(std::size_t n) {
+    pos_ += n;
+    total_sent_ += n;
+  }
+  [[nodiscard]] std::span<const std::uint8_t> pending_bytes() const {
+    return {bytes_.data() + pos_, pending()};
+  }
+  [[nodiscard]] std::size_t pending() const { return bytes_.size() - pos_; }
+  [[nodiscard]] std::uint64_t total_queued() const { return total_queued_; }
+  [[nodiscard]] std::uint64_t total_sent() const { return total_sent_; }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::size_t pos_ = 0;  ///< sent prefix of bytes_
+  std::uint64_t total_queued_ = 0;
+  std::uint64_t total_sent_ = 0;
+};
+
+/// The non-blocking send loop: sends as much of `out` as the socket takes
+/// now (EINTR retried, EAGAIN stops) and returns the byte count. kIoError
+/// when the peer is gone.
+[[nodiscard]] Result<std::size_t> send_pending(int fd, OutBuffer& out);
 
 /// Waits up to timeout_ms for the fd to become readable. Returns 1 when
 /// readable, 0 on timeout; kIoError otherwise. timeout_ms < 0 waits

@@ -181,42 +181,27 @@ bool TraceBuilder::finish(FlightRecorder& recorder) {
 
 // --- FlightRecorder ---------------------------------------------------------
 
-FlightRecorderOptions FlightRecorderOptions::from_env() {
-  FlightRecorderOptions resolved;
-  resolved.capacity =
-      static_cast<std::size_t>(std::max<std::int64_t>(1, env_int("DBSP_TRACE_RING", 256)));
-  resolved.sample_every = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(0, env_int("DBSP_TRACE_SAMPLE", 8)));
-  resolved.slow_k = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, env_int("DBSP_TRACE_SLOW_K", 16)));
-  resolved.window_ms = static_cast<std::uint64_t>(
-      std::max<std::int64_t>(1, env_int("DBSP_TRACE_WINDOW_MS", 10000)));
-  return resolved;
-}
-
 namespace {
 
-[[nodiscard]] FlightRecorderOptions resolve(FlightRecorderOptions options) {
-  const FlightRecorderOptions env = FlightRecorderOptions::from_env();
-  if (options.capacity == 0) options.capacity = env.capacity;
-  if (options.sample_every == 0) options.sample_every = env.sample_every;
-  if (options.slow_k == 0) options.slow_k = env.slow_k;
-  if (options.window_ms == 0) options.window_ms = env.window_ms;
-  return options;
+/// DBSP_TRACE_SAMPLE (default 8; 0 turns head sampling off), read when
+/// FlightRecorderOptions::sample_every is 0.
+[[nodiscard]] std::uint32_t env_sample_every() {
+  return static_cast<std::uint32_t>(
+      std::max<std::int64_t>(0, env_int("DBSP_TRACE_SAMPLE", 8)));
 }
 
 }  // namespace
 
 FlightRecorder::FlightRecorder(FlightRecorderOptions options,
                                std::shared_ptr<MetricsRegistry> registry)
-    // `options` is resolved in place before the first member reads it
-    // (sampler_ is the first declared member).
-    : sampler_((options = resolve(options)).sample_every),
+    : sampler_(options.sample_every != 0 ? options.sample_every
+                                         : env_sample_every()),
       registry_(std::move(registry)),
-      slow_k_(options.slow_k),
-      window_ms_(options.window_ms) {
-  slots_.reserve(options.capacity);
-  for (std::size_t i = 0; i < options.capacity; ++i) {
+      slow_k_(std::max<std::size_t>(1, options.slow_k)),
+      window_ms_(std::max<std::uint64_t>(1, options.window_ms)) {
+  const std::size_t capacity = std::max<std::size_t>(1, options.capacity);
+  slots_.reserve(capacity);
+  for (std::size_t i = 0; i < capacity; ++i) {
     slots_.push_back(std::make_unique<Slot>());
   }
 }

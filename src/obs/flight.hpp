@@ -226,23 +226,18 @@ class ScopedSpan {
   std::uint64_t detail_ = 0;
 };
 
-/// Construction-time knobs of a FlightRecorder. Zero fields resolve from
-/// the environment (the DBSP_TRACE_* knobs) with the documented defaults.
+/// Construction-time knobs of a FlightRecorder.
 struct FlightRecorderOptions {
-  /// Completed-trace ring slots (DBSP_TRACE_RING, default 256).
-  std::size_t capacity = 0;
-  /// Head sampling: trace every Nth publish in detail (DBSP_TRACE_SAMPLE,
-  /// default 8; 1 = every publish).
+  /// Completed-trace ring slots; older traces are overwritten.
+  std::size_t capacity = 256;
+  /// Head sampling: trace every Nth publish in detail (1 = every publish).
+  /// 0 reads DBSP_TRACE_SAMPLE (default 8; there 0 turns it off).
   std::uint32_t sample_every = 0;
   /// Tail sampling: always retain the slowest K traces of the rolling
-  /// window (DBSP_TRACE_SLOW_K, default 16).
-  std::size_t slow_k = 0;
-  /// Rolling-window length for the slowest-K set (DBSP_TRACE_WINDOW_MS,
-  /// default 10000).
-  std::uint64_t window_ms = 0;
-
-  /// All four knobs resolved from the environment.
-  [[nodiscard]] static FlightRecorderOptions from_env();
+  /// window.
+  std::size_t slow_k = 16;
+  /// Rolling-window length for the slowest-K set.
+  std::uint64_t window_ms = 10000;
 };
 
 /// The completed-trace ring. See the file comment for the concurrency

@@ -93,7 +93,8 @@ struct ScenarioConfig {
   /// subscriber, pull the server's recorder through the traces wire verb
   /// at soak end, and report two-sided span coverage in ScenarioReport.
   bool tracing = false;
-  /// Recorder knobs for both sides (zero fields resolve from DBSP_TRACE_*).
+  /// Recorder knobs for both sides (a zero sample_every reads
+  /// DBSP_TRACE_SAMPLE).
   obs::FlightRecorderOptions trace;
 
   // --- Durability / crash recovery -----------------------------------------

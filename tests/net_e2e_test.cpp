@@ -485,6 +485,25 @@ TEST(NetE2eTest, HealthzAndBuildinfoAnswerOnTheMetricsPort) {
       << build;
 }
 
+TEST(NetE2eTest, IdleMetricsSocketsDoNotLockOutScrapes) {
+  // 64 sockets that never send a request fill the metrics port's
+  // connection cap; a scrape must still be answered.
+  Schema schema;
+  schema.add_attribute("x", ValueType::Int);
+  NetServerOptions net;
+  net.metrics_port = 0;
+  auto server = start_server(PubSub(schema), net);
+  ASSERT_NE(server->metrics_port(), 0);
+  std::vector<Socket> idle;
+  for (int i = 0; i < 64; ++i) {
+    auto sock = tcp_connect("127.0.0.1", server->metrics_port(), 5000);
+    ASSERT_TRUE(sock.ok()) << sock.status().to_string();
+    idle.push_back(std::move(sock).value());
+  }
+  const std::string http = http_get(server->metrics_port(), "/metrics");
+  EXPECT_NE(http.find("200 OK"), std::string::npos) << http;
+}
+
 TEST(NetE2eTest, TracesAgreeAcrossFacadeVerbAndHttp) {
   // The three-export contract for traces: PubSub::traces()/traces_json(),
   // the kTraces verb, and GET /traces must all serve the same flight
