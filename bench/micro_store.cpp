@@ -1,15 +1,17 @@
 // Durable-store microbenchmarks: WAL append throughput (the per-subscribe
-// durability tax), snapshot write cost at a given table size (60000 is the
-// churn_durable table), the CRC-32 every record and snapshot carries, and
-// full crash-recovery replay (PubSub::open over snapshot + WAL).
-// bench_runner.py summarizes these rows into BENCH_store.json; the
-// recovery rows are the "how long is a restart" trajectory number.
+// durability tax), checkpoint cost of an unchanged table at a given size
+// and of the churn_durable table after a round of churn, the CRC-32 every
+// record and snapshot carries, and full crash-recovery replay
+// (PubSub::open over snapshot + WAL). bench_runner.py summarizes these
+// rows into BENCH_store.json; the recovery rows are the "how long is a
+// restart" trajectory number.
 
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #endif
 
 #include "dbsp/dbsp.hpp"
+#include "scenario/workload_domain.hpp"
 #include "store/state_store.hpp"
 #include "workload/subscription_gen.hpp"
 
@@ -90,7 +93,9 @@ void BM_DurableSubscribe(benchmark::State& state) {
 }
 BENCHMARK(BM_DurableSubscribe)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-/// One iteration = one compacted snapshot of an N-subscription table.
+/// One iteration = one checkpoint of an N-subscription table that did not
+/// change since the previous one: the nothing-changed case, in which the
+/// snapshot copies every record from the previous one.
 void BM_SnapshotWrite(benchmark::State& state) {
   Fixture fx;
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -110,6 +115,7 @@ void BM_SnapshotWrite(benchmark::State& state) {
   for (std::size_t i = 0; i < n; ++i) {
     handles.push_back(pubsub.subscribe(fx.sub_gen.next_tree()).value());
   }
+  (void)pubsub.checkpoint();  // the one checkpoint with every record new
 
   for (auto _ : state) {
     const Status snapped = pubsub.checkpoint();
@@ -125,6 +131,57 @@ void BM_SnapshotWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_SnapshotWrite)->Arg(1000)->Arg(5000)->Arg(60000)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// One iteration = one checkpoint of an N-subscription IoT table (60000 is
+/// the churn_durable table, pruning on) after 1000 subscribes and 1000
+/// unsubscribes of random live subscriptions were logged since the
+/// previous checkpoint. Only checkpoint() is timed.
+void BM_CheckpointUnderChurn(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto domain = make_iot_workload();
+  const fs::path dir = scratch_dir("churn_" + std::to_string(n));
+  StoreOptions store;
+  store.directory = dir.string();
+  store.schema = domain->schema();
+  store.snapshot_every = 1 << 30;  // checkpoints only where timed
+  PubSubOptions options;
+  options.pruning = true;
+  auto opened = PubSub::open(std::move(store), options);
+  if (!opened.ok()) {
+    state.SkipWithError(opened.status().to_string().c_str());
+    return;
+  }
+  PubSub pubsub = std::move(opened).value();
+  const auto source = domain->subscriptions(1);
+  std::vector<SubscriptionHandle> live;
+  live.reserve(n + 1);
+  for (std::size_t i = 0; i < n; ++i) live.push_back(pubsub.subscribe(source->next()).value());
+  (void)pubsub.checkpoint();
+
+  constexpr std::size_t kChurn = 1000;
+  std::mt19937_64 rng(11);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::size_t k = 0; k < kChurn; ++k) {
+      live.push_back(pubsub.subscribe(source->next()).value());
+      const std::size_t victim = rng() % live.size();
+      (void)live[victim].release();
+      live[victim] = std::move(live.back());
+      live.pop_back();
+    }
+    state.ResumeTiming();
+    const Status snapped = pubsub.checkpoint();
+    if (!snapped.ok()) {
+      state.SkipWithError(snapped.to_string().c_str());
+      break;
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n));
+  live.clear();
+  fs::remove_all(dir);
+}
+BENCHMARK(BM_CheckpointUnderChurn)->Arg(60000)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// One iteration = the CRC-32 of a 4 MiB buffer, about one churn_durable
 /// snapshot body.

@@ -175,29 +175,30 @@ struct PubSubCore {
     return logged;
   }
 
-  /// The borrowed full-state view the store snapshots: every subscription's
-  /// current tree plus its pruning accounting, the id/seq counters, and the
-  /// trained statistics.
-  [[nodiscard]] store::SnapshotData build_snapshot() const DBSP_REQUIRES(mutex) {
+  /// What a checkpoint reads: the id/seq counters, the trained statistics,
+  /// and a lookup of one subscription's current tree plus its pruning
+  /// accounting (zeros with pruning off). The store calls the lookup only
+  /// for the ids its WAL touched since the last snapshot.
+  [[nodiscard]] store::SnapshotData snapshot_data() const DBSP_REQUIRES(mutex) {
     store::SnapshotData snap;
     snap.schema = &schema;
     snap.next_id = next_id;
     snap.next_seq = next_seq;
     snap.stats = stats_trained ? &stats : nullptr;
-    snap.subs.reserve(subs.size());
-    if (pruning) {
-      // The pruning engine tracks exactly the live table, so one pass over
-      // it yields every tree with its accounting.
-      pruning->for_each_accounting(
-          [&](const Subscription& sub, std::size_t capacity, std::size_t performed) {
-            snap.subs.push_back({sub.id(), capacity, performed, &sub.root()});
-          });
-    } else {
-      for (const auto& [raw_id, entry] : subs) {
-        snap.subs.push_back({entry.sub->id(), 0, 0, &entry.sub->root()});
+    snap.lookup = [this](SubscriptionId id) -> std::optional<store::SnapshotRecord> {
+      mutex.assert_held();  // runs inside checkpoint(), under the lock
+      const auto it = subs.find(id.value());
+      if (it == subs.end()) return std::nullopt;
+      store::SnapshotRecord record;
+      record.tree = &it->second.sub->root();
+      if (pruning) {
+        if (const auto accounting = pruning->accounting(id)) {
+          record.capacity = accounting->capacity;
+          record.performed = accounting->performed;
+        }
       }
-    }
-    store::sort_by_id(snap.subs);
+      return record;
+    };
     return snap;
   }
 
@@ -206,7 +207,7 @@ struct PubSubCore {
     if (!store || !store->wants_checkpoint()) return Status();
     return log_to_store([this](store::StateStore& s) {
       mutex.assert_held();  // runs inside log_to_store, under the lock
-      s.checkpoint(build_snapshot());
+      s.checkpoint(snapshot_data());
     });
   }
 
@@ -279,6 +280,7 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
   auto* wal_records = &r.counter("dbsp_wal_records_total");
   auto* wal_bytes = &r.counter("dbsp_wal_bytes_total");
   auto* snapshots = &r.counter("dbsp_snapshots_written_total");
+  auto* snapshot_records_encoded = &r.counter("dbsp_store_snapshot_records_encoded_total");
   auto* wal_lag = &r.gauge("dbsp_wal_lag_records");
   auto* epoch = &r.gauge("dbsp_store_epoch");
   auto* pruning_tracked = &r.gauge("dbsp_pruning_tracked");
@@ -313,6 +315,7 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
       wal_records->sync_to(st.wal_records);
       wal_bytes->sync_to(st.wal_bytes);
       snapshots->sync_to(st.snapshots_written);
+      snapshot_records_encoded->sync_to(st.snapshot_records_encoded);
       wal_lag->set(static_cast<double>(st.records_since_checkpoint));
       epoch->set(static_cast<double>(st.epoch));
     }
@@ -480,7 +483,7 @@ Status PubSub::checkpoint() {
   }
   return c.log_to_store([&](store::StateStore& s) {
     c.mutex.assert_held();  // runs inside log_to_store, under the lock
-    s.checkpoint(c.build_snapshot());
+    s.checkpoint(c.snapshot_data());
   });
 }
 
@@ -806,6 +809,9 @@ Status PubSub::set_prune_dimension(PruneDimension dimension) {
   std::sort(subs.begin(), subs.end(),
             [](const Subscription* a, const Subscription* b) { return a->id() < b->id(); });
   c.pruning.emplace(c.engine, *c.estimator, c.options.prune, subs);
+  // The rebuild re-captured every subscription's accounting without a WAL
+  // record, so the next checkpoint re-encodes the whole table.
+  if (c.store) c.store->mark_all_dirty();
   return Status();
 }
 

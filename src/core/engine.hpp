@@ -142,17 +142,18 @@ class PruningEngine {
   /// stay as captured at registration.
   void rescore_all();
 
-  /// Per-subscription pruning accounting in bulk: calls
-  /// `fn(const Subscription&, capacity, performed)` for every registered
-  /// subscription — capacity captured at registration, prunings performed
-  /// since — in one sequential pass over the engine's dense table, in no
-  /// particular order.
-  /// Snapshotted by the durable store so accounting survives restarts.
-  template <class Fn>
-  void for_each_accounting(Fn&& fn) const {
-    for (const SubState& state : states_) {
-      fn(std::as_const(*state.sub), state.capacity, state.performed);
-    }
+  /// One registered subscription's pruning accounting.
+  struct Accounting {
+    std::size_t capacity = 0;   ///< captured at registration
+    std::size_t performed = 0;  ///< prunings applied since
+  };
+  /// The accounting of `id`, or nullopt for unregistered ids. Read by the
+  /// durable store's checkpoint for the ids its WAL touched, so accounting
+  /// survives restarts.
+  [[nodiscard]] std::optional<Accounting> accounting(SubscriptionId id) const {
+    const SubState* state = find(id);
+    if (state == nullptr) return std::nullopt;
+    return Accounting{state->capacity, state->performed};
   }
 
   /// Crash-recovery hook: overrides a registered subscription's captured

@@ -80,12 +80,9 @@ class WireWriter {
   /// Overwrites the four bytes at `offset` (already written) with `v`,
   /// little-endian: fills in a length or checksum placeholder. Throws
   /// std::out_of_range past the end.
-  void patch_u32(std::size_t offset, std::uint32_t v) {
-    if (offset > buf_.size() || buf_.size() - offset < 4) {
-      throw std::out_of_range("WireWriter::patch_u32 past the end");
-    }
-    store_le(buf_.data() + offset, v);
-  }
+  void patch_u32(std::size_t offset, std::uint32_t v) { patch_le(offset, v); }
+  /// patch_u32 for an eight-byte field.
+  void patch_u64(std::size_t offset, std::uint64_t v) { patch_le(offset, v); }
   /// Drops the contents but keeps the capacity, for a reused buffer.
   void clear() { buf_.clear(); }
 
@@ -96,6 +93,13 @@ class WireWriter {
   template <class T>
   void put_le(T v) {
     store_le(extend(sizeof(T)), v);
+  }
+  template <class T>
+  void patch_le(std::size_t offset, T v) {
+    if (offset > buf_.size() || buf_.size() - offset < sizeof(T)) {
+      throw std::out_of_range("WireWriter: patch past the end");
+    }
+    store_le(buf_.data() + offset, v);
   }
   /// Doubles the capacity (at least to `bytes` more) out of line, so the
   /// inlined extend() never reallocates.

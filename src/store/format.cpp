@@ -178,13 +178,16 @@ bool schemas_equal(const Schema& a, const Schema& b) {
 
 // --- File helpers ------------------------------------------------------------
 
-std::vector<std::uint8_t> read_file(const std::string& path) {
+std::vector<std::uint8_t> read_file(const std::string& path, std::size_t headroom) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     throw StoreError("store: cannot open " + path + ": " + std::strerror(errno),
                      /*io=*/true);
   }
   std::vector<std::uint8_t> bytes;
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec) bytes.reserve(static_cast<std::size_t>(size) + headroom);
   std::array<std::uint8_t, 1 << 16> buf;
   std::size_t n = 0;
   while ((n = std::fread(buf.data(), 1, buf.size(), f)) > 0) {

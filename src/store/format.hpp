@@ -104,8 +104,10 @@ void encode_schema(const Schema& schema, WireWriter& out);
 
 // --- File helpers ------------------------------------------------------------
 
-/// Reads a whole file; throws StoreError(io) when it cannot be opened/read.
-[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);
+/// Reads a whole file into one allocation, with room for `headroom` more
+/// bytes; throws StoreError(io) when it cannot be opened/read.
+[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path,
+                                                  std::size_t headroom = 0);
 
 /// Writes `path` atomically: the parts go to `path + ".tmp"` one after the
 /// other (flushed, and fsync'd when `sync`), which is then renamed over

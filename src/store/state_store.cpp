@@ -25,13 +25,16 @@ std::string sub_label(SubscriptionId id) {
   return "subscription #" + std::to_string(id.value());
 }
 
-/// Applies the WAL records on top of the snapshot state. The log is exact
-/// (subscribe rolls back when its append fails), so an id mismatch means
-/// corruption, not a benign gap.
+/// Applies the WAL records on top of the snapshot state and notes the id
+/// each subscription record names in `dirty`. The log is exact (subscribe
+/// rolls back when its append fails), so an id mismatch means corruption,
+/// not a benign gap.
 void replay(std::vector<WalRecord>& records, std::map<SubscriptionId::value_type,
-            RecoveredSub>& subs, RecoveredState& state, StoreStats& stats) {
+            RecoveredSub>& subs, RecoveredState& state, StoreStats& stats,
+            std::vector<SubscriptionId::value_type>& dirty) {
   for (WalRecord& rec : records) {
     ++stats.replayed_records;
+    if (rec.type != RecordType::kTrainCheckpoint) dirty.push_back(rec.sub.value());
     switch (rec.type) {
       case RecordType::kSubscribe: {
         if (!rec.sub.valid()) {
@@ -112,11 +115,13 @@ std::pair<std::unique_ptr<StateStore>, RecoveredState> StateStore::open(
     }
     store->acquire_lock();
     // A fresh store: an empty epoch-0 snapshot of the caller's schema plus
-    // an empty epoch-0 WAL, so every later open() finds both files.
+    // an empty epoch-0 WAL, so every later open() finds both files. The
+    // snapshot is built like any other, from an empty base with nothing
+    // dirty.
     state.schema = options.schema;
     SnapshotData empty;
     empty.schema = &state.schema;
-    write_snapshot(store->snapshot_path(), 0, empty, sync);
+    store->write_next_snapshot(0, empty);
     store->wal_ = WalWriter::create(store->wal_path(), 0, sync);
     store->epoch_ = 0;
     return {std::move(store), std::move(state)};
@@ -134,6 +139,7 @@ std::pair<std::unique_ptr<StateStore>, RecoveredState> StateStore::open(
   store->stats_.epoch = snap.epoch;
   store->stats_.recovered = true;
   store->stats_.snapshot_subscriptions = snap.subs.size();
+  store->base_ = std::move(snap.image);
 
   std::map<SubscriptionId::value_type, RecoveredSub> subs;
   for (LoadedSub& sub : snap.subs) {
@@ -157,7 +163,7 @@ std::pair<std::unique_ptr<StateStore>, RecoveredState> StateStore::open(
     }
     if (wal_epoch == snap.epoch) {
       WalContents wal = read_wal(store->wal_path());
-      replay(wal.records, subs, state, store->stats_);
+      replay(wal.records, subs, state, store->stats_, store->dirty_);
       if (wal.torn_tail) {
         // A kill mid-append left a partial final frame. Cut the file back
         // to its last complete record so new appends extend a clean log.
@@ -238,18 +244,21 @@ void StateStore::append_subscribe(SubscriptionId id, const Node& tree) {
   WalWriter::begin_frame(record_);
   encode_subscribe(id, tree, record_);
   append_record();
+  dirty_.push_back(id.value());
 }
 
 void StateStore::append_unsubscribe(SubscriptionId id) {
   WalWriter::begin_frame(record_);
   encode_unsubscribe(id, record_);
   append_record();
+  dirty_.push_back(id.value());
 }
 
 void StateStore::append_prune(SubscriptionId id, const Node& tree) {
   WalWriter::begin_frame(record_);
   encode_prune(id, tree, record_);
   append_record();
+  dirty_.push_back(id.value());
 }
 
 void StateStore::append_train(const EventStats& stats) {
@@ -260,10 +269,19 @@ void StateStore::append_train(const EventStats& stats) {
   append_record();
 }
 
+void StateStore::write_next_snapshot(std::uint64_t epoch, const SnapshotData& data) {
+  if (all_dirty_) dirty_.insert(dirty_.end(), base_.ids.begin(), base_.ids.end());
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+  stats_.snapshot_records_encoded += build_snapshot(base_, dirty_, epoch, data);
+  dirty_.clear();
+  all_dirty_ = false;
+  write_file_atomic(snapshot_path(), base_.bytes, sync_);
+}
+
 void StateStore::checkpoint(const SnapshotData& data) {
   const std::uint64_t next_epoch = epoch_ + 1;
-  snapshot_body_bytes_ =
-      write_snapshot(snapshot_path(), next_epoch, data, sync_, snapshot_body_bytes_);
+  write_next_snapshot(next_epoch, data);
   // Between the rename above and the create below the on-disk WAL carries
   // the old epoch; recovery discards it against the new snapshot, so a
   // crash in this window loses nothing and double-applies nothing.

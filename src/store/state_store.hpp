@@ -9,6 +9,12 @@
 /// epoch; checkpoint = atomically replace the snapshot, then truncate the
 /// WAL to a fresh epoch.
 ///
+/// A checkpoint is the previous snapshot plus the ids the WAL touched: the
+/// store keeps the last snapshot it wrote or loaded (bytes and record
+/// index) as the base, notes the id of every subscribe, unsubscribe and
+/// prune record, and at checkpoint() keeps every other record's bytes of
+/// the base. Only the noted ids are encoded, from the owner's lookup.
+///
 /// The class throws StoreError (and codec WireError) — the PubSub facade
 /// converts both into the Status channel, so corrupt input surfaces as
 /// ErrorCode::kDataLoss and filesystem failures as kIoError, never as UB.
@@ -51,6 +57,10 @@ struct StoreStats {
   std::uint64_t wal_bytes = 0;          ///< framed bytes appended since open(),
                                         ///< summed across checkpoints
   std::uint64_t snapshots_written = 0;  ///< checkpoints since open()
+  /// Subscription records checkpoints encoded since open(); every other
+  /// record kept its bytes from the previous snapshot. At most one per WAL
+  /// record between two checkpoints, never the whole table.
+  std::uint64_t snapshot_records_encoded = 0;
   std::uint64_t records_since_checkpoint = 0;
   // --- What open() found and replayed (zeros for a fresh store) ------------
   bool recovered = false;  ///< false = the store was created by this open()
@@ -117,14 +127,22 @@ class StateStore {
   void append_train(const EventStats& stats);
 
   /// True once snapshot_every records accumulated since the last
-  /// checkpoint — the owner should build a SnapshotData and checkpoint().
+  /// checkpoint — the owner should checkpoint().
   [[nodiscard]] bool wants_checkpoint() const {
     return stats_.records_since_checkpoint >= snapshot_every_;
   }
 
-  /// Writes a compacted snapshot of `data` (epoch + 1) and truncates the
-  /// WAL. Crash-safe: the snapshot replaces the old one atomically, and a
-  /// crash before the WAL truncation leaves a stale-epoch WAL that the next
+  /// Makes the next checkpoint encode every live subscription through
+  /// data.lookup, not only the ids the WAL touched: for a change to every
+  /// record that no WAL record carries (PubSub::set_prune_dimension
+  /// re-captures all pruning accounting).
+  void mark_all_dirty() { all_dirty_ = true; }
+
+  /// Writes the epoch + 1 snapshot and truncates the WAL. The snapshot is
+  /// the base with the touched ids re-read through data.lookup (see
+  /// build_snapshot); the bytes equal a full encode of the owner's table.
+  /// Crash-safe: the snapshot replaces the old one atomically, and a crash
+  /// before the WAL truncation leaves a stale-epoch WAL that the next
   /// recovery discards.
   void checkpoint(const SnapshotData& data);
 
@@ -140,6 +158,9 @@ class StateStore {
 
   /// Appends the record framed in record_ (see WalWriter::begin_frame).
   void append_record();
+  /// Rewrites the base into the epoch-`epoch` snapshot from the dirty ids
+  /// (build_snapshot) and writes it.
+  void write_next_snapshot(std::uint64_t epoch, const SnapshotData& data);
   /// Takes the directory's exclusive flock (POSIX; no-op elsewhere).
   void acquire_lock();
   [[nodiscard]] std::string snapshot_path() const;
@@ -153,9 +174,13 @@ class StateStore {
   /// The frame every append encodes into; reused, so appends allocate
   /// nothing once it has grown to the largest record.
   WireWriter record_;
-  /// Body size of the last snapshot written (0 before the first): the
-  /// next snapshot reserves its body from it.
-  std::size_t snapshot_body_bytes_ = 0;
+  /// The last snapshot written or loaded, indexed: the next checkpoint
+  /// rewrites it in place, so the store holds one snapshot body.
+  SnapshotImage base_;
+  /// Ids named by subscribe, unsubscribe and prune records since the base
+  /// (one per record, sorted and deduplicated at checkpoint).
+  std::vector<SubscriptionId::value_type> dirty_;
+  bool all_dirty_ = false;
   StoreStats stats_;
   int lock_fd_ = -1;
 };

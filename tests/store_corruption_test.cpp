@@ -3,10 +3,13 @@
 // Status (or a smaller-but-consistent store when the damage lands on a
 // record boundary) — never a crash, hang, or out-of-bounds read. The CI
 // sanitizer job runs this suite under ASan/UBSan, which is where the
-// "never UB on corrupt input" contract is actually proven.
+// "never UB on corrupt input" contract is actually proven. A checkpoint
+// copies unchanged records from the snapshot it holds in memory, never
+// from disk, so damage to the file is still found at the next open().
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <optional>
@@ -15,6 +18,7 @@
 
 #include "api/pubsub.hpp"
 #include "store/format.hpp"
+#include "store/snapshot.hpp"
 #include "test_util.hpp"
 
 namespace dbsp {
@@ -171,6 +175,80 @@ TEST_F(CorruptionFixture, BothFilesMissingBytesSimultaneously) {
     }
     open_and_check("both files truncated");
   }
+}
+
+/// Flips one byte inside the record of `id` in the snapshot file at `path`
+/// (its accounting field, so the tree still decodes).
+void flip_record_byte(const std::string& path, SubscriptionId id) {
+  const store::LoadedSnapshot snap = store::read_snapshot(path);
+  const auto& ids = snap.image.ids;
+  const auto at = std::find(ids.begin(), ids.end(), id.value());
+  ASSERT_NE(at, ids.end());
+  auto bytes = store::read_file(path);
+  bytes[snap.image.offsets[static_cast<std::size_t>(at - ids.begin())] + 6] ^= 0x04;
+  store::write_file_atomic(path, bytes, false);
+}
+
+TEST(DeltaCheckpointCorruptionTest, CopiedRecordsComeFromMemoryAndDiskDamageIsDataLoss) {
+  MiniDomain dom;
+  std::mt19937_64 rng(83);
+  const fs::path dir = fs::temp_directory_path() / "dbsp_corrupt_delta";
+  fs::remove_all(dir);
+  const std::string snapshot = (dir / "snapshot.dbsp").string();
+  StoreOptions store;
+  store.directory = dir.string();
+  store.schema = dom.schema();
+  store.snapshot_every = 1 << 20;  // manual checkpoints only
+  PubSubOptions options;
+  options.pruning = true;
+
+  std::vector<SubscriptionHandle> live;  // dropped after the PubSub: crash order
+  std::optional<PubSub> pubsub(PubSub::open(store, options).value());
+  for (int i = 0; i < 100; ++i) {
+    live.push_back(pubsub->subscribe(dom.random_tree(rng, 5, 0.2), {}).value());
+  }
+  ASSERT_TRUE(pubsub->checkpoint().ok());
+  const auto churn = [&] {
+    for (int i = 0; i < 10; ++i) {
+      live.push_back(pubsub->subscribe(dom.random_tree(rng, 5, 0.2), {}).value());
+    }
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(live.back().release().ok());
+      live.pop_back();
+    }
+  };
+  churn();
+  ASSERT_TRUE(pubsub->checkpoint().ok());
+
+  // Damage a record of the live store's snapshot that the next checkpoint
+  // copies (subscription 0 is never touched again). The checkpoint copies
+  // it from memory, so the damage is gone and recovery is exact.
+  flip_record_byte(snapshot, SubscriptionId(0));
+  churn();
+  ASSERT_TRUE(pubsub->checkpoint().ok());
+  const std::size_t count = pubsub->subscription_count();
+  const std::size_t capacity = pubsub->pruning_stats().total_possible;
+  pubsub.reset();
+  live.clear();
+  pubsub.emplace(PubSub::open(store, options).value());
+  EXPECT_EQ(pubsub->subscription_count(), count);
+  EXPECT_EQ(pubsub->pruning_stats().total_possible, capacity);
+  for (const SubscriptionId id : pubsub->subscription_ids()) {
+    live.push_back(pubsub->adopt(id, {}).value());
+  }
+
+  // The same damage after the last checkpoint, with a WAL tail on top,
+  // is found by the next open().
+  churn();
+  ASSERT_TRUE(pubsub->checkpoint().ok());
+  churn();
+  pubsub.reset();
+  live.clear();
+  flip_record_byte(snapshot, SubscriptionId(0));
+  const auto reopened = PubSub::open(store, options);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), ErrorCode::kDataLoss) << reopened.status().to_string();
+  fs::remove_all(dir);
 }
 
 }  // namespace

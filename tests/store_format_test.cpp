@@ -1,5 +1,6 @@
 // The durable store's on-disk format: the slice-by-8 CRC-32 against a
-// bitwise reference, and golden snapshot and WAL files. The files under
+// bitwise reference, golden snapshot and WAL files, and snapshots built
+// from the previous one against a full encode. The files under
 // tests/data/store_golden were written by an earlier build of the store;
 // the current one must write them byte for byte, and read and recover
 // them. A change here is a format change: it needs a kWireFormatVersion
@@ -190,8 +191,15 @@ GoldenFiles write_golden_files(const std::string& directory) {
   data.next_id = 8;
   data.next_seq = 42;
   data.stats = &stats;
-  data.subs.push_back({SubscriptionId(1), internal_prunings(*t1), 1, t1_pruned.get()});
-  data.subs.push_back({SubscriptionId(7), internal_prunings(*t7), 0, t7.get()});
+  data.lookup = [&](SubscriptionId id) -> std::optional<store::SnapshotRecord> {
+    if (id == SubscriptionId(1)) {
+      return store::SnapshotRecord{internal_prunings(*t1), 1, t1_pruned.get()};
+    }
+    if (id == SubscriptionId(7)) {
+      return store::SnapshotRecord{internal_prunings(*t7), 0, t7.get()};
+    }
+    return std::nullopt;
+  };
   st.checkpoint(data);
   files.snapshot = store::read_file(snapshot_path);
   files.checkpoint_wal = store::read_file(wal_path);
@@ -337,6 +345,190 @@ TEST(StoreCheckpointTest, AutoCheckpointsUnderChurnAndPruningRecoverTheLiveTable
   EXPECT_EQ(got, expected);
   EXPECT_EQ(recovered.pruning_stats().total_possible, pruning.total_possible);
   EXPECT_EQ(recovered.pruning_stats().performed, pruning.performed);
+}
+
+// --- Snapshots built from the previous one ----------------------------------
+
+/// What the store's owner holds for one live id.
+struct ModelSub {
+  std::size_t capacity = 0;
+  std::size_t performed = 0;
+  std::unique_ptr<Node> tree;
+};
+
+using ModelTable = std::map<SubscriptionId::value_type, ModelSub>;
+
+/// The snapshot file a full encode of `table` makes: header, counters and
+/// schema, every live record in id order, statistics, CRC. With
+/// `accounting` off every record carries zeros, as a facade with pruning
+/// off reports them.
+std::vector<std::uint8_t> reference_snapshot(std::uint64_t epoch, std::uint64_t next_id,
+                                             std::uint64_t next_seq, const Schema& schema,
+                                             const ModelTable& table, bool accounting,
+                                             const EventStats* stats) {
+  WireWriter body;
+  body.put_u64(epoch);
+  body.put_u64(next_id);
+  body.put_u64(next_seq);
+  store::encode_schema(schema, body);
+  body.put_u64(table.size());
+  for (const auto& [id, sub] : table) {
+    body.put_u32(id);
+    body.put_u64(accounting ? sub.capacity : 0);
+    body.put_u64(accounting ? sub.performed : 0);
+    encode_tree(*sub.tree, body);
+  }
+  body.put_u8(stats != nullptr ? 1 : 0);
+  if (stats != nullptr) {
+    WireWriter saved;
+    stats->save(saved);
+    body.put_u64(saved.size());
+    body.put_bytes(saved.bytes());
+  }
+  WireWriter file;
+  encode_wire_header(file);
+  file.put_u8(static_cast<std::uint8_t>(store::FileKind::kSnapshot));
+  file.put_u64(body.size());
+  file.put_u32(store::crc32(body.bytes()));
+  file.put_bytes(body.bytes());
+  return file.bytes();
+}
+
+/// Drives a StateStore through a random history against a model table:
+/// subscribes, unsubscribes (often of an id just pruned), prunings (often
+/// two of one id in a row), trainings, re-opens between checkpoints, and
+/// now and then a change to every record's accounting. After every
+/// checkpoint the snapshot file must equal the full encode byte for byte,
+/// and the lookup must have been asked only about ids the WAL named.
+void check_random_history(bool accounting, std::uint64_t seed) {
+  TempDir dir(std::string("delta_") + (accounting ? "on" : "off"));
+  const test::MiniDomain dom(6, 24);
+  std::mt19937_64 rng(seed);
+  StoreOptions options;
+  options.directory = dir.str();
+  options.schema = dom.schema();
+  options.snapshot_every = 1 << 20;
+  std::unique_ptr<store::StateStore> st = store::StateStore::open(options).first;
+
+  ModelTable table;
+  SubscriptionId::value_type next_id = 0;
+  std::uint64_t next_seq = 0;
+  std::optional<EventStats> stats;
+  // The id the last pruning step hit, until it is unsubscribed.
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  std::uint64_t just_pruned = kNone;
+  bool all_marked = false;  // mark_all_dirty() since the last checkpoint
+  std::size_t lookups = 0;
+  store::SnapshotData data;
+  data.schema = &dom.schema();
+  data.lookup = [&](SubscriptionId id) -> std::optional<store::SnapshotRecord> {
+    ++lookups;
+    const auto it = table.find(id.value());
+    if (it == table.end()) return std::nullopt;
+    const ModelSub& sub = it->second;
+    return accounting ? store::SnapshotRecord{sub.capacity, sub.performed, sub.tree.get()}
+                      : store::SnapshotRecord{0, 0, sub.tree.get()};
+  };
+  const auto random_live = [&] {
+    auto it = table.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng() % table.size()));
+    return it;
+  };
+  const auto checkpoint = [&] {
+    data.next_id = next_id;
+    data.next_seq = next_seq;
+    data.stats = stats ? &*stats : nullptr;
+    const std::uint64_t logged = st->stats().records_since_checkpoint;
+    const std::uint64_t encoded_before = st->stats().snapshot_records_encoded;
+    lookups = 0;
+    st->checkpoint(data);
+    if (!all_marked) {
+      EXPECT_LE(lookups, logged);
+      EXPECT_LE(st->stats().snapshot_records_encoded - encoded_before, logged);
+    }
+    all_marked = false;
+    ASSERT_EQ(store::read_file(dir.str() + "/snapshot.dbsp"),
+              reference_snapshot(st->epoch(), next_id, next_seq, dom.schema(), table,
+                                 accounting, data.stats))
+        << "epoch " << st->epoch();
+  };
+
+  int checkpoints = 0;
+  int reopens = 0;
+  for (int step = 0; step < 1500; ++step) {
+    const auto op = rng() % 100;
+    if (op < 35 || table.empty()) {
+      auto tree = dom.random_tree(rng, 1 + rng() % 6, 0.2);
+      st->append_subscribe(SubscriptionId(next_id), *tree);
+      table[next_id] = {internal_prunings(*tree), 0, std::move(tree)};
+      ++next_id;
+    } else if (op < 55) {
+      const auto it = just_pruned != kNone && rng() % 2 == 0
+                          ? table.find(static_cast<SubscriptionId::value_type>(just_pruned))
+                          : random_live();
+      st->append_unsubscribe(SubscriptionId(it->first));
+      table.erase(it);
+      just_pruned = kNone;
+    } else if (op < 75) {
+      const auto it = random_live();
+      for (std::uint64_t times = 1 + rng() % 2; times > 0; --times) {
+        it->second.tree = dom.random_tree(rng, 1 + rng() % 4, 0.2);
+        ++it->second.performed;
+        st->append_prune(SubscriptionId(it->first), *it->second.tree);
+      }
+      just_pruned = it->first;
+    } else if (op < 78) {
+      stats.emplace(dom.schema());
+      for (const Event& e : dom.random_events(rng, 50)) stats->observe(e);
+      stats->finalize();
+      st->append_train(*stats);
+    } else if (op < 88) {
+      next_seq += rng() % 40;  // publishes log nothing
+    } else if (op < 96) {
+      checkpoint();
+      if (testing::Test::HasFatalFailure()) return;
+      ++checkpoints;
+    } else if (op < 99) {
+      st.reset();
+      auto reopened = store::StateStore::open(options);
+      st = std::move(reopened.first);
+      const store::RecoveredState& rec = reopened.second;
+      ASSERT_EQ(rec.subs.size(), table.size());
+      for (const store::RecoveredSub& sub : rec.subs) {
+        const ModelSub& want = table.at(sub.id.value());
+        EXPECT_TRUE(sub.tree->equals(*want.tree));
+        if (accounting) {
+          EXPECT_EQ(sub.capacity, want.capacity);
+          EXPECT_EQ(sub.performed, want.performed);
+        }
+      }
+      just_pruned = kNone;
+      ++reopens;
+    } else {
+      // A change to every record no WAL record carries, as
+      // PubSub::set_prune_dimension's re-capture of the accounting. Only a
+      // checkpoint makes it durable, so one follows at once.
+      for (auto& [id, sub] : table) {
+        sub.capacity = internal_prunings(*sub.tree);
+        sub.performed = 0;
+      }
+      st->mark_all_dirty();
+      all_marked = true;
+      checkpoint();
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
+  checkpoint();
+  EXPECT_GT(checkpoints, 50);
+  EXPECT_GT(reopens, 10);
+}
+
+TEST(StoreDeltaCheckpointTest, EqualsAFullEncodeWithAccounting) {
+  check_random_history(/*accounting=*/true, 71);
+}
+
+TEST(StoreDeltaCheckpointTest, EqualsAFullEncodeWithoutAccounting) {
+  check_random_history(/*accounting=*/false, 72);
 }
 
 }  // namespace

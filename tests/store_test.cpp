@@ -1,9 +1,10 @@
 // Durable state store: WAL/snapshot round-trips, PubSub::open() recovery
 // exactness (the crash-equivalence contract, asserted at {1, 2, 8} match
 // workers),
-// pruning accounting continuity, checkpoint truncation, statistics
-// persistence, adopt() semantics, broker warm restart, and the
-// ScenarioRunner kill-and-recover phase.
+// pruning accounting continuity, checkpoint truncation, checkpoints built
+// from the previous snapshot (kills after them and inside them, and what
+// they re-encode), statistics persistence, adopt() semantics, broker warm
+// restart, and the ScenarioRunner kill-and-recover phase.
 
 #include "store/state_store.hpp"
 
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <random>
@@ -18,6 +20,7 @@
 
 #include "api/pubsub.hpp"
 #include "broker/overlay.hpp"
+#include "core/candidates.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
@@ -182,9 +185,16 @@ TEST(StoreSnapshotTest, RoundTripsFullState) {
   data.next_id = 17;
   data.next_seq = 923;
   data.stats = &stats;
-  data.subs.push_back({SubscriptionId(2), 5, 1, t1.get()});
-  data.subs.push_back({SubscriptionId(11), 9, 0, t2.get()});
-  store::write_snapshot(path, 6, data, false);
+  data.lookup = [&](SubscriptionId id) -> std::optional<store::SnapshotRecord> {
+    if (id == SubscriptionId(2)) return store::SnapshotRecord{5, 1, t1.get()};
+    if (id == SubscriptionId(11)) return store::SnapshotRecord{9, 0, t2.get()};
+    return std::nullopt;
+  };
+  // From an empty base every record is encoded; id 4 is not live.
+  const std::vector<SubscriptionId::value_type> dirty = {2, 4, 11};
+  store::SnapshotImage image;
+  EXPECT_EQ(store::build_snapshot(image, dirty, 6, data), 2u);
+  store::write_file_atomic(path, image.bytes, false);
 
   const store::LoadedSnapshot snap = store::read_snapshot(path);
   EXPECT_EQ(snap.epoch, 6u);
@@ -562,43 +572,6 @@ TEST(PubSubOpenTest, WalBytesAccumulateAcrossCheckpoints) {
   EXPECT_EQ(stats.wal_records, 40u);
 }
 
-TEST(StoreSnapshotTest, SortByIdOrdersAnyIds) {
-  // Ids on every byte position, some above 2^24 so no radix pass is
-  // skipped, and records that must travel with their ids.
-  std::mt19937_64 rng(5);
-  std::vector<store::SnapshotSub> subs;
-  std::vector<SubscriptionId::value_type> ids;
-  for (std::size_t i = 0; i < 3000; ++i) {
-    const auto id = static_cast<SubscriptionId::value_type>(
-        i % 3 == 0 ? rng() % 1000 * 3000 + i : rng() % 0xFFFFFFFEu);
-    ids.push_back(id);
-    subs.push_back({SubscriptionId(id), id % 7, id % 5, nullptr});
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  store::sort_by_id(subs);
-  ASSERT_EQ(subs.size(), 3000u);
-  for (std::size_t i = 0; i < subs.size(); ++i) {
-    EXPECT_EQ(subs[i].capacity, subs[i].id.value() % 7);
-    EXPECT_EQ(subs[i].performed, subs[i].id.value() % 5);
-    if (i > 0) {
-      EXPECT_LE(subs[i - 1].id.value(), subs[i].id.value());
-    }
-  }
-  std::vector<SubscriptionId::value_type> sorted;
-  for (const auto& sub : subs) sorted.push_back(sub.id.value());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  EXPECT_EQ(sorted, ids);
-
-  std::vector<store::SnapshotSub> small = {{SubscriptionId(9), 0, 0, nullptr},
-                                           {SubscriptionId(2), 0, 0, nullptr}};
-  store::sort_by_id(small);
-  EXPECT_EQ(small[0].id, SubscriptionId(2));
-  std::vector<store::SnapshotSub> none;
-  store::sort_by_id(none);
-  EXPECT_TRUE(none.empty());
-}
-
 TEST(PubSubOpenTest, CheckpointAfterChurnReopensToSameTable) {
   MiniDomain dom;
   std::mt19937_64 rng(53);
@@ -672,6 +645,210 @@ TEST(PubSubOpenTest, CheckpointAfterChurnReopensToSameTable) {
   EXPECT_EQ(recovered.advertised_bytes, expected.advertised_bytes);
   fresh_live.clear();
   pubsub.reset();
+}
+
+/// Every live id with its current tree as text.
+std::map<SubscriptionId::value_type, std::string> table_of(const PubSub& pubsub) {
+  std::map<SubscriptionId::value_type, std::string> table;
+  for (const SubscriptionId id : pubsub.subscription_ids()) {
+    table[id.value()] = pubsub.subscription_text(id).value();
+  }
+  return table;
+}
+
+void expect_same_accounting(const PubSub::PruningStats& got,
+                            const PubSub::PruningStats& want) {
+  EXPECT_EQ(got.tracked, want.tracked);
+  EXPECT_EQ(got.total_possible, want.total_possible);
+  EXPECT_EQ(got.performed, want.performed);
+}
+
+TEST(DeltaCheckpointTest, KillAfterSeveralRecoversTableAndAccounting) {
+  // Auto-checkpoints every 48 records, each built from the previous
+  // snapshot, interleave with churn and prunings; the kill leaves a WAL
+  // tail on top of the last one.
+  MiniDomain dom;
+  std::mt19937_64 rng(61);
+  TempDir dir("delta_kill");
+  StoreOptions store = store_at(dir, dom.schema());
+  store.snapshot_every = 48;
+  std::optional<PubSub> pubsub(PubSub::open(store, pruning_options(2)).value());
+  ASSERT_TRUE(pubsub->train(dom.random_events(rng, 400)).ok());
+  std::vector<SubscriptionHandle> live;
+  for (int i = 0; i < 600; ++i) {
+    live.push_back(pubsub->subscribe(dom.random_tree(rng, 6, 0.2)).value());
+    if (i % 3 == 2) {
+      const std::size_t victim = rng() % live.size();
+      ASSERT_TRUE(live[victim].release().ok());
+      live[victim] = std::move(live.back());
+      live.pop_back();
+    }
+    if (i % 40 == 39) {
+      ASSERT_TRUE(pubsub->prune_to_fraction(0.1 + 0.001 * i).ok());
+    }
+  }
+  for (int i = 0; i < 5; ++i) {  // the WAL tail
+    live.push_back(pubsub->subscribe(dom.random_tree(rng, 6, 0.2)).value());
+  }
+  const StoreStats stats = pubsub->store_stats();
+  ASSERT_GE(stats.snapshots_written, 8u);
+  ASSERT_GT(stats.records_since_checkpoint, 0u);
+  const auto table = table_of(*pubsub);
+  const PubSub::PruningStats pruning = pubsub->pruning_stats();
+  ASSERT_GT(pruning.performed, 0u);
+  pubsub.reset();  // kill: no checkpoint, the handles turn inert
+  live.clear();
+
+  const PubSub recovered = PubSub::open(store, pruning_options(1)).value();
+  EXPECT_EQ(recovered.store_stats().replayed_records, stats.records_since_checkpoint);
+  EXPECT_EQ(table_of(recovered), table);
+  expect_same_accounting(recovered.pruning_stats(), pruning);
+}
+
+TEST(DeltaCheckpointTest, KillBetweenSnapshotRenameAndWalCreateRecovers) {
+  // Three rounds of churn, prunings and a checkpoint built from the
+  // previous snapshot. The kill lands inside the last checkpoint, after
+  // its snapshot replaced the old one and before the new WAL exists: on
+  // disk that is the new snapshot beside the old WAL, whose records the
+  // snapshot already holds.
+  MiniDomain dom;
+  std::mt19937_64 rng(67);
+  TempDir dir("delta_window");
+  StoreOptions store = store_at(dir, dom.schema());
+  store.snapshot_every = 1 << 20;  // manual checkpoints only
+  std::optional<PubSub> pubsub(PubSub::open(store, pruning_options(2)).value());
+  ASSERT_TRUE(pubsub->train(dom.random_events(rng, 400)).ok());
+  std::vector<SubscriptionHandle> live;
+  for (int i = 0; i < 200; ++i) {
+    live.push_back(pubsub->subscribe(dom.random_tree(rng, 6, 0.2)).value());
+  }
+  ASSERT_TRUE(pubsub->checkpoint().ok());
+  const std::string wal_path = (dir.path() / "wal.dbsp").string();
+  std::vector<std::uint8_t> old_wal;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 30; ++i) {
+      live.push_back(pubsub->subscribe(dom.random_tree(rng, 6, 0.2)).value());
+      const std::size_t victim = rng() % live.size();
+      ASSERT_TRUE(live[victim].release().ok());
+      live[victim] = std::move(live.back());
+      live.pop_back();
+    }
+    ASSERT_TRUE(pubsub->prune_to_fraction(0.2 + 0.1 * round).ok());
+    old_wal = store::read_file(wal_path);
+    ASSERT_TRUE(pubsub->checkpoint().ok());
+  }
+  const auto table = table_of(*pubsub);
+  const PubSub::PruningStats pruning = pubsub->pruning_stats();
+  pubsub.reset();
+  live.clear();
+  store::write_file_atomic(wal_path, old_wal, false);
+
+  const PubSub recovered = PubSub::open(store, pruning_options(1)).value();
+  EXPECT_EQ(recovered.store_stats().epoch, 4u);
+  EXPECT_EQ(recovered.store_stats().replayed_records, 0u);  // the stale WAL is discarded
+  EXPECT_EQ(table_of(recovered), table);
+  expect_same_accounting(recovered.pruning_stats(), pruning);
+}
+
+TEST(DeltaCheckpointTest, CheckpointEncodesOnlyTheIdsTheWalTouched) {
+  MiniDomain dom;
+  std::mt19937_64 rng(71);
+  TempDir dir("delta_encoded");
+  StoreOptions store = store_at(dir, dom.schema());
+  store.snapshot_every = 1 << 20;
+  PubSub pubsub = PubSub::open(store, pruning_options(1)).value();
+  std::vector<SubscriptionHandle> live;
+  for (int i = 0; i < 500; ++i) {
+    live.push_back(pubsub.subscribe(dom.random_tree(rng, 5, 0.2)).value());
+  }
+  ASSERT_TRUE(pubsub.checkpoint().ok());  // from the empty epoch-0 base
+  const std::uint64_t first = pubsub.store_stats().snapshot_records_encoded;
+  EXPECT_EQ(first, 500u);
+
+  // k = 7 records: four arrivals, three departures of old subscriptions.
+  for (int i = 0; i < 4; ++i) {
+    live.push_back(pubsub.subscribe(dom.random_tree(rng, 5, 0.2)).value());
+  }
+  for (std::size_t i = 0; i < 3; ++i) ASSERT_TRUE(live[i].release().ok());
+  const std::uint64_t k = pubsub.store_stats().records_since_checkpoint;
+  ASSERT_EQ(k, 7u);
+  ASSERT_TRUE(pubsub.checkpoint().ok());
+  const std::uint64_t encoded = pubsub.store_stats().snapshot_records_encoded - first;
+  EXPECT_LE(encoded, k);
+  EXPECT_EQ(encoded, 4u);  // the departed are dropped, not encoded
+
+  // Nothing logged, nothing encoded.
+  ASSERT_TRUE(pubsub.checkpoint().ok());
+  EXPECT_EQ(pubsub.store_stats().snapshot_records_encoded, first + encoded);
+  EXPECT_DOUBLE_EQ(pubsub.metrics().value("dbsp_store_snapshot_records_encoded_total"),
+                   static_cast<double>(first + encoded));
+}
+
+TEST(DeltaCheckpointTest, PruningOffKeepsThePersistedAccountingOfUntouchedRecords) {
+  // A facade with pruning off reports zero accounting for the records it
+  // logs. Records it never touched keep the accounting they were written
+  // with, so pruning on again continues where it stopped.
+  MiniDomain dom;
+  std::mt19937_64 rng(73);
+  TempDir dir("delta_off");
+  StoreOptions store = store_at(dir, dom.schema());
+  std::vector<SubscriptionHandle> live;  // dropped after each PubSub: crash order
+  std::optional<PubSub> pubsub(PubSub::open(store, pruning_options(1)).value());
+  ASSERT_TRUE(pubsub->train(dom.random_events(rng, 400)).ok());
+  for (int i = 0; i < 60; ++i) {
+    live.push_back(pubsub->subscribe(dom.random_tree(rng, 7, 0.15)).value());
+  }
+  ASSERT_GT(pubsub->prune_to_fraction(0.5).value(), 0u);
+  ASSERT_TRUE(pubsub->checkpoint().ok());
+  const PubSub::PruningStats pruned_once = pubsub->pruning_stats();
+  pubsub.reset();
+  live.clear();
+
+  pubsub.emplace(PubSub::open(store, PubSubOptions{}).value());
+  std::size_t new_capacity = 0;
+  for (int i = 0; i < 5; ++i) {
+    auto tree = dom.random_tree(rng, 7, 0.15);
+    new_capacity += internal_prunings(*tree);
+    live.push_back(pubsub->subscribe(std::move(tree)).value());
+  }
+  ASSERT_TRUE(pubsub->checkpoint().ok());
+  pubsub.reset();
+  live.clear();
+
+  pubsub.emplace(PubSub::open(store, pruning_options(1)).value());
+  const PubSub::PruningStats pruning = pubsub->pruning_stats();
+  EXPECT_EQ(pruning.tracked, pruned_once.tracked + 5);
+  EXPECT_EQ(pruning.performed, pruned_once.performed);
+  EXPECT_EQ(pruning.total_possible, pruned_once.total_possible + new_capacity);
+}
+
+TEST(DeltaCheckpointTest, SetPruneDimensionRewritesEveryRecordsAccounting) {
+  // set_prune_dimension re-captures every subscription's accounting
+  // without a WAL record, so the next checkpoint re-encodes the whole
+  // table, not only the ids the WAL touched.
+  MiniDomain dom;
+  std::mt19937_64 rng(79);
+  TempDir dir("delta_dimension");
+  StoreOptions store = store_at(dir, dom.schema());
+  store.snapshot_every = 1 << 20;
+  std::vector<SubscriptionHandle> live;
+  std::optional<PubSub> pubsub(PubSub::open(store, pruning_options(1)).value());
+  ASSERT_TRUE(pubsub->train(dom.random_events(rng, 400)).ok());
+  for (int i = 0; i < 80; ++i) {
+    live.push_back(pubsub->subscribe(dom.random_tree(rng, 7, 0.15)).value());
+  }
+  ASSERT_GT(pubsub->prune_to_fraction(0.5).value(), 0u);
+  ASSERT_TRUE(pubsub->checkpoint().ok());
+  ASSERT_TRUE(pubsub->set_prune_dimension(PruneDimension::Throughput).ok());
+  const PubSub::PruningStats pruning = pubsub->pruning_stats();
+  const std::uint64_t encoded = pubsub->store_stats().snapshot_records_encoded;
+  ASSERT_TRUE(pubsub->checkpoint().ok());
+  EXPECT_EQ(pubsub->store_stats().snapshot_records_encoded - encoded, 80u);
+  pubsub.reset();
+  live.clear();
+
+  const PubSub recovered = PubSub::open(store, pruning_options(1)).value();
+  expect_same_accounting(recovered.pruning_stats(), pruning);
 }
 
 TEST(PubSubOpenTest, AdoptSemantics) {

@@ -1,7 +1,7 @@
 // Negative-compile fixture: calling a DBSP_REQUIRES function without
 // holding the named mutex must be rejected by clang -Wthread-safety
 // (tools/check_annotations.py asserts this TU FAILS to compile). This is
-// the contract shape PubSubCore uses for log_to_store/dispatch/build_snapshot.
+// the contract shape PubSubCore uses for log_to_store/dispatch/snapshot_data.
 
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"

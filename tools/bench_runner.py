@@ -266,12 +266,15 @@ def trace_overhead(rows):
 
 def store_summary(rows):
     """Summarize micro_store: durable subscribes (WAL appends) per second,
-    snapshot throughput and time per checkpoint and recovery-replay
-    throughput per table size, and the CRC-32's bytes per second."""
+    snapshot throughput and time per checkpoint of an unchanged table
+    (snapshot_ms) and of the churn table after a round of churn
+    (checkpoint_churn_ms) per table size, recovery-replay throughput per
+    table size, and the CRC-32's bytes per second."""
     appends = None
     crc_bytes_per_sec = None
     snapshot = {}
     snapshot_ms = {}
+    churn_ms = {}
     recover = {}
     for row in rows:
         name = row.get("name", "")
@@ -287,14 +290,18 @@ def store_summary(rows):
         elif parts[0] == "BM_SnapshotWrite" and parts[1].isdigit():
             snapshot[int(parts[1])] = eps
             snapshot_ms[int(parts[1])] = round(row["ns_per_iteration"] / 1e6, 3)
+        elif parts[0] == "BM_CheckpointUnderChurn" and parts[1].isdigit():
+            churn_ms[int(parts[1])] = round(row["ns_per_iteration"] / 1e6, 3)
         elif parts[0] == "BM_RecoverFromWal" and parts[1].isdigit():
             recover[int(parts[1])] = eps
-    if appends is None and not snapshot and not recover and crc_bytes_per_sec is None:
+    if (appends is None and not snapshot and not churn_ms and not recover
+            and crc_bytes_per_sec is None):
         return None
     return {
         "durable_subscribes_per_sec": appends,
         "snapshot_subs_per_sec": {str(k): v for k, v in sorted(snapshot.items())},
         "snapshot_ms": {str(k): v for k, v in sorted(snapshot_ms.items())},
+        "checkpoint_churn_ms": {str(k): v for k, v in sorted(churn_ms.items())},
         "crc32_bytes_per_sec": crc_bytes_per_sec,
         "recovery_replayed_subs_per_sec": {
             str(k): v for k, v in sorted(recover.items())
@@ -326,6 +333,7 @@ def write_store_json(build_dir, out_path, quick, context):
         crc = summary.get("crc32_bytes_per_sec")
         crc_text = f"{crc / 1e6:.0f} MB/s" if crc else "n/a"
         print(f"[bench_runner] store: snapshot_ms={summary['snapshot_ms']}, "
+              f"checkpoint_churn_ms={summary['checkpoint_churn_ms']}, "
               f"crc32={crc_text}")
     return result
 
