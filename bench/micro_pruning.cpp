@@ -1,12 +1,15 @@
-// Micro-benchmarks of the pruning machinery: candidate enumeration, scoring
-// and end-to-end engine throughput per dimension.
+// Micro-benchmarks of the pruning machinery: candidate enumeration, scoring,
+// end-to-end engine throughput per dimension, and one pruning pass over an
+// indexed population (scoring plus the matcher's reindexes).
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/pruning_set.hpp"
 #include "selectivity/estimator.hpp"
 #include "selectivity/stats.hpp"
 #include "workload/event_gen.hpp"
@@ -99,6 +102,43 @@ BENCHMARK(BM_EngineFullSweep)
     ->Arg(static_cast<int>(PruneDimension::MemoryUsage))
     ->Arg(static_cast<int>(PruneDimension::Throughput))
     ->Unit(benchmark::kMillisecond);
+
+// One prune_to_fraction(0.5) pass over state.range(0) auction subscriptions
+// indexed by a ShardedEngine, on the paper's single global queue: the
+// pruning part of the inproc_prune workload's set-up. Building the table,
+// registering it (which scores every subscription once) and tearing it
+// down are untimed.
+void BM_PruneToHalf(benchmark::State& state) {
+  struct Table {
+    std::vector<std::unique_ptr<Subscription>> subs;
+    ShardedEngine engine;
+    std::optional<ShardedPruningSet> set;
+
+    Table(const Fixture& fx, std::size_t n) : subs(fx.subs(n)), engine(fx.domain->schema()) {
+      std::vector<Subscription*> pointers;
+      pointers.reserve(subs.size());
+      for (auto& s : subs) {
+        engine.add(*s);
+        pointers.push_back(s.get());
+      }
+      set.emplace(engine, *fx.estimator, PruneEngineConfig{}, pointers);
+    }
+  };
+  Fixture fx;
+  std::unique_ptr<Table> table;
+  std::size_t performed = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    table.reset();
+    table = std::make_unique<Table>(fx, static_cast<std::size_t>(state.range(0)));
+    state.ResumeTiming();
+    performed = table->set->prune_to_fraction(0.5);
+    benchmark::DoNotOptimize(performed);
+  }
+  table.reset();  // after the loop: untimed
+  state.counters["prunings"] = static_cast<double>(performed);
+}
+BENCHMARK(BM_PruneToHalf)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatePruning(benchmark::State& state) {
   Fixture fx;

@@ -202,13 +202,18 @@ struct PubSubCore {
     return snap;
   }
 
-  /// Auto-checkpoint once enough records accumulated since the last one.
-  Status maybe_checkpoint() DBSP_REQUIRES(mutex) {
-    if (!store || !store->wants_checkpoint()) return Status();
+  /// Checkpoints the durable store (ok and nothing done when not durable).
+  Status checkpoint() DBSP_REQUIRES(mutex) {
     return log_to_store([this](store::StateStore& s) {
       mutex.assert_held();  // runs inside log_to_store, under the lock
       s.checkpoint(snapshot_data());
     });
+  }
+
+  /// Auto-checkpoint once enough records accumulated since the last one.
+  Status maybe_checkpoint() DBSP_REQUIRES(mutex) {
+    if (!store || !store->wants_checkpoint()) return Status();
+    return checkpoint();
   }
 
   Status unsubscribe(SubscriptionId id) DBSP_REQUIRES(mutex) {
@@ -291,6 +296,7 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
   auto* releases = &r.counter("dbsp_pruning_releases_total");
   auto* compactions = &r.counter("dbsp_pruning_queue_compactions_total");
   auto* rescores = &r.counter("dbsp_pruning_full_rescores_total");
+  auto* reindexes = &r.counter("dbsp_pruning_reindexes_total");
   auto* agg_subgroups = &r.gauge("dbsp_agg_subgroups");
   auto* agg_dimensions = &r.gauge("dbsp_agg_dimensions");
   auto* agg_advertised = &r.gauge("dbsp_agg_advertised_bytes");
@@ -329,6 +335,7 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
       releases->sync_to(m.releases);
       compactions->sync_to(m.queue_compactions);
       rescores->sync_to(m.full_rescores);
+      reindexes->sync_to(m.reindexes);
     }
     if (c->aggregator) {
       agg_subgroups->set(static_cast<double>(c->aggregator->subgroup_count()));
@@ -481,10 +488,7 @@ Status PubSub::checkpoint() {
                                "this PubSub is not durable (use PubSub::open)")
                : c.store_failure;
   }
-  return c.log_to_store([&](store::StateStore& s) {
-    c.mutex.assert_held();  // runs inside log_to_store, under the lock
-    s.checkpoint(c.snapshot_data());
-  });
+  return c.checkpoint();
 }
 
 StoreStats PubSub::store_stats() const {
@@ -809,10 +813,13 @@ Status PubSub::set_prune_dimension(PruneDimension dimension) {
   std::sort(subs.begin(), subs.end(),
             [](const Subscription* a, const Subscription* b) { return a->id() < b->id(); });
   c.pruning.emplace(c.engine, *c.estimator, c.options.prune, subs);
-  // The rebuild re-captured every subscription's accounting without a WAL
-  // record, so the next checkpoint re-encodes the whole table.
-  if (c.store) c.store->mark_all_dirty();
-  return Status();
+  // The rebuild re-captured every subscription's accounting, which no WAL
+  // record carries: persist it now with a checkpoint that re-encodes the
+  // whole table, so a kill before the next one cannot recover the old
+  // capacity and performed counts.
+  if (!c.store) return Status();
+  c.store->mark_all_dirty();
+  return c.checkpoint();
 }
 
 Status PubSub::set_drift_threshold(std::size_t mutations) {

@@ -272,7 +272,9 @@ class PubSub {
 
   /// Rebuilds the pruning queues on a new primary dimension, re-reading
   /// every subscription's *current* (possibly already pruned) tree — the
-  /// adaptive-dimension hook. Resets the drift trigger.
+  /// adaptive-dimension hook. Resets the drift trigger. A durable facade
+  /// checkpoints before returning: the rebuild re-captures every
+  /// subscription's pruning accounting, which no WAL record carries.
   [[nodiscard]] Status set_prune_dimension(PruneDimension dimension);
 
   /// Drift trigger plumbing (see PruningEngine): after `mutations` churn

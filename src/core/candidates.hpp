@@ -45,7 +45,8 @@ namespace dbsp {
 /// Returns a copy of `root` with the node at `path` pruned and the tree
 /// simplified. Throws std::invalid_argument for an invalid target. The
 /// result is never a constant (pruning a prunable child of an n>=2-ary
-/// conjunctive node cannot collapse the tree).
+/// conjunctive node cannot collapse the tree). Used by apply_pruning;
+/// candidates are priced without it (HeuristicScorer), to the same bits.
 [[nodiscard]] std::unique_ptr<Node> simulate_pruning(const Node& root,
                                                      const Node::Path& path);
 

@@ -75,32 +75,37 @@ void PruningEngine::rescore_all() {
   ++maintenance_.full_rescores;
 }
 
+std::optional<PruningEngine::Best> PruningEngine::best_candidate(
+    const SubState& state) const {
+  const Node& root = state.sub->root();
+  candidates_ = enumerate_prunings(root, config_.bottom_up);
+  if (candidates_.empty()) return std::nullopt;
+  const auto order = config_.effective_order();
+  const auto scores = scorer_.score_all(root, candidates_, state.original, scratch_);
+  Best best{0, scores[0], composite_key(scores[0], order)};
+  for (std::size_t i = 1; i < scores.size(); ++i) {
+    const auto key = composite_key(scores[i], order);
+    if (key < best.key) best = {i, scores[i], key};
+  }
+  return best;
+}
+
 void PruningEngine::push_best_candidate(SubState& state) {
   state.queued = false;
-  const auto order = config_.effective_order();
-  const auto candidates = enumerate_prunings(state.sub->root(), config_.bottom_up);
-  if (candidates.empty()) return;
-
-  bool have_best = false;
-  QueueEntry best;
-  for (const auto& path : candidates) {
-    const PruneScores scores = scorer_.score(state.sub->root(), path, state.original);
-    const auto key = composite_key(scores, order);
-    if (!have_best || key < best.key) {
-      have_best = true;
-      best.key = key;
-      best.path = path;
-      best.scores = scores;
-    }
-  }
-  best.sub = state.sub->id();
-  best.generation = state.sub->generation();
-  best.seq = next_seq_++;
-  queue_.push(std::move(best));
+  const auto best = best_candidate(state);
+  if (!best) return;
+  QueueEntry entry;
+  entry.key = best->key;
+  entry.path = std::move(candidates_[best->index]);
+  entry.scores = best->scores;
+  entry.sub = state.sub->id();
+  entry.generation = state.sub->generation();
+  entry.seq = next_seq_++;
+  queue_.push(std::move(entry));
   state.queued = true;
 }
 
-bool PruningEngine::prune_one() {
+bool PruningEngine::prune_step() {
   while (!queue_.empty()) {
     QueueEntry top = queue_.top();
     queue_.pop();
@@ -111,8 +116,9 @@ bool PruningEngine::prune_one() {
     }
     if (top.generation != state->sub->generation()) continue; // stale
     apply_pruning(*state->sub, top.path);
-    if (matcher_ != nullptr && matcher_->contains(top.sub)) {
-      matcher_->reindex(*state->sub);
+    if (!state->reindex_pending) {
+      state->reindex_pending = true;
+      reindex_pending_.push_back(top.sub);
     }
     ++performed_;
     ++state->performed;
@@ -123,9 +129,29 @@ bool PruningEngine::prune_one() {
   return false;
 }
 
+void PruningEngine::flush_reindex() {
+  for (const SubscriptionId id : reindex_pending_) {
+    SubState* state = find(id);
+    if (state == nullptr) continue;  // released after an interrupted pass
+    state->reindex_pending = false;
+    if (matcher_ != nullptr && matcher_->contains(id)) {
+      matcher_->reindex(*state->sub);
+      ++maintenance_.reindexes;
+    }
+  }
+  reindex_pending_.clear();
+}
+
+bool PruningEngine::prune_one() {
+  const bool pruned = prune_step();
+  flush_reindex();
+  return pruned;
+}
+
 std::size_t PruningEngine::prune(std::size_t k) {
   std::size_t done = 0;
-  while (done < k && prune_one()) ++done;
+  while (done < k && prune_step()) ++done;
+  flush_reindex();
   return done;
 }
 
@@ -159,9 +185,10 @@ std::size_t PruningEngine::prune_until(double budget) {
   for (auto rating = next_primary_rating();
        rating.has_value() && *rating <= oriented_budget;
        rating = next_primary_rating()) {
-    if (!prune_one()) break;
+    if (!prune_step()) break;
     ++done;
   }
+  flush_reindex();
   return done;
 }
 
@@ -191,20 +218,9 @@ const PruningEngine::SubState* PruningEngine::find(SubscriptionId id) const {
 std::optional<PruneScores> PruningEngine::peek_best(SubscriptionId id) const {
   const SubState* state = find(id);
   if (state == nullptr) return std::nullopt;
-  const auto candidates = enumerate_prunings(state->sub->root(), config_.bottom_up);
-  if (candidates.empty()) return std::nullopt;
-  const auto order = config_.effective_order();
-  std::optional<PruneScores> best;
-  std::array<double, 3> best_key{};
-  for (const auto& path : candidates) {
-    const PruneScores s = scorer_.score(state->sub->root(), path, state->original);
-    const auto key = composite_key(s, order);
-    if (!best || key < best_key) {
-      best = s;
-      best_key = key;
-    }
-  }
-  return best;
+  const auto best = best_candidate(*state);
+  if (!best) return std::nullopt;
+  return best->scores;
 }
 
 const OriginalProfile* PruningEngine::original_profile(SubscriptionId id) const {

@@ -40,10 +40,14 @@ struct PruneEngineConfig {
 /// Holds one priority queue whose entries are the current *best* candidate
 /// pruning of each registered subscription, keyed by the composite
 /// (primary, secondary, tertiary) heuristic rating. prune_one() pops the
-/// globally most effective pruning, applies it, resynchronizes the matcher
-/// and re-inserts the subscription's next-best candidate — exactly the
-/// scheme of §3.4. Stale queue entries (from superseded generations) are
-/// skipped lazily.
+/// globally most effective pruning, applies it and re-inserts the
+/// subscription's next-best candidate — exactly the scheme of §3.4. Stale
+/// queue entries (from superseded generations) are skipped lazily.
+/// Candidates are priced on the live tree without cloning it (see
+/// HeuristicScorer). The matcher is resynchronized once per pass: each
+/// public pruning call (prune_one, prune, prune_to_fraction, prune_until)
+/// reindexes every subscription it pruned once, with its final tree,
+/// before it returns.
 ///
 /// Churn is incremental by design: register_subscription() admits one
 /// subscription by scoring only its own candidates (one queue push, no
@@ -115,6 +119,9 @@ class PruningEngine {
     std::uint64_t releases = 0;
     std::uint64_t queue_compactions = 0;
     std::uint64_t full_rescores = 0;
+    /// Matcher reindexes after prunings: one per distinct pruned
+    /// subscription per public pruning call, however often it was pruned.
+    std::uint64_t reindexes = 0;
   };
   [[nodiscard]] const MaintenanceCounters& maintenance() const { return maintenance_; }
 
@@ -207,11 +214,25 @@ class PruningEngine {
     std::size_t capacity = 0;   ///< pruning capacity captured at registration
     std::size_t performed = 0;  ///< prunings applied to this subscription
     bool queued = false;        ///< has a (single) live entry in queue_
+    bool reindex_pending = false;  ///< listed in reindex_pending_
+  };
+  /// The best-keyed candidate of one subscription: candidates_[index].
+  struct Best {
+    std::size_t index = 0;
+    PruneScores scores;
+    std::array<double, 3> key{};
   };
 
-  /// Scores all valid candidates of `state.sub`'s current tree and pushes
-  /// the best one (if any); maintains state.queued.
+  /// Enumerates and scores all valid candidates of `state.sub`'s current
+  /// tree into candidates_ / scratch_; nullopt when there are none.
+  [[nodiscard]] std::optional<Best> best_candidate(const SubState& state) const;
+  /// Pushes the best candidate (if any); maintains state.queued.
   void push_best_candidate(SubState& state);
+  /// One pruning without the matcher upkeep: the pruned id is listed for
+  /// the flush_reindex() that ends every public pruning call.
+  bool prune_step();
+  /// Reindexes each listed subscription once, with its final tree.
+  void flush_reindex();
   [[nodiscard]] SubState* find(SubscriptionId id);
   [[nodiscard]] const SubState* find(SubscriptionId id) const;
   /// Sweeps dead queue entries (released subscriptions) once they dominate
@@ -227,6 +248,13 @@ class PruningEngine {
   std::unordered_map<SubscriptionId::value_type, std::uint32_t> position_;  ///< id -> index
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, Compare> queue_;
   std::vector<Applied> history_;
+  /// Pruned since the last flush_reindex(), each id once. Empty between
+  /// public calls, so matching and unregistering never see a half-done pass.
+  std::vector<SubscriptionId> reindex_pending_;
+  /// Scoring buffers reused across rescorings (the engine is not
+  /// thread-safe anyway; mutable so const peek_best() can score too).
+  mutable std::vector<Node::Path> candidates_;
+  mutable ScoringScratch scratch_;
   std::size_t total_possible_ = 0;
   std::size_t performed_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -11,15 +11,15 @@
 namespace dbsp {
 
 /// The paper's single global pruning queue over a ShardedEngine's one
-/// index: a PruningEngine that reindexes the engine's matcher after every
-/// applied pruning. Subscriptions admitted here must already be registered
-/// with the engine. While the set lives, the index chooses its access
-/// leaves with the estimator's leaf selectivity, so pruning and matching
-/// share one cost model; the destructor unbinds it (every leaf counted
-/// again).
+/// index: a PruningEngine whose every pruning call reindexes the engine's
+/// matcher once per subscription it pruned, before it returns.
+/// Subscriptions admitted here must already be registered with the engine.
+/// While the set lives, the index chooses its access leaves with the
+/// estimator's leaf selectivity, so pruning and matching share one cost
+/// model; the destructor unbinds it (every leaf counted again).
 ///
 /// Not thread-safe; serialize externally together with the engine it binds
-/// (every applied pruning reindexes that engine, so the two always mutate
+/// (every pruning call reindexes that engine, so the two always mutate
 /// under one serialization domain — in the public API both are members of
 /// PubSubCore declared DBSP_GUARDED_BY the facade mutex, making a
 /// lock-free access path a clang -Wthread-safety build error). The

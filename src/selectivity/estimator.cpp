@@ -13,21 +13,6 @@ SelectivityEstimator::SelectivityEstimator(LeafSelectivityFn leaf_fn)
 }
 
 SelectivityEstimate SelectivityEstimator::estimate(const Node& node) const {
-  return walk(node, nullptr, /*positive=*/true);
-}
-
-SelectivityEstimate SelectivityEstimator::estimate_excluding(const Node& root,
-                                                             const Node* skip) const {
-  return walk(root, skip, /*positive=*/true);
-}
-
-SelectivityEstimate SelectivityEstimator::walk(const Node& node, const Node* skip,
-                                               bool positive) const {
-  if (&node == skip) {
-    // A pruned subtree is replaced by TRUE in positive polarity and FALSE in
-    // negative polarity — the generalizing constant either way.
-    return positive ? SelectivityEstimate::always() : SelectivityEstimate::never();
-  }
   switch (node.kind()) {
     case NodeKind::Leaf:
       return SelectivityEstimate::point(leaf_fn_(node.predicate()));
@@ -36,15 +21,15 @@ SelectivityEstimate SelectivityEstimator::walk(const Node& node, const Node* ski
     case NodeKind::False:
       return SelectivityEstimate::never();
     case NodeKind::Not:
-      return walk(*node.children()[0], skip, !positive).negated();
+      return estimate(*node.children()[0]).negated();
     case NodeKind::And: {
       SelectivityEstimate acc = SelectivityEstimate::always();
-      for (const auto& c : node.children()) acc = acc.and_with(walk(*c, skip, positive));
+      for (const auto& c : node.children()) acc = acc.and_with(estimate(*c));
       return acc;
     }
     case NodeKind::Or: {
       SelectivityEstimate acc = SelectivityEstimate::never();
-      for (const auto& c : node.children()) acc = acc.or_with(walk(*c, skip, positive));
+      for (const auto& c : node.children()) acc = acc.or_with(estimate(*c));
       return acc;
     }
   }

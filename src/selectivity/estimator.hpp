@@ -20,20 +20,13 @@ class SelectivityEstimator {
   /// Estimator backed by an arbitrary leaf oracle (tests, what-if analyses).
   explicit SelectivityEstimator(LeafSelectivityFn leaf_fn);
 
+  /// Folds each And/Or's children left to right, starting from always()
+  /// and never(); the pruning scorer replays this exact fold.
   [[nodiscard]] SelectivityEstimate estimate(const Node& node) const;
   /// Point estimate of one predicate — the leaf oracle itself.
   [[nodiscard]] double leaf(const Predicate& pred) const { return leaf_fn_(pred); }
 
-  /// Estimate of the tree with the subtree at `skip` treated as pruned
-  /// (replaced by the polarity-appropriate constant). Used to price a
-  /// candidate pruning without materializing the pruned tree.
-  [[nodiscard]] SelectivityEstimate estimate_excluding(const Node& root,
-                                                       const Node* skip) const;
-
  private:
-  [[nodiscard]] SelectivityEstimate walk(const Node& node, const Node* skip,
-                                         bool positive) const;
-
   LeafSelectivityFn leaf_fn_;
 };
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
+
 #include "subscription/parser.hpp"
+#include "test_util.hpp"
 
 namespace dbsp {
 namespace {
@@ -182,6 +187,60 @@ TEST_F(EngineTest, MatcherStaysInSyncDuringPruning) {
   if (s1->matches(ev)) ++direct;
   if (s2->matches(ev)) ++direct;
   EXPECT_EQ(out.size(), direct);
+}
+
+TEST(EngineReindexTest, EveryPublicPruningCallLeavesTheMatcherInSync) {
+  // The matcher is reindexed once per pass, not once per pruning. After
+  // each public call it must deliver exactly what the pruned trees match,
+  // and it must have reindexed each subscription that call pruned exactly
+  // once, however often it was pruned.
+  test::MiniDomain dom(5, 12);
+  std::mt19937_64 rng(29);
+  const test::Corpus corpus = test::make_corpus(dom, rng, 120, 0.15);
+  const auto events = dom.random_events(rng, 150);
+  const SelectivityEstimator estimator(LeafSelectivityFn([](const Predicate& p) {
+    return 0.05 + 0.9 * static_cast<double>(p.hash() % 991) / 991.0;
+  }));
+  CountingMatcher matcher(dom.schema());
+  for (const auto& s : corpus.subs) matcher.add(*s);
+  PruningEngine e(estimator, PruneEngineConfig{}, &matcher);
+  for (const auto& s : corpus.subs) e.register_subscription(*s);
+
+  auto expect_in_sync = [&](const char* call) {
+    std::vector<SubscriptionId> got;
+    for (const Event& ev : events) {
+      got.clear();
+      matcher.match(ev, got);
+      std::sort(got.begin(), got.end());
+      std::vector<SubscriptionId> want;
+      for (const auto& s : corpus.subs) {
+        if (s->matches(ev)) want.push_back(s->id());
+      }
+      ASSERT_EQ(got, want) << "after " << call;
+    }
+  };
+  std::size_t seen = 0;
+  std::uint64_t reindexes = 0;
+  auto expect_one_reindex_per_pruned_id = [&](const char* call) {
+    std::set<SubscriptionId> pruned;
+    for (; seen < e.history().size(); ++seen) pruned.insert(e.history()[seen].sub);
+    EXPECT_EQ(e.maintenance().reindexes - reindexes, pruned.size()) << "after " << call;
+    reindexes = e.maintenance().reindexes;
+    expect_in_sync(call);
+  };
+
+  ASSERT_TRUE(e.prune_one());
+  expect_one_reindex_per_pruned_id("prune_one");
+  EXPECT_EQ(e.prune(40), 40u);
+  expect_one_reindex_per_pruned_id("prune");
+  EXPECT_GT(e.prune_to_fraction(0.6), 0u);
+  expect_one_reindex_per_pruned_id("prune_to_fraction");
+  EXPECT_GT(e.prune_until(0.3), 0u);
+  expect_one_reindex_per_pruned_id("prune_until");
+  e.prune(e.total_possible());
+  expect_one_reindex_per_pruned_id("prune to exhaustion");
+  // Subscriptions pruned several times in one pass were reindexed once.
+  EXPECT_LT(e.maintenance().reindexes, e.performed());
 }
 
 TEST_F(EngineTest, CustomTieBreakOrderIsHonored) {

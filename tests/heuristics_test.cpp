@@ -5,6 +5,8 @@
 #include <random>
 
 #include "core/candidates.hpp"
+#include "scenario/workload_domain.hpp"
+#include "selectivity/stats.hpp"
 #include "subscription/parser.hpp"
 #include "test_util.hpp"
 
@@ -111,6 +113,134 @@ TEST_F(HeuristicsTest, SelDegradationIsNonNegative) {
       EXPECT_GE(rscorer.score(*tree, path, orig).sel_degradation, 0.0);
     }
   }
+}
+
+/// The scores of pruning `path`, measured on simulate_pruning()'s tree.
+PruneScores reference_scores(const SelectivityEstimator& est, const Node& tree,
+                             const Node::Path& path, const OriginalProfile& orig) {
+  const auto pruned = simulate_pruning(tree, path);
+  PruneScores s;
+  s.sel_degradation =
+      std::max(0.0, selectivity_degradation(orig.sel, est.estimate(*pruned)));
+  s.mem_improvement = static_cast<double>(tree.size_bytes()) -
+                      static_cast<double>(pruned->size_bytes());
+  const std::uint32_t pmin = pruned->pmin();
+  s.eff_improvement = (pmin == Node::kPminUnsatisfiable ? 0.0 : static_cast<double>(pmin)) -
+                      static_cast<double>(orig.pmin);
+  return s;
+}
+
+/// Checks every candidate of `tree` — and of each tree on the way from it
+/// to exhaustion, pruning the first candidate each step — against the
+/// reference, bit for bit, through score_all (one scratch reused across
+/// trees) and through score().
+void expect_exact_scores(const HeuristicScorer& scorer, const Node& start,
+                         ScoringScratch& scratch, std::size_t& checked) {
+  const OriginalProfile orig = scorer.profile(start);
+  auto tree = start.clone();
+  for (auto paths = enumerate_prunings(*tree); !paths.empty();
+       paths = enumerate_prunings(*tree)) {
+    const auto scores = scorer.score_all(*tree, paths, orig, scratch);
+    ASSERT_EQ(scores.size(), paths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      const PruneScores want = reference_scores(scorer.estimator(), *tree, paths[i], orig);
+      EXPECT_EQ(scores[i].sel_degradation, want.sel_degradation);
+      EXPECT_EQ(scores[i].mem_improvement, want.mem_improvement);
+      EXPECT_EQ(scores[i].eff_improvement, want.eff_improvement);
+      const PruneScores one = scorer.score(*tree, paths[i], orig);
+      EXPECT_EQ(one.sel_degradation, want.sel_degradation);
+      EXPECT_EQ(one.mem_improvement, want.mem_improvement);
+      EXPECT_EQ(one.eff_improvement, want.eff_improvement);
+      ++checked;
+    }
+    tree = simulate_pruning(*tree, paths.front());
+  }
+}
+
+TEST(HeuristicScorerExactTest, MatchesSimulatedPruningOnEveryDomain) {
+  for (const std::string_view name : workload_names()) {
+    SCOPED_TRACE(name);
+    const auto domain = make_workload(name);
+    EventStats stats(domain->schema());
+    const auto training = domain->events(3);
+    for (int i = 0; i < 2000; ++i) stats.observe(training->next());
+    stats.finalize();
+    const SelectivityEstimator est(stats);
+    const HeuristicScorer scorer(est);
+    ScoringScratch scratch;
+    const auto subs = domain->subscriptions(1);
+    std::size_t checked = 0;
+    for (int i = 0; i < 150; ++i) {
+      expect_exact_scores(scorer, *subs->next(), scratch, checked);
+    }
+    EXPECT_GT(checked, 300u);
+  }
+}
+
+/// A random tree simplify() would change: NOT and double NOT, And under
+/// And and Or under Or. (No single-child And/Or: pruning its only child
+/// would fold a disjunction around it to TRUE.)
+std::unique_ptr<Node> unsimplified_tree(const MiniDomain& dom, std::mt19937_64& rng,
+                                        int depth) {
+  std::uniform_int_distribution<int> pick(0, 8);
+  const int shape = depth <= 0 ? 0 : pick(rng);
+  if (shape <= 2) return Node::leaf(dom.random_predicate(rng));
+  if (shape == 3) return Node::not_(unsimplified_tree(dom, rng, depth - 1));
+  if (shape == 4) {
+    return Node::not_(Node::not_(unsimplified_tree(dom, rng, depth - 1)));
+  }
+  std::uniform_int_distribution<int> arity(2, 4);
+  std::vector<std::unique_ptr<Node>> kids;
+  for (int n = arity(rng); n > 0; --n) kids.push_back(unsimplified_tree(dom, rng, depth - 1));
+  return shape % 2 == 0 ? Node::and_(std::move(kids)) : Node::or_(std::move(kids));
+}
+
+TEST(HeuristicScorerExactTest, MatchesSimulatedPruningOnRandomTrees) {
+  MiniDomain dom(5, 12);
+  const SelectivityEstimator est(LeafSelectivityFn([](const Predicate& p) {
+    return 0.05 + 0.9 * static_cast<double>(p.hash() % 997) / 997.0;
+  }));
+  const HeuristicScorer scorer(est);
+  ScoringScratch scratch;
+  std::mt19937_64 rng(17);
+  std::uniform_int_distribution<std::size_t> leaves(2, 12);
+  std::size_t checked = 0;
+  for (int i = 0; i < 200; ++i) {
+    expect_exact_scores(scorer, *dom.random_tree(rng, leaves(rng), 0.25), scratch, checked);
+  }
+  std::size_t unsimplified = 0;
+  for (int i = 0; i < 300; ++i) {
+    const auto tree = unsimplified_tree(dom, rng, 4);
+    const bool changes = !simplify(tree->clone())->equals(*tree);
+    unsimplified += changes ? 1 : 0;
+    expect_exact_scores(scorer, *tree, scratch, checked);
+  }
+  EXPECT_GT(unsimplified, 100u);
+  EXPECT_GT(checked, 1000u);
+}
+
+TEST_F(HeuristicsTest, PruningUnderNotUsesFalse) {
+  // not(a or b): the Or acts conjunctively under the NOT, so pruning b
+  // replaces it by FALSE, leaving not(a) — never TRUE, which would fold
+  // the whole tree to FALSE.
+  const SelectivityEstimator est(LeafSelectivityFn([](const Predicate&) { return 0.3; }));
+  const HeuristicScorer scorer(est);
+  const auto tree = parse("not (a=1 or b=2)");
+  const auto orig = scorer.profile(*tree);
+  // sel≈(a or b) = (0.3, 0.51, 0.6), negated (0.4, 0.49, 0.7); not(a) is
+  // 0.7 everywhere, so the min component degrades most: 0.3.
+  EXPECT_NEAR(orig.sel.min, 0.4, 1e-12);
+  const auto s = scorer.score(*tree, {0, 1}, orig);
+  EXPECT_NEAR(s.sel_degradation, 0.3, 1e-12);
+}
+
+TEST_F(HeuristicsTest, ScoreRejectsInvalidTargets) {
+  const auto est = estimator();
+  const HeuristicScorer scorer(est);
+  const auto tree = parse("a=1 or b=2");
+  const auto orig = scorer.profile(*tree);
+  EXPECT_THROW((void)scorer.score(*tree, {0}, orig), std::invalid_argument);
+  EXPECT_THROW((void)scorer.score(*tree, {}, orig), std::invalid_argument);
 }
 
 TEST_F(HeuristicsTest, OrientedScoresPointTheRightWay) {

@@ -391,6 +391,30 @@ TEST(FacadeMetricsTest, RegistryAgreesWithLegacyCountersAfterSoak) {
             s.value("dbsp_match_events_total"));
 }
 
+TEST(FacadeMetricsTest, PruningSeriesMatchMaintenanceCounters) {
+  PubSubOptions options;
+  options.pruning = true;
+  PubSub pubsub(market_schema(), options);
+  std::vector<SubscriptionHandle> live;
+  for (int i = 0; i < 12; ++i) {
+    live.push_back(pubsub
+                       .subscribe("price < " + std::to_string(5 * i + 5) +
+                                  " and volume > " + std::to_string(i) +
+                                  " and sym = 'A'")
+                       .value());
+  }
+  // Every subscription has two prunings; pruning them all in one call
+  // reindexes each subscription once.
+  EXPECT_EQ(pubsub.prune(24).value(), 24u);
+  const MetricsSnapshot s = pubsub.metrics();
+  const PubSub::PruningStats stats = pubsub.pruning_stats();
+  EXPECT_EQ(stats.maintenance.reindexes, 12u);
+  EXPECT_DOUBLE_EQ(s.value("dbsp_pruning_reindexes_total"), 12.0);
+  EXPECT_DOUBLE_EQ(s.value("dbsp_pruning_admissions_total"),
+                   static_cast<double>(stats.maintenance.admissions));
+  EXPECT_DOUBLE_EQ(s.value("dbsp_pruning_performed"), 24.0);
+}
+
 TEST(FacadeMetricsTest, AggregationSeriesMatchStatsAndSurviveReset) {
   PubSubOptions options;
   options.aggregation = true;

@@ -220,6 +220,53 @@ TEST(PruningSetWorkersTest, PrunedTreesAndHistoryDoNotDependOnWorkerCount) {
   }
 }
 
+TEST(PruningSetReindexTest, DeliveryMatchesTheTreesAfterEveryPruningCall) {
+  // Each public pruning call reindexes the engine's index once per pruned
+  // subscription before it returns: a batch matched right after any call
+  // is exactly what the current trees match, with churn in between.
+  MiniDomain dom(5, 12);
+  std::mt19937_64 rng(31);
+  Corpus corpus = make_corpus(dom, rng, 150, 0.1);
+  const auto events = dom.random_events(rng, 120);
+  const SelectivityEstimator estimator(
+      [&events](const Predicate& p) { return measured_selectivity(p, events); });
+  ShardedEngine engine(dom.schema(), {.shards = 2});
+  for (auto& s : corpus.subs) engine.add(*s);
+  ShardedPruningSet set(engine, estimator, PruneEngineConfig{}, corpus.pointers());
+
+  std::vector<bool> live(corpus.subs.size(), true);
+  auto expect_in_sync = [&](const char* call) {
+    const auto got = engine.match_batch(events);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      std::vector<SubscriptionId> want;
+      for (std::size_t j = 0; j < corpus.subs.size(); ++j) {
+        if (live[j] && corpus.subs[j]->matches(events[i])) want.push_back(corpus.subs[j]->id());
+      }
+      ASSERT_EQ(got[i], want) << "event " << i << " after " << call;
+    }
+  };
+  auto release = [&](std::size_t j) {
+    set.unregister_subscription(corpus.subs[j]->id());
+    engine.remove(corpus.subs[j]->id());
+    live[j] = false;
+  };
+
+  std::uint64_t reindexes = set.maintenance().reindexes;
+  ASSERT_TRUE(set.prune_one());
+  EXPECT_EQ(set.maintenance().reindexes, reindexes + 1);
+  expect_in_sync("prune_one");
+  release(3);
+  release(77);
+  EXPECT_EQ(set.prune(25), 25u);
+  expect_in_sync("prune");
+  release(120);
+  EXPECT_GT(set.prune_to_fraction(0.5), 0u);
+  expect_in_sync("prune_to_fraction");
+  EXPECT_GT(set.prune_until(0.5), 0u);
+  expect_in_sync("prune_until");
+  EXPECT_LE(set.maintenance().reindexes, set.history().size());
+}
+
 TEST(PruningSetRescoreTest, RescoreAllReordersQueueAfterEstimatorChange) {
   // Leaf selectivities are read through a mutable table the estimator
   // captures by reference — the same shape as EventStats retraining.

@@ -73,9 +73,10 @@ TEST(SelectivityEstimateTest, IdentityElements) {
 }
 
 TEST(SelectivityEstimateTest, CombinatorsAreAssociative) {
-  // Łukasiewicz t-norm (min), product (avg) and min (max) are associative,
-  // so flattened and nested conjunctions price identically — the property
-  // that makes estimate_excluding() consistent with simplify().
+  // Łukasiewicz t-norm (min), product (avg) and min (max) are associative
+  // up to rounding, so flattened and nested conjunctions price alike. Only
+  // alike: the pruning scorer folds over the simplified (flattened) tree to
+  // be bit-identical, which heuristics_test checks with ==.
   std::mt19937_64 rng(5);
   std::uniform_real_distribution<double> u(0.0, 1.0);
   for (int i = 0; i < 200; ++i) {

@@ -131,62 +131,6 @@ TEST_F(EstimatorTest, MeasuredSelectivityWithinBoundsWithExactLeaves) {
   }
 }
 
-TEST_F(EstimatorTest, ExcludingEqualsEstimateOfSimulatedPrune) {
-  // estimate_excluding must price a pruning exactly like estimating the
-  // actually pruned tree (associativity of the combinators).
-  std::mt19937_64 rng(41);
-  const SelectivityEstimator estimator(LeafSelectivityFn([&](const Predicate& p) {
-    return 0.05 + 0.9 * static_cast<double>(p.hash() % 1000) / 1000.0;
-  }));
-  // Hand-built: (a and b and (c or d)); exclude the (c or d) subtree.
-  auto a = Node::leaf(dom_.random_predicate(rng));
-  auto b = Node::leaf(dom_.random_predicate(rng));
-  auto c = Node::leaf(dom_.random_predicate(rng));
-  auto d = Node::leaf(dom_.random_predicate(rng));
-  std::vector<std::unique_ptr<Node>> or_cs;
-  or_cs.push_back(std::move(c));
-  or_cs.push_back(std::move(d));
-  std::vector<std::unique_ptr<Node>> and_cs;
-  and_cs.push_back(std::move(a));
-  and_cs.push_back(std::move(b));
-  and_cs.push_back(Node::or_(std::move(or_cs)));
-  const auto tree = Node::and_(std::move(and_cs));
-
-  const Node* skip = tree->children()[2].get();
-  const auto excluded = estimator.estimate_excluding(*tree, skip);
-
-  std::vector<std::unique_ptr<Node>> kept;
-  kept.push_back(tree->children()[0]->clone());
-  kept.push_back(tree->children()[1]->clone());
-  const auto pruned = Node::and_(std::move(kept));
-  const auto direct = estimator.estimate(*pruned);
-
-  EXPECT_NEAR(excluded.min, direct.min, 1e-12);
-  EXPECT_NEAR(excluded.avg, direct.avg, 1e-12);
-  EXPECT_NEAR(excluded.max, direct.max, 1e-12);
-}
-
-TEST_F(EstimatorTest, NegativePolaritySkipUsesFalse) {
-  // not(x and y): pruning y replaces it by TRUE inside the NOT? No —
-  // the skip happens in negative polarity, so the estimator must use the
-  // generalizing constant FALSE for OR-children / TRUE for AND-children
-  // as seen from the tree root. Here: not(x or y) with y skipped must
-  // equal not(x).
-  const SelectivityEstimator estimator(
-      LeafSelectivityFn([](const Predicate&) { return 0.3; }));
-  MiniDomain dom(2, 10);
-  auto x = Node::leaf(Predicate(dom.attr(0), Op::Eq, Value(1)));
-  auto y = Node::leaf(Predicate(dom.attr(1), Op::Eq, Value(2)));
-  std::vector<std::unique_ptr<Node>> or_cs;
-  or_cs.push_back(std::move(x));
-  or_cs.push_back(std::move(y));
-  const auto tree = Node::not_(Node::or_(std::move(or_cs)));
-  const Node* skip = tree->children()[0]->children()[1].get();
-  const auto est = estimator.estimate_excluding(*tree, skip);
-  // not(x or FALSE) = not(x): 1 - 0.3 = 0.7.
-  EXPECT_NEAR(est.avg, 0.7, 1e-12);
-}
-
 TEST_F(EstimatorTest, NullLeafOracleThrows) {
   EXPECT_THROW(SelectivityEstimator{LeafSelectivityFn{}}, std::invalid_argument);
 }

@@ -824,7 +824,7 @@ TEST(DeltaCheckpointTest, PruningOffKeepsThePersistedAccountingOfUntouchedRecord
 
 TEST(DeltaCheckpointTest, SetPruneDimensionRewritesEveryRecordsAccounting) {
   // set_prune_dimension re-captures every subscription's accounting
-  // without a WAL record, so the next checkpoint re-encodes the whole
+  // without a WAL record, so it checkpoints at once, re-encoding the whole
   // table, not only the ids the WAL touched.
   MiniDomain dom;
   std::mt19937_64 rng(79);
@@ -839,16 +839,46 @@ TEST(DeltaCheckpointTest, SetPruneDimensionRewritesEveryRecordsAccounting) {
   }
   ASSERT_GT(pubsub->prune_to_fraction(0.5).value(), 0u);
   ASSERT_TRUE(pubsub->checkpoint().ok());
+  const StoreStats before = pubsub->store_stats();
   ASSERT_TRUE(pubsub->set_prune_dimension(PruneDimension::Throughput).ok());
+  const StoreStats after = pubsub->store_stats();
+  EXPECT_EQ(after.snapshots_written, before.snapshots_written + 1);
+  EXPECT_EQ(after.snapshot_records_encoded - before.snapshot_records_encoded, 80u);
+  EXPECT_EQ(after.records_since_checkpoint, 0u);
   const PubSub::PruningStats pruning = pubsub->pruning_stats();
-  const std::uint64_t encoded = pubsub->store_stats().snapshot_records_encoded;
-  ASSERT_TRUE(pubsub->checkpoint().ok());
-  EXPECT_EQ(pubsub->store_stats().snapshot_records_encoded - encoded, 80u);
   pubsub.reset();
   live.clear();
 
   const PubSub recovered = PubSub::open(store, pruning_options(1)).value();
   expect_same_accounting(recovered.pruning_stats(), pruning);
+}
+
+TEST(DeltaCheckpointTest, KillAfterSetPruneDimensionKeepsTheRecapturedAccounting) {
+  // The rebuild changes capacity and performed for every pruned
+  // subscription. A kill right after it, with WAL records since the last
+  // checkpoint and none after, must recover the re-captured accounting,
+  // not the one persisted before the rebuild.
+  MiniDomain dom;
+  std::mt19937_64 rng(83);
+  TempDir dir("dimension_kill");
+  StoreOptions store = store_at(dir, dom.schema());
+  store.snapshot_every = 1 << 20;
+  std::vector<SubscriptionHandle> live;
+  std::optional<PubSub> pubsub(PubSub::open(store, pruning_options(1)).value());
+  ASSERT_TRUE(pubsub->train(dom.random_events(rng, 400)).ok());
+  for (int i = 0; i < 60; ++i) {
+    live.push_back(pubsub->subscribe(dom.random_tree(rng, 7, 0.15)).value());
+  }
+  ASSERT_GT(pubsub->prune_to_fraction(0.4).value(), 0u);
+  const PubSub::PruningStats pruned = pubsub->pruning_stats();
+  ASSERT_TRUE(pubsub->set_prune_dimension(PruneDimension::MemoryUsage).ok());
+  const PubSub::PruningStats rebuilt = pubsub->pruning_stats();
+  ASSERT_NE(rebuilt.performed, pruned.performed);  // the rebuild re-captured
+  pubsub.reset();  // kill: no explicit checkpoint
+  live.clear();
+
+  const PubSub recovered = PubSub::open(store, pruning_options(1)).value();
+  expect_same_accounting(recovered.pruning_stats(), rebuilt);
 }
 
 TEST(PubSubOpenTest, AdoptSemantics) {

@@ -165,6 +165,16 @@ def sharded_speedup(rows):
     }
 
 
+def pruning_summary(rows):
+    """One prune_to_fraction(0.5) pass over 20k indexed auction
+    subscriptions (micro_pruning's BM_PruneToHalf/20000), in ms: the
+    pruning part of the inproc_prune workload's set-up."""
+    for row in rows:
+        if row["source"] == "micro_pruning" and row["name"] == "BM_PruneToHalf/20000":
+            return {"prune_half_ms": round(row["ns_per_iteration"] / 1e6, 3)}
+    return None
+
+
 def api_overhead(rows):
     """Summarize micro_api: facade (PubSub::publish_batch, no callbacks)
     vs direct ShardedEngine::match_batch on the same workload, per shard
@@ -660,12 +670,15 @@ def main():
         "api_overhead": api_overhead(benchmarks),
         "metrics": metrics_overhead(benchmarks),
         "trace": trace_overhead(benchmarks),
+        "pruning": pruning_summary(benchmarks),
         "fig1_smoke": fig1,
     }
     with open(out_path, "w") as f:
         json.dump(result, f, indent=2)
         f.write("\n")
     print(f"[bench_runner] wrote {out_path} ({len(benchmarks)} benchmark rows)")
+    if result["pruning"] is not None:
+        print(f"[bench_runner] pruning: prune_half_ms={result['pruning']['prune_half_ms']}")
 
     overhead = result["api_overhead"]
     if overhead is not None and args.api_overhead_limit > 0:
