@@ -93,7 +93,14 @@ int main() {
   queue_watch.start();
   PruningEngine engine(estimator, cfg);
   for (auto& s : queue_subs) engine.register_subscription(*s);
-  const std::size_t queue_done = engine.prune(steps);
+  const auto order = default_order(PruneDimension::NetworkLoad);
+  std::vector<std::array<double, 3>> queue_keys;
+  while (queue_keys.size() < steps) {
+    const auto applied = engine.prune_one();
+    if (!applied) break;
+    queue_keys.push_back(composite_key(applied->scores, order));
+  }
+  const std::size_t queue_done = queue_keys.size();
   queue_watch.stop();
 
   // Naive rescan baseline.
@@ -111,14 +118,12 @@ int main() {
 
   // Both are greedy over the same objective: the sequence of chosen
   // composite keys must agree step for step (tie *victims* may differ).
-  const auto order = default_order(PruneDimension::NetworkLoad);
   std::size_t agree = 0;
-  const std::size_t comparable = std::min(naive_keys.size(), engine.history().size());
+  const std::size_t comparable = std::min(naive_keys.size(), queue_keys.size());
   for (std::size_t i = 0; i < comparable; ++i) {
-    const auto queue_key = composite_key(engine.history()[i].scores, order);
     bool same = true;
     for (int k = 0; k < 3; ++k) {
-      if (std::abs(queue_key[k] - naive_keys[i][k]) > 1e-9) same = false;
+      if (std::abs(queue_keys[i][k] - naive_keys[i][k]) > 1e-9) same = false;
     }
     if (same) ++agree;
   }

@@ -103,11 +103,12 @@ void print_run(const ScenarioReport& r, bool last) {
               events_per_sec, churn_per_sec);
   std::printf(
       "      \"maintenance\": {\"admissions\": %llu, \"releases\": %llu, "
-      "\"queue_compactions\": %llu, \"full_rescores\": %llu},\n",
+      "\"queue_compactions\": %llu, \"full_rescores\": %llu, \"reindexes\": %llu},\n",
       static_cast<unsigned long long>(r.maintenance.admissions),
       static_cast<unsigned long long>(r.maintenance.releases),
       static_cast<unsigned long long>(r.maintenance.queue_compactions),
-      static_cast<unsigned long long>(r.maintenance.full_rescores));
+      static_cast<unsigned long long>(r.maintenance.full_rescores),
+      static_cast<unsigned long long>(r.maintenance.reindexes));
   if (!r.metrics_json.empty()) {
     // metrics_json is already a JSON object — embed it verbatim.
     std::printf("      \"metrics\": %s,\n", r.metrics_json.c_str());

@@ -91,7 +91,6 @@ void SubscriptionAggregator::replace_all(const std::vector<Subscription*>& membe
     if (fits) break;
   }
   ++full_rebuilds_;
-  ++rebuild_generation_;
 }
 
 void SubscriptionAggregator::add(Subscription& sub) {
@@ -111,7 +110,6 @@ void SubscriptionAggregator::add(Subscription& sub) {
     ++shift_;
     replace_all(members_by_id(), std::max<std::size_t>(1, options_.max_subgroups / 2));
   }
-  ++mutations_;
   maybe_auto_rescore();
 }
 
@@ -129,7 +127,6 @@ void SubscriptionAggregator::remove(SubscriptionId id) {
     member_subgroup_.find(group.members[slot]->id().value())->second.slot = slot;
   }
   group.members.pop_back();
-  ++mutations_;
   ++group.removals;
   // Re-tighten in proportion to the subgroup's size: a re-tighten costs one
   // summary per member and comes due every max(R, members / R) removals,
@@ -137,20 +134,6 @@ void SubscriptionAggregator::remove(SubscriptionId id) {
   const std::size_t every = options_.subgroup_rebuild_removals;
   const std::size_t due = every == 0 ? 0 : std::max(every, group.members.size() / every);
   if (group.members.empty() || group.removals >= due) rebuild_subgroup(g);
-}
-
-void SubscriptionAggregator::refresh(Subscription& sub) {
-  const auto it = member_subgroup_.find(sub.id().value());
-  if (it == member_subgroup_.end()) {
-    throw std::out_of_range("aggregator: refresh of unknown subscription");
-  }
-  // Pruned trees only generalize, so joining the fresh summary keeps the
-  // subgroup sound without re-clustering (membership keys on the
-  // admission-time signature).
-  std::size_t widenings = 0;
-  (void)subgroups_[it->second.subgroup].summary.join(summarize(sub), options_.limits,
-                                                      &widenings);
-  summary_widenings_ += widenings;
 }
 
 bool SubscriptionAggregator::contains(SubscriptionId id) const {
@@ -222,7 +205,6 @@ std::vector<AttributeId> SubscriptionAggregator::choose_dimensions(
 void SubscriptionAggregator::rescore() {
   std::vector<Subscription*> members = members_by_id();
   std::vector<AttributeId> ranked = choose_dimensions(members);
-  mutations_ = 0;
   std::vector<AttributeId> current;
   current.reserve(key_order_.size());
   for (const std::size_t idx : key_order_) current.push_back(dims_[idx]);

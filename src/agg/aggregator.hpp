@@ -10,8 +10,8 @@
 /// (no false negatives); match() evaluates only the member trees of
 /// admitting subgroups and is the exact reference for that contract.
 /// Dimension choice reuses the paper's selectivity scores
-/// (EventStats) with a drift-style rescore trigger mirroring the pruning
-/// maintenance machinery.
+/// (EventStats): train() re-ranks the dimensions, and population
+/// milestones re-rank them untrained.
 
 #include <atomic>
 #include <cstddef>
@@ -37,9 +37,6 @@ struct AggregatorOptions {
   std::size_t max_subgroups = 512;
   /// Widening caps of every summary.
   SummaryLimits limits;
-  /// Mutations (adds + removes) after which rescore_pending() trips; 0
-  /// disables the trigger.
-  std::size_t rescore_threshold = 0;
   /// Re-tighten pace R: a subgroup's summary is re-tightened from its
   /// surviving members once its removals since the last re-tighten reach
   /// max(R, members / R), so each removal costs at most about R member
@@ -69,7 +66,7 @@ struct AggregationCounters {
 /// join of its members' summaries, widened incrementally on add and
 /// re-tightened on removal bursts and rebuilds.
 ///
-/// Thread safety: mirrors ShardedEngine — add/remove/refresh/train/rebuild
+/// Thread safety: mirrors ShardedEngine — add/remove/train/rebuild
 /// mutate aggregator state and must be externally serialized with each
 /// other and with match(); match() itself is const over the subgroup
 /// state and may run concurrently with other match() calls (its counters
@@ -96,10 +93,6 @@ class SubscriptionAggregator {
   /// when it empties.
   void remove(SubscriptionId id);
 
-  /// Re-joins a subscription whose tree changed in place (pruning made it
-  /// more general); the subgroup summary widens accordingly.
-  void refresh(Subscription& sub);
-
   [[nodiscard]] bool contains(SubscriptionId id) const;
   [[nodiscard]] std::size_t subscription_count() const { return member_subgroup_.size(); }
 
@@ -108,17 +101,8 @@ class SubscriptionAggregator {
   /// Re-scores aggregation dimensions against trained event statistics
   /// (leaf weight 1 - selectivity; untrained fallback: constraint
   /// frequency) and fully rebuilds the subgroups when the choice changed.
-  /// Clears the rescore trigger. `stats` must outlive the aggregator.
+  /// `stats` must outlive the aggregator.
   void train(const EventStats& stats);
-
-  /// Mutations since the last rescore crossed the configured threshold —
-  /// the aggregation analogue of the pruning drift trigger.
-  [[nodiscard]] bool rescore_pending() const {
-    return options_.rescore_threshold > 0 && mutations_ >= options_.rescore_threshold;
-  }
-  void set_rescore_threshold(std::size_t mutations) {
-    options_.rescore_threshold = mutations;
-  }
 
   /// Fully re-clusters and re-tightens every subgroup from the live
   /// members (ascending-id order, so the result is independent of the
@@ -131,10 +115,6 @@ class SubscriptionAggregator {
   /// subgroup cap overflows; rebuild()/train() re-derive the smallest
   /// shift that fits the live population.
   [[nodiscard]] unsigned signature_shift() const { return shift_; }
-
-  /// Bumped by every full rebuild (train/rebuild/auto-rescore); overlay
-  /// advertisement uses it to detect wholesale subgroup changes.
-  [[nodiscard]] std::uint64_t rebuild_generation() const { return rebuild_generation_; }
 
   // --- Matching (const; concurrent with other const calls) ----------------
 
@@ -237,8 +217,6 @@ class SubscriptionAggregator {
   /// First-seen signature (at shift_) -> subgroup slot.
   std::unordered_map<std::uint64_t, std::size_t> by_signature_;
   std::unordered_map<SubscriptionId::value_type, MemberSlot> member_subgroup_;
-  std::size_t mutations_ = 0;
-  std::uint64_t rebuild_generation_ = 0;
   std::size_t next_auto_rescore_ = 64;
 
   // Maintenance-side counters (externally serialized with churn).

@@ -49,7 +49,6 @@ struct PubSubCore {
       estimator.emplace(stats);
       pruning.emplace(engine, *estimator, options.prune);
     }
-    if (options.aggregation) aggregator.emplace(schema, options.agg);
     if (options.metrics) {
       registry = std::make_shared<obs::MetricsRegistry>();
       publishes_total = &registry->counter("dbsp_publishes_total");
@@ -87,10 +86,6 @@ struct PubSubCore {
   // its own match context).
   ShardedEngine engine DBSP_GUARDED_BY(mutex);
   std::optional<ShardedPruningSet> pruning DBSP_GUARDED_BY(mutex);
-  /// Subgroup summaries of the live table (options.aggregation), fed every
-  /// subscribe, unsubscribe, recovery and pruning. Matching never reads
-  /// them; they back aggregation_stats() only.
-  std::optional<agg::SubscriptionAggregator> aggregator DBSP_GUARDED_BY(mutex);
 
   /// Durable mode (PubSub::open). Fail-stop: the first append/checkpoint
   /// failure moves its Status into store_failure and drops the store, so
@@ -210,6 +205,17 @@ struct PubSubCore {
     });
   }
 
+  /// The live subscriptions in ascending-id order.
+  [[nodiscard]] std::vector<Subscription*> subs_by_id() const DBSP_REQUIRES(mutex) {
+    std::vector<Subscription*> out;
+    out.reserve(subs.size());
+    for (const auto& [raw_id, entry] : subs) out.push_back(entry.sub.get());
+    std::sort(out.begin(), out.end(), [](const Subscription* a, const Subscription* b) {
+      return a->id() < b->id();
+    });
+    return out;
+  }
+
   /// Auto-checkpoint once enough records accumulated since the last one.
   Status maybe_checkpoint() DBSP_REQUIRES(mutex) {
     if (!store || !store->wants_checkpoint()) return Status();
@@ -233,7 +239,6 @@ struct PubSubCore {
     // the engine entry, then the owning map slot.
     if (pruning) pruning->unregister_subscription(id);
     engine.remove(id);
-    if (aggregator) aggregator->remove(id);
     if (it->second.callback) --callbacks_registered;
     subs.erase(it);
     if (!logged.ok()) return logged;
@@ -297,12 +302,6 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
   auto* compactions = &r.counter("dbsp_pruning_queue_compactions_total");
   auto* rescores = &r.counter("dbsp_pruning_full_rescores_total");
   auto* reindexes = &r.counter("dbsp_pruning_reindexes_total");
-  auto* agg_subgroups = &r.gauge("dbsp_agg_subgroups");
-  auto* agg_dimensions = &r.gauge("dbsp_agg_dimensions");
-  auto* agg_advertised = &r.gauge("dbsp_agg_advertised_bytes");
-  auto* agg_widenings = &r.counter("dbsp_agg_summary_widenings_total");
-  auto* agg_subgroup_rebuilds = &r.counter("dbsp_agg_subgroup_rebuilds_total");
-  auto* agg_full_rebuilds = &r.counter("dbsp_agg_full_rebuilds_total");
   std::weak_ptr<PubSubCore> weak = core;
   r.add_hook([=]() {
     const auto c = weak.lock();
@@ -336,15 +335,6 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
       compactions->sync_to(m.queue_compactions);
       rescores->sync_to(m.full_rescores);
       reindexes->sync_to(m.reindexes);
-    }
-    if (c->aggregator) {
-      agg_subgroups->set(static_cast<double>(c->aggregator->subgroup_count()));
-      agg_dimensions->set(static_cast<double>(c->aggregator->dimensions().size()));
-      agg_advertised->set(static_cast<double>(c->aggregator->advertised_bytes()));
-      const agg::AggregationCounters ac = c->aggregator->counters();
-      agg_widenings->sync_to(ac.summary_widenings);
-      agg_subgroup_rebuilds->sync_to(ac.subgroup_rebuilds);
-      agg_full_rebuilds->sync_to(ac.full_rebuilds);
     }
   });
 }
@@ -447,7 +437,6 @@ Result<PubSub> PubSub::open(StoreOptions store_options, PubSubOptions options) {
   for (auto& rsub : rec.subs) {
     auto sub = std::make_unique<Subscription>(rsub.id, std::move(rsub.tree));
     core->engine.add(*sub);
-    if (core->aggregator) core->aggregator->add(*sub);
     if (core->pruning) {
       core->pruning->add(*sub);
       // Zero/zero means "no accounting was captured" (leaf-only tree, or a
@@ -526,6 +515,10 @@ Result<SubscriptionHandle> PubSub::subscribe(std::unique_ptr<Node> tree,
   if (tree == nullptr) {
     return Status::error(ErrorCode::kInvalidArgument, "null subscription tree");
   }
+  // Pruning assumes simplified trees, as the parser and Filter::compile
+  // produce them: an unsimplified one can fold to a constant mid-pass.
+  // A simplified tree keeps its nodes (simplify() would rebuild them).
+  if (!is_simplified(*tree)) tree = simplify(std::move(tree));
   if (tree->is_constant()) {
     return Status::error(ErrorCode::kInvalidArgument,
                          "constant filters cannot be subscribed");
@@ -552,7 +545,6 @@ Result<SubscriptionHandle> PubSub::subscribe(std::unique_ptr<Node> tree,
   }
   ++c.next_id;
   if (c.pruning) c.pruning->add(*sub);
-  if (c.aggregator) c.aggregator->add(*sub);
   if (callback) ++c.callbacks_registered;
   c.subs.emplace(id.value(),
                  api_detail::SubEntry{std::move(sub), std::move(callback)});
@@ -705,14 +697,12 @@ Status pruning_disabled() {
 Status PubSub::train(std::span<const Event> sample) {
   auto& c = *core_;
   MutexLock lock(c.mutex);
-  if (!c.options.pruning && !c.aggregator) return pruning_disabled();
+  // aggregation_stats() ranks its dimensions on the trained statistics.
+  if (!c.options.pruning && !c.options.aggregation) return pruning_disabled();
   c.stats.reset();
   for (const Event& e : sample) c.stats.observe(e);
   c.stats.finalize();
   c.stats_trained = true;
-  // Aggregation dimensions rescore against the fresh statistics (full
-  // subgroup rebuild when the top-scored dimensions changed).
-  if (c.aggregator) c.aggregator->train(c.stats);
   // The estimator holds the stats by reference; queued candidate scores go
   // stale until the caller's next rescore_all(). The index's cached leaf
   // estimates are re-read now, re-choosing every access set.
@@ -727,35 +717,25 @@ Status PubSub::train(std::span<const Event> sample) {
 
 namespace {
 
-/// Runs a pruning pass and logs one kPrune record (current full tree) per
-/// applied pruning, discovered through the history delta. On an
+/// Runs a pruning pass and logs one kPrune record per pruned subscription:
+/// its final tree and how many prunings the pass applied to it. On an
 /// append failure the prunings stay applied (they cannot be unwound), the
 /// store fail-stops at its pre-pass state — the recovered trees are then
 /// simply one generation behind — and the error is reported.
 template <class Fn>
 Result<std::size_t> logged_prune(PubSubCore& c, Fn&& fn) DBSP_REQUIRES(c.mutex) {
-  // The aggregator also walks the history deltas: pruned trees must be
-  // re-joined into their subgroup summaries to keep them sound.
-  const bool track = c.store != nullptr || c.aggregator.has_value();
-  const auto& history = c.pruning->history();
-  const std::size_t history_before = history.size();
   const std::size_t done = std::forward<Fn>(fn)();
-  if (track && done > 0) {
-    for (std::size_t j = history_before; j < history.size(); ++j) {
-      const SubscriptionId id = history[j].sub;
-      const auto it = c.subs.find(id.value());
-      if (it == c.subs.end()) continue;  // released since; nothing to log
-      if (c.aggregator) c.aggregator->refresh(*it->second.sub);
-      if (c.store) {
-        const Status logged = c.append_to_store([&](store::StateStore& s) {
-          s.append_prune(id, it->second.sub->root());
-        });
-        if (!logged.ok()) return logged;
-      }
-    }
-    const Status snapped = c.maybe_checkpoint();
-    if (!snapped.ok()) return snapped;
+  if (c.store == nullptr || done == 0) return done;
+  for (const PruningEngine::Pruned& pruned : c.pruning->last_pruned()) {
+    const auto it = c.subs.find(pruned.sub.value());
+    const Status logged = c.append_to_store([&](store::StateStore& s) {
+      s.append_prune(pruned.sub, it->second.sub->root(),
+                     static_cast<std::uint32_t>(pruned.prunings));
+    });
+    if (!logged.ok()) return logged;
   }
+  const Status snapped = c.maybe_checkpoint();
+  if (!snapped.ok()) return snapped;
   return done;
 }
 
@@ -807,12 +787,7 @@ Status PubSub::set_prune_dimension(PruneDimension dimension) {
   // Rebuild over the current trees in ascending-id order for determinism;
   // baselines re-capture the present (already pruned) state, which is what
   // incremental re-optimization wants.
-  std::vector<Subscription*> subs;
-  subs.reserve(c.subs.size());
-  for (auto& [raw_id, entry] : c.subs) subs.push_back(entry.sub.get());
-  std::sort(subs.begin(), subs.end(),
-            [](const Subscription* a, const Subscription* b) { return a->id() < b->id(); });
-  c.pruning.emplace(c.engine, *c.estimator, c.options.prune, subs);
+  c.pruning.emplace(c.engine, *c.estimator, c.options.prune, c.subs_by_id());
   // The rebuild re-captured every subscription's accounting, which no WAL
   // record carries: persist it now with a checkpoint that re-encodes the
   // whole table, so a kill before the next one cannot recover the old
@@ -825,27 +800,21 @@ Status PubSub::set_prune_dimension(PruneDimension dimension) {
 Status PubSub::set_drift_threshold(std::size_t mutations) {
   auto& c = *core_;
   MutexLock lock(c.mutex);
-  if (!c.pruning && !c.aggregator) return pruning_disabled();
-  if (c.pruning) c.pruning->set_drift_threshold(mutations);
-  if (c.aggregator) c.aggregator->set_rescore_threshold(mutations);
+  if (!c.pruning) return pruning_disabled();
+  c.pruning->set_drift_threshold(mutations);
   return Status();
 }
 
 bool PubSub::drift_pending() const {
   MutexLock lock(core_->mutex);
-  return (core_->pruning && core_->pruning->drift_pending()) ||
-         (core_->aggregator && core_->aggregator->rescore_pending());
+  return core_->pruning && core_->pruning->drift_pending();
 }
 
 Status PubSub::rescore_all() {
   auto& c = *core_;
   MutexLock lock(c.mutex);
-  if (!c.pruning && !c.aggregator) return pruning_disabled();
-  if (c.pruning) c.pruning->rescore_all();
-  // train() is the aggregation rescore: it re-ranks dimensions over the
-  // current statistics and clears the rescore trigger. Safe untrained —
-  // the scorer falls back to constraint frequency.
-  if (c.aggregator) c.aggregator->train(c.stats);
+  if (!c.pruning) return pruning_disabled();
+  c.pruning->rescore_all();
   return Status();
 }
 
@@ -866,12 +835,15 @@ PubSub::AggregationStats PubSub::aggregation_stats() const {
   AggregationStats out;
   const auto& c = *core_;
   MutexLock lock(c.mutex);
-  if (!c.aggregator) return out;
+  if (!c.options.aggregation) return out;
+  agg::SubscriptionAggregator view(c.schema, c.options.agg);
+  for (Subscription* sub : c.subs_by_id()) view.add(*sub);
+  if (c.stats_trained) view.train(c.stats);
   out.enabled = true;
-  out.subgroups = c.aggregator->subgroup_count();
-  out.dimensions = c.aggregator->dimensions().size();
-  out.advertised_bytes = c.aggregator->advertised_bytes();
-  out.counters = c.aggregator->counters();
+  out.subgroups = view.subgroup_count();
+  out.dimensions = view.dimensions().size();
+  out.advertised_bytes = view.advertised_bytes();
+  out.counters = view.counters();
   return out;
 }
 
@@ -902,7 +874,6 @@ CountingMatcher::Counters PubSub::counters() const {
 void PubSub::reset_counters() {
   MutexLock lock(core_->mutex);
   core_->engine.reset_counters();
-  if (core_->aggregator) core_->aggregator->reset_counters();
   core_->notifications = 0;
 }
 

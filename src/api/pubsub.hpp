@@ -60,11 +60,12 @@ struct PubSubOptions {
   /// Dimension / tie-break order / bottom-up restriction of the pruning
   /// queues (used only when `pruning` is set).
   PruneEngineConfig prune;
-  /// Keeps subgroup summaries of the table (src/agg/): subscriptions are
-  /// clustered into subgroups with bounded per-dimension summaries, kept
-  /// current under subscribe, unsubscribe, recovery and pruning, and
-  /// reported by aggregation_stats(). Publishing never reads them —
-  /// matching is the counting engine alone. Composes with pruning.
+  /// Enables aggregation_stats(): a report of how the table clusters into
+  /// subgroups with bounded per-dimension summaries (src/agg/), built from
+  /// the live trees when it is called. No churn, recovery or pruning path
+  /// keeps summaries, and publishing never reads them — matching is the
+  /// counting engine alone. Also lets train() run with pruning off, since
+  /// the report ranks its dimensions on the trained statistics.
   bool aggregation = false;
   /// Aggregation knobs (dimensions, subgroup cap, widening limits); used
   /// only when `aggregation` is set.
@@ -258,9 +259,11 @@ class PubSub {
   // --- Pruning maintenance -------------------------------------------------
 
   /// (Re)trains the selectivity statistics on a sample of events; the
-  /// pruning heuristics price candidates against them. Call before bulk
+  /// pruning heuristics price candidates against them, and
+  /// aggregation_stats() ranks its dimensions on them. Call before bulk
   /// subscribing for meaningful scores, and again (followed by
-  /// rescore_all()) when drift_pending() fires.
+  /// rescore_all()) when drift_pending() fires. kFailedPrecondition when
+  /// both pruning and aggregation are off.
   [[nodiscard]] Status train(std::span<const Event> sample);
 
   /// Performs up to `k` prunings from the global queue.
@@ -277,8 +280,11 @@ class PubSub {
   /// subscription's pruning accounting, which no WAL record carries.
   [[nodiscard]] Status set_prune_dimension(PruneDimension dimension);
 
-  /// Drift trigger plumbing (see PruningEngine): after `mutations` churn
-  /// operations, drift_pending() asks for train() + rescore_all().
+  /// Drift trigger of the pruning queue (see PruningEngine): after
+  /// `mutations` churn operations, drift_pending() asks for train() +
+  /// rescore_all(). Aggregation has no trigger. set_drift_threshold and
+  /// rescore_all report kFailedPrecondition, and drift_pending() false,
+  /// when pruning is off.
   [[nodiscard]] Status set_drift_threshold(std::size_t mutations);
   [[nodiscard]] bool drift_pending() const;
   [[nodiscard]] Status rescore_all();
@@ -299,12 +305,17 @@ class PubSub {
     std::size_t subgroups = 0;         ///< non-empty subgroups
     std::size_t dimensions = 0;        ///< active aggregation dimensions
     std::size_t advertised_bytes = 0;  ///< summary advertisement footprint
+    /// What building this one report did; the probe-side fields are 0.
     agg::AggregationCounters counters;
   };
-  /// Subgroup summaries and maintenance counters of the aggregator; default
-  /// (enabled == false) when PubSubOptions::aggregation is off. train()
-  /// also rescores the aggregation dimensions, and drift_pending() folds
-  /// in the aggregator's rescore trigger.
+  /// Subgroup summaries of the live table; default (enabled == false) when
+  /// PubSubOptions::aggregation is off. Each call builds a fresh
+  /// agg::SubscriptionAggregator from PubSubOptions::agg, adds every live
+  /// subscription's current tree in ascending-id order and, once train()
+  /// (or recovery) supplied statistics, trains it on them — so the result
+  /// does not depend on the churn, pruning or recovery history behind the
+  /// table. Costs O(table) under the facade lock: every other call waits
+  /// while it runs.
   [[nodiscard]] AggregationStats aggregation_stats() const;
 
   // --- Introspection -------------------------------------------------------

@@ -105,7 +105,12 @@ void PruningEngine::push_best_candidate(SubState& state) {
   state.queued = true;
 }
 
-bool PruningEngine::prune_step() {
+void PruningEngine::begin_pass() {
+  finish_pass();
+  last_pruned_.clear();
+}
+
+std::optional<PruningEngine::Applied> PruningEngine::prune_step() {
   while (!queue_.empty()) {
     QueueEntry top = queue_.top();
     queue_.pop();
@@ -116,49 +121,50 @@ bool PruningEngine::prune_step() {
     }
     if (top.generation != state->sub->generation()) continue; // stale
     apply_pruning(*state->sub, top.path);
-    if (!state->reindex_pending) {
-      state->reindex_pending = true;
-      reindex_pending_.push_back(top.sub);
+    if (!state->listed) {
+      state->listed = true;
+      last_pruned_.push_back({top.sub, state->performed});
     }
     ++performed_;
     ++state->performed;
-    history_.push_back({top.sub, top.scores});
     push_best_candidate(*state);
-    return true;
+    return Applied{top.sub, top.scores};
   }
-  return false;
+  return std::nullopt;
 }
 
-void PruningEngine::flush_reindex() {
-  for (const SubscriptionId id : reindex_pending_) {
-    SubState* state = find(id);
-    if (state == nullptr) continue;  // released after an interrupted pass
-    state->reindex_pending = false;
-    if (matcher_ != nullptr && matcher_->contains(id)) {
+void PruningEngine::finish_pass() {
+  for (Pruned& pruned : last_pruned_) {
+    SubState* state = find(pruned.sub);
+    if (state == nullptr || !state->listed) continue;  // released, or finished
+    state->listed = false;
+    pruned.prunings = state->performed - pruned.prunings;
+    if (matcher_ != nullptr && matcher_->contains(pruned.sub)) {
       matcher_->reindex(*state->sub);
       ++maintenance_.reindexes;
     }
   }
-  reindex_pending_.clear();
 }
 
-bool PruningEngine::prune_one() {
-  const bool pruned = prune_step();
-  flush_reindex();
-  return pruned;
+std::optional<PruningEngine::Applied> PruningEngine::prune_one() {
+  begin_pass();
+  auto applied = prune_step();
+  finish_pass();
+  return applied;
 }
 
 std::size_t PruningEngine::prune(std::size_t k) {
+  begin_pass();
   std::size_t done = 0;
   while (done < k && prune_step()) ++done;
-  flush_reindex();
+  finish_pass();
   return done;
 }
 
 std::size_t PruningEngine::prune_to_fraction(double fraction) {
   const auto target = static_cast<std::size_t>(
       std::llround(fraction * static_cast<double>(total_possible_)));
-  return target > performed_ ? prune(target - performed_) : 0;
+  return prune(target > performed_ ? target - performed_ : 0);
 }
 
 std::optional<double> PruningEngine::next_primary_rating() {
@@ -181,6 +187,7 @@ std::size_t PruningEngine::prune_until(double budget) {
   // therefore translates to key[0] <= oriented budget.
   const double oriented_budget =
       config_.effective_order()[0] == PruneDimension::NetworkLoad ? budget : -budget;
+  begin_pass();
   std::size_t done = 0;
   for (auto rating = next_primary_rating();
        rating.has_value() && *rating <= oriented_budget;
@@ -188,7 +195,7 @@ std::size_t PruningEngine::prune_until(double budget) {
     if (!prune_step()) break;
     ++done;
   }
-  flush_reindex();
+  finish_pass();
   return done;
 }
 

@@ -47,7 +47,7 @@ struct PruneEngineConfig {
 /// HeuristicScorer). The matcher is resynchronized once per pass: each
 /// public pruning call (prune_one, prune, prune_to_fraction, prune_until)
 /// reindexes every subscription it pruned once, with its final tree,
-/// before it returns.
+/// before it returns, and lists those subscriptions in last_pruned().
 ///
 /// Churn is incremental by design: register_subscription() admits one
 /// subscription by scoring only its own candidates (one queue push, no
@@ -82,10 +82,15 @@ class PruningEngine {
   }
   [[nodiscard]] std::size_t subscription_count() const { return states_.size(); }
 
-  /// Performs the globally most effective pruning. Returns false when no
+  /// One applied pruning: whose tree it pruned, and its rating.
+  struct Applied {
+    SubscriptionId sub;
+    PruneScores scores;
+  };
+  /// Performs the globally most effective pruning. Returns nullopt when no
   /// valid pruning remains ("any other pruning removes a complete
   /// subscription").
-  bool prune_one();
+  std::optional<Applied> prune_one();
   /// Performs up to `k` prunings; returns how many were performed.
   std::size_t prune(std::size_t k);
   /// Prunes until performed() reaches `fraction` of total_possible()
@@ -181,12 +186,15 @@ class PruningEngine {
   /// queue entries without performing anything.
   [[nodiscard]] std::optional<double> next_primary_rating();
 
-  struct Applied {
+  /// One subscription the last public pruning call pruned.
+  struct Pruned {
     SubscriptionId sub;
-    PruneScores scores;
+    std::size_t prunings = 0;  ///< how often that call pruned it
   };
-  /// Chronological log of applied prunings (drives the ablation benches).
-  [[nodiscard]] const std::vector<Applied>& history() const { return history_; }
+  /// What the last public pruning call pruned: each subscription once, in
+  /// the order of its first pruning in that call. The next call replaces
+  /// the list; ids released since may still be listed.
+  [[nodiscard]] const std::vector<Pruned>& last_pruned() const { return last_pruned_; }
 
   [[nodiscard]] const OriginalProfile* original_profile(SubscriptionId id) const;
   [[nodiscard]] const PruneEngineConfig& config() const { return config_; }
@@ -214,7 +222,7 @@ class PruningEngine {
     std::size_t capacity = 0;   ///< pruning capacity captured at registration
     std::size_t performed = 0;  ///< prunings applied to this subscription
     bool queued = false;        ///< has a (single) live entry in queue_
-    bool reindex_pending = false;  ///< listed in reindex_pending_
+    bool listed = false;        ///< in last_pruned_, not yet reindexed
   };
   /// The best-keyed candidate of one subscription: candidates_[index].
   struct Best {
@@ -228,11 +236,15 @@ class PruningEngine {
   [[nodiscard]] std::optional<Best> best_candidate(const SubState& state) const;
   /// Pushes the best candidate (if any); maintains state.queued.
   void push_best_candidate(SubState& state);
+  /// Starts a public pruning call: finishes a pass an exception cut
+  /// short, then empties last_pruned_.
+  void begin_pass();
   /// One pruning without the matcher upkeep: the pruned id is listed for
-  /// the flush_reindex() that ends every public pruning call.
-  bool prune_step();
-  /// Reindexes each listed subscription once, with its final tree.
-  void flush_reindex();
+  /// the finish_pass() that ends every public pruning call.
+  std::optional<Applied> prune_step();
+  /// Reindexes each listed subscription once, with its final tree, and
+  /// counts its prunings. Idempotent: finished entries are skipped.
+  void finish_pass();
   [[nodiscard]] SubState* find(SubscriptionId id);
   [[nodiscard]] const SubState* find(SubscriptionId id) const;
   /// Sweeps dead queue entries (released subscriptions) once they dominate
@@ -247,10 +259,10 @@ class PruningEngine {
   std::vector<SubState> states_;
   std::unordered_map<SubscriptionId::value_type, std::uint32_t> position_;  ///< id -> index
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, Compare> queue_;
-  std::vector<Applied> history_;
-  /// Pruned since the last flush_reindex(), each id once. Empty between
-  /// public calls, so matching and unregistering never see a half-done pass.
-  std::vector<SubscriptionId> reindex_pending_;
+  /// The ids of the current (or last) public call. Until finish_pass() an
+  /// entry's `prunings` holds the subscription's performed count from
+  /// before the call; finish_pass() turns it into the call's own count.
+  std::vector<Pruned> last_pruned_;
   /// Scoring buffers reused across rescorings (the engine is not
   /// thread-safe anyway; mutable so const peek_best() can score too).
   mutable std::vector<Node::Path> candidates_;

@@ -14,7 +14,7 @@
 /// needed to drive pruning on brokers, and the covering/merging baselines. Everything below these headers (core/, filter/, routing
 /// internals) is implementation detail that may change without notice;
 /// in-tree consumers of the public surface must not include it directly
-/// (CI greps for it), and legacy entry points carry [[deprecated]].
+/// (CI greps for it).
 
 #include "api/filter.hpp"
 #include "api/pubsub.hpp"

@@ -1,8 +1,8 @@
 #include "net/client.hpp"
 
-#include <chrono>
 #include <utility>
 
+#include "obs/flight.hpp"
 #include "routing/codec.hpp"
 #include "store/format.hpp"
 #include "subscription/parser.hpp"
@@ -17,13 +17,6 @@ Status unavailable(const std::string& what) {
   return Status::error(ErrorCode::kUnavailable, what);
 }
 
-std::uint64_t unix_now_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
 NetNotification DbspClient::decode_notify(WireReader& r) {
@@ -35,7 +28,7 @@ NetNotification DbspClient::decode_notify(WireReader& r) {
   if (n.trace.active()) n.published_unix_us = r.get_u64();
   if (!r.exhausted()) throw WireError("notify: trailing bytes");
   if (e2e_latency_us_ != nullptr && n.published_unix_us != 0) {
-    const std::uint64_t now = unix_now_us();
+    const std::uint64_t now = obs::unix_now_us();
     if (now >= n.published_unix_us) {
       e2e_latency_us_->record(static_cast<double>(now - n.published_unix_us));
     }

@@ -3,21 +3,11 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/flight.hpp"
 #include "obs/log.hpp"
 #include "store/format.hpp"
 
 namespace dbsp::net {
-
-namespace {
-
-[[nodiscard]] std::uint64_t unix_now_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 Connection::Connection(Edge& edge, int id)
     : edge_(edge), id_(id), assembler_(edge.max_frame_bytes) {}
@@ -215,7 +205,7 @@ void Connection::on_notify(const Notification& n) {
   queue(frame);
   if (n.trace.active() && edge_.recorder != nullptr) {
     deliveries_.push_back({out_.total_queued(), n.trace, frame.size(),
-                           unix_now_us(), std::chrono::steady_clock::now()});
+                           obs::unix_now_us(), std::chrono::steady_clock::now()});
   }
   edge_.stats.add<&NetStats::notifications_enqueued>();
   mark_dirty();

@@ -61,7 +61,18 @@ void append_label_block(std::string& out, const Labels& labels,
   out += '}';
 }
 
-void append_json_string(std::string& out, const std::string& s) {
+/// JSON numbers may not be Inf/NaN; those degrade to strings.
+void append_json_number(std::string& out, double v) {
+  if (std::isinf(v) || std::isnan(v)) {
+    append_json_string(out, format_number(v));
+    return;
+  }
+  out += format_number(v);
+}
+
+}  // namespace
+
+void append_json_string(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -82,17 +93,6 @@ void append_json_string(std::string& out, const std::string& s) {
   }
   out += '"';
 }
-
-/// JSON numbers may not be Inf/NaN; those degrade to strings.
-void append_json_number(std::string& out, double v) {
-  if (std::isinf(v) || std::isnan(v)) {
-    append_json_string(out, format_number(v));
-    return;
-  }
-  out += format_number(v);
-}
-
-}  // namespace
 
 const char* prometheus_content_type() {
   return "text/plain; version=0.0.4; charset=utf-8";

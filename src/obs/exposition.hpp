@@ -7,6 +7,7 @@
 /// metrics` print, and what the bench harness embeds in BENCH_*.json).
 
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 
@@ -31,5 +32,9 @@ namespace dbsp::obs {
 /// Histogram buckets are cumulative here too (same `le` semantics as the
 /// text form); empty buckets are kept so consumers see the fixed layout.
 [[nodiscard]] std::string to_json(const MetricsSnapshot& snapshot);
+
+/// Appends `s` as a JSON string literal, quotes included: backslash,
+/// double quote and control characters are escaped.
+void append_json_string(std::string& out, std::string_view s);
 
 }  // namespace dbsp::obs

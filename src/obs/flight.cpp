@@ -5,17 +5,18 @@
 #include <iterator>
 
 #include "common/env.hpp"
+#include "obs/exposition.hpp"
 
 namespace dbsp::obs {
 
-namespace {
-
-[[nodiscard]] std::uint64_t unix_now_us() {
+std::uint64_t unix_now_us() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
 }
+
+namespace {
 
 [[nodiscard]] std::uint64_t steady_now_ms() {
   return static_cast<std::uint64_t>(
@@ -34,18 +35,6 @@ namespace {
 
 std::atomic<std::uint64_t> g_trace_counter{1};
 std::atomic<std::uint64_t> g_span_counter{1};
-
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else {
-      out.push_back(c);
-    }
-  }
-}
 
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
@@ -381,9 +370,9 @@ std::string traces_json(const std::vector<Trace>& traces,
     for (const TraceSpan& span : trace.spans) {
       if (!first_span) out.append(", ");
       first_span = false;
-      out.append("{\"stage\": \"");
-      append_json_escaped(out, to_string(span.stage));
-      out.append("\", \"span_id\": ");
+      out.append("{\"stage\": ");
+      append_json_string(out, to_string(span.stage));
+      out.append(", \"span_id\": ");
       append_id(out, span.span_id);
       out.append(", \"parent_span\": ");
       append_id(out, span.parent_span);

@@ -90,6 +90,10 @@ struct TraceContext {
 /// Process-unique nonzero span id (relaxed atomic counter).
 [[nodiscard]] std::uint64_t next_span_id();
 
+/// Wall clock in unix microseconds — the clock of every `*_unix_us` field
+/// (trace starts, published_unix_us) and of the e2e latency it feeds.
+[[nodiscard]] std::uint64_t unix_now_us();
+
 /// The span taxonomy — every stage a traced event can cross. Wire-encoded
 /// as a u8, so append only. Values 2, 3 and 4 are reserved (a retired
 /// aggregation probe, its fallback and a per-shard match) and must never

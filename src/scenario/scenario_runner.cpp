@@ -269,7 +269,7 @@ ScenarioReport ScenarioRunner::run_centralized() {
   if (config_.pruning) {
     (void)pubsub->prune_to_fraction(config_.prune_fraction).value();
   }
-  if (config_.pruning || config_.aggregation) {
+  if (config_.pruning) {
     // Armed only now: the initial bulk load is not churn.
     pubsub->set_drift_threshold(config_.drift_threshold).expect_ok();
   }
@@ -319,7 +319,7 @@ ScenarioReport ScenarioRunner::run_centralized() {
           adopted.push_back(std::move(handle).value());
         }
         live = std::move(adopted);
-        if (config_.pruning || config_.aggregation) {
+        if (config_.pruning) {
           // Runtime-only knobs are re-armed, not recovered.
           pubsub->set_drift_threshold(config_.drift_threshold).expect_ok();
         }
@@ -332,8 +332,6 @@ ScenarioReport ScenarioRunner::run_centralized() {
       churn_tick(churn, arrivals, pr, admit, [&] { return live.size(); }, release);
       if (config_.pruning) {
         pr.prunings += pubsub->prune_to_fraction(config_.prune_fraction).value();
-      }
-      if (config_.pruning || config_.aggregation) {
         if (pubsub->drift_pending() && window.ready()) {
           pubsub->train(window.events()).expect_ok();
           pubsub->rescore_all().expect_ok();
@@ -741,6 +739,7 @@ ScenarioReport ScenarioRunner::run_overlay() {
       report.maintenance.releases += m.releases;
       report.maintenance.queue_compactions += m.queue_compactions;
       report.maintenance.full_rescores += m.full_rescores;
+      report.maintenance.reindexes += m.reindexes;
     }
   }
   return report;

@@ -53,9 +53,9 @@ struct ScenarioConfig {
   // --- Aggregation ---------------------------------------------------------
   /// Overlay mode: every broker routes by subgroup summaries
   /// (Overlay::enable_aggregation), so transit forwarding follows the
-  /// summaries. Centralized mode: the facade keeps subgroup summaries
-  /// (PubSubOptions::aggregation) under the same churn; drift retrains also
-  /// rescore the aggregation dimensions.
+  /// summaries. Centralized mode: the facade turns on
+  /// PubSubOptions::aggregation, whose summaries aggregation_stats() builds
+  /// from the live table when read.
   bool aggregation = false;
 
   // --- Pruning maintenance -------------------------------------------------

@@ -81,10 +81,12 @@ void encode_unsubscribe(SubscriptionId id, WireWriter& out) {
   out.put_u32(id.value());
 }
 
-void encode_prune(SubscriptionId id, const Node& tree, WireWriter& out) {
+void encode_prune(SubscriptionId id, const Node& tree, WireWriter& out,
+                  std::uint32_t prunings) {
   out.put_u8(static_cast<std::uint8_t>(RecordType::kPrune));
   out.put_u32(id.value());
   encode_tree(tree, out);
+  if (prunings != 1) out.put_u32(prunings);
 }
 
 void encode_train_checkpoint(std::span<const std::uint8_t> stats, WireWriter& out) {
@@ -114,6 +116,11 @@ WalRecord decode_record(std::span<const std::uint8_t> payload) {
       rec.type = RecordType::kPrune;
       rec.sub = SubscriptionId(in.get_u32());
       rec.tree = decode_tree(in);
+      if (!in.exhausted()) {
+        rec.prunings = in.get_u32();
+        // One encoding per record: a count of 1 is written as no count.
+        if (rec.prunings < 2) throw StoreError("store: WAL prune count below 2");
+      }
       break;
     case RecordType::kTrainCheckpoint:
       rec.type = RecordType::kTrainCheckpoint;

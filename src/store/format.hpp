@@ -67,17 +67,18 @@ enum class RecordType : std::uint8_t {
   kEpochHeader = 1,      ///< first record of every WAL: the epoch it extends
   kSubscribe = 2,        ///< sub id + the filter tree as registered
   kUnsubscribe = 3,      ///< sub id
-  kPrune = 4,            ///< sub id + the full tree as it stands after the pruning
+  kPrune = 4,            ///< sub id + the tree after one pass's prunings (+ their count)
   kTrainCheckpoint = 5,  ///< serialized EventStats (selectivity/stats.hpp)
 };
 
 /// One decoded WAL record. `tree` is set for kSubscribe/kPrune, `stats`
 /// (serialized EventStats bytes) for kTrainCheckpoint, `epoch` for
-/// kEpochHeader.
+/// kEpochHeader, `prunings` for kPrune.
 struct WalRecord {
   RecordType type = RecordType::kEpochHeader;
   std::uint64_t epoch = 0;
   SubscriptionId sub;
+  std::uint32_t prunings = 1;
   std::unique_ptr<Node> tree;
   std::vector<std::uint8_t> stats;
 };
@@ -87,7 +88,11 @@ struct WalRecord {
 void encode_epoch_header(std::uint64_t epoch, WireWriter& out);
 void encode_subscribe(SubscriptionId id, const Node& tree, WireWriter& out);
 void encode_unsubscribe(SubscriptionId id, WireWriter& out);
-void encode_prune(SubscriptionId id, const Node& tree, WireWriter& out);
+/// `prunings` (>= 1) is how many prunings produced `tree` since the id's
+/// previous record. A count of 1 is left out, so a single pruning encodes
+/// as the bare id + tree.
+void encode_prune(SubscriptionId id, const Node& tree, WireWriter& out,
+                  std::uint32_t prunings = 1);
 /// `stats` are the bytes produced by EventStats::save.
 void encode_train_checkpoint(std::span<const std::uint8_t> stats, WireWriter& out);
 

@@ -67,7 +67,7 @@ void replay(std::vector<WalRecord>& records, std::map<SubscriptionId::value_type
           throw StoreError("store: WAL prunes unknown " + sub_label(rec.sub));
         }
         it->second.tree = std::move(rec.tree);
-        ++it->second.performed;
+        it->second.performed += rec.prunings;
         ++stats.replayed_prunes;
         break;
       }
@@ -254,9 +254,10 @@ void StateStore::append_unsubscribe(SubscriptionId id) {
   dirty_.push_back(id.value());
 }
 
-void StateStore::append_prune(SubscriptionId id, const Node& tree) {
+void StateStore::append_prune(SubscriptionId id, const Node& tree,
+                              std::uint32_t prunings) {
   WalWriter::begin_frame(record_);
-  encode_prune(id, tree, record_);
+  encode_prune(id, tree, record_, prunings);
   append_record();
   dirty_.push_back(id.value());
 }

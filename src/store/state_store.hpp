@@ -123,7 +123,8 @@ class StateStore {
   // --- Append hooks (one WAL record each; throw StoreError on failure) ------
   void append_subscribe(SubscriptionId id, const Node& tree);
   void append_unsubscribe(SubscriptionId id);
-  void append_prune(SubscriptionId id, const Node& tree);
+  /// `tree` after `prunings` prunings since the id's previous record.
+  void append_prune(SubscriptionId id, const Node& tree, std::uint32_t prunings = 1);
   void append_train(const EventStats& stats);
 
   /// True once snapshot_every records accumulated since the last

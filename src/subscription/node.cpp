@@ -177,6 +177,26 @@ void flatten_into(std::vector<std::unique_ptr<Node>>& out,
 
 }  // namespace
 
+bool is_simplified(const Node& node) {
+  const auto below = [&node](const std::unique_ptr<Node>& child) {
+    return !child->is_constant() && child->kind() != node.kind() &&
+           is_simplified(*child);
+  };
+  switch (node.kind()) {
+    case NodeKind::Leaf:
+    case NodeKind::True:
+    case NodeKind::False:
+      return true;
+    case NodeKind::Not:
+      return below(node.children()[0]);
+    case NodeKind::And:
+    case NodeKind::Or:
+      return node.children().size() > 1 &&
+             std::all_of(node.children().begin(), node.children().end(), below);
+  }
+  return true;
+}
+
 std::unique_ptr<Node> simplify(std::unique_ptr<Node> node) {
   switch (node->kind()) {
     case NodeKind::Leaf:

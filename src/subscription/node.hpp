@@ -117,4 +117,10 @@ class Node {
 /// folded away). Consumes the input.
 [[nodiscard]] std::unique_ptr<Node> simplify(std::unique_ptr<Node> node);
 
+/// True when simplify() has nothing to do: no constant below the root, no
+/// Not(Not(x)), no And/Or with one child or a child of its own kind.
+/// Lets callers skip simplify()'s rebuild of a tree that is already
+/// simplified.
+[[nodiscard]] bool is_simplified(const Node& node);
+
 }  // namespace dbsp

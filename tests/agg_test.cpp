@@ -449,63 +449,31 @@ TEST(AggregatorChurnTest, LargeSubgroupRetightensInProportionToItsSize) {
   EXPECT_EQ(aggregator.advertised_bytes(), fresh.advertised_bytes());
 }
 
-TEST(AggregatorChurnTest, RefreshAfterInPlaceGeneralization) {
-  MiniDomain dom;
-  Subscription sub(SubscriptionId(1), leaf(dom.attr(0), Op::Eq, Value(5)));
-  SubscriptionAggregator aggregator(dom.schema());
-  aggregator.add(sub);
-
-  const Event far = event_with(dom.attr(0), Value(17));
-  std::vector<SubscriptionId> out;
-  aggregator.match(far, out);
-  EXPECT_TRUE(out.empty());
-
-  // Pruning generalizes the tree in place; refresh() must widen the
-  // subgroup summary so the new admissions are not lost.
-  sub.replace_root(
-      Node::leaf(Predicate(dom.attr(0), Value(0), Value(dom.domain()))));
-  aggregator.refresh(sub);
-  aggregator.match(far, out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out.front(), SubscriptionId(1));
-}
-
 // ---------------------------------------------------------------------------
-// Drift-style rescore trigger + trained re-aggregation.
+// Trained re-aggregation.
 
-TEST(AggregatorDriftTest, MutationThresholdTripsAndTrainClears) {
+TEST(AggregatorTrainTest, MatchingStaysExactAcrossRetrainsUnderChurn) {
   MiniDomain dom;
   std::mt19937_64 rng(3);
   auto corpus = test::make_corpus(dom, rng, 40, 0.0);
 
   AggregatorOptions options;
-  options.rescore_threshold = 10;
   SubscriptionAggregator aggregator(dom.schema(), options);
-  for (std::size_t i = 0; i < 9; ++i) aggregator.add(*corpus.subs[i]);
-  EXPECT_FALSE(aggregator.rescore_pending());
-  aggregator.add(*corpus.subs[9]);
-  EXPECT_TRUE(aggregator.rescore_pending());
+  for (std::size_t i = 0; i < 10; ++i) aggregator.add(*corpus.subs[i]);
 
   EventStats stats(dom.schema());
   std::mt19937_64 event_rng(8);
   for (std::size_t i = 0; i < 500; ++i) stats.observe(dom.random_event(event_rng));
   stats.finalize();
   aggregator.train(stats);
-  EXPECT_FALSE(aggregator.rescore_pending());
   EXPECT_EQ(aggregator.dimensions().size(),
             std::min<std::size_t>(options.dimensions, dom.attr_count()));
 
-  // A second wave of arrivals re-arms the trigger...
+  // A second wave of arrivals, a retrain, removals and another retrain.
   for (std::size_t i = 10; i < 20; ++i) aggregator.add(*corpus.subs[i]);
-  EXPECT_TRUE(aggregator.rescore_pending());
   aggregator.train(stats);
-  EXPECT_FALSE(aggregator.rescore_pending());
-
-  // ...and removals count as mutations too.
   for (std::size_t i = 0; i < 10; ++i) aggregator.remove(corpus.subs[i]->id());
-  EXPECT_TRUE(aggregator.rescore_pending());
   aggregator.train(stats);
-  EXPECT_FALSE(aggregator.rescore_pending());
 
   // Matching stays exact across retrains: exactly the surviving members
   // (ids 10..19) are delivered.
@@ -523,17 +491,18 @@ TEST(AggregatorDriftTest, MutationThresholdTripsAndTrainClears) {
   }
 }
 
-TEST(AggregatorDriftTest, TrainedDimensionsRebuildSubgroups) {
+TEST(AggregatorTrainTest, TrainedDimensionsRebuildSubgroups) {
   MiniDomain dom;
   std::mt19937_64 rng(13);
   auto corpus = test::make_corpus(dom, rng, 120, 0.0);
   SubscriptionAggregator aggregator(dom.schema());
   for (const auto& sub : corpus.subs) aggregator.add(*sub);
-  const std::uint64_t generation = aggregator.rebuild_generation();
+  const std::vector<AttributeId> dimensions = aggregator.dimensions();
+  const std::uint64_t full_rebuilds = aggregator.counters().full_rebuilds;
 
   // Heavily skewed stats: a0 is almost always present with one hot value,
   // making its predicates unselective — training must be able to change
-  // the dimension ranking, and any change bumps the rebuild generation.
+  // the dimension choice, and any change re-clusters every subgroup.
   EventStats stats(dom.schema());
   std::mt19937_64 event_rng(4);
   for (std::size_t i = 0; i < 500; ++i) {
@@ -543,8 +512,8 @@ TEST(AggregatorDriftTest, TrainedDimensionsRebuildSubgroups) {
   }
   stats.finalize();
   aggregator.train(stats);
-  if (aggregator.rebuild_generation() != generation) {
-    EXPECT_GT(aggregator.counters().full_rebuilds, 0u);
+  if (aggregator.dimensions() != dimensions) {
+    EXPECT_GT(aggregator.counters().full_rebuilds, full_rebuilds);
   }
 
   // Exactness is preserved either way.

@@ -116,6 +116,27 @@ TEST(PubSubTest, OracleAndTextAccessors) {
   EXPECT_NO_THROW((void)parse_subscription(text, pubsub.schema()));
 }
 
+TEST(PubSubTest, UnsimplifiedTreeSubscribesWithPruning) {
+  // or(price < 10, and(volume > 5)): pruning the single-child And's leaf
+  // would fold the Or to a constant, so the facade simplifies the tree
+  // first, as the parser and Filter::compile do.
+  PubSubOptions options;
+  options.pruning = true;
+  PubSub pubsub(market_schema(), options);
+  std::vector<std::unique_ptr<Node>> inner;
+  inner.push_back(Node::leaf(Predicate(pubsub.schema().at("volume"), Op::Gt, Value(5))));
+  std::vector<std::unique_ptr<Node>> outer;
+  outer.push_back(Node::leaf(Predicate(pubsub.schema().at("price"), Op::Lt, Value(10.0))));
+  outer.push_back(Node::and_(std::move(inner)));
+  const auto tree_built = pubsub.subscribe(Node::or_(std::move(outer)));
+  ASSERT_TRUE(tree_built.ok()) << tree_built.status().to_string();
+  const auto parsed = pubsub.subscribe("price < 10 or volume > 5").value();
+  EXPECT_EQ(pubsub.subscription_text(tree_built.value().id()).value(),
+            pubsub.subscription_text(parsed.id()).value());
+  EXPECT_TRUE(pubsub.prune(10).ok());
+  EXPECT_TRUE(pubsub.matches(tree_built.value().id(), tick(pubsub, "A", 50.0, 6)).value());
+}
+
 // --- Handle lifetimes --------------------------------------------------------
 
 TEST(SubscriptionHandleTest, DropUnsubscribes) {

@@ -67,9 +67,9 @@ TEST_F(EngineTest, NetworkDimensionPrunesLeastSelectiveFirst) {
   auto s2 = sub(2, "a=3 and b=4");
   e.register_subscription(*s1);
   e.register_subscription(*s2);
-  ASSERT_TRUE(e.prune_one());
-  ASSERT_EQ(e.history().size(), 1u);
-  EXPECT_EQ(e.history()[0].sub, SubscriptionId(1));
+  const auto applied = e.prune_one();
+  ASSERT_TRUE(applied);
+  EXPECT_EQ(applied->sub, SubscriptionId(1));
   // s1 lost the c conjunct (kept the selective a).
   EXPECT_EQ(s1->root().to_string(schema_), "a = 1");
 }
@@ -80,8 +80,9 @@ TEST_F(EngineTest, MemoryDimensionPrunesBiggestValidSubtreeFirst) {
   auto s2 = sub(2, "a=3 and (b=4 or b=5 or b=6 or b=7)");  // big Or group
   e.register_subscription(*s1);
   e.register_subscription(*s2);
-  ASSERT_TRUE(e.prune_one());
-  EXPECT_EQ(e.history()[0].sub, SubscriptionId(2));
+  const auto applied = e.prune_one();
+  ASSERT_TRUE(applied);
+  EXPECT_EQ(applied->sub, SubscriptionId(2));
   EXPECT_EQ(s2->root().to_string(schema_), "a = 3");
 }
 
@@ -93,9 +94,10 @@ TEST_F(EngineTest, ThroughputDimensionPreservesPmin) {
   auto s2 = sub(2, "a=5 and b=6");
   e.register_subscription(*s1);
   e.register_subscription(*s2);
-  ASSERT_TRUE(e.prune_one());
-  EXPECT_EQ(e.history()[0].sub, SubscriptionId(1));
-  EXPECT_DOUBLE_EQ(e.history()[0].scores.eff_improvement, 0.0);
+  const auto applied = e.prune_one();
+  ASSERT_TRUE(applied);
+  EXPECT_EQ(applied->sub, SubscriptionId(1));
+  EXPECT_DOUBLE_EQ(applied->scores.eff_improvement, 0.0);
 }
 
 TEST_F(EngineTest, TieBrokenBySecondaryDimension) {
@@ -116,9 +118,10 @@ TEST_F(EngineTest, TieBrokenBySecondaryDimension) {
   const auto best2 = e.peek_best(SubscriptionId(2));
   ASSERT_TRUE(best1 && best2);
   ASSERT_DOUBLE_EQ(best1->sel_degradation, best2->sel_degradation);
-  ASSERT_TRUE(e.prune_one());
-  EXPECT_EQ(e.history()[0].sub, SubscriptionId(2));
-  EXPECT_DOUBLE_EQ(e.history()[0].scores.eff_improvement, 0.0);
+  const auto applied = e.prune_one();
+  ASSERT_TRUE(applied);
+  EXPECT_EQ(applied->sub, SubscriptionId(2));
+  EXPECT_DOUBLE_EQ(applied->scores.eff_improvement, 0.0);
 }
 
 TEST_F(EngineTest, QueueReinsertsNextBestAfterPrune) {
@@ -133,16 +136,19 @@ TEST_F(EngineTest, QueueReinsertsNextBestAfterPrune) {
   EXPECT_FALSE(e.prune_one());
 }
 
-TEST_F(EngineTest, HistoryScoresAreMonotoneForNetworkDimension) {
+TEST_F(EngineTest, AppliedScoresAreMonotoneForNetworkDimension) {
   // Greedy best-first on a fixed baseline: within one subscription the
   // successive degradations (vs original) are non-decreasing.
   auto e = engine(PruneDimension::NetworkLoad);
   auto s = sub(1, "a=1 and b=2 and c=3 and c=4 and b=5");
   e.register_subscription(*s);
-  e.prune(100);
-  for (std::size_t i = 1; i < e.history().size(); ++i) {
-    EXPECT_GE(e.history()[i].scores.sel_degradation,
-              e.history()[i - 1].scores.sel_degradation - 1e-12);
+  std::vector<double> degradations;
+  while (const auto applied = e.prune_one()) {
+    degradations.push_back(applied->scores.sel_degradation);
+  }
+  ASSERT_EQ(degradations.size(), 4u);
+  for (std::size_t i = 1; i < degradations.size(); ++i) {
+    EXPECT_GE(degradations[i], degradations[i - 1] - 1e-12);
   }
 }
 
@@ -154,7 +160,8 @@ TEST_F(EngineTest, UnregisterDropsPendingPrunings) {
   e.register_subscription(*s2);
   e.unregister_subscription(SubscriptionId(2));
   EXPECT_EQ(e.prune(100), 1u);  // only s1's pruning runs
-  EXPECT_EQ(e.history()[0].sub, SubscriptionId(1));
+  ASSERT_EQ(e.last_pruned().size(), 1u);
+  EXPECT_EQ(e.last_pruned()[0].sub, SubscriptionId(1));
 }
 
 TEST_F(EngineTest, DuplicateRegistrationThrows) {
@@ -193,7 +200,8 @@ TEST(EngineReindexTest, EveryPublicPruningCallLeavesTheMatcherInSync) {
   // The matcher is reindexed once per pass, not once per pruning. After
   // each public call it must deliver exactly what the pruned trees match,
   // and it must have reindexed each subscription that call pruned exactly
-  // once, however often it was pruned.
+  // once, however often it was pruned. last_pruned() lists each of those
+  // subscriptions once, with prunings that add up to the call's count.
   test::MiniDomain dom(5, 12);
   std::mt19937_64 rng(29);
   const test::Corpus corpus = test::make_corpus(dom, rng, 120, 0.15);
@@ -219,26 +227,36 @@ TEST(EngineReindexTest, EveryPublicPruningCallLeavesTheMatcherInSync) {
       ASSERT_EQ(got, want) << "after " << call;
     }
   };
-  std::size_t seen = 0;
   std::uint64_t reindexes = 0;
-  auto expect_one_reindex_per_pruned_id = [&](const char* call) {
+  auto expect_one_reindex_per_pruned_id = [&](const char* call, std::size_t done) {
     std::set<SubscriptionId> pruned;
-    for (; seen < e.history().size(); ++seen) pruned.insert(e.history()[seen].sub);
+    std::size_t prunings = 0;
+    for (const auto& p : e.last_pruned()) {
+      pruned.insert(p.sub);
+      EXPECT_GT(p.prunings, 0u) << "after " << call;
+      prunings += p.prunings;
+    }
+    EXPECT_EQ(pruned.size(), e.last_pruned().size()) << "after " << call;
+    EXPECT_EQ(prunings, done) << "after " << call;
     EXPECT_EQ(e.maintenance().reindexes - reindexes, pruned.size()) << "after " << call;
     reindexes = e.maintenance().reindexes;
     expect_in_sync(call);
   };
 
   ASSERT_TRUE(e.prune_one());
-  expect_one_reindex_per_pruned_id("prune_one");
+  expect_one_reindex_per_pruned_id("prune_one", 1);
   EXPECT_EQ(e.prune(40), 40u);
-  expect_one_reindex_per_pruned_id("prune");
-  EXPECT_GT(e.prune_to_fraction(0.6), 0u);
-  expect_one_reindex_per_pruned_id("prune_to_fraction");
-  EXPECT_GT(e.prune_until(0.3), 0u);
-  expect_one_reindex_per_pruned_id("prune_until");
-  e.prune(e.total_possible());
-  expect_one_reindex_per_pruned_id("prune to exhaustion");
+  expect_one_reindex_per_pruned_id("prune", 40);
+  std::size_t done = e.prune_to_fraction(0.6);
+  EXPECT_GT(done, 0u);
+  expect_one_reindex_per_pruned_id("prune_to_fraction", done);
+  EXPECT_EQ(e.prune_to_fraction(0.6), 0u);
+  expect_one_reindex_per_pruned_id("prune_to_fraction at its target", 0);
+  done = e.prune_until(0.3);
+  EXPECT_GT(done, 0u);
+  expect_one_reindex_per_pruned_id("prune_until", done);
+  done = e.prune(e.total_possible());
+  expect_one_reindex_per_pruned_id("prune to exhaustion", done);
   // Subscriptions pruned several times in one pass were reindexed once.
   EXPECT_LT(e.maintenance().reindexes, e.performed());
 }
@@ -278,10 +296,13 @@ TEST_F(EngineTest, PruneUntilRespectsMemoryBudget) {
   e.register_subscription(*s1);
   e.register_subscription(*s2);
   // Budget: only prunings saving >= 100 bytes — exactly the or-group cut.
+  const auto cut = e.peek_best(SubscriptionId(2));
+  ASSERT_TRUE(cut.has_value());
+  EXPECT_GE(cut->mem_improvement, 100.0);
   const std::size_t done = e.prune_until(100.0);
   EXPECT_EQ(done, 1u);
-  EXPECT_EQ(e.history()[0].sub, SubscriptionId(2));
-  EXPECT_GE(e.history()[0].scores.mem_improvement, 100.0);
+  ASSERT_EQ(e.last_pruned().size(), 1u);
+  EXPECT_EQ(e.last_pruned()[0].sub, SubscriptionId(2));
   // The remaining candidates all save less than the budget.
   const auto next = e.peek_best(SubscriptionId(1));
   ASSERT_TRUE(next.has_value());
@@ -297,7 +318,8 @@ TEST_F(EngineTest, PruneUntilThroughputBudgetStopsAtPminLoss) {
   // Budget Δ≈eff >= 0: performs only pmin-preserving prunings.
   const std::size_t done = e.prune_until(0.0);
   EXPECT_EQ(done, 1u);
-  EXPECT_EQ(e.history()[0].sub, SubscriptionId(1));
+  ASSERT_EQ(e.last_pruned().size(), 1u);
+  EXPECT_EQ(e.last_pruned()[0].sub, SubscriptionId(1));
 }
 
 TEST_F(EngineTest, OriginalProfileIsStableAcrossPrunings) {

@@ -415,58 +415,20 @@ TEST(FacadeMetricsTest, PruningSeriesMatchMaintenanceCounters) {
   EXPECT_DOUBLE_EQ(s.value("dbsp_pruning_performed"), 24.0);
 }
 
-TEST(FacadeMetricsTest, AggregationSeriesMatchStatsAndSurviveReset) {
+TEST(FacadeMetricsTest, AggregationExportsNoSeries) {
+  // The facade builds its subgroup summaries only when aggregation_stats()
+  // reads them, so a scrape carries no dbsp_agg_* series.
   PubSubOptions options;
   options.aggregation = true;
   PubSub pubsub(market_schema(), options);
-
-  // Subscribes 30 filters and drops them again: every subgroup empties,
-  // which re-tightens it (a maintenance counter).
-  const auto churn = [&] {
-    std::vector<SubscriptionHandle> live;
-    for (int i = 0; i < 30; ++i) {
-      live.push_back(
-          pubsub.subscribe("price < " + std::to_string(10 * (i % 10) + 5)).value());
-    }
-  };
-  churn();
-  auto kept = pubsub.subscribe("price < 42").value();
-
-  const MetricsSnapshot s = pubsub.metrics();
-  const PubSub::AggregationStats stats = pubsub.aggregation_stats();
-  ASSERT_TRUE(stats.enabled);
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_subgroups"),
-                   static_cast<double>(stats.subgroups));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_dimensions"),
-                   static_cast<double>(stats.dimensions));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_advertised_bytes"),
-                   static_cast<double>(stats.advertised_bytes));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_summary_widenings_total"),
-                   static_cast<double>(stats.counters.summary_widenings));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_subgroup_rebuilds_total"),
-                   static_cast<double>(stats.counters.subgroup_rebuilds));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_agg_full_rebuilds_total"),
-                   static_cast<double>(stats.counters.full_rebuilds));
-  EXPECT_GT(s.value("dbsp_agg_subgroups"), 0.0);
-  EXPECT_GT(s.value("dbsp_agg_subgroup_rebuilds_total"), 0.0);
-  // Publishing never probes the summaries, so no probe-side series exist.
-  EXPECT_EQ(s.find("dbsp_agg_events_probed_total"), nullptr);
-  EXPECT_EQ(s.find("dbsp_agg_candidates_total"), nullptr);
-
-  // reset_counters() zeroes the legacy struct but the exported counter
-  // series must stay monotone (sync_to semantics), and keep advancing
-  // from the frozen base on new churn.
-  pubsub.reset_counters();
-  EXPECT_EQ(pubsub.aggregation_stats().counters.subgroup_rebuilds, 0u);
-  const MetricsSnapshot after = pubsub.metrics();
-  EXPECT_GE(after.value("dbsp_agg_subgroup_rebuilds_total"),
-            s.value("dbsp_agg_subgroup_rebuilds_total"));
-
-  // Once post-reset churn overtakes the frozen base the exported series
-  // advances again (and never dipped in between).
-  for (int round = 0; round < 3; ++round) churn();
-  EXPECT_GT(pubsub.metrics().value("dbsp_agg_subgroup_rebuilds_total"),
-            after.value("dbsp_agg_subgroup_rebuilds_total"));
+  std::vector<SubscriptionHandle> live;
+  for (int i = 0; i < 30; ++i) {
+    live.push_back(pubsub.subscribe("price < " + std::to_string(10 * (i % 10) + 5)).value());
+  }
+  EXPECT_GT(pubsub.aggregation_stats().subgroups, 0u);
+  for (const auto& series : pubsub.metrics().metrics) {
+    EXPECT_NE(series.name.rfind("dbsp_agg_", 0), 0u) << series.name;
+  }
 }
 
 TEST(FacadeMetricsTest, DurableStoreSeriesTrackStoreStats) {

@@ -215,12 +215,41 @@ TEST_F(NodeTest, SimplifyEliminatesDoubleNegation) {
   EXPECT_EQ(simplify(Node::not_(Node::constant(false)))->kind(), NodeKind::True);
 }
 
+TEST_F(NodeTest, IsSimplifiedRejectsEveryShapeSimplifyRewrites) {
+  std::vector<std::unique_ptr<Node>> single;
+  single.push_back(leaf(1, Op::Eq, 2));
+  std::vector<std::unique_ptr<Node>> hoist;
+  hoist.push_back(leaf(0, Op::Eq, 1));
+  hoist.push_back(Node::and_(std::move(single)));
+  EXPECT_FALSE(is_simplified(*Node::or_(std::move(hoist))));
+  std::vector<std::unique_ptr<Node>> nested;
+  nested.push_back(leaf(0, Op::Eq, 1));
+  nested.push_back(leaf(1, Op::Eq, 2));
+  std::vector<std::unique_ptr<Node>> flatten;
+  flatten.push_back(Node::and_(std::move(nested)));
+  flatten.push_back(leaf(2, Op::Eq, 3));
+  EXPECT_FALSE(is_simplified(*Node::and_(std::move(flatten))));
+  std::vector<std::unique_ptr<Node>> folded;
+  folded.push_back(leaf(0, Op::Eq, 1));
+  folded.push_back(Node::constant(true));
+  EXPECT_FALSE(is_simplified(*Node::and_(std::move(folded))));
+  EXPECT_FALSE(is_simplified(*Node::not_(Node::not_(leaf(0, Op::Eq, 1)))));
+  EXPECT_FALSE(is_simplified(*Node::not_(Node::constant(true))));
+  EXPECT_TRUE(is_simplified(*Node::not_(leaf(0, Op::Eq, 1))));
+}
+
 TEST_F(NodeTest, SimplifyPreservesSemantics) {
   std::mt19937_64 rng(23);
   for (int round = 0; round < 50; ++round) {
     auto raw = dom_.random_tree(rng, 7, 0.25);
     auto copy = raw->clone();
     auto simplified = simplify(std::move(copy));
+    // is_simplified() holds after simplify(), and says "unchanged" only
+    // when simplify() indeed changes nothing.
+    EXPECT_TRUE(is_simplified(*simplified));
+    if (is_simplified(*raw)) {
+      EXPECT_TRUE(raw->equals(*simplified));
+    }
     const auto events = dom_.random_events(rng, 64);
     for (const auto& e : events) {
       EXPECT_EQ(raw->evaluate_event(e), simplified->evaluate_event(e));

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <random>
+#include <utility>
 
 #include "core/candidates.hpp"
 #include "selectivity/estimator.hpp"
@@ -50,8 +52,8 @@ TEST_F(PruningSetTest, AdmitsAndReleasesOnTheGlobalQueue) {
   EXPECT_EQ(set.maintenance().releases, 1u);
 
   // Pruning to exhaustion never touches the released subscription.
-  set.prune(100000);
-  for (const auto& applied : set.history()) EXPECT_NE(applied.sub, victim);
+  EXPECT_GT(set.prune(100000), 0u);
+  for (const auto& pruned : set.last_pruned()) EXPECT_NE(pruned.sub, victim);
 }
 
 TEST_F(PruningSetTest, ReleaseRollsBackCapacityAndPerformed) {
@@ -80,23 +82,11 @@ TEST_F(PruningSetTest, ReleaseRollsBackCapacityAndPerformed) {
   // from performed() together with its capacity.
   set.prune_to_fraction(0.6);
   const std::size_t performed_before = set.performed();
-  Subscription* pruned_victim = nullptr;
-  std::size_t victim_performed = 0;
-  for (const auto& applied : set.history()) {
-    if (applied.sub != victim->id()) {
-      for (const auto& s : corpus.subs) {
-        if (s->id() == applied.sub) pruned_victim = s.get();
-      }
-      break;
-    }
-  }
-  ASSERT_NE(pruned_victim, nullptr);
-  for (const auto& applied : set.history()) {
-    if (applied.sub == pruned_victim->id()) ++victim_performed;
-  }
-  ASSERT_GT(victim_performed, 0u);
-  set.unregister_subscription(pruned_victim->id());
-  EXPECT_EQ(set.performed(), performed_before - victim_performed);
+  ASSERT_FALSE(set.last_pruned().empty());
+  const PruningEngine::Pruned pruned_victim = set.last_pruned().front();
+  ASSERT_GT(pruned_victim.prunings, 0u);
+  set.unregister_subscription(pruned_victim.sub);
+  EXPECT_EQ(set.performed(), performed_before - pruned_victim.prunings);
 
   // A later full prune still terminates and performed() never exceeds the
   // live capacity.
@@ -177,10 +167,11 @@ TEST_F(PruningSetTest, DriftTriggerCountsMutations) {
   EXPECT_EQ(set.maintenance().full_rescores, 1u);
 }
 
-TEST(PruningSetWorkersTest, PrunedTreesAndHistoryDoNotDependOnWorkerCount) {
-  // One global queue: the same corpus pruned to half its capacity picks the
-  // same prunings in the same order, and leaves the same trees and the
-  // same batch matches, at 1, 2 and 8 match workers.
+TEST(PruningSetWorkersTest, PrunedTreesAndOrderDoNotDependOnWorkerCount) {
+  // One global queue: the same corpus pruned to half its capacity one
+  // pruning at a time, then to 70% in one pass, picks the same prunings in
+  // the same order, and leaves the same trees and the same batch matches,
+  // at 1, 2 and 8 match workers.
   MiniDomain dom(5, 16);
   std::mt19937_64 rng(23);
   const Corpus corpus = make_corpus(dom, rng, 200, 0.1);
@@ -191,6 +182,7 @@ TEST(PruningSetWorkersTest, PrunedTreesAndHistoryDoNotDependOnWorkerCount) {
   struct Outcome {
     std::vector<SubscriptionId> order;
     std::vector<double> ratings;
+    std::vector<std::pair<SubscriptionId, std::size_t>> pass;
     std::vector<std::string> trees;
     std::vector<std::vector<SubscriptionId>> matches;
   };
@@ -199,12 +191,18 @@ TEST(PruningSetWorkersTest, PrunedTreesAndHistoryDoNotDependOnWorkerCount) {
     ShardedEngine engine(dom.schema(), {.shards = workers});
     for (auto& s : copy.subs) engine.add(*s);
     ShardedPruningSet set(engine, estimator, PruneEngineConfig{}, copy.pointers());
-    EXPECT_GT(set.prune_to_fraction(0.5), 0u);
+    const auto half = static_cast<std::size_t>(
+        std::llround(0.5 * static_cast<double>(set.total_possible())));
     Outcome out;
-    for (const auto& applied : set.history()) {
-      out.order.push_back(applied.sub);
-      out.ratings.push_back(applied.scores.sel_degradation);
+    while (set.performed() < half) {
+      const auto applied = set.prune_one();
+      if (!applied) break;
+      out.order.push_back(applied->sub);
+      out.ratings.push_back(applied->scores.sel_degradation);
     }
+    EXPECT_EQ(set.performed(), half);
+    EXPECT_GT(set.prune_to_fraction(0.7), 0u);
+    for (const auto& pruned : set.last_pruned()) out.pass.emplace_back(pruned.sub, pruned.prunings);
     for (const auto& s : copy.subs) out.trees.push_back(s->to_string(dom.schema()));
     out.matches = engine.match_batch(events);
     return out;
@@ -215,6 +213,7 @@ TEST(PruningSetWorkersTest, PrunedTreesAndHistoryDoNotDependOnWorkerCount) {
     const Outcome other = run(workers);
     EXPECT_EQ(other.order, one.order) << workers << " workers";
     EXPECT_EQ(other.ratings, one.ratings) << workers << " workers";
+    EXPECT_EQ(other.pass, one.pass) << workers << " workers";
     EXPECT_EQ(other.trees, one.trees) << workers << " workers";
     EXPECT_EQ(other.matches, one.matches) << workers << " workers";
   }
@@ -251,20 +250,27 @@ TEST(PruningSetReindexTest, DeliveryMatchesTheTreesAfterEveryPruningCall) {
     live[j] = false;
   };
 
+  // Each call reindexes exactly the subscriptions it lists as pruned.
   std::uint64_t reindexes = set.maintenance().reindexes;
+  auto expect_reindexed_once = [&](const char* call) {
+    EXPECT_EQ(set.maintenance().reindexes - reindexes, set.last_pruned().size()) << call;
+    reindexes = set.maintenance().reindexes;
+  };
   ASSERT_TRUE(set.prune_one());
-  EXPECT_EQ(set.maintenance().reindexes, reindexes + 1);
+  expect_reindexed_once("prune_one");
   expect_in_sync("prune_one");
   release(3);
   release(77);
   EXPECT_EQ(set.prune(25), 25u);
+  expect_reindexed_once("prune");
   expect_in_sync("prune");
   release(120);
   EXPECT_GT(set.prune_to_fraction(0.5), 0u);
+  expect_reindexed_once("prune_to_fraction");
   expect_in_sync("prune_to_fraction");
   EXPECT_GT(set.prune_until(0.5), 0u);
+  expect_reindexed_once("prune_until");
   expect_in_sync("prune_until");
-  EXPECT_LE(set.maintenance().reindexes, set.history().size());
 }
 
 TEST(PruningSetRescoreTest, RescoreAllReordersQueueAfterEstimatorChange) {
@@ -299,8 +305,7 @@ TEST(PruningSetRescoreTest, RescoreAllReordersQueueAfterEstimatorChange) {
     // subscription 1 would now degrade selectivity badly.
     sel[1] = 0.999;
     if (rescore) set.rescore_all();
-    set.prune(1);
-    return set.history().front().sub;
+    return set.prune_one()->sub;
   };
 
   // Stale queue: the pre-drift ordering still applies subscription 1 first.

@@ -183,6 +183,7 @@ TEST(ScenarioOverlayTest, NotificationLogIsExactAfterChurn) {
         << name << ": " << report.total_mismatches() << " event(s) mis-delivered";
     EXPECT_GT(report.total_churn_ops(), 0u);
     EXPECT_GT(report.maintenance.releases, 0u);  // broker auto-release worked
+    EXPECT_GT(report.maintenance.reindexes, 0u);  // every broker's counters add up
   }
 }
 

@@ -24,6 +24,7 @@
 #include "scenario/scenario_runner.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
+#include "subscription/parser.hpp"
 #include "test_util.hpp"
 
 namespace dbsp {
@@ -137,6 +138,31 @@ TEST(StoreWalTest, AppendAndReadBack) {
   EXPECT_EQ(wal.records[1].type, store::RecordType::kUnsubscribe);
   EXPECT_EQ(wal.records[1].sub, SubscriptionId(9));
   EXPECT_EQ(wal.records[2].type, store::RecordType::kPrune);
+  EXPECT_EQ(wal.records[2].prunings, 1u);
+}
+
+TEST(StoreWalTest, PruneRecordCarriesItsPruningCount) {
+  MiniDomain dom;
+  std::mt19937_64 rng(9);
+  const auto tree = dom.random_tree(rng, 5);
+  // One pruning writes the bare id + tree; a larger count follows the tree.
+  WireWriter one;
+  store::encode_prune(SubscriptionId(4), *tree, one);
+  WireWriter three;
+  store::encode_prune(SubscriptionId(4), *tree, three, 3);
+  ASSERT_EQ(three.size(), one.size() + 4);
+  EXPECT_TRUE(std::equal(one.bytes().begin(), one.bytes().end(), three.bytes().begin()));
+  const store::WalRecord decoded = store::decode_record(three.bytes());
+  EXPECT_EQ(decoded.type, store::RecordType::kPrune);
+  EXPECT_EQ(decoded.sub, SubscriptionId(4));
+  EXPECT_EQ(decoded.prunings, 3u);
+  EXPECT_TRUE(decoded.tree->equals(*tree));
+  EXPECT_EQ(store::decode_record(one.bytes()).prunings, 1u);
+  // A written-out count of 1 (or 0) is not the canonical encoding.
+  WireWriter explicit_one;
+  store::encode_prune(SubscriptionId(4), *tree, explicit_one);
+  explicit_one.put_u32(1);
+  EXPECT_THROW((void)store::decode_record(explicit_one.bytes()), store::StoreError);
 }
 
 TEST(StoreWalTest, RejectsForeignAndCorruptFiles) {
@@ -388,6 +414,86 @@ TEST(PubSubOpenTest, PruneTrainAndAccountingSurviveCrash) {
 }
 
 #if defined(__unix__) || defined(__APPLE__)
+TEST(PubSubOpenTest, PassLogsOneRecordPerPrunedSubscription) {
+  // One pass prunes the same subscription twice: the WAL gets one record
+  // for it (its final tree and a count of 2), and reopening restores both
+  // the tree and the accounting.
+  MiniDomain dom;
+  TempDir dir("onerecord");
+  std::optional<PubSub> pubsub(PubSub::open(store_at(dir, dom.schema()), pruning_options(1)).value());
+  auto handle = pubsub->subscribe("a0 = 1 and a1 = 2 and a2 = 3").value();
+  const std::uint64_t records_before = pubsub->store_stats().wal_records;
+  ASSERT_EQ(pubsub->prune(2).value(), 2u);
+  EXPECT_EQ(pubsub->store_stats().wal_records, records_before + 1);
+  const std::string text = pubsub->subscription_text(handle.id()).value();
+  const PubSub::PruningStats accounting = pubsub->pruning_stats();
+  EXPECT_EQ(accounting.performed, 2u);
+  pubsub.reset();  // crash
+
+  const PubSub recovered = PubSub::open(store_at(dir, dom.schema()), pruning_options(1)).value();
+  EXPECT_EQ(recovered.store_stats().replayed_prunes, 1u);
+  EXPECT_EQ(recovered.subscription_text(handle.id()).value(), text);
+  EXPECT_EQ(recovered.pruning_stats().performed, accounting.performed);
+  EXPECT_EQ(recovered.pruning_stats().total_possible, accounting.total_possible);
+}
+
+/// What aggregation_stats() must report: an aggregator built by hand over
+/// the live trees in ascending-id order, trained on `stats`.
+void expect_hand_built_view(const PubSub& pubsub, const EventStats& stats,
+                            const char* when) {
+  std::vector<std::unique_ptr<Subscription>> subs;
+  for (const SubscriptionId id : pubsub.subscription_ids()) {
+    const std::string text = pubsub.subscription_text(id).value();
+    subs.push_back(std::make_unique<Subscription>(id, parse_subscription(text, pubsub.schema())));
+    ASSERT_EQ(subs.back()->to_string(pubsub.schema()), text);
+  }
+  agg::SubscriptionAggregator hand(pubsub.schema(), agg::AggregatorOptions{});
+  for (const auto& sub : subs) hand.add(*sub);
+  hand.train(stats);
+  const PubSub::AggregationStats view = pubsub.aggregation_stats();
+  ASSERT_TRUE(view.enabled) << when;
+  EXPECT_GT(view.subgroups, 1u) << when;
+  EXPECT_EQ(view.subgroups, hand.subgroup_count()) << when;
+  EXPECT_EQ(view.dimensions, hand.dimensions().size()) << when;
+  EXPECT_EQ(view.advertised_bytes, hand.advertised_bytes()) << when;
+  const agg::AggregationCounters counters = hand.counters();
+  EXPECT_EQ(view.counters.summary_widenings, counters.summary_widenings) << when;
+  EXPECT_EQ(view.counters.subgroup_rebuilds, counters.subgroup_rebuilds) << when;
+  EXPECT_EQ(view.counters.full_rebuilds, counters.full_rebuilds) << when;
+}
+
+TEST(PubSubAggregationTest, StatsEqualAHandBuiltAggregator) {
+  MiniDomain dom;
+  std::mt19937_64 rng(83);
+  TempDir dir("aggview");
+  PubSubOptions options = pruning_options(2);
+  options.aggregation = true;
+  const std::vector<Event> sample = dom.random_events(rng, 400);
+  EventStats stats(dom.schema());
+  for (const Event& e : sample) stats.observe(e);
+  stats.finalize();
+
+  std::optional<PubSub> pubsub(PubSub::open(store_at(dir, dom.schema()), options).value());
+  ASSERT_TRUE(pubsub->train(sample).ok());
+  std::vector<SubscriptionHandle> live;
+  for (int i = 0; i < 300; ++i) {
+    live.push_back(pubsub->subscribe(dom.random_tree(rng, 6, 0.15)).value());
+    if (i % 3 == 2) {
+      const std::size_t victim = rng() % live.size();
+      ASSERT_TRUE(live[victim].release().ok());
+      live[victim] = std::move(live.back());
+      live.pop_back();
+    }
+  }
+  expect_hand_built_view(*pubsub, stats, "after churn");
+  ASSERT_GT(pubsub->prune_to_fraction(0.5).value(), 0u);
+  expect_hand_built_view(*pubsub, stats, "after a prune pass");
+  pubsub.reset();  // crash
+  live.clear();
+  pubsub.emplace(PubSub::open(store_at(dir, dom.schema()), options).value());
+  expect_hand_built_view(*pubsub, stats, "after recovery");
+}
+
 TEST(PubSubOpenTest, SecondOpenOfLiveStoreIsRefused) {
   MiniDomain dom;
   TempDir dir("lock");
