@@ -291,6 +291,8 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
   auto* wal_bytes = &r.counter("dbsp_wal_bytes_total");
   auto* snapshots = &r.counter("dbsp_snapshots_written_total");
   auto* snapshot_records_encoded = &r.counter("dbsp_store_snapshot_records_encoded_total");
+  auto* store_compactions = &r.counter("dbsp_store_compactions_total");
+  auto* segment_bytes = &r.gauge("dbsp_store_segment_bytes");
   auto* wal_lag = &r.gauge("dbsp_wal_lag_records");
   auto* epoch = &r.gauge("dbsp_store_epoch");
   auto* pruning_tracked = &r.gauge("dbsp_pruning_tracked");
@@ -321,6 +323,8 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
       wal_bytes->sync_to(st.wal_bytes);
       snapshots->sync_to(st.snapshots_written);
       snapshot_records_encoded->sync_to(st.snapshot_records_encoded);
+      store_compactions->sync_to(st.compactions);
+      segment_bytes->set(static_cast<double>(st.segment_bytes));
       wal_lag->set(static_cast<double>(st.records_since_checkpoint));
       epoch->set(static_cast<double>(st.epoch));
     }
@@ -517,8 +521,8 @@ Result<SubscriptionHandle> PubSub::subscribe(std::unique_ptr<Node> tree,
   }
   // Pruning assumes simplified trees, as the parser and Filter::compile
   // produce them: an unsimplified one can fold to a constant mid-pass.
-  // A simplified tree keeps its nodes (simplify() would rebuild them).
-  if (!is_simplified(*tree)) tree = simplify(std::move(tree));
+  // simplify() keeps every node it does not change.
+  tree = simplify(std::move(tree));
   if (tree->is_constant()) {
     return Status::error(ErrorCode::kInvalidArgument,
                          "constant filters cannot be subscribed");

@@ -186,8 +186,10 @@ class PubSub {
   /// PubSub continues in-memory-only.
   [[nodiscard]] bool durable() const;
 
-  /// Forces a compacted snapshot + WAL truncation now (also runs
-  /// automatically every StoreOptions::snapshot_every records).
+  /// Checkpoints now: persists what changed since the last checkpoint (a
+  /// snapshot segment, or a compaction once the segments have grown) and
+  /// truncates the WAL. Also runs automatically every
+  /// StoreOptions::snapshot_every records.
   /// kFailedPrecondition when not durable.
   [[nodiscard]] Status checkpoint();
 

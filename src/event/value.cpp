@@ -7,6 +7,38 @@
 
 namespace dbsp {
 
+namespace {
+
+/// 2^63 as a double: the first double above every int64.
+constexpr double kTwoPow63 = 9223372036854775808.0;
+
+/// Three-way comparison of an Int with a non-NaN Double, exact at every
+/// magnitude (no rounding of the Int to a double).
+int compare_int_double(std::int64_t i, double d) {
+  if (d >= kTwoPow63) return -1;
+  if (d < -kTwoPow63) return 1;
+  const double whole = std::trunc(d);  // in [-2^63, 2^63): exact as an int64
+  const auto w = static_cast<std::int64_t>(whole);
+  if (i != w) return i < w ? -1 : 1;
+  return whole < d ? -1 : (whole > d ? 1 : 0);
+}
+
+/// Three-way comparison of two numeric values (-1, 0, 1), or 2 when either
+/// is NaN and they are unordered.
+int compare_numeric(const Value& a, const Value& b) {
+  constexpr int kUnordered = 2;
+  const bool a_int = a.type() == ValueType::Int;
+  const bool b_int = b.type() == ValueType::Int;
+  if (a_int && b_int) return a.as_int() < b.as_int() ? -1 : (a.as_int() > b.as_int() ? 1 : 0);
+  if (!a_int && std::isnan(a.as_double())) return kUnordered;
+  if (!b_int && std::isnan(b.as_double())) return kUnordered;
+  if (a_int) return compare_int_double(a.as_int(), b.as_double());
+  if (b_int) return -compare_int_double(b.as_int(), a.as_double());
+  return a.as_double() < b.as_double() ? -1 : (a.as_double() > b.as_double() ? 1 : 0);
+}
+
+}  // namespace
+
 ValueType Value::type() const {
   switch (data_.index()) {
     case 0: return ValueType::Int;
@@ -21,13 +53,14 @@ double Value::numeric() const {
   return as_double();
 }
 
+bool Value::numeric_is_exact() const {
+  if (type() != ValueType::Int) return true;
+  const double d = numeric();
+  return d < kTwoPow63 && static_cast<std::int64_t>(d) == as_int();
+}
+
 bool Value::equals(const Value& other) const {
-  if (is_numeric() && other.is_numeric()) {
-    if (type() == ValueType::Int && other.type() == ValueType::Int) {
-      return as_int() == other.as_int();
-    }
-    return numeric() == other.numeric();
-  }
+  if (is_numeric() && other.is_numeric()) return compare_numeric(*this, other) == 0;
   if (type() != other.type()) return false;
   switch (type()) {
     case ValueType::String: return as_string() == other.as_string();
@@ -37,12 +70,7 @@ bool Value::equals(const Value& other) const {
 }
 
 bool Value::less(const Value& other) const {
-  if (is_numeric() && other.is_numeric()) {
-    if (type() == ValueType::Int && other.type() == ValueType::Int) {
-      return as_int() < other.as_int();
-    }
-    return numeric() < other.numeric();
-  }
+  if (is_numeric() && other.is_numeric()) return compare_numeric(*this, other) == -1;
   if (type() != other.type()) return false;
   switch (type()) {
     case ValueType::String: return as_string() < other.as_string();
@@ -68,10 +96,17 @@ bool Value::key_less(const Value& other) const {
 std::size_t Value::hash() const {
   std::size_t seed = 0;
   switch (type()) {
-    case ValueType::Int:
+    case ValueType::Int: {
       hash_combine(seed, 0);
-      hash_combine(seed, numeric());  // hash numerically so 20 == 20.0
+      // Hash as the double it equals, so 20 and 20.0 agree; an Int no
+      // double equals (past 2^53) hashes as itself.
+      if (numeric_is_exact()) {
+        hash_combine(seed, numeric());
+      } else {
+        hash_combine(seed, as_int());
+      }
       break;
+    }
     case ValueType::Double:
       hash_combine(seed, 0);
       hash_combine(seed, numeric());

@@ -10,8 +10,9 @@ namespace dbsp {
 enum class ValueType : std::uint8_t { Int, Double, String, Bool };
 
 /// A typed attribute value carried in events and predicate operands.
-/// Ordering across Int and Double compares numerically (a predicate
-/// `price < 20` must accept both integral and floating bids); comparisons
+/// Ordering across Int and Double compares the exact numbers (a predicate
+/// `price < 20` must accept both integral and floating bids, and
+/// 2^53 + 1 is not 2^53.0, though it rounds to it as a double); comparisons
 /// across other type combinations are false, mirroring the usual
 /// content-based pub/sub semantics where a type mismatch never matches.
 class Value {
@@ -37,9 +38,12 @@ class Value {
 
   /// Numeric view: Int and Double promote to double. Precondition: is_numeric().
   [[nodiscard]] double numeric() const;
+  /// True when numeric() is this value exactly: every Double, and every Int
+  /// a double represents (all up to 2^53, sparser beyond).
+  [[nodiscard]] bool numeric_is_exact() const;
 
-  /// Equality: numeric values compare numerically across Int/Double,
-  /// otherwise types must match exactly.
+  /// Equality: numeric values compare exactly across Int/Double (hash()
+  /// agrees), otherwise types must match exactly.
   [[nodiscard]] bool equals(const Value& other) const;
   /// Strict-weak "less than" for matching semantics: defined only between
   /// comparable values; returns false on type mismatch.

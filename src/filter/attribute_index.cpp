@@ -13,14 +13,23 @@ bool is_nan(const Value& v) { return v.is_numeric() && std::isnan(v.numeric()); 
 /// The part of the index a predicate lives in.
 enum class Part { Eq, Less, Greater, Between, Scan };
 
+/// An Int no double equals (past 2^53): its rounded key would order it
+/// wrongly in the sorted arrays.
+bool unkeyable(const Value& v) { return v.is_numeric() && !v.numeric_is_exact(); }
+
 /// Eq and In go to the hash map, numeric ordered comparisons and Between to
 /// the sorted arrays. The rest is scanned: Ne, string operators, ordered
-/// operators with non-numeric operands, and every predicate with a NaN
-/// operand — NaN equals no key and orders against none, so neither the hash
-/// map nor a binary search could find it again, and matches_value() decides.
+/// operators with non-numeric operands, every predicate with a NaN operand
+/// — NaN equals no key and orders against none, so neither the hash map nor
+/// a binary search could find it again — and every ordered one with an
+/// operand past 2^53 no double equals; matches_value() decides exactly.
 Part part_of(const Predicate& pred) {
   const auto& operands = pred.operands();
   if (std::any_of(operands.begin(), operands.end(), is_nan)) return Part::Scan;
+  if (pred.op() != Op::Eq && pred.op() != Op::In &&
+      std::any_of(operands.begin(), operands.end(), unkeyable)) {
+    return Part::Scan;
+  }
   switch (pred.op()) {
     case Op::Eq:
     case Op::In:
@@ -135,8 +144,20 @@ void AttributeIndex::collect(const Value& value, std::vector<PredicateId>& out) 
   if (auto it = eq_.find(value); it != eq_.end()) {
     out.insert(out.end(), it->second.begin(), it->second.end());
   }
-  // A NaN fulfils no ordered comparison; the binary searches need a total order.
-  if (value.is_numeric() && !std::isnan(value.numeric())) {
+  if (value.is_numeric() && !value.numeric_is_exact()) {
+    // An Int no double equals: its rounded value could tie a key it differs
+    // from, so compare it exactly with every (exact) key. No key equals it.
+    for (const auto& [key, entry] : less_) {
+      if (value.less(Value(key))) out.push_back(entry.id);
+    }
+    for (const auto& [key, entry] : greater_) {
+      if (Value(key).less(value)) out.push_back(entry.id);
+    }
+    for (const auto& [low, entry] : between_) {
+      if (Value(low).less(value) && value.less(Value(entry.high))) out.push_back(entry.id);
+    }
+  } else if (value.is_numeric() && !std::isnan(value.numeric())) {
+    // A NaN fulfils no ordered comparison; the binary searches need a total order.
     const double v = value.numeric();
     // attr < c fulfilled iff c > v; attr <= c additionally at c == v.
     auto it = first_at_or_above(less_, v);

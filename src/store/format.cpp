@@ -266,4 +266,21 @@ void write_file_atomic(const std::string& path,
   if (sync) sync_parent_directory(path);
 }
 
+void append_file(const std::string& path, std::span<const std::uint8_t> bytes, bool sync) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  if (f == nullptr) {
+    throw StoreError("store: cannot open " + path + ": " + std::strerror(errno),
+                     /*io=*/true);
+  }
+  bool ok = bytes.empty() || std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  ok = ok && std::fflush(f) == 0;
+#if defined(__unix__) || defined(__APPLE__)
+  if (ok && sync) ok = ::fsync(fileno(f)) == 0;
+#else
+  (void)sync;
+#endif
+  ok = (std::fclose(f) == 0) && ok;
+  if (!ok) throw StoreError("store: append error on " + path, /*io=*/true);
+}
+
 }  // namespace dbsp::store

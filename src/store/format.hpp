@@ -9,11 +9,14 @@
 ///   WAL      := wire-header, kind u8 (1), record*
 ///   record   := len u32, crc32 u32, payload[len]
 ///   payload  := type u8, body   (see RecordType)
-///   snapshot := wire-header, kind u8 (2), len u64, crc32 u32, body[len]
+///   snapshot := magic u8, version u8 (kSnapshotFormatVersion), kind u8 (2),
+///               len u64, crc32 u32, body[len], segment*
+///   segment  := len u64, crc32 u32, payload[len]   (see store/snapshot.hpp)
 ///
-/// Every record and the snapshot body carry a CRC-32 so truncation and
-/// bit-flips surface as clean StoreErrors — never as out-of-bounds reads
-/// or silently wrong state (store_corruption_test fuzzes exactly this).
+/// Every record, the snapshot body and every segment carry a CRC-32 so
+/// truncation and bit-flips surface as clean StoreErrors — never as
+/// out-of-bounds reads or silently wrong state (store_corruption_test
+/// fuzzes exactly this).
 
 #include <cstdint>
 #include <initializer_list>
@@ -61,6 +64,12 @@ class StoreError : public std::runtime_error {
 
 /// File kinds, written right after the wire header.
 enum class FileKind : std::uint8_t { kWal = 1, kSnapshot = 2 };
+
+/// Version byte of a snapshot file's header. Version 2 may carry segments
+/// after the body; a binary that knows only version 1 refuses such a file
+/// at its header (codec: unsupported version). Version-1 files, which end
+/// with their body, still read. The WAL keeps kWireFormatVersion.
+inline constexpr std::uint8_t kSnapshotFormatVersion = 2;
 
 /// WAL record types: the subscription lifecycle plus statistics training.
 enum class RecordType : std::uint8_t {
@@ -126,5 +135,9 @@ inline void write_file_atomic(const std::string& path, std::span<const std::uint
                               bool sync) {
   write_file_atomic(path, {bytes}, sync);
 }
+
+/// Appends `bytes` to the existing file `path`, flushed (and fsync'd when
+/// `sync`) before returning. A kill mid-append leaves a prefix of them.
+void append_file(const std::string& path, std::span<const std::uint8_t> bytes, bool sync);
 
 }  // namespace dbsp::store

@@ -121,16 +121,32 @@ std::pair<std::unique_ptr<StateStore>, RecoveredState> StateStore::open(
     state.schema = options.schema;
     SnapshotData empty;
     empty.schema = &state.schema;
-    store->write_next_snapshot(0, empty);
+    store->compact(0, empty);
     store->wal_ = WalWriter::create(store->wal_path(), 0, sync);
     store->epoch_ = 0;
     return {std::move(store), std::move(state)};
   }
 
-  // --- Recovery: snapshot first, then the WAL of the matching epoch --------
+  // --- Recovery: base and segments, then the WAL of the matching epoch -----
   store->acquire_lock();  // before any read: keeps a live writer's
                           // checkpoint from racing this recovery
+  // A kill mid-compaction (or mid-WAL-create) leaves a temporary file the
+  // rename never consumed; the files it would have replaced are intact.
+  for (const std::string& path : {store->snapshot_path(), store->wal_path()}) {
+    fs::remove(path + ".tmp", ec);
+  }
   LoadedSnapshot snap = read_snapshot(store->snapshot_path());
+  if (snap.torn_tail) {
+    // A kill mid-append left a partial final segment. Cut it off so the
+    // next segment extends a clean file; the WAL it would have superseded
+    // is still there.
+    fs::resize_file(store->snapshot_path(), snap.clean_bytes, ec);
+    if (ec) {
+      throw StoreError("store: cannot truncate torn snapshot segment: " + ec.message(),
+                       /*io=*/true);
+    }
+    store->stats_.recovered_torn_tail = true;
+  }
   state.schema = std::move(snap.schema);
   state.next_id = snap.next_id;
   state.next_seq = snap.next_seq;
@@ -139,7 +155,10 @@ std::pair<std::unique_ptr<StateStore>, RecoveredState> StateStore::open(
   store->stats_.epoch = snap.epoch;
   store->stats_.recovered = true;
   store->stats_.snapshot_subscriptions = snap.subs.size();
+  store->stats_.segment_bytes = snap.segments.bytes.size();
   store->base_ = std::move(snap.image);
+  store->segments_ = std::move(snap.segments);
+  store->compact_next_ = snap.version < kSnapshotFormatVersion;
 
   std::map<SubscriptionId::value_type, RecoveredSub> subs;
   for (LoadedSub& sub : snap.subs) {
@@ -164,6 +183,10 @@ std::pair<std::unique_ptr<StateStore>, RecoveredState> StateStore::open(
     if (wal_epoch == snap.epoch) {
       WalContents wal = read_wal(store->wal_path());
       replay(wal.records, subs, state, store->stats_, store->dirty_);
+      if (store->stats_.replayed_train_checkpoints > 0) {
+        store->stats_changed_ = true;  // newer than the base's statistics
+        store->compact_next_ = true;
+      }
       if (wal.torn_tail) {
         // A kill mid-append left a partial final frame. Cut the file back
         // to its last complete record so new appends extend a clean log.
@@ -178,9 +201,10 @@ std::pair<std::unique_ptr<StateStore>, RecoveredState> StateStore::open(
       store->wal_ = WalWriter::reopen(store->wal_path(), wal.epoch, sync);
       fresh_wal_needed = false;
     }
-    // wal_epoch < snap.epoch: a crash hit between "snapshot renamed" and
-    // "WAL truncated" — the snapshot supersedes every record in this WAL,
-    // so it is discarded by the fresh create below.
+    // wal_epoch < snap.epoch: a crash hit between "segment appended" (or
+    // "snapshot renamed") and "WAL truncated" — the snapshot supersedes
+    // every record in this WAL, so it is discarded by the fresh create
+    // below.
   }
   if (fresh_wal_needed) {
     store->wal_ = WalWriter::create(store->wal_path(), snap.epoch, sync);
@@ -268,24 +292,48 @@ void StateStore::append_train(const EventStats& stats) {
   WalWriter::begin_frame(record_);
   encode_train_checkpoint(inner.bytes(), record_);
   append_record();
+  stats_changed_ = true;
+  compact_next_ = true;
 }
 
-void StateStore::write_next_snapshot(std::uint64_t epoch, const SnapshotData& data) {
-  if (all_dirty_) dirty_.insert(dirty_.end(), base_.ids.begin(), base_.ids.end());
-  std::sort(dirty_.begin(), dirty_.end());
-  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
-  stats_.snapshot_records_encoded += build_snapshot(base_, dirty_, epoch, data);
-  dirty_.clear();
-  all_dirty_ = false;
+void StateStore::compact(std::uint64_t epoch, const SnapshotData& data) {
+  build_snapshot(base_, segments_, epoch, data, stats_changed_);
   write_file_atomic(snapshot_path(), base_.bytes, sync_);
+  // The rename dropped the segments. The log fills to a quarter of the
+  // body plus one segment before the next compaction: room for that up
+  // front spares the copies of growing by doubling.
+  segments_ = SegmentLog{};
+  segments_.bytes.reserve(base_.body_bytes() / 4 + base_.body_bytes() / 16);
+  stats_.segment_bytes = 0;
+  stats_changed_ = false;
+  compact_next_ = false;
 }
 
 void StateStore::checkpoint(const SnapshotData& data) {
   const std::uint64_t next_epoch = epoch_ + 1;
-  write_next_snapshot(next_epoch, data);
-  // Between the rename above and the create below the on-disk WAL carries
-  // the old epoch; recovery discards it against the new snapshot, so a
-  // crash in this window loses nothing and double-applies nothing.
+  if (all_dirty_) {
+    // Every id that can be live: the base's and those the segments name.
+    dirty_.insert(dirty_.end(), base_.ids.begin(), base_.ids.end());
+    for (const SegmentLog::Entry& e : segments_.entries) dirty_.push_back(e.id);
+  }
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+  const std::size_t appended_at = segments_.bytes.size();
+  stats_.snapshot_records_encoded += append_segment(segments_, dirty_, next_epoch, data);
+  dirty_.clear();
+  if (all_dirty_ || compact_next_ || segments_.bytes.size() > base_.body_bytes() / 4) {
+    compact(next_epoch, data);
+    ++stats_.compactions;
+  } else {
+    append_file(snapshot_path(),
+                std::span(segments_.bytes.bytes()).subspan(appended_at), sync_);
+    stats_.segment_bytes = segments_.bytes.size();
+  }
+  all_dirty_ = false;
+  // Between the append (or rename) above and the create below the on-disk
+  // WAL carries the old epoch; recovery discards it against the snapshot's
+  // last segment, so a crash in this window loses nothing and
+  // double-applies nothing.
   wal_.reset();
   wal_ = WalWriter::create(wal_path(), next_epoch, sync_);
   epoch_ = next_epoch;

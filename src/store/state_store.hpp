@@ -2,18 +2,20 @@
 
 /// \file
 /// StateStore: the durability subsystem behind dbsp::PubSub::open(). One
-/// directory holds a compacted snapshot (snapshot.dbsp) plus an append-only
-/// WAL of subscription-lifecycle records (wal.dbsp); see store/format.hpp
-/// for the byte layout and docs/ARCHITECTURE.md "Durability" for the
-/// protocol. Recovery = load snapshot, replay the WAL of the matching
-/// epoch; checkpoint = atomically replace the snapshot, then truncate the
-/// WAL to a fresh epoch.
+/// directory holds a snapshot (snapshot.dbsp: a base plus the segments
+/// appended since) and an append-only WAL of subscription-lifecycle records
+/// (wal.dbsp); see store/format.hpp and store/snapshot.hpp for the byte
+/// layout and docs/ARCHITECTURE.md "Durability" for the protocol. Recovery
+/// = load the base, apply its segments, replay the WAL of the matching
+/// epoch; checkpoint = persist what changed, then truncate the WAL to a
+/// fresh epoch.
 ///
-/// A checkpoint is the previous snapshot plus the ids the WAL touched: the
-/// store keeps the last snapshot it wrote or loaded (bytes and record
-/// index) as the base, notes the id of every subscribe, unsubscribe and
-/// prune record, and at checkpoint() keeps every other record's bytes of
-/// the base. Only the noted ids are encoded, from the owner's lookup.
+/// A routine checkpoint appends one segment holding the ids the WAL touched
+/// since the previous checkpoint, re-read through the owner's lookup. Once
+/// the segments outgrow a quarter of the base body (or statistics were
+/// trained, or mark_all_dirty() was called) the checkpoint compacts
+/// instead: it folds the segments into the base it holds in memory and
+/// replaces the file atomically.
 ///
 /// The class throws StoreError (and codec WireError) — the PubSub facade
 /// converts both into the Status channel, so corrupt input surfaces as
@@ -57,18 +59,22 @@ struct StoreStats {
   std::uint64_t wal_bytes = 0;          ///< framed bytes appended since open(),
                                         ///< summed across checkpoints
   std::uint64_t snapshots_written = 0;  ///< checkpoints since open()
-  /// Subscription records checkpoints encoded since open(); every other
-  /// record kept its bytes from the previous snapshot. At most one per WAL
-  /// record between two checkpoints, never the whole table.
+  /// Subscription records checkpoints encoded since open(); a compaction
+  /// copies every other record's bytes from the base or the segments. At
+  /// most one per WAL record between two checkpoints, never the whole table.
   std::uint64_t snapshot_records_encoded = 0;
+  /// Checkpoints since open() that folded the segments into a new base.
+  std::uint64_t compactions = 0;
+  /// Bytes of the segments appended after the current base.
+  std::uint64_t segment_bytes = 0;
   std::uint64_t records_since_checkpoint = 0;
   // --- What open() found and replayed (zeros for a fresh store) ------------
   bool recovered = false;  ///< false = the store was created by this open()
   /// True when recovery found (and truncated away) a torn final WAL frame
-  /// — the signature of a kill mid-append. Only that unacknowledged write
-  /// was lost.
+  /// or snapshot segment — the signature of a kill mid-append. Only that
+  /// unacknowledged write was lost.
   bool recovered_torn_tail = false;
-  std::uint64_t snapshot_subscriptions = 0;  ///< subs loaded from the snapshot
+  std::uint64_t snapshot_subscriptions = 0;  ///< subs loaded from base + segments
   std::uint64_t replayed_records = 0;        ///< WAL records applied on top
   std::uint64_t replayed_subscribes = 0;
   std::uint64_t replayed_unsubscribes = 0;
@@ -134,17 +140,19 @@ class StateStore {
   }
 
   /// Makes the next checkpoint encode every live subscription through
-  /// data.lookup, not only the ids the WAL touched: for a change to every
-  /// record that no WAL record carries (PubSub::set_prune_dimension
-  /// re-captures all pruning accounting).
+  /// data.lookup, not only the ids the WAL touched, and compact: for a
+  /// change to every record that no WAL record carries
+  /// (PubSub::set_prune_dimension re-captures all pruning accounting).
   void mark_all_dirty() { all_dirty_ = true; }
 
-  /// Writes the epoch + 1 snapshot and truncates the WAL. The snapshot is
-  /// the base with the touched ids re-read through data.lookup (see
-  /// build_snapshot); the bytes equal a full encode of the owner's table.
-  /// Crash-safe: the snapshot replaces the old one atomically, and a crash
-  /// before the WAL truncation leaves a stale-epoch WAL that the next
-  /// recovery discards.
+  /// Persists the epoch + 1 state and truncates the WAL. The ids the WAL
+  /// touched are re-read through data.lookup into one segment (see
+  /// append_segment), which is appended to the snapshot file — or, when
+  /// the checkpoint compacts, folded with the earlier segments into a new
+  /// base (see build_snapshot) whose bytes equal a full encode of the
+  /// owner's table. Crash-safe: a torn segment is cut off at recovery, a
+  /// compaction replaces the file atomically, and a crash before the WAL
+  /// truncation leaves a stale-epoch WAL that the next recovery discards.
   void checkpoint(const SnapshotData& data);
 
   [[nodiscard]] const StoreStats& stats() const { return stats_; }
@@ -159,9 +167,9 @@ class StateStore {
 
   /// Appends the record framed in record_ (see WalWriter::begin_frame).
   void append_record();
-  /// Rewrites the base into the epoch-`epoch` snapshot from the dirty ids
-  /// (build_snapshot) and writes it.
-  void write_next_snapshot(std::uint64_t epoch, const SnapshotData& data);
+  /// Folds the segments into the epoch-`epoch` base (build_snapshot) and
+  /// replaces the snapshot file with it.
+  void compact(std::uint64_t epoch, const SnapshotData& data);
   /// Takes the directory's exclusive flock (POSIX; no-op elsewhere).
   void acquire_lock();
   [[nodiscard]] std::string snapshot_path() const;
@@ -175,13 +183,22 @@ class StateStore {
   /// The frame every append encodes into; reused, so appends allocate
   /// nothing once it has grown to the largest record.
   WireWriter record_;
-  /// The last snapshot written or loaded, indexed: the next checkpoint
-  /// rewrites it in place, so the store holds one snapshot body.
+  /// The last base written or loaded, indexed: a compaction rewrites it in
+  /// place, so the store holds one snapshot body.
   SnapshotImage base_;
-  /// Ids named by subscribe, unsubscribe and prune records since the base
-  /// (one per record, sorted and deduplicated at checkpoint).
+  /// The segments written after the base, as on disk: a compaction copies
+  /// their records. At most a quarter of the base body plus one segment.
+  SegmentLog segments_;
+  /// Ids named by subscribe, unsubscribe and prune records since the last
+  /// checkpoint (one per record, sorted and deduplicated at checkpoint).
   std::vector<SubscriptionId::value_type> dirty_;
   bool all_dirty_ = false;
+  /// The next checkpoint compacts whatever the segments' size: statistics
+  /// changed since the base (segments carry none), or the base is a
+  /// version-1 file, which cannot take segments.
+  bool compact_next_ = false;
+  /// Statistics were trained since the base.
+  bool stats_changed_ = false;
   StoreStats stats_;
   int lock_fd_ = -1;
 };

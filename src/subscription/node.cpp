@@ -198,17 +198,21 @@ bool is_simplified(const Node& node) {
 }
 
 std::unique_ptr<Node> simplify(std::unique_ptr<Node> node) {
+  // Children are simplified in their slots, and a node whose children need
+  // no folding, flattening or hoisting is returned itself: an already
+  // simplified tree allocates nothing.
   switch (node->kind()) {
     case NodeKind::Leaf:
     case NodeKind::True:
     case NodeKind::False:
       return node;
     case NodeKind::Not: {
-      auto child = simplify(std::move(node->children()[0]));
+      std::unique_ptr<Node>& child = node->children()[0];
+      child = simplify(std::move(child));
       if (child->kind() == NodeKind::True) return Node::constant(false);
       if (child->kind() == NodeKind::False) return Node::constant(true);
       if (child->kind() == NodeKind::Not) return std::move(child->children()[0]);
-      return Node::not_(std::move(child));
+      return node;
     }
     case NodeKind::And:
     case NodeKind::Or: {
@@ -216,17 +220,24 @@ std::unique_ptr<Node> simplify(std::unique_ptr<Node> node) {
       const bool is_and = kind == NodeKind::And;
       const NodeKind absorbing = is_and ? NodeKind::False : NodeKind::True;
       const NodeKind neutral = is_and ? NodeKind::True : NodeKind::False;
-      std::vector<std::unique_ptr<Node>> kept;
-      kept.reserve(node->children().size());
-      for (auto& c : node->children()) {
-        auto sc = simplify(std::move(c));
-        if (sc->kind() == absorbing) return Node::constant(!is_and);
-        if (sc->kind() == neutral) continue;
-        flatten_into(kept, std::move(sc), kind);
+      std::vector<std::unique_ptr<Node>>& children = node->children();
+      bool reshape = false;  // a neutral child to drop or one to flatten
+      for (auto& c : children) {
+        c = simplify(std::move(c));
+        if (c->kind() == absorbing) return Node::constant(!is_and);
+        reshape = reshape || c->kind() == neutral || c->kind() == kind;
       }
-      if (kept.empty()) return Node::constant(is_and);
-      if (kept.size() == 1) return std::move(kept.front());
-      return is_and ? Node::and_(std::move(kept)) : Node::or_(std::move(kept));
+      if (reshape) {
+        std::vector<std::unique_ptr<Node>> kept;
+        kept.reserve(children.size());
+        for (auto& c : children) {
+          if (c->kind() != neutral) flatten_into(kept, std::move(c), kind);
+        }
+        children = std::move(kept);
+      }
+      if (children.empty()) return Node::constant(is_and);
+      if (children.size() == 1) return std::move(children.front());
+      return node;
     }
   }
   return node;

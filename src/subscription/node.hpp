@@ -114,13 +114,12 @@ class Node {
 /// Simplifies a tree: folds constants, eliminates Not(Not(x)), flattens
 /// nested And/And and Or/Or, hoists single-child And/Or. Returns the
 /// simplified tree (which may be a constant node if the whole expression
-/// folded away). Consumes the input.
+/// folded away). Consumes the input; every node it does not change is
+/// kept, so an already simplified tree comes back as the same root.
 [[nodiscard]] std::unique_ptr<Node> simplify(std::unique_ptr<Node> node);
 
 /// True when simplify() has nothing to do: no constant below the root, no
 /// Not(Not(x)), no And/Or with one child or a child of its own kind.
-/// Lets callers skip simplify()'s rebuild of a tree that is already
-/// simplified.
 [[nodiscard]] bool is_simplified(const Node& node);
 
 }  // namespace dbsp

@@ -317,6 +317,61 @@ TEST_F(CountingMatcherTest, NaNThresholdsMatchLikeTheTreeAndRemoveCleanly) {
   EXPECT_EQ(m.association_count(), 0u);
 }
 
+TEST_F(CountingMatcherTest, IntAndDoubleOperandsPastTwoToThe53StayApart) {
+  // 2^53 + 1 rounds to the double 2^53 but differs from it, so each pair
+  // below is two predicates, and each matches exactly like its tree.
+  const auto year = schema_.at("year");
+  const Value odd(std::int64_t{9007199254740993});
+  const Value even(9007199254740992.0);
+  std::vector<std::unique_ptr<Subscription>> subs;
+  std::uint32_t id = 0;
+  for (const Op op : {Op::Ne, Op::Eq, Op::Lt, Op::Le, Op::Gt, Op::Ge}) {
+    for (const Value& operand : {odd, even}) {
+      subs.push_back(std::make_unique<Subscription>(
+          SubscriptionId(++id), Node::leaf(Predicate(year, op, operand))));
+    }
+  }
+  subs.push_back(std::make_unique<Subscription>(
+      SubscriptionId(++id), Node::leaf(Predicate(year, even, odd))));
+  CountingMatcher m(schema_);
+  for (auto& s : subs) m.add(*s);
+  EXPECT_EQ(m.live_predicates(), subs.size());
+
+  std::vector<Event> events;
+  for (const Value& v : {Value(std::int64_t{9007199254740991}), Value(std::int64_t{9007199254740992}),
+                         odd, Value(std::int64_t{9007199254740994}),
+                         Value(std::int64_t{9007199254740995}), even, Value(9007199254740994.0)}) {
+    Event e;
+    e.set(year, v);
+    events.push_back(std::move(e));
+  }
+  for (const auto& e : events) {
+    std::vector<SubscriptionId> expected;
+    for (const auto& s : subs) {
+      if (s->matches(e)) expected.push_back(s->id());
+    }
+    EXPECT_EQ(match(m, e), expected) << e.find(year)->to_string();
+  }
+  // year != 2^53 + 1 and year != 2^53: the event 2^53 + 1 matches only the
+  // second, the event 2^53 only the first.
+  Event at_odd;
+  at_odd.set(year, odd);
+  Event at_even;
+  at_even.set(year, even);
+  const auto ne = [&](const Event& e) {
+    std::vector<SubscriptionId> out;
+    for (const SubscriptionId s : match(m, e)) {
+      if (s.value() <= 2) out.push_back(s);
+    }
+    return out;
+  };
+  EXPECT_EQ(ne(at_odd), std::vector<SubscriptionId>{SubscriptionId(2)});
+  EXPECT_EQ(ne(at_even), std::vector<SubscriptionId>{SubscriptionId(1)});
+
+  for (const auto& s : subs) m.remove(*s);
+  EXPECT_EQ(m.live_predicates(), 0u);
+}
+
 TEST_F(CountingMatcherTest, TreeOutsideTheSchemaIsRejectedBeforeAnythingChanges) {
   const auto price = schema_.at("price");
   const AttributeId outside(7);

@@ -469,6 +469,22 @@ TEST(FacadeMetricsTest, DurableStoreSeriesTrackStoreStats) {
     EXPECT_GT(after.wal_bytes, stats.wal_bytes);
     EXPECT_DOUBLE_EQ(pubsub.metrics().value("dbsp_wal_bytes_total"),
                      static_cast<double>(after.wal_bytes));
+    // The first checkpoint compacted (a fresh store's base is empty). With
+    // a base of 40 more subscriptions, one arrival is a segment.
+    for (int i = 0; i < 40; ++i) {
+      live.push_back(pubsub.subscribe("volume > " + std::to_string(100 + i)).value());
+    }
+    ASSERT_TRUE(pubsub.checkpoint().ok());
+    live.push_back(pubsub.subscribe("volume > 7").value());
+    ASSERT_TRUE(pubsub.checkpoint().ok());
+    const StoreStats segmented = pubsub.store_stats();
+    EXPECT_EQ(segmented.compactions, 2u);
+    EXPECT_GT(segmented.segment_bytes, 0u);
+    const MetricsSnapshot m = pubsub.metrics();
+    EXPECT_DOUBLE_EQ(m.value("dbsp_store_compactions_total"),
+                     static_cast<double>(segmented.compactions));
+    EXPECT_DOUBLE_EQ(m.value("dbsp_store_segment_bytes"),
+                     static_cast<double>(segmented.segment_bytes));
     // Every append, unsubscribes included, was one sampled wal_append span.
     const MetricSnapshot* wal =
         s.find("dbsp_stage_us", {{"stage", "wal_append"}});

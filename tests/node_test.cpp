@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "test_util.hpp"
 
 namespace dbsp {
@@ -255,6 +257,45 @@ TEST_F(NodeTest, SimplifyPreservesSemantics) {
       EXPECT_EQ(raw->evaluate_event(e), simplified->evaluate_event(e));
     }
   }
+}
+
+TEST_F(NodeTest, SimplifyKeepsTheNodesItDoesNotChange) {
+  std::mt19937_64 rng(29);
+  for (int round = 0; round < 50; ++round) {
+    auto tree = simplify(dom_.random_tree(rng, 7, 0.25));
+    if (tree->is_constant()) continue;
+    // Every node of a simplified tree comes back where it was.
+    std::vector<const Node*> before;
+    const std::function<void(const Node&)> collect = [&](const Node& n) {
+      before.push_back(&n);
+      for (const auto& c : n.children()) collect(*c);
+    };
+    collect(*tree);
+    const auto copy = tree->clone();
+    const Node* root = tree.get();
+    tree = simplify(std::move(tree));
+    EXPECT_EQ(tree.get(), root);
+    EXPECT_TRUE(tree->equals(*copy));
+    std::vector<const Node*> after;
+    before.swap(after);
+    collect(*tree);
+    EXPECT_EQ(before, after);
+  }
+  // A rewrite below the root keeps the root and the untouched siblings.
+  std::vector<std::unique_ptr<Node>> inner;
+  inner.push_back(leaf(0, Op::Eq, 1));
+  inner.push_back(Node::constant(true));
+  std::vector<std::unique_ptr<Node>> outer;
+  outer.push_back(leaf(1, Op::Eq, 2));
+  outer.push_back(Node::and_(std::move(inner)));
+  outer.push_back(leaf(2, Op::Eq, 3));
+  auto tree = Node::or_(std::move(outer));
+  const Node* root = tree.get();
+  const Node* first = tree->children()[0].get();
+  tree = simplify(std::move(tree));
+  EXPECT_EQ(tree.get(), root);
+  EXPECT_EQ(tree->children()[0].get(), first);
+  EXPECT_EQ(tree->children()[1]->kind(), NodeKind::Leaf);
 }
 
 TEST_F(NodeTest, ToStringRendersBooleanStructure) {

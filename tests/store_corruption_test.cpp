@@ -1,11 +1,12 @@
 // Corrupt-store fuzzing: truncate and bit-flip the WAL and snapshot files
-// at random offsets and assert PubSub::open() always returns a clean
-// Status (or a smaller-but-consistent store when the damage lands on a
-// record boundary) — never a crash, hang, or out-of-bounds read. The CI
-// sanitizer job runs this suite under ASan/UBSan, which is where the
-// "never UB on corrupt input" contract is actually proven. A checkpoint
-// copies unchanged records from the snapshot it holds in memory, never
-// from disk, so damage to the file is still found at the next open().
+// (the snapshot's segments on their own too) at random offsets and assert
+// PubSub::open() always returns a clean Status (or a smaller-but-consistent
+// store when the damage lands on a record boundary) — never a crash, hang,
+// or out-of-bounds read. The CI sanitizer job runs this suite under
+// ASan/UBSan, which is where the "never UB on corrupt input" contract is
+// actually proven. A compaction copies records from the base and segments
+// it holds in memory, never from disk, so damage to the file is either
+// replaced by the compaction or found at the next open().
 
 #include <gtest/gtest.h>
 
@@ -59,7 +60,20 @@ class CorruptionFixture : public ::testing::Test {
       live.push_back(std::move(handle).value());
     }
     (void)pubsub->prune_to_fraction(0.5).value();
-    ASSERT_TRUE(pubsub->checkpoint().ok());
+    ASSERT_TRUE(pubsub->checkpoint().ok());  // the base
+    // Two routine checkpoints, each one segment after the base.
+    for (int round = 0; round < 2; ++round) {
+      for (int i = 0; i < 2; ++i) {
+        auto handle = pubsub->subscribe(dom.random_tree(rng, 4, 0.2), {});
+        ASSERT_TRUE(handle.ok());
+        live.push_back(std::move(handle).value());
+      }
+      live.erase(live.begin() + round);
+      ASSERT_TRUE(pubsub->checkpoint().ok());
+    }
+    ASSERT_EQ(pubsub->store_stats().compactions, 1u);
+    segment_bytes_ = pubsub->store_stats().segment_bytes;
+    ASSERT_GT(segment_bytes_, 0u);
     for (int i = 0; i < 20; ++i) {
       auto handle = pubsub->subscribe(dom.random_tree(rng, 5, 0.2), {});
       ASSERT_TRUE(handle.ok());
@@ -71,8 +85,9 @@ class CorruptionFixture : public ::testing::Test {
     (void)pubsub->prune_to_fraction(0.6).value();
     // Upper bound for sanity checks below: truncating WAL unsubscribes can
     // legitimately resurrect registrations, but nothing can exceed every
-    // subscribe ever logged (30 snapshotted + 20 in the WAL tail).
-    max_live_ = 50;
+    // subscribe ever logged (30 in the base, 4 in segments, 20 in the WAL
+    // tail).
+    max_live_ = 54;
     pubsub.reset();  // crash-style shutdown: WAL tail stays populated
     live.clear();
 
@@ -124,6 +139,7 @@ class CorruptionFixture : public ::testing::Test {
   fs::path scratch_;
   Schema schema_;
   std::size_t max_live_ = 0;
+  std::uint64_t segment_bytes_ = 0;  ///< at the end of the pristine snapshot
 };
 
 TEST_F(CorruptionFixture, TruncationsNeverCrash) {
@@ -158,6 +174,33 @@ TEST_F(CorruptionFixture, BitFlipsNeverCrash) {
       bytes[at] ^= static_cast<std::uint8_t>(1u << bit);
       store::write_file_atomic((scratch_ / name).string(), bytes, false);
       open_and_check(std::string(name) + " bit flip at " + std::to_string(at));
+    }
+  }
+}
+
+TEST_F(CorruptionFixture, SegmentBitFlipsAndCutsNeverCrash) {
+  // Damage confined to the segments after the base: a flip in a complete
+  // segment is data loss, a cut one is a torn append (whose WAL is then
+  // newer than the snapshot, also data loss), never a crash.
+  std::mt19937_64 rng(2468);
+  const auto original = store::read_file((pristine_ / "snapshot.dbsp").string());
+  const std::size_t base_end = original.size() - segment_bytes_;
+  for (int trial = 0; trial < 80; ++trial) {
+    reset_scratch();
+    auto bytes = original;
+    const std::size_t at =
+        std::uniform_int_distribution<std::size_t>(base_end, bytes.size() - 1)(rng);
+    if (trial % 4 == 3) {
+      bytes.resize(at);
+    } else {
+      bytes[at] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+    }
+    store::write_file_atomic((scratch_ / "snapshot.dbsp").string(), bytes, false);
+    open_and_check("segment damage at " + std::to_string(at));
+    if (trial % 4 != 3) {
+      StoreOptions store;
+      store.directory = scratch_.string();
+      EXPECT_FALSE(PubSub::open(std::move(store)).ok()) << "flip at " << at;
     }
   }
 }
@@ -220,12 +263,16 @@ TEST(DeltaCheckpointCorruptionTest, CopiedRecordsComeFromMemoryAndDiskDamageIsDa
   churn();
   ASSERT_TRUE(pubsub->checkpoint().ok());
 
-  // Damage a record of the live store's snapshot that the next checkpoint
-  // copies (subscription 0 is never touched again). The checkpoint copies
-  // it from memory, so the damage is gone and recovery is exact.
+  // Damage a base record of the live store's snapshot that the next
+  // compaction copies (subscription 0 is never touched again). Routine
+  // checkpoints append segments after it; the compaction copies it from
+  // memory, so the damage is gone and recovery is exact.
   flip_record_byte(snapshot, SubscriptionId(0));
-  churn();
-  ASSERT_TRUE(pubsub->checkpoint().ok());
+  const std::uint64_t compactions = pubsub->store_stats().compactions;
+  while (pubsub->store_stats().compactions == compactions) {
+    churn();
+    ASSERT_TRUE(pubsub->checkpoint().ok());
+  }
   const std::size_t count = pubsub->subscription_count();
   const std::size_t capacity = pubsub->pruning_stats().total_possible;
   pubsub.reset();
@@ -237,10 +284,11 @@ TEST(DeltaCheckpointCorruptionTest, CopiedRecordsComeFromMemoryAndDiskDamageIsDa
     live.push_back(pubsub->adopt(id, {}).value());
   }
 
-  // The same damage after the last checkpoint, with a WAL tail on top,
+  // The same damage after a routine checkpoint, with a WAL tail on top,
   // is found by the next open().
   churn();
   ASSERT_TRUE(pubsub->checkpoint().ok());
+  ASSERT_GT(pubsub->store_stats().segment_bytes, 0u);
   churn();
   pubsub.reset();
   live.clear();

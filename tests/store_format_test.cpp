@@ -1,10 +1,13 @@
 // The durable store's on-disk format: the slice-by-8 CRC-32 against a
-// bitwise reference, golden snapshot and WAL files, and snapshots built
-// from the previous one against a full encode. The files under
-// tests/data/store_golden were written by an earlier build of the store;
-// the current one must write them byte for byte, and read and recover
-// them. A change here is a format change: it needs a kWireFormatVersion
-// bump and new golden files.
+// bitwise reference, golden snapshot and WAL files, and checkpoints (a
+// segment appended after the base, or a compaction folding the segments
+// into a new base) against a full encode. The files under
+// tests/data/store_golden were written by earlier builds of the store:
+// the *_v2 snapshots and both WALs by the current format, which must write
+// them byte for byte; the unsuffixed snapshots by format version 1, which
+// must still read and recover. A change here is a format change: it needs
+// a kSnapshotFormatVersion bump (kWireFormatVersion for the WAL) and new
+// golden files.
 
 #include "store/state_store.hpp"
 
@@ -160,6 +163,77 @@ struct GoldenFiles {
   std::vector<std::uint8_t> checkpoint_wal;  ///< epoch 1, epoch record only
 };
 
+/// A second golden life, with segments: subscribes of 1..12 (trees 1, 4
+/// and 7 in turn) and a training, checkpointed into the base; then a
+/// pruning of 1 and an unsubscribe of 4, checkpointed as one segment; a
+/// subscribe of 13, checkpointed as another; and an unsubscribe of 7 left
+/// in the WAL.
+struct SegmentedGoldenFiles {
+  std::vector<std::uint8_t> snapshot;  ///< epoch-1 base + segments 2 and 3
+  std::vector<std::uint8_t> wal;       ///< epoch 3, one record
+};
+
+/// The tree golden subscription `id` of the segmented life has before any
+/// pruning: trees 1, 4 and 7 in turn.
+std::unique_ptr<Node> segmented_golden_tree(std::uint32_t id) {
+  switch (id % 3) {
+    case 1: return golden_tree_1();
+    case 2: return golden_tree_4();
+    default: return golden_tree_7();
+  }
+}
+
+SegmentedGoldenFiles write_segmented_golden_files(const std::string& directory) {
+  const Schema schema = golden_schema();
+  StoreOptions options;
+  options.directory = directory;
+  options.schema = schema;
+  options.snapshot_every = 1 << 20;
+  auto opened = store::StateStore::open(options);
+  store::StateStore& st = *opened.first;
+  std::map<std::uint32_t, std::unique_ptr<Node>> table;
+  std::map<std::uint32_t, std::size_t> performed;
+  const EventStats stats = golden_stats(schema);
+  store::SnapshotData data;
+  data.schema = &schema;
+  data.stats = &stats;
+  data.lookup = [&](SubscriptionId id) -> std::optional<store::SnapshotRecord> {
+    const auto it = table.find(id.value());
+    if (it == table.end()) return std::nullopt;
+    return store::SnapshotRecord{internal_prunings(*segmented_golden_tree(id.value())),
+                                 performed[id.value()], it->second.get()};
+  };
+  for (std::uint32_t id = 1; id <= 12; ++id) {
+    table[id] = segmented_golden_tree(id);
+    st.append_subscribe(SubscriptionId(id), *table[id]);
+  }
+  st.append_train(stats);
+  data.next_id = 13;
+  data.next_seq = 5;
+  st.checkpoint(data);
+
+  table[1] = golden_tree_1_pruned();
+  performed[1] = 1;
+  st.append_prune(SubscriptionId(1), *table[1]);
+  st.append_unsubscribe(SubscriptionId(4));
+  table.erase(4);
+  data.next_seq = 9;
+  st.checkpoint(data);
+
+  table[13] = segmented_golden_tree(13);
+  st.append_subscribe(SubscriptionId(13), *table[13]);
+  data.next_id = 14;
+  st.checkpoint(data);
+  st.append_unsubscribe(SubscriptionId(7));
+  EXPECT_EQ(st.stats().compactions, 1u);
+  EXPECT_GT(st.stats().segment_bytes, 0u);
+
+  SegmentedGoldenFiles files;
+  files.snapshot = store::read_file(directory + "/snapshot.dbsp");
+  files.wal = store::read_file(directory + "/wal.dbsp");
+  return files;
+}
+
 GoldenFiles write_golden_files(const std::string& directory) {
   const Schema schema = golden_schema();
   StoreOptions options;
@@ -231,33 +305,59 @@ std::vector<std::uint8_t> golden(const std::string& name) {
 TEST(StoreGoldenTest, WritesTheGoldenBytes) {
   TempDir dir("write");
   const GoldenFiles files = write_golden_files(dir.str());
-  EXPECT_EQ(files.fresh_snapshot, golden("fresh_snapshot.dbsp"));
+  EXPECT_EQ(files.fresh_snapshot, golden("fresh_snapshot_v2.dbsp"));
   EXPECT_EQ(files.wal, golden("wal.dbsp"));
-  EXPECT_EQ(files.snapshot, golden("snapshot.dbsp"));
+  EXPECT_EQ(files.snapshot, golden("snapshot_v2.dbsp"));
   EXPECT_EQ(files.checkpoint_wal, golden("checkpoint_wal.dbsp"));
+  TempDir segmented("write_segmented");
+  const SegmentedGoldenFiles more = write_segmented_golden_files(segmented.str());
+  EXPECT_EQ(more.snapshot, golden("segments_v2.dbsp"));
+  EXPECT_EQ(more.wal, golden("segments_wal.dbsp"));
 }
 
-TEST(StoreGoldenTest, GoldenSnapshotReadsBack) {
-  TempDir dir("read");
-  fs::create_directories(dir.str());
-  const std::string path = dir.str() + "/snapshot.dbsp";
-  store::write_file_atomic(path, golden("snapshot.dbsp"), false);
-  const store::LoadedSnapshot snap = store::read_snapshot(path);
-  EXPECT_EQ(snap.epoch, 1u);
-  EXPECT_EQ(snap.next_id, 8u);
-  EXPECT_EQ(snap.next_seq, 42u);
-  EXPECT_TRUE(store::schemas_equal(snap.schema, golden_schema()));
-  ASSERT_EQ(snap.subs.size(), 2u);
-  EXPECT_EQ(snap.subs[0].id, SubscriptionId(1));
-  EXPECT_EQ(snap.subs[0].capacity, internal_prunings(*golden_tree_1()));
-  EXPECT_EQ(snap.subs[0].performed, 1u);
-  EXPECT_TRUE(snap.subs[0].tree->equals(*golden_tree_1_pruned()));
-  EXPECT_EQ(snap.subs[1].id, SubscriptionId(7));
-  EXPECT_EQ(snap.subs[1].performed, 0u);
-  EXPECT_TRUE(snap.subs[1].tree->equals(*golden_tree_7()));
-  WireWriter stats;
-  golden_stats(golden_schema()).save(stats);
-  EXPECT_EQ(snap.stats, stats.bytes());
+TEST(StoreGoldenTest, VersionOneReadersRefuseTheCurrentSnapshot) {
+  // A reader of format version 1 decodes the header with the wire codec's
+  // check, which refuses any version above kWireFormatVersion.
+  ASSERT_EQ(kWireFormatVersion, 1u);
+  for (const char* name : {"fresh_snapshot_v2.dbsp", "snapshot_v2.dbsp", "segments_v2.dbsp"}) {
+    const std::vector<std::uint8_t> bytes = golden(name);
+    WireReader in(bytes);
+    EXPECT_THROW((void)decode_wire_header(in), WireError) << name;
+  }
+  for (const char* name : {"fresh_snapshot.dbsp", "snapshot.dbsp"}) {
+    const std::vector<std::uint8_t> bytes = golden(name);
+    WireReader in(bytes);
+    EXPECT_EQ(decode_wire_header(in), 1u) << name;
+  }
+}
+
+TEST(StoreGoldenTest, GoldenSnapshotsReadBack) {
+  // The version-1 file and its version-2 rewrite hold the same table.
+  for (const char* name : {"snapshot.dbsp", "snapshot_v2.dbsp"}) {
+    SCOPED_TRACE(name);
+    TempDir dir("read");
+    fs::create_directories(dir.str());
+    const std::string path = dir.str() + "/snapshot.dbsp";
+    store::write_file_atomic(path, golden(name), false);
+    const store::LoadedSnapshot snap = store::read_snapshot(path);
+    EXPECT_EQ(snap.version, std::string(name) == "snapshot.dbsp" ? 1u : 2u);
+    EXPECT_EQ(snap.epoch, 1u);
+    EXPECT_EQ(snap.next_id, 8u);
+    EXPECT_EQ(snap.next_seq, 42u);
+    EXPECT_TRUE(store::schemas_equal(snap.schema, golden_schema()));
+    ASSERT_EQ(snap.subs.size(), 2u);
+    EXPECT_EQ(snap.subs[0].id, SubscriptionId(1));
+    EXPECT_EQ(snap.subs[0].capacity, internal_prunings(*golden_tree_1()));
+    EXPECT_EQ(snap.subs[0].performed, 1u);
+    EXPECT_TRUE(snap.subs[0].tree->equals(*golden_tree_1_pruned()));
+    EXPECT_EQ(snap.subs[1].id, SubscriptionId(7));
+    EXPECT_EQ(snap.subs[1].performed, 0u);
+    EXPECT_TRUE(snap.subs[1].tree->equals(*golden_tree_7()));
+    WireWriter stats;
+    golden_stats(golden_schema()).save(stats);
+    EXPECT_EQ(snap.stats, stats.bytes());
+    EXPECT_TRUE(snap.segments.entries.empty());
+  }
 }
 
 /// Opens the store files `snapshot` + `wal` with pruning on and checks the
@@ -292,10 +392,77 @@ void expect_golden_table(const std::string& snapshot, const std::string& wal,
 
 TEST(StoreGoldenTest, GoldenWalRecovers) {
   expect_golden_table("fresh_snapshot.dbsp", "wal.dbsp", 6);
+  expect_golden_table("fresh_snapshot_v2.dbsp", "wal.dbsp", 6);
 }
 
 TEST(StoreGoldenTest, GoldenSnapshotRecovers) {
   expect_golden_table("snapshot.dbsp", "checkpoint_wal.dbsp", 0);
+  expect_golden_table("snapshot_v2.dbsp", "checkpoint_wal.dbsp", 0);
+}
+
+TEST(StoreGoldenTest, GoldenSegmentsRecover) {
+  TempDir dir("recover_segments");
+  fs::create_directories(dir.str());
+  store::write_file_atomic(dir.str() + "/snapshot.dbsp", golden("segments_v2.dbsp"), false);
+  store::write_file_atomic(dir.str() + "/wal.dbsp", golden("segments_wal.dbsp"), false);
+  StoreOptions options;
+  options.directory = dir.str();
+  PubSubOptions pubsub_options;
+  pubsub_options.pruning = true;
+  const PubSub pubsub = PubSub::open(std::move(options), pubsub_options).value();
+  // Base 1..12; segment 2 prunes 1 and drops 4; segment 3 adds 13; the WAL
+  // drops 7.
+  std::vector<SubscriptionId> ids;
+  std::size_t capacity = 0;
+  const Schema schema = golden_schema();
+  for (std::uint32_t id = 1; id <= 13; ++id) {
+    if (id == 4 || id == 7) continue;
+    ids.emplace_back(id);
+    capacity += internal_prunings(*segmented_golden_tree(id));
+    const auto tree = id == 1 ? golden_tree_1_pruned() : segmented_golden_tree(id);
+    EXPECT_EQ(pubsub.subscription_text(SubscriptionId(id)).value(), tree->to_string(schema))
+        << id;
+  }
+  EXPECT_EQ(pubsub.subscription_ids(), ids);
+  EXPECT_EQ(pubsub.pruning_stats().total_possible, capacity);
+  EXPECT_EQ(pubsub.pruning_stats().performed, 1u);
+  const StoreStats stats = pubsub.store_stats();
+  EXPECT_EQ(stats.epoch, 3u);
+  EXPECT_EQ(stats.replayed_records, 1u);
+  EXPECT_EQ(stats.snapshot_subscriptions, 12u);
+  const store::LoadedSnapshot snap = store::read_snapshot(dir.str() + "/snapshot.dbsp");
+  EXPECT_EQ(stats.segment_bytes, golden("segments_v2.dbsp").size() -
+                                     store::kSnapshotHeaderBytes - snap.image.body_bytes());
+  EXPECT_EQ(snap.next_id, 14u);
+  EXPECT_EQ(snap.next_seq, 9u);
+}
+
+TEST(StoreGoldenTest, VersionOneStoreCompactsAtItsFirstCheckpoint) {
+  // A version-1 file cannot take segments, so the first checkpoint of a
+  // store opened on one rewrites it in the current version.
+  TempDir dir("upgrade");
+  fs::create_directories(dir.str());
+  const std::string snapshot = dir.str() + "/snapshot.dbsp";
+  store::write_file_atomic(snapshot, golden("snapshot.dbsp"), false);
+  store::write_file_atomic(dir.str() + "/wal.dbsp", golden("checkpoint_wal.dbsp"), false);
+  StoreOptions options;
+  options.directory = dir.str();
+  PubSubOptions pubsub_options;
+  pubsub_options.pruning = true;
+  std::string text;
+  {
+    std::vector<SubscriptionHandle> live;  // before the PubSub: inert at exit
+    PubSub pubsub = PubSub::open(options, pubsub_options).value();
+    live.push_back(pubsub.subscribe("volume > 3").value());
+    ASSERT_TRUE(pubsub.checkpoint().ok());
+    EXPECT_EQ(pubsub.store_stats().compactions, 1u);
+    EXPECT_EQ(pubsub.store_stats().segment_bytes, 0u);
+    text = pubsub.subscription_text(live.back().id()).value();
+  }
+  EXPECT_EQ(store::read_file(snapshot)[1], store::kSnapshotFormatVersion);
+  const PubSub reopened = PubSub::open(options, pubsub_options).value();
+  ASSERT_EQ(reopened.subscription_count(), 3u);
+  EXPECT_EQ(reopened.subscription_text(SubscriptionId(8)).value(), text);
 }
 
 // --- Checkpoints of a live table ---------------------------------------------
@@ -359,13 +526,13 @@ struct ModelSub {
 using ModelTable = std::map<SubscriptionId::value_type, ModelSub>;
 
 /// The snapshot file a full encode of `table` makes: header, counters and
-/// schema, every live record in id order, statistics, CRC. With
-/// `accounting` off every record carries zeros, as a facade with pruning
-/// off reports them.
+/// schema, every live record in id order, statistics (`stats`, the bytes
+/// EventStats::save wrote; empty = untrained), CRC. With `accounting` off
+/// every record carries zeros, as a facade with pruning off reports them.
 std::vector<std::uint8_t> reference_snapshot(std::uint64_t epoch, std::uint64_t next_id,
                                              std::uint64_t next_seq, const Schema& schema,
                                              const ModelTable& table, bool accounting,
-                                             const EventStats* stats) {
+                                             const std::vector<std::uint8_t>& stats) {
   WireWriter body;
   body.put_u64(epoch);
   body.put_u64(next_id);
@@ -378,15 +545,14 @@ std::vector<std::uint8_t> reference_snapshot(std::uint64_t epoch, std::uint64_t 
     body.put_u64(accounting ? sub.performed : 0);
     encode_tree(*sub.tree, body);
   }
-  body.put_u8(stats != nullptr ? 1 : 0);
-  if (stats != nullptr) {
-    WireWriter saved;
-    stats->save(saved);
-    body.put_u64(saved.size());
-    body.put_bytes(saved.bytes());
+  body.put_u8(stats.empty() ? 0 : 1);
+  if (!stats.empty()) {
+    body.put_u64(stats.size());
+    body.put_bytes(stats);
   }
   WireWriter file;
-  encode_wire_header(file);
+  file.put_u8(kWireMagic);
+  file.put_u8(store::kSnapshotFormatVersion);
   file.put_u8(static_cast<std::uint8_t>(store::FileKind::kSnapshot));
   file.put_u64(body.size());
   file.put_u32(store::crc32(body.bytes()));
@@ -394,12 +560,26 @@ std::vector<std::uint8_t> reference_snapshot(std::uint64_t epoch, std::uint64_t 
   return file.bytes();
 }
 
+/// The full encode of the table the snapshot file at `path` holds, its
+/// base and segments applied.
+std::vector<std::uint8_t> decoded_reference(const std::string& path) {
+  const store::LoadedSnapshot snap = store::read_snapshot(path);
+  ModelTable table;
+  for (const store::LoadedSub& sub : snap.subs) {
+    table[sub.id.value()] = {sub.capacity, sub.performed, sub.tree->clone()};
+  }
+  return reference_snapshot(snap.epoch, snap.next_id, snap.next_seq, snap.schema, table,
+                            /*accounting=*/true, snap.stats);
+}
+
 /// Drives a StateStore through a random history against a model table:
 /// subscribes, unsubscribes (often of an id just pruned), prunings (often
 /// two of one id in a row), trainings, re-opens between checkpoints, and
 /// now and then a change to every record's accounting. After every
-/// checkpoint the snapshot file must equal the full encode byte for byte,
-/// and the lookup must have been asked only about ids the WAL named.
+/// checkpoint the snapshot file, base and segments applied, must decode to
+/// the model's full encode; after every compaction the file must equal it
+/// byte for byte. The lookup must have been asked only about ids the WAL
+/// named.
 void check_random_history(bool accounting, std::uint64_t seed) {
   TempDir dir(std::string("delta_") + (accounting ? "on" : "off"));
   const test::MiniDomain dom(6, 24);
@@ -409,6 +589,7 @@ void check_random_history(bool accounting, std::uint64_t seed) {
   options.schema = dom.schema();
   options.snapshot_every = 1 << 20;
   std::unique_ptr<store::StateStore> st = store::StateStore::open(options).first;
+  const std::string path = dir.str() + "/snapshot.dbsp";
 
   ModelTable table;
   SubscriptionId::value_type next_id = 0;
@@ -419,6 +600,8 @@ void check_random_history(bool accounting, std::uint64_t seed) {
   std::uint64_t just_pruned = kNone;
   bool all_marked = false;  // mark_all_dirty() since the last checkpoint
   std::size_t lookups = 0;
+  int compactions = 0;
+  int segments = 0;
   store::SnapshotData data;
   data.schema = &dom.schema();
   data.lookup = [&](SubscriptionId id) -> std::optional<store::SnapshotRecord> {
@@ -440,6 +623,7 @@ void check_random_history(bool accounting, std::uint64_t seed) {
     data.stats = stats ? &*stats : nullptr;
     const std::uint64_t logged = st->stats().records_since_checkpoint;
     const std::uint64_t encoded_before = st->stats().snapshot_records_encoded;
+    const std::uint64_t compacted_before = st->stats().compactions;
     lookups = 0;
     st->checkpoint(data);
     if (!all_marked) {
@@ -447,10 +631,21 @@ void check_random_history(bool accounting, std::uint64_t seed) {
       EXPECT_LE(st->stats().snapshot_records_encoded - encoded_before, logged);
     }
     all_marked = false;
-    ASSERT_EQ(store::read_file(dir.str() + "/snapshot.dbsp"),
-              reference_snapshot(st->epoch(), next_id, next_seq, dom.schema(), table,
-                                 accounting, data.stats))
-        << "epoch " << st->epoch();
+    WireWriter saved;
+    if (stats) stats->save(saved);
+    const std::vector<std::uint8_t> reference = reference_snapshot(
+        st->epoch(), next_id, next_seq, dom.schema(), table, accounting, saved.bytes());
+    ASSERT_EQ(decoded_reference(path), reference) << "epoch " << st->epoch();
+    if (st->stats().compactions > compacted_before) {
+      ++compactions;
+      ASSERT_EQ(store::read_file(path), reference) << "epoch " << st->epoch();
+      ASSERT_EQ(st->stats().segment_bytes, 0u);
+    } else {
+      ++segments;
+      ASSERT_EQ(fs::file_size(path),
+                store::kSnapshotHeaderBytes +
+                    store::read_snapshot(path).image.body_bytes() + st->stats().segment_bytes);
+    }
   };
 
   int checkpoints = 0;
@@ -521,6 +716,8 @@ void check_random_history(bool accounting, std::uint64_t seed) {
   checkpoint();
   EXPECT_GT(checkpoints, 50);
   EXPECT_GT(reopens, 10);
+  EXPECT_GT(segments, 30);
+  EXPECT_GT(compactions, 10);
 }
 
 TEST(StoreDeltaCheckpointTest, EqualsAFullEncodeWithAccounting) {

@@ -216,10 +216,13 @@ TEST(StoreSnapshotTest, RoundTripsFullState) {
     if (id == SubscriptionId(11)) return store::SnapshotRecord{9, 0, t2.get()};
     return std::nullopt;
   };
-  // From an empty base every record is encoded; id 4 is not live.
+  // One segment encodes every record; id 4 is not live. Folded into an
+  // empty base it makes the whole table.
   const std::vector<SubscriptionId::value_type> dirty = {2, 4, 11};
+  store::SegmentLog log;
+  EXPECT_EQ(store::append_segment(log, dirty, 6, data), 2u);
   store::SnapshotImage image;
-  EXPECT_EQ(store::build_snapshot(image, dirty, 6, data), 2u);
+  store::build_snapshot(image, log, 6, data, /*stats_changed=*/true);
   store::write_file_atomic(path, image.bytes, false);
 
   const store::LoadedSnapshot snap = store::read_snapshot(path);
@@ -712,23 +715,24 @@ TEST(PubSubOpenTest, CheckpointAfterChurnReopensToSameTable) {
   ASSERT_EQ(ids.size(), 100u);
   std::vector<std::string> texts;
   for (const SubscriptionId id : ids) texts.push_back(pubsub->subscription_text(id).value());
+  const StoreStats checkpointed = pubsub->store_stats();
   pubsub.reset();  // crash order: the handles go after the PubSub
   live.clear();
 
-  // The snapshot file is its header followed by exactly the body it frames.
+  // The first checkpoint of a store compacts (its segment outgrows the
+  // empty base), so the snapshot file is its header followed by exactly
+  // the body it frames, with no segment after it.
+  EXPECT_EQ(checkpointed.compactions, 1u);
+  EXPECT_EQ(checkpointed.segment_bytes, 0u);
   const std::string snapshot = (dir.path() / "snapshot.dbsp").string();
   const std::vector<std::uint8_t> bytes = store::read_file(snapshot);
-  WireWriter header;
-  encode_wire_header(header);
-  header.put_u8(static_cast<std::uint8_t>(store::FileKind::kSnapshot));
-  header.put_u64(0);  // body length
-  header.put_u32(0);  // body CRC
-  ASSERT_GT(bytes.size(), header.size());
+  ASSERT_GT(bytes.size(), store::kSnapshotHeaderBytes);
   WireReader in(bytes);
-  (void)decode_wire_header(in);
+  EXPECT_EQ(in.get_u8(), kWireMagic);
+  EXPECT_EQ(in.get_u8(), store::kSnapshotFormatVersion);
   EXPECT_EQ(in.get_u8(), static_cast<std::uint8_t>(store::FileKind::kSnapshot));
   const std::uint64_t body_len = in.get_u64();
-  EXPECT_EQ(fs::file_size(snapshot), header.size() + body_len);
+  EXPECT_EQ(fs::file_size(snapshot), store::kSnapshotHeaderBytes + body_len);
 
   auto reopened = PubSub::open(store_at(dir, dom.schema()), options);
   ASSERT_TRUE(reopened.ok());
@@ -985,6 +989,233 @@ TEST(DeltaCheckpointTest, KillAfterSetPruneDimensionKeepsTheRecapturedAccounting
 
   const PubSub recovered = PubSub::open(store, pruning_options(1)).value();
   expect_same_accounting(recovered.pruning_stats(), rebuilt);
+}
+
+// --- Segment checkpoints -------------------------------------------------------
+
+/// A durable facade with manual checkpoints whose base holds 300 pruned
+/// subscriptions and trained statistics, and the churn that later
+/// checkpoints persist as segments.
+class SegmentStore {
+ public:
+  SegmentStore(const TempDir& dir, std::uint64_t seed)
+      : rng_(seed), store_(store_at(dir, dom_.schema())) {
+    store_.snapshot_every = 1 << 20;  // manual checkpoints only
+    pubsub_.emplace(PubSub::open(store_, pruning_options(2)).value());
+    EXPECT_TRUE(pubsub_->train(dom_.random_events(rng_, 400)).ok());
+    for (int i = 0; i < 300; ++i) subscribe();
+    EXPECT_TRUE(pubsub_->prune_to_fraction(0.3).ok());
+    EXPECT_TRUE(pubsub_->checkpoint().ok());  // the base: a compaction
+  }
+
+  /// Twelve arrivals, eight departures of random live subscriptions and a
+  /// pruning pass, all logged to the WAL.
+  void churn() {
+    for (int i = 0; i < 12; ++i) subscribe();
+    for (int i = 0; i < 8; ++i) {
+      const std::size_t victim = rng_() % live_.size();
+      ASSERT_TRUE(live_[victim].release().ok());
+      live_[victim] = std::move(live_.back());
+      live_.pop_back();
+    }
+    ASSERT_TRUE(pubsub_->prune_to_fraction(0.3).ok());
+  }
+
+  /// Ends the process as a kill would: no checkpoint, the handles inert.
+  void kill() {
+    pubsub_.reset();
+    live_.clear();
+  }
+
+  /// Opens the directory again and returns the recovered store's stats.
+  /// The recovered table must equal `table`, its accounting `pruning`, and
+  /// its deliveries the direct evaluation of its trees.
+  StoreStats recover(const std::map<SubscriptionId::value_type, std::string>& table,
+                     const PubSub::PruningStats& pruning) {
+    std::vector<SubscriptionHandle> claims;  // before the PubSub: inert at exit
+    PubSub recovered = PubSub::open(store_, pruning_options(1)).value();
+    EXPECT_EQ(table_of(recovered), table);
+    expect_same_accounting(recovered.pruning_stats(), pruning);
+    Sink sink = std::make_shared<std::vector<SubscriptionId>>();
+    claims = adopt_all(recovered, sink);
+    for (const Event& e : dom_.random_events(rng_, 30)) {
+      EXPECT_EQ(probe(recovered, sink, e), oracle_matches(recovered, e));
+    }
+    return recovered.store_stats();
+  }
+
+  /// Events for a training, from the store's random stream.
+  std::vector<Event> events(std::size_t n) { return dom_.random_events(rng_, n); }
+
+  PubSub& pubsub() { return *pubsub_; }
+  const StoreOptions& options() const { return store_; }
+  std::unique_ptr<Node> tree() { return dom_.random_tree(rng_, 6, 0.2); }
+
+ private:
+  void subscribe() { live_.push_back(pubsub_->subscribe(tree()).value()); }
+
+  MiniDomain dom_;
+  std::mt19937_64 rng_;
+  StoreOptions store_;
+  std::vector<SubscriptionHandle> live_;  // after pubsub_: dropped first on kill()
+  std::optional<PubSub> pubsub_;
+};
+
+TEST(SegmentCheckpointTest, RoutineCheckpointsAppendSegmentsAndCompactPastAQuarter) {
+  TempDir dir("segments");
+  SegmentStore st(dir, 101);
+  const std::string snapshot = (dir.path() / "snapshot.dbsp").string();
+  const StoreStats base = st.pubsub().store_stats();
+  ASSERT_EQ(base.compactions, 1u);
+  const std::uint64_t body = fs::file_size(snapshot) - store::kSnapshotHeaderBytes;
+
+  // Each checkpoint appends one segment; the base bytes stay as they are.
+  const std::vector<std::uint8_t> base_bytes = store::read_file(snapshot);
+  std::uint64_t segments = 0;
+  while (st.pubsub().store_stats().compactions == 1) {
+    st.churn();
+    const std::uint64_t records = st.pubsub().store_stats().records_since_checkpoint;
+    const std::uint64_t encoded = st.pubsub().store_stats().snapshot_records_encoded;
+    ASSERT_TRUE(st.pubsub().checkpoint().ok());
+    const StoreStats now = st.pubsub().store_stats();
+    EXPECT_LE(now.snapshot_records_encoded - encoded, records);
+    if (now.compactions > 1) break;
+    ++segments;
+    EXPECT_EQ(fs::file_size(snapshot), base_bytes.size() + now.segment_bytes);
+    std::vector<std::uint8_t> prefix = store::read_file(snapshot);
+    prefix.resize(base_bytes.size());
+    ASSERT_EQ(prefix, base_bytes) << "segment " << segments;
+    EXPECT_LE(now.segment_bytes, body / 4);
+    ASSERT_LT(segments, 100u);
+  }
+  EXPECT_GE(segments, 3u);
+  // The compaction dropped the segments: one body again.
+  const StoreStats compacted = st.pubsub().store_stats();
+  EXPECT_EQ(compacted.segment_bytes, 0u);
+  EXPECT_EQ(fs::file_size(snapshot), store::kSnapshotHeaderBytes +
+                                         store::read_snapshot(snapshot).image.body_bytes());
+  EXPECT_DOUBLE_EQ(st.pubsub().metrics().value("dbsp_store_compactions_total"), 2.0);
+
+  // A training forces a compaction: segments carry no statistics.
+  st.churn();
+  ASSERT_TRUE(st.pubsub().checkpoint().ok());
+  EXPECT_EQ(st.pubsub().store_stats().compactions, 2u);
+  ASSERT_TRUE(st.pubsub().train(st.events(50)).ok());
+  ASSERT_TRUE(st.pubsub().checkpoint().ok());
+  EXPECT_EQ(st.pubsub().store_stats().compactions, 3u);
+
+  const auto table = table_of(st.pubsub());
+  const PubSub::PruningStats pruning = st.pubsub().pruning_stats();
+  st.kill();
+  EXPECT_EQ(st.recover(table, pruning).replayed_records, 0u);
+}
+
+TEST(SegmentCheckpointTest, KillMidSegmentAppendCutsTheTornSegment) {
+  TempDir dir("segment_torn");
+  SegmentStore st(dir, 103);
+  const std::string snapshot = (dir.path() / "snapshot.dbsp").string();
+  const std::string wal = (dir.path() / "wal.dbsp").string();
+  st.churn();
+  ASSERT_TRUE(st.pubsub().checkpoint().ok());
+  st.churn();
+  const std::vector<std::uint8_t> old_wal = store::read_file(wal);
+  const std::uint64_t records = st.pubsub().store_stats().records_since_checkpoint;
+  const std::uint64_t before = fs::file_size(snapshot);
+  const auto table = table_of(st.pubsub());
+  const PubSub::PruningStats pruning = st.pubsub().pruning_stats();
+  ASSERT_TRUE(st.pubsub().checkpoint().ok());
+  ASSERT_EQ(st.pubsub().store_stats().compactions, 1u);  // both were segments
+  const std::vector<std::uint8_t> appended = store::read_file(snapshot);
+  const std::uint64_t after = appended.size();
+  ASSERT_GT(after, before);
+  st.kill();
+
+  // The kill landed inside the append: part of the segment reached the
+  // file, and the next epoch's WAL was never created.
+  for (const std::uint64_t kept : {std::uint64_t{5}, (after - before) / 2, after - before - 1}) {
+    store::write_file_atomic(
+        snapshot, std::span(appended).first(static_cast<std::size_t>(before + kept)), false);
+    store::write_file_atomic(wal, old_wal, false);
+    const StoreStats recovered = st.recover(table, pruning);
+    EXPECT_TRUE(recovered.recovered_torn_tail);
+    EXPECT_EQ(recovered.replayed_records, records);
+    EXPECT_EQ(fs::file_size(snapshot), before) << kept;
+  }
+
+  // The next segment extends the clean file.
+  std::map<SubscriptionId::value_type, std::string> later;
+  PubSub::PruningStats later_pruning;
+  {
+    std::vector<SubscriptionHandle> claims;  // before the PubSub: inert at exit
+    PubSub reopened = PubSub::open(st.options(), pruning_options(1)).value();
+    claims.push_back(reopened.subscribe(st.tree()).value());
+    ASSERT_TRUE(reopened.checkpoint().ok());
+    EXPECT_EQ(reopened.store_stats().compactions, 0u);
+    EXPECT_GT(fs::file_size(snapshot), before);
+    later = table_of(reopened);
+    later_pruning = reopened.pruning_stats();
+  }
+  const StoreStats recovered = st.recover(later, later_pruning);
+  EXPECT_FALSE(recovered.recovered_torn_tail);
+  EXPECT_EQ(recovered.replayed_records, 0u);
+}
+
+TEST(SegmentCheckpointTest, KillBetweenSegmentAppendAndWalCreateDiscardsTheStaleWal) {
+  TempDir dir("segment_window");
+  SegmentStore st(dir, 107);
+  const std::string wal = (dir.path() / "wal.dbsp").string();
+  std::vector<std::uint8_t> old_wal;
+  for (int round = 0; round < 3; ++round) {
+    st.churn();
+    old_wal = store::read_file(wal);
+    ASSERT_TRUE(st.pubsub().checkpoint().ok());
+  }
+  ASSERT_EQ(st.pubsub().store_stats().compactions, 1u);
+  const std::uint64_t epoch = st.pubsub().store_stats().epoch;
+  const auto table = table_of(st.pubsub());
+  const PubSub::PruningStats pruning = st.pubsub().pruning_stats();
+  st.kill();
+  // The last segment is complete, but the WAL it supersedes is still there.
+  store::write_file_atomic(wal, old_wal, false);
+
+  const StoreStats recovered = st.recover(table, pruning);
+  EXPECT_EQ(recovered.epoch, epoch);
+  EXPECT_EQ(recovered.replayed_records, 0u);  // the stale WAL is discarded
+  EXPECT_GT(recovered.segment_bytes, 0u);
+}
+
+TEST(SegmentCheckpointTest, KillMidCompactionLeavesATemporaryFileRecoveryRemoves) {
+  TempDir dir("segment_compaction");
+  SegmentStore st(dir, 109);
+  const std::string snapshot = (dir.path() / "snapshot.dbsp").string();
+  const std::string wal = (dir.path() / "wal.dbsp").string();
+  st.churn();
+  ASSERT_TRUE(st.pubsub().checkpoint().ok());
+  st.churn();
+  // A training makes the next checkpoint a compaction.
+  ASSERT_TRUE(st.pubsub().train(st.events(80)).ok());
+  const std::vector<std::uint8_t> old_snapshot = store::read_file(snapshot);
+  const std::vector<std::uint8_t> old_wal = store::read_file(wal);
+  const std::uint64_t records = st.pubsub().store_stats().records_since_checkpoint;
+  const auto table = table_of(st.pubsub());
+  const PubSub::PruningStats pruning = st.pubsub().pruning_stats();
+  ASSERT_TRUE(st.pubsub().checkpoint().ok());
+  ASSERT_EQ(st.pubsub().store_stats().compactions, 2u);
+  std::vector<std::uint8_t> compacted = store::read_file(snapshot);
+  st.kill();
+
+  // The kill landed before the rename: the old files are intact and half
+  // of the new base sits in the temporary file.
+  store::write_file_atomic(snapshot, old_snapshot, false);
+  store::write_file_atomic(wal, old_wal, false);
+  compacted.resize(compacted.size() / 2);
+  store::write_file_atomic(snapshot + ".tmp.tmp", compacted, false);
+  fs::rename(snapshot + ".tmp.tmp", snapshot + ".tmp");
+
+  const StoreStats recovered = st.recover(table, pruning);
+  EXPECT_EQ(recovered.replayed_records, records);
+  EXPECT_EQ(recovered.replayed_train_checkpoints, 1u);
+  EXPECT_FALSE(fs::exists(snapshot + ".tmp"));
 }
 
 TEST(PubSubOpenTest, AdoptSemantics) {
