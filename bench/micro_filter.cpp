@@ -1,13 +1,16 @@
 // Micro-benchmarks of the filtering engine: counting matcher vs the naive
-// baseline across subscription counts, plus index probe cost.
+// baseline across subscription counts, plus index probe and churn cost.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "filter/counting_matcher.hpp"
 #include "filter/naive_matcher.hpp"
+#include "scenario/workload_domain.hpp"
 #include "workload/event_gen.hpp"
 #include "workload/subscription_gen.hpp"
 
@@ -75,6 +78,35 @@ void BM_MatcherRegistration(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_MatcherRegistration)->Arg(1000)->Arg(10000);
+
+// One add and one remove per iteration on a table of state.range(0) IoT
+// subscriptions (60000 is the churn_durable table), whose predicates are
+// shared by thousands of subscriptions each. A removed subscription waits
+// in a reserve and is added again later, so no tree is built while timed.
+void BM_MatcherChurn(benchmark::State& state) {
+  const auto domain = make_iot_workload();
+  const auto source = domain->subscriptions(1);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::unique_ptr<Subscription>> live;
+  std::vector<std::unique_ptr<Subscription>> reserve;
+  for (std::uint32_t i = 0; i < n + 1024; ++i) {
+    auto sub = std::make_unique<Subscription>(SubscriptionId(i), source->next());
+    (i < n ? live : reserve).push_back(std::move(sub));
+  }
+  CountingMatcher matcher(domain->schema());
+  for (auto& s : live) matcher.add(*s);
+  std::mt19937_64 rng(5);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    std::unique_ptr<Subscription>& in = reserve[next++ % reserve.size()];
+    matcher.add(*in);
+    std::unique_ptr<Subscription>& victim = live[rng() % live.size()];
+    matcher.remove(*victim);
+    std::swap(in, victim);
+  }
+  benchmark::DoNotOptimize(matcher.association_count());
+}
+BENCHMARK(BM_MatcherChurn)->Arg(60000)->Unit(benchmark::kMicrosecond);
 
 void BM_MatcherWithoutPminTrigger(benchmark::State& state) {
   Fixture fx(static_cast<std::size_t>(state.range(0)));

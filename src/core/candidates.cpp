@@ -1,5 +1,6 @@
 #include "core/candidates.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace dbsp {
@@ -14,21 +15,85 @@ namespace {
          (parent.kind() == NodeKind::Or && !positive);
 }
 
-void enumerate_walk(const Node& node, bool positive, bool bottom_up,
-                    Node::Path& prefix, std::vector<Node::Path>& out) {
-  const bool flips = node.kind() == NodeKind::Not;
-  const bool child_positive = flips ? !positive : positive;
+/// Writes the walk's current path over the next candidate entry, reusing
+/// that entry's capacity.
+void emit(CandidateBuffer& out) {
+  if (out.size == out.paths.size()) out.paths.emplace_back();
+  out.paths[out.size++].assign(out.prefix.begin(), out.prefix.end());
+}
+
+/// Emits the candidates inside `node` in pre-order and returns
+/// internal_prunings(node, positive). A child's bottom-up validity needs its
+/// own count, so it is emitted after its subtree was walked; its subtree
+/// emitted nothing then (save below an unsimplified single-child And/Or,
+/// where a rotation restores pre-order).
+std::size_t enumerate_walk(const Node& node, bool positive, bool bottom_up,
+                           CandidateBuffer& out) {
+  const bool child_positive = node.kind() == NodeKind::Not ? !positive : positive;
+  const bool conj = conjunctive(node, child_positive);
+  std::size_t total = 0;
   for (std::uint32_t i = 0; i < node.children().size(); ++i) {
-    const Node& child = *node.children()[i];
-    prefix.push_back(i);
-    if (conjunctive(node, child_positive) &&
-        (!bottom_up || internal_prunings(child, child_positive) == 0)) {
-      out.push_back(prefix);
+    out.prefix.push_back(i);
+    const std::size_t mark = out.size;
+    if (conj && !bottom_up) emit(out);
+    const std::size_t inside =
+        enumerate_walk(*node.children()[i], child_positive, bottom_up, out);
+    if (conj && bottom_up && inside == 0) {
+      emit(out);
+      if (out.size - 1 > mark) {
+        const auto first = out.paths.begin() + static_cast<std::ptrdiff_t>(mark);
+        const auto last = out.paths.begin() + static_cast<std::ptrdiff_t>(out.size);
+        std::rotate(first, last - 1, last);
+      }
     }
-    enumerate_walk(child, child_positive, bottom_up, prefix, out);
-    prefix.pop_back();
+    total += inside;
+    out.prefix.pop_back();
+  }
+  // Every child of a conjunctive node can be removed itself, except the
+  // last one standing.
+  if (conj) total += node.children().size() - 1;
+  return total;
+}
+
+/// The parent of the node `path` addresses and that node's polarity; a
+/// null parent unless the node is a prunable child.
+template <class N>  // Node or const Node
+struct Target {
+  N* parent = nullptr;
+  bool positive = true;
+};
+
+template <class N>
+Target<N> locate(N& root, const Node::Path& path) {
+  if (path.empty()) return {};  // the root itself is never pruned
+  N* parent = &root;
+  bool positive = true;
+  for (std::size_t i = 0;; ++i) {
+    if (parent->kind() == NodeKind::Not) positive = !positive;
+    if (path[i] >= parent->children().size()) return {};
+    if (i + 1 == path.size()) break;
+    parent = parent->children()[path[i]].get();
+  }
+  if (!conjunctive(*parent, positive)) return {};
+  return {parent, positive};
+}
+
+/// The pruning operator (§3): the prunable child at `path` becomes the
+/// generalizing constant — TRUE in positive polarity, FALSE in negative —
+/// and the tree is simplified in place.
+std::unique_ptr<Node> prune(std::unique_ptr<Node> root, const Node::Path& path) {
+  const Target<Node> target = locate(*root, path);
+  target.parent->children()[path.back()] = Node::constant(target.positive);
+  return simplify(std::move(root));
+}
+
+void check_target(const Node& root, const Node::Path& path) {
+  if (!is_prunable_child(root, path)) {
+    throw std::invalid_argument("pruning: target is not a prunable child");
   }
 }
+
+constexpr const char* kCollapsed = "pruning: tree collapsed to a constant";
 
 }  // namespace
 
@@ -57,51 +122,34 @@ std::size_t internal_prunings(const Node& node, bool positive) {
 }
 
 std::vector<Node::Path> enumerate_prunings(const Node& root, bool bottom_up) {
-  std::vector<Node::Path> out;
-  Node::Path prefix;
-  enumerate_walk(root, /*positive=*/true, bottom_up, prefix, out);
-  return out;
+  CandidateBuffer out;
+  (void)enumerate_prunings(root, bottom_up, out);
+  out.paths.resize(out.size);
+  return std::move(out.paths);
+}
+
+std::size_t enumerate_prunings(const Node& root, bool bottom_up, CandidateBuffer& out) {
+  out.size = 0;
+  out.prefix.clear();
+  return enumerate_walk(root, /*positive=*/true, bottom_up, out);
 }
 
 bool is_prunable_child(const Node& root, const Node::Path& path) {
-  if (path.empty()) return false;  // the root itself is never pruned
-  const Node* parent = &root;
-  bool positive = true;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    if (parent->kind() == NodeKind::Not) positive = !positive;
-    if (path[i] >= parent->children().size()) return false;
-    parent = parent->children()[path[i]].get();
-  }
-  if (parent->kind() == NodeKind::Not) positive = !positive;
-  if (path.back() >= parent->children().size()) return false;
-  return conjunctive(*parent, positive);
+  return locate(root, path).parent != nullptr;
 }
 
 std::unique_ptr<Node> simulate_pruning(const Node& root, const Node::Path& path) {
-  if (!is_prunable_child(root, path)) {
-    throw std::invalid_argument("pruning: target is not a prunable child");
-  }
-  auto copy = root.clone();
-  // Recompute the polarity at the target to pick the generalizing constant.
-  bool positive = true;
-  const Node* walk = copy.get();
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    if (walk->kind() == NodeKind::Not) positive = !positive;
-    walk = walk->children()[path[i]].get();
-  }
-  if (walk->kind() == NodeKind::Not) positive = !positive;
-  Node* parent = copy->resolve(Node::Path(path.begin(), path.end() - 1));
-  parent->children()[path.back()] = Node::constant(positive);
-  auto simplified = simplify(std::move(copy));
-  if (simplified->is_constant()) {
-    // Unreachable for valid targets; guard against future operator changes.
-    throw std::logic_error("pruning: tree collapsed to a constant");
-  }
-  return simplified;
+  check_target(root, path);
+  auto pruned = prune(root.clone(), path);
+  // Unreachable for valid targets; guard against future operator changes.
+  if (pruned->is_constant()) throw std::logic_error(kCollapsed);
+  return pruned;
 }
 
 void apply_pruning(Subscription& sub, const Node::Path& path) {
-  sub.replace_root(simulate_pruning(sub.root(), path));
+  check_target(sub.root(), path);
+  sub.replace_root(prune(sub.release_root(), path));
+  if (sub.root().is_constant()) throw std::logic_error(kCollapsed);
 }
 
 }  // namespace dbsp

@@ -1,5 +1,6 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -18,9 +19,8 @@ void PruningEngine::register_subscription(Subscription& sub) {
   SubState& state = states_.emplace_back();
   state.sub = &sub;
   state.original = scorer_.profile(sub.root());
-  state.capacity = internal_prunings(sub.root());
+  state.capacity = push_best_candidate(state);
   total_possible_ += state.capacity;
-  push_best_candidate(state);
   ++maintenance_.admissions;
   ++mutations_since_rescore_;
 }
@@ -52,36 +52,31 @@ void PruningEngine::maybe_compact() {
   // the queue never holds more than ~2x live entries.
   constexpr std::size_t kMinDead = 32;
   if (dead_entries_ < kMinDead || dead_entries_ * 2 < queue_.size()) return;
-  std::vector<QueueEntry> live;
-  live.reserve(queue_.size());
-  while (!queue_.empty()) {
-    const QueueEntry& top = queue_.top();
-    const SubState* state = find(top.sub);
-    if (state != nullptr && top.generation == state->sub->generation()) {
-      live.push_back(top);
-    }
-    queue_.pop();
-  }
-  queue_ = decltype(queue_)(Compare{}, std::move(live));
+  std::erase_if(queue_, [&](const QueueEntry& entry) {
+    const SubState* state = find(entry.sub);
+    return state == nullptr || entry.generation != state->sub->generation();
+  });
+  std::make_heap(queue_.begin(), queue_.end(), Compare{});
   dead_entries_ = 0;
   ++maintenance_.queue_compactions;
 }
 
 void PruningEngine::rescore_all() {
-  queue_ = decltype(queue_){};
+  queue_.clear();
   dead_entries_ = 0;
-  for (SubState& state : states_) push_best_candidate(state);
+  for (SubState& state : states_) (void)push_best_candidate(state);
   mutations_since_rescore_ = 0;
   ++maintenance_.full_rescores;
 }
 
 std::optional<PruningEngine::Best> PruningEngine::best_candidate(
-    const SubState& state) const {
+    const SubState& state, std::size_t& capacity) const {
   const Node& root = state.sub->root();
-  candidates_ = enumerate_prunings(root, config_.bottom_up);
-  if (candidates_.empty()) return std::nullopt;
+  capacity = enumerate_prunings(root, config_.bottom_up, candidates_);
+  if (candidates_.size == 0) return std::nullopt;
   const auto order = config_.effective_order();
-  const auto scores = scorer_.score_all(root, candidates_, state.original, scratch_);
+  const auto scores =
+      scorer_.score_all(root, candidates_.candidates(), state.original, scratch_);
   Best best{0, scores[0], composite_key(scores[0], order)};
   for (std::size_t i = 1; i < scores.size(); ++i) {
     const auto key = composite_key(scores[i], order);
@@ -90,19 +85,27 @@ std::optional<PruningEngine::Best> PruningEngine::best_candidate(
   return best;
 }
 
-void PruningEngine::push_best_candidate(SubState& state) {
+std::size_t PruningEngine::push_best_candidate(SubState& state) {
   state.queued = false;
-  const auto best = best_candidate(state);
-  if (!best) return;
-  QueueEntry entry;
-  entry.key = best->key;
-  entry.path = std::move(candidates_[best->index]);
-  entry.scores = best->scores;
-  entry.sub = state.sub->id();
-  entry.generation = state.sub->generation();
-  entry.seq = next_seq_++;
-  queue_.push(std::move(entry));
+  std::size_t capacity = 0;
+  const auto best = best_candidate(state, capacity);
+  if (!best) return capacity;
+  // A swap hands the buffer the old path's capacity: neither allocates.
+  std::swap(state.best_path, candidates_.paths[best->index]);
+  state.best_scores = best->scores;
+  push_heap({best->key, next_seq_++, state.sub->generation(), state.sub->id()});
   state.queued = true;
+  return capacity;
+}
+
+void PruningEngine::push_heap(QueueEntry entry) {
+  queue_.push_back(entry);
+  std::push_heap(queue_.begin(), queue_.end(), Compare{});
+}
+
+void PruningEngine::pop_heap() {
+  std::pop_heap(queue_.begin(), queue_.end(), Compare{});
+  queue_.pop_back();
 }
 
 void PruningEngine::begin_pass() {
@@ -112,23 +115,24 @@ void PruningEngine::begin_pass() {
 
 std::optional<PruningEngine::Applied> PruningEngine::prune_step() {
   while (!queue_.empty()) {
-    QueueEntry top = queue_.top();
-    queue_.pop();
+    const QueueEntry top = queue_.front();
+    pop_heap();
     SubState* state = find(top.sub);
     if (state == nullptr) {                                   // released
       if (dead_entries_ > 0) --dead_entries_;
       continue;
     }
     if (top.generation != state->sub->generation()) continue; // stale
-    apply_pruning(*state->sub, top.path);
+    apply_pruning(*state->sub, state->best_path);
     if (!state->listed) {
       state->listed = true;
       last_pruned_.push_back({top.sub, state->performed});
     }
     ++performed_;
     ++state->performed;
-    push_best_candidate(*state);
-    return Applied{top.sub, top.scores};
+    const PruneScores scores = state->best_scores;
+    (void)push_best_candidate(*state);
+    return Applied{top.sub, scores};
   }
   return std::nullopt;
 }
@@ -169,11 +173,11 @@ std::size_t PruningEngine::prune_to_fraction(double fraction) {
 
 std::optional<double> PruningEngine::next_primary_rating() {
   while (!queue_.empty()) {
-    const QueueEntry& top = queue_.top();
+    const QueueEntry& top = queue_.front();
     const SubState* state = find(top.sub);
     if (state == nullptr || top.generation != state->sub->generation()) {
       if (state == nullptr && dead_entries_ > 0) --dead_entries_;
-      queue_.pop();  // stale; discard and keep looking
+      pop_heap();  // stale; discard and keep looking
       continue;
     }
     return top.key[0];
@@ -225,7 +229,8 @@ const PruningEngine::SubState* PruningEngine::find(SubscriptionId id) const {
 std::optional<PruneScores> PruningEngine::peek_best(SubscriptionId id) const {
   const SubState* state = find(id);
   if (state == nullptr) return std::nullopt;
-  const auto best = best_candidate(*state);
+  std::size_t capacity = 0;
+  const auto best = best_candidate(*state, capacity);
   if (!best) return std::nullopt;
   return best->scores;
 }

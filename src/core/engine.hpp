@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -37,8 +36,8 @@ struct PruneEngineConfig {
 
 /// The dimension-based pruning engine (paper §3.4).
 ///
-/// Holds one priority queue whose entries are the current *best* candidate
-/// pruning of each registered subscription, keyed by the composite
+/// Holds one priority queue whose entries stand for the current *best*
+/// candidate pruning of each registered subscription, keyed by the composite
 /// (primary, secondary, tertiary) heuristic rating. prune_one() pops the
 /// globally most effective pruning, applies it and re-inserts the
 /// subscription's next-best candidate — exactly the scheme of §3.4. Stale
@@ -200,17 +199,17 @@ class PruningEngine {
   [[nodiscard]] const PruneEngineConfig& config() const { return config_; }
 
  private:
+  /// A subscription's live queue entry; its path and scores sit in its
+  /// SubState (a subscription has at most one entry of its generation).
   struct QueueEntry {
     std::array<double, 3> key{};
     std::uint64_t seq = 0;  // FIFO among exact ties, for determinism
     std::uint64_t generation = 0;
     SubscriptionId sub;
-    Node::Path path;
-    PruneScores scores;
   };
   struct Compare {
-    // priority_queue keeps the *largest* on top; invert to get the
-    // smallest composite key (the most effective pruning) on top.
+    // The heap keeps the *largest* on top; invert to get the smallest
+    // composite key (the most effective pruning) on top.
     bool operator()(const QueueEntry& a, const QueueEntry& b) const {
       if (a.key != b.key) return a.key > b.key;
       return a.seq > b.seq;
@@ -223,8 +222,11 @@ class PruningEngine {
     std::size_t performed = 0;  ///< prunings applied to this subscription
     bool queued = false;        ///< has a (single) live entry in queue_
     bool listed = false;        ///< in last_pruned_, not yet reindexed
+    /// The queued candidate: its path and scores (valid while queued).
+    Node::Path best_path;
+    PruneScores best_scores;
   };
-  /// The best-keyed candidate of one subscription: candidates_[index].
+  /// The best-keyed candidate of one subscription: candidates_.paths[index].
   struct Best {
     std::size_t index = 0;
     PruneScores scores;
@@ -233,9 +235,14 @@ class PruningEngine {
 
   /// Enumerates and scores all valid candidates of `state.sub`'s current
   /// tree into candidates_ / scratch_; nullopt when there are none.
-  [[nodiscard]] std::optional<Best> best_candidate(const SubState& state) const;
-  /// Pushes the best candidate (if any); maintains state.queued.
-  void push_best_candidate(SubState& state);
+  /// `capacity` receives the tree's internal prunings.
+  [[nodiscard]] std::optional<Best> best_candidate(const SubState& state,
+                                                   std::size_t& capacity) const;
+  /// Queues the best candidate (if any) in `state`; maintains state.queued.
+  /// Returns the tree's internal prunings.
+  std::size_t push_best_candidate(SubState& state);
+  void push_heap(QueueEntry entry);
+  void pop_heap();
   /// Starts a public pruning call: finishes a pass an exception cut
   /// short, then empties last_pruned_.
   void begin_pass();
@@ -258,14 +265,15 @@ class PruningEngine {
   /// all of them reads one array instead of chasing hash-map nodes.
   std::vector<SubState> states_;
   std::unordered_map<SubscriptionId::value_type, std::uint32_t> position_;  ///< id -> index
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, Compare> queue_;
+  /// Binary heap under Compare: the most effective pruning at front().
+  std::vector<QueueEntry> queue_;
   /// The ids of the current (or last) public call. Until finish_pass() an
   /// entry's `prunings` holds the subscription's performed count from
   /// before the call; finish_pass() turns it into the call's own count.
   std::vector<Pruned> last_pruned_;
   /// Scoring buffers reused across rescorings (the engine is not
   /// thread-safe anyway; mutable so const peek_best() can score too).
-  mutable std::vector<Node::Path> candidates_;
+  mutable CandidateBuffer candidates_;
   mutable ScoringScratch scratch_;
   std::size_t total_possible_ = 0;
   std::size_t performed_ = 0;

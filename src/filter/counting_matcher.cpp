@@ -2,9 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <stdexcept>
 
 namespace dbsp {
+
+namespace {
+
+/// Pc one past the subtree at `pc` (a leaf's arg is its predicate id).
+template <typename Instr>
+std::uint32_t subtree_end(const Instr* program, std::uint32_t pc) {
+  return program[pc].kind == NodeKind::Leaf ? pc + 1 : program[pc].arg;
+}
+
+}  // namespace
 
 CountingMatcher::CountingMatcher(const Schema& schema) : schema_(&schema) {
   attr_index_.resize(schema.attribute_count());
@@ -24,6 +35,7 @@ void CountingMatcher::grow_predicate_arrays() {
   const std::size_t needed = registry_.capacity();
   if (pred_slots_.size() < needed) {
     pred_slots_.resize(needed);
+    pred_links_.resize(needed);
     leaf_estimate_.resize(needed);
     link_refs_.resize(needed);
   }
@@ -41,15 +53,15 @@ std::size_t CountingMatcher::checked_size(const Node& node) const {
   return size;
 }
 
-void CountingMatcher::compile(const Node& node, SubscriptionId id, Program& program) {
+void CountingMatcher::compile(const Node& node, Program& program) {
   const std::size_t pc = program.size();
   program.push_back({node.kind(), false, 0});
   if (node.kind() != NodeKind::Leaf) {
-    for (const auto& child : node.children()) compile(*child, id, program);
+    for (const auto& child : node.children()) compile(*child, program);
     program[pc].arg = static_cast<std::uint32_t>(program.size());
     return;
   }
-  const auto result = registry_.add_reference(node.predicate(), id);
+  const auto result = registry_.add_reference(node.predicate());
   program[pc].arg = result.id.value();
   grow_predicate_arrays();
   if (result.new_predicate) {
@@ -64,18 +76,37 @@ void CountingMatcher::load_program(const Subscription& sub, std::uint32_t slot,
   Program& program = slots_[slot].program;
   program.clear();
   program.reserve(size);
-  compile(sub.root(), sub.id(), program);
+  compile(sub.root(), program);
+  association_count_ += distinct_predicates(program);
 }
 
-void CountingMatcher::release_program(SubscriptionId id, const Program& program) {
-  for (const Instr& op : program) {
+std::uint32_t CountingMatcher::tree_size(const Program& program) {
+  return subtree_end(program.data(), 0);
+}
+
+std::span<const CountingMatcher::Instr> CountingMatcher::tree(const Program& program) {
+  return std::span(program).first(tree_size(program));
+}
+
+std::uint32_t CountingMatcher::distinct_predicates(const Program& program) {
+  // A NaN operand makes each such leaf an id of its own.
+  std::uint32_t distinct = 0;
+  for (const Instr& op : tree(program)) {
+    if (op.kind == NodeKind::Leaf && link_refs_[op.arg]++ == 0) ++distinct;
+  }
+  for (const Instr& op : tree(program)) {
+    if (op.kind == NodeKind::Leaf) link_refs_[op.arg] = 0;
+  }
+  return distinct;
+}
+
+void CountingMatcher::release_program(const Program& program) {
+  for (const Instr& op : tree(program)) {
     if (op.kind != NodeKind::Leaf) continue;
     const PredicateId pid(op.arg);
-    auto result = registry_.release_reference(pid, id);
-    if (result.removed_predicate) {
+    if (auto removed = registry_.release_reference(pid)) {
       assert(pred_slots_[pid.value()].empty());
-      const auto attr = result.removed_predicate->attribute();
-      attr_index_[attr.value()].remove(pid, *result.removed_predicate);
+      attr_index_[removed->attribute().value()].remove(pid, *removed);
     }
   }
 }
@@ -85,16 +116,6 @@ double CountingMatcher::estimate(const Predicate& pred) const {
   const double p = leaf_estimate_fn_(pred);
   return p >= 0.0 && p <= 1.0 ? p : 1.0;  // NaN fails both comparisons
 }
-
-namespace {
-
-/// Pc one past the subtree at `pc` (a leaf's arg is its predicate id).
-template <typename Instr>
-std::uint32_t subtree_end(const Instr* program, std::uint32_t pc) {
-  return program[pc].kind == NodeKind::Leaf ? pc + 1 : program[pc].arg;
-}
-
-}  // namespace
 
 CountingMatcher::AccessCost CountingMatcher::cost(const Instr* program,
                                                   std::uint32_t pc) const {
@@ -205,35 +226,59 @@ std::uint32_t CountingMatcher::choose_access(Program& program) const {
   const AccessCost root = cost(program.data(), 0);
   // A root that triggers always or never gains nothing from counting.
   if ((root.pmin == 0 || root.pmin == Node::kPminUnsatisfiable) && root.bumps > 0.0) {
-    for (Instr& op : program) op.access = false;
+    for (Instr& op : std::span(program).first(tree_size(program))) op.access = false;
   }
   return root.pmin;
 }
 
 void CountingMatcher::link(std::uint32_t slot) {
-  const Program& program = slots_[slot].program;
-  for (const Instr& op : program) {
-    if (op.kind == NodeKind::Leaf && op.access) ++link_refs_[op.arg];
+  Program& program = slots_[slot].program;
+  const std::uint32_t size = tree_size(program);
+  program.resize(size);  // drops the link ops of an earlier link()
+  std::uint32_t links = 0;
+  for (const Instr& op : tree(program)) {
+    if (op.kind == NodeKind::Leaf && op.access && link_refs_[op.arg]++ == 0) ++links;
   }
-  for (const Instr& op : program) {
+  program.reserve(size + links);
+  for (std::uint32_t pc = 0; pc < size; ++pc) {
+    const Instr op = program[pc];
     if (op.kind != NodeKind::Leaf || !op.access) continue;
     std::uint32_t& refs = link_refs_[op.arg];
     if (refs == 0) continue;  // a repeated leaf, already linked
-    pred_slots_[op.arg].push_back({slot, refs});
+    std::vector<PredSub>& list = pred_slots_[op.arg];
+    pred_links_[op.arg].push_back(static_cast<std::uint32_t>(program.size()) - size);
+    program.push_back({NodeKind::True, false, static_cast<std::uint32_t>(list.size())});
+    list.push_back({slot, refs});
     refs = 0;
   }
 }
 
 void CountingMatcher::unlink(std::uint32_t slot) {
-  for (const Instr& op : slots_[slot].program) {
+  Program& program = slots_[slot].program;
+  const std::uint32_t size = tree_size(program);
+  std::uint32_t link = size;  // the link ops, in link()'s order
+  for (const Instr& op : tree(program)) {
     if (op.kind != NodeKind::Leaf || !op.access) continue;
-    auto& assoc = pred_slots_[op.arg];
-    auto it = std::find_if(assoc.begin(), assoc.end(),
-                           [&](const PredSub& p) { return p.slot == slot; });
-    if (it == assoc.end()) continue;  // a repeated leaf, already unlinked
-    *it = assoc.back();
-    assoc.pop_back();
+    std::uint32_t& seen = link_refs_[op.arg];
+    if (seen != 0) continue;  // a repeated leaf, already unlinked
+    seen = 1;
+    const std::uint32_t pos = program[link++].arg;
+    std::vector<PredSub>& list = pred_slots_[op.arg];
+    std::vector<std::uint32_t>& links = pred_links_[op.arg];
+    // Swap-pop; the entry moved into the hole tells its slot where it is.
+    list[pos] = list.back();
+    links[pos] = links.back();
+    list.pop_back();
+    links.pop_back();
+    if (pos < list.size()) {
+      Program& moved = slots_[list[pos].slot].program;
+      moved[tree_size(moved) + links[pos]].arg = pos;
+    }
   }
+  for (const Instr& op : tree(program)) {
+    if (op.kind == NodeKind::Leaf && op.access) link_refs_[op.arg] = 0;
+  }
+  program.resize(size);
 }
 
 void CountingMatcher::set_leaf_estimate(LeafEstimate estimate) {
@@ -244,6 +289,7 @@ void CountingMatcher::set_leaf_estimate(LeafEstimate estimate) {
 void CountingMatcher::rechoose_access_sets() {
   for (std::uint32_t id = 0; id < pred_slots_.size(); ++id) {
     pred_slots_[id].clear();
+    pred_links_[id].clear();
     if (registry_.live(PredicateId(id))) {
       leaf_estimate_[id] = estimate(registry_.predicate(PredicateId(id)));
     }
@@ -321,7 +367,8 @@ void CountingMatcher::remove(Subscription& sub) {
   // Pull the slot out of the always-eval list before releasing references.
   set_pmin(slot, 1);
   unlink(slot);
-  release_program(sub.id(), slots_[slot].program);
+  association_count_ -= distinct_predicates(slots_[slot].program);
+  release_program(slots_[slot].program);
   slot_by_id_.erase(sub.id().value());
   slots_[slot] = Slot{};
   free_slots_.push_back(slot);
@@ -335,11 +382,12 @@ void CountingMatcher::reindex(Subscription& sub) {
   const std::size_t size = checked_size(sub.root());
   unlink(slot);
   const Program old_program = std::move(slots_[slot].program);
+  association_count_ -= distinct_predicates(old_program);
   // Compile the new tree first so predicates shared between old and new
   // trees never drop to zero references (which would thrash the attribute
   // index).
   load_program(sub, slot, size);
-  release_program(sub.id(), old_program);
+  release_program(old_program);
   set_pmin(slot, choose_access(slots_[slot].program));
   link(slot);
 }
@@ -405,9 +453,57 @@ void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out
   }
 }
 
+std::string CountingMatcher::audit() const {
+  std::size_t associations = 0;
+  std::size_t links = 0;
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    const Slot& s = slots_[slot];
+    if (s.sub == nullptr) continue;
+    const std::string at = "slot " + std::to_string(slot) + ": ";
+    std::vector<std::uint32_t> all;
+    std::vector<std::uint32_t> access;  // with repeats, in program order
+    for (const Instr& op : tree(s.program)) {
+      if (op.kind != NodeKind::Leaf) continue;
+      all.push_back(op.arg);
+      if (op.access) access.push_back(op.arg);
+    }
+    std::sort(all.begin(), all.end());
+    associations += static_cast<std::size_t>(std::unique(all.begin(), all.end()) - all.begin());
+    std::vector<std::uint32_t> order;  // link k's predicate
+    for (const std::uint32_t pid : access) {
+      if (std::find(order.begin(), order.end(), pid) == order.end()) order.push_back(pid);
+    }
+    const std::uint32_t size = tree_size(s.program);
+    if (s.program.size() != size + order.size()) return at + "link count";
+    for (std::uint32_t k = 0; k < order.size(); ++k) {
+      const std::uint32_t pid = order[k];
+      const std::uint32_t pos = s.program[size + k].arg;
+      const auto refs = static_cast<std::uint32_t>(std::count(access.begin(), access.end(), pid));
+      const std::vector<PredSub>& list = pred_slots_[pid];
+      if (pos >= list.size() || list[pos].slot != slot || list[pos].leaf_refs != refs ||
+          pred_links_[pid][pos] != k) {
+        return at + "link " + std::to_string(k) + " of predicate " + std::to_string(pid);
+      }
+    }
+    links += order.size();
+  }
+  if (associations != association_count_) return "association_count()";
+  std::size_t entries = 0;
+  for (std::uint32_t pid = 0; pid < pred_slots_.size(); ++pid) {
+    if (pred_links_[pid].size() != pred_slots_[pid].size()) {
+      return "predicate " + std::to_string(pid) + ": link indexes";
+    }
+    entries += pred_slots_[pid].size();
+  }
+  // Every expected link was found where its slot says; any other entry is
+  // stale or a duplicate.
+  if (entries != links) return "association lists hold stale or duplicate entries";
+  return {};
+}
+
 std::size_t CountingMatcher::associations_of(SubscriptionId id) const {
   std::vector<std::uint32_t> leaves;
-  for (const Instr& op : slots_[slot_of(id)].program) {
+  for (const Instr& op : tree(slots_[slot_of(id)].program)) {
     if (op.kind == NodeKind::Leaf) leaves.push_back(op.arg);
   }
   std::sort(leaves.begin(), leaves.end());

@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -92,6 +94,14 @@ class MatchContext {
 /// each slot's counter and counter epoch share one 8-byte record in the
 /// MatchContext.
 ///
+/// Index maintenance touches only the subscription's own tree, never a
+/// list as long as a predicate's users. The PredicateRegistry only interns
+/// (one reference per leaf); the matcher owns the association count of
+/// Fig. 1(c)/(f), adding each compiled program's distinct predicate ids.
+/// Each slot records, after its compiled tree, where its entries sit in
+/// the association lists, so unlinking swap-pops every entry in O(1) and
+/// repairs the recorded position of the entry it moved.
+///
 /// The matcher does not own subscriptions; registered Subscription objects
 /// must outlive it and their addresses must be stable. Trees may only be
 /// mutated through the pruning engine, which calls reindex() afterwards;
@@ -136,16 +146,22 @@ class CountingMatcher {
   [[nodiscard]] bool contains(SubscriptionId id) const;
   [[nodiscard]] std::size_t subscription_count() const { return live_subs_; }
 
-  /// Predicate/subscription association count (memory metric, Fig 1c/1f).
-  [[nodiscard]] std::size_t association_count() const {
-    return registry_.association_count();
-  }
+  /// Predicate/subscription association count (memory metric, Fig 1c/1f):
+  /// Σ over subscriptions of their distinct predicates.
+  [[nodiscard]] std::size_t association_count() const { return association_count_; }
   /// Associations contributed by one subscription (= its distinct
   /// predicates); lets experiments restrict the metric to non-local subs.
   [[nodiscard]] std::size_t associations_of(SubscriptionId id) const;
 
   [[nodiscard]] std::size_t live_predicates() const { return registry_.live_predicates(); }
   [[nodiscard]] const PredicateRegistry& registry() const { return registry_; }
+
+  /// Checks the index against the compiled programs, from scratch: the
+  /// association count, and that every association list holds each live
+  /// slot's access links exactly once, with its access-leaf count, at the
+  /// position the slot records. Returns the first inconsistency, or an
+  /// empty string. O(index size); meant for tests.
+  [[nodiscard]] std::string audit() const;
 
   /// Disables the pmin evaluation trigger: every registered subscription's
   /// tree is evaluated on every event (predicate indexes still run). Only
@@ -188,7 +204,12 @@ class CountingMatcher {
   struct Slot {
     Subscription* sub = nullptr;
     /// The tree as of the last (re)index — what match() evaluates and what
-    /// remove/reindex release (one predicate reference per leaf op).
+    /// remove/reindex release (one predicate reference per leaf op) — and
+    /// after it, while the slot is linked, one True op per access link
+    /// recording where the link sits: link k, the k-th distinct access
+    /// predicate in program order, is pred_slots_[pid][program[tree + k].arg].
+    /// Kept in the program's allocation, the positions cost no per-slot
+    /// header.
     Program program;
   };
 
@@ -198,10 +219,16 @@ class CountingMatcher {
   /// tree before they change anything.
   [[nodiscard]] std::size_t checked_size(const Node& node) const;
   /// Compiles `sub`'s tree, of `size` nodes, into slot `slot`'s program
-  /// (exactly sized), taking one predicate reference per leaf.
+  /// (exactly sized), taking one predicate reference per leaf, and adds
+  /// its associations to association_count_.
   void load_program(const Subscription& sub, std::uint32_t slot, std::size_t size);
-  void compile(const Node& node, SubscriptionId id, Program& program);
-  void release_program(SubscriptionId id, const Program& program);
+  void compile(const Node& node, Program& program);
+  void release_program(const Program& program);
+  /// Ops of the compiled tree of `program`, without its link ops.
+  [[nodiscard]] static std::uint32_t tree_size(const Program& program);
+  [[nodiscard]] static std::span<const Instr> tree(const Program& program);
+  /// Distinct predicate ids of the tree: its associations.
+  [[nodiscard]] std::uint32_t distinct_predicates(const Program& program);
   [[nodiscard]] static bool run(const Instr* program, std::uint32_t pc,
                                 const MatchContext& context);
   void set_pmin(std::uint32_t slot, std::uint32_t pmin);
@@ -227,7 +254,10 @@ class CountingMatcher {
   void drop_costly_children(Instr* program, std::uint32_t pc) const;
   [[nodiscard]] AccessCost cost(const Instr* program, std::uint32_t pc) const;
   /// Adds or takes out the slot's entries in the association lists: one
-  /// per distinct access predicate, carrying its access-leaf count.
+  /// per distinct access predicate, carrying its access-leaf count, and
+  /// the program's link ops. Both walk only the slot's own program:
+  /// unlink() swap-pops each entry at its recorded position and repairs
+  /// the recorded position of the entry it moved.
   void link(std::uint32_t slot);
   void unlink(std::uint32_t slot);
 
@@ -245,8 +275,12 @@ class CountingMatcher {
   PredicateRegistry registry_;
   std::vector<AttributeIndex> attr_index_;            // by attribute id
   std::vector<std::vector<PredSub>> pred_slots_;      // by predicate id: access links
+  /// Parallel to pred_slots_: each entry's link index k in its slot.
+  std::vector<std::vector<std::uint32_t>> pred_links_;
   std::vector<double> leaf_estimate_;                 // by predicate id, in [0, 1]
-  std::vector<std::uint32_t> link_refs_;              // by predicate id, 0 between links
+  /// By predicate id: scratch counts and marks of one program walk, 0
+  /// between walks.
+  std::vector<std::uint32_t> link_refs_;
   LeafEstimate leaf_estimate_fn_;
 
   std::unordered_map<SubscriptionId::value_type, std::uint32_t> slot_by_id_;
@@ -256,6 +290,7 @@ class CountingMatcher {
   std::vector<std::uint32_t> always_eval_;  // slots with pmin == 0
 
   std::size_t live_subs_ = 0;
+  std::size_t association_count_ = 0;
   bool pmin_trigger_ = true;
   MatchContext context_;
 };

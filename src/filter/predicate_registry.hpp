@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file
-/// Predicate interning and (predicate, subscription) association tracking
-/// for the counting matcher.
+/// Predicate interning with per-predicate reference counts for the counting
+/// matcher.
 
 #include <cstdint>
 #include <memory>
@@ -15,50 +15,44 @@
 
 namespace dbsp {
 
-/// Interns predicates and tracks predicate/subscription associations.
+/// Interns predicates for the counting matcher.
 ///
 /// Structurally equal predicates across all subscriptions share one
 /// PredicateId, so each distinct condition is evaluated at most once per
 /// event. A predicate with a NaN operand equals no predicate, itself
 /// included, so every such leaf gets its own PredicateId and is never
-/// interned. Each association (predicate, subscription) carries a leaf
-/// reference count because one subscription may use the same predicate in
-/// several leaves; the association disappears when the last leaf is pruned.
-/// The total number of associations is the memory metric of the paper's
-/// Figures 1(c)/1(f).
+/// interned. Each id carries one reference per leaf that holds it, whatever
+/// subscription the leaf belongs to; the id is recycled when the last
+/// reference is released. Which subscriptions use a predicate, and the
+/// association count of the paper's Figures 1(c)/1(f), are the matcher's
+/// business (CountingMatcher keeps them per compiled program).
 ///
 /// Not thread-safe; owned and serialized by its matcher.
 class PredicateRegistry {
  public:
-  struct Association {
-    SubscriptionId subscription;
-    std::uint32_t leaf_refs = 0;
-  };
-
   struct AddResult {
     PredicateId id;
-    bool new_association = false;  ///< first leaf of `sub` referencing this predicate
-    bool new_predicate = false;    ///< predicate was not interned before (index it)
-  };
-  struct ReleaseResult {
-    bool association_removed = false;  ///< `sub` no longer references the predicate
-    /// Set when the last reference overall was released: the predicate is
-    /// handed back so the caller can remove it from attribute indexes (the
-    /// registry storage is already recycled at that point).
-    std::unique_ptr<Predicate> removed_predicate;
+    bool new_predicate = false;  ///< predicate was not interned before (index it)
   };
 
-  /// Interns `pred` and records one leaf reference from `sub`.
-  AddResult add_reference(const Predicate& pred, SubscriptionId sub);
+  /// Interns `pred` and records one leaf reference to it.
+  AddResult add_reference(const Predicate& pred);
 
-  /// Releases one leaf reference of `pred_id` from `sub`.
-  ReleaseResult release_reference(PredicateId pred_id, SubscriptionId sub);
+  /// Releases one leaf reference of `pred_id`. When it was the last one,
+  /// the predicate is handed back so the caller can remove it from
+  /// attribute indexes (the registry storage is already recycled then);
+  /// otherwise the result is null. Throws std::logic_error for a recycled
+  /// id and std::out_of_range for one never issued.
+  std::unique_ptr<Predicate> release_reference(PredicateId pred_id);
 
   /// The interned predicate. The reference stays valid until the
   /// predicate's last reference is released (heap-allocated storage), so
   /// indexes may hold it across registry growth.
   [[nodiscard]] const Predicate& predicate(PredicateId id) const;
-  [[nodiscard]] const std::vector<Association>& associations(PredicateId id) const;
+  /// Leaf references held on `id` (0 for recycled or unissued ids).
+  [[nodiscard]] std::uint64_t references(PredicateId id) const {
+    return live(id) ? entries_[id.value()].refs : 0;
+  }
   /// Whether `id` names an interned predicate (not a recycled or unissued id).
   [[nodiscard]] bool live(PredicateId id) const {
     return id.value() < entries_.size() && entries_[id.value()].pred != nullptr;
@@ -66,9 +60,6 @@ class PredicateRegistry {
 
   /// Number of live distinct predicates.
   [[nodiscard]] std::size_t live_predicates() const { return live_predicates_; }
-  /// Total number of (predicate, subscription) associations — the pred/sub
-  /// association count of Fig. 1(c)/(f).
-  [[nodiscard]] std::size_t association_count() const { return association_count_; }
   /// Upper bound over all ids ever issued (dense array sizing).
   [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
 
@@ -77,15 +68,22 @@ class PredicateRegistry {
  private:
   struct Entry {
     std::unique_ptr<Predicate> pred;  // null once recycled; heap for address stability
-    std::vector<Association> subs;
-    std::uint64_t total_refs = 0;
+    std::uint64_t refs = 0;
+  };
+
+  /// Hashes and compares the predicates keys point to.
+  struct Hash {
+    std::size_t operator()(const Predicate* p) const { return p->hash(); }
+  };
+  struct Equal {
+    bool operator()(const Predicate* a, const Predicate* b) const { return a->equals(*b); }
   };
 
   std::vector<Entry> entries_;
   std::vector<PredicateId> free_ids_;
-  std::unordered_map<Predicate, PredicateId> intern_;
+  /// Keyed by the entries' own predicates, so each is stored once.
+  std::unordered_map<const Predicate*, PredicateId, Hash, Equal> intern_;
   std::size_t live_predicates_ = 0;
-  std::size_t association_count_ = 0;
 };
 
 }  // namespace dbsp

@@ -1,5 +1,6 @@
 #include "store/format.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdio>
@@ -46,6 +47,11 @@ inline std::uint32_t load_le32(const std::uint8_t* p) {
 }
 
 }  // namespace
+
+bool zero_tail(std::span<const std::uint8_t> bytes, std::size_t from) {
+  return std::all_of(bytes.begin() + static_cast<std::ptrdiff_t>(from), bytes.end(),
+                     [](std::uint8_t b) { return b == 0; });
+}
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
   const CrcTables& t = kCrcTables;

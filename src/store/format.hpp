@@ -136,6 +136,12 @@ inline void write_file_atomic(const std::string& path, std::span<const std::uint
   write_file_atomic(path, {bytes}, sync);
 }
 
+/// True when every byte from `from` to the end of `bytes` is zero: the
+/// tail a machine crash without fsync can leave where the file system
+/// extended a file before its data reached the disk. Recovery treats it
+/// as a torn tail; zeros followed by any other byte are damage.
+[[nodiscard]] bool zero_tail(std::span<const std::uint8_t> bytes, std::size_t from);
+
 /// Appends `bytes` to the existing file `path`, flushed (and fsync'd when
 /// `sync`) before returning. A kill mid-append leaves a prefix of them.
 void append_file(const std::string& path, std::span<const std::uint8_t> bytes, bool sync);

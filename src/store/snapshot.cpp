@@ -290,9 +290,11 @@ LoadedSnapshot read_snapshot(const std::string& path) {
       seg_len = frame.get_u64();
       seg_crc = frame.get_u32();
     }
-    if (left < kSegmentFrameBytes || seg_len > left - kSegmentFrameBytes) {
-      // A kill mid-append left a partial final segment. The file before it
-      // is consistent; only the unacknowledged checkpoint is lost.
+    if (left < kSegmentFrameBytes || seg_len > left - kSegmentFrameBytes ||
+        zero_tail(bytes, pos)) {
+      // A kill mid-append left a partial final segment, or a machine crash
+      // left the appended range zero-filled. The file before it is
+      // consistent; only the unacknowledged checkpoint is lost.
       snap.torn_tail = true;
       break;
     }

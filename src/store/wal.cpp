@@ -103,10 +103,11 @@ WalContents read_wal(const std::string& path) {
   bool first = true;
   while (pos < bytes.size()) {
     wal.clean_bytes = pos;
-    if (bytes.size() - pos < 8) {
-      // Torn tail: a kill mid-append left a partial frame header. The
-      // complete prefix is a consistent log; only the unacknowledged
-      // final write is lost.
+    if (bytes.size() - pos < 8 || zero_tail(bytes, pos)) {
+      // Torn tail: a kill mid-append left a partial frame header, or a
+      // machine crash left the appended range zero-filled. The complete
+      // prefix is a consistent log; only the unacknowledged final write
+      // is lost.
       wal.torn_tail = true;
       break;
     }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string_view>
 
+#include "scenario/workload_domain.hpp"
 #include "subscription/parser.hpp"
 #include "test_util.hpp"
 
@@ -122,6 +124,144 @@ TEST_F(CandidatesTest, ApplyPruningBumpsGeneration) {
   apply_pruning(sub, {0});
   EXPECT_EQ(sub.generation(), gen + 1);
   EXPECT_TRUE(sub.root().equals(*parse("b=2")));
+}
+
+TEST_F(CandidatesTest, InvalidTargetLeavesTreeAndGenerationUntouched) {
+  Subscription sub(SubscriptionId(1), parse("a=1 and (b=2 or c=3)"));
+  const std::string before = sub.to_string(schema_);
+  const auto gen = sub.generation();
+  for (const Node::Path& bad : {Node::Path{}, Node::Path{1, 0}, Node::Path{7},
+                                Node::Path{0, 0}, Node::Path{1, 9}}) {
+    EXPECT_THROW(apply_pruning(sub, bad), std::invalid_argument);
+    EXPECT_EQ(sub.generation(), gen);
+    EXPECT_EQ(sub.to_string(schema_), before);
+  }
+}
+
+TEST_F(CandidatesTest, CollapseToAConstantStillLeavesATree) {
+  // Only an unsimplified tree can collapse: And(a, FALSE) minus a is FALSE.
+  std::vector<std::unique_ptr<Node>> kids;
+  kids.push_back(parse("a=1"));
+  kids.push_back(Node::constant(false));
+  Subscription sub(SubscriptionId(1), Node::and_(std::move(kids)));
+  EXPECT_THROW(apply_pruning(sub, {0}), std::logic_error);
+  EXPECT_EQ(sub.root().kind(), NodeKind::False);
+}
+
+/// Reference enumerator: the recursive walk that asks internal_prunings()
+/// at every node, kept to pin the order of the one-pass enumerator.
+void reference_walk(const Node& node, bool positive, bool bottom_up, Node::Path& prefix,
+                    std::vector<Node::Path>& out) {
+  const bool child_positive = node.kind() == NodeKind::Not ? !positive : positive;
+  const bool conj = (node.kind() == NodeKind::And && child_positive) ||
+                    (node.kind() == NodeKind::Or && !child_positive);
+  for (std::uint32_t i = 0; i < node.children().size(); ++i) {
+    const Node& child = *node.children()[i];
+    prefix.push_back(i);
+    if (conj && (!bottom_up || internal_prunings(child, child_positive) == 0)) {
+      out.push_back(prefix);
+    }
+    reference_walk(child, child_positive, bottom_up, prefix, out);
+    prefix.pop_back();
+  }
+}
+
+std::vector<Node::Path> reference_enumeration(const Node& root, bool bottom_up) {
+  std::vector<Node::Path> out;
+  Node::Path prefix;
+  reference_walk(root, true, bottom_up, prefix, out);
+  return out;
+}
+
+/// Reference pruning operator: clone, swap the target for its generalizing
+/// constant, simplify.
+std::unique_ptr<Node> reference_pruning(const Node& root, const Node::Path& path) {
+  auto copy = root.clone();
+  bool positive = true;
+  Node* parent = copy.get();
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    if (parent->kind() == NodeKind::Not) positive = !positive;
+    if (i + 1 < path.size()) parent = parent->children()[path[i]].get();
+  }
+  parent->children()[path.back()] = Node::constant(positive);
+  return simplify(std::move(copy));
+}
+
+/// Walks `start` to exhaustion, pruning a random candidate each step. At
+/// every step the one-pass enumerator (into one buffer reused across all
+/// trees) must list the reference's candidates in its order and return the
+/// tree's capacity, and pruning each candidate in place must give the
+/// reference's tree.
+void expect_same_as_reference(const Node& start, const Schema& schema,
+                              CandidateBuffer& buffer, std::mt19937_64& rng,
+                              std::size_t& checked) {
+  for (const bool bottom_up : {false, true}) {
+    EXPECT_EQ(enumerate_prunings(start, bottom_up, buffer), internal_prunings(start));
+    const auto want = reference_enumeration(start, bottom_up);
+    ASSERT_EQ(std::vector<Node::Path>(buffer.candidates().begin(), buffer.candidates().end()),
+              want);
+    EXPECT_EQ(enumerate_prunings(start, bottom_up), want);
+  }
+  Subscription live(SubscriptionId(0), start.clone());
+  while (true) {
+    const auto paths = reference_enumeration(live.root(), true);
+    EXPECT_EQ(enumerate_prunings(live.root(), true, buffer), internal_prunings(live.root()));
+    ASSERT_EQ(std::vector<Node::Path>(buffer.candidates().begin(), buffer.candidates().end()),
+              paths);
+    if (paths.empty()) break;
+    for (const Node::Path& path : paths) {
+      Subscription sub(SubscriptionId(1), live.root().clone());
+      apply_pruning(sub, path);
+      const std::string want = reference_pruning(live.root(), path)->to_string(schema);
+      ASSERT_EQ(sub.to_string(schema), want) << live.to_string(schema);
+      EXPECT_EQ(simulate_pruning(live.root(), path)->to_string(schema), want);
+      EXPECT_EQ(sub.generation(), 1u);
+      ++checked;
+    }
+    apply_pruning(live, paths[rng() % paths.size()]);
+  }
+}
+
+TEST(CandidatesReferenceTest, MiniDomainTreesMatchTheReference) {
+  MiniDomain dom(6, 20);
+  std::mt19937_64 rng(71);
+  std::uniform_int_distribution<std::size_t> leaves(1, 14);
+  CandidateBuffer buffer;
+  std::size_t checked = 0;
+  for (int i = 0; i < 150; ++i) {
+    const auto tree = dom.random_tree(rng, leaves(rng), 0.25);
+    expect_same_as_reference(*tree, dom.schema(), buffer, rng, checked);
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+TEST(CandidatesReferenceTest, DomainTreesMatchTheReference) {
+  for (const std::string_view name : {"auction", "iot", "stock"}) {
+    SCOPED_TRACE(name);
+    const auto domain = make_workload(name);
+    const auto source = domain->subscriptions(1);
+    std::mt19937_64 rng(73);
+    CandidateBuffer buffer;
+    std::size_t checked = 0;
+    for (int i = 0; i < 60; ++i) {
+      expect_same_as_reference(*source->next(), domain->schema(), buffer, rng, checked);
+    }
+    EXPECT_GT(checked, 60u);
+  }
+}
+
+TEST_F(CandidatesTest, UnsimplifiedSingleChildGroupsKeepPreOrder) {
+  // And(a, And(b)): the inner And has no internal prunings of its own but
+  // a candidate below it; the reference lists the group first.
+  std::vector<std::unique_ptr<Node>> inner;
+  inner.push_back(parse("b=2"));
+  std::vector<std::unique_ptr<Node>> outer;
+  outer.push_back(parse("a=1"));
+  outer.push_back(Node::and_(std::move(inner)));
+  const auto tree = Node::and_(std::move(outer));
+  const std::vector<Node::Path> want = {{0}, {1}, {1, 0}};
+  EXPECT_EQ(reference_enumeration(*tree, true), want);
+  EXPECT_EQ(enumerate_prunings(*tree, true), want);
 }
 
 // Property: the number of prunings to exhaustion equals internal_prunings

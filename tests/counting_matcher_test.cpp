@@ -506,5 +506,104 @@ TEST_F(CountingMatcherTest, AndOfARareEqAndABroadLtCountsOnlyTheEq) {
   EXPECT_EQ(m.counters().tree_evaluations, 0u);
 }
 
+/// Σ over `live` of their distinct leaf predicates, counted from the trees
+/// (a NaN operand equals no predicate, itself included).
+std::size_t recount_associations(const std::vector<std::unique_ptr<Subscription>>& live) {
+  std::size_t total = 0;
+  for (const auto& s : live) {
+    std::vector<const Predicate*> seen;
+    s->root().for_each_leaf([&](const Node& leaf) {
+      const auto same = [&](const Predicate* p) { return p->equals(leaf.predicate()); };
+      if (std::none_of(seen.begin(), seen.end(), same)) seen.push_back(&leaf.predicate());
+    });
+    total += seen.size();
+  }
+  return total;
+}
+
+/// A random tree over `dom`; a third of them gain one or two NaN-operand
+/// leaves (each its own predicate id).
+std::unique_ptr<Node> tree_with_nan_leaves(const test::MiniDomain& dom, std::mt19937_64& rng) {
+  auto tree = dom.random_tree(rng, 1 + rng() % 8, 0.2);
+  if (rng() % 3 != 0) return tree;
+  std::vector<std::unique_ptr<Node>> kids;
+  kids.push_back(std::move(tree));
+  const auto nan_leaf = [&](Op op) {
+    return Node::leaf(Predicate(dom.attr(rng() % 2), op, Value(std::nan(""))));
+  };
+  kids.push_back(nan_leaf(Op::Lt));
+  if (rng() % 2 == 0) kids.push_back(nan_leaf(Op::Ge));
+  return simplify(rng() % 2 == 0 ? Node::and_(std::move(kids)) : Node::or_(std::move(kids)));
+}
+
+// Random add / remove / prune-and-reindex / reindex-to-another-tree /
+// rechoose histories on a small domain, where trees repeat predicates, with
+// NaN-operand leaves mixed in. After every step the association count must
+// equal a recount from the trees and every association list must hold each
+// live slot's access links exactly once (audit()); every few steps
+// delivery must equal direct evaluation of the trees.
+TEST(CountingMatcherHistoryTest, IndexStaysExactUnderRandomHistories) {
+  const test::MiniDomain dom(3, 4);
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    const auto tree = [&] { return tree_with_nan_leaves(dom, rng); };
+    CountingMatcher m(dom.schema());
+    std::vector<std::unique_ptr<Subscription>> live;
+    std::uint32_t next_id = 0;
+    for (int step = 0; step < 600; ++step) {
+      const auto op = rng() % 10;
+      if (op < 4 || live.empty()) {
+        live.push_back(std::make_unique<Subscription>(SubscriptionId(next_id++), tree()));
+        m.add(*live.back());
+      } else if (op < 6) {
+        const std::size_t victim = rng() % live.size();
+        m.remove(*live[victim]);
+        live[victim] = std::move(live.back());
+        live.pop_back();
+      } else if (op < 8) {
+        Subscription& s = *live[rng() % live.size()];
+        const auto candidates = enumerate_prunings(s.root());
+        if (candidates.empty()) continue;
+        apply_pruning(s, candidates[rng() % candidates.size()]);
+        m.reindex(s);
+      } else if (op < 9) {
+        Subscription& s = *live[rng() % live.size()];
+        s.replace_root(tree());
+        m.reindex(s);
+      } else {
+        switch (rng() % 3) {
+          case 0: m.set_leaf_estimate({}); break;
+          case 1:
+            m.set_leaf_estimate([](const Predicate& p) {
+              return static_cast<double>(p.hash() % 101) / 100.0;
+            });
+            break;
+          default: m.rechoose_access_sets(); break;
+        }
+      }
+      ASSERT_EQ(m.association_count(), recount_associations(live)) << "step " << step;
+      ASSERT_EQ(m.audit(), "") << "step " << step;
+      if (step % 10 != 0) continue;
+      for (int i = 0; i < 5; ++i) {
+        const Event e = dom.random_event(rng);
+        std::vector<SubscriptionId> want;
+        for (const auto& s : live) {
+          if (s->matches(e)) want.push_back(s->id());
+        }
+        std::sort(want.begin(), want.end());
+        std::vector<SubscriptionId> got;
+        m.match(e, got);
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, want) << "step " << step;
+      }
+    }
+    for (const auto& s : live) m.remove(*s);
+    EXPECT_EQ(m.association_count(), 0u);
+    EXPECT_EQ(m.live_predicates(), 0u);
+    EXPECT_EQ(m.audit(), "");
+  }
+}
+
 }  // namespace
 }  // namespace dbsp

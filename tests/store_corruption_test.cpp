@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <map>
+#include <memory>
 #include <optional>
 #include <random>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "api/pubsub.hpp"
 #include "store/format.hpp"
 #include "store/snapshot.hpp"
+#include "store/wal.hpp"
 #include "test_util.hpp"
 
 namespace dbsp {
@@ -135,6 +138,63 @@ class CorruptionFixture : public ::testing::Test {
     }
   }
 
+  /// What a clean recovery of the scratch store yields: its table (id ->
+  /// expression text) and pruning accounting.
+  struct Recovered {
+    std::map<SubscriptionId::value_type, std::string> table;
+    std::size_t total_possible = 0;
+    std::size_t performed = 0;
+    bool operator==(const Recovered&) const = default;
+  };
+
+  /// Opens the scratch store, which must recover cleanly, with or without
+  /// cutting a torn tail, and deliver exactly what direct tree evaluation
+  /// of the recovered table says.
+  Recovered recover_exact(bool torn_tail) {
+    StoreOptions store;
+    store.directory = scratch_.string();
+    store.schema = schema_;
+    PubSubOptions options;
+    options.pruning = true;
+    auto opened = PubSub::open(std::move(store), options);
+    EXPECT_TRUE(opened.ok()) << opened.status().to_string();
+    if (!opened.ok()) return {};
+    PubSub pubsub = std::move(opened).value();
+    EXPECT_EQ(pubsub.store_stats().recovered_torn_tail, torn_tail);
+    Recovered got;
+    got.total_possible = pubsub.pruning_stats().total_possible;
+    got.performed = pubsub.pruning_stats().performed;
+    auto sink = std::make_shared<std::vector<SubscriptionId>>();
+    std::vector<SubscriptionHandle> claims;  // dropped after `pubsub`: inert
+    for (const SubscriptionId id : pubsub.subscription_ids()) {
+      got.table[id.value()] = pubsub.subscription_text(id).value();
+      claims.push_back(pubsub.adopt(id, [sink](const Notification& n) {
+                               sink->push_back(n.subscription);
+                             }).value());
+    }
+    MiniDomain dom;  // identical construction = identical schema
+    std::mt19937_64 rng(11);
+    for (int i = 0; i < 50; ++i) {
+      const Event event = dom.random_event(rng);
+      sink->clear();
+      (void)pubsub.publish(event);
+      std::vector<SubscriptionId> oracle;
+      for (const SubscriptionId id : pubsub.subscription_ids()) {
+        if (pubsub.matches(id, event).value()) oracle.push_back(id);
+      }
+      std::sort(sink->begin(), sink->end());
+      EXPECT_EQ(*sink, oracle) << "event " << i;
+    }
+    return got;
+  }
+
+  /// Appends `tail` to the scratch copy of `name`.
+  void append_to(const char* name, const std::vector<std::uint8_t>& tail) {
+    auto bytes = store::read_file((scratch_ / name).string());
+    bytes.insert(bytes.end(), tail.begin(), tail.end());
+    store::write_file_atomic((scratch_ / name).string(), bytes, false);
+  }
+
   fs::path pristine_;
   fs::path scratch_;
   Schema schema_;
@@ -217,6 +277,44 @@ TEST_F(CorruptionFixture, BothFilesMissingBytesSimultaneously) {
       store::write_file_atomic((scratch_ / name).string(), bytes, false);
     }
     open_and_check("both files truncated");
+  }
+}
+
+// A machine crash without fsync can leave a zero-filled range where an
+// append extended the file. Zeros from a frame start to end-of-file are a
+// torn tail: recovery cuts them and recovers what the pristine store does.
+TEST_F(CorruptionFixture, ZeroFilledTailsAreTornTails) {
+  reset_scratch();
+  const Recovered pristine = recover_exact(/*torn_tail=*/false);
+  ASSERT_FALSE(pristine.table.empty());
+  for (const char* name : {"snapshot.dbsp", "wal.dbsp"}) {
+    SCOPED_TRACE(name);
+    reset_scratch();
+    append_to(name, std::vector<std::uint8_t>(64, 0));
+    EXPECT_EQ(recover_exact(/*torn_tail=*/true), pristine);
+    // The zeros were cut: the file reads clean again.
+    const std::string path = (scratch_ / name).string();
+    EXPECT_FALSE(name == std::string("wal.dbsp") ? store::read_wal(path).torn_tail
+                                                 : store::read_snapshot(path).torn_tail);
+  }
+}
+
+// Zeros followed by any other byte are not a crash artifact but damage.
+TEST_F(CorruptionFixture, ZerosFollowedByGarbageAreDataLoss) {
+  for (const char* name : {"snapshot.dbsp", "wal.dbsp"}) {
+    // At least a whole frame header: a shorter tail is a torn header.
+    for (const std::size_t zeros : {std::size_t{12}, std::size_t{64}}) {
+      reset_scratch();
+      std::vector<std::uint8_t> tail(zeros, 0);
+      tail.push_back(0x5A);
+      append_to(name, tail);
+      StoreOptions store;
+      store.directory = scratch_.string();
+      const auto reopened = PubSub::open(std::move(store));
+      ASSERT_FALSE(reopened.ok()) << name << " + " << zeros << " zeros";
+      EXPECT_EQ(reopened.status().code(), ErrorCode::kDataLoss)
+          << name << ": " << reopened.status().to_string();
+    }
   }
 }
 

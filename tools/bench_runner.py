@@ -180,11 +180,17 @@ def sharded_speedup(rows):
 def pruning_summary(rows):
     """One prune_to_fraction(0.5) pass over 20k indexed auction
     subscriptions (micro_pruning's BM_PruneToHalf/20000), in ms: the
-    pruning part of the inproc_prune workload's set-up."""
+    pruning part of the inproc_prune workload's set-up. Beside it, a report
+    (no gate): one matcher add plus one remove on the 60k IoT table
+    (micro_filter's BM_MatcherChurn/60000), in us, the index maintenance a
+    pruning pass's reindexes and every churn step pay."""
+    summary = {}
     for row in rows:
         if row["source"] == "micro_pruning" and row["name"] == "BM_PruneToHalf/20000":
-            return {"prune_half_ms": round(row["ns_per_iteration"] / 1e6, 3)}
-    return None
+            summary["prune_half_ms"] = round(row["ns_per_iteration"] / 1e6, 3)
+        if row["source"] == "micro_filter" and row["name"] == "BM_MatcherChurn/60000":
+            summary["matcher_churn_us"] = round(row["ns_per_iteration"] / 1e3, 3)
+    return summary if "prune_half_ms" in summary else None
 
 
 def api_overhead(rows):
@@ -697,7 +703,8 @@ def main():
         f.write("\n")
     print(f"[bench_runner] wrote {out_path} ({len(benchmarks)} benchmark rows)")
     if result["pruning"] is not None:
-        print(f"[bench_runner] pruning: prune_half_ms={result['pruning']['prune_half_ms']}")
+        print(f"[bench_runner] pruning: prune_half_ms={result['pruning']['prune_half_ms']}, "
+              f"matcher_churn_us={result['pruning'].get('matcher_churn_us')}")
 
     overhead = result["api_overhead"]
     if overhead is not None and args.api_overhead_limit > 0:
