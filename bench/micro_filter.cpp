@@ -11,6 +11,8 @@
 #include "filter/counting_matcher.hpp"
 #include "filter/naive_matcher.hpp"
 #include "scenario/workload_domain.hpp"
+#include "selectivity/estimator.hpp"
+#include "selectivity/stats.hpp"
 #include "workload/event_gen.hpp"
 #include "workload/subscription_gen.hpp"
 
@@ -51,6 +53,30 @@ void BM_CountingMatcher(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CountingMatcher)->Arg(1000)->Arg(10000)->Arg(50000);
+
+// The same matcher with leaf estimates trained on 10k events bound, as the
+// pruning engine binds them: only access leaves are counted and indexed,
+// and the numeric comparisons beside them are tested in place.
+void BM_CountingMatcherTrained(benchmark::State& state) {
+  Fixture fx(static_cast<std::size_t>(state.range(0)));
+  EventStats stats(fx.domain->schema());
+  AuctionEventGenerator training(*fx.domain, 3);
+  for (int i = 0; i < 10000; ++i) stats.observe(training.next());
+  stats.finalize();
+  const SelectivityEstimator estimator(stats);
+  CountingMatcher matcher(fx.domain->schema());
+  matcher.set_leaf_estimate([&](const Predicate& p) { return estimator.leaf(p); });
+  for (auto& s : fx.subs) matcher.add(*s);
+  std::vector<SubscriptionId> out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    matcher.match(fx.events[i++ % fx.events.size()], out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CountingMatcherTrained)->Arg(10000);
 
 void BM_NaiveMatcher(benchmark::State& state) {
   Fixture fx(static_cast<std::size_t>(state.range(0)));

@@ -285,6 +285,7 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
   auto* match_events = &r.counter("dbsp_match_events_total");
   auto* predicate_hits = &r.counter("dbsp_predicate_hits_total");
   auto* counter_increments = &r.counter("dbsp_counter_increments_total");
+  auto* leaf_tests = &r.counter("dbsp_leaf_tests_total");
   auto* tree_evaluations = &r.counter("dbsp_tree_evaluations_total");
   auto* matches = &r.counter("dbsp_matches_total");
   auto* wal_records = &r.counter("dbsp_wal_records_total");
@@ -315,6 +316,7 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
     match_events->sync_to(counters.events);
     predicate_hits->sync_to(counters.predicate_hits);
     counter_increments->sync_to(counters.counter_increments);
+    leaf_tests->sync_to(counters.leaf_tests);
     tree_evaluations->sync_to(counters.tree_evaluations);
     matches->sync_to(counters.matches);
     if (c->store) {

@@ -82,6 +82,7 @@ CountingMatcher::Counters ShardedEngine::counters() const {
     total.events += c.events;
     total.predicate_hits += c.predicate_hits;
     total.counter_increments += c.counter_increments;
+    total.leaf_tests += c.leaf_tests;
     total.tree_evaluations += c.tree_evaluations;
     total.matches += c.matches;
   }

@@ -62,16 +62,22 @@ void insert_sorted(std::vector<std::pair<double, Entry>>& vec, double key, Entry
   vec.emplace(pos, key, entry);
 }
 
+/// `id`'s entry under `key`, or end().
+template <typename Entry>
+auto find_sorted(const std::vector<std::pair<double, Entry>>& vec, double key, PredicateId id) {
+  auto it = first_at_or_above(vec, key);
+  for (; it != vec.end() && it->first == key; ++it) {
+    if (it->second.id == id) return it;
+  }
+  return vec.end();
+}
+
 /// Removes `id`'s entry under `key`, keeping the order of the others.
 template <typename Entry>
 void erase_sorted(std::vector<std::pair<double, Entry>>& vec, double key, PredicateId id) {
-  for (auto it = first_at_or_above(vec, key); it != vec.end() && it->first == key; ++it) {
-    if (it->second.id == id) {
-      vec.erase(it);
-      return;
-    }
-  }
-  throw std::logic_error("attribute index: ordered predicate missing");
+  const auto it = find_sorted(vec, key, id);
+  if (it == vec.end()) throw std::logic_error("attribute index: ordered predicate missing");
+  vec.erase(it);
 }
 
 }  // namespace
@@ -138,6 +144,26 @@ void AttributeIndex::remove(PredicateId id, const Predicate& pred) {
       return;
     }
   }
+}
+
+bool AttributeIndex::contains(PredicateId id, const Predicate& pred) const {
+  switch (part_of(pred)) {
+    case Part::Eq:
+      return std::all_of(pred.operands().begin(), pred.operands().end(), [&](const Value& v) {
+        const auto it = eq_.find(v);
+        return it != eq_.end() && std::find(it->second.begin(), it->second.end(), id) !=
+                                      it->second.end();
+      });
+    case Part::Less: return find_sorted(less_, pred.operand().numeric(), id) != less_.end();
+    case Part::Greater:
+      return find_sorted(greater_, pred.operand().numeric(), id) != greater_.end();
+    case Part::Between:
+      return find_sorted(between_, pred.operands()[0].numeric(), id) != between_.end();
+    case Part::Scan:
+      return std::any_of(scan_.begin(), scan_.end(),
+                         [&](const auto& entry) { return entry.first == id; });
+  }
+  return false;
 }
 
 void AttributeIndex::collect(const Value& value, std::vector<PredicateId>& out) const {

@@ -45,6 +45,9 @@ class AttributeIndex {
   void insert(PredicateId id, const Predicate& pred);
   /// Removes a previously inserted (id, pred) pair.
   void remove(PredicateId id, const Predicate& pred);
+  /// Whether (id, pred) is inserted. Linear in the entries sharing its key;
+  /// meant for audits.
+  [[nodiscard]] bool contains(PredicateId id, const Predicate& pred) const;
 
   /// Appends ids of all predicates fulfilled by `value`.
   void collect(const Value& value, std::vector<PredicateId>& out) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <span>
 #include <stdexcept>
 
@@ -37,6 +38,7 @@ void CountingMatcher::grow_predicate_arrays() {
     pred_slots_.resize(needed);
     pred_links_.resize(needed);
     leaf_estimate_.resize(needed);
+    leaf_test_.resize(needed);
     link_refs_.resize(needed);
   }
 }
@@ -55,7 +57,7 @@ std::size_t CountingMatcher::checked_size(const Node& node) const {
 
 void CountingMatcher::compile(const Node& node, Program& program) {
   const std::size_t pc = program.size();
-  program.push_back({node.kind(), false, 0});
+  program.push_back({node.kind(), false, false, 0});
   if (node.kind() != NodeKind::Leaf) {
     for (const auto& child : node.children()) compile(*child, program);
     program[pc].arg = static_cast<std::uint32_t>(program.size());
@@ -66,9 +68,54 @@ void CountingMatcher::compile(const Node& node, Program& program) {
   grow_predicate_arrays();
   if (result.new_predicate) {
     const Predicate& pred = registry_.predicate(result.id);
-    attr_index_[pred.attribute().value()].insert(result.id, pred);
+    assert(!leaf_test_[result.id.value()].indexed);
+    leaf_test_[result.id.value()] = leaf_test_of(pred);
+    if (!leaf_test_[result.id.value()].testable) index_predicate(result.id.value());
     leaf_estimate_[result.id.value()] = estimate(pred);
   }
+}
+
+CountingMatcher::LeafTest CountingMatcher::leaf_test_of(const Predicate& pred) {
+  LeafTest test;
+  test.attr = pred.attribute().value();
+  test.op = pred.op();
+  switch (pred.op()) {
+    case Op::Eq:
+    case Op::Lt:
+    case Op::Le:
+    case Op::Gt:
+    case Op::Ge:
+    case Op::Between: break;
+    default: return test;
+  }
+  const auto exact = [](const Value& v) {
+    return v.is_numeric() && v.numeric_is_exact() && !std::isnan(v.numeric());
+  };
+  const auto& operands = pred.operands();
+  if (!std::all_of(operands.begin(), operands.end(), exact)) return test;
+  test.low = operands.front().numeric();
+  test.high = operands.back().numeric();
+  test.testable = true;
+  return test;
+}
+
+void CountingMatcher::index_predicate(std::uint32_t pid) {
+  const Predicate& pred = registry_.predicate(PredicateId(pid));
+  attr_index_[pred.attribute().value()].insert(PredicateId(pid), pred);
+  leaf_test_[pid].indexed = true;
+}
+
+void CountingMatcher::unindex_predicate(std::uint32_t pid) {
+  const Predicate& pred = registry_.predicate(PredicateId(pid));
+  attr_index_[pred.attribute().value()].remove(PredicateId(pid), pred);
+  leaf_test_[pid].indexed = false;
+}
+
+void CountingMatcher::flush_unindexed() {
+  for (const std::uint32_t pid : unindex_) {
+    if (leaf_test_[pid].indexed && pred_slots_[pid].empty()) unindex_predicate(pid);
+  }
+  unindex_.clear();
 }
 
 void CountingMatcher::load_program(const Subscription& sub, std::uint32_t slot,
@@ -106,7 +153,9 @@ void CountingMatcher::release_program(const Program& program) {
     const PredicateId pid(op.arg);
     if (auto removed = registry_.release_reference(pid)) {
       assert(pred_slots_[pid.value()].empty());
-      attr_index_[removed->attribute().value()].remove(pid, *removed);
+      LeafTest& test = leaf_test_[pid.value()];
+      if (test.indexed) attr_index_[removed->attribute().value()].remove(pid, *removed);
+      test.indexed = false;
     }
   }
 }
@@ -224,9 +273,13 @@ void CountingMatcher::choose(Instr* program, std::uint32_t pc) const {
 std::uint32_t CountingMatcher::choose_access(Program& program) const {
   choose(program.data(), 0);
   const AccessCost root = cost(program.data(), 0);
+  const std::span<Instr> ops = std::span(program).first(tree_size(program));
   // A root that triggers always or never gains nothing from counting.
   if ((root.pmin == 0 || root.pmin == Node::kPminUnsatisfiable) && root.bumps > 0.0) {
-    for (Instr& op : std::span(program).first(tree_size(program))) op.access = false;
+    for (Instr& op : ops) op.access = false;
+  }
+  for (Instr& op : ops) {
+    op.direct = op.kind == NodeKind::Leaf && !op.access && leaf_test_[op.arg].testable;
   }
   return root.pmin;
 }
@@ -247,9 +300,10 @@ void CountingMatcher::link(std::uint32_t slot) {
     if (refs == 0) continue;  // a repeated leaf, already linked
     std::vector<PredSub>& list = pred_slots_[op.arg];
     pred_links_[op.arg].push_back(static_cast<std::uint32_t>(program.size()) - size);
-    program.push_back({NodeKind::True, false, static_cast<std::uint32_t>(list.size())});
+    program.push_back({NodeKind::True, false, false, static_cast<std::uint32_t>(list.size())});
     list.push_back({slot, refs});
     refs = 0;
+    if (!leaf_test_[op.arg].indexed) index_predicate(op.arg);
   }
 }
 
@@ -274,6 +328,7 @@ void CountingMatcher::unlink(std::uint32_t slot) {
       Program& moved = slots_[list[pos].slot].program;
       moved[tree_size(moved) + links[pos]].arg = pos;
     }
+    if (list.empty() && leaf_test_[op.arg].testable) unindex_.push_back(op.arg);
   }
   for (const Instr& op : tree(program)) {
     if (op.kind == NodeKind::Leaf && op.access) link_refs_[op.arg] = 0;
@@ -299,13 +354,50 @@ void CountingMatcher::rechoose_access_sets() {
     set_pmin(slot, choose_access(slots_[slot].program));
     link(slot);
   }
+  // link() indexed what gained a link; take out what lost every one.
+  for (std::uint32_t id = 0; id < pred_slots_.size(); ++id) {
+    const LeafTest& test = leaf_test_[id];
+    if (test.testable && test.indexed && pred_slots_[id].empty()) unindex_predicate(id);
+  }
 }
 
-bool CountingMatcher::run(const Instr* program, std::uint32_t pc,
-                          const MatchContext& context) {
+bool CountingMatcher::test_in_place(std::uint32_t pid, MatchContext& context) const {
+  ++context.counters_.leaf_tests;
+  const LeafTest& test = leaf_test_[pid];
+  const Value* value = context.values_[test.attr];
+  if (value == nullptr) return false;  // a missing attribute fulfils no predicate
+  double v;
+  switch (value->type()) {
+    case ValueType::Double: v = value->as_double(); break;
+    case ValueType::Int: {
+      // Up to 2^53 an Int converts exactly, so comparing doubles is exact.
+      constexpr std::int64_t kExact = std::int64_t{1} << 53;
+      const std::int64_t i = value->as_int();
+      if (i < -kExact || i > kExact) {
+        return registry_.predicate(PredicateId(pid)).matches_value(*value);
+      }
+      v = static_cast<double>(i);
+      break;
+    }
+    default: return registry_.predicate(PredicateId(pid)).matches_value(*value);
+  }
+  // A NaN value fails every comparison, as Value::less and equals say.
+  switch (test.op) {
+    case Op::Eq: return v == test.low;
+    case Op::Lt: return v < test.low;
+    case Op::Le: return v <= test.low;
+    case Op::Gt: return v > test.low;
+    case Op::Ge: return v >= test.low;
+    default: return test.low <= v && v <= test.high;  // Between
+  }
+}
+
+bool CountingMatcher::run(const Instr* program, std::uint32_t pc, MatchContext& context) const {
   const Instr op = program[pc];
   switch (op.kind) {
-    case NodeKind::Leaf: return context.pred_epoch_[op.arg] == context.epoch_;
+    case NodeKind::Leaf:
+      if (op.direct) return test_in_place(op.arg, context);
+      return context.pred_epoch_[op.arg] == context.epoch_;
     case NodeKind::Not: return !run(program, pc + 1, context);
     case NodeKind::And:
     case NodeKind::Or: {
@@ -367,6 +459,7 @@ void CountingMatcher::remove(Subscription& sub) {
   // Pull the slot out of the always-eval list before releasing references.
   set_pmin(slot, 1);
   unlink(slot);
+  flush_unindexed();
   association_count_ -= distinct_predicates(slots_[slot].program);
   release_program(slots_[slot].program);
   slot_by_id_.erase(sub.id().value());
@@ -390,6 +483,7 @@ void CountingMatcher::reindex(Subscription& sub) {
   release_program(old_program);
   set_pmin(slot, choose_access(slots_[slot].program));
   link(slot);
+  flush_unindexed();
 }
 
 void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out,
@@ -397,6 +491,7 @@ void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out
   // Size the context to the index; zeroed entries belong to no epoch.
   if (ctx.pred_epoch_.size() < pred_slots_.size()) ctx.pred_epoch_.resize(pred_slots_.size());
   if (ctx.slot_counter_.size() < slots_.size()) ctx.slot_counter_.resize(slots_.size());
+  if (ctx.values_.size() < attr_index_.size()) ctx.values_.resize(attr_index_.size());
   if (++ctx.epoch_ == 0) {  // wrapped: no stale record may read as current
     std::fill(ctx.pred_epoch_.begin(), ctx.pred_epoch_.end(), 0);
     std::fill(ctx.slot_counter_.begin(), ctx.slot_counter_.end(), MatchContext::SlotCounter{});
@@ -409,6 +504,7 @@ void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out
 
   for (const auto& [attr, value] : event.pairs()) {
     if (attr.value() >= attr_index_.size()) continue;
+    ctx.values_[attr.value()] = &value;
     attr_index_[attr.value()].collect(value, ctx.preds_);
   }
   ctx.counters_.predicate_hits += ctx.preds_.size();
@@ -451,6 +547,9 @@ void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out
       out.push_back(s.sub->id());
     }
   }
+  for (const auto& [attr, value] : event.pairs()) {
+    if (attr.value() < attr_index_.size()) ctx.values_[attr.value()] = nullptr;
+  }
 }
 
 std::string CountingMatcher::audit() const {
@@ -466,6 +565,9 @@ std::string CountingMatcher::audit() const {
       if (op.kind != NodeKind::Leaf) continue;
       all.push_back(op.arg);
       if (op.access) access.push_back(op.arg);
+      if (op.direct != (!op.access && leaf_test_[op.arg].testable)) {
+        return at + "in-place bit of predicate " + std::to_string(op.arg);
+      }
     }
     std::sort(all.begin(), all.end());
     associations += static_cast<std::size_t>(std::unique(all.begin(), all.end()) - all.begin());
@@ -489,15 +591,35 @@ std::string CountingMatcher::audit() const {
   }
   if (associations != association_count_) return "association_count()";
   std::size_t entries = 0;
+  std::size_t indexed = 0;
   for (std::uint32_t pid = 0; pid < pred_slots_.size(); ++pid) {
-    if (pred_links_[pid].size() != pred_slots_[pid].size()) {
-      return "predicate " + std::to_string(pid) + ": link indexes";
-    }
+    const std::string at = "predicate " + std::to_string(pid) + ": ";
+    if (pred_links_[pid].size() != pred_slots_[pid].size()) return at + "link indexes";
     entries += pred_slots_[pid].size();
+    const LeafTest& test = leaf_test_[pid];
+    if (!registry_.live(PredicateId(pid))) {
+      if (test.indexed) return at + "recycled but indexed";
+      continue;
+    }
+    const Predicate& pred = registry_.predicate(PredicateId(pid));
+    const LeafTest fresh = leaf_test_of(pred);
+    if (test.testable != fresh.testable || test.attr != fresh.attr || test.op != fresh.op ||
+        (fresh.testable && (test.low != fresh.low || test.high != fresh.high))) {
+      return at + "test record";
+    }
+    const bool expected = !test.testable || !pred_slots_[pid].empty();
+    if (test.indexed != expected ||
+        attr_index_[test.attr].contains(PredicateId(pid), pred) != expected) {
+      return at + (expected ? "missing from" : "stale in") + " its attribute index";
+    }
+    if (expected) ++indexed;
   }
   // Every expected link was found where its slot says; any other entry is
   // stale or a duplicate.
   if (entries != links) return "association lists hold stale or duplicate entries";
+  std::size_t index_size = 0;
+  for (const AttributeIndex& index : attr_index_) index_size += index.size();
+  if (index_size != indexed) return "attribute indexes hold stale entries";
   return {};
 }
 

@@ -22,14 +22,16 @@ namespace dbsp {
 /// Introspection counters a MatchContext accumulates across matches.
 struct MatchCounters {
   std::uint64_t events = 0;
-  std::uint64_t predicate_hits = 0;      ///< fulfilled predicates found by indexes
+  std::uint64_t predicate_hits = 0;      ///< fulfilled indexed predicates
   std::uint64_t counter_increments = 0;  ///< access-leaf counter bumps
+  std::uint64_t leaf_tests = 0;          ///< leaves tested in place
   std::uint64_t tree_evaluations = 0;    ///< Boolean trees evaluated
   std::uint64_t matches = 0;             ///< subscriptions matched
 };
 
 /// Everything one match writes: the epoch, the per-predicate epochs, one
-/// counter record per slot, the scratch lists and the counters. The index
+/// counter record per slot, the event's values by attribute, the scratch
+/// lists and the counters. The index
 /// (CountingMatcher) is only read while matching, so K contexts let K
 /// threads match against one index at once. A context's arrays grow
 /// lazily to the index they last matched against.
@@ -54,6 +56,8 @@ class MatchContext {
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> pred_epoch_;  // by predicate id
   std::vector<SlotCounter> slot_counter_;  // by slot
+  /// By attribute id: the event's value during a match, null otherwise.
+  std::vector<const Value*> values_;
   std::vector<PredicateId> preds_;
   std::vector<std::uint32_t> candidates_;
   MatchCounters counters_;
@@ -62,8 +66,8 @@ class MatchContext {
 /// The counting-based filtering engine for Boolean subscriptions
 /// (non-canonical algorithm of the paper's ref [2]).
 ///
-/// Two-phase matching: (1) per-attribute indexes produce the set of
-/// predicates fulfilled by the event — each distinct predicate is tested at
+/// Two-phase matching: (1) per-attribute indexes produce the indexed
+/// predicates the event fulfils — each distinct predicate is tested at
 /// most once regardless of how many subscriptions use it; (2) counters over
 /// predicate/subscription associations find subscriptions whose number of
 /// fulfilled access leaves reaches pmin, and only those have their Boolean
@@ -85,14 +89,23 @@ class MatchContext {
 /// (pmin 0) or never (unsatisfiable) counts no leaf at all once counting
 /// would cost anything. The estimates come from set_leaf_estimate(); without
 /// one every estimate is 0 and every leaf is counted, as in the paper.
-/// Every predicate stays in the attribute indexes, so predicate hits and
-/// tree evaluation do not depend on the choice.
+///
+/// Only what counting reads is indexed. A numeric comparison — Eq, Lt, Le,
+/// Gt, Ge or Between whose operands are all exact, non-NaN numerics — sits
+/// in its AttributeIndex only while it has an access link. Its non-access
+/// leaves are tested in place when their tree is evaluated, against a flat
+/// per-predicate test record and the event's value; a value that is not an
+/// exact numeric (a string, a bool, an Int past 2^53) goes through
+/// Predicate::matches_value, so every leaf reads what the tree would. Every
+/// other predicate stays indexed while it is live, and its non-access
+/// leaves read its mark. Predicate hits therefore follow the access sets;
+/// candidates and deliveries do not.
 ///
 /// The hot path is flat data: add() and reindex() compile each tree into a
 /// pre-order program of 8-byte ops (each leaf op flagged when it is an
-/// access leaf) that match() runs against the per-predicate epochs, and
-/// each slot's counter and counter epoch share one 8-byte record in the
-/// MatchContext.
+/// access leaf, and when it is tested in place) that match() runs against
+/// the per-predicate epochs and the event's values, and each slot's counter
+/// and counter epoch share one 8-byte record in the MatchContext.
 ///
 /// Index maintenance touches only the subscription's own tree, never a
 /// list as long as a predicate's users. The PredicateRegistry only interns
@@ -157,10 +170,13 @@ class CountingMatcher {
   [[nodiscard]] const PredicateRegistry& registry() const { return registry_; }
 
   /// Checks the index against the compiled programs, from scratch: the
-  /// association count, and that every association list holds each live
+  /// association count; that every association list holds each live
   /// slot's access links exactly once, with its access-leaf count, at the
-  /// position the slot records. Returns the first inconsistency, or an
-  /// empty string. O(index size); meant for tests.
+  /// position the slot records; that exactly the non-access leaves on
+  /// predicates testable in place are tested in place; and that a live
+  /// predicate is in its AttributeIndex iff it is not testable in place or
+  /// has an access link. Returns the first inconsistency, or an empty
+  /// string. O(index size); meant for tests.
   [[nodiscard]] std::string audit() const;
 
   /// Disables the pmin evaluation trigger: every registered subscription's
@@ -196,6 +212,9 @@ class CountingMatcher {
     /// Leaf: counted (an access leaf). Inner: kept in its parent's access
     /// set. A dropped subtree is cleared throughout.
     bool access = false;
+    /// Leaf: tested in place — not an access leaf, and its predicate is
+    /// testable in place (see LeafTest).
+    bool direct = false;
     std::uint32_t arg = 0;  ///< Leaf: predicate id; inner: one past the subtree
   };
   static_assert(sizeof(Instr) == 8);
@@ -229,8 +248,30 @@ class CountingMatcher {
   [[nodiscard]] static std::span<const Instr> tree(const Program& program);
   /// Distinct predicate ids of the tree: its associations.
   [[nodiscard]] std::uint32_t distinct_predicates(const Program& program);
-  [[nodiscard]] static bool run(const Instr* program, std::uint32_t pc,
-                                const MatchContext& context);
+  [[nodiscard]] bool run(const Instr* program, std::uint32_t pc, MatchContext& context) const;
+
+  /// A predicate's in-place test: Eq, Lt, Le, Gt and Ge compare with
+  /// `low`, Between is low <= value <= high. Only a numeric comparison
+  /// whose operands are all exact, non-NaN numerics is `testable`; every
+  /// other predicate is indexed while it is live.
+  struct LeafTest {
+    double low = 0.0;
+    double high = 0.0;
+    std::uint32_t attr = 0;
+    Op op = Op::Eq;
+    bool testable = false;
+    bool indexed = false;  ///< in its AttributeIndex
+  };
+  static_assert(sizeof(LeafTest) <= 24);
+  [[nodiscard]] static LeafTest leaf_test_of(const Predicate& pred);
+  /// Whether predicate `pid` holds for the event `context` is matching.
+  [[nodiscard]] bool test_in_place(std::uint32_t pid, MatchContext& context) const;
+  void index_predicate(std::uint32_t pid);
+  void unindex_predicate(std::uint32_t pid);
+  /// Takes out of the index each predicate unlink() emptied whose list is
+  /// still empty; reindex() calls it after link(), so a predicate the new
+  /// tree links again never leaves the index.
+  void flush_unindexed();
   void set_pmin(std::uint32_t slot, std::uint32_t pmin);
   void grow_predicate_arrays();
 
@@ -257,7 +298,9 @@ class CountingMatcher {
   /// per distinct access predicate, carrying its access-leaf count, and
   /// the program's link ops. Both walk only the slot's own program:
   /// unlink() swap-pops each entry at its recorded position and repairs
-  /// the recorded position of the entry it moved.
+  /// the recorded position of the entry it moved. link() indexes a
+  /// testable predicate whose list it fills; unlink() queues one whose
+  /// list it empties for flush_unindexed().
   void link(std::uint32_t slot);
   void unlink(std::uint32_t slot);
 
@@ -278,6 +321,9 @@ class CountingMatcher {
   /// Parallel to pred_slots_: each entry's link index k in its slot.
   std::vector<std::vector<std::uint32_t>> pred_links_;
   std::vector<double> leaf_estimate_;                 // by predicate id, in [0, 1]
+  std::vector<LeafTest> leaf_test_;                   // by predicate id
+  /// Testable predicates whose association list unlink() emptied.
+  std::vector<std::uint32_t> unindex_;
   /// By predicate id: scratch counts and marks of one program walk, 0
   /// between walks.
   std::vector<std::uint32_t> link_refs_;

@@ -266,11 +266,19 @@ TEST_F(AttributeIndexTest, RandomizedInsertRemoveChurn) {
     const auto slot = static_cast<std::uint32_t>(rng() % live.size());
     if (live[slot]) {
       idx.remove(PredicateId(slot), *live[slot]);
+      ASSERT_FALSE(idx.contains(PredicateId(slot), *live[slot]));
       live[slot].reset();
     } else {
       live[slot] = dom_.random_predicate(rng);
       idx.insert(PredicateId(slot), *live[slot]);
+      ASSERT_TRUE(idx.contains(PredicateId(slot), *live[slot]));
     }
+  }
+  // contains() finds each live pair, and no other id under its keys.
+  for (std::uint32_t i = 0; i < live.size(); ++i) {
+    if (!live[i]) continue;
+    EXPECT_TRUE(idx.contains(PredicateId(i), *live[i]));
+    EXPECT_FALSE(idx.contains(PredicateId(i + 1000), *live[i]));
   }
   // Final consistency sweep.
   for (std::int64_t v = 0; v < 50; ++v) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <random>
 
 #include "core/candidates.hpp"
@@ -323,10 +325,13 @@ TEST_F(CountingMatcherTest, IntAndDoubleOperandsPastTwoToThe53StayApart) {
   const auto year = schema_.at("year");
   const Value odd(std::int64_t{9007199254740993});
   const Value even(9007199254740992.0);
+  // Arrays, not braced lists: GCC 12 misreads the destruction of an
+  // initializer_list's Value copies as freeing a non-heap object.
+  const std::array<Value, 2> operands{odd, even};
   std::vector<std::unique_ptr<Subscription>> subs;
   std::uint32_t id = 0;
   for (const Op op : {Op::Ne, Op::Eq, Op::Lt, Op::Le, Op::Gt, Op::Ge}) {
-    for (const Value& operand : {odd, even}) {
+    for (const Value& operand : operands) {
       subs.push_back(std::make_unique<Subscription>(
           SubscriptionId(++id), Node::leaf(Predicate(year, op, operand))));
     }
@@ -337,10 +342,15 @@ TEST_F(CountingMatcherTest, IntAndDoubleOperandsPastTwoToThe53StayApart) {
   for (auto& s : subs) m.add(*s);
   EXPECT_EQ(m.live_predicates(), subs.size());
 
+  const std::array<Value, 7> values{Value(std::int64_t{9007199254740991}),
+                                    Value(std::int64_t{9007199254740992}),
+                                    odd,
+                                    Value(std::int64_t{9007199254740994}),
+                                    Value(std::int64_t{9007199254740995}),
+                                    even,
+                                    Value(9007199254740994.0)};
   std::vector<Event> events;
-  for (const Value& v : {Value(std::int64_t{9007199254740991}), Value(std::int64_t{9007199254740992}),
-                         odd, Value(std::int64_t{9007199254740994}),
-                         Value(std::int64_t{9007199254740995}), even, Value(9007199254740994.0)}) {
+  for (const Value& v : values) {
     Event e;
     e.set(year, v);
     events.push_back(std::move(e));
@@ -482,28 +492,171 @@ TEST_F(CountingMatcherTest, AndOfARareEqAndABroadLtCountsOnlyTheEq) {
   auto s = sub(1, "category = 'art' and price < 10");
   m.add(*s);
   EXPECT_EQ(m.associations_of(SubscriptionId(1)), 2u);  // both stay associated
-  EXPECT_EQ(m.live_predicates(), 2u);                   // and indexed
+  EXPECT_EQ(m.live_predicates(), 2u);
+  EXPECT_EQ(m.audit(), "");  // and only the Eq is indexed
 
+  // The broad Lt is no access leaf, so no index yields it: no hit.
   const Event cheap = EventBuilder(schema_).with("category", "music").with("price", 5.0).build();
   EXPECT_TRUE(match(m, cheap).empty());
-  EXPECT_EQ(m.counters().predicate_hits, 1u);
+  EXPECT_EQ(m.counters().predicate_hits, 0u);
   EXPECT_EQ(m.counters().counter_increments, 0u);
   EXPECT_EQ(m.counters().tree_evaluations, 0u);
+  EXPECT_EQ(m.counters().leaf_tests, 0u);
 
+  // When the Eq triggers, the Lt is tested in place against the price.
   m.reset_counters();
   const Event art = EventBuilder(schema_).with("category", "art").with("price", 5.0).build();
   EXPECT_EQ(match(m, art), std::vector<SubscriptionId>{SubscriptionId(1)});
   const Event dear = EventBuilder(schema_).with("category", "art").with("price", 50.0).build();
   EXPECT_TRUE(match(m, dear).empty());
+  EXPECT_EQ(m.counters().predicate_hits, 2u);      // the Eq, once per event
   EXPECT_EQ(m.counters().counter_increments, 2u);  // one Eq bump per event
   EXPECT_EQ(m.counters().tree_evaluations, 2u);
+  EXPECT_EQ(m.counters().leaf_tests, 2u);          // the Lt, once per evaluation
 
-  // Unbound, both leaves count again and the Lt alone no longer triggers.
+  // Unbound, both leaves count again: the Lt is indexed, a hit, and alone
+  // no longer triggers.
   m.set_leaf_estimate({});
+  EXPECT_EQ(m.audit(), "");
   m.reset_counters();
   EXPECT_TRUE(match(m, cheap).empty());
+  EXPECT_EQ(m.counters().predicate_hits, 1u);
   EXPECT_EQ(m.counters().counter_increments, 1u);
   EXPECT_EQ(m.counters().tree_evaluations, 0u);
+  EXPECT_EQ(m.counters().leaf_tests, 0u);
+}
+
+/// `leaf` in an And behind a category = 'art' anchor; under
+/// rare_category() the anchor is the And's only access leaf.
+std::unique_ptr<Node> behind_anchor(const Schema& schema, std::unique_ptr<Node> leaf) {
+  std::vector<std::unique_ptr<Node>> children;
+  children.push_back(Node::leaf(Predicate(schema.at("category"), Op::Eq, Value("art"))));
+  children.push_back(std::move(leaf));
+  return Node::and_(std::move(children));
+}
+
+/// Category predicates (attribute 1 of the fixture schema) rare, all
+/// others broad.
+double rare_category(const Predicate& p) { return p.attribute().value() == 1 ? 0.01 : 0.9; }
+
+/// Numeric predicates on `attr` over the operands and operators that
+/// testing in place must get right: Int and Double past 2^53, 0 and -0.0,
+/// NaN, Between with low > high, and the operators that stay indexed.
+std::vector<Predicate> numeric_predicates(AttributeId attr) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Value> operands;
+  operands.emplace_back(std::int64_t{0});
+  operands.emplace_back(-0.0);
+  operands.emplace_back(1.5);
+  operands.emplace_back(std::int64_t{5});
+  operands.emplace_back(9007199254740992.0);              // 2^53
+  operands.emplace_back(std::int64_t{9007199254740993});  // 2^53 + 1, no double
+  operands.emplace_back(nan);
+  std::vector<Predicate> preds;
+  for (const Value& v : operands) {
+    for (const Op op : {Op::Eq, Op::Ne, Op::Lt, Op::Le, Op::Gt, Op::Ge}) {
+      preds.emplace_back(attr, op, v);
+    }
+  }
+  preds.emplace_back(attr, Value(5.0), Value(1.0));  // low > high
+  preds.emplace_back(attr, Value(-0.0), Value(std::int64_t{0}));
+  preds.emplace_back(attr, Value(std::int64_t{1}), Value(5.0));
+  preds.emplace_back(attr, Value(9007199254740992.0), Value(std::int64_t{9007199254740993}));
+  preds.emplace_back(attr, Value(nan), Value(5.0));
+  std::vector<Value> members;
+  members.emplace_back(std::int64_t{0});
+  members.emplace_back(std::int64_t{9007199254740993});
+  preds.emplace_back(attr, std::move(members));
+  return preds;
+}
+
+/// Values for one attribute: NaN of both signs, ±0, the neighbours of
+/// 2^53 as Int and Double, infinities, a string and bools.
+std::vector<Value> event_values() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Value> values;
+  for (const double d : {nan, -nan, -0.0, 0.0, 1.0, 1.5, 3.0, 5.0, 9007199254740992.0,
+                         9007199254740994.0, inf, -inf}) {
+    values.emplace_back(d);
+  }
+  for (const std::int64_t i : {std::int64_t{0}, std::int64_t{5}, std::int64_t{9007199254740992},
+                               std::int64_t{9007199254740993}, std::int64_t{9007199254740994},
+                               std::numeric_limits<std::int64_t>::min()}) {
+    values.emplace_back(i);
+  }
+  values.emplace_back("cheap");
+  values.emplace_back(true);
+  values.emplace_back(false);
+  return values;
+}
+
+TEST_F(CountingMatcherTest, LeavesTestedInPlaceAgreeWithTheTrees) {
+  // Each numeric predicate behind a rare anchor, negated behind it, and
+  // negated alone: under rare_category() every numeric leaf is tested in
+  // place (the Not alone triggers always and counts nothing).
+  std::vector<std::unique_ptr<Subscription>> subs;
+  const auto add_sub = [&](std::unique_ptr<Node> tree) {
+    subs.push_back(std::make_unique<Subscription>(
+        SubscriptionId(static_cast<std::uint32_t>(subs.size())), std::move(tree)));
+  };
+  for (const char* attr : {"price", "year"}) {
+    for (const Predicate& p : numeric_predicates(schema_.at(attr))) {
+      add_sub(behind_anchor(schema_, Node::leaf(p)));
+      add_sub(behind_anchor(schema_, Node::not_(Node::leaf(p))));
+      add_sub(Node::not_(Node::leaf(p)));
+    }
+  }
+  CountingMatcher unbound(schema_);
+  CountingMatcher skewed(schema_);
+  skewed.set_leaf_estimate(rare_category);
+  for (auto& s : subs) {
+    unbound.add(*s);
+    skewed.add(*s);
+  }
+  ASSERT_EQ(skewed.audit(), "");
+
+  // Each value, and past the last one a missing attribute.
+  const std::vector<Value> values = event_values();
+  const auto agrees = [&](CountingMatcher& m) {
+    for (std::size_t i = 0; i <= values.size(); ++i) {
+      for (std::size_t j = 0; j <= values.size(); ++j) {
+        const Value* price = i < values.size() ? &values[i] : nullptr;
+        const Value* year = j < values.size() ? &values[j] : nullptr;
+        Event e;
+        e.set(schema_.at("category"), Value("art"));
+        if (price != nullptr) e.set(schema_.at("price"), *price);
+        if (year != nullptr) e.set(schema_.at("year"), *year);
+        std::vector<SubscriptionId> expected;
+        for (const auto& s : subs) {
+          if (s->matches(e)) expected.push_back(s->id());
+        }
+        ASSERT_EQ(match(m, e), expected)
+            << "price " << (price != nullptr ? price->to_string() : "missing") << ", year "
+            << (year != nullptr ? year->to_string() : "missing");
+      }
+    }
+  };
+  agrees(unbound);
+  agrees(skewed);
+  EXPECT_EQ(unbound.counters().leaf_tests, 0u);
+  EXPECT_GT(skewed.counters().leaf_tests, 0u);
+  EXPECT_LT(skewed.counters().predicate_hits, unbound.counters().predicate_hits);
+
+  // Unbinding counts every leaf again and puts every predicate back in the
+  // index; rebinding takes the broad ones out again.
+  skewed.set_leaf_estimate({});
+  ASSERT_EQ(skewed.audit(), "");
+  skewed.reset_counters();
+  agrees(skewed);
+  EXPECT_EQ(skewed.counters().leaf_tests, 0u);
+  skewed.set_leaf_estimate(rare_category);
+  ASSERT_EQ(skewed.audit(), "");
+  for (auto& s : subs) {
+    skewed.remove(*s);
+    ASSERT_EQ(skewed.audit(), "");
+  }
+  EXPECT_EQ(skewed.live_predicates(), 0u);
 }
 
 /// Σ over `live` of their distinct leaf predicates, counted from the trees
@@ -521,6 +674,11 @@ std::size_t recount_associations(const std::vector<std::unique_ptr<Subscription>
   return total;
 }
 
+/// A leaf `attr op NaN` on one of `dom`'s first two attributes.
+std::unique_ptr<Node> nan_leaf(const test::MiniDomain& dom, std::mt19937_64& rng, Op op) {
+  return Node::leaf(Predicate(dom.attr(rng() % 2), op, Value(std::nan(""))));
+}
+
 /// A random tree over `dom`; a third of them gain one or two NaN-operand
 /// leaves (each its own predicate id).
 std::unique_ptr<Node> tree_with_nan_leaves(const test::MiniDomain& dom, std::mt19937_64& rng) {
@@ -528,11 +686,8 @@ std::unique_ptr<Node> tree_with_nan_leaves(const test::MiniDomain& dom, std::mt1
   if (rng() % 3 != 0) return tree;
   std::vector<std::unique_ptr<Node>> kids;
   kids.push_back(std::move(tree));
-  const auto nan_leaf = [&](Op op) {
-    return Node::leaf(Predicate(dom.attr(rng() % 2), op, Value(std::nan(""))));
-  };
-  kids.push_back(nan_leaf(Op::Lt));
-  if (rng() % 2 == 0) kids.push_back(nan_leaf(Op::Ge));
+  kids.push_back(nan_leaf(dom, rng, Op::Lt));
+  if (rng() % 2 == 0) kids.push_back(nan_leaf(dom, rng, Op::Ge));
   return simplify(rng() % 2 == 0 ? Node::and_(std::move(kids)) : Node::or_(std::move(kids)));
 }
 

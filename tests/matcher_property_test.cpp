@@ -215,9 +215,12 @@ TEST(MatcherEquivalenceChurn, DeepNotOrNestingUnderAddReindexAndRemove) {
 TEST(MatcherEquivalenceNaN, NaNEventValuesAgreeOverEveryOperator) {
   // A NaN event value fulfils no ordered comparison, no equality and no
   // Between (IEEE), and Ne holds for it. The counting index collects no
-  // ordered predicate for NaN, so direct evaluation has to say the same.
+  // ordered predicate for NaN, and a leaf tested in place compares no
+  // differently, so direct evaluation has to say the same — whichever
+  // leaves the bound estimates count.
   Schema schema;
   const AttributeId x = schema.add_attribute("x", ValueType::Double);
+  const AttributeId y = schema.add_attribute("y", ValueType::Double);
   std::vector<Predicate> preds{
       Predicate(x, Op::Eq, Value(2.0)),      Predicate(x, Op::Ne, Value(2.0)),
       Predicate(x, Op::Lt, Value(5.0)),      Predicate(x, Op::Le, Value(5.0)),
@@ -226,38 +229,70 @@ TEST(MatcherEquivalenceNaN, NaNEventValuesAgreeOverEveryOperator) {
       Predicate(x, Op::Prefix, Value("a")),  Predicate(x, Op::Suffix, Value("a")),
       Predicate(x, Op::Contains, Value("a")),
   };
-  // Each predicate as a leaf and under a NOT (the pmin = 0 path).
+  // Each predicate as a leaf and under a NOT (the pmin = 0 path), then
+  // behind a y = 1 anchor, plain and negated.
   Corpus corpus;
+  const auto add = [&](std::unique_ptr<Node> tree) {
+    corpus.subs.push_back(std::make_unique<Subscription>(
+        SubscriptionId(static_cast<SubscriptionId::value_type>(corpus.subs.size())),
+        std::move(tree)));
+  };
+  for (const Predicate& p : preds) {
+    add(Node::leaf(p));
+    add(Node::not_(Node::leaf(p)));
+  }
   for (const Predicate& p : preds) {
     for (const bool negate : {false, true}) {
       auto tree = Node::leaf(p);
       if (negate) tree = Node::not_(std::move(tree));
-      corpus.subs.push_back(std::make_unique<Subscription>(
-          SubscriptionId(static_cast<SubscriptionId::value_type>(corpus.subs.size())),
-          std::move(tree)));
+      std::vector<std::unique_ptr<Node>> children;
+      children.push_back(Node::leaf(Predicate(y, Op::Eq, Value(1.0))));
+      children.push_back(std::move(tree));
+      add(Node::and_(std::move(children)));
     }
   }
-  CountingMatcher counting(schema);
+  // Unbound every leaf counts; skewed one way the x leaves are tested in
+  // place behind the anchor, skewed the other way the anchor is.
+  std::vector<CountingMatcher::LeafEstimate> oracles{
+      {},
+      [y](const Predicate& p) { return p.attribute() == y ? 0.01 : 0.9; },
+      [y](const Predicate& p) { return p.attribute() == y ? 0.9 : 0.01; },
+  };
   NaiveMatcher naive;
-  for (auto& s : corpus.subs) {
-    counting.add(*s);
-    naive.add(*s);
-  }
+  for (auto& s : corpus.subs) naive.add(*s);
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const double v : {nan, -nan, 3.0, std::numeric_limits<double>::infinity()}) {
-    Event e;
-    e.set(x, Value(v));
-    EXPECT_EQ(sorted_match(counting, e), sorted_match(naive, e)) << "x = " << v;
-  }
+  for (std::size_t o = 0; o < oracles.size(); ++o) {
+    SCOPED_TRACE(o);
+    CountingMatcher counting(schema);
+    counting.set_leaf_estimate(oracles[o]);
+    for (auto& s : corpus.subs) counting.add(*s);
+    ASSERT_EQ(counting.audit(), "");
 
-  Event e;
-  e.set(x, Value(nan));
-  const auto got = sorted_match(counting, e);
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    const bool leaf_matches = std::binary_search(
-        got.begin(), got.end(), SubscriptionId(static_cast<SubscriptionId::value_type>(2 * i)));
-    EXPECT_EQ(leaf_matches, preds[i].op() == Op::Ne) << to_string(preds[i].op());
+    for (const double v : {nan, -nan, 3.0, -0.0, std::numeric_limits<double>::infinity()}) {
+      for (const double anchor : {1.0, nan}) {
+        Event e;
+        e.set(x, Value(v));
+        e.set(y, Value(anchor));
+        EXPECT_EQ(sorted_match(counting, e), sorted_match(naive, e))
+            << "x = " << v << ", y = " << anchor;
+      }
+    }
+    EXPECT_EQ(counting.counters().leaf_tests > 0, o != 0);
+
+    Event e;
+    e.set(x, Value(nan));
+    e.set(y, Value(1.0));
+    const auto got = sorted_match(counting, e);
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+      const auto fulfilled = [&](std::size_t id) {
+        return std::binary_search(
+            got.begin(), got.end(), SubscriptionId(static_cast<SubscriptionId::value_type>(id)));
+      };
+      const bool is_ne = preds[i].op() == Op::Ne;
+      EXPECT_EQ(fulfilled(2 * i), is_ne) << to_string(preds[i].op());
+      EXPECT_EQ(fulfilled(2 * preds.size() + 2 * i), is_ne) << to_string(preds[i].op());
+    }
   }
 }
 

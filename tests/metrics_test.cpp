@@ -367,6 +367,8 @@ TEST(FacadeMetricsTest, RegistryAgreesWithLegacyCountersAfterSoak) {
                    static_cast<double>(counters.counter_increments));
   EXPECT_DOUBLE_EQ(s.value("dbsp_tree_evaluations_total"),
                    static_cast<double>(counters.tree_evaluations));
+  EXPECT_DOUBLE_EQ(s.value("dbsp_leaf_tests_total"),
+                   static_cast<double>(counters.leaf_tests));
   EXPECT_DOUBLE_EQ(s.value("dbsp_matches_total"),
                    static_cast<double>(counters.matches));
   EXPECT_DOUBLE_EQ(s.value("dbsp_subscriptions"),

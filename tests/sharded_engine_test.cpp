@@ -91,6 +91,10 @@ TEST(ShardedEngineTest, BatchCountersSumOverContexts) {
   const auto events = dom.random_events(rng, 99);
   ShardedEngine one(dom.schema(), counting_options(1));
   ShardedEngine four(dom.schema(), counting_options(4));
+  // Skewed estimates, so some leaves are tested in place.
+  const auto skewed = [](const Predicate& p) { return p.op() == Op::Eq ? 0.05 : 0.8; };
+  one.counting_shard(0).set_leaf_estimate(skewed);
+  four.counting_shard(0).set_leaf_estimate(skewed);
   for (auto& s : corpus.subs) {
     one.add(*s);
     four.add(*s);
@@ -104,6 +108,8 @@ TEST(ShardedEngineTest, BatchCountersSumOverContexts) {
   EXPECT_EQ(c4.predicate_hits, c1.predicate_hits);
   EXPECT_EQ(c4.counter_increments, c1.counter_increments);
   EXPECT_EQ(c4.tree_evaluations, c1.tree_evaluations);
+  EXPECT_GT(c1.leaf_tests, 0u);
+  EXPECT_EQ(c4.leaf_tests, c1.leaf_tests);
   EXPECT_EQ(c4.matches, c1.matches);
 
   four.reset_counters();
