@@ -10,44 +10,30 @@
 
 #include "filter/counting_matcher.hpp"
 #include "filter/naive_matcher.hpp"
+#include "fixture.hpp"
 #include "scenario/workload_domain.hpp"
-#include "selectivity/estimator.hpp"
-#include "selectivity/stats.hpp"
-#include "workload/event_gen.hpp"
-#include "workload/subscription_gen.hpp"
 
 namespace {
 
 using namespace dbsp;
 
-struct Fixture {
-  WorkloadConfig cfg;
-  std::unique_ptr<AuctionDomain> domain;
+/// The fixture workload with its first `n` subscriptions.
+struct Table {
+  bench::Fixture fx;
   std::vector<std::unique_ptr<Subscription>> subs;
-  std::vector<Event> events;
 
-  explicit Fixture(std::size_t n_subs) {
-    cfg.seed = 7;
-    domain = std::make_unique<AuctionDomain>(cfg);
-    AuctionSubscriptionGenerator sub_gen(*domain, 1);
-    for (std::uint32_t i = 0; i < n_subs; ++i) {
-      subs.push_back(
-          std::make_unique<Subscription>(SubscriptionId(i), sub_gen.next_tree()));
-    }
-    AuctionEventGenerator event_gen(*domain, 2);
-    events = event_gen.generate(256);
-  }
+  explicit Table(std::size_t n) : subs(fx.subscriptions(n)) {}
 };
 
 void BM_CountingMatcher(benchmark::State& state) {
-  Fixture fx(static_cast<std::size_t>(state.range(0)));
-  CountingMatcher matcher(fx.domain->schema());
-  for (auto& s : fx.subs) matcher.add(*s);
+  Table t(static_cast<std::size_t>(state.range(0)));
+  CountingMatcher matcher(t.fx.domain.schema());
+  for (auto& s : t.subs) matcher.add(*s);
   std::vector<SubscriptionId> out;
   std::size_t i = 0;
   for (auto _ : state) {
     out.clear();
-    matcher.match(fx.events[i++ % fx.events.size()], out);
+    matcher.match(t.fx.events[i++ % t.fx.events.size()], out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -58,20 +44,16 @@ BENCHMARK(BM_CountingMatcher)->Arg(1000)->Arg(10000)->Arg(50000);
 // pruning engine binds them: only access leaves are counted and indexed,
 // and the numeric comparisons beside them are tested in place.
 void BM_CountingMatcherTrained(benchmark::State& state) {
-  Fixture fx(static_cast<std::size_t>(state.range(0)));
-  EventStats stats(fx.domain->schema());
-  AuctionEventGenerator training(*fx.domain, 3);
-  for (int i = 0; i < 10000; ++i) stats.observe(training.next());
-  stats.finalize();
-  const SelectivityEstimator estimator(stats);
-  CountingMatcher matcher(fx.domain->schema());
-  matcher.set_leaf_estimate([&](const Predicate& p) { return estimator.leaf(p); });
-  for (auto& s : fx.subs) matcher.add(*s);
+  Table t(static_cast<std::size_t>(state.range(0)));
+  const bench::Trained trained(t.fx.domain, 10000);
+  CountingMatcher matcher(t.fx.domain.schema());
+  matcher.set_leaf_estimate([&](const Predicate& p) { return trained.estimator.leaf(p); });
+  for (auto& s : t.subs) matcher.add(*s);
   std::vector<SubscriptionId> out;
   std::size_t i = 0;
   for (auto _ : state) {
     out.clear();
-    matcher.match(fx.events[i++ % fx.events.size()], out);
+    matcher.match(t.fx.events[i++ % t.fx.events.size()], out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -79,14 +61,14 @@ void BM_CountingMatcherTrained(benchmark::State& state) {
 BENCHMARK(BM_CountingMatcherTrained)->Arg(10000);
 
 void BM_NaiveMatcher(benchmark::State& state) {
-  Fixture fx(static_cast<std::size_t>(state.range(0)));
+  Table t(static_cast<std::size_t>(state.range(0)));
   NaiveMatcher matcher;
-  for (auto& s : fx.subs) matcher.add(*s);
+  for (auto& s : t.subs) matcher.add(*s);
   std::vector<SubscriptionId> out;
   std::size_t i = 0;
   for (auto _ : state) {
     out.clear();
-    matcher.match(fx.events[i++ % fx.events.size()], out);
+    matcher.match(t.fx.events[i++ % t.fx.events.size()], out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -94,10 +76,10 @@ void BM_NaiveMatcher(benchmark::State& state) {
 BENCHMARK(BM_NaiveMatcher)->Arg(1000)->Arg(10000);
 
 void BM_MatcherRegistration(benchmark::State& state) {
-  Fixture fx(static_cast<std::size_t>(state.range(0)));
+  Table t(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    CountingMatcher matcher(fx.domain->schema());
-    for (auto& s : fx.subs) matcher.add(*s);
+    CountingMatcher matcher(t.fx.domain.schema());
+    for (auto& s : t.subs) matcher.add(*s);
     benchmark::DoNotOptimize(matcher.association_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -135,15 +117,15 @@ void BM_MatcherChurn(benchmark::State& state) {
 BENCHMARK(BM_MatcherChurn)->Arg(60000)->Unit(benchmark::kMicrosecond);
 
 void BM_MatcherWithoutPminTrigger(benchmark::State& state) {
-  Fixture fx(static_cast<std::size_t>(state.range(0)));
-  CountingMatcher matcher(fx.domain->schema());
-  for (auto& s : fx.subs) matcher.add(*s);
+  Table t(static_cast<std::size_t>(state.range(0)));
+  CountingMatcher matcher(t.fx.domain.schema());
+  for (auto& s : t.subs) matcher.add(*s);
   matcher.set_pmin_trigger(false);
   std::vector<SubscriptionId> out;
   std::size_t i = 0;
   for (auto _ : state) {
     out.clear();
-    matcher.match(fx.events[i++ % fx.events.size()], out);
+    matcher.match(t.fx.events[i++ % t.fx.events.size()], out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

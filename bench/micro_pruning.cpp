@@ -10,44 +10,20 @@
 
 #include "core/engine.hpp"
 #include "core/pruning_set.hpp"
-#include "selectivity/estimator.hpp"
-#include "selectivity/stats.hpp"
-#include "workload/event_gen.hpp"
-#include "workload/subscription_gen.hpp"
+#include "fixture.hpp"
 
 namespace {
 
 using namespace dbsp;
 
-struct Fixture {
-  WorkloadConfig cfg;
-  std::unique_ptr<AuctionDomain> domain;
-  std::unique_ptr<EventStats> stats;
-  std::unique_ptr<SelectivityEstimator> estimator;
-
-  Fixture() {
-    cfg.seed = 7;
-    domain = std::make_unique<AuctionDomain>(cfg);
-    stats = std::make_unique<EventStats>(domain->schema());
-    AuctionEventGenerator training(*domain, 3);
-    for (int i = 0; i < 5000; ++i) stats->observe(training.next());
-    stats->finalize();
-    estimator = std::make_unique<SelectivityEstimator>(*stats);
-  }
-
-  [[nodiscard]] std::vector<std::unique_ptr<Subscription>> subs(std::size_t n) const {
-    AuctionSubscriptionGenerator gen(*domain, 1);
-    std::vector<std::unique_ptr<Subscription>> out;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      out.push_back(std::make_unique<Subscription>(SubscriptionId(i), gen.next_tree()));
-    }
-    return out;
-  }
+/// The fixture workload and statistics trained on 5000 events.
+struct Fixture : bench::Fixture {
+  bench::Trained trained{domain, 5000};
 };
 
 void BM_EnumerateCandidates(benchmark::State& state) {
   Fixture fx;
-  const auto subs = fx.subs(512);
+  const auto subs = fx.subscriptions(512);
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& sub = *subs[i++ % subs.size()];
@@ -58,8 +34,8 @@ BENCHMARK(BM_EnumerateCandidates);
 
 void BM_ScoreCandidate(benchmark::State& state) {
   Fixture fx;
-  const auto subs = fx.subs(512);
-  const HeuristicScorer scorer(*fx.estimator);
+  const auto subs = fx.subscriptions(512);
+  const HeuristicScorer scorer(fx.trained.estimator);
   struct Prepared {
     const Subscription* sub;
     Node::Path path;
@@ -84,10 +60,10 @@ void BM_EngineFullSweep(benchmark::State& state) {
   const auto dim = static_cast<PruneDimension>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    auto subs = fx.subs(2000);
+    auto subs = fx.subscriptions(2000);
     PruneEngineConfig cfg;
     cfg.dimension = dim;
-    PruningEngine engine(*fx.estimator, cfg);
+    PruningEngine engine(fx.trained.estimator, cfg);
     state.ResumeTiming();
     for (auto& s : subs) engine.register_subscription(*s);
     benchmark::DoNotOptimize(engine.prune(engine.total_possible()));
@@ -114,14 +90,15 @@ void BM_PruneToHalf(benchmark::State& state) {
     ShardedEngine engine;
     std::optional<ShardedPruningSet> set;
 
-    Table(const Fixture& fx, std::size_t n) : subs(fx.subs(n)), engine(fx.domain->schema()) {
+    Table(const Fixture& fx, std::size_t n)
+        : subs(fx.subscriptions(n)), engine(fx.domain.schema()) {
       std::vector<Subscription*> pointers;
       pointers.reserve(subs.size());
       for (auto& s : subs) {
         engine.add(*s);
         pointers.push_back(s.get());
       }
-      set.emplace(engine, *fx.estimator, PruneEngineConfig{}, pointers);
+      set.emplace(engine, fx.trained.estimator, PruneEngineConfig{}, pointers);
     }
   };
   Fixture fx;
@@ -142,7 +119,7 @@ BENCHMARK(BM_PruneToHalf)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatePruning(benchmark::State& state) {
   Fixture fx;
-  const auto subs = fx.subs(512);
+  const auto subs = fx.subscriptions(512);
   struct Target {
     const Subscription* sub;
     Node::Path path;

@@ -11,39 +11,20 @@
 #include <vector>
 
 #include "core/sharded_engine.hpp"
-#include "workload/event_gen.hpp"
-#include "workload/subscription_gen.hpp"
+#include "fixture.hpp"
 
 namespace {
 
 using namespace dbsp;
 
-struct Fixture {
-  WorkloadConfig cfg;
-  std::unique_ptr<AuctionDomain> domain;
-  std::vector<std::unique_ptr<Subscription>> subs;
-  std::vector<Event> events;
-
-  Fixture(std::size_t n_subs, std::size_t n_events) {
-    cfg.seed = 7;
-    domain = std::make_unique<AuctionDomain>(cfg);
-    AuctionSubscriptionGenerator sub_gen(*domain, 1);
-    for (std::uint32_t i = 0; i < n_subs; ++i) {
-      subs.push_back(
-          std::make_unique<Subscription>(SubscriptionId(i), sub_gen.next_tree()));
-    }
-    AuctionEventGenerator event_gen(*domain, 2);
-    events = event_gen.generate(n_events);
-  }
-};
-
 // One iteration = one batched dispatch of 256 events across the workers.
 void BM_ShardedMatchBatch(benchmark::State& state) {
-  Fixture fx(/*n_subs=*/10000, /*n_events=*/256);
+  const bench::Fixture fx;
+  const auto subs = fx.subscriptions(bench::kSubs);
   ShardedEngineOptions options;
   options.shards = static_cast<std::size_t>(state.range(0));
-  ShardedEngine engine(fx.domain->schema(), options);
-  for (auto& s : fx.subs) engine.add(*s);
+  ShardedEngine engine(fx.domain.schema(), options);
+  for (auto& s : subs) engine.add(*s);
 
   std::vector<std::vector<SubscriptionId>> results;
   for (auto _ : state) {
@@ -62,11 +43,12 @@ BENCHMARK(BM_ShardedMatchBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // The unbatched entry point (one event per call on the calling thread) —
 // what the broker's route_event pays; the worker count must not change it.
 void BM_ShardedMatchSingle(benchmark::State& state) {
-  Fixture fx(/*n_subs=*/10000, /*n_events=*/256);
+  const bench::Fixture fx;
+  const auto subs = fx.subscriptions(bench::kSubs);
   ShardedEngineOptions options;
   options.shards = static_cast<std::size_t>(state.range(0));
-  ShardedEngine engine(fx.domain->schema(), options);
-  for (auto& s : fx.subs) engine.add(*s);
+  ShardedEngine engine(fx.domain.schema(), options);
+  for (auto& s : subs) engine.add(*s);
 
   std::vector<SubscriptionId> out;
   std::size_t i = 0;

@@ -23,9 +23,9 @@
 #endif
 
 #include "dbsp/dbsp.hpp"
+#include "fixture.hpp"
 #include "scenario/workload_domain.hpp"
 #include "store/state_store.hpp"
-#include "workload/subscription_gen.hpp"
 
 namespace {
 
@@ -45,27 +45,15 @@ fs::path scratch_dir(const std::string& tag) {
   return dir;
 }
 
-struct Fixture {
-  static WorkloadConfig make_cfg() {
-    WorkloadConfig cfg;
-    cfg.seed = 7;
-    return cfg;
-  }
-
-  WorkloadConfig cfg = make_cfg();
-  std::unique_ptr<AuctionDomain> domain = std::make_unique<AuctionDomain>(cfg);
-  AuctionSubscriptionGenerator sub_gen{*domain, 1};
-};
-
 /// One iteration = one durably logged subscribe (WAL append included) of a
 /// pre-generated filter tree. Unsubscribes between batches keep the table
 /// from growing without bound, outside the timed region.
 void BM_DurableSubscribe(benchmark::State& state) {
-  Fixture fx;
+  bench::Fixture fx;
   const fs::path dir = scratch_dir("append");
   StoreOptions store;
   store.directory = dir.string();
-  store.schema = fx.domain->schema();
+  store.schema = fx.domain.schema();
   store.snapshot_every = 1 << 30;  // isolate the append path
   auto opened = PubSub::open(std::move(store));
   if (!opened.ok()) {
@@ -101,12 +89,12 @@ BENCHMARK(BM_DurableSubscribe)->Unit(benchmark::kMicrosecond)->UseRealTime();
 /// a segment of counters only (and compacts once those outgrow a quarter
 /// of the base).
 void BM_SnapshotWrite(benchmark::State& state) {
-  Fixture fx;
+  bench::Fixture fx;
   const auto n = static_cast<std::size_t>(state.range(0));
   const fs::path dir = scratch_dir("snapshot_" + std::to_string(n));
   StoreOptions store;
   store.directory = dir.string();
-  store.schema = fx.domain->schema();
+  store.schema = fx.domain.schema();
   store.snapshot_every = 1 << 30;
   auto opened = PubSub::open(std::move(store));
   if (!opened.ok()) {
@@ -261,13 +249,13 @@ BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond)->UseRealTime();
 /// One iteration = one full crash recovery (PubSub::open) of a store whose
 /// N subscriptions live entirely in the WAL (worst case: no compaction).
 void BM_RecoverFromWal(benchmark::State& state) {
-  Fixture fx;
+  bench::Fixture fx;
   const auto n = static_cast<std::size_t>(state.range(0));
   const fs::path dir = scratch_dir("recover_" + std::to_string(n));
   {
     StoreOptions store;
     store.directory = dir.string();
-    store.schema = fx.domain->schema();
+    store.schema = fx.domain.schema();
     store.snapshot_every = 1 << 30;  // everything stays in the WAL
     auto opened = PubSub::open(std::move(store));
     if (!opened.ok()) {

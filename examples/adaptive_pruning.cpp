@@ -9,6 +9,7 @@
 // that switching dimensions mid-stream just rebuilds the pruning queues
 // from the subscriptions' current (already pruned) state.
 
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -63,11 +64,11 @@ int main() {
 
   for (int round = 0; round < 6; ++round) {
     // Observe one traffic window.
-    pubsub.reset_counters();
     const auto window = event_gen->generate(300);
+    const std::uint64_t matched_before = pubsub.counters().matches;
     (void)pubsub.publish_batch(window);
     const double match_rate =
-        static_cast<double>(pubsub.counters().matches) /
+        static_cast<double>(pubsub.counters().matches - matched_before) /
         (static_cast<double>(window.size()) * static_cast<double>(n_subs));
 
     const PruneDimension dim =

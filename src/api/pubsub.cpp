@@ -52,8 +52,6 @@ struct PubSubCore {
     if (options.metrics) {
       registry = std::make_shared<obs::MetricsRegistry>();
       publishes_total = &registry->counter("dbsp_publishes_total");
-      events_total = &registry->counter("dbsp_events_total");
-      notifications_total = &registry->counter("dbsp_notifications_total");
     }
     if (options.tracing) {
       // With a registry the recorder turns every head-sampled span into a
@@ -99,7 +97,6 @@ struct PubSubCore {
   SubscriptionId::value_type next_id DBSP_GUARDED_BY(mutex) = 0;
   std::size_t callbacks_registered DBSP_GUARDED_BY(mutex) = 0;
   std::uint64_t next_seq DBSP_GUARDED_BY(mutex) = 0;
-  std::uint64_t notifications DBSP_GUARDED_BY(mutex) = 0;
 
   std::vector<SubscriptionId> match_scratch DBSP_GUARDED_BY(mutex);
   std::vector<std::vector<SubscriptionId>> batch_scratch DBSP_GUARDED_BY(mutex);
@@ -111,8 +108,6 @@ struct PubSubCore {
   /// then pays one branch per pointer check and nothing else.
   std::shared_ptr<obs::MetricsRegistry> registry;
   obs::Counter* publishes_total = nullptr;
-  obs::Counter* events_total = nullptr;
-  obs::Counter* notifications_total = nullptr;
 
   /// Per-event tracing (options.tracing): the flight recorder is shared so
   /// embedding layers (the net server) can join its export surface, and
@@ -245,18 +240,40 @@ struct PubSubCore {
     return maybe_checkpoint();
   }
 
-  /// Callbacks run under `mutex` (the dispatch order is part of the
-  /// serialized publish) — which is why they must not re-enter the facade.
-  void dispatch(std::span<const SubscriptionId> matched, std::uint64_t seq,
-                const Event& event, const obs::TraceContext& trace = {},
-                std::uint64_t published_unix_us = 0) DBSP_REQUIRES(mutex) {
-    for (const SubscriptionId id : matched) {
-      const auto it = subs.find(id.value());
-      if (it != subs.end() && it->second.callback) {
-        it->second.callback(
-            Notification{id, seq, event, trace, published_unix_us});
+  /// The tail of every publish, after its match: counts the publish call,
+  /// runs the callbacks of `matched[i]` for `events[i]` (seq next_seq + i)
+  /// under one kDispatch span, and finishes the trace. Returns the
+  /// notifications over all events. Callbacks run under `mutex` (the
+  /// dispatch order is part of the serialized publish) — which is why they
+  /// must not re-enter the facade.
+  std::uint64_t deliver(std::span<const Event> events,
+                        std::span<const std::vector<SubscriptionId>> matched,
+                        obs::TraceBuilder* tb, const obs::TraceContext& context)
+      DBSP_REQUIRES(mutex) {
+    std::uint64_t total = 0;
+    for (const auto& row : matched) total += row.size();
+    if (publishes_total != nullptr) publishes_total->inc();
+    if (callbacks_registered > 0) {
+      obs::ScopedSpan span(tb, obs::TraceStage::kDispatch);
+      span.set_detail(total);
+      // Deliveries (queue wait, socket write on the net edge) parent under
+      // the dispatch span that caused them.
+      obs::TraceContext delivery = context;
+      if (span.span_id() != 0) delivery.parent_span = span.span_id();
+      const std::uint64_t published_us = tb != nullptr ? tb->start_unix_us() : 0;
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        for (const SubscriptionId id : matched[i]) {
+          const auto it = subs.find(id.value());
+          if (it != subs.end() && it->second.callback) {
+            it->second.callback(
+                Notification{id, next_seq + i, events[i], delivery, published_us});
+          }
+        }
       }
     }
+    next_seq += events.size();
+    if (tb != nullptr) tb->finish(*recorder);
+    return total;
   }
 };
 
@@ -270,11 +287,11 @@ namespace {
 /// facade's legacy stat structs (subscription table size, engine counters,
 /// store stats, pruning accounting) into registry series, so the structs
 /// stay authoritative and the registry never lags by more than one scrape.
-/// Counters use sync_to (monotone even across reset_counters); levels are
-/// gauges. The hook captures the core through a weak_ptr and no-ops once
-/// the facade is gone — it is never removed, it simply dies with the
-/// registry (removal from the core's destructor could deadlock when an
-/// in-flight scrape's promoted shared_ptr is the last owner).
+/// Counters use sync_to; levels are gauges. The hook captures the core
+/// through a weak_ptr and no-ops once the facade is gone — it is never
+/// removed, it simply dies with the registry (removal from the core's
+/// destructor could deadlock when an in-flight scrape's promoted
+/// shared_ptr is the last owner).
 void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
   if (core->registry == nullptr) return;
   auto& r = *core->registry;
@@ -343,6 +360,21 @@ void register_metrics_hook(const std::shared_ptr<PubSubCore>& core) {
       reindexes->sync_to(m.reindexes);
     }
   });
+}
+
+/// The facade is the schema authority for raw trees: a leaf on an attribute
+/// id the schema lacks would index past the matcher's per-schema tables.
+Status check_attributes(const Node& tree, const Schema& schema) {
+  Status status;
+  tree.for_each_leaf([&](const Node& leaf) {
+    const AttributeId attr = leaf.predicate().attribute();
+    if (status.ok() && attr.value() >= schema.attribute_count()) {
+      status = Status::error(ErrorCode::kInvalidArgument,
+                             "filter attribute id " + std::to_string(attr.value()) +
+                                 " not in schema");
+    }
+  });
+  return status;
 }
 
 }  // namespace
@@ -521,6 +553,9 @@ Result<SubscriptionHandle> PubSub::subscribe(std::unique_ptr<Node> tree,
   if (tree == nullptr) {
     return Status::error(ErrorCode::kInvalidArgument, "null subscription tree");
   }
+  if (Status checked = check_attributes(*tree, core_->schema); !checked.ok()) {
+    return checked;
+  }
   // Pruning assumes simplified trees, as the parser and Filter::compile
   // produce them: an unsimplified one can fold to a constant mid-pass.
   // simplify() keeps every node it does not change.
@@ -628,25 +663,7 @@ std::size_t PubSub::publish(const Event& event, obs::TraceContext context) {
     c.engine.match(event, c.match_scratch);
     span.set_detail(c.match_scratch.size());
   }
-  const std::uint64_t seq = c.next_seq++;
-  c.notifications += c.match_scratch.size();
-  if (c.publishes_total != nullptr) {
-    c.publishes_total->inc();
-    c.events_total->inc();
-    c.notifications_total->add(c.match_scratch.size());
-  }
-  if (c.callbacks_registered > 0) {
-    obs::ScopedSpan span(tb, obs::TraceStage::kDispatch);
-    span.set_detail(c.match_scratch.size());
-    // Deliveries (queue wait, socket write on the net edge) parent under
-    // the dispatch span that caused them.
-    obs::TraceContext delivery = context;
-    if (span.span_id() != 0) delivery.parent_span = span.span_id();
-    c.dispatch(c.match_scratch, seq, event, delivery,
-               tb != nullptr ? tb->start_unix_us() : 0);
-  }
-  if (tb != nullptr) tb->finish(*c.recorder);
-  return c.match_scratch.size();
+  return c.deliver(std::span(&event, 1), std::span(&c.match_scratch, 1), tb, context);
 }
 
 std::uint64_t PubSub::publish_batch(std::span<const Event> events) {
@@ -661,35 +678,10 @@ std::uint64_t PubSub::publish_batch(std::span<const Event> events) {
     span.set_detail(events.size());
     c.engine.match_batch(events, c.batch_scratch);
   }
-  std::uint64_t total = 0;
-  for (const auto& row : c.batch_scratch) total += row.size();
-  c.notifications += total;
-  if (c.publishes_total != nullptr) {
-    c.publishes_total->inc();
-    c.events_total->add(events.size());
-    c.notifications_total->add(total);
-  }
-  if (c.callbacks_registered > 0) {
-    obs::ScopedSpan span(tb, obs::TraceStage::kDispatch);
-    span.set_detail(total);
-    obs::TraceContext delivery = context;
-    if (span.span_id() != 0) delivery.parent_span = span.span_id();
-    const std::uint64_t published_us =
-        tb != nullptr ? tb->start_unix_us() : 0;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      c.dispatch(c.batch_scratch[i], c.next_seq + i, events[i], delivery,
-                 published_us);
-    }
-  }
-  c.next_seq += events.size();
-  if (tb != nullptr) tb->finish(*c.recorder);
-  return total;
+  return c.deliver(events, c.batch_scratch, tb, context);
 }
 
-std::uint64_t PubSub::notifications_delivered() const {
-  MutexLock lock(core_->mutex);
-  return core_->notifications;
-}
+std::uint64_t PubSub::notifications_delivered() const { return counters().matches; }
 
 namespace {
 
@@ -723,15 +715,12 @@ Status PubSub::train(std::span<const Event> sample) {
 
 namespace {
 
-/// Runs a pruning pass and logs one kPrune record per pruned subscription:
-/// its final tree and how many prunings the pass applied to it. On an
-/// append failure the prunings stay applied (they cannot be unwound), the
-/// store fail-stops at its pre-pass state — the recovered trees are then
-/// simply one generation behind — and the error is reported.
-template <class Fn>
-Result<std::size_t> logged_prune(PubSubCore& c, Fn&& fn) DBSP_REQUIRES(c.mutex) {
-  const std::size_t done = std::forward<Fn>(fn)();
-  if (c.store == nullptr || done == 0) return done;
+/// Logs one kPrune record per subscription the last pass pruned: its final
+/// tree and how many prunings the pass applied to it. On an append failure
+/// the prunings stay applied (they cannot be unwound), the store fail-stops
+/// at its pre-pass state — the recovered trees are then simply one
+/// generation behind — and the error is reported.
+Status logged_prune(PubSubCore& c) DBSP_REQUIRES(c.mutex) {
   for (const PruningEngine::Pruned& pruned : c.pruning->last_pruned()) {
     const auto it = c.subs.find(pruned.sub.value());
     const Status logged = c.append_to_store([&](store::StateStore& s) {
@@ -740,8 +729,24 @@ Result<std::size_t> logged_prune(PubSubCore& c, Fn&& fn) DBSP_REQUIRES(c.mutex) 
     });
     if (!logged.ok()) return logged;
   }
-  const Status snapped = c.maybe_checkpoint();
-  if (!snapped.ok()) return snapped;
+  return c.maybe_checkpoint();
+}
+
+/// Runs one pruning pass in a trace of its own: `pass` under the kPrune
+/// span, then its records (their kWalAppend spans join the trace).
+template <class Pass>
+Result<std::size_t> prune_pass(PubSubCore& c, Pass&& pass) DBSP_REQUIRES(c.mutex) {
+  obs::TraceContext context;
+  obs::TraceBuilder* tb = c.begin_trace(context);
+  std::size_t done = 0;
+  {
+    obs::ScopedSpan span(tb, obs::TraceStage::kPrune);
+    done = std::forward<Pass>(pass)(*c.pruning);
+    span.set_detail(done);
+  }
+  const Status logged = c.store != nullptr && done > 0 ? logged_prune(c) : Status();
+  if (tb != nullptr) tb->finish(*c.recorder);
+  if (!logged.ok()) return logged;
   return done;
 }
 
@@ -751,17 +756,7 @@ Result<std::size_t> PubSub::prune(std::size_t k) {
   auto& c = *core_;
   MutexLock lock(c.mutex);
   if (!c.pruning) return pruning_disabled();
-  obs::TraceContext prune_ctx;
-  obs::TraceBuilder* tb = c.begin_trace(prune_ctx);
-  Result<std::size_t> result = logged_prune(c, [&] {
-    c.mutex.assert_held();  // runs inside logged_prune, under the lock
-    obs::ScopedSpan span(tb, obs::TraceStage::kPrune);
-    const std::size_t done = c.pruning->prune(k);
-    span.set_detail(done);
-    return done;
-  });
-  if (tb != nullptr) tb->finish(*c.recorder);
-  return result;
+  return prune_pass(c, [k](ShardedPruningSet& set) { return set.prune(k); });
 }
 
 Result<std::size_t> PubSub::prune_to_fraction(double fraction) {
@@ -772,17 +767,8 @@ Result<std::size_t> PubSub::prune_to_fraction(double fraction) {
     return Status::error(ErrorCode::kInvalidArgument,
                          "fraction must be in [0, 1]");
   }
-  obs::TraceContext prune_ctx;
-  obs::TraceBuilder* tb = c.begin_trace(prune_ctx);
-  Result<std::size_t> result = logged_prune(c, [&] {
-    c.mutex.assert_held();  // runs inside logged_prune, under the lock
-    obs::ScopedSpan span(tb, obs::TraceStage::kPrune);
-    const std::size_t done = c.pruning->prune_to_fraction(fraction);
-    span.set_detail(done);
-    return done;
-  });
-  if (tb != nullptr) tb->finish(*c.recorder);
-  return result;
+  return prune_pass(
+      c, [fraction](ShardedPruningSet& set) { return set.prune_to_fraction(fraction); });
 }
 
 Status PubSub::set_prune_dimension(PruneDimension dimension) {
@@ -875,12 +861,6 @@ std::size_t PubSub::subscription_bytes() const {
 CountingMatcher::Counters PubSub::counters() const {
   MutexLock lock(core_->mutex);
   return core_->engine.counters();
-}
-
-void PubSub::reset_counters() {
-  MutexLock lock(core_->mutex);
-  core_->engine.reset_counters();
-  core_->notifications = 0;
 }
 
 obs::MetricsSnapshot PubSub::metrics() const {

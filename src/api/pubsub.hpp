@@ -214,6 +214,8 @@ class PubSub {
   [[nodiscard]] Result<SubscriptionHandle> subscribe(std::string_view dsl_text,
                                                      Callback callback = {});
   /// Interop entry point for pre-built trees (workload generators, codec).
+  /// kInvalidArgument, with nothing registered or logged, when a leaf names
+  /// an attribute outside the schema.
   [[nodiscard]] Result<SubscriptionHandle> subscribe(std::unique_ptr<Node> tree,
                                                      Callback callback = {});
 
@@ -255,7 +257,9 @@ class PubSub {
   /// over the match workers); returns total notifications over the batch.
   std::uint64_t publish_batch(std::span<const Event> events);
 
-  /// Notifications delivered since construction / the last reset_counters().
+  /// Subscriptions matched over every publish since construction — the
+  /// engine's counters().matches, so a match of a subscription without a
+  /// callback counts too.
   [[nodiscard]] std::uint64_t notifications_delivered() const;
 
   // --- Pruning maintenance -------------------------------------------------
@@ -328,8 +332,9 @@ class PubSub {
   [[nodiscard]] std::size_t association_count() const;
   /// Deterministic model bytes of all registered subscription trees.
   [[nodiscard]] std::size_t subscription_bytes() const;
+  /// Matcher work since construction (never reset: take the difference of
+  /// two readings to measure a window).
   [[nodiscard]] CountingMatcher::Counters counters() const;
-  void reset_counters();
 
   // --- Observability -------------------------------------------------------
 

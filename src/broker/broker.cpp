@@ -174,7 +174,6 @@ void Broker::send_summary(BrokerId except, BrokerId origin, std::uint32_t subgro
 
 void Broker::route_event(BrokerId from, const Event& event, std::uint64_t seq,
                          const obs::TraceContext& trace) {
-  ++events_filtered_;
   scratch_matches_.clear();
   scratch_targets_.clear();
 
@@ -237,14 +236,6 @@ void Broker::route_event(BrokerId from, const Event& event, std::uint64_t seq,
   if (tb != nullptr) tb->finish(*trace_recorder_);
 }
 
-std::vector<SubscriptionId> Broker::remote_subscription_ids() const {
-  std::vector<SubscriptionId> out;
-  table_.for_each([&](const RoutingTable::Entry& e) {
-    if (!e.local) out.push_back(e.sub->id());
-  });
-  return out;
-}
-
 ShardedPruningSet& Broker::enable_pruning(const SelectivityEstimator& estimator,
                                           const PruneEngineConfig& config) {
   // The set keeps these pointers; every removal path releases its entry
@@ -260,8 +251,6 @@ ShardedPruningSet& Broker::enable_pruning(const SelectivityEstimator& estimator,
       std::make_unique<ShardedPruningSet>(engine_, estimator, config, remote);
   return *owned_pruning_;
 }
-
-void Broker::disable_pruning() { owned_pruning_.reset(); }
 
 void Broker::save_table(WireWriter& out) const {
   encode_wire_header(out);
@@ -312,7 +301,6 @@ std::size_t Broker::remote_association_count() const {
 void Broker::reset_metrics() {
   filter_time_.reset();
   notifications_ = 0;
-  events_filtered_ = 0;
   notification_log_.clear();
   engine_.reset_counters();
   if (aggregator_ != nullptr) aggregator_->reset_counters();

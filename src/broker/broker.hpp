@@ -87,21 +87,14 @@ class Broker {
   [[nodiscard]] ShardedEngine& engine() { return engine_; }
   [[nodiscard]] const ShardedEngine& engine() const { return engine_; }
 
-  /// Ids of the remote (prunable) entries — the pruning engine's inputs.
-  /// Stable under churn (plain values, nothing to dangle); resolve lazily
-  /// through table().find() when the trees are needed.
-  [[nodiscard]] std::vector<SubscriptionId> remote_subscription_ids() const;
-
   /// Builds a pruning set over this broker's current remote entries,
   /// attaches it, and *owns* it: while enabled, remote subscriptions
   /// arriving via the overlay are admitted and unsubscriptions released
   /// automatically — no manual sync, no dangling set pointer to detach.
-  /// The estimator must outlive the broker (or a disable_pruning() call).
-  /// Replaces any previously enabled set.
+  /// The estimator must outlive the broker. Replaces any previously
+  /// enabled set.
   ShardedPruningSet& enable_pruning(const SelectivityEstimator& estimator,
                                     const PruneEngineConfig& config);
-  /// Drops the owned pruning set.
-  void disable_pruning();
 
   /// The enabled pruning set, nullptr when none.
   [[nodiscard]] ShardedPruningSet* pruning() { return owned_pruning_.get(); }
@@ -152,7 +145,6 @@ class Broker {
 
   // --- Metrics ------------------------------------------------------------
   [[nodiscard]] std::uint64_t notifications_delivered() const { return notifications_; }
-  [[nodiscard]] std::uint64_t events_filtered() const { return events_filtered_; }
   /// CPU time spent matching events against the routing table.
   [[nodiscard]] double filter_seconds() const { return filter_time_.seconds(); }
   void reset_metrics();
@@ -205,7 +197,6 @@ class Broker {
 
   Stopwatch filter_time_;
   std::uint64_t notifications_ = 0;
-  std::uint64_t events_filtered_ = 0;
   bool record_notifications_ = false;
   std::vector<std::pair<SubscriptionId, std::uint64_t>> notification_log_;
   std::vector<SubscriptionId> scratch_matches_;

@@ -64,23 +64,23 @@ CentralizedResult run_centralized(const CentralizedConfig& config,
     const std::size_t warmup = std::min<std::size_t>(events.size(), 200);
     (void)pubsub.publish_batch(std::span<const Event>(events).first(warmup));
 
-    pubsub.reset_counters();
+    const auto before = pubsub.counters();
     Stopwatch watch;
     watch.start();
     (void)pubsub.publish_batch(events);
     watch.stop();
+    const auto after = pubsub.counters();
 
     CentralizedPoint p;
     p.fraction = fraction;
     p.prunings_performed = pubsub.pruning_stats().performed;
     p.filter_time_per_event =
         config.events == 0 ? 0.0 : watch.seconds() / static_cast<double>(config.events);
-    const auto counters = pubsub.counters();
-    p.matches = counters.matches;
-    p.counter_increments = counters.counter_increments;
-    p.tree_evaluations = counters.tree_evaluations;
+    p.matches = after.matches - before.matches;
+    p.counter_increments = after.counter_increments - before.counter_increments;
+    p.tree_evaluations = after.tree_evaluations - before.tree_evaluations;
     p.matching_fraction =
-        static_cast<double>(counters.matches) /
+        static_cast<double>(p.matches) /
         (static_cast<double>(config.events) * static_cast<double>(config.subscriptions));
     p.associations = pubsub.association_count();
     p.association_reduction =

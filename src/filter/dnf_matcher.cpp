@@ -6,40 +6,25 @@
 
 namespace dbsp {
 
-DnfMatcher::DnfMatcher(const Schema& schema) : schema_(&schema) {
+DnfMatcher::DnfMatcher(const Schema& schema) {
   attr_index_.resize(schema.attribute_count());
 }
 
 PredicateId DnfMatcher::intern(const Predicate& pred) {
-  if (auto it = intern_.find(pred); it != intern_.end()) {
-    ++pred_entries_[it->second.value()].refs;
-    return it->second;
+  const auto [id, new_predicate] = registry_.add_reference(pred);
+  if (pred_conjunctions_.size() < registry_.capacity()) {
+    pred_conjunctions_.resize(registry_.capacity());
   }
-  PredicateId id;
-  if (!free_preds_.empty()) {
-    id = free_preds_.back();
-    free_preds_.pop_back();
-    pred_entries_[id.value()] = PredEntry{pred, {}, 1};
-  } else {
-    id = PredicateId(static_cast<PredicateId::value_type>(pred_entries_.size()));
-    pred_entries_.push_back(PredEntry{pred, {}, 1});
+  if (new_predicate) {
+    attr_index_[pred.attribute().value()].insert(id, registry_.predicate(id));
   }
-  intern_.emplace(pred, id);
-  if (pred.attribute().value() >= attr_index_.size()) {
-    throw std::out_of_range("dnf matcher: predicate outside schema");
-  }
-  attr_index_[pred.attribute().value()].insert(id, pred_entries_[id.value()].pred);
   return id;
 }
 
 void DnfMatcher::release(PredicateId id) {
-  PredEntry& e = pred_entries_.at(id.value());
-  assert(e.refs > 0);
-  if (--e.refs == 0) {
-    attr_index_[e.pred.attribute().value()].remove(id, e.pred);
-    intern_.erase(e.pred);
-    e.conjunctions.clear();
-    free_preds_.push_back(id);
+  if (const auto removed = registry_.release_reference(id)) {
+    assert(pred_conjunctions_[id.value()].empty());
+    attr_index_[removed->attribute().value()].remove(id, *removed);
   }
 }
 
@@ -47,6 +32,11 @@ bool DnfMatcher::add(const Subscription& sub, std::size_t max_conjunctions) {
   if (subs_.count(sub.id().value()) != 0) {
     throw std::invalid_argument("dnf matcher: duplicate subscription");
   }
+  sub.root().for_each_leaf([&](const Node& leaf) {
+    if (leaf.predicate().attribute().value() >= attr_index_.size()) {
+      throw std::out_of_range("dnf matcher: predicate outside schema");
+    }
+  });
   const auto dnf = to_dnf(sub.root(), max_conjunctions);
   if (!dnf) return false;
 
@@ -70,7 +60,7 @@ bool DnfMatcher::add(const Subscription& sub, std::size_t max_conjunctions) {
     for (const Predicate& p : conjunction) {
       const PredicateId pid = intern(p);
       c.preds.push_back(pid);
-      pred_entries_[pid.value()].conjunctions.push_back(cid);
+      pred_conjunctions_[pid.value()].push_back(cid);
     }
     c.size = static_cast<std::uint32_t>(c.preds.size());
     association_count_ += c.preds.size();
@@ -86,7 +76,7 @@ void DnfMatcher::remove(SubscriptionId id) {
   for (const std::uint32_t cid : it->second) {
     Conjunction& c = conjunctions_[cid];
     for (const PredicateId pid : c.preds) {
-      auto& list = pred_entries_[pid.value()].conjunctions;
+      auto& list = pred_conjunctions_[pid.value()];
       auto pos = std::find(list.begin(), list.end(), cid);
       assert(pos != list.end());
       *pos = list.back();
@@ -110,7 +100,7 @@ void DnfMatcher::match(const Event& event, std::vector<SubscriptionId>& out) {
     attr_index_[attr.value()].collect(value, scratch_preds_);
   }
   for (const PredicateId pid : scratch_preds_) {
-    for (const std::uint32_t cid : pred_entries_[pid.value()].conjunctions) {
+    for (const std::uint32_t cid : pred_conjunctions_[pid.value()]) {
       if (counter_epoch_[cid] != epoch_) {
         counter_epoch_[cid] = epoch_;
         counter_[cid] = 0;

@@ -11,6 +11,7 @@
 #include "event/schema.hpp"
 #include "filter/attribute_index.hpp"
 #include "filter/dnf.hpp"
+#include "filter/predicate_registry.hpp"
 #include "subscription/subscription.hpp"
 
 namespace dbsp {
@@ -34,7 +35,9 @@ class DnfMatcher {
 
   /// Converts and indexes the subscription. Returns false (and indexes
   /// nothing) when the tree is not DNF-convertible or exceeds
-  /// `max_conjunctions`.
+  /// `max_conjunctions`. Throws std::invalid_argument for a registered id
+  /// and std::out_of_range for a leaf on an attribute outside the schema,
+  /// in both cases before anything changes.
   bool add(const Subscription& sub, std::size_t max_conjunctions = 4096);
   /// Unregisters by id, releasing all conjunction counters; throws
   /// std::out_of_range when the id is unknown.
@@ -52,16 +55,11 @@ class DnfMatcher {
   /// Total conjunction counters — the canonical algorithm's table size.
   [[nodiscard]] std::size_t conjunction_count() const { return live_conjunctions_; }
   /// Distinct predicates in the indexes.
-  [[nodiscard]] std::size_t predicate_count() const { return intern_.size(); }
+  [[nodiscard]] std::size_t predicate_count() const { return registry_.live_predicates(); }
   /// Σ over conjunctions of their predicate count (association analogue).
   [[nodiscard]] std::size_t association_count() const { return association_count_; }
 
  private:
-  struct PredEntry {
-    Predicate pred;
-    std::vector<std::uint32_t> conjunctions;
-    std::uint32_t refs = 0;
-  };
   struct Conjunction {
     SubscriptionId sub;
     std::uint32_t size = 0;
@@ -72,11 +70,11 @@ class DnfMatcher {
   PredicateId intern(const Predicate& pred);
   void release(PredicateId id);
 
-  const Schema* schema_;
   std::vector<AttributeIndex> attr_index_;
-  std::unordered_map<Predicate, PredicateId> intern_;
-  std::vector<PredEntry> pred_entries_;
-  std::vector<PredicateId> free_preds_;
+  /// One reference per conjunction slot that holds the predicate.
+  PredicateRegistry registry_;
+  /// By predicate id: the conjunctions holding it, once per slot.
+  std::vector<std::vector<std::uint32_t>> pred_conjunctions_;
 
   std::vector<Conjunction> conjunctions_;
   std::vector<std::uint32_t> free_conjunctions_;

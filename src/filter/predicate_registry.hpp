@@ -2,7 +2,7 @@
 
 /// \file
 /// Predicate interning with per-predicate reference counts for the counting
-/// matcher.
+/// matchers (CountingMatcher and the canonical DnfMatcher).
 
 #include <cstdint>
 #include <memory>
@@ -15,15 +15,15 @@
 
 namespace dbsp {
 
-/// Interns predicates for the counting matcher.
+/// Interns predicates for a counting matcher.
 ///
 /// Structurally equal predicates across all subscriptions share one
 /// PredicateId, so each distinct condition is evaluated at most once per
 /// event. A predicate with a NaN operand equals no predicate, itself
 /// included, so every such leaf gets its own PredicateId and is never
-/// interned. Each id carries one reference per leaf that holds it, whatever
-/// subscription the leaf belongs to; the id is recycled when the last
-/// reference is released. Which subscriptions use a predicate, and the
+/// interned. Each id carries one reference per leaf (DnfMatcher: per
+/// conjunction slot) that holds it, whatever subscription the leaf belongs
+/// to; the id is recycled when the last reference is released. Which subscriptions use a predicate, and the
 /// association count of the paper's Figures 1(c)/1(f), are the matcher's
 /// business (CountingMatcher keeps them per compiled program).
 ///

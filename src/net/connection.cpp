@@ -63,9 +63,6 @@ void Connection::handle(MsgType type, WireReader& r) {
     case MsgType::kSubscribe: {
       std::unique_ptr<Node> tree = decode_tree(r);
       require_exhausted();
-      if (Status v = validate_tree(*tree, pubsub.schema()); !v.ok()) {
-        return status_error(v);
-      }
       return own(pubsub.subscribe(std::move(tree),
                                   [this](const Notification& n) { on_notify(n); }),
                  MsgType::kSubscribeReply);

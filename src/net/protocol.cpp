@@ -293,17 +293,4 @@ Status validate_event(const Event& event, const Schema& schema) {
   return Status();
 }
 
-Status validate_tree(const Node& tree, const Schema& schema) {
-  Status status;
-  tree.for_each_leaf([&](const Node& leaf) {
-    const AttributeId attr = leaf.predicate().attribute();
-    if (status.ok() && attr.value() >= schema.attribute_count()) {
-      status = Status::error(ErrorCode::kInvalidArgument,
-                             "filter attribute id " + std::to_string(attr.value()) +
-                                 " not in schema");
-    }
-  });
-  return status;
-}
-
 }  // namespace dbsp::net

@@ -29,7 +29,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "routing/codec.hpp"
-#include "subscription/node.hpp"
 
 namespace dbsp::net {
 
@@ -200,14 +199,13 @@ struct WireStatus {
 [[nodiscard]] Status to_status(const WireStatus& ws);
 
 // --- Edge validation ---------------------------------------------------------
-// The network edge is the schema authority: attribute ids arrive as raw
-// u32s, and an out-of-range id would index past the matcher's per-schema
-// tables. Both checks reject before anything reaches the engine.
+// Attribute ids arrive as raw u32s, and an out-of-range id would index past
+// the matcher's per-schema tables. An event is checked here, before it
+// reaches the engine; a subscription tree is checked by
+// PubSub::subscribe, which reports kInvalidArgument.
 
 /// Every attribute of `event` must exist in `schema` and carry the
 /// declared type.
 [[nodiscard]] Status validate_event(const Event& event, const Schema& schema);
-/// Every leaf predicate of `tree` must name an attribute of `schema`.
-[[nodiscard]] Status validate_tree(const Node& tree, const Schema& schema);
 
 }  // namespace dbsp::net

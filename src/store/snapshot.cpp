@@ -20,8 +20,8 @@ constexpr std::size_t kMinRecordBytes = 21;
 bool by_id(const SegmentLog::Entry& a, const SegmentLog::Entry& b) { return a.id < b.id; }
 
 /// Decodes one subscription record (as the body and segments hold it).
-LoadedSub decode_record_at(WireReader& in) {
-  LoadedSub sub;
+RecoveredSub decode_record_at(WireReader& in) {
+  RecoveredSub sub;
   sub.id = SubscriptionId(in.get_u32());
   if (!sub.id.valid()) throw StoreError("store: snapshot record with invalid id");
   sub.capacity = in.get_u64();
@@ -256,7 +256,7 @@ LoadedSnapshot read_snapshot(const std::string& path) {
   snap.image.offsets.reserve(count + 1);
   for (std::uint64_t i = 0; i < count; ++i) {
     snap.image.offsets.push_back(base_end - b.remaining());
-    LoadedSub sub = decode_record_at(b);
+    RecoveredSub sub = decode_record_at(b);
     if (i > 0 && sub.id.value() <= snap.subs.back().id.value()) {
       throw StoreError("store: snapshot subscriptions out of order");
     }
@@ -279,7 +279,7 @@ LoadedSnapshot read_snapshot(const std::string& path) {
 
   // The segments, in epoch order. Each record they hold is a change to the
   // table; a null tree marks a removal.
-  std::vector<LoadedSub> changes;
+  std::vector<RecoveredSub> changes;
   std::size_t pos = base_end;
   while (pos < bytes.size()) {
     const std::size_t left = bytes.size() - pos;
@@ -318,7 +318,7 @@ LoadedSnapshot read_snapshot(const std::string& path) {
     const std::size_t first = changes.size();
     for (std::uint64_t i = 0; i < records; ++i) {
       const std::size_t at = payload_at + (payload.size() - p.remaining());
-      LoadedSub sub = decode_record_at(p);
+      RecoveredSub sub = decode_record_at(p);
       if (i > 0 && sub.id.value() <= changes.back().id.value()) {
         throw StoreError("store: segment records out of order");
       }
@@ -333,12 +333,12 @@ LoadedSnapshot read_snapshot(const std::string& path) {
     }
     SubscriptionId::value_type prev = 0;
     for (std::uint64_t i = 0; i < removed; ++i) {
-      LoadedSub gone;
+      RecoveredSub gone;
       gone.id = SubscriptionId(p.get_u32());
       const bool recorded = std::binary_search(
           changes.begin() + static_cast<std::ptrdiff_t>(first),
           changes.begin() + static_cast<std::ptrdiff_t>(first + records), gone,
-          [](const LoadedSub& a, const LoadedSub& c) { return a.id < c.id; });
+          [](const RecoveredSub& a, const RecoveredSub& c) { return a.id < c.id; });
       if (!gone.id.valid() || (i > 0 && gone.id.value() <= prev) || recorded) {
         throw StoreError("store: bad segment removal");
       }
@@ -354,8 +354,8 @@ LoadedSnapshot read_snapshot(const std::string& path) {
   if (!changes.empty()) {
     // Apply the latest change of every id, in one merge with the base.
     std::stable_sort(changes.begin(), changes.end(),
-                     [](const LoadedSub& a, const LoadedSub& c) { return a.id < c.id; });
-    std::vector<LoadedSub> merged;
+                     [](const RecoveredSub& a, const RecoveredSub& c) { return a.id < c.id; });
+    std::vector<RecoveredSub> merged;
     merged.reserve(snap.subs.size() + changes.size());
     std::size_t i = 0;
     for (std::size_t k = 0; k < changes.size(); ++k) {

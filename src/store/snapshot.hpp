@@ -88,12 +88,13 @@ struct SegmentLog {
   std::vector<Entry> entries;  ///< in the order the segments name them
 };
 
-/// Owned equivalent produced by a snapshot reader.
-struct LoadedSub {
+/// One subscription as read back: from a snapshot, then with the WAL
+/// replayed over it.
+struct RecoveredSub {
   SubscriptionId id;
-  std::size_t capacity = 0;
-  std::size_t performed = 0;
-  std::unique_ptr<Node> tree;
+  std::size_t capacity = 0;   ///< pruning capacity at original registration
+  std::size_t performed = 0;  ///< prunings applied before the crash
+  std::unique_ptr<Node> tree;  ///< current (possibly pruned) tree
 };
 
 /// A snapshot file as read: the table its base and segments hold (the
@@ -104,7 +105,7 @@ struct LoadedSnapshot {
   Schema schema;
   std::uint64_t next_id = 0;
   std::uint64_t next_seq = 0;
-  std::vector<LoadedSub> subs;       ///< ascending id
+  std::vector<RecoveredSub> subs;       ///< ascending id
   std::vector<std::uint8_t> stats;   ///< serialized EventStats; empty = untrained
   std::uint8_t version = 0;          ///< of the file's header
   SnapshotImage image;               ///< the base as read, indexed

@@ -161,14 +161,7 @@ std::pair<std::unique_ptr<StateStore>, RecoveredState> StateStore::open(
   store->compact_next_ = snap.version < kSnapshotFormatVersion;
 
   std::map<SubscriptionId::value_type, RecoveredSub> subs;
-  for (LoadedSub& sub : snap.subs) {
-    RecoveredSub r;
-    r.id = sub.id;
-    r.capacity = sub.capacity;
-    r.performed = sub.performed;
-    r.tree = std::move(sub.tree);
-    subs.emplace(r.id.value(), std::move(r));
-  }
+  for (RecoveredSub& sub : snap.subs) subs.emplace(sub.id.value(), std::move(sub));
 
   bool fresh_wal_needed = true;
   if (have_wal) {

@@ -84,14 +84,6 @@ struct StoreStats {
 
 namespace store {
 
-/// One recovered subscription (snapshot state + WAL replay applied).
-struct RecoveredSub {
-  SubscriptionId id;
-  std::size_t capacity = 0;   ///< pruning capacity at original registration
-  std::size_t performed = 0;  ///< prunings applied before the crash
-  std::unique_ptr<Node> tree;  ///< current (possibly pruned) tree
-};
-
 /// Everything open() reconstructs for the facade.
 struct RecoveredState {
   Schema schema;

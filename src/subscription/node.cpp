@@ -123,14 +123,6 @@ void Node::for_each_leaf(const std::function<void(const Node&)>& fn) const {
   for (const auto& c : children_) c->for_each_leaf(fn);
 }
 
-void Node::for_each_leaf_mut(const std::function<void(Node&)>& fn) {
-  if (kind_ == NodeKind::Leaf) {
-    fn(*this);
-    return;
-  }
-  for (auto& c : children_) c->for_each_leaf_mut(fn);
-}
-
 bool Node::equals(const Node& other) const {
   if (kind_ != other.kind_ || children_.size() != other.children_.size()) return false;
   if (kind_ == NodeKind::Leaf) return pred_->equals(*other.pred_);

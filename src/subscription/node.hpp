@@ -94,9 +94,6 @@ class Node {
 
   /// Visits every leaf (pre-order).
   void for_each_leaf(const std::function<void(const Node&)>& fn) const;
-  /// Mutable leaf visitation (distinct name: the std::function parameter
-  /// types are inter-convertible, which would make overloads ambiguous).
-  void for_each_leaf_mut(const std::function<void(Node&)>& fn);
 
   /// Structural equality (same shape, same predicates).
   [[nodiscard]] bool equals(const Node& other) const;

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
+#include <vector>
 
 #include "filter/naive_matcher.hpp"
 #include "subscription/parser.hpp"
@@ -213,6 +215,51 @@ TEST_F(DnfMatcherTest, DuplicateAddThrows) {
   Subscription s(SubscriptionId(1), dom_.random_tree(rng, 4, 0.0));
   ASSERT_TRUE(m.add(s));
   EXPECT_THROW(m.add(s), std::invalid_argument);
+}
+
+// A predicate with a NaN operand equals no predicate, itself included, so
+// it is never found again by equality: releasing it must still recycle it.
+TEST_F(DnfMatcherTest, NaNLeafAddRemoveCyclesLeaveNoPredicate) {
+  Schema s;
+  const AttributeId x = s.add_attribute("x", ValueType::Double);
+  DnfMatcher m(s);
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    Subscription sub(SubscriptionId(1),
+                     Node::leaf(Predicate(x, Op::Eq, Value(std::nan("")))));
+    ASSERT_TRUE(m.add(sub));
+    EXPECT_EQ(m.predicate_count(), 1u) << "cycle " << cycle;
+    Event nan_event;
+    nan_event.set(x, Value(std::nan("")));
+    std::vector<SubscriptionId> out;
+    m.match(nan_event, out);
+    EXPECT_TRUE(out.empty());
+    m.remove(SubscriptionId(1));
+    EXPECT_EQ(m.predicate_count(), 0u) << "cycle " << cycle;
+  }
+  EXPECT_EQ(m.subscription_count(), 0u);
+}
+
+TEST_F(DnfMatcherTest, LeafOutsideTheSchemaThrowsBeforeAnythingChanges) {
+  DnfMatcher m(dom_.schema());
+  std::vector<std::unique_ptr<Node>> leaves;
+  leaves.push_back(Node::leaf(Predicate(dom_.attr(0), Op::Eq, Value(std::int64_t{1}))));
+  leaves.push_back(Node::leaf(Predicate(AttributeId(9), Op::Eq, Value(std::int64_t{1}))));
+  const Subscription bad(SubscriptionId(10), Node::and_(std::move(leaves)));
+  EXPECT_THROW(m.add(bad), std::out_of_range);
+  EXPECT_FALSE(m.contains(SubscriptionId(10)));
+  EXPECT_EQ(m.subscription_count(), 0u);
+  EXPECT_EQ(m.predicate_count(), 0u);
+  EXPECT_EQ(m.conjunction_count(), 0u);
+  EXPECT_EQ(m.association_count(), 0u);
+  // The id stays free for a tree inside the schema.
+  const Subscription good(SubscriptionId(10),
+                          Node::leaf(Predicate(dom_.attr(0), Op::Eq, Value(std::int64_t{1}))));
+  EXPECT_TRUE(m.add(good));
+  Event event;
+  event.set(dom_.attr(0), Value(std::int64_t{1}));
+  std::vector<SubscriptionId> out;
+  m.match(event, out);
+  EXPECT_EQ(out, std::vector<SubscriptionId>{SubscriptionId(10)});
 }
 
 }  // namespace

@@ -106,8 +106,8 @@ TEST(CounterTest, SyncToNeverLowersTheValue) {
   c.add(10);
   c.sync_to(25);
   EXPECT_EQ(c.value(), 25u);
-  // A legacy reset_counters() feeds a smaller cumulative value: the
-  // exported series must stay monotone.
+  // An owner that resets its counters feeds a smaller cumulative value:
+  // the exported series must stay monotone.
   c.sync_to(3);
   EXPECT_EQ(c.value(), 25u);
   c.inc();
@@ -358,7 +358,6 @@ TEST(FacadeMetricsTest, RegistryAgreesWithLegacyCountersAfterSoak) {
   const CountingMatcher::Counters counters = pubsub.counters();
   EXPECT_DOUBLE_EQ(s.value("dbsp_publishes_total"),
                    static_cast<double>(published));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_events_total"), static_cast<double>(published));
   EXPECT_DOUBLE_EQ(s.value("dbsp_match_events_total"),
                    static_cast<double>(counters.events));
   EXPECT_DOUBLE_EQ(s.value("dbsp_predicate_hits_total"),
@@ -373,8 +372,6 @@ TEST(FacadeMetricsTest, RegistryAgreesWithLegacyCountersAfterSoak) {
                    static_cast<double>(counters.matches));
   EXPECT_DOUBLE_EQ(s.value("dbsp_subscriptions"),
                    static_cast<double>(pubsub.subscription_count()));
-  EXPECT_DOUBLE_EQ(s.value("dbsp_notifications_total"),
-                   static_cast<double>(pubsub.notifications_delivered()));
   EXPECT_DOUBLE_EQ(s.value("dbsp_durable"), 0.0);
 
   // With every publish head-sampled, each one contributes one match and
@@ -385,12 +382,53 @@ TEST(FacadeMetricsTest, RegistryAgreesWithLegacyCountersAfterSoak) {
   };
   EXPECT_EQ(stage_count("match"), published);
   EXPECT_EQ(stage_count("dispatch"), published);
+}
 
-  // reset_counters() must not make exported counters go backwards.
-  pubsub.reset_counters();
-  const MetricsSnapshot after = pubsub.metrics();
-  EXPECT_GE(after.value("dbsp_match_events_total"),
-            s.value("dbsp_match_events_total"));
+TEST(FacadeMetricsTest, MatchSeriesEqualCountersAcrossPublishAndPublishBatch) {
+  // Events and matches are counted once, by the engine: the exported
+  // series, notifications_delivered() and counters() agree whichever entry
+  // point published.
+  PubSubOptions options;
+  options.engine.shards = 2;
+  PubSub pubsub(market_schema(), options);
+  std::vector<SubscriptionHandle> live;
+  const auto sink = [](const Notification&) {};
+  for (int i = 0; i < 10; ++i) {
+    live.push_back(pubsub.subscribe("price < " + std::to_string(10 * i + 5),
+                                    i % 2 == 0 ? PubSub::Callback(sink) : nullptr)
+                       .value());
+  }
+  const auto tick = [&pubsub](int i) {
+    return pubsub.event()
+        .with("sym", "A")
+        .with("price", static_cast<double>(i % 97))
+        .with("volume", std::int64_t{i})
+        .build();
+  };
+  std::uint64_t delivered = 0;
+  std::uint64_t events = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 7; ++i) delivered += pubsub.publish(tick(13 * round + i));
+    std::vector<Event> batch;
+    for (int i = 0; i < 9; ++i) batch.push_back(tick(29 * round + 3 * i));
+    delivered += pubsub.publish_batch(batch);
+    events += 7 + batch.size();
+  }
+
+  const MetricsSnapshot s = pubsub.metrics();
+  const CountingMatcher::Counters counters = pubsub.counters();
+  EXPECT_EQ(counters.events, events);
+  EXPECT_EQ(counters.matches, delivered);
+  EXPECT_EQ(pubsub.notifications_delivered(), delivered);
+  EXPECT_DOUBLE_EQ(s.value("dbsp_match_events_total"),
+                   static_cast<double>(counters.events));
+  EXPECT_DOUBLE_EQ(s.value("dbsp_matches_total"),
+                   static_cast<double>(counters.matches));
+  // One publish call per publish() and per publish_batch().
+  EXPECT_DOUBLE_EQ(s.value("dbsp_publishes_total"), 4.0 * (7 + 1));
+  // No second copy of either fact is exported beside them.
+  EXPECT_EQ(s.find("dbsp_events_total"), nullptr);
+  EXPECT_EQ(s.find("dbsp_notifications_total"), nullptr);
 }
 
 TEST(FacadeMetricsTest, PruningSeriesMatchMaintenanceCounters) {

@@ -365,7 +365,6 @@ TEST(NetE2eTest, MetricsVerbHttpAndFacadeAgree) {
     EXPECT_EQ(prom_value(http, name), f) << name;
   };
   agree("dbsp_publishes_total");
-  agree("dbsp_events_total");
   agree("dbsp_matches_total");
   agree("dbsp_match_events_total");
   agree("dbsp_subscriptions");

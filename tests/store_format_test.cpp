@@ -565,7 +565,7 @@ std::vector<std::uint8_t> reference_snapshot(std::uint64_t epoch, std::uint64_t 
 std::vector<std::uint8_t> decoded_reference(const std::string& path) {
   const store::LoadedSnapshot snap = store::read_snapshot(path);
   ModelTable table;
-  for (const store::LoadedSub& sub : snap.subs) {
+  for (const store::RecoveredSub& sub : snap.subs) {
     table[sub.id.value()] = {sub.capacity, sub.performed, sub.tree->clone()};
   }
   return reference_snapshot(snap.epoch, snap.next_id, snap.next_seq, snap.schema, table,
