@@ -154,7 +154,7 @@ int main() {
       "\"dimensions\": %zu, \"max_subgroups\": %zu, \"max_intervals\": %zu, "
       "\"max_values\": %zu},\n",
       max_subs, n_events, sample, aggregator.dimensions().size(),
-      options.max_subgroups, options.limits.max_intervals,
+      options.max_subgroups, agg::kMaxIntervals,
       options.limits.max_values);
   std::printf("  \"exact\": %s,\n", exact ? "true" : "false");
   std::printf("  \"scales\": [\n");

@@ -10,7 +10,6 @@ namespace dbsp::agg {
 SubscriptionAggregator::SubscriptionAggregator(const Schema& schema,
                                                AggregatorOptions options)
     : schema_(&schema), options_(options) {
-  if (options_.dimensions == 0) options_.dimensions = 1;
   if (options_.max_subgroups == 0) options_.max_subgroups = 1;
 }
 
@@ -131,8 +130,8 @@ void SubscriptionAggregator::remove(SubscriptionId id) {
   // Re-tighten in proportion to the subgroup's size: a re-tighten costs one
   // summary per member and comes due every max(R, members / R) removals,
   // so a removal costs at most about R summaries amortized.
-  const std::size_t every = options_.subgroup_rebuild_removals;
-  const std::size_t due = every == 0 ? 0 : std::max(every, group.members.size() / every);
+  const std::size_t due = std::max(kSubgroupRebuildRemovals,
+                                   group.members.size() / kSubgroupRebuildRemovals);
   if (group.members.empty() || group.removals >= due) rebuild_subgroup(g);
 }
 
@@ -198,7 +197,7 @@ std::vector<AttributeId> SubscriptionAggregator::choose_dimensions(
     }
     return a < b;
   });
-  if (ranked.size() > options_.dimensions) ranked.resize(options_.dimensions);
+  if (ranked.size() > kDimensions) ranked.resize(kDimensions);
   return ranked;
 }
 

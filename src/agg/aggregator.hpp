@@ -28,21 +28,23 @@
 
 namespace dbsp::agg {
 
+/// Number of aggregation dimensions per subgroup key.
+inline constexpr std::size_t kDimensions = 3;
+
+/// Re-tighten pace R: a subgroup's summary is re-tightened from its
+/// surviving members once its removals since the last re-tighten reach
+/// max(R, members / R), so each removal costs at most about R member
+/// summaries amortized (subgroups under R*R members re-tighten every R
+/// removals).
+inline constexpr std::size_t kSubgroupRebuildRemovals = 8;
+
 /// Construction-time knobs of a SubscriptionAggregator.
 struct AggregatorOptions {
-  /// Number of aggregation dimensions per subgroup key.
-  std::size_t dimensions = 3;
   /// Subgroup cap; overflow coarsens the signature quantization and
   /// re-clusters so similar subscriptions merge first.
   std::size_t max_subgroups = 512;
   /// Widening caps of every summary.
   SummaryLimits limits;
-  /// Re-tighten pace R: a subgroup's summary is re-tightened from its
-  /// surviving members once its removals since the last re-tighten reach
-  /// max(R, members / R), so each removal costs at most about R member
-  /// summaries amortized (subgroups under R*R members re-tighten every R
-  /// removals). 0 re-tightens on every removal.
-  std::size_t subgroup_rebuild_removals = 8;
 };
 
 /// Introspection counters. The probe-side fields advance on match();
@@ -89,7 +91,7 @@ class SubscriptionAggregator {
   /// Unregisters by id in O(1) (swap-pop out of its subgroup); throws
   /// std::out_of_range when unknown. A removal leaves the subgroup summary
   /// wide (sound); the subgroup is re-tightened once its removals reach
-  /// max(R, members / R) for R = subgroup_rebuild_removals, and at once
+  /// max(R, members / R) for R = kSubgroupRebuildRemovals, and at once
   /// when it empties.
   void remove(SubscriptionId id);
 

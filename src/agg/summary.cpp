@@ -299,8 +299,7 @@ void DimensionSummary::enforce_caps(const SummaryLimits& limits,
     return;
   }
   if (numeric_) {
-    const std::size_t cap = std::max<std::size_t>(1, limits.max_intervals);
-    while (intervals_.size() > cap) {
+    while (intervals_.size() > kMaxIntervals) {
       // Merge the two segments separated by the smallest gap — the merge
       // that admits the fewest extra values.
       std::size_t best = 0;

@@ -23,13 +23,14 @@
 
 namespace dbsp::agg {
 
+/// Maximum interval segments of a numeric summary; overflow merges the
+/// segments separated by the smallest gaps.
+inline constexpr std::size_t kMaxIntervals = 4;
+
 /// Widening caps: the bounded-size knobs of every summary. Smaller caps
 /// mean smaller advertisements and cheaper probes but looser summaries
 /// (more false-positive admissions).
 struct SummaryLimits {
-  /// Maximum interval segments of a numeric summary; overflow merges the
-  /// segments separated by the smallest gaps.
-  std::size_t max_intervals = 4;
   /// Maximum distinct values of a categorical summary; overflow widens the
   /// whole dimension to "any value".
   std::size_t max_values = 16;

@@ -681,8 +681,6 @@ std::uint64_t PubSub::publish_batch(std::span<const Event> events) {
   return c.deliver(events, c.batch_scratch, tb, context);
 }
 
-std::uint64_t PubSub::notifications_delivered() const { return counters().matches; }
-
 namespace {
 
 Status pruning_disabled() {
@@ -828,7 +826,7 @@ PubSub::AggregationStats PubSub::aggregation_stats() const {
   const auto& c = *core_;
   MutexLock lock(c.mutex);
   if (!c.options.aggregation) return out;
-  agg::SubscriptionAggregator view(c.schema, c.options.agg);
+  agg::SubscriptionAggregator view(c.schema);
   for (Subscription* sub : c.subs_by_id()) view.add(*sub);
   if (c.stats_trained) view.train(c.stats);
   out.enabled = true;

@@ -67,9 +67,6 @@ struct PubSubOptions {
   /// counting engine alone. Also lets train() run with pruning off, since
   /// the report ranks its dimensions on the trained statistics.
   bool aggregation = false;
-  /// Aggregation knobs (dimensions, subgroup cap, widening limits); used
-  /// only when `aggregation` is set.
-  agg::AggregatorOptions agg;
   /// Enables the metrics registry: throughput counters, the per-stage
   /// latencies of head-sampled traces (dbsp_stage_us, fed by the flight
   /// recorder — so they also need `tracing`), and the state synced at
@@ -257,11 +254,6 @@ class PubSub {
   /// over the match workers); returns total notifications over the batch.
   std::uint64_t publish_batch(std::span<const Event> events);
 
-  /// Subscriptions matched over every publish since construction — the
-  /// engine's counters().matches, so a match of a subscription without a
-  /// callback counts too.
-  [[nodiscard]] std::uint64_t notifications_delivered() const;
-
   // --- Pruning maintenance -------------------------------------------------
 
   /// (Re)trains the selectivity statistics on a sample of events; the
@@ -316,7 +308,7 @@ class PubSub {
   };
   /// Subgroup summaries of the live table; default (enabled == false) when
   /// PubSubOptions::aggregation is off. Each call builds a fresh
-  /// agg::SubscriptionAggregator from PubSubOptions::agg, adds every live
+  /// agg::SubscriptionAggregator with default options, adds every live
   /// subscription's current tree in ascending-id order and, once train()
   /// (or recovery) supplied statistics, trains it on them — so the result
   /// does not depend on the churn, pruning or recovery history behind the

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/pruning_set.hpp"
-#include "routing/codec.hpp"
 
 namespace dbsp {
 
@@ -70,21 +69,13 @@ void Broker::unsubscribe_local(SubscriptionId id) {
 }
 
 void Broker::publish_local(const Event& event, std::uint64_t seq) {
-  publish_local(event, seq, obs::TraceContext{});
-}
-
-void Broker::publish_local(const Event& event, std::uint64_t seq,
-                           obs::TraceContext context) {
-  if (trace_recorder_ != nullptr && !context.active()) {
-    context = obs::make_trace_context(trace_recorder_->should_sample());
-  }
-  route_event(BrokerId{}, event, seq, context);
+  route_event(BrokerId{}, event, seq);
 }
 
 void Broker::handle(BrokerId from, const Message& message) {
   switch (message.type) {
     case Message::Type::Event:
-      route_event(from, message.event, message.event_seq, message.trace);
+      route_event(from, message.event, message.event_seq);
       break;
     case Message::Type::Subscribe: {
       Subscription& sub =
@@ -172,23 +163,9 @@ void Broker::send_summary(BrokerId except, BrokerId origin, std::uint32_t subgro
   }
 }
 
-void Broker::route_event(BrokerId from, const Event& event, std::uint64_t seq,
-                         const obs::TraceContext& trace) {
+void Broker::route_event(BrokerId from, const Event& event, std::uint64_t seq) {
   scratch_matches_.clear();
   scratch_targets_.clear();
-
-  // One trace entry per hop: every broker the event crosses appends its
-  // own overlay_hop span (detail = broker id) under the shared trace id,
-  // so a recorded distributed trace reads as the event's overlay path.
-  obs::TraceBuilder* tb = nullptr;
-  if (trace_recorder_ != nullptr && trace.active()) {
-    trace_builder_.begin(trace);
-    tb = &trace_builder_;
-  }
-  obs::ScopedSpan hop(tb, obs::TraceStage::kOverlayHop);
-  hop.set_detail(id_.value());
-  obs::TraceContext forwarded = trace;
-  if (hop.span_id() != 0) forwarded.parent_span = hop.span_id();
 
   filter_time_.start();
   engine_.match(event, scratch_matches_);
@@ -229,11 +206,8 @@ void Broker::route_event(BrokerId from, const Event& event, std::uint64_t seq,
     m.type = Message::Type::Event;
     m.event = event;
     m.event_seq = seq;
-    m.trace = forwarded;
     net_->send(id_, target, std::move(m));
   }
-  hop.close();
-  if (tb != nullptr) tb->finish(*trace_recorder_);
 }
 
 ShardedPruningSet& Broker::enable_pruning(const SelectivityEstimator& estimator,
@@ -250,44 +224,6 @@ ShardedPruningSet& Broker::enable_pruning(const SelectivityEstimator& estimator,
   owned_pruning_ =
       std::make_unique<ShardedPruningSet>(engine_, estimator, config, remote);
   return *owned_pruning_;
-}
-
-void Broker::save_table(WireWriter& out) const {
-  encode_wire_header(out);
-  std::vector<const RoutingTable::Entry*> entries;
-  entries.reserve(table_.size());
-  table_.for_each([&](const RoutingTable::Entry& e) { entries.push_back(&e); });
-  std::sort(entries.begin(), entries.end(),
-            [](const RoutingTable::Entry* a, const RoutingTable::Entry* b) {
-              return a->sub->id() < b->sub->id();
-            });
-  out.put_u32(static_cast<std::uint32_t>(entries.size()));
-  for (const RoutingTable::Entry* e : entries) {
-    out.put_u32(e->sub->id().value());
-    out.put_u8(e->local ? 1 : 0);
-    out.put_u32(e->local ? e->client.value() : e->from.value());
-    encode_tree(e->sub->root(), out);
-  }
-}
-
-void Broker::restore_table(WireReader& in) {
-  if (table_.size() != 0) {
-    throw std::logic_error("broker: restore_table into a non-empty broker");
-  }
-  (void)decode_wire_header(in);
-  const std::uint32_t count = in.get_u32();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const SubscriptionId id(in.get_u32());
-    const std::uint8_t local = in.get_u8();
-    if (local > 1) throw WireError("broker table: bad entry kind");
-    const std::uint32_t origin = in.get_u32();
-    std::unique_ptr<Node> tree = decode_tree(in);
-    Subscription& sub =
-        local != 0 ? table_.add_local(id, ClientId(origin), std::move(tree))
-                   : table_.add_remote(id, BrokerId(origin), std::move(tree));
-    engine_.add(sub);
-    if (aggregator_ != nullptr) aggregator_->add(sub);
-  }
 }
 
 std::size_t Broker::remote_association_count() const {

@@ -11,14 +11,11 @@
 #include "broker/simnet.hpp"
 #include "core/engine.hpp"
 #include "core/sharded_engine.hpp"
-#include "obs/flight.hpp"
 #include "routing/routing_table.hpp"
 
 namespace dbsp {
 
 class ShardedPruningSet;
-class WireWriter;
-class WireReader;
 
 /// A content-based broker: routing table + counting-matcher engine
 /// + forwarding logic over the simulated network (subscription-forwarding
@@ -57,27 +54,8 @@ class Broker {
   /// Publishes an event received from a directly connected publisher.
   void publish_local(const Event& event, std::uint64_t seq);
 
-  /// Publishes under `context`: an inactive context starts a fresh
-  /// head-sampled trace when a recorder is attached, an active one joins
-  /// the caller's trace. Each broker the event crosses records one
-  /// overlay_hop entry (detail = broker id) into the shared recorder, all
-  /// under the same trace id.
-  void publish_local(const Event& event, std::uint64_t seq,
-                     obs::TraceContext context);
-
   /// Delivers one network message to this broker.
   void handle(BrokerId from, const Message& message);
-
-  /// Attaches (or detaches, with nullptr) a flight recorder shared by the
-  /// overlay: route_event then records a per-hop trace entry whenever the
-  /// event carries an active context. See Overlay::attach_trace_recorder.
-  void attach_trace_recorder(std::shared_ptr<obs::FlightRecorder> recorder) {
-    trace_recorder_ = std::move(recorder);
-  }
-  [[nodiscard]] const std::shared_ptr<obs::FlightRecorder>& trace_recorder()
-      const {
-    return trace_recorder_;
-  }
 
   [[nodiscard]] BrokerId id() const { return id_; }
   [[nodiscard]] RoutingTable& table() { return table_; }
@@ -114,7 +92,7 @@ class Broker {
   /// matching at the subscriber's broker, so end-to-end delivery stays
   /// oracle-exact while control traffic scales with subgroups instead of
   /// subscriptions. The broker feeds the aggregator itself
-  /// (subscribe_local, unsubscribe_local, restore_table); the summaries
+  /// (subscribe_local, unsubscribe_local); the summaries
   /// only decide transit forwarding, while local notifications still come
   /// from engine(). Must be called on an empty broker (throws
   /// std::logic_error otherwise) and on every broker of the overlay before
@@ -123,25 +101,6 @@ class Broker {
   agg::SubscriptionAggregator& enable_aggregation(agg::AggregatorOptions options = {});
   /// The local subgroup aggregator, nullptr when aggregation is off.
   [[nodiscard]] agg::SubscriptionAggregator* aggregation() { return aggregator_.get(); }
-
-  // --- Warm restart --------------------------------------------------------
-
-  /// Serializes the whole routing table — local and remote entries with
-  /// their origins and *current* (possibly pruned) trees — in the
-  /// routing/codec wire format, entries in ascending-id order. The bytes
-  /// are what a warm restart needs: a replacement broker at the same
-  /// overlay position restores them instead of re-flooding every
-  /// subscription through the network.
-  void save_table(WireWriter& out) const;
-
-  /// Restores a table saved by save_table() into this broker: repopulates
-  /// the routing table, the matcher engine and, when aggregation is on,
-  /// the aggregator without sending a single message. The broker must be empty (throws std::logic_error otherwise)
-  /// and pruning must not be enabled yet — enable_pruning() afterwards
-  /// re-admits the restored remote entries. Throws WireError on truncated
-  /// or malformed input, leaving the broker unusable only in the sense
-  /// that partially restored entries remain (callers discard the broker).
-  void restore_table(WireReader& in);
 
   // --- Metrics ------------------------------------------------------------
   [[nodiscard]] std::uint64_t notifications_delivered() const { return notifications_; }
@@ -159,10 +118,8 @@ class Broker {
 
  private:
   /// Matches and forwards an event arriving from `from` (invalid id =
-  /// local publisher). An active `trace` context wraps the hop in an
-  /// overlay_hop span and re-parents the contexts of forwarded copies.
-  void route_event(BrokerId from, const Event& event, std::uint64_t seq,
-                   const obs::TraceContext& trace);
+  /// local publisher).
+  void route_event(BrokerId from, const Event& event, std::uint64_t seq);
   void forward_subscription(BrokerId except, SubscriptionId id,
                             const std::shared_ptr<const Node>& tree);
   /// Diff-advertises every subgroup summary that changed (or vanished)
@@ -189,11 +146,6 @@ class Broker {
       neighbor_summaries_;
   /// Set via enable_pruning().
   std::unique_ptr<ShardedPruningSet> owned_pruning_;
-
-  /// Overlay tracing (attach_trace_recorder): the builder is reusable
-  /// scratch — brokers are single-threaded under the overlay pump.
-  std::shared_ptr<obs::FlightRecorder> trace_recorder_;
-  obs::TraceBuilder trace_builder_;
 
   Stopwatch filter_time_;
   std::uint64_t notifications_ = 0;

@@ -18,9 +18,8 @@ Overlay::Topology Overlay::star(std::size_t brokers) {
 }
 
 Overlay::Overlay(const Schema& schema, std::size_t brokers, const Topology& topology,
-                 SimulatedNetwork::Config net_config,
                  ShardedEngineOptions engine_options)
-    : net_(brokers, net_config) {
+    : net_(brokers) {
   if (brokers == 0) throw std::invalid_argument("overlay: no brokers");
   // A forest on n nodes has fewer than n edges; with connectivity implied
   // by use this rejects cycles (subscription flooding would live-lock).
@@ -54,20 +53,10 @@ void Overlay::unsubscribe(BrokerId at, SubscriptionId id) {
 }
 
 std::uint64_t Overlay::publish(BrokerId at, const Event& event) {
-  return publish(at, event, obs::TraceContext{});
-}
-
-std::uint64_t Overlay::publish(BrokerId at, const Event& event,
-                               obs::TraceContext context) {
   const std::uint64_t seq = next_event_seq_++;
-  broker(at).publish_local(event, seq, context);
+  broker(at).publish_local(event, seq);
   pump();
   return seq;
-}
-
-void Overlay::attach_trace_recorder(
-    std::shared_ptr<obs::FlightRecorder> recorder) {
-  for (auto& b : brokers_) b->attach_trace_recorder(recorder);
 }
 
 void Overlay::pump() {

@@ -26,7 +26,6 @@ class Overlay {
   /// `engine_options` configures every broker's matching engine
   /// (default: auto worker count from DBSP_SHARDS / hardware concurrency).
   Overlay(const Schema& schema, std::size_t brokers, const Topology& topology,
-          SimulatedNetwork::Config net_config = {},
           ShardedEngineOptions engine_options = {});
 
   /// Switches every broker to aggregated summary routing (src/agg/):
@@ -48,16 +47,6 @@ class Overlay {
   /// Publishes an event at `at` and routes it until quiescence. Returns the
   /// event's global sequence number.
   std::uint64_t publish(BrokerId at, const Event& event);
-
-  /// Publishes under an explicit trace context (see
-  /// Broker::publish_local(event, seq, context)).
-  std::uint64_t publish(BrokerId at, const Event& event,
-                        obs::TraceContext context);
-
-  /// Attaches one shared flight recorder to every broker: each overlay hop
-  /// of a traced event then records an overlay_hop entry under the event's
-  /// trace id. Pass nullptr to detach.
-  void attach_trace_recorder(std::shared_ptr<obs::FlightRecorder> recorder);
 
   [[nodiscard]] Broker& broker(BrokerId id) { return *brokers_.at(id.value()); }
   [[nodiscard]] const Broker& broker(BrokerId id) const { return *brokers_.at(id.value()); }

@@ -6,12 +6,7 @@
 namespace dbsp {
 
 SimulatedNetwork::SimulatedNetwork(std::size_t broker_count)
-    : SimulatedNetwork(broker_count, Config{}) {}
-
-SimulatedNetwork::SimulatedNetwork(std::size_t broker_count, Config config)
-    : config_(config),
-      adjacency_(broker_count),
-      link_stats_(broker_count * broker_count) {}
+    : adjacency_(broker_count) {}
 
 void SimulatedNetwork::connect(BrokerId a, BrokerId b) {
   if (a == b) throw std::invalid_argument("simnet: self link");
@@ -32,26 +27,15 @@ const std::vector<BrokerId>& SimulatedNetwork::neighbors(BrokerId b) const {
   return adjacency_.at(b.value());
 }
 
-std::size_t SimulatedNetwork::link_index(BrokerId from, BrokerId to) const {
-  return from.value() * adjacency_.size() + to.value();
-}
-
 void SimulatedNetwork::send(BrokerId from, BrokerId to, Message message) {
   if (!connected(from, to)) throw std::invalid_argument("simnet: send on missing link");
-  const std::size_t bytes = message.wire_size_bytes();
-  auto account = [&](TrafficStats& s) {
-    ++s.messages;
-    s.bytes += bytes;
-    if (message.type == Message::Type::Event) {
-      ++s.event_messages;
-    } else {
-      ++s.control_messages;
-    }
-    s.wire_seconds += static_cast<double>(bytes) / config_.bandwidth_bytes_per_sec +
-                      config_.latency_sec;
-  };
-  account(link_stats_[link_index(from, to)]);
-  account(total_);
+  ++total_.messages;
+  total_.bytes += message.wire_size_bytes();
+  if (message.type == Message::Type::Event) {
+    ++total_.event_messages;
+  } else {
+    ++total_.control_messages;
+  }
   in_flight_.push_back({from, to, std::move(message)});
 }
 
@@ -60,16 +44,6 @@ std::optional<SimulatedNetwork::Delivery> SimulatedNetwork::pop() {
   Delivery d = std::move(in_flight_.front());
   in_flight_.pop_front();
   return d;
-}
-
-const SimulatedNetwork::TrafficStats& SimulatedNetwork::link(BrokerId from,
-                                                             BrokerId to) const {
-  return link_stats_.at(link_index(from, to));
-}
-
-void SimulatedNetwork::reset_stats() {
-  std::fill(link_stats_.begin(), link_stats_.end(), TrafficStats{});
-  total_ = {};
 }
 
 }  // namespace dbsp

@@ -11,19 +11,12 @@
 namespace dbsp {
 
 /// In-process network simulation between brokers: FIFO links with
-/// per-link and aggregate traffic accounting. The paper's evaluation is
+/// aggregate traffic accounting. The paper's evaluation is
 /// simulation-based (10 Mbps LAN); we count messages and bytes — the
-/// actual-network-load metric of Fig. 1(e) — and can convert bytes to
-/// estimated wire seconds via a configurable bandwidth.
+/// actual-network-load metric of Fig. 1(e).
 class SimulatedNetwork {
  public:
-  struct Config {
-    double bandwidth_bytes_per_sec = 10e6 / 8.0;  // 10 Mbps, as in the paper
-    double latency_sec = 0.5e-3;
-  };
-
   explicit SimulatedNetwork(std::size_t broker_count);
-  SimulatedNetwork(std::size_t broker_count, Config config);
 
   /// Declares an undirected link. Topology must stay acyclic (checked by
   /// the overlay, not here).
@@ -50,21 +43,12 @@ class SimulatedNetwork {
     std::uint64_t bytes = 0;
     std::uint64_t event_messages = 0;
     std::uint64_t control_messages = 0;
-    /// Estimated seconds the wire was busy (bytes/bandwidth + per-message
-    /// latency), summed over links.
-    double wire_seconds = 0.0;
   };
   [[nodiscard]] const TrafficStats& total() const { return total_; }
-  [[nodiscard]] const TrafficStats& link(BrokerId from, BrokerId to) const;
-  void reset_stats();
+  void reset_stats() { total_ = {}; }
 
  private:
-  [[nodiscard]] std::size_t link_index(BrokerId from, BrokerId to) const;
-
-  Config config_;
   std::vector<std::vector<BrokerId>> adjacency_;
-  // Directed link stats in a dense matrix (broker counts are small).
-  std::vector<TrafficStats> link_stats_;
   TrafficStats total_;
   std::deque<Delivery> in_flight_;
 };

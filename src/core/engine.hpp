@@ -138,9 +138,6 @@ class PruningEngine {
     mutations_since_rescore_ = 0;
   }
   [[nodiscard]] std::size_t drift_threshold() const { return drift_threshold_; }
-  [[nodiscard]] std::size_t mutations_since_rescore() const {
-    return mutations_since_rescore_;
-  }
   [[nodiscard]] bool drift_pending() const {
     return drift_threshold_ > 0 && mutations_since_rescore_ >= drift_threshold_;
   }

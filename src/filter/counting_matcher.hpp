@@ -183,7 +183,6 @@ class CountingMatcher {
   /// tree is evaluated on every event (predicate indexes still run). Only
   /// meant for the ablation study quantifying the trigger's value.
   void set_pmin_trigger(bool enabled) { pmin_trigger_ = enabled; }
-  [[nodiscard]] bool pmin_trigger() const { return pmin_trigger_; }
 
   /// Binds the oracle that chooses access leaves and re-chooses every
   /// access set; an empty function counts every leaf. Each predicate's

@@ -109,12 +109,6 @@ class DbspClient {
   [[nodiscard]] Result<std::optional<NetNotification>> next_notification(
       int timeout_ms);
 
-  /// Notifications already buffered locally (received while waiting for
-  /// replies) — next_notification() never blocks while this is non-zero.
-  [[nodiscard]] std::size_t buffered_notifications() const {
-    return notifications_.size();
-  }
-
  private:
   DbspClient(Socket sock, std::size_t max_frame)
       : sock_(std::move(sock)), assembler_(max_frame) {}

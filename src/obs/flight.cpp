@@ -84,8 +84,6 @@ const char* to_string(TraceStage stage) {
       return "queue_wait";
     case TraceStage::kSocketWrite:
       return "socket_write";
-    case TraceStage::kOverlayHop:
-      return "overlay_hop";
   }
   return "unknown";
 }
@@ -132,22 +130,6 @@ void TraceBuilder::close_span(std::size_t index, std::uint64_t detail) {
 
 std::uint64_t TraceBuilder::span_id_of(std::size_t index) const {
   return index < span_count_ ? spans_[index].span_id : 0;
-}
-
-void TraceBuilder::add_span(TraceStage stage, std::uint64_t start_us,
-                            std::uint64_t duration_us, std::uint64_t detail,
-                            std::uint64_t parent_span) {
-  if (span_count_ >= kMaxSpans) {
-    ++dropped_spans_;
-    return;
-  }
-  TraceSpan& span = spans_[span_count_++];
-  span.stage = stage;
-  span.span_id = next_span_id();
-  span.parent_span = parent_span != 0 ? parent_span : context_.parent_span;
-  span.start_us = start_us;
-  span.duration_us = duration_us;
-  span.detail = detail;
 }
 
 bool TraceBuilder::finish(FlightRecorder& recorder) {

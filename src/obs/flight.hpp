@@ -95,9 +95,9 @@ struct TraceContext {
 [[nodiscard]] std::uint64_t unix_now_us();
 
 /// The span taxonomy — every stage a traced event can cross. Wire-encoded
-/// as a u8, so append only. Values 2, 3 and 4 are reserved (a retired
-/// aggregation probe, its fallback and a per-shard match) and must never
-/// be reused.
+/// as a u8, so append only. Values 2, 3, 4 and 11 are reserved (a retired
+/// aggregation probe, its fallback, a per-shard match and a simulated
+/// broker overlay hop) and must never be reused.
 enum class TraceStage : std::uint8_t {
   kClientRequest = 0,  ///< client: publish request sent -> reply received
   kServerDispatch = 1, ///< server io thread: frame decoded -> reply queued
@@ -107,7 +107,6 @@ enum class TraceStage : std::uint8_t {
   kWalAppend = 8,      ///< durable store append (detail: records)
   kQueueWait = 9,      ///< notification queued -> socket flush started
   kSocketWrite = 10,   ///< notification bytes entering the socket
-  kOverlayHop = 11,    ///< broker overlay hop (detail: broker id)
 };
 
 /// One past the last TraceStage value (reserved values included).
@@ -116,7 +115,7 @@ inline constexpr std::size_t kTraceStageCount = 12;
 /// Whether a raw stage byte names a TraceStage: below kTraceStageCount and
 /// not one of the reserved values.
 [[nodiscard]] constexpr bool is_trace_stage(std::uint8_t raw) {
-  return raw < kTraceStageCount && (raw < 2 || raw > 4);
+  return raw < kTraceStageCount && (raw < 2 || raw > 4) && raw != 11;
 }
 
 [[nodiscard]] const char* to_string(TraceStage stage);
@@ -174,11 +173,6 @@ class TraceBuilder {
   /// The span id of an open slot (0 when the slot was dropped) — the
   /// parent id to propagate to child hops.
   [[nodiscard]] std::uint64_t span_id_of(std::size_t index) const;
-
-  /// Appends a fully formed span (precomputed timing).
-  void add_span(TraceStage stage, std::uint64_t start_us,
-                std::uint64_t duration_us, std::uint64_t detail = 0,
-                std::uint64_t parent_span = 0);
 
   /// Completes the trace: computes the total duration, asks the recorder
   /// whether to keep it (head flag or slow admission), records, and

@@ -130,17 +130,9 @@ Histogram& MetricsRegistry::histogram(const std::string& name, Labels labels) {
               .histogram;
 }
 
-std::uint64_t MetricsRegistry::add_hook(std::function<void()> hook) {
+void MetricsRegistry::add_hook(std::function<void()> hook) {
   MutexLock lock(mutex_);
-  const std::uint64_t id = next_hook_id_++;
-  hooks_.emplace_back(
-      id, std::make_shared<std::function<void()>>(std::move(hook)));
-  return id;
-}
-
-void MetricsRegistry::remove_hook(std::uint64_t id) {
-  MutexLock lock(mutex_);
-  std::erase_if(hooks_, [id](const auto& h) { return h.first == id; });
+  hooks_.push_back(std::make_shared<std::function<void()>>(std::move(hook)));
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -152,8 +144,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   std::vector<std::shared_ptr<std::function<void()>>> hooks;
   {
     MutexLock lock(mutex_);
-    hooks.reserve(hooks_.size());
-    for (const auto& [id, fn] : hooks_) hooks.push_back(fn);
+    hooks = hooks_;
   }
   for (const auto& fn : hooks) (*fn)();
 

@@ -23,8 +23,7 @@
 /// mutex, so a hook may take its owner's lock (the facade hook does) or
 /// call back into the registry; a hook must guard its own lifetime — the
 /// idiom is to capture a weak_ptr to the owner and no-op once it expires,
-/// which is why the registry never needs to block removal against an
-/// in-flight scrape.
+/// which is why hooks are never removed.
 ///
 /// Metric references returned by counter()/gauge()/histogram() are stable
 /// for the registry's lifetime (entries are never erased), so hot paths
@@ -228,11 +227,9 @@ class MetricsRegistry {
 
   /// Registers a collection hook, run at the start of every snapshot()
   /// (outside the registry mutex — see the file comment for the lifetime
-  /// idiom). Returns an id for remove_hook.
-  std::uint64_t add_hook(std::function<void()> hook);
-  /// Unregisters a hook. A scrape already in flight may run the hook one
-  /// last time — hooks guard their own lifetime via weak capture.
-  void remove_hook(std::uint64_t id);
+  /// idiom). Hooks are never removed: each guards its own lifetime via
+  /// weak capture.
+  void add_hook(std::function<void()> hook);
 
   /// Runs the hooks, then aggregates every series. See the threading
   /// contract in the file comment.
@@ -260,9 +257,8 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<Entry>> entries_ DBSP_GUARDED_BY(mutex_);
   /// (name + '\x01' + k '\x02' v ...) -> index into entries_.
   std::unordered_map<std::string, std::size_t> index_ DBSP_GUARDED_BY(mutex_);
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<std::function<void()>>>>
-      hooks_ DBSP_GUARDED_BY(mutex_);
-  std::uint64_t next_hook_id_ DBSP_GUARDED_BY(mutex_) = 1;
+  std::vector<std::shared_ptr<std::function<void()>>> hooks_
+      DBSP_GUARDED_BY(mutex_);
 };
 
 }  // namespace dbsp::obs

@@ -13,10 +13,7 @@ constexpr std::size_t kHeaderBytes = kWireHeaderBytes + 1 + 8;
 std::size_t Message::wire_size_bytes() const {
   switch (type) {
     case Type::Event:
-      // An active trace context adds the same 17-byte trailer the socket
-      // protocol charges (flags u8 + trace id u64 + parent span u64);
-      // untraced events cost exactly what they did before tracing existed.
-      return kHeaderBytes + encoded_size(event) + (trace.active() ? 17 : 0);
+      return kHeaderBytes + encoded_size(event);
     case Type::Subscribe:
       return kHeaderBytes + (sub_tree ? encoded_size(*sub_tree) : 0);
     case Type::Unsubscribe:

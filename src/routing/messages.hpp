@@ -6,7 +6,6 @@
 #include "agg/summary.hpp"
 #include "common/ids.hpp"
 #include "event/event.hpp"
-#include "obs/flight.hpp"
 #include "subscription/node.hpp"
 
 namespace dbsp {
@@ -21,12 +20,8 @@ struct Message {
   Type type = Type::Event;
   /// Event payload (Type::Event).
   Event event;
-  /// Global sequence number of the published event (tracing/metrics).
+  /// Global sequence number of the published event (notification logs).
   std::uint64_t event_seq = 0;
-  /// Trace context riding with Type::Event — inactive (trace_id 0) on
-  /// untraced publishes, so their wire footprint is unchanged; active
-  /// contexts charge the 17-byte trailer (flags + trace id + parent span).
-  obs::TraceContext trace{};
   /// Subscription payload (Type::Subscribe / Unsubscribe).
   SubscriptionId sub_id;
   std::shared_ptr<const Node> sub_tree;

@@ -17,6 +17,13 @@ namespace {
 /// trigger stays pending until more traffic accumulated.
 constexpr std::size_t kMinRetrainSample = 32;
 
+/// Pruning is maintained continuously: after every churn tick the table is
+/// pruned back up to this fraction of its live capacity.
+constexpr double kPruneFraction = 0.5;
+
+/// Rolling window of published events used by drift retraining.
+constexpr std::size_t kStatsWindow = 4096;
+
 /// End-of-run observability capture: the facade's full registry scrape and
 /// what producing it cost — the per-scrape price a monitoring agent pays.
 void capture_metrics(PubSub& pubsub, ScenarioReport& report) {
@@ -227,7 +234,7 @@ ScenarioReport ScenarioRunner::run_centralized() {
   };
   std::optional<PubSub> pubsub(make_pubsub());
 
-  RollingWindow window(config_.stats_window);
+  RollingWindow window(kStatsWindow);
   if (config_.pruning || config_.aggregation) {
     auto training = domain_->events(3);
     std::vector<Event> sample;
@@ -267,7 +274,7 @@ ScenarioReport ScenarioRunner::run_centralized() {
     admit(subs_source->next());
   }
   if (config_.pruning) {
-    (void)pubsub->prune_to_fraction(config_.prune_fraction).value();
+    (void)pubsub->prune_to_fraction(kPruneFraction).value();
   }
   if (config_.pruning) {
     // Armed only now: the initial bulk load is not churn.
@@ -331,7 +338,7 @@ ScenarioReport ScenarioRunner::run_centralized() {
       }
       churn_tick(churn, arrivals, pr, admit, [&] { return live.size(); }, release);
       if (config_.pruning) {
-        pr.prunings += pubsub->prune_to_fraction(config_.prune_fraction).value();
+        pr.prunings += pubsub->prune_to_fraction(kPruneFraction).value();
         if (pubsub->drift_pending() && window.ready()) {
           pubsub->train(window.events()).expect_ok();
           pubsub->rescore_all().expect_ok();
@@ -589,12 +596,12 @@ ScenarioReport ScenarioRunner::run_overlay() {
   const std::size_t brokers = config_.brokers;
   // The estimator must outlive the overlay: brokers with pruning enabled
   // hold it by reference.
-  RollingStats rolling(*domain_, config_.training_events, config_.stats_window);
+  RollingStats rolling(*domain_, config_.training_events, kStatsWindow);
   const SelectivityEstimator estimator(rolling.stats());
 
   ShardedEngineOptions engine_options;
   engine_options.shards = config_.shards == 0 ? 1 : config_.shards;
-  Overlay overlay(domain_->schema(), brokers, Overlay::line(brokers), {},
+  Overlay overlay(domain_->schema(), brokers, Overlay::line(brokers),
                   engine_options);
   // Summary routing: events cross the line along admitting subgroup
   // summaries, so the oracle below checks their no-false-negative contract.
@@ -641,7 +648,7 @@ ScenarioReport ScenarioRunner::run_overlay() {
   if (config_.pruning) {
     for (std::size_t b = 0; b < brokers; ++b) {
       ShardedPruningSet& set = broker_at(b).enable_pruning(estimator, prune_config);
-      set.prune_to_fraction(config_.prune_fraction);
+      set.prune_to_fraction(kPruneFraction);
       set.set_drift_threshold(config_.drift_threshold);
     }
   }
@@ -674,7 +681,7 @@ ScenarioReport ScenarioRunner::run_overlay() {
         bool drift = false;
         for (std::size_t b = 0; b < brokers; ++b) {
           ShardedPruningSet* set = broker_at(b).pruning();
-          pr.prunings += set->prune_to_fraction(config_.prune_fraction);
+          pr.prunings += set->prune_to_fraction(kPruneFraction);
           drift = drift || set->drift_pending();
         }
         if (rolling.maybe_retrain(drift)) {

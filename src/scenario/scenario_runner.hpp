@@ -61,9 +61,6 @@ struct ScenarioConfig {
   // --- Pruning maintenance -------------------------------------------------
   bool pruning = true;
   PruneDimension dimension = PruneDimension::NetworkLoad;
-  /// Maintained continuously: after every churn tick the table is pruned
-  /// back up to this fraction of its live capacity.
-  double prune_fraction = 0.5;
   /// Table mutations before the drift trigger retrains the
   /// selectivity stats and re-scores queued candidates (0 = off).
   std::size_t drift_threshold = 200;
@@ -71,8 +68,6 @@ struct ScenarioConfig {
   // --- Selectivity statistics ----------------------------------------------
   /// Initial training sample (independent stream).
   std::size_t training_events = 2000;
-  /// Rolling window of published events used by drift retraining.
-  std::size_t stats_window = 4096;
 
   // --- Oracle --------------------------------------------------------------
   /// Centralized mode: verify every k-th event against direct tree

@@ -145,7 +145,7 @@ TEST_F(SummaryOperatorTest, IntervalCapMergesButStaysSound) {
   const auto tree = Node::or_(std::move(children));
   std::size_t widenings = 0;
   const auto s = DimensionSummary::summarize(*tree, a0_, true, limits_, &widenings);
-  EXPECT_LE(s.intervals().size(), limits_.max_intervals);
+  EXPECT_LE(s.intervals().size(), kMaxIntervals);
   EXPECT_GE(widenings, 1u);
   for (const std::int64_t v : {0, 3, 6, 9, 12, 15}) {
     EXPECT_TRUE(s.admits_value(Value(v))) << v;
@@ -457,8 +457,7 @@ TEST(AggregatorTrainTest, MatchingStaysExactAcrossRetrainsUnderChurn) {
   std::mt19937_64 rng(3);
   auto corpus = test::make_corpus(dom, rng, 40, 0.0);
 
-  AggregatorOptions options;
-  SubscriptionAggregator aggregator(dom.schema(), options);
+  SubscriptionAggregator aggregator(dom.schema());
   for (std::size_t i = 0; i < 10; ++i) aggregator.add(*corpus.subs[i]);
 
   EventStats stats(dom.schema());
@@ -467,7 +466,7 @@ TEST(AggregatorTrainTest, MatchingStaysExactAcrossRetrainsUnderChurn) {
   stats.finalize();
   aggregator.train(stats);
   EXPECT_EQ(aggregator.dimensions().size(),
-            std::min<std::size_t>(options.dimensions, dom.attr_count()));
+            std::min<std::size_t>(kDimensions, dom.attr_count()));
 
   // A second wave of arrivals, a retrain, removals and another retrain.
   for (std::size_t i = 10; i < 20; ++i) aggregator.add(*corpus.subs[i]);

@@ -9,9 +9,7 @@
 // or logged).
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -19,11 +17,10 @@
 #include <vector>
 
 #include "dbsp/dbsp.hpp"
+#include "test_util.hpp"
 
 namespace dbsp {
 namespace {
-
-namespace fs = std::filesystem;
 
 Schema market_schema() {
   Schema s;
@@ -64,7 +61,7 @@ TEST(PubSubTest, SubscribePublishDispatchesCallbacksInIdOrder) {
   log.clear();
   EXPECT_EQ(pubsub.publish(tick(pubsub, "INIT", 80.0, 5)), 1u);  // silent only
   EXPECT_TRUE(log.empty());
-  EXPECT_EQ(pubsub.notifications_delivered(), 4u);
+  EXPECT_EQ(pubsub.counters().matches, 4u);
 }
 
 TEST(PubSubTest, PublishBatchMatchesSingleEventDispatch) {
@@ -136,24 +133,19 @@ TEST(PubSubTest, TreeOutsideTheSchemaIsInvalidArgumentAndRegistersNothing) {
 }
 
 TEST(PubSubTest, TreeOutsideTheSchemaAppendsNothingToTheWal) {
-  const fs::path dir = fs::temp_directory_path() /
-                       ("dbsp_api_schema_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  {
-    StoreOptions store;
-    store.directory = dir.string();
-    store.schema = market_schema();
-    auto opened = PubSub::open(std::move(store));
-    ASSERT_TRUE(opened.ok()) << opened.status().to_string();
-    PubSub pubsub = std::move(opened).value();
-    const auto bad = pubsub.subscribe(tree_outside_schema(pubsub));
-    ASSERT_FALSE(bad.ok());
-    EXPECT_EQ(bad.status().code(), ErrorCode::kInvalidArgument);
-    EXPECT_TRUE(pubsub.durable());
-    EXPECT_EQ(pubsub.store_stats().wal_records, 0u);
-    EXPECT_EQ(pubsub.subscription_count(), 0u);
-  }
-  fs::remove_all(dir);
+  const test::TempDir dir("api_schema");
+  StoreOptions store;
+  store.directory = dir.str();
+  store.schema = market_schema();
+  auto opened = PubSub::open(std::move(store));
+  ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+  PubSub pubsub = std::move(opened).value();
+  const auto bad = pubsub.subscribe(tree_outside_schema(pubsub));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(pubsub.durable());
+  EXPECT_EQ(pubsub.store_stats().wal_records, 0u);
+  EXPECT_EQ(pubsub.subscription_count(), 0u);
 }
 
 TEST(PubSubTest, OracleAndTextAccessors) {

@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -34,35 +33,12 @@
 namespace dbsp {
 namespace {
 
-namespace fs = std::filesystem;
+using test::TempDir;
 
 std::size_t stress_scale() {
   return static_cast<std::size_t>(std::max<std::int64_t>(
       1, env_int("DBSP_STRESS_SCALE", 1)));
 }
-
-/// Self-cleaning unique temp directory (same idiom as store_test).
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    static std::atomic<std::uint64_t> counter{0};
-    path_ = fs::temp_directory_path() /
-            ("dbsp_stress_" + tag + "_" + std::to_string(counter.fetch_add(1)));
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  TempDir(const TempDir&) = delete;
-  TempDir& operator=(const TempDir&) = delete;
-
-  [[nodiscard]] std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
 
 PubSubOptions pruning_options(std::size_t shards) {
   PubSubOptions options;
@@ -171,7 +147,7 @@ TEST(ConcurrentStress, PublishChurnAndPruneRaceCleanly) {
       (void)pubsub.subscription_count();
       (void)pubsub.pruning_stats();
       (void)pubsub.association_count();
-      (void)pubsub.notifications_delivered();
+      (void)pubsub.counters();
       for (const auto& handle : base) {
         ASSERT_TRUE(handle.active());
       }
@@ -198,8 +174,8 @@ TEST(ConcurrentStress, PublishChurnAndPruneRaceCleanly) {
   }
   // Every notification counted by the facade was observed by some caller:
   // publish/publish_batch return values and the base callbacks line up.
-  EXPECT_GE(pubsub.notifications_delivered(), published.load());
-  EXPECT_GE(pubsub.notifications_delivered(), base_hits->load());
+  EXPECT_GE(pubsub.counters().matches, published.load());
+  EXPECT_GE(pubsub.counters().matches, base_hits->load());
 }
 
 // Handles released concurrently from many threads (disjoint slices) while a

@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <random>
 #include <set>
@@ -34,26 +33,8 @@
 namespace dbsp::net {
 namespace {
 
-namespace fs = std::filesystem;
 using test::MiniDomain;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    static int counter = 0;
-    path_ = fs::temp_directory_path() /
-            ("dbsp_net_" + tag + "_" + std::to_string(counter++));
-    fs::remove_all(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
+using test::TempDir;
 
 std::unique_ptr<NetServer> start_server(PubSub pubsub,
                                         NetServerOptions options = {}) {

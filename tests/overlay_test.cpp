@@ -72,7 +72,6 @@ TEST_F(OverlayTest, EventStopsAtClosestInterestedSegment) {
   overlay.publish(BrokerId(0), event("x", 1.0));
   // Only the 0-1 link is used; brokers 2..4 never see the event.
   EXPECT_EQ(overlay.network().total().event_messages, 1u);
-  EXPECT_EQ(overlay.network().link(BrokerId(1), BrokerId(2)).event_messages, 0u);
 }
 
 TEST_F(OverlayTest, LocalDeliveryWithoutNetworkTraffic) {

@@ -194,7 +194,7 @@ TEST(ScenarioOverlayTest, BrokerKeepsAttachedPruningSetInSyncUnderChurn) {
   MiniDomain dom;
   std::mt19937_64 rng(5);
   const SelectivityEstimator estimator([](const Predicate&) { return 0.5; });
-  Overlay overlay(dom.schema(), 3, Overlay::line(3), {}, {.shards = 2});
+  Overlay overlay(dom.schema(), 3, Overlay::line(3), {.shards = 2});
 
   for (std::uint32_t i = 0; i < 12; ++i) {
     overlay.subscribe(BrokerId(i % 3), ClientId(i), SubscriptionId(i),

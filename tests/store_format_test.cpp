@@ -22,8 +22,6 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "api/pubsub.hpp"
 #include "core/candidates.hpp"
 #include "selectivity/stats.hpp"
@@ -35,6 +33,7 @@ namespace dbsp {
 namespace {
 
 namespace fs = std::filesystem;
+using test::TempDir;
 
 /// CRC-32 one bit at a time, straight from the definition (reflected
 /// IEEE polynomial, all-ones initial value and final xor).
@@ -279,24 +278,6 @@ GoldenFiles write_golden_files(const std::string& directory) {
   files.checkpoint_wal = store::read_file(wal_path);
   return files;
 }
-
-/// Scratch directory removed on scope exit.
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(fs::temp_directory_path() /
-              ("dbsp_golden_" + tag + "_" + std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] std::string str() const { return path_.string(); }
-
- private:
-  fs::path path_;
-};
 
 std::vector<std::uint8_t> golden(const std::string& name) {
   return store::read_file(std::string(DBSP_STORE_GOLDEN_DIR) + "/" + name);

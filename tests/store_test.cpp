@@ -3,8 +3,8 @@
 // workers),
 // pruning accounting continuity, checkpoint truncation, checkpoints built
 // from the previous snapshot (kills after them and inside them, and what
-// they re-encode), statistics persistence, adopt() semantics, broker warm
-// restart, and the ScenarioRunner kill-and-recover phase.
+// they re-encode), statistics persistence, adopt() semantics, and the
+// ScenarioRunner kill-and-recover phase.
 
 #include "store/state_store.hpp"
 
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "api/pubsub.hpp"
-#include "broker/overlay.hpp"
 #include "core/candidates.hpp"
 #include "scenario/scenario_runner.hpp"
 #include "store/snapshot.hpp"
@@ -32,26 +31,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using test::MiniDomain;
-
-/// Unique scratch directory removed (with everything in it) on scope exit.
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag) {
-    static int counter = 0;
-    path_ = fs::temp_directory_path() /
-            ("dbsp_" + tag + "_" + std::to_string(counter++));
-    fs::remove_all(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] std::string str() const { return path_.string(); }
-  [[nodiscard]] const fs::path& path() const { return path_; }
-
- private:
-  fs::path path_;
-};
+using test::TempDir;
 
 PubSubOptions pruning_options(std::size_t workers) {
   PubSubOptions options;
@@ -1360,75 +1340,6 @@ TEST(PubSubOpenTest, RecoveryExactnessUnderRandomizedChurn) {
   EXPECT_EQ(durable->subscription_count(), oracle.subscription_count());
   durable.reset();
   durable_live.clear();
-}
-
-// --- Broker warm restart -----------------------------------------------------
-
-TEST(BrokerWarmRestartTest, RestoredTableReproducesMatching) {
-  MiniDomain dom;
-  std::mt19937_64 rng(61);
-  Overlay overlay(dom.schema(), 3, Overlay::line(3));
-
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    overlay.subscribe(BrokerId(i % 3), ClientId(i), SubscriptionId(i),
-                      dom.random_tree(rng, 5, 0.2));
-  }
-  Broker& original = overlay.broker(BrokerId(1));
-
-  WireWriter saved;
-  original.save_table(saved);
-
-  // A replacement broker at the same overlay position, fed only the saved
-  // bytes — no re-flooding through the network.
-  SimulatedNetwork isolated(3);
-  Broker restarted(BrokerId(1), dom.schema(), isolated);
-  WireReader reader(saved.bytes());
-  restarted.restore_table(reader);
-  EXPECT_TRUE(reader.exhausted());
-
-  EXPECT_EQ(restarted.table().size(), original.table().size());
-  EXPECT_EQ(restarted.table().local_count(), original.table().local_count());
-  for (const Event& e : dom.random_events(rng, 50)) {
-    std::vector<SubscriptionId> a;
-    std::vector<SubscriptionId> b;
-    original.engine().match(e, a);
-    restarted.engine().match(e, b);
-    EXPECT_EQ(a, b);
-  }
-
-  // Restoring into a non-empty broker is a caller bug.
-  WireReader again(saved.bytes());
-  EXPECT_THROW(restarted.restore_table(again), std::logic_error);
-}
-
-TEST(BrokerWarmRestartTest, RestoredAggregatedTableRejoinsTheAggregator) {
-  MiniDomain dom;
-  std::mt19937_64 rng(62);
-  Overlay overlay(dom.schema(), 3, Overlay::line(3));
-  overlay.enable_aggregation();
-  for (std::uint32_t i = 0; i < 60; ++i) {
-    overlay.subscribe(BrokerId(i % 3), ClientId(i), SubscriptionId(i),
-                      dom.random_tree(rng, 5, 0.2));
-  }
-  Broker& original = overlay.broker(BrokerId(1));
-  WireWriter saved;
-  original.save_table(saved);
-
-  SimulatedNetwork isolated(3);
-  Broker restarted(BrokerId(1), dom.schema(), isolated);
-  restarted.enable_aggregation();
-  WireReader reader(saved.bytes());
-  restarted.restore_table(reader);
-
-  // Restore joins the entries in id order, the order they arrived in, so
-  // the subgroups come out identical.
-  const agg::SubscriptionAggregator& before = *original.aggregation();
-  const agg::SubscriptionAggregator& after = *restarted.aggregation();
-  EXPECT_EQ(after.subscription_count(), 20u);
-  EXPECT_EQ(after.subgroup_count(), before.subgroup_count());
-  EXPECT_EQ(after.advertised_bytes(), before.advertised_bytes());
-  restarted.unsubscribe_local(SubscriptionId(1));
-  EXPECT_FALSE(after.contains(SubscriptionId(1)));
 }
 
 // --- ScenarioRunner kill-and-recover -----------------------------------------

@@ -1,11 +1,18 @@
 #pragma once
 
 // Shared helpers for the dbsp test suite: a compact numeric schema, terse
-// tree builders, and seeded random generators for subscription trees and
-// events used by the property tests.
+// tree builders, seeded random generators for subscription trees and
+// events used by the property tests, and a scoped scratch directory.
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <random>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "event/event.hpp"
@@ -15,6 +22,32 @@
 #include "subscription/subscription.hpp"
 
 namespace dbsp::test {
+
+/// A scratch directory under the system temp directory, unique per process
+/// and instance, removed (with everything in it) on scope exit. It is not
+/// created: PubSub::open and the store create a missing directory.
+class TempDir {
+ public:
+  explicit TempDir(const std::string& tag) {
+    static std::atomic<std::uint64_t> counter{0};
+    path_ = std::filesystem::temp_directory_path() /
+            ("dbsp_" + tag + "_" + std::to_string(::getpid()) + "_" +
+             std::to_string(counter.fetch_add(1)));
+    std::filesystem::remove_all(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  [[nodiscard]] std::string str() const { return path_.string(); }
+  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
 
 /// A small all-numeric schema: attributes a0..a{n-1}, each Int with values
 /// drawn from [0, domain). Numeric domains make it easy to construct

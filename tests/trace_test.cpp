@@ -104,7 +104,7 @@ TEST(TraceBuilderTest, SpanOverflowDropsTheExtras) {
   TraceBuilder builder;
   builder.begin(make_trace_context(true));
   for (std::size_t i = 0; i < TraceBuilder::kMaxSpans + 5; ++i) {
-    const std::size_t slot = builder.open_span(TraceStage::kOverlayHop);
+    const std::size_t slot = builder.open_span(TraceStage::kQueueWait);
     if (i < TraceBuilder::kMaxSpans) {
       EXPECT_LT(slot, TraceBuilder::kMaxSpans);
       EXPECT_NE(builder.span_id_of(slot), 0u);
@@ -156,7 +156,7 @@ TEST(ScopedSpanTest, CloseIsIdempotentAndKeepsTheDetail) {
   TraceBuilder builder;
   builder.begin(make_trace_context(true));
   {
-    ScopedSpan span(&builder, TraceStage::kOverlayHop);
+    ScopedSpan span(&builder, TraceStage::kQueueWait);
     span.set_detail(42);
     span.close();
     span.close();  // second close is a no-op
@@ -385,22 +385,25 @@ TEST(TracesJsonTest, EveryStageHasADistinctName) {
     ++stages;
     names.insert(to_string(static_cast<TraceStage>(s)));
   }
+  // 0..10 plus the reserved 11 (the retired overlay hop).
   EXPECT_EQ(kTraceStageCount,
-            static_cast<std::size_t>(TraceStage::kOverlayHop) + 1);
-  EXPECT_EQ(stages, kTraceStageCount - 3);  // 2, 3 and 4 are reserved
+            static_cast<std::size_t>(TraceStage::kSocketWrite) + 2);
+  EXPECT_EQ(stages, kTraceStageCount - 4);  // 2, 3, 4 and 11 are reserved
   EXPECT_EQ(names.size(), stages);
   EXPECT_EQ(names.count("unknown"), 0u);
 }
 
 TEST(TraceWireTest, ReservedAndUnknownStagesAreDroppedOnDecode) {
   // Stages 2 and 3 (the retired aggregation probe), 4 (the retired
-  // per-shard match) and a stage byte past the last one are dropped span
-  // by span; the trace itself survives.
-  for (const std::uint8_t reserved : {2, 3, 4}) EXPECT_FALSE(is_trace_stage(reserved));
+  // per-shard match), 11 (the retired overlay hop) and a stage byte past
+  // the last one are dropped span by span; the trace itself survives.
+  for (const std::uint8_t reserved : {2, 3, 4, 11}) {
+    EXPECT_FALSE(is_trace_stage(reserved));
+  }
   Trace trace;
   trace.trace_id = 7;
   trace.sampled = true;
-  for (const std::uint8_t raw : {5, 2, 3, 12, 4, 6}) {
+  for (const std::uint8_t raw : {5, 2, 3, 11, 12, 4, 6}) {
     TraceSpan span;
     span.stage = static_cast<TraceStage>(raw);
     span.span_id = 100 + raw;

@@ -8,7 +8,9 @@ graph. Three gates, all fatal:
    declared in ALLOWED_DEPS below, which mirrors the "Depends on" column of
    the module map in docs/ARCHITECTURE.md. A new cross-module dependency is
    a one-line diff here *and* in the doc table — deliberate, reviewed, never
-   accidental.
+   accidental. The reverse holds too: a declared edge with no include
+   behind it is stale and fails, so the table never claims a dependency
+   the code dropped.
 
 2. **File-level acyclicity** — the concrete include graph of `src/` must be
    a DAG. The module graph alone cannot prove this: `scenario/` builds on
@@ -42,24 +44,21 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     "subscription": {"common", "event"},
     "filter": {"common", "event", "subscription"},
     # routing/codec.hpp serializes trees for histogram/stats persistence.
-    "selectivity": {"common", "event", "subscription", "routing"},
+    "selectivity": {"event", "subscription", "routing"},
     # Subscription aggregation: bounded per-dimension summaries + subgroup
     # clustering. Scores dimensions with selectivity's EventStats.
-    "agg": {"common", "event", "subscription", "filter", "selectivity", "obs"},
-    # routing/messages.hpp carries subgroup summaries (aggregated routing)
-    # and the per-event trace context (obs) overlay hops propagate.
-    "routing": {"common", "event", "subscription", "agg", "obs"},
-    "core": {"common", "event", "subscription", "filter", "selectivity", "obs"},
-    "broker": {"common", "event", "subscription", "core", "routing", "agg",
-               "obs"},
+    "agg": {"common", "event", "subscription", "selectivity"},
+    # routing/messages.hpp carries subgroup summaries (aggregated routing).
+    "routing": {"common", "event", "subscription", "agg"},
+    "core": {"common", "event", "subscription", "filter", "selectivity"},
+    "broker": {"common", "event", "core", "routing", "agg"},
     "workload": {"common", "event", "subscription"},
     "experiment": {"common", "core", "selectivity", "broker", "workload", "api"},
     # scenario is built entirely on the public API: the umbrella header is
     # its only route to the engine — plus the net edge for the sockets
     # transport (run_sockets drives a NetServer over real loopback TCP).
     # core/filter/store are deliberately NOT allowed here.
-    "scenario": {"common", "event", "subscription", "workload", "dbsp", "net",
-                 "obs"},
+    "scenario": {"common", "event", "subscription", "workload", "dbsp", "net"},
     "store": {"common", "event", "subscription", "core", "routing",
               "selectivity"},
     "api": {"common", "event", "subscription", "core", "selectivity", "store",
@@ -71,7 +70,7 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     "net": {"common", "event", "subscription", "routing", "store", "api", "obs"},
     # The umbrella re-exports the public surface; it sits above everything.
     "dbsp": {
-        "api", "broker", "common", "event", "obs", "routing", "scenario",
+        "api", "broker", "common", "event", "routing", "scenario",
         "selectivity", "store", "subscription",
     },
 }
@@ -89,6 +88,7 @@ def quoted_includes(path: Path) -> list[tuple[int, str]]:
 
 
 def check_module_dag(src: Path, errors: list[str]) -> None:
+    used: dict[str, set[str]] = {module: set() for module in ALLOWED_DEPS}
     for path in sorted(src.rglob("*")):
         if path.suffix not in (".hpp", ".cpp"):
             continue
@@ -103,12 +103,19 @@ def check_module_dag(src: Path, errors: list[str]) -> None:
                 continue  # not a module-qualified include (e.g. a local header)
             if target_module == module:
                 continue
+            used[module].add(target_module)
             if target_module not in ALLOWED_DEPS[module]:
                 errors.append(
                     f"{path}:{lineno}: layering violation: '{module}' may not "
                     f"include '{target_module}/' (include \"{target}\"); allowed: "
                     f"{sorted(ALLOWED_DEPS[module]) or 'nothing'} — see the "
                     f"module map in docs/ARCHITECTURE.md")
+    for module, allowed in ALLOWED_DEPS.items():
+        for stale in sorted(allowed - used[module]):
+            errors.append(
+                f"stale edge: '{module}' declares a dependency on '{stale}/' "
+                f"but no file in src/{module}/ includes it — drop it from "
+                f"ALLOWED_DEPS and the module map in docs/ARCHITECTURE.md")
 
 
 def check_file_acyclicity(src: Path, errors: list[str]) -> None:
