@@ -60,6 +60,36 @@ void BM_CountingMatcherTrained(benchmark::State& state) {
 }
 BENCHMARK(BM_CountingMatcherTrained)->Arg(10000);
 
+// The IoT table of BM_MatcherChurn (stream 1, 60000 is the churn_durable
+// table) with estimates trained on 10k events of stream 3 bound, matching
+// events of stream 2: the counting-heavy side of the kernel, where every
+// event bumps thousands of counters.
+void BM_CountingMatcherTrainedIot(benchmark::State& state) {
+  const auto domain = make_iot_workload();
+  const auto source = domain->subscriptions(1);
+  std::vector<std::unique_ptr<Subscription>> subs;
+  for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(state.range(0)); ++i) {
+    subs.push_back(std::make_unique<Subscription>(SubscriptionId(i), source->next()));
+  }
+  EventStats stats(domain->schema());
+  for (const Event& e : domain->events(3)->generate(10000)) stats.observe(e);
+  stats.finalize();
+  const SelectivityEstimator estimator(stats);
+  CountingMatcher matcher(domain->schema());
+  matcher.set_leaf_estimate([&](const Predicate& p) { return estimator.leaf(p); });
+  for (auto& s : subs) matcher.add(*s);
+  const std::vector<Event> events = domain->events(2)->generate(bench::kEvents);
+  std::vector<SubscriptionId> out;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    out.clear();
+    matcher.match(events[i++ % events.size()], out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CountingMatcherTrainedIot)->Arg(60000)->Unit(benchmark::kMicrosecond);
+
 void BM_NaiveMatcher(benchmark::State& state) {
   Table t(static_cast<std::size_t>(state.range(0)));
   NaiveMatcher matcher;

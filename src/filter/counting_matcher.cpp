@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace dbsp {
 
@@ -118,13 +120,82 @@ void CountingMatcher::flush_unindexed() {
   unindex_.clear();
 }
 
-void CountingMatcher::load_program(const Subscription& sub, std::uint32_t slot,
-                                   std::size_t size) {
-  Program& program = slots_[slot].program;
-  program.clear();
-  program.reserve(size);
-  compile(sub.root(), program);
-  association_count_ += distinct_predicates(program);
+std::uint32_t CountingMatcher::load_program(const Subscription& sub, std::uint32_t slot,
+                                           std::size_t size) {
+  compiled_.clear();
+  compile(sub.root(), compiled_);
+  const std::uint32_t pmin = choose_access(compiled_);
+  // Leaves, associations and links in one pass: link_refs_ marks bit 1 for
+  // a predicate seen, bit 2 for one seen on an access leaf.
+  std::size_t leaves = 0;
+  std::size_t links = 0;
+  for (const Instr& op : compiled_) {
+    if (op.kind != NodeKind::Leaf) continue;
+    ++leaves;
+    std::uint32_t& seen = link_refs_[op.arg];
+    association_count_ += (seen & 1) == 0;
+    links += op.access && (seen & 2) == 0;
+    seen |= op.access ? 3 : 1;
+  }
+  for (const Instr& op : compiled_) {
+    if (op.kind == NodeKind::Leaf) link_refs_[op.arg] = 0;
+  }
+  Program& program = slots_[slot].program;  // empty: a new slot, or moved out
+  program.reserve(size + 1 + 2 * leaves + links);
+  program.assign(compiled_.begin(), compiled_.end());
+  program.resize(size + 1 + 2 * leaves);
+  compile_branches(program);
+  return pmin;
+}
+
+void CountingMatcher::compile_branches(Program& program) {
+  const std::uint32_t size = tree_size(program);
+  std::uint32_t next_op = (static_cast<std::uint32_t>(program.size()) - size - 1) / 2;
+  Instr* ops = program.data() + size + 1;
+  const std::uint32_t entry = emit(program.data(), ops, 0, kAccept, kReject, next_op);
+  program[size] = {NodeKind::True, false, false, entry};
+  assert(next_op == 0);
+}
+
+std::uint32_t CountingMatcher::emit(const Instr* program, Instr* ops, std::uint32_t pc,
+                                    std::uint32_t on_true, std::uint32_t on_false,
+                                    std::uint32_t& next_op) {
+  const Instr op = program[pc];
+  switch (op.kind) {
+    case NodeKind::Leaf: {
+      const Branch branch{op.arg, on_true, on_false, op.direct};
+      std::memcpy(static_cast<void*>(ops + 2 * --next_op), &branch, sizeof branch);
+      return next_op;
+    }
+    case NodeKind::True: return on_true;
+    case NodeKind::False: return on_false;
+    case NodeKind::Not: return emit(program, ops, pc + 1, on_false, on_true, next_op);
+    case NodeKind::And:
+    case NodeKind::Or: {
+      // Last child first: each child continues into the one after it, on
+      // true under an And and on false under an Or.
+      const std::size_t base = children_.size();
+      for (std::uint32_t child = pc + 1; child < op.arg; child = subtree_end(program, child)) {
+        children_.push_back(child);
+      }
+      const bool is_and = op.kind == NodeKind::And;
+      std::uint32_t next = is_and ? on_true : on_false;
+      while (children_.size() > base) {
+        const std::uint32_t child = children_.back();
+        children_.pop_back();
+        next = is_and ? emit(program, ops, child, next, on_false, next_op)
+                      : emit(program, ops, child, on_true, next, next_op);
+      }
+      return next;
+    }
+  }
+  return on_false;
+}
+
+CountingMatcher::Branch CountingMatcher::branch_op(const Instr* ops, std::uint32_t i) {
+  Branch branch;
+  std::memcpy(static_cast<void*>(&branch), ops + 2 * i, sizeof branch);
+  return branch;
 }
 
 std::uint32_t CountingMatcher::tree_size(const Program& program) {
@@ -133,6 +204,13 @@ std::uint32_t CountingMatcher::tree_size(const Program& program) {
 
 std::span<const CountingMatcher::Instr> CountingMatcher::tree(const Program& program) {
   return std::span(program).first(tree_size(program));
+}
+
+std::uint32_t CountingMatcher::branch_end(const Program& program) {
+  const auto ops = tree(program);
+  const auto leaves = static_cast<std::uint32_t>(std::count_if(
+      ops.begin(), ops.end(), [](const Instr& op) { return op.kind == NodeKind::Leaf; }));
+  return static_cast<std::uint32_t>(ops.size()) + 1 + 2 * leaves;
 }
 
 std::uint32_t CountingMatcher::distinct_predicates(const Program& program) {
@@ -145,6 +223,13 @@ std::uint32_t CountingMatcher::distinct_predicates(const Program& program) {
     if (op.kind == NodeKind::Leaf) link_refs_[op.arg] = 0;
   }
   return distinct;
+}
+
+std::uint32_t CountingMatcher::access_leaves(const Program& program, std::uint32_t pid) {
+  const auto ops = tree(program);
+  return static_cast<std::uint32_t>(std::count_if(ops.begin(), ops.end(), [pid](const Instr& op) {
+    return op.kind == NodeKind::Leaf && op.access && op.arg == pid;
+  }));
 }
 
 void CountingMatcher::release_program(const Program& program) {
@@ -287,21 +372,24 @@ std::uint32_t CountingMatcher::choose_access(Program& program) const {
 void CountingMatcher::link(std::uint32_t slot) {
   Program& program = slots_[slot].program;
   const std::uint32_t size = tree_size(program);
-  program.resize(size);  // drops the link ops of an earlier link()
+  const auto end = static_cast<std::uint32_t>(program.size());
   std::uint32_t links = 0;
   for (const Instr& op : tree(program)) {
     if (op.kind == NodeKind::Leaf && op.access && link_refs_[op.arg]++ == 0) ++links;
   }
-  program.reserve(size + links);
+  program.resize(end + links);
+  const std::uint16_t pmin = PredSub::narrow(slot_pmin_[slot]);
+  std::uint32_t k = 0;
   for (std::uint32_t pc = 0; pc < size; ++pc) {
     const Instr op = program[pc];
     if (op.kind != NodeKind::Leaf || !op.access) continue;
     std::uint32_t& refs = link_refs_[op.arg];
     if (refs == 0) continue;  // a repeated leaf, already linked
     std::vector<PredSub>& list = pred_slots_[op.arg];
-    pred_links_[op.arg].push_back(static_cast<std::uint32_t>(program.size()) - size);
-    program.push_back({NodeKind::True, false, false, static_cast<std::uint32_t>(list.size())});
-    list.push_back({slot, refs});
+    pred_links_[op.arg].push_back(k);
+    program[end + links - 1 - k++] = {NodeKind::True, false, false,
+                                      static_cast<std::uint32_t>(list.size())};
+    list.push_back({slot, PredSub::narrow(refs), pmin});
     refs = 0;
     if (!leaf_test_[op.arg].indexed) index_predicate(op.arg);
   }
@@ -309,14 +397,13 @@ void CountingMatcher::link(std::uint32_t slot) {
 
 void CountingMatcher::unlink(std::uint32_t slot) {
   Program& program = slots_[slot].program;
-  const std::uint32_t size = tree_size(program);
-  std::uint32_t link = size;  // the link ops, in link()'s order
+  std::uint32_t link = 0;  // the link ops, in link()'s order
   for (const Instr& op : tree(program)) {
     if (op.kind != NodeKind::Leaf || !op.access) continue;
     std::uint32_t& seen = link_refs_[op.arg];
     if (seen != 0) continue;  // a repeated leaf, already unlinked
     seen = 1;
-    const std::uint32_t pos = program[link++].arg;
+    const std::uint32_t pos = program[program.size() - 1 - link++].arg;
     std::vector<PredSub>& list = pred_slots_[op.arg];
     std::vector<std::uint32_t>& links = pred_links_[op.arg];
     // Swap-pop; the entry moved into the hole tells its slot where it is.
@@ -326,14 +413,14 @@ void CountingMatcher::unlink(std::uint32_t slot) {
     links.pop_back();
     if (pos < list.size()) {
       Program& moved = slots_[list[pos].slot].program;
-      moved[tree_size(moved) + links[pos]].arg = pos;
+      moved[moved.size() - 1 - links[pos]].arg = pos;
     }
     if (list.empty() && leaf_test_[op.arg].testable) unindex_.push_back(op.arg);
   }
   for (const Instr& op : tree(program)) {
     if (op.kind == NodeKind::Leaf && op.access) link_refs_[op.arg] = 0;
   }
-  program.resize(size);
+  program.resize(program.size() - link);
 }
 
 void CountingMatcher::set_leaf_estimate(LeafEstimate estimate) {
@@ -350,8 +437,11 @@ void CountingMatcher::rechoose_access_sets() {
     }
   }
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot].sub == nullptr) continue;
-    set_pmin(slot, choose_access(slots_[slot].program));
+    Program& program = slots_[slot].program;
+    if (program.empty()) continue;
+    program.resize(branch_end(program));  // the lists were cleared: drop the link ops
+    set_pmin(slot, choose_access(program));
+    compile_branches(program);  // the in-place bits moved
     link(slot);
   }
   // link() indexed what gained a link; take out what lost every one.
@@ -392,29 +482,6 @@ bool CountingMatcher::test_in_place(std::uint32_t pid, MatchContext& context) co
   }
 }
 
-bool CountingMatcher::run(const Instr* program, std::uint32_t pc, MatchContext& context) const {
-  const Instr op = program[pc];
-  switch (op.kind) {
-    case NodeKind::Leaf:
-      if (op.direct) return test_in_place(op.arg, context);
-      return context.pred_epoch_[op.arg] == context.epoch_;
-    case NodeKind::Not: return !run(program, pc + 1, context);
-    case NodeKind::And:
-    case NodeKind::Or: {
-      // And stops at the first false child, Or at the first true one.
-      const bool is_and = op.kind == NodeKind::And;
-      for (std::uint32_t child = pc + 1; child < op.arg;) {
-        if (run(program, child, context) != is_and) return !is_and;
-        child = subtree_end(program, child);
-      }
-      return is_and;
-    }
-    case NodeKind::True: return true;
-    case NodeKind::False: return false;
-  }
-  return false;
-}
-
 void CountingMatcher::set_pmin(std::uint32_t slot, std::uint32_t pmin) {
   std::uint32_t& current = slot_pmin_[slot];
   const bool was_always = current == 0;
@@ -446,29 +513,28 @@ void CountingMatcher::add(Subscription& sub) {
   }
   slot_by_id_.emplace(sub.id().value(), slot);
   slots_[slot] = Slot{};
-  slots_[slot].sub = &sub;
-  load_program(sub, slot, size);
+  slots_[slot].id = sub.id();
   slot_pmin_[slot] = 1;  // placeholder != 0 so set_pmin tracks the always list
-  set_pmin(slot, choose_access(slots_[slot].program));
+  set_pmin(slot, load_program(sub, slot, size));
   link(slot);
   ++live_subs_;
 }
 
-void CountingMatcher::remove(Subscription& sub) {
-  const std::uint32_t slot = slot_of(sub.id());
+void CountingMatcher::remove(Subscription& sub) { remove(sub.id()); }
+
+void CountingMatcher::remove(SubscriptionId id) {
+  const std::uint32_t slot = slot_of(id);
   // Pull the slot out of the always-eval list before releasing references.
   set_pmin(slot, 1);
   unlink(slot);
   flush_unindexed();
   association_count_ -= distinct_predicates(slots_[slot].program);
   release_program(slots_[slot].program);
-  slot_by_id_.erase(sub.id().value());
+  slot_by_id_.erase(id.value());
   slots_[slot] = Slot{};
   free_slots_.push_back(slot);
   --live_subs_;
 }
-
-void CountingMatcher::remove(SubscriptionId id) { remove(*slots_[slot_of(id)].sub); }
 
 void CountingMatcher::reindex(Subscription& sub) {
   const std::uint32_t slot = slot_of(sub.id());
@@ -479,9 +545,9 @@ void CountingMatcher::reindex(Subscription& sub) {
   // Compile the new tree first so predicates shared between old and new
   // trees never drop to zero references (which would thrash the attribute
   // index).
-  load_program(sub, slot, size);
+  const std::uint32_t pmin = load_program(sub, slot, size);
   release_program(old_program);
-  set_pmin(slot, choose_access(slots_[slot].program));
+  set_pmin(slot, pmin);
   link(slot);
   flush_unindexed();
 }
@@ -518,12 +584,16 @@ void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out
         MatchContext::SlotCounter& c = ctx.slot_counter_[entry.slot];
         if (c.epoch != epoch) {
           c.epoch = epoch;
-          c.remaining = slot_pmin_[entry.slot];
+          c.remaining = entry.pmin != PredSub::kWide ? entry.pmin : slot_pmin_[entry.slot];
         }
         // 0 left: already a candidate, or pmin == 0 (on the always list).
         if (c.remaining == 0) continue;
-        if (c.remaining > entry.leaf_refs) {
-          c.remaining -= entry.leaf_refs;
+        std::uint32_t refs = entry.leaf_refs;
+        if (refs == PredSub::kWide) [[unlikely]] {
+          refs = access_leaves(slots_[entry.slot].program, pid.value());
+        }
+        if (c.remaining > refs) {
+          c.remaining -= refs;
         } else {
           c.remaining = 0;
           ctx.candidates_.push_back(entry.slot);
@@ -535,16 +605,29 @@ void CountingMatcher::match(const Event& event, std::vector<SubscriptionId>& out
     // Ablation mode: mark fulfilled predicates, evaluate everything.
     for (const PredicateId pid : ctx.preds_) ctx.pred_epoch_[pid.value()] = epoch;
     for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-      if (slots_[slot].sub != nullptr) ctx.candidates_.push_back(slot);
+      if (!slots_[slot].program.empty()) ctx.candidates_.push_back(slot);
     }
   }
 
   ctx.counters_.tree_evaluations += ctx.candidates_.size();
-  for (const std::uint32_t slot : ctx.candidates_) {
-    const Slot& s = slots_[slot];
-    if (run(s.program.data(), 0, ctx)) {
+  const std::vector<std::uint32_t>& candidates = ctx.candidates_;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    // The candidates' slots and programs lie far apart: fetch ahead.
+    if (i + 8 < candidates.size()) __builtin_prefetch(&slots_[candidates[i + 8]]);
+    if (i + 4 < candidates.size()) __builtin_prefetch(slots_[candidates[i + 4]].program.data());
+    const Slot& s = slots_[candidates[i]];
+    const std::uint32_t size = tree_size(s.program);
+    const Instr* ops = s.program.data() + size + 1;
+    std::uint32_t pc = s.program[size].arg;
+    while (pc < kReject) {
+      const Branch op = branch_op(ops, pc);
+      const bool holds =
+          op.direct ? test_in_place(op.pred, ctx) : ctx.pred_epoch_[op.pred] == epoch;
+      pc = holds ? op.on_true : op.on_false;
+    }
+    if (pc == kAccept) {
       ++ctx.counters_.matches;
-      out.push_back(s.sub->id());
+      out.push_back(s.id);
     }
   }
   for (const auto& [attr, value] : event.pairs()) {
@@ -557,33 +640,41 @@ std::string CountingMatcher::audit() const {
   std::size_t links = 0;
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
     const Slot& s = slots_[slot];
-    if (s.sub == nullptr) continue;
+    if (s.program.empty()) continue;
     const std::string at = "slot " + std::to_string(slot) + ": ";
+    // Branch op i is leaf i; a target is a later op, kAccept or kReject.
+    const std::uint32_t size = tree_size(s.program);
+    const std::uint32_t end = branch_end(s.program);
+    const auto target = [&](std::uint32_t to, std::uint32_t from) {
+      return to == kAccept || to == kReject || (to >= from && to < (end - size - 1) / 2);
+    };
+    if (!target(s.program[size].arg, 0)) return at + "branch entry";
     std::vector<std::uint32_t> all;
-    std::vector<std::uint32_t> access;  // with repeats, in program order
+    std::vector<std::uint32_t> order;  // link k's predicate
+    std::unordered_map<std::uint32_t, std::uint32_t> access;  // access leaves by predicate
     for (const Instr& op : tree(s.program)) {
       if (op.kind != NodeKind::Leaf) continue;
+      const Branch branch = branch_op(s.program.data() + size + 1, all.size());
       all.push_back(op.arg);
-      if (op.access) access.push_back(op.arg);
+      if (op.access && access[op.arg]++ == 0) order.push_back(op.arg);
       if (op.direct != (!op.access && leaf_test_[op.arg].testable)) {
         return at + "in-place bit of predicate " + std::to_string(op.arg);
+      }
+      if (branch.pred != op.arg || branch.direct != op.direct ||
+          !target(branch.on_true, all.size()) || !target(branch.on_false, all.size())) {
+        return at + "branch op " + std::to_string(all.size() - 1);
       }
     }
     std::sort(all.begin(), all.end());
     associations += static_cast<std::size_t>(std::unique(all.begin(), all.end()) - all.begin());
-    std::vector<std::uint32_t> order;  // link k's predicate
-    for (const std::uint32_t pid : access) {
-      if (std::find(order.begin(), order.end(), pid) == order.end()) order.push_back(pid);
-    }
-    const std::uint32_t size = tree_size(s.program);
-    if (s.program.size() != size + order.size()) return at + "link count";
+    if (s.program.size() != end + order.size()) return at + "link count";
     for (std::uint32_t k = 0; k < order.size(); ++k) {
       const std::uint32_t pid = order[k];
-      const std::uint32_t pos = s.program[size + k].arg;
-      const auto refs = static_cast<std::uint32_t>(std::count(access.begin(), access.end(), pid));
+      const std::uint32_t pos = s.program[s.program.size() - 1 - k].arg;
       const std::vector<PredSub>& list = pred_slots_[pid];
-      if (pos >= list.size() || list[pos].slot != slot || list[pos].leaf_refs != refs ||
-          pred_links_[pid][pos] != k) {
+      if (pos >= list.size() || list[pos].slot != slot ||
+          list[pos].leaf_refs != PredSub::narrow(access[pid]) ||
+          list[pos].pmin != PredSub::narrow(slot_pmin_[slot]) || pred_links_[pid][pos] != k) {
         return at + "link " + std::to_string(k) + " of predicate " + std::to_string(pid);
       }
     }

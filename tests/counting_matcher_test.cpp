@@ -659,6 +659,106 @@ TEST_F(CountingMatcherTest, LeavesTestedInPlaceAgreeWithTheTrees) {
   EXPECT_EQ(skewed.live_predicates(), 0u);
 }
 
+// And(category = 'art', Or(Not(price < 10), False, And(True, year >= 2000)),
+// Not(False)), unsimplified. Once a rare category is bound only its leaf is
+// counted and the price and year leaves are tested in place, so how many
+// of them an event tests pins the branch program's short-circuit order.
+TEST_F(CountingMatcherTest, BranchProgramShortCircuitsLikeTheTree) {
+  const auto leaf = [&](const char* attr, Op op, Value v) {
+    return Node::leaf(Predicate(schema_.at(attr), op, std::move(v)));
+  };
+  std::vector<std::unique_ptr<Node>> both;
+  both.push_back(Node::constant(true));
+  both.push_back(leaf("year", Op::Ge, Value(2000)));
+  std::vector<std::unique_ptr<Node>> any;
+  any.push_back(Node::not_(leaf("price", Op::Lt, Value(10.0))));
+  any.push_back(Node::constant(false));
+  any.push_back(Node::and_(std::move(both)));
+  std::vector<std::unique_ptr<Node>> all;
+  all.push_back(leaf("category", Op::Eq, Value("art")));
+  all.push_back(Node::or_(std::move(any)));
+  all.push_back(Node::not_(Node::constant(false)));
+  Subscription s(SubscriptionId(1), Node::and_(std::move(all)));
+
+  struct Case {
+    const char* category;
+    double price;
+    int year;
+    bool delivered;
+    std::uint64_t leaf_tests;  // once the estimates are bound
+  };
+  const Case cases[] = {
+      {"art", 5.0, 2010, true, 2},     // the Not fails, then False, then year holds
+      {"art", 5.0, 1990, false, 2},    // ... and year fails: the Or fails
+      {"art", 20.0, 1990, true, 1},    // the Not holds: the Or holds before year
+      {"music", 20.0, 2010, false, 0}, // the category fails: no candidate
+  };
+  CountingMatcher m(schema_);
+  m.add(s);
+  for (const bool bound : {false, true}) {
+    if (bound) {
+      // rechoose_access_sets() rebuilds the branch program.
+      m.set_leaf_estimate([](const Predicate& p) { return p.op() == Op::Eq ? 0.01 : 0.9; });
+    }
+    ASSERT_EQ(m.audit(), "");
+    for (const Case& c : cases) {
+      const Event e = EventBuilder(schema_)
+                          .with("category", c.category)
+                          .with("price", c.price)
+                          .with("year", c.year)
+                          .build();
+      ASSERT_EQ(s.matches(e), c.delivered);
+      m.reset_counters();
+      EXPECT_EQ(match(m, e).size(), c.delivered ? 1u : 0u)
+          << c.category << " " << c.price << " " << c.year << (bound ? " bound" : "");
+      EXPECT_EQ(m.counters().leaf_tests, bound ? c.leaf_tests : 0u)
+          << c.category << " " << c.price << " " << c.year;
+    }
+  }
+}
+
+// An And of 70,000 distinct leaves has pmin 70,000, wider than an
+// association entry holds: each counter reads the slot's pmin, so only an
+// event that fulfils every leaf makes the tree a candidate.
+TEST_F(CountingMatcherTest, PminWiderThanAnEntryIsReadFromTheSlot) {
+  std::vector<std::unique_ptr<Node>> leaves;
+  for (int k = 1; k <= 70000; ++k) {
+    leaves.push_back(Node::leaf(Predicate(schema_.at("price"), Op::Lt, Value(static_cast<double>(k)))));
+  }
+  Subscription s(SubscriptionId(1), Node::and_(std::move(leaves)));
+  CountingMatcher m(schema_);
+  m.add(s);
+  ASSERT_EQ(m.audit(), "");
+  const auto at = [&](double price) { return EventBuilder(schema_).with("price", price).build(); };
+  EXPECT_EQ(match(m, at(0.0)), std::vector<SubscriptionId>{SubscriptionId(1)});
+  EXPECT_EQ(m.counters().tree_evaluations, 1u);
+  // 10,000 leaves hold: more than 70,000 mod 2^16, fewer than pmin.
+  EXPECT_TRUE(match(m, at(60000.0)).empty());
+  EXPECT_EQ(m.counters().tree_evaluations, 1u);
+  m.remove(s);
+  EXPECT_EQ(m.audit(), "");
+  EXPECT_EQ(m.live_predicates(), 0u);
+}
+
+// Untrained, an unsimplified And(False, leaf) counts its leaf towards an
+// unsatisfiable pmin: the leaf bumps the counter, which never reaches it.
+TEST_F(CountingMatcherTest, UnsatisfiablePminIsNeverReached) {
+  std::vector<std::unique_ptr<Node>> kids;
+  kids.push_back(Node::constant(false));
+  kids.push_back(Node::leaf(Predicate(schema_.at("category"), Op::Eq, Value("art"))));
+  Subscription s(SubscriptionId(1), Node::and_(std::move(kids)));
+  CountingMatcher m(schema_);
+  m.add(s);
+  ASSERT_EQ(m.audit(), "");
+  const Event e = EventBuilder(schema_).with("category", "art").build();
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(match(m, e).empty());
+  EXPECT_EQ(m.counters().counter_increments, 3u);
+  EXPECT_EQ(m.counters().tree_evaluations, 0u);
+  m.remove(s);
+  EXPECT_EQ(m.audit(), "");
+  EXPECT_EQ(m.live_predicates(), 0u);
+}
+
 /// Σ over `live` of their distinct leaf predicates, counted from the trees
 /// (a NaN operand equals no predicate, itself included).
 std::size_t recount_associations(const std::vector<std::unique_ptr<Subscription>>& live) {

@@ -183,13 +183,22 @@ def pruning_summary(rows):
     pruning part of the inproc_prune workload's set-up. Beside it, a report
     (no gate): one matcher add plus one remove on the 60k IoT table
     (micro_filter's BM_MatcherChurn/60000), in us, the index maintenance a
-    pruning pass's reindexes and every churn step pay."""
+    pruning pass's reindexes and every churn step pay. Also reported, not
+    gated: one trained match, in us, on the 10k auction table
+    (BM_CountingMatcherTrained/10000, match_auction_us, full mode only:
+    --quick skips the 10k variants) and on the 60k IoT table
+    (BM_CountingMatcherTrainedIot/60000, match_iot_us)."""
+    reported = {
+        ("micro_pruning", "BM_PruneToHalf/20000"): ("prune_half_ms", 1e6),
+        ("micro_filter", "BM_MatcherChurn/60000"): ("matcher_churn_us", 1e3),
+        ("micro_filter", "BM_CountingMatcherTrained/10000"): ("match_auction_us", 1e3),
+        ("micro_filter", "BM_CountingMatcherTrainedIot/60000"): ("match_iot_us", 1e3),
+    }
     summary = {}
     for row in rows:
-        if row["source"] == "micro_pruning" and row["name"] == "BM_PruneToHalf/20000":
-            summary["prune_half_ms"] = round(row["ns_per_iteration"] / 1e6, 3)
-        if row["source"] == "micro_filter" and row["name"] == "BM_MatcherChurn/60000":
-            summary["matcher_churn_us"] = round(row["ns_per_iteration"] / 1e3, 3)
+        key = reported.get((row["source"], row["name"]))
+        if key is not None:
+            summary[key[0]] = round(row["ns_per_iteration"] / key[1], 3)
     return summary if "prune_half_ms" in summary else None
 
 
@@ -703,8 +712,8 @@ def main():
         f.write("\n")
     print(f"[bench_runner] wrote {out_path} ({len(benchmarks)} benchmark rows)")
     if result["pruning"] is not None:
-        print(f"[bench_runner] pruning: prune_half_ms={result['pruning']['prune_half_ms']}, "
-              f"matcher_churn_us={result['pruning'].get('matcher_churn_us')}")
+        print("[bench_runner] pruning: " + ", ".join(
+            f"{name}={value}" for name, value in result["pruning"].items()))
 
     overhead = result["api_overhead"]
     if overhead is not None and args.api_overhead_limit > 0:

@@ -10,7 +10,10 @@ graph. Three gates, all fatal:
    a one-line diff here *and* in the doc table — deliberate, reviewed, never
    accidental. The reverse holds too: a declared edge with no include
    behind it is stale and fails, so the table never claims a dependency
-   the code dropped.
+   the code dropped. The doc table itself is parsed and compared with
+   ALLOWED_DEPS row by row, under one rule: its column leaves out
+   `common` and `event` (the ids, values and events nearly every module
+   uses) and names every other allowed module, nothing more.
 
 2. **File-level acyclicity** — the concrete include graph of `src/` must be
    a DAG. The module graph alone cannot prove this: `scenario/` builds on
@@ -77,6 +80,11 @@ ALLOWED_DEPS: dict[str, set[str]] = {
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
+# Modules the module map's "Depends on" column never names.
+UNLISTED_DEPS = {"common", "event"}
+MAP_HEADER = "| Module | Contents | Depends on |"
+MAP_ROW_RE = re.compile(r"^\|\s*`(\w+)/`\s*\|.*\|\s*(.*?)\s*\|\s*$")
+
 
 def quoted_includes(path: Path) -> list[tuple[int, str]]:
     out = []
@@ -116,6 +124,41 @@ def check_module_dag(src: Path, errors: list[str]) -> None:
                 f"stale edge: '{module}' declares a dependency on '{stale}/' "
                 f"but no file in src/{module}/ includes it — drop it from "
                 f"ALLOWED_DEPS and the module map in docs/ARCHITECTURE.md")
+
+
+def documented_deps(doc: Path) -> dict[str, set[str]]:
+    """The module map's "Depends on" column by module, without the
+    parenthesized notes; '—' is the empty set."""
+    lines = doc.read_text().splitlines()
+    if MAP_HEADER not in lines:
+        return {}
+    rows: dict[str, set[str]] = {}
+    for line in lines[lines.index(MAP_HEADER) + 2:]:
+        match = MAP_ROW_RE.match(line)
+        if not match:
+            break
+        cell = re.sub(r"\([^)]*\)", "", match.group(2))
+        rows[match.group(1)] = {dep.strip() for dep in cell.split(",")} - {"", "—"}
+    return rows
+
+
+def check_module_map(root: Path, errors: list[str]) -> None:
+    doc = root / "docs" / "ARCHITECTURE.md"
+    rows = documented_deps(doc)
+    if not rows:
+        errors.append(f"{doc}: no module map table under '{MAP_HEADER}'")
+        return
+    for module, allowed in ALLOWED_DEPS.items():
+        want = allowed - UNLISTED_DEPS
+        if module not in rows:
+            errors.append(f"{doc}: the module map has no row for '{module}/'")
+        elif rows[module] != want:
+            errors.append(
+                f"{doc}: the module map's '{module}/' row lists "
+                f"{sorted(rows[module]) or '—'} but ALLOWED_DEPS allows "
+                f"{sorted(want) or '—'} (the column leaves out common and event)")
+    for module in sorted(rows.keys() - ALLOWED_DEPS.keys()):
+        errors.append(f"{doc}: the module map's '{module}/' row is not in ALLOWED_DEPS")
 
 
 def check_file_acyclicity(src: Path, errors: list[str]) -> None:
@@ -175,6 +218,7 @@ def main() -> int:
 
     errors: list[str] = []
     check_module_dag(src, errors)
+    check_module_map(root, errors)
     check_file_acyclicity(src, errors)
     check_api_surface(root, errors)
 
