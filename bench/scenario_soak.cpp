@@ -4,7 +4,8 @@
 // overlay run per domain, and prints a machine-readable JSON report to
 // stdout (consumed by tools/bench_runner.py into BENCH_scenario.json).
 // Exits non-zero when any run reports an oracle mismatch, so CI can gate
-// on delivery exactness.
+// on delivery exactness. Apart from timings the report is deterministic:
+// tools/soak_diff.py compares two of them.
 //
 // Knobs: DBSP_SCENARIO_SUBS (default 1500), DBSP_SCENARIO_EVENTS (events
 // per phase, default 1000), DBSP_SCENARIO_SHARDS (csv, default "1,4"),
@@ -15,9 +16,8 @@
 // store-backed kill-and-recover run per domain — crash mid-churn and
 // mid-flash-crowd, reopen, assert oracle exactness — reporting recovery
 // timings and replayed WAL record counts), DBSP_SCENARIO_AGGREGATION
-// (default 0: the overlay runs route events by subgroup summaries, and the
-// centralized runs keep the facade's summaries under churn),
-// DBSP_SCENARIO_TRANSPORT
+// (default 0: the overlay runs route events by subgroup summaries; the
+// other runs do not read it), DBSP_SCENARIO_TRANSPORT
 // ("inprocess" default, or "sockets": drive every run through a real
 // NetServer over loopback TCP — pruning is forced off and the overlay
 // runs are skipped, both unsupported by the sockets transport),
@@ -191,8 +191,6 @@ int main() {
         config.transport = ScenarioTransport::kSockets;
         config.pruning = false;  // the wire oracle holds unpruned clones
         config.tracing = tracing;
-      } else {
-        config.aggregation = aggregation;
       }
       std::fprintf(stderr, "[scenario_soak] %s %s N=%zu ...\n", name.c_str(),
                    sockets ? "sockets" : "centralized", shards);
@@ -234,8 +232,6 @@ int main() {
         config.transport = ScenarioTransport::kSockets;
         config.pruning = false;
         config.tracing = tracing;
-      } else {
-        config.aggregation = aggregation;
       }
       std::fprintf(stderr, "[scenario_soak] %s kill-and-recover (%s) ...\n",
                    name.c_str(), transport.c_str());

@@ -30,6 +30,7 @@
 #include "event/schema.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "obs/exposition.hpp"
 #include "subscription/node.hpp"
 
 namespace dbsp::net {
@@ -80,8 +81,9 @@ class DbspClient {
   /// Round trip with an echo token (returns the server's echo).
   [[nodiscard]] Result<std::uint64_t> ping(std::uint64_t token);
   [[nodiscard]] Result<NetStats> stats();
-  /// The server's full metrics scrape (kMetrics verb). Empty when the
-  /// server runs with metrics disabled.
+  /// The server's full metrics scrape (kMetrics verb), renderable with
+  /// obs::to_json / obs::to_prometheus. Empty when the server runs with
+  /// metrics disabled.
   [[nodiscard]] Result<obs::MetricsSnapshot> metrics();
   /// The server's flight-recorder snapshot (kTraces verb). Empty when the
   /// server runs with tracing disabled.

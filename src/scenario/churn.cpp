@@ -5,12 +5,26 @@
 
 namespace dbsp {
 
+namespace {
+
+/// Largest rate drawn by one run of Knuth's product method. Past about
+/// 745 exp(-lambda) underflows to 0 and the method saturates, so larger
+/// rates are drawn as a sum of Poissons of at most this rate (a sum of
+/// independent Poissons is Poisson with the summed rate).
+constexpr double kMaxKnuthRate = 500.0;
+
+}  // namespace
+
 ChurnProcess::ChurnProcess(ChurnConfig config, std::uint64_t seed)
     : config_(config), rng_(seed * 0x94d049bb133111ebULL + 601) {}
 
 std::size_t ChurnProcess::poisson(double lambda) {
-  // Knuth's product method; rates here are a handful per tick at most.
-  if (lambda <= 0.0) return 0;
+  std::size_t sum = 0;
+  for (; lambda > kMaxKnuthRate; lambda -= kMaxKnuthRate) {
+    sum += poisson(kMaxKnuthRate);
+  }
+  // Knuth's product method: O(lambda) uniforms per draw.
+  if (lambda <= 0.0) return sum;
   const double limit = std::exp(-lambda);
   double p = 1.0;
   std::size_t k = 0;
@@ -18,7 +32,7 @@ std::size_t ChurnProcess::poisson(double lambda) {
     ++k;
     p *= rng_.uniform_real(0.0, 1.0);
   } while (p > limit);
-  return k - 1;
+  return sum + k - 1;
 }
 
 std::size_t ChurnProcess::arrivals() { return poisson(config_.arrival_rate); }

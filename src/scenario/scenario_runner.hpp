@@ -3,12 +3,15 @@
 /// \file
 /// The ScenarioRunner: drives a workload domain through timed phases of
 /// interleaved subscribe/unsubscribe/publish against the public PubSub
-/// facade (centralized mode) or a broker overlay, with adaptive pruning
-/// maintenance (incremental admission/release + drift-triggered
-/// retrain/rescore), and asserts exact delivery against a naive oracle the
-/// whole way. Built entirely on the dbsp/dbsp.hpp surface — it is both the
-/// substrate for long-running evaluations and the in-tree proof that the
-/// public API carries churn, flash crowds, and pruning end to end.
+/// facade (centralized mode), a dbspd core over loopback TCP (sockets) or
+/// a broker overlay, with adaptive pruning maintenance (incremental
+/// admission/release + drift-triggered retrain/rescore), and asserts exact
+/// delivery against a naive oracle the whole way. One phase loop serves
+/// all three; each supplies only how it subscribes, publishes, collects
+/// deliveries, answers the oracle, prunes and recovers. Built on the
+/// dbsp/dbsp.hpp surface (plus net/ for the sockets transport) — it is both
+/// the substrate for long-running evaluations and the in-tree proof that
+/// the public API carries churn, flash crowds, and pruning end to end.
 
 #include <cstdint>
 #include <string>
@@ -51,11 +54,9 @@ struct ScenarioConfig {
   std::vector<ScenarioPhase> phases;
 
   // --- Aggregation ---------------------------------------------------------
-  /// Overlay mode: every broker routes by subgroup summaries
+  /// Overlay mode only: every broker routes by subgroup summaries
   /// (Overlay::enable_aggregation), so transit forwarding follows the
-  /// summaries. Centralized mode: the facade turns on
-  /// PubSubOptions::aggregation, whose summaries aggregation_stats() builds
-  /// from the live table when read.
+  /// summaries and the oracle checks their no-false-negative contract.
   bool aggregation = false;
 
   // --- Pruning maintenance -------------------------------------------------
@@ -66,16 +67,18 @@ struct ScenarioConfig {
   std::size_t drift_threshold = 200;
 
   // --- Selectivity statistics ----------------------------------------------
-  /// Initial training sample (independent stream).
+  /// Initial training sample (independent stream), drawn only with
+  /// pruning on.
   std::size_t training_events = 2000;
 
   // --- Oracle --------------------------------------------------------------
-  /// Centralized mode: verify every k-th event against direct tree
-  /// evaluation (1 = every event; 0 disables checking).
+  /// Verify the delivered ids of every k-th event against the oracle
+  /// (1 = every event; 0 disables it). Every event's delivered count is
+  /// checked against the count its publish reported either way.
   std::size_t check_every = 1;
 
   /// 0 = centralized single engine; >0 = a broker overlay line of this
-  /// size (notification-log exactness checked per phase).
+  /// size (each broker's notification log read after every publish).
   std::size_t brokers = 0;
 
   /// Transport between the runner and the engine (see ScenarioTransport).
@@ -93,7 +96,7 @@ struct ScenarioConfig {
   obs::FlightRecorderOptions trace;
 
   // --- Durability / crash recovery -----------------------------------------
-  /// Non-empty: the centralized runner opens its PubSub from this store
+  /// Non-empty: the centralized and sockets runs open their PubSub from this store
   /// directory (PubSub::open; created when missing) and every churn and
   /// pruning operation is logged durably. Incompatible with overlay mode.
   std::string store_directory;
@@ -125,7 +128,8 @@ struct ScenarioPhaseReport {
   std::size_t oracle_checked = 0;
   std::size_t oracle_mismatches = 0;
   /// Matching time: facade publish (match + callback dispatch) in
-  /// centralized mode, per-broker filter CPU time in overlay mode.
+  /// centralized mode, the publish round trip over sockets, per-broker
+  /// filter CPU time in overlay mode.
   double match_seconds = 0.0;
   double wall_seconds = 0.0;
   // --- Kill-and-recover (durable runs only) --------------------------------
@@ -140,10 +144,13 @@ struct ScenarioReport {
   std::string mode;  ///< "centralized", "overlay", or "sockets"
   std::size_t shards = 0;
   std::vector<ScenarioPhaseReport> phases;
-  /// Aggregated pruning maintenance counters (all brokers).
+  /// Aggregated pruning maintenance counters (all brokers; in
+  /// kill-and-recover runs, every PubSub instance the run opened).
   PruningEngine::MaintenanceCounters maintenance;
-  /// Full registry scrape (obs::to_json) captured after the last phase.
-  /// Empty in overlay mode (no single facade) or with metrics disabled.
+  /// Full registry scrape (obs::to_json) captured after the last phase —
+  /// over sockets through the metrics wire verb, before the clients
+  /// disconnect. Empty in overlay mode (no single facade) or with metrics
+  /// disabled.
   std::string metrics_json;
   /// Wall time of that final snapshot + serialization, in microseconds —
   /// what one monitoring scrape costs the broker.
@@ -188,10 +195,6 @@ class ScenarioRunner {
   [[nodiscard]] ScenarioReport run();
 
  private:
-  [[nodiscard]] ScenarioReport run_centralized();
-  [[nodiscard]] ScenarioReport run_overlay();
-  [[nodiscard]] ScenarioReport run_sockets();
-
   const WorkloadDomain* domain_;
   ScenarioConfig config_;
 };

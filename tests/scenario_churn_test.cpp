@@ -1,16 +1,21 @@
-// Scenario subsystem: randomized subscribe/unsubscribe/prune/publish
-// interleavings checked against NaiveMatcher on fresh trees, the
-// ScenarioRunner soak (churn + flash crowd + pruning) on all three
-// domains at K ∈ {1, 4} match workers, and the overlay variant asserting the
-// notification log is exact after churn.
+// Scenario subsystem: the churn process's Poisson draws, randomized
+// subscribe/unsubscribe/prune/publish interleavings checked against
+// NaiveMatcher on fresh trees, the ScenarioRunner soak (churn + flash crowd +
+// pruning) on all three domains at K ∈ {1, 4} match workers, the overlay
+// variant asserting the notification log is exact after churn, and one
+// config run through every transport (in process, overlay, sockets), which
+// must agree on every count and repeat itself exactly.
 
 #include "scenario/scenario_runner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "broker/overlay.hpp"
 #include "core/pruning_set.hpp"
@@ -22,6 +27,34 @@ namespace dbsp {
 namespace {
 
 using test::MiniDomain;
+
+// --- Churn process -----------------------------------------------------------
+
+TEST(ChurnProcessTest, SmallRatesKeepTheirDraws) {
+  // The soaks' rates (and perfbench's churn at λ = 3) depend on these exact
+  // draws: a seeded run must not change under the large-rate path.
+  ChurnProcess churn(ChurnConfig{3.0, 0.0, 3.0}, 7);
+  const std::vector<std::size_t> pinned = {
+      4, 1, 1, 2, 2, 6, 3, 5, 1, 4, 2, 2, 3, 4, 4, 4,  //
+      4, 8, 3, 4, 4, 0, 2, 1, 1, 2, 1, 2, 1, 0, 4, 8,  //
+      3, 3, 5, 4, 2, 6, 6, 1, 0, 3, 1, 1, 4, 5, 4, 0,  //
+      5, 3, 4, 3, 5, 4, 4, 3, 0, 5, 4, 5, 5, 3, 4, 0};
+  std::vector<std::size_t> drawn;
+  for (std::size_t i = 0; i < pinned.size(); ++i) drawn.push_back(churn.arrivals());
+  EXPECT_EQ(drawn, pinned);
+}
+
+TEST(ChurnProcessTest, LargeRatesDoNotSaturate) {
+  // exp(-λ) underflows past λ ≈ 745; the mean must still be λ.
+  for (const double lambda : {1000.0, 5000.0}) {
+    ChurnProcess churn(ChurnConfig{lambda, 0.0, 3.0}, 11);
+    constexpr int kDraws = 400;
+    double total = 0.0;
+    for (int i = 0; i < kDraws; ++i) total += static_cast<double>(churn.arrivals());
+    const double sigma_of_mean = std::sqrt(lambda / kDraws);
+    EXPECT_NEAR(total / kDraws, lambda, 5.0 * sigma_of_mean) << "λ = " << lambda;
+  }
+}
 
 // --- Randomized interleavings against a naive oracle -----------------------
 
@@ -184,6 +217,80 @@ TEST(ScenarioOverlayTest, NotificationLogIsExactAfterChurn) {
     EXPECT_GT(report.total_churn_ops(), 0u);
     EXPECT_GT(report.maintenance.releases, 0u);  // broker auto-release worked
     EXPECT_GT(report.maintenance.reindexes, 0u);  // every broker's counters add up
+  }
+}
+
+// --- One config through every transport --------------------------------------
+
+ScenarioReport run_transport(const WorkloadDomain& domain, const char* transport) {
+  ScenarioConfig config = ScenarioConfig::soak(120, 60);
+  config.pruning = false;  // the sockets transport's oracle needs it off
+  config.check_every = 1;
+  if (std::string(transport) == "overlay") config.brokers = 3;
+  if (std::string(transport) == "sockets") config.transport = ScenarioTransport::kSockets;
+  return ScenarioRunner(domain, config).run();
+}
+
+// Every field that does not carry a time (the metrics scrape holds latency
+// histograms; tools/soak_diff.py compares the rest of it).
+void expect_same_run(const ScenarioReport& a, const ScenarioReport& b) {
+  EXPECT_EQ(a.domain, b.domain);
+  EXPECT_EQ(a.mode, b.mode);
+  EXPECT_EQ(a.shards, b.shards);
+  EXPECT_EQ(a.maintenance.admissions, b.maintenance.admissions);
+  EXPECT_EQ(a.maintenance.releases, b.maintenance.releases);
+  EXPECT_EQ(a.maintenance.queue_compactions, b.maintenance.queue_compactions);
+  EXPECT_EQ(a.maintenance.full_rescores, b.maintenance.full_rescores);
+  EXPECT_EQ(a.maintenance.reindexes, b.maintenance.reindexes);
+  EXPECT_EQ(a.traced_publishes, b.traced_publishes);
+  ASSERT_EQ(a.phases.size(), b.phases.size());
+  for (std::size_t i = 0; i < a.phases.size(); ++i) {
+    const ScenarioPhaseReport& p = a.phases[i];
+    const ScenarioPhaseReport& q = b.phases[i];
+    EXPECT_EQ(p.name, q.name);
+    EXPECT_EQ(p.events, q.events);
+    EXPECT_EQ(p.subscribes, q.subscribes) << p.name;
+    EXPECT_EQ(p.unsubscribes, q.unsubscribes) << p.name;
+    EXPECT_EQ(p.prunings, q.prunings) << p.name;
+    EXPECT_EQ(p.drift_retrains, q.drift_retrains) << p.name;
+    EXPECT_EQ(p.live_subscriptions, q.live_subscriptions) << p.name;
+    EXPECT_EQ(p.associations, q.associations) << p.name;
+    EXPECT_EQ(p.matches, q.matches) << p.name;
+    EXPECT_EQ(p.oracle_checked, q.oracle_checked) << p.name;
+    EXPECT_EQ(p.oracle_mismatches, q.oracle_mismatches) << p.name;
+    EXPECT_EQ(p.recoveries, q.recoveries) << p.name;
+    EXPECT_EQ(p.recovered_subscriptions, q.recovered_subscriptions) << p.name;
+    EXPECT_EQ(p.replayed_wal_records, q.replayed_wal_records) << p.name;
+  }
+}
+
+TEST(ScenarioTransportTest, EveryTransportSeesTheSameChurnAndDeliveries) {
+  const auto domain = make_workload("auction");
+  const ScenarioReport centralized = run_transport(*domain, "centralized");
+  ASSERT_EQ(centralized.mode, "centralized");
+  ASSERT_TRUE(centralized.exact());
+  EXPECT_GT(centralized.total_churn_ops(), 0u);
+  for (const char* transport : {"overlay", "sockets"}) {
+    const ScenarioReport other = run_transport(*domain, transport);
+    EXPECT_EQ(other.mode, transport);
+    EXPECT_TRUE(other.exact()) << transport;
+    ASSERT_EQ(other.phases.size(), centralized.phases.size());
+    for (std::size_t i = 0; i < other.phases.size(); ++i) {
+      const ScenarioPhaseReport& p = centralized.phases[i];
+      const ScenarioPhaseReport& q = other.phases[i];
+      EXPECT_EQ(p.subscribes, q.subscribes) << transport << " " << p.name;
+      EXPECT_EQ(p.unsubscribes, q.unsubscribes) << transport << " " << p.name;
+      EXPECT_EQ(p.live_subscriptions, q.live_subscriptions) << transport << " " << p.name;
+      EXPECT_EQ(p.matches, q.matches) << transport << " " << p.name;
+    }
+  }
+}
+
+TEST(ScenarioTransportTest, EveryTransportRepeatsItself) {
+  const auto domain = make_workload("auction");
+  for (const char* transport : {"centralized", "overlay", "sockets"}) {
+    SCOPED_TRACE(transport);
+    expect_same_run(run_transport(*domain, transport), run_transport(*domain, transport));
   }
 }
 

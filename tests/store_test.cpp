@@ -1359,6 +1359,18 @@ TEST(ScenarioKillRecoverTest, SoakStaysOracleExactAcrossCrashes) {
   EXPECT_EQ(report.total_recoveries(), 2u);
   EXPECT_GT(report.phases[1].recovered_subscriptions, 0u);
   EXPECT_GT(report.total_recovery_seconds(), 0.0);
+
+  // The maintenance of every PubSub instance the run opened counts, not
+  // only the last one's: each subscription was admitted at least once and
+  // each unsubscription released one.
+  std::uint64_t subscribes = 0;
+  std::uint64_t unsubscribes = 0;
+  for (const ScenarioPhaseReport& p : report.phases) {
+    subscribes += p.subscribes;
+    unsubscribes += p.unsubscribes;
+  }
+  EXPECT_GE(report.maintenance.admissions, config.initial_subscriptions + subscribes);
+  EXPECT_GE(report.maintenance.releases, unsubscribes);
 }
 
 }  // namespace

@@ -59,7 +59,7 @@ ALLOWED_DEPS: dict[str, set[str]] = {
     "experiment": {"common", "core", "selectivity", "broker", "workload", "api"},
     # scenario is built entirely on the public API: the umbrella header is
     # its only route to the engine — plus the net edge for the sockets
-    # transport (run_sockets drives a NetServer over real loopback TCP).
+    # transport (it drives a NetServer over real loopback TCP).
     # core/filter/store are deliberately NOT allowed here.
     "scenario": {"common", "event", "subscription", "workload", "dbsp", "net"},
     "store": {"common", "event", "subscription", "core", "routing",
