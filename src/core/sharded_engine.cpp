@@ -85,6 +85,8 @@ CountingMatcher::Counters ShardedEngine::counters() const {
     total.leaf_tests += c.leaf_tests;
     total.tree_evaluations += c.tree_evaluations;
     total.matches += c.matches;
+    total.composite_probes += c.composite_probes;
+    total.composite_hits += c.composite_hits;
   }
   return total;
 }

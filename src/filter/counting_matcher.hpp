@@ -27,6 +27,8 @@ struct MatchCounters {
   std::uint64_t leaf_tests = 0;          ///< leaves tested in place
   std::uint64_t tree_evaluations = 0;    ///< Boolean trees evaluated
   std::uint64_t matches = 0;             ///< subscriptions matched
+  std::uint64_t composite_probes = 0;    ///< composite-key table lookups
+  std::uint64_t composite_hits = 0;      ///< composite keys the event fulfils
 };
 
 /// Everything one match writes: the epoch, the per-predicate epochs, one

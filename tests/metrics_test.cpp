@@ -391,6 +391,11 @@ TEST(FacadeMetricsTest, MatchSeriesEqualCountersAcrossPublishAndPublishBatch) {
                                     i % 2 == 0 ? PubSub::Callback(sink) : nullptr)
                        .value());
   }
+  // Eq conjunctions on sym and volume: one composite key each.
+  for (int k = 0; k < 4; ++k) {
+    live.push_back(pubsub.subscribe("sym = 'A' and volume = " + std::to_string(3 * k), sink)
+                       .value());
+  }
   const auto tick = [&pubsub](int i) {
     return pubsub.event()
         .with("sym", "A")
@@ -416,6 +421,12 @@ TEST(FacadeMetricsTest, MatchSeriesEqualCountersAcrossPublishAndPublishBatch) {
                    static_cast<double>(counters.events));
   EXPECT_DOUBLE_EQ(s.value("dbsp_matches_total"),
                    static_cast<double>(counters.matches));
+  EXPECT_DOUBLE_EQ(s.value("dbsp_counter_increments_total"),
+                   static_cast<double>(counters.counter_increments));
+  EXPECT_DOUBLE_EQ(s.value("dbsp_composite_probes_total"),
+                   static_cast<double>(counters.composite_probes));
+  EXPECT_DOUBLE_EQ(s.value("dbsp_composite_hits_total"),
+                   static_cast<double>(counters.composite_hits));
   // One publish call per publish() and per publish_batch().
   EXPECT_DOUBLE_EQ(s.value("dbsp_publishes_total"), 4.0 * (7 + 1));
   // No second copy of either fact is exported beside them.
