@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -32,8 +33,8 @@ struct MatchCounters {
 };
 
 /// Everything one match writes: the epoch, the per-predicate epochs, one
-/// counter record per slot, the event's values by attribute, the scratch
-/// lists and the counters. The index
+/// counter record per slot, the event's values and their hashes by
+/// attribute, the scratch lists and the counters. The index
 /// (CountingMatcher) is only read while matching, so K contexts let K
 /// threads match against one index at once. A context's arrays grow
 /// lazily to the index they last matched against.
@@ -60,7 +61,11 @@ class MatchContext {
   std::vector<SlotCounter> slot_counter_;  // by slot
   /// By attribute id: the event's value during a match, null otherwise.
   std::vector<const Value*> values_;
+  /// By attribute id: the hash of the event's value, set during a match
+  /// for the attributes of live composite-key signatures.
+  std::vector<std::size_t> hashes_;
   std::vector<PredicateId> preds_;
+  std::vector<std::uint32_t> keys_;  // composite keys the event fulfils
   std::vector<std::uint32_t> candidates_;
   MatchCounters counters_;
 };
@@ -91,6 +96,24 @@ class MatchContext {
 /// (pmin 0) or never (unsatisfiable) counts no leaf at all once counting
 /// would cost anything. The estimates come from set_leaf_estimate(); without
 /// one every estimate is 0 and every leaf is counted, as in the paper.
+///
+/// Composite equality keys (the clustering of Fabret et al., SIGMOD 2001):
+/// in an And that counts toward pmin — an access node with no Not above
+/// it — the Eq access leaves whose operand is not NaN, the first one on
+/// each attribute, form one group when they sit on two or more attributes.
+/// A group counts as one toward pmin and has no links of its own: it is
+/// interned as a key, its attribute signature (ascending) plus its member
+/// predicates, hashed through the operands' Value::hash (Int and Double
+/// agree), and the key's association list takes one entry per slot that
+/// holds it. Per event each live signature is probed once — its
+/// attributes' value hashes combined, one table walk, the members checked
+/// against the event's values — unless a value is missing or NaN; a hit
+/// fulfils every member, so it bumps its subscriptions like a fulfilled
+/// access leaf. The access-set choice above ignores keys: groups are formed
+/// from the access set it chose. A member leaf reads like a non-access leaf
+/// in the branch program: tested in place when testable, else by the mark
+/// of its predicate, which stays indexed. Reindexing and re-choosing re-key
+/// the tree, so a pruning that drops a member changes its key.
 ///
 /// Only what counting reads is indexed. A numeric comparison — Eq, Lt, Le,
 /// Gt, Ge or Between whose operands are all exact, non-NaN numerics — sits
@@ -182,11 +205,15 @@ class CountingMatcher {
   /// tree once, in order, with its predicate and in-place bit, and only
   /// forward targets; that every association list holds each live
   /// slot's access links exactly once, with its access-leaf count and
-  /// pmin, at the position the slot records; that exactly the non-access leaves on
-  /// predicates testable in place are tested in place; and that a live
-  /// predicate is in its AttributeIndex iff it is not testable in place or
-  /// has an access link. Returns the first inconsistency, or an empty
-  /// string. O(index size); meant for tests.
+  /// pmin, at the position the slot records; that exactly the non-access
+  /// and key-member leaves on predicates testable in place are tested in
+  /// place; that a live predicate is in its AttributeIndex iff it is not
+  /// testable in place or has an access link; that the groups are those
+  /// the access set implies and the slot's pmin counts each as one; and
+  /// that each group's key holds its signature and member predicates,
+  /// hashes their operands, is found in the key table, is linked like a
+  /// predicate and counts the groups that carry it. Returns the first
+  /// inconsistency, or an empty string. O(index size); meant for tests.
   [[nodiscard]] std::string audit() const;
 
   /// Disables the pmin evaluation trigger: every registered subscription's
@@ -221,12 +248,19 @@ class CountingMatcher {
     /// Leaf: counted (an access leaf). Inner: kept in its parent's access
     /// set. A dropped subtree is cleared throughout.
     bool access = false;
-    /// Leaf: tested in place — not an access leaf, and its predicate is
-    /// testable in place (see LeafTest).
+    /// Leaf: tested in place — not an access leaf or a key member, and its
+    /// predicate is testable in place (see LeafTest).
     bool direct = false;
+    /// Leaf: a member of its parent And's composite key. And: holds a
+    /// group, whose key op follows the branch ops.
+    bool key = false;
     std::uint32_t arg = 0;  ///< Leaf: predicate id; inner: one past the subtree
   };
   static_assert(sizeof(Instr) == 8);
+  /// A True op whose arg is a branch entry, a key id or a link position.
+  [[nodiscard]] static Instr marker(std::uint32_t arg) {
+    return {NodeKind::True, false, false, false, arg};
+  }
   using Program = std::vector<Instr>;
 
   /// One op of a slot's branch program: a leaf of the tree, in pre-order,
@@ -248,10 +282,12 @@ class CountingMatcher {
     /// One exactly sized allocation, empty while the slot is free: the tree
     /// as of the last (re)index, whose leaf ops hold the slot's predicate
     /// references; a True op whose arg is the branch program's entry (an
-    /// op, kAccept or kReject); the branch ops; and, while linked, one True
-    /// op per access link recording where it sits: link k, the k-th
-    /// distinct access predicate in program order, sits k + 1 ops from the
-    /// end and is pred_slots_[pid][op.arg].
+    /// op, kAccept or kReject); the branch ops; one True op per group, in
+    /// pre-order, whose arg is its key id (a key reference); and, while
+    /// linked, one True op per link recording where it sits: link k, the
+    /// k-th distinct access predicate outside a group in program order and
+    /// then the distinct keys in key-op order, sits k + 1 ops from the end
+    /// and is pred_slots_[pid][op.arg] (key_slots_[key][op.arg]).
     Program program;
   };
 
@@ -261,9 +297,10 @@ class CountingMatcher {
   /// tree before they change anything.
   [[nodiscard]] std::size_t checked_size(const Node& node) const;
   /// Compiles `sub`'s tree, of `size` nodes, taking one predicate
-  /// reference per leaf, chooses its access set and gives slot `slot` its
-  /// program with room for its link ops in one exactly sized allocation.
-  /// Adds its associations to association_count_ and returns its pmin.
+  /// reference per leaf and one key reference per group, chooses its
+  /// access set and gives slot `slot` its program with room for its link
+  /// ops in one exactly sized allocation. Adds its associations to
+  /// association_count_ and returns its pmin.
   [[nodiscard]] std::uint32_t load_program(const Subscription& sub, std::uint32_t slot,
                                            std::size_t size);
   void compile(const Node& node, Program& program);
@@ -278,12 +315,19 @@ class CountingMatcher {
   /// Ops of the compiled tree of `program`, without its branch and link ops.
   [[nodiscard]] static std::uint32_t tree_size(const Program& program);
   [[nodiscard]] static std::span<const Instr> tree(const Program& program);
-  /// One past the branch ops of `program`: where its link ops start.
-  [[nodiscard]] static std::uint32_t branch_end(const Program& program);
+  /// Where the key ops of `program` sit: from one past its branch ops up
+  /// to where its link ops start.
+  struct KeyOps {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  [[nodiscard]] static KeyOps key_ops(const Program& program);
   /// Distinct predicate ids of the tree: its associations.
   [[nodiscard]] std::uint32_t distinct_predicates(const Program& program);
-  /// Access leaves of `program`'s tree on predicate `pid`.
+  /// Access leaves outside a group of `program`'s tree on predicate `pid`.
   [[nodiscard]] static std::uint32_t access_leaves(const Program& program, std::uint32_t pid);
+  /// Groups of `program` keyed `key`.
+  [[nodiscard]] static std::uint32_t key_groups(const Program& program, std::uint32_t key);
 
   /// A predicate's in-place test: Eq, Lt, Le, Gt and Ge compare with
   /// `low`, Between is low <= value <= high. Only a numeric comparison
@@ -296,11 +340,15 @@ class CountingMatcher {
     Op op = Op::Eq;
     bool testable = false;
     bool indexed = false;  ///< in its AttributeIndex
+    bool keyable = false;  ///< an Eq whose operand is not NaN: a key member
   };
   static_assert(sizeof(LeafTest) <= 24);
   [[nodiscard]] static LeafTest leaf_test_of(const Predicate& pred);
-  /// Whether predicate `pid` holds for the event `context` is matching.
+  /// Whether predicate `pid` holds for the event `context` is matching;
+  /// counts a leaf test.
   [[nodiscard]] bool test_in_place(std::uint32_t pid, MatchContext& context) const;
+  /// Whether predicate `pid` holds for `value`, without counting.
+  [[nodiscard]] bool holds(std::uint32_t pid, const Value& value) const;
   void index_predicate(std::uint32_t pid);
   void unindex_predicate(std::uint32_t pid);
   /// Takes out of the index each predicate unlink() emptied whose list is
@@ -324,10 +372,15 @@ class CountingMatcher {
   static constexpr double kEvalCost = 8.0;
 
   [[nodiscard]] double estimate(const Predicate& pred) const;
-  /// Chooses the access set of `program` (see the class comment) and
-  /// returns its pmin. Allocates nothing.
-  [[nodiscard]] std::uint32_t choose_access(Program& program) const;
+  /// Chooses the access set of `program` (see the class comment), groups
+  /// its Eq access leaves and returns its pmin, each group counting one.
+  /// Allocates nothing once the scratch has grown.
+  [[nodiscard]] std::uint32_t choose_access(Program& program);
   void choose(Instr* program, std::uint32_t pc) const;
+  /// Sets the key bits of the groups in the subtree at `pc`, whose key bits
+  /// are clear; `taken` is scratch (the attributes of the groups being
+  /// formed), returned as it came.
+  void mark_keys(Instr* program, std::uint32_t pc, std::vector<std::uint32_t>& taken) const;
   void drop_costly_children(Instr* program, std::uint32_t pc) const;
   [[nodiscard]] AccessCost cost(const Instr* program, std::uint32_t pc) const;
   /// Adds or takes out the slot's entries in the association lists: one
@@ -340,6 +393,45 @@ class CountingMatcher {
   /// list it empties for flush_unindexed().
   void link(std::uint32_t slot);
   void unlink(std::uint32_t slot);
+
+  /// A composite key: one attribute signature and its member predicates,
+  /// one per attribute in ascending attribute order. Keys are interned:
+  /// groups with equal members share one id, which lives while a group
+  /// holds it.
+  struct Key {
+    std::size_t hash = 0;      ///< the signature id and the operands' hashes
+    std::uint32_t sig = 0;
+    std::uint32_t refs = 0;    ///< groups holding it, over all slots; 0 = free
+    std::uint32_t record = 0;  ///< its members in signatures_[sig].members
+  };
+  /// The attributes of live keys, ascending, and the members of its keys
+  /// in records of attrs.size() predicate ids.
+  struct Signature {
+    std::vector<std::uint32_t> attrs;
+    std::vector<std::uint32_t> members;
+    std::vector<std::uint32_t> free_records;
+    std::uint32_t keys = 0;  ///< live keys; 0 = free
+  };
+  static constexpr std::uint32_t kNoKey = 0xFFFFFFFF;
+  /// Interns the key of the group of the And at `pc` and returns its id.
+  std::uint32_t intern_key(const Instr* program, std::uint32_t pc);
+  /// Interns the key of every group of `program`'s tree, in pre-order,
+  /// into `keys`.
+  void intern_keys(const Program& program, std::vector<std::uint32_t>& keys);
+  void release_key(std::uint32_t key);
+  /// Releases the key references of `program`'s key ops.
+  void release_keys(const Program& program);
+  [[nodiscard]] const std::uint32_t* members_of(const Key& key) const;
+  /// The hash of a key of signature `sig` with these members.
+  [[nodiscard]] std::size_t key_hash(std::uint32_t sig, const std::uint32_t* members) const;
+  /// The key of signature `sig` and hash `hash` whose members satisfy
+  /// `same`, or kNoKey.
+  template <typename Same>
+  [[nodiscard]] std::uint32_t find_key(std::size_t hash, std::uint32_t sig, Same&& same) const;
+  void insert_key(std::uint32_t key);
+  void erase_key(std::uint32_t key);
+  /// Appends to context.keys_ the keys the event fulfils.
+  void probe_keys(MatchContext& context) const;
 
   /// One association as seen from a predicate: the subscription's slot,
   /// how many of its access leaves carry this predicate and its pmin.
@@ -372,6 +464,29 @@ class CountingMatcher {
   /// By predicate id: scratch counts and marks of one program walk, 0
   /// between walks.
   std::vector<std::uint32_t> link_refs_;
+
+  std::vector<Key> keys_;                             // by key id
+  std::vector<std::uint32_t> free_keys_;
+  std::vector<std::vector<PredSub>> key_slots_;       // by key id: links
+  std::vector<std::vector<std::uint32_t>> key_links_; // parallel to key_slots_
+  /// By key id: scratch counts and marks, 0 between walks.
+  std::vector<std::uint32_t> key_refs_;
+  /// Open addressing with linear probing: key ids by hash, kNoKey empty.
+  std::vector<std::uint32_t> key_table_;
+  std::size_t live_keys_ = 0;
+  std::vector<Signature> signatures_;
+  std::vector<std::uint32_t> free_signatures_;
+  std::map<std::vector<std::uint32_t>, std::uint32_t> signature_ids_;
+  std::vector<std::uint32_t> probe_signatures_;  // those with live keys
+  std::vector<std::uint32_t> key_attr_refs_;     // by attribute: probed signatures on it
+  /// Scratch of choose_access() (the attributes of groups being formed),
+  /// intern_key() (members and attributes) and the group keys of a tree.
+  std::vector<std::uint32_t> taken_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> members_;
+  std::vector<std::uint32_t> key_attrs_;
+  std::vector<std::uint32_t> key_pids_;
+  std::vector<std::uint32_t> group_keys_;
+  std::vector<std::uint32_t> retired_keys_;
   /// Scratch of load_program() (a tree's ops) and emit() (children).
   Program compiled_;
   std::vector<std::uint32_t> children_;

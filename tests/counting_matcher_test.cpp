@@ -447,9 +447,70 @@ TEST_F(CountingMatcherTest, SlotRecyclingAfterRemoveAdd) {
 
 // --- Access leaves ---------------------------------------------------------
 
+/// The groups of `root` when every leaf is an access leaf: in each And
+/// with no Not above it, the first Eq leaf with a non-NaN operand on each
+/// attribute, when they sit on two or more attributes. Appends the member
+/// leaves to `members` and each group's key (its member predicates by
+/// attribute) to `keys`.
+void groups_of(const Node& node, std::vector<const Node*>& members,
+               std::vector<std::vector<Predicate>>& keys) {
+  if (node.kind() != NodeKind::And && node.kind() != NodeKind::Or) return;
+  std::vector<const Node*> group;
+  for (const auto& child : node.children()) {
+    if (child->kind() != NodeKind::Leaf) {
+      groups_of(*child, members, keys);
+      continue;
+    }
+    const Predicate& p = child->predicate();
+    const Value& operand = p.operands().front();
+    if (node.kind() != NodeKind::And || p.op() != Op::Eq ||
+        (operand.type() == ValueType::Double && std::isnan(operand.as_double()))) {
+      continue;
+    }
+    const auto same_attr = [&](const Node* m) {
+      return m->predicate().attribute() == p.attribute();
+    };
+    if (std::none_of(group.begin(), group.end(), same_attr)) group.push_back(child.get());
+  }
+  if (group.size() < 2) return;
+  std::sort(group.begin(), group.end(), [](const Node* a, const Node* b) {
+    return a->predicate().attribute() < b->predicate().attribute();
+  });
+  std::vector<Predicate> key;
+  for (const Node* m : group) key.push_back(m->predicate());
+  members.insert(members.end(), group.begin(), group.end());
+  keys.push_back(std::move(key));
+}
+
+/// Counter bumps of counting every leaf of `root` on `e`: one per distinct
+/// predicate outside the groups that holds, and one per distinct key whose
+/// members all hold.
+std::uint64_t every_leaf_bumps(const Node& root, const Event& e) {
+  std::vector<const Node*> members;
+  std::vector<std::vector<Predicate>> keys;
+  groups_of(root, members, keys);
+  std::uint64_t bumps = 0;
+  std::vector<Predicate> seen;
+  root.for_each_leaf([&](const Node& leaf) {
+    if (std::find(members.begin(), members.end(), &leaf) != members.end()) return;
+    if (std::find(seen.begin(), seen.end(), leaf.predicate()) != seen.end()) return;
+    seen.push_back(leaf.predicate());
+    if (leaf.predicate().matches(e)) ++bumps;
+  });
+  std::vector<std::vector<Predicate>> distinct;
+  for (const auto& key : keys) {
+    if (std::find(distinct.begin(), distinct.end(), key) != distinct.end()) continue;
+    distinct.push_back(key);
+    const auto holds = [&](const Predicate& p) { return p.matches(e); };
+    if (std::all_of(key.begin(), key.end(), holds)) ++bumps;
+  }
+  return bumps;
+}
+
 TEST_F(CountingMatcherTest, WithoutAnOracleOrWithAZeroOneEveryLeafIsCounted) {
   // Counting every leaf bumps, per event, one counter per (subscription,
-  // distinct predicate) pair whose predicate holds — the paper's count.
+  // distinct predicate) pair whose predicate holds — the paper's count —
+  // except that each group of Eq leaves bumps once, when all of them hold.
   // Binding an all-zero oracle, or binding and unbinding one, keeps it.
   test::MiniDomain dom(4, 10);
   std::mt19937_64 rng(31);
@@ -468,14 +529,7 @@ TEST_F(CountingMatcherTest, WithoutAnOracleOrWithAZeroOneEveryLeafIsCounted) {
 
   std::uint64_t expected = 0;
   for (const auto& e : dom.random_events(rng, 200)) {
-    for (const auto& s : corpus.subs) {
-      std::vector<Predicate> seen;
-      s->root().for_each_leaf([&](const Node& leaf) {
-        if (std::find(seen.begin(), seen.end(), leaf.predicate()) != seen.end()) return;
-        seen.push_back(leaf.predicate());
-        if (leaf.predicate().matches(e)) ++expected;
-      });
-    }
+    for (const auto& s : corpus.subs) expected += every_leaf_bumps(s->root(), e);
     const auto got = match(unbound, e);
     EXPECT_EQ(match(zero, e), got);
     EXPECT_EQ(match(rebound, e), got);
@@ -600,8 +654,15 @@ TEST_F(CountingMatcherTest, LeavesTestedInPlaceAgreeWithTheTrees) {
     subs.push_back(std::make_unique<Subscription>(
         SubscriptionId(static_cast<std::uint32_t>(subs.size())), std::move(tree)));
   };
+  // Counting every leaf, an Eq behind the anchor is a key member with it,
+  // tested in place when its operand is exact: once per delivery.
+  std::vector<bool> keyed;
   for (const char* attr : {"price", "year"}) {
     for (const Predicate& p : numeric_predicates(schema_.at(attr))) {
+      const Value& v = p.operands().front();
+      keyed.resize(subs.size());
+      keyed.push_back(p.op() == Op::Eq && v.is_numeric() && v.numeric_is_exact() &&
+                      !std::isnan(v.numeric()));
       add_sub(behind_anchor(schema_, Node::leaf(p)));
       add_sub(behind_anchor(schema_, Node::not_(Node::leaf(p))));
       add_sub(Node::not_(Node::leaf(p)));
@@ -618,7 +679,9 @@ TEST_F(CountingMatcherTest, LeavesTestedInPlaceAgreeWithTheTrees) {
 
   // Each value, and past the last one a missing attribute.
   const std::vector<Value> values = event_values();
+  std::uint64_t keyed_deliveries = 0;  // per pass of agrees()
   const auto agrees = [&](CountingMatcher& m) {
+    keyed_deliveries = 0;
     for (std::size_t i = 0; i <= values.size(); ++i) {
       for (std::size_t j = 0; j <= values.size(); ++j) {
         const Value* price = i < values.size() ? &values[i] : nullptr;
@@ -628,8 +691,10 @@ TEST_F(CountingMatcherTest, LeavesTestedInPlaceAgreeWithTheTrees) {
         if (price != nullptr) e.set(schema_.at("price"), *price);
         if (year != nullptr) e.set(schema_.at("year"), *year);
         std::vector<SubscriptionId> expected;
-        for (const auto& s : subs) {
-          if (s->matches(e)) expected.push_back(s->id());
+        for (std::size_t k = 0; k < subs.size(); ++k) {
+          if (!subs[k]->matches(e)) continue;
+          expected.push_back(subs[k]->id());
+          keyed_deliveries += k < keyed.size() && keyed[k];
         }
         ASSERT_EQ(match(m, e), expected)
             << "price " << (price != nullptr ? price->to_string() : "missing") << ", year "
@@ -638,8 +703,9 @@ TEST_F(CountingMatcherTest, LeavesTestedInPlaceAgreeWithTheTrees) {
     }
   };
   agrees(unbound);
+  EXPECT_GT(keyed_deliveries, 0u);
+  EXPECT_EQ(unbound.counters().leaf_tests, keyed_deliveries);
   agrees(skewed);
-  EXPECT_EQ(unbound.counters().leaf_tests, 0u);
   EXPECT_GT(skewed.counters().leaf_tests, 0u);
   EXPECT_LT(skewed.counters().predicate_hits, unbound.counters().predicate_hits);
 
@@ -649,7 +715,7 @@ TEST_F(CountingMatcherTest, LeavesTestedInPlaceAgreeWithTheTrees) {
   ASSERT_EQ(skewed.audit(), "");
   skewed.reset_counters();
   agrees(skewed);
-  EXPECT_EQ(skewed.counters().leaf_tests, 0u);
+  EXPECT_EQ(skewed.counters().leaf_tests, keyed_deliveries);
   skewed.set_leaf_estimate(rare_category);
   ASSERT_EQ(skewed.audit(), "");
   for (auto& s : subs) {
@@ -759,6 +825,275 @@ TEST_F(CountingMatcherTest, UnsatisfiablePminIsNeverReached) {
   EXPECT_EQ(m.live_predicates(), 0u);
 }
 
+// --- Composite equality keys -----------------------------------------------
+
+/// Matches `e` and checks the deliveries against the trees and the index
+/// against its programs.
+void expect_exact(CountingMatcher& m, const std::vector<const Subscription*>& subs,
+                  const Event& e) {
+  std::vector<SubscriptionId> want;
+  for (const Subscription* s : subs) {
+    if (s->matches(e)) want.push_back(s->id());
+  }
+  std::vector<SubscriptionId> got;
+  m.match(e, got);
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(m.audit(), "");
+}
+
+TEST_F(CountingMatcherTest, AnEqConjunctionBumpsOnceWhenEveryMemberHolds) {
+  // category and year form one key, counting one toward pmin = 2 with the
+  // price leaf.
+  CountingMatcher m(schema_);
+  auto s = sub(1, "category = 'art' and year = 2000 and price < 10");
+  m.add(*s);
+  ASSERT_EQ(m.audit(), "");
+  EXPECT_EQ(m.associations_of(SubscriptionId(1)), 3u);  // still its distinct predicates
+
+  const auto event = [&](const char* category, int year, double price) {
+    return EventBuilder(schema_).with("category", category).with("year", year).with("price", price).build();
+  };
+  EXPECT_EQ(match(m, event("art", 2000, 5.0)), std::vector<SubscriptionId>{SubscriptionId(1)});
+  EXPECT_EQ(m.counters().composite_probes, 1u);
+  EXPECT_EQ(m.counters().composite_hits, 1u);
+  EXPECT_EQ(m.counters().counter_increments, 2u);  // the key and the price leaf
+  EXPECT_EQ(m.counters().tree_evaluations, 1u);
+  EXPECT_EQ(m.counters().leaf_tests, 1u);  // year, tested in place; category reads its mark
+
+  // One member fails: the key misses, and the price leaf alone is short.
+  m.reset_counters();
+  EXPECT_TRUE(match(m, event("art", 1999, 5.0)).empty());
+  EXPECT_EQ(m.counters().composite_probes, 1u);
+  EXPECT_EQ(m.counters().composite_hits, 0u);
+  EXPECT_EQ(m.counters().counter_increments, 1u);
+  EXPECT_EQ(m.counters().tree_evaluations, 0u);
+
+  // A second subscription on the same key shares its entry list.
+  auto t = sub(2, "year = 2000 and category = 'art'");
+  m.add(*t);
+  ASSERT_EQ(m.audit(), "");
+  m.reset_counters();
+  EXPECT_EQ(match(m, event("art", 2000, 50.0)), std::vector<SubscriptionId>{SubscriptionId(2)});
+  EXPECT_EQ(m.counters().composite_probes, 1u);
+  EXPECT_EQ(m.counters().composite_hits, 1u);
+  EXPECT_EQ(m.counters().counter_increments, 2u);  // one per subscription on the key
+  m.remove(*s);
+  m.remove(*t);
+  EXPECT_EQ(m.audit(), "");
+  EXPECT_EQ(m.live_predicates(), 0u);
+  m.reset_counters();
+  (void)match(m, event("art", 2000, 5.0));
+  EXPECT_EQ(m.counters().composite_probes, 0u);  // no live signature is left
+}
+
+TEST_F(CountingMatcherTest, NestedAndsKeyTheirOwnGroups) {
+  // And(And(category = 'art', year = 2000), price = 5, year = 1999),
+  // unsimplified: each And groups its own Eq children, so pmin = 2 and an
+  // event fulfilling only the inner key is no candidate.
+  const auto eq = [&](const char* attr, Value v) {
+    return Node::leaf(Predicate(schema_.at(attr), Op::Eq, std::move(v)));
+  };
+  std::vector<std::unique_ptr<Node>> inner;
+  inner.push_back(eq("category", Value("art")));
+  inner.push_back(eq("year", Value(2000)));
+  std::vector<std::unique_ptr<Node>> outer;
+  outer.push_back(Node::and_(std::move(inner)));
+  outer.push_back(eq("price", Value(5.0)));
+  outer.push_back(eq("year", Value(1999)));
+  Subscription s(SubscriptionId(1), Node::and_(std::move(outer)));
+  CountingMatcher m(schema_);
+  m.add(s);
+  ASSERT_EQ(m.audit(), "");
+  expect_exact(m, {&s}, EventBuilder(schema_).with("category", "art").with("year", 2000).with("price", 5.0).build());
+  EXPECT_EQ(m.counters().composite_probes, 2u);
+  EXPECT_EQ(m.counters().composite_hits, 1u);
+  EXPECT_EQ(m.counters().tree_evaluations, 0u);
+}
+
+TEST_F(CountingMatcherTest, IntAndDoubleKeysAgreePastTwoToThe53) {
+  // Each operand as a key member with the category, against each value:
+  // an Int and a Double key equal exactly when their numbers are equal.
+  std::vector<Value> operands;
+  for (const std::int64_t i : {std::int64_t{0}, std::int64_t{5}, std::int64_t{9007199254740992},
+                               std::int64_t{9007199254740993}, std::int64_t{9007199254740994}}) {
+    operands.emplace_back(i);
+    operands.emplace_back(static_cast<double>(i));
+  }
+  operands.emplace_back(-0.0);
+  operands.emplace_back(1.5);
+  std::vector<std::unique_ptr<Subscription>> owned;
+  std::vector<const Subscription*> subs;
+  CountingMatcher m(schema_);
+  for (const Value& v : operands) {
+    std::vector<std::unique_ptr<Node>> kids;
+    kids.push_back(Node::leaf(Predicate(schema_.at("category"), Op::Eq, Value("art"))));
+    kids.push_back(Node::leaf(Predicate(schema_.at("year"), Op::Eq, v)));
+    owned.push_back(std::make_unique<Subscription>(
+        SubscriptionId(static_cast<std::uint32_t>(owned.size())), Node::and_(std::move(kids))));
+    subs.push_back(owned.back().get());
+    m.add(*owned.back());
+  }
+  ASSERT_EQ(m.audit(), "");
+  std::uint64_t delivered = 0;
+  for (const Value& v : event_values()) {
+    const Event e = EventBuilder(schema_).with("category", "art").build();
+    Event with_year = e;
+    with_year.set(schema_.at("year"), v);
+    for (const Subscription* s : subs) delivered += s->matches(with_year);
+    expect_exact(m, subs, with_year);
+  }
+  // Every delivery came through one key hit; each key is probed once.
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(m.counters().tree_evaluations, delivered);
+  EXPECT_LE(m.counters().composite_hits, m.counters().composite_probes);
+}
+
+TEST_F(CountingMatcherTest, NaNAndMissingValuesDoNotProbe) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::unique_ptr<Node>> kids;
+  kids.push_back(Node::leaf(Predicate(schema_.at("category"), Op::Eq, Value("art"))));
+  kids.push_back(Node::leaf(Predicate(schema_.at("year"), Op::Eq, Value(5))));
+  kids.push_back(Node::leaf(Predicate(schema_.at("price"), Op::Eq, Value(nan))));
+  Subscription nan_member(SubscriptionId(1), Node::and_(std::move(kids)));
+  auto keyed = sub(2, "category = 'art' and price = 2.5");
+  CountingMatcher m(schema_);
+  m.add(nan_member);  // a NaN operand joins no key: {category, year}
+  m.add(*keyed);      // {category, price}
+  ASSERT_EQ(m.audit(), "");
+  const std::vector<const Subscription*> subs = {&nan_member, keyed.get()};
+
+  expect_exact(m, subs, EventBuilder(schema_).with("category", "art").with("year", 5).with("price", 2.5).build());
+  EXPECT_EQ(m.counters().composite_probes, 2u);
+  EXPECT_EQ(m.counters().composite_hits, 2u);
+  m.reset_counters();
+  // A NaN price probes only {category, year}; a missing year only
+  // {category, price}; a missing category neither.
+  expect_exact(m, subs, EventBuilder(schema_).with("category", "art").with("year", 5).with("price", nan).build());
+  EXPECT_EQ(m.counters().composite_probes, 1u);
+  EXPECT_EQ(m.counters().composite_hits, 1u);
+  m.reset_counters();
+  expect_exact(m, subs, EventBuilder(schema_).with("category", "art").with("price", 2.5).build());
+  EXPECT_EQ(m.counters().composite_probes, 1u);
+  EXPECT_EQ(m.counters().composite_hits, 1u);
+  m.reset_counters();
+  expect_exact(m, subs, EventBuilder(schema_).with("year", 5).with("price", 2.5).build());
+  EXPECT_EQ(m.counters().composite_probes, 0u);
+  EXPECT_EQ(m.counters().counter_increments, 0u);
+}
+
+TEST_F(CountingMatcherTest, AnAndUnderANotFormsNoKey) {
+  // The Not adds nothing to pmin, so its Eq leaves stay counted apart.
+  auto negated = sub(1, "not (category = 'art' and year = 2000)");
+  auto behind = sub(2, "price < 10 and not (category = 'art' and year = 2000)");
+  CountingMatcher m(schema_);
+  m.add(*negated);
+  m.add(*behind);
+  ASSERT_EQ(m.audit(), "");
+  const std::vector<const Subscription*> subs = {negated.get(), behind.get()};
+  for (const char* category : {"art", "music"}) {
+    for (const int year : {2000, 2001}) {
+      expect_exact(m, subs, EventBuilder(schema_).with("category", category).with("year", year).with("price", 5.0).build());
+    }
+  }
+  EXPECT_EQ(m.counters().composite_probes, 0u);
+}
+
+TEST_F(CountingMatcherTest, DuplicateAndSameAttributeEqLeaves) {
+  // A repeated leaf and a second Eq on a member's attribute stay counted
+  // apart; a key repeated in one tree counts once per group.
+  auto repeated = sub(1, "category = 'art' and category = 'art' and year = 1");
+  auto same_attr = sub(2, "year = 1 and year = 2 and category = 'art'");
+  auto twice = sub(3, "(category = 'art' and year = 1) or (year = 1 and category = 'art' and price < 3)");
+  auto mixed = sub(4, "category = 'art' and (category = 'art' or year = 1) and year = 1");
+  CountingMatcher m(schema_);
+  for (auto* s : {repeated.get(), same_attr.get(), twice.get(), mixed.get()}) m.add(*s);
+  ASSERT_EQ(m.audit(), "");
+  EXPECT_EQ(m.associations_of(SubscriptionId(3)), 3u);
+  const std::vector<const Subscription*> subs = {repeated.get(), same_attr.get(), twice.get(),
+                                                 mixed.get()};
+  for (const char* category : {"art", "music"}) {
+    for (const int year : {1, 2}) {
+      for (const double price : {1.0, 5.0}) {
+        expect_exact(m, subs, EventBuilder(schema_).with("category", category).with("year", year).with("price", price).build());
+      }
+    }
+  }
+  EXPECT_GT(m.counters().composite_hits, 0u);
+  for (auto* s : {repeated.get(), same_attr.get(), twice.get(), mixed.get()}) {
+    m.remove(*s);
+    ASSERT_EQ(m.audit(), "");
+  }
+  EXPECT_EQ(m.live_predicates(), 0u);
+}
+
+TEST_F(CountingMatcherTest, PruningAKeyLeafReKeysTheTree) {
+  auto s = sub(1, "category = 'art' and year = 2000 and price = 5");
+  auto other = sub(2, "category = 'art' and price = 5");
+  CountingMatcher m(schema_);
+  m.add(*s);
+  m.add(*other);
+  ASSERT_EQ(m.audit(), "");
+  const std::vector<const Subscription*> subs = {s.get(), other.get()};
+  const Event e = EventBuilder(schema_).with("category", "art").with("year", 1999).with("price", 5.0).build();
+  expect_exact(m, subs, e);  // {category, year, price} misses, {category, price} hits
+  EXPECT_EQ(m.counters().composite_probes, 2u);
+  EXPECT_EQ(m.counters().composite_hits, 1u);
+
+  // Dropping year moves the subscription onto its neighbour's key.
+  apply_pruning(*s, {1});
+  m.reindex(*s);
+  ASSERT_EQ(m.audit(), "");
+  m.reset_counters();
+  expect_exact(m, subs, e);
+  EXPECT_EQ(m.counters().composite_probes, 1u);
+  EXPECT_EQ(m.counters().composite_hits, 1u);
+  EXPECT_EQ(m.counters().counter_increments, 2u);
+
+  // Down to one Eq leaf: no key of its own.
+  apply_pruning(*s, {0});
+  m.reindex(*s);
+  ASSERT_EQ(m.audit(), "");
+  m.remove(*other);
+  ASSERT_EQ(m.audit(), "");
+  m.reset_counters();
+  expect_exact(m, {s.get()}, e);
+  EXPECT_EQ(m.counters().composite_probes, 0u);
+  EXPECT_EQ(m.counters().counter_increments, 1u);
+}
+
+TEST_F(CountingMatcherTest, RechoosingAccessSetsReKeys) {
+  // With a broad year, the chooser drops it from the access set: the key
+  // goes, and comes back once the estimates are unbound.
+  auto s = sub(1, "category = 'art' and year = 2000 and price = 5");
+  CountingMatcher m(schema_);
+  m.add(*s);
+  const Event e = EventBuilder(schema_).with("category", "art").with("year", 2000).with("price", 5.0).build();
+  const auto probe = [&] {
+    m.reset_counters();
+    expect_exact(m, {s.get()}, e);
+    return m.counters();
+  };
+  EXPECT_EQ(probe().composite_hits, 1u);
+  m.set_leaf_estimate([](const Predicate& p) { return p.attribute().value() == 2 ? 0.9 : 0.01; });
+  ASSERT_EQ(m.audit(), "");
+  EXPECT_EQ(probe().composite_hits, 1u);  // {category, price} still
+  m.set_leaf_estimate([](const Predicate& p) { return p.attribute().value() == 1 ? 0.01 : 0.9; });
+  ASSERT_EQ(m.audit(), "");
+  const MatchCounters one_leaf = probe();
+  EXPECT_EQ(one_leaf.composite_probes, 0u);  // category alone: no key
+  EXPECT_EQ(one_leaf.counter_increments, 1u);
+  EXPECT_EQ(one_leaf.leaf_tests, 2u);
+  m.set_leaf_estimate({});
+  ASSERT_EQ(m.audit(), "");
+  EXPECT_EQ(probe().composite_hits, 1u);
+  m.rechoose_access_sets();
+  ASSERT_EQ(m.audit(), "");
+  m.remove(*s);
+  EXPECT_EQ(m.audit(), "");
+}
+
 /// Σ over `live` of their distinct leaf predicates, counted from the trees
 /// (a NaN operand equals no predicate, itself included).
 std::size_t recount_associations(const std::vector<std::unique_ptr<Subscription>>& live) {
@@ -853,6 +1188,74 @@ TEST(CountingMatcherHistoryTest, IndexStaysExactUnderRandomHistories) {
         ASSERT_EQ(got, want) << "step " << step;
       }
     }
+    for (const auto& s : live) m.remove(*s);
+    EXPECT_EQ(m.association_count(), 0u);
+    EXPECT_EQ(m.live_predicates(), 0u);
+    EXPECT_EQ(m.audit(), "");
+  }
+}
+
+// The same random histories over Eq-heavy trees (test::eq_heavy_tree) and
+// sparse events with Int, Double and NaN values: most Ands form keys, and
+// prunings and re-chosen access sets re-key them.
+TEST(CountingMatcherHistoryTest, EqHeavyHistoriesStayExact) {
+  const test::MiniDomain dom(4, 3);
+  for (const std::uint64_t seed : {7u, 8u}) {
+    SCOPED_TRACE(seed);
+    std::mt19937_64 rng(seed);
+    const auto tree = [&] { return test::eq_heavy_tree(dom, rng, 1 + rng() % 8); };
+    CountingMatcher m(dom.schema());
+    std::vector<std::unique_ptr<Subscription>> live;
+    std::uint32_t next_id = 0;
+    std::uint64_t hits = 0;
+    for (int step = 0; step < 500; ++step) {
+      const auto op = rng() % 10;
+      if (op < 4 || live.empty()) {
+        live.push_back(std::make_unique<Subscription>(SubscriptionId(next_id++), tree()));
+        m.add(*live.back());
+      } else if (op < 6) {
+        const std::size_t victim = rng() % live.size();
+        m.remove(*live[victim]);
+        live[victim] = std::move(live.back());
+        live.pop_back();
+      } else if (op < 8) {
+        Subscription& s = *live[rng() % live.size()];
+        const auto candidates = enumerate_prunings(s.root());
+        if (candidates.empty()) continue;
+        apply_pruning(s, candidates[rng() % candidates.size()]);
+        m.reindex(s);
+      } else if (op < 9) {
+        Subscription& s = *live[rng() % live.size()];
+        s.replace_root(tree());
+        m.reindex(s);
+      } else {
+        switch (rng() % 3) {
+          case 0: m.set_leaf_estimate({}); break;
+          case 1:
+            m.set_leaf_estimate([](const Predicate& p) {
+              return static_cast<double>(p.hash() % 101) / 100.0;
+            });
+            break;
+          default: m.rechoose_access_sets(); break;
+        }
+      }
+      ASSERT_EQ(m.association_count(), recount_associations(live)) << "step " << step;
+      ASSERT_EQ(m.audit(), "") << "step " << step;
+      for (int i = 0; i < 3; ++i) {
+        const Event e = test::mixed_event(dom, rng);
+        std::vector<SubscriptionId> want;
+        for (const auto& s : live) {
+          if (s->matches(e)) want.push_back(s->id());
+        }
+        std::sort(want.begin(), want.end());
+        std::vector<SubscriptionId> got;
+        m.match(e, got);
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, want) << "step " << step;
+      }
+      hits = m.counters().composite_hits;
+    }
+    EXPECT_GT(hits, 0u);
     for (const auto& s : live) m.remove(*s);
     EXPECT_EQ(m.association_count(), 0u);
     EXPECT_EQ(m.live_predicates(), 0u);

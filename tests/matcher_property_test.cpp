@@ -617,6 +617,84 @@ TEST_P(AccessLeafEquivalence, BatchRowsEqualNaiveAtEveryWorkerCount) {
   }
 }
 
+class CompositeKeyEquivalence : public ::testing::TestWithParam<int> {};
+
+// Eq-heavy trees (most Ands form composite keys) against sparse events
+// with Int, Double and NaN values and missing attributes, through removal,
+// fresh trees, prunings that drop key leaves, and re-chosen or rebound
+// access sets: deliveries equal the naive matcher's and the index audits
+// clean throughout.
+TEST_P(CompositeKeyEquivalence, EqHeavyTreesEqualNaiveThroughChurnAndRebinding) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  std::mt19937_64 rng(seed);
+  const MiniDomain dom(5, 4);
+  const auto estimates = [seed](const Predicate& p) {
+    return static_cast<double>((p.hash() ^ seed) % 101) / 100.0;
+  };
+  CountingMatcher counting(dom.schema());
+  if (seed % 2 == 0) counting.set_leaf_estimate(estimates);
+  NaiveMatcher naive;
+  std::vector<std::unique_ptr<Subscription>> subs;
+  std::vector<bool> alive;
+  const auto add_one = [&] {
+    const auto id = SubscriptionId(static_cast<SubscriptionId::value_type>(subs.size()));
+    subs.push_back(std::make_unique<Subscription>(id, test::eq_heavy_tree(dom, rng, 1 + rng() % 9)));
+    alive.push_back(true);
+    counting.add(*subs.back());
+    naive.add(*subs.back());
+  };
+  const auto check = [&](std::size_t events, int round) {
+    ASSERT_EQ(counting.audit(), "") << "round " << round;
+    for (std::size_t i = 0; i < events; ++i) {
+      const Event e = test::mixed_event(dom, rng);
+      ASSERT_EQ(sorted_match(counting, e), sorted_match(naive, e)) << "round " << round;
+    }
+  };
+  for (int i = 0; i < 200; ++i) add_one();
+  check(200, -1);
+  for (int round = 0; round < 20; ++round) {
+    for (int k = 0; k < 12; ++k) {
+      const auto i = static_cast<std::size_t>(rng() % subs.size());
+      if (!alive[i]) continue;
+      Subscription& s = *subs[i];
+      switch (rng() % 3) {
+        case 0:
+          counting.remove(s);
+          naive.remove(s.id());
+          alive[i] = false;
+          break;
+        case 1:
+          s.replace_root(test::eq_heavy_tree(dom, rng, 1 + rng() % 9));
+          counting.reindex(s);
+          break;
+        default: {
+          const auto candidates = enumerate_prunings(s.root());
+          if (candidates.empty()) break;
+          apply_pruning(s, candidates[rng() % candidates.size()]);
+          counting.reindex(s);
+        }
+      }
+    }
+    for (int k = 0; k < 6; ++k) add_one();
+    switch (round % 4) {
+      case 1: counting.rechoose_access_sets(); break;
+      case 2: counting.set_leaf_estimate({}); break;
+      case 3: counting.set_leaf_estimate(estimates); break;
+      default: break;
+    }
+    check(40, round);
+  }
+  EXPECT_GT(counting.counters().composite_hits, 0u);
+  for (std::size_t i = 0; i < subs.size(); ++i) {
+    if (alive[i]) counting.remove(*subs[i]);
+  }
+  EXPECT_EQ(counting.audit(), "");
+  EXPECT_EQ(counting.live_predicates(), 0u);
+  EXPECT_EQ(counting.association_count(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompositeKeyEquivalence, ::testing::Values(1, 2, 3, 4));
+
 INSTANTIATE_TEST_SUITE_P(Oracles, AccessLeafEquivalence,
                          ::testing::Values(Oracle::Zero, Oracle::One, Oracle::NaN,
                                            Oracle::Negative, Oracle::AboveOne, Oracle::Random,

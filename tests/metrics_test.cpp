@@ -427,6 +427,8 @@ TEST(FacadeMetricsTest, MatchSeriesEqualCountersAcrossPublishAndPublishBatch) {
                    static_cast<double>(counters.composite_probes));
   EXPECT_DOUBLE_EQ(s.value("dbsp_composite_hits_total"),
                    static_cast<double>(counters.composite_hits));
+  EXPECT_EQ(counters.composite_probes, events);  // one signature, sym and volume set
+  EXPECT_GT(counters.composite_hits, 0u);
   // One publish call per publish() and per publish_batch().
   EXPECT_DOUBLE_EQ(s.value("dbsp_publishes_total"), 4.0 * (7 + 1));
   // No second copy of either fact is exported beside them.

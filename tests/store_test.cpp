@@ -21,6 +21,7 @@
 #include "api/pubsub.hpp"
 #include "core/candidates.hpp"
 #include "scenario/scenario_runner.hpp"
+#include "scenario/workload_domain.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
 #include "subscription/parser.hpp"
@@ -394,6 +395,64 @@ TEST(PubSubOpenTest, PruneTrainAndAccountingSurviveCrash) {
   }
   pubsub.reset();
   live.clear();
+}
+
+/// The work counts of matching `events`, and the matches, on `pubsub`.
+std::vector<std::uint64_t> match_work(PubSub& pubsub, const std::vector<Event>& events) {
+  const MatchCounters before = pubsub.counters();
+  for (const Event& e : events) (void)pubsub.publish(e);
+  const MatchCounters after = pubsub.counters();
+  return {after.events - before.events,
+          after.predicate_hits - before.predicate_hits,
+          after.counter_increments - before.counter_increments,
+          after.leaf_tests - before.leaf_tests,
+          after.tree_evaluations - before.tree_evaluations,
+          after.matches - before.matches,
+          after.composite_probes - before.composite_probes,
+          after.composite_hits - before.composite_hits};
+}
+
+TEST(PubSubOpenTest, RecoveredFacadeChoosesTheSameAccessSetsAndKeys) {
+  // A trained, pruned, durable facade over IoT subscriptions, and the
+  // facades PubSub::open recovers from its store (WAL replay, then a
+  // checkpoint), match one event stream with the same work: the recovered
+  // statistics choose the same access sets and composite keys.
+  const auto domain = make_iot_workload();
+  TempDir dir("recovered_work");
+  const auto source = domain->subscriptions(1);
+  const std::vector<Event> training = domain->events(3)->generate(2000);
+  std::vector<Event> events;
+  const auto stream = domain->events(2);
+  for (int i = 0; i < 400; ++i) events.push_back(stream->next());
+
+  std::optional<PubSub> pubsub;
+  std::vector<SubscriptionHandle> live;
+  auto opened = PubSub::open(store_at(dir, domain->schema()), pruning_options(1));
+  ASSERT_TRUE(opened.ok());
+  pubsub.emplace(std::move(opened).value());
+  ASSERT_TRUE(pubsub->train(training).ok());
+  for (int i = 0; i < 1500; ++i) {
+    auto handle = pubsub->subscribe(source->next());
+    ASSERT_TRUE(handle.ok());
+    live.push_back(std::move(handle).value());
+  }
+  ASSERT_GT(pubsub->prune_to_fraction(0.5).value(), 0u);
+  const std::vector<std::uint64_t> work = match_work(*pubsub, events);
+  EXPECT_GT(work[7], 0u) << "no composite key hit";
+
+  for (const bool checkpoint : {false, true}) {
+    SCOPED_TRACE(checkpoint ? "after a checkpoint" : "WAL replay");
+    if (checkpoint) {
+      ASSERT_TRUE(pubsub->checkpoint().ok());
+    }
+    pubsub.reset();  // crash
+    live.clear();
+    auto reopened = PubSub::open(store_at(dir, domain->schema()), pruning_options(1));
+    ASSERT_TRUE(reopened.ok()) << reopened.status().to_string();
+    pubsub.emplace(std::move(reopened).value());
+    EXPECT_EQ(match_work(*pubsub, events), work);
+  }
+  pubsub.reset();
 }
 
 #if defined(__unix__) || defined(__APPLE__)

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
@@ -152,6 +154,62 @@ class MiniDomain {
   std::vector<AttributeId> ids_;
   std::int64_t domain_;
 };
+
+/// A value for one of `dom`'s attributes as an Int or as the Double equal
+/// to it; one in twenty is NaN and one in twenty lies at 2^53 or just past
+/// it, where an Int and a Double can no longer be equal.
+[[nodiscard]] inline Value mixed_numeric(const MiniDomain& dom, std::mt19937_64& rng) {
+  constexpr std::int64_t kTwoPow53 = std::int64_t{1} << 53;
+  switch (rng() % 20) {
+    case 0: return Value(std::numeric_limits<double>::quiet_NaN());
+    case 1: {
+      const std::int64_t big = kTwoPow53 + static_cast<std::int64_t>(rng() % 3);
+      return rng() % 2 == 0 ? Value(big) : Value(static_cast<double>(big));
+    }
+    default: break;
+  }
+  const auto v = std::uniform_int_distribution<std::int64_t>(0, dom.domain() - 1)(rng);
+  return rng() % 2 == 0 ? Value(v) : Value(static_cast<double>(v));
+}
+
+/// A random tree over `dom` whose leaves are mostly Eq on mixed_numeric()
+/// operands, with Ands more likely than Ors and an occasional Not: the
+/// trees composite equality keys group. Simplified and non-constant.
+[[nodiscard]] inline std::unique_ptr<Node> eq_heavy_tree(const MiniDomain& dom,
+                                                         std::mt19937_64& rng,
+                                                         std::size_t leaves) {
+  const auto leaf = [&] {
+    if (rng() % 4 == 0) return Node::leaf(dom.random_predicate(rng));
+    return Node::leaf(Predicate(dom.attr(rng() % dom.attr_count()), Op::Eq, mixed_numeric(dom, rng)));
+  };
+  const std::function<std::unique_ptr<Node>(std::size_t)> subtree = [&](std::size_t n) {
+    std::unique_ptr<Node> node;
+    if (n <= 1) {
+      node = leaf();
+    } else {
+      const std::size_t arity = 2 + rng() % std::min<std::size_t>(3, n - 1);
+      std::vector<std::size_t> budget(arity, 1);
+      for (std::size_t extra = n - arity; extra > 0; --extra) ++budget[rng() % arity];
+      std::vector<std::unique_ptr<Node>> children;
+      for (const std::size_t b : budget) children.push_back(subtree(b));
+      node = rng() % 10 < 7 ? Node::and_(std::move(children)) : Node::or_(std::move(children));
+    }
+    if (rng() % 10 == 0) node = Node::not_(std::move(node));
+    return node;
+  };
+  auto tree = simplify(subtree(leaves));
+  return tree->is_constant() ? leaf() : std::move(tree);
+}
+
+/// An event over `dom` with mixed_numeric() values, leaving each attribute
+/// out one time in eight.
+[[nodiscard]] inline Event mixed_event(const MiniDomain& dom, std::mt19937_64& rng) {
+  Event e;
+  for (std::size_t i = 0; i < dom.attr_count(); ++i) {
+    if (rng() % 8 != 0) e.set(dom.attr(i), mixed_numeric(dom, rng));
+  }
+  return e;
+}
 
 /// A randomly generated subscription corpus with dense ids 0..n-1.
 struct Corpus {

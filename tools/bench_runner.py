@@ -149,9 +149,25 @@ def run_micro(binary, quick):
                 "events_per_sec": events_per_sec,
                 "bytes_per_sec": b.get("bytes_per_second"),
                 "iterations": b.get("iterations"),
+                "counters": {
+                    k: v
+                    for k, v in b.items()
+                    if k not in BENCHMARK_FIELDS and isinstance(v, (int, float))
+                    and not isinstance(v, bool)
+                },
             }
         )
     return out, report.get("context", {})
+
+
+# The fields Google Benchmark writes for every run; any other numeric field
+# of a run is a user counter (state.counters).
+BENCHMARK_FIELDS = {
+    "name", "family_index", "per_family_instance_index", "run_name", "run_type",
+    "repetitions", "repetition_index", "threads", "iterations", "real_time",
+    "cpu_time", "time_unit", "items_per_second", "bytes_per_second", "label",
+    "error_occurred", "error_message", "aggregate_name", "aggregate_unit",
+}
 
 
 def sharded_speedup(rows):
@@ -187,7 +203,9 @@ def pruning_summary(rows):
     gated: one trained match, in us, on the 10k auction table
     (BM_CountingMatcherTrained/10000, match_auction_us, full mode only:
     --quick skips the 10k variants) and on the 60k IoT table
-    (BM_CountingMatcherTrainedIot/60000, match_iot_us)."""
+    (BM_CountingMatcherTrainedIot/60000, match_iot_us), with its counter
+    bumps, tree evaluations and composite-key hits per event beside it
+    (match_iot_bumps, match_iot_evals, match_iot_composite_hits)."""
     reported = {
         ("micro_pruning", "BM_PruneToHalf/20000"): ("prune_half_ms", 1e6),
         ("micro_filter", "BM_MatcherChurn/60000"): ("matcher_churn_us", 1e3),
@@ -199,6 +217,10 @@ def pruning_summary(rows):
         key = reported.get((row["source"], row["name"]))
         if key is not None:
             summary[key[0]] = round(row["ns_per_iteration"] / key[1], 3)
+            if key[0] == "match_iot_us":
+                for counter in ("bumps", "evals", "composite_hits"):
+                    if counter in row.get("counters", {}):
+                        summary["match_iot_" + counter] = round(row["counters"][counter], 2)
     return summary if "prune_half_ms" in summary else None
 
 
